@@ -1,6 +1,6 @@
 """Static analysis for the proof machine: ``repro check``.
 
-Three heads share one :class:`~repro.checks.findings.Finding`
+Two heads share one :class:`~repro.checks.findings.Finding`
 vocabulary and one CLI:
 
 * **Domain invariant auditor** (:mod:`repro.checks.rules`,
@@ -14,22 +14,14 @@ vocabulary and one CLI:
 
 * **AST lint** (:mod:`repro.checks.astlint`) — ``RPR00x`` rules over
   source code: interning safety, ``from_maximal`` discipline,
-  counter placement, exception hygiene on solver hot paths, and the
-  fully-annotated public proof core backing the mypy gate.
-
-* **Flow engine** (:mod:`repro.checks.flow` over
-  :mod:`repro.checks.cfg` and :mod:`repro.checks.provenance`) —
-  flow-sensitive ``RPR006``–``RPR009`` rules: mask provenance across
-  :class:`~repro.topology.table.VertexTable` boundaries (statically
-  proving what the ``REPRO_SANITIZE=1`` runtime sanitizer asserts
-  dynamically), unordered-iteration determinism, pure-path hygiene,
-  and worker-function purity — gated through the committed
-  ``.repro-flow-baseline.json``.
+  counter placement, exception hygiene on solver hot paths, the
+  fully-annotated public proof core backing the mypy gate, and no
+  ambient nondeterminism (unseeded ``random``, wall-clock reads,
+  ``key=id`` sorts) in ``repro.core``/``repro.topology``.
 
 Run ``repro check --all`` to audit every registered experiment's
-machinery, ``repro check --lint src/`` to lint the tree, and
-``repro check --flow`` for the flow analysis; tier-1 runs all three
-as self-tests.
+machinery and ``repro check --lint src/`` to lint the tree; tier-1
+runs both as self-tests.
 """
 
 from repro.checks.astlint import (
@@ -43,14 +35,8 @@ from repro.checks.audit import (
     CheckReport,
     audit_all,
     audit_experiments,
-    flow_report,
     lint_report,
     trace_report,
-)
-from repro.checks.baseline import (
-    apply_baseline,
-    load_baseline,
-    save_baseline,
 )
 from repro.checks.findings import (
     Finding,
@@ -58,13 +44,6 @@ from repro.checks.findings import (
     max_severity,
     parse_severity,
     sort_findings,
-)
-from repro.checks.flow import (
-    FLOW_RULES,
-    FlowContext,
-    FlowRule,
-    analyze_paths,
-    analyze_source,
 )
 from repro.checks.reporters import render_json, render_text
 from repro.checks.rules import (
@@ -91,19 +70,10 @@ __all__ = [
     "LINT_RULES",
     "lint_source",
     "lint_paths",
-    "FlowContext",
-    "FlowRule",
-    "FLOW_RULES",
-    "analyze_source",
-    "analyze_paths",
-    "apply_baseline",
-    "load_baseline",
-    "save_baseline",
     "CheckReport",
     "audit_all",
     "audit_experiments",
     "lint_report",
-    "flow_report",
     "trace_report",
     "render_text",
     "render_json",

@@ -26,6 +26,10 @@ RPR005    public functions in ``repro.core``, ``repro.models``, and
           ``repro.topology`` must carry complete type annotations
           (every parameter and the return type), keeping the mypy
           gate and ``py.typed`` honest
+RPR008    ``repro.core`` and ``repro.topology`` are free of ambient
+          nondeterminism: no unseeded module-level ``random`` calls, no
+          wall-clock reads, no ``key=id`` orderings — results depend on
+          inputs only (a seeded ``random.Random`` is fine)
 ========  ============================================================
 
 Suppression: append ``# norpr: RPR003`` (comma-separate several ids, or
@@ -33,10 +37,8 @@ Suppression: append ``# norpr: RPR003`` (comma-separate several ids, or
 exemptions — e.g. the lazy per-instance counter init in
 :mod:`repro.models.base`.  A suppression that suppresses *nothing* (a
 stale or misspelled id, or no finding left on that line) is itself
-reported as RPR000 so exemptions cannot rot silently; ids owned by the
-flow engine (:mod:`repro.checks.flow` registers them in
-:data:`EXTERNAL_RPR_IDS`) are judged by that engine, and the ``all``
-wildcard is exempt from staleness because it may cover either engine.
+reported as RPR000 so exemptions cannot rot silently; the ``all``
+wildcard is exempt from staleness.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ __all__ = [
 
 _SUPPRESSION = re.compile(r"#\s*norpr:\s*([A-Za-z0-9_,\s]+)")
 
-#: Rule ids owned by other engines sharing the ``# norpr:`` syntax (the
-#: flow engine registers RPR006–RPR009 here on import).  The lint's
-#: unused-suppression pass leaves these ids to their owner instead of
-#: reporting them as unknown.
-EXTERNAL_RPR_IDS: set[str] = set()
-
 #: Internal attributes of the interned value objects, keyed by the module
 #: allowed to assign them.
 _PROTECTED_ATTRS: dict[str, str] = {
@@ -95,6 +91,26 @@ _HOT_PACKAGES: frozenset[tuple[str, str]] = frozenset(
         ("repro", "core"),
         ("repro", "models"),
         ("repro", "topology"),
+    }
+)
+
+#: Packages whose results must depend on their inputs only (RPR008).
+_PURE_PACKAGES: frozenset[tuple[str, str]] = frozenset(
+    {("repro", "core"), ("repro", "topology")}
+)
+
+#: Wall-clock reads banned from the pure packages.
+_WALLCLOCK: frozenset[str] = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
     }
 )
 
@@ -256,14 +272,11 @@ def _unused_suppressions(
 ) -> Iterator[Finding]:
     """RPR000 findings for suppressions that suppressed nothing.
 
-    The lint owns its own rule ids plus any id no engine claims; ids in
-    :data:`EXTERNAL_RPR_IDS` belong to the flow engine, which runs its
-    own staleness pass, and the ``all`` wildcard is exempt because it
-    may legitimately cover the other engine's findings.
+    The ``all`` wildcard is exempt.
     """
     for line, ids in sorted(context.suppressions.items()):
         for rule_id in sorted(ids):
-            if rule_id == "all" or rule_id in EXTERNAL_RPR_IDS:
+            if rule_id == "all":
                 continue
             if (line, rule_id) in used:
                 continue
@@ -503,4 +516,83 @@ def check_public_annotations(context: LintContext) -> Iterator[Finding]:
             f"public function {node.name!r} is missing annotations for: "
             f"{', '.join(missing)} (the mypy gate and py.typed require "
             "a fully typed proof core)",
+        )
+
+
+# ----------------------------------------------------------------------
+# RPR008 — no ambient nondeterminism in the pure packages
+# ----------------------------------------------------------------------
+def _import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Map each imported local name to its dotted import target."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.partition(".")[0]
+                aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    return aliases
+
+
+def _resolve_call(node: ast.Call, aliases: dict[str, str]) -> Optional[str]:
+    """The dotted import target a call goes to, or ``None``."""
+    parts: list[str] = []
+    function = node.func
+    while isinstance(function, ast.Attribute):
+        parts.append(function.attr)
+        function = function.value
+    if not isinstance(function, ast.Name) or function.id not in aliases:
+        return None
+    parts.append(aliases[function.id])
+    return ".".join(reversed(parts))
+
+
+def _is_id_keyed_sort(node: ast.Call) -> bool:
+    function = node.func
+    is_sort = (
+        isinstance(function, ast.Name)
+        and function.id in ("sorted", "min", "max")
+    ) or (isinstance(function, ast.Attribute) and function.attr == "sort")
+    return is_sort and any(
+        keyword.arg == "key"
+        and isinstance(keyword.value, ast.Name)
+        and keyword.value.id == "id"
+        for keyword in node.keywords
+    )
+
+
+@lint_rule("RPR008", "pure packages are free of ambient nondeterminism")
+def check_ambient_nondeterminism(context: LintContext) -> Iterator[Finding]:
+    if context.module_parts[:2] not in _PURE_PACKAGES:
+        return
+    aliases = _import_aliases(context.tree)
+    for node in ast.walk(context.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve_call(node, aliases) or ""
+        if target.startswith("random.") and target != "random.Random":
+            message = (
+                f"{target}() drives the unseeded module-level RNG; pass "
+                "a seeded random.Random instance instead"
+            )
+        elif target in _WALLCLOCK:
+            message = (
+                f"{target}() reads the wall clock; results must depend "
+                "on inputs only"
+            )
+        elif _is_id_keyed_sort(node):
+            message = (
+                "ordering by key=id sorts by memory address, which "
+                "varies run to run; order by a value-derived key"
+            )
+        else:
+            continue
+        yield Finding(
+            "RPR008", Severity.ERROR, _location(context, node), message
         )

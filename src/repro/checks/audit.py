@@ -23,7 +23,6 @@ __all__ = [
     "audit_experiments",
     "audit_all",
     "lint_report",
-    "flow_report",
     "trace_report",
 ]
 
@@ -36,8 +35,6 @@ class CheckReport:
     findings: tuple[Finding, ...]
     targets_audited: int = 0
     files_linted: int = 0
-    files_analyzed: int = 0
-    baselined: int = 0
     experiments: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -65,8 +62,6 @@ class CheckReport:
             findings=self.findings + other.findings,
             targets_audited=self.targets_audited + other.targets_audited,
             files_linted=self.files_linted + other.files_linted,
-            files_analyzed=self.files_analyzed + other.files_analyzed,
-            baselined=self.baselined + other.baselined,
             experiments=self.experiments + other.experiments,
         )
 
@@ -113,61 +108,6 @@ def lint_report(paths: Iterable[str]) -> CheckReport:
         scope=f"lint[{', '.join(resolved)}]",
         findings=tuple(findings),
         files_linted=files,
-    )
-
-
-def flow_report(
-    paths: Iterable[str],
-    baseline_path: str | None = None,
-    update_baseline: bool = False,
-) -> CheckReport:
-    """Run the flow-sensitive analysis over the given files/directories.
-
-    With ``update_baseline``, the current findings are written to
-    ``baseline_path`` and the report comes back clean (the debt is now
-    recorded, not outstanding).  Otherwise an existing baseline file
-    filters grandfathered findings out; the suppressed count lands in
-    ``CheckReport.baselined``.
-    """
-    from repro.checks.baseline import (
-        apply_baseline,
-        load_baseline,
-        save_baseline,
-    )
-    from repro.checks.flow import analyze_paths
-
-    resolved = list(paths)
-    files = sum(1 for _ in iter_python_files(resolved))
-    findings = analyze_paths(resolved)
-    baselined = 0
-    if update_baseline:
-        if baseline_path is None:
-            raise ValueError(
-                "--update-baseline requires a baseline path"
-            )
-        baselined = save_baseline(baseline_path, findings)
-        findings = []
-    elif baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except FileNotFoundError:
-            baseline = set()
-        except ValueError as exc:
-            return CheckReport(
-                scope=f"flow[{', '.join(resolved)}]",
-                findings=(
-                    Finding(
-                        "RPR000", Severity.ERROR, baseline_path, str(exc)
-                    ),
-                ),
-                files_analyzed=files,
-            )
-        findings, baselined = apply_baseline(findings, baseline)
-    return CheckReport(
-        scope=f"flow[{', '.join(resolved)}]",
-        findings=tuple(findings),
-        files_analyzed=files,
-        baselined=baselined,
     )
 
 

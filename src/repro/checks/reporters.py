@@ -25,10 +25,6 @@ def _summary_line(report: CheckReport) -> str:
         pieces.append(f"{len(report.experiments)} experiments")
     if report.files_linted:
         pieces.append(f"{report.files_linted} files linted")
-    if report.files_analyzed:
-        pieces.append(f"{report.files_analyzed} files flow-analyzed")
-    if report.baselined:
-        pieces.append(f"{report.baselined} baselined")
     pieces.append(
         "clean"
         if report.is_clean()
@@ -58,8 +54,6 @@ def render_json(report: CheckReport) -> str:
         "scope": report.scope,
         "targets_audited": report.targets_audited,
         "files_linted": report.files_linted,
-        "files_analyzed": report.files_analyzed,
-        "baselined": report.baselined,
         "experiments": list(report.experiments),
         "clean": report.is_clean(),
         "worst_severity": str(report.worst),

@@ -717,10 +717,9 @@ def check_memo_coherence(target: AuditTarget) -> Iterator[Finding]:
     """
     model: ComputationModel = target.obj
     one_round_cache = getattr(model, "_one_round_cache", None) or {}
-    # Cache keys are opaque (table_id, mask) int pairs; the values keep
-    # the input simplex alongside the complex precisely so this probe
-    # can rebuild without reverse-engineering masks.
-    for sigma, cached in list(one_round_cache.values()):
+    # The memo is keyed by the input simplex itself, so each entry can
+    # be rebuilt directly.
+    for sigma, cached in list(one_round_cache.items()):
         fresh = model._build_one_round_complex(sigma)
         if cached != fresh:
             yield Finding(

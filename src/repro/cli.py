@@ -9,8 +9,6 @@ Exposes the library's headline computations without writing Python::
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
     repro check --all                 # audit every experiment's invariants
     repro check --lint src/           # repo-specific AST lint (RPR rules)
-    repro check --flow                # flow analysis (mask provenance, …)
-    repro run halving --sanitize ...  # runtime mask-provenance sanitizer
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
 
@@ -22,7 +20,9 @@ span tree of the invocation (see docs/OBSERVABILITY.md)::
     repro trace summarize e9.trace.json --top 10
     repro check --trace e9.trace.json     # AUD011 artifact audit
 
-Also available as ``python -m repro``.
+Library errors (bad task parameters, unknown experiment ids) print one
+``error: …`` line and exit 1; malformed option values are usage errors
+(exit 2).  Also available as ``python -m repro``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.objects import (
     beta_input_function,
 )
 from repro.objects.base import BlackBox
-from repro.errors import ExperimentError, ReproError
+from repro.errors import ReproError
 from repro.runtime import (
     Adversary,
     IteratedExecutor,
@@ -71,6 +71,21 @@ from repro.tasks import (
 from repro.tasks.inputs import input_simplex
 
 __all__ = ["main", "build_parser"]
+
+
+def _rational(text: str) -> Fraction:
+    """argparse ``type=`` for rational options such as ``--eps 1/8``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational number"
+        ) from None
+
+
+def _rationals(text: str) -> list[Fraction]:
+    """argparse ``type=`` for comma-separated rationals (``0,1/2,1``)."""
+    return [_rational(part) for part in text.split(",")]
 
 
 def _resolve_model(name: str, n: int):
@@ -138,7 +153,7 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     ids = list(range(1, args.n + 1))
-    eps = Fraction(args.eps)
+    eps = args.eps
     builder = (
         liberal_approximate_agreement_task
         if args.liberal
@@ -171,7 +186,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    eps = Fraction(args.eps)
+    eps = args.eps
     n = args.n
     rows = [
         ExperimentRow(
@@ -206,9 +221,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    eps = Fraction(args.eps) if args.eps else None
-    raw_inputs = [Fraction(part) for part in args.inputs.split(",")]
-    inputs = {i + 1: value for i, value in enumerate(raw_inputs)}
+    eps = args.eps
+    inputs = {i + 1: value for i, value in enumerate(args.inputs)}
 
     box: Optional[BlackBox] = None
     if args.algorithm == "halving":
@@ -267,7 +281,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checks import (
         audit_all,
         audit_experiments,
-        flow_report,
         lint_report,
         parse_severity,
         render_json,
@@ -283,15 +296,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = []
     if args.lint:
         reports.append(lint_report(args.lint))
-    if args.flow is not None or args.update_baseline:
-        flow_paths = args.flow or ["src/repro"]
-        reports.append(
-            flow_report(
-                flow_paths,
-                baseline_path=args.baseline,
-                update_baseline=args.update_baseline,
-            )
-        )
     if args.trace_paths:
         reports.append(trace_report(args.trace_paths))
     if args.all:
@@ -332,13 +336,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(f"{experiment.identifier} — {experiment.artifact}")
     print(experiment.summary)
     print()
-    try:
-        data = run_experiment(experiment.identifier)
-    except ExperimentError as exc:
-        # One-line diagnosable cause instead of a raw traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(pformat(data))
+    print(pformat(run_experiment(experiment.identifier)))
     return 0
 
 
@@ -372,7 +370,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.faults.campaign import get_cell
 
-    eps = Fraction(args.eps)
+    eps = args.eps
     if args.replay is not None:
         try:
             with open(args.replay, "r", encoding="utf-8") as handle:
@@ -430,18 +428,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--sanitize`` option (mask provenance)."""
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the runtime mask-provenance sanitizer for this "
-        "invocation (equivalent to REPRO_SANITIZE=1): bitmasks are "
-        "tagged with their owning VertexTable and cross-table "
-        "mixes raise MaskProvenanceError (RPR006)",
-    )
-
-
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--trace``/``--trace-format`` options."""
     group = parser.add_argument_group("telemetry")
@@ -482,21 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="compute Δ' of ε-approximate agreement")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--eps", default="1/4")
+    p.add_argument("--eps", type=_rational, default="1/4")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--liberal", action="store_true")
     p.add_argument("--model", default="iis", choices=["iis", "tas", "bc"])
 
     p = sub.add_parser("bounds", help="ε-AA round-bound table per model")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--eps", default="1/8")
+    p.add_argument("--eps", type=_rational, default="1/8")
 
     p = sub.add_parser(
         "experiment",
         help="list or run the paper's experiments (E1–E23)",
     )
     p.add_argument("id", nargs="?", default=None)
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     p = sub.add_parser(
@@ -506,10 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Audit the library's structural invariants over the experiment "
             "registry's live objects (chromaticity, facet maximality, "
             "carrier monotonicity, schedule matrix conditions, memo "
-            "coherence, task/closure well-formedness), run the "
-            "repo-specific AST lint (RPR001–RPR005), and/or run the "
-            "flow-sensitive analysis (RPR006–RPR009: mask provenance, "
-            "determinism, worker purity) with its committed baseline."
+            "coherence, task/closure well-formedness) and/or run the "
+            "repo-specific AST lint (RPR rules)."
         ),
     )
     p.add_argument(
@@ -528,28 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="PATH",
         help="lint the given files/directories with the RPR rules",
-    )
-    p.add_argument(
-        "--flow",
-        nargs="*",
-        metavar="PATH",
-        default=None,
-        help="run the flow-sensitive analysis (RPR006–RPR009: mask "
-        "provenance, determinism, worker purity) over the given "
-        "files/directories (default: src/repro)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=".repro-flow-baseline.json",
-        help="baseline file of grandfathered flow findings "
-        "(default: .repro-flow-baseline.json; missing file = empty)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current flow findings into the baseline file "
-        "and report clean (implies --flow)",
     )
     p.add_argument(
         "--format",
@@ -598,8 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
         "algorithm",
         choices=["halving", "thirds", "tas-consensus", "bc-consensus", "bitwise"],
     )
-    p.add_argument("--eps", default="1/8")
-    p.add_argument("--inputs", default="0,1/2,1", help="comma-separated rationals")
+    p.add_argument("--eps", type=_rational, default="1/8")
+    p.add_argument(
+        "--inputs",
+        type=_rationals,
+        default="0,1/2,1",
+        help="comma-separated rationals",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--crash", type=float, default=0.0)
     p.add_argument(
@@ -609,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedule source: seeded immediate-snapshot blocks (random), "
         "or seeded matrix schedules of the weaker models",
     )
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     p = sub.add_parser(
@@ -641,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--executions", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", default="1/8")
+    p.add_argument("--eps", type=_rational, default="1/8")
     p.add_argument(
         "--deadline",
         type=float,
@@ -676,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="acknowledge that --inject-illegal makes executions invalid",
     )
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     return parser
@@ -704,21 +668,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     returns — including non-zero returns, so a failing experiment still
     leaves a trace to inspect.
     """
-    sanitize_flag = getattr(args, "sanitize", False)
-    if sanitize_flag:
-        from repro.topology import sanitize
-
-        sanitize.enable()
-    try:
-        return _dispatch_traced(args)
-    finally:
-        if sanitize_flag:
-            from repro.topology import sanitize
-
-            sanitize.disable()
-
-
-def _dispatch_traced(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return _COMMANDS[args.command](args)
@@ -746,6 +695,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (`| head`).
         import os

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from repro.core.local_task import local_task
 from repro.core.solvability import build_solvability_problem
-from repro.errors import ChromaticityError, SolvabilityError
+from repro.errors import SolvabilityError
 from repro.instrumentation import counter
 from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
@@ -74,11 +74,10 @@ class ClosureComputer:
             raise SolvabilityError(
                 "quantify_beta requires an augmented model"
             )
-        #: Membership keyed by ``(Δ(σ), mask of τ over Δ(σ)'s table)``.
-        #: Equal allowed complexes share one interned table, so the mask
-        #: is canonical; the complex itself stays in the key because two
-        #: *different* complexes over the same vertex set also share
-        #: that table — ``(table_id, mask)`` alone would collide.
+        #: Membership keyed by ``(Δ(σ), Δ(σ).mask_of(τ))``.  Equal allowed
+        #: complexes share one vertex table, so the mask is canonical; the
+        #: complex stays in the key because a mask only means something
+        #: relative to the complex that produced it.
         self._membership_cache: dict[
             tuple[SimplicialComplex, int], bool
         ] = {}
@@ -116,12 +115,9 @@ class ClosureComputer:
         if tau.ids != sigma.ids:
             return False
         allowed = self._task.delta(sigma)
-        table, _ = allowed._ensure_index()
-        try:
-            # The strict encode doubles as the τ ⊆ V(Δ(σ)) test: a
-            # vertex outside the allowed complex is not in its table.
-            mask = table.encode_mask(tau)
-        except ChromaticityError:
+        # mask_of doubles as the τ ⊆ V(Δ(σ)) test.
+        mask = allowed.mask_of(tau)
+        if mask is None:
             return False
         return self._contains_mask(sigma, allowed, mask, tau)
 
@@ -132,7 +128,7 @@ class ClosureComputer:
         mask: int,
         tau: Optional[Simplex] = None,
     ) -> bool:
-        """Memoized membership for a τ already encoded over Δ(σ)'s table.
+        """Memoized membership for a τ given as ``allowed.mask_of(τ)``.
 
         ``τ`` itself is only materialized on a cache miss (the local-task
         decision needs the simplex); mask-level sweeps like
@@ -143,8 +139,7 @@ class ClosureComputer:
         if found is None:
             _MEMBERSHIP_STATS.miss()
             if tau is None:
-                table, _ = allowed._ensure_index()
-                tau = table.decode_mask_trusted(mask)
+                tau = allowed.simplex_of(mask)
             found = self._membership_cache[key] = self._decide(
                 sigma, tau, allowed
             )
@@ -223,16 +218,11 @@ class ClosureComputer:
             model=self._model.name,
         ):
             allowed = self._task.delta(sigma)
-            table, _ = allowed._ensure_index()
-            # Candidate τ masks come straight off the table's per-color
-            # bits; a Simplex is built only for cache-missing members
-            # (inside _contains_mask) and for the returned results.
+            # Candidate τ masks come straight off Δ(σ)'s per-color bits;
+            # a Simplex is built only for cache-missing members (inside
+            # _contains_mask) and for the returned results.
             per_color = [
-                [
-                    1 << table.index_of(vertex)
-                    for vertex in allowed.vertices_of_color(color)
-                ]
-                for color in sorted(sigma.ids)
+                allowed.color_bits(color) for color in sorted(sigma.ids)
             ]
             found = []
             for combo in product(*per_color):
@@ -242,7 +232,7 @@ class ClosureComputer:
                 if self._contains_mask(sigma, allowed, mask):
                     found.append(mask)
             return sorted(
-                (table.decode_mask_trusted(mask) for mask in found),
+                (allowed.simplex_of(mask) for mask in found),
                 key=lambda s: s._sort_key(),
             )
 

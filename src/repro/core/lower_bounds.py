@@ -66,6 +66,16 @@ def ceil_log(base: int, value: Rational) -> int:
     return t
 
 
+def _inverse_epsilon(epsilon: Rational) -> Fraction:
+    """``1/ε`` for a valid precision; ``ε ≤ 0`` is not an AA task."""
+    value = Fraction(epsilon)
+    if value <= 0:
+        raise SolvabilityError(
+            f"approximate agreement needs ε > 0, got {value}"
+        )
+    return 1 / value
+
+
 def iterated_closure_lower_bound(
     task: Task,
     model: ComputationModel,
@@ -115,7 +125,7 @@ def aa_lower_bound_iis(n: int, epsilon: Rational) -> int:
     """
     if n < 2:
         raise SolvabilityError("approximate agreement needs at least 2 processes")
-    inverse = 1 / Fraction(epsilon)
+    inverse = _inverse_epsilon(epsilon)
     if n == 2:
         return ceil_log(3, inverse)
     return ceil_log(2, inverse)
@@ -130,9 +140,10 @@ def aa_lower_bound_iis_tas(n: int, epsilon: Rational) -> int:
     """
     if n < 2:
         raise SolvabilityError("approximate agreement needs at least 2 processes")
+    inverse = _inverse_epsilon(epsilon)
     if n == 2:
-        return 1 if Fraction(epsilon) < 1 else 0
-    return ceil_log(2, 1 / Fraction(epsilon))
+        return 1 if inverse > 1 else 0
+    return ceil_log(2, inverse)
 
 
 def aa_lower_bound_iis_bc(n: int, epsilon: Rational) -> int:
@@ -144,7 +155,7 @@ def aa_lower_bound_iis_bc(n: int, epsilon: Rational) -> int:
     """
     if n < 3:
         raise SolvabilityError("Theorem 4 is stated for n ≥ 3 processes")
-    by_epsilon = ceil_log(2, 1 / Fraction(epsilon))
+    by_epsilon = ceil_log(2, _inverse_epsilon(epsilon))
     by_processes = ceil_log(2, n) - 1
     return min(by_epsilon, by_processes)
 

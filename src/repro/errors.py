@@ -21,7 +21,6 @@ __all__ = [
     "ExecutionBudgetExceeded",
     "ExperimentError",
     "TelemetryError",
-    "MaskProvenanceError",
 ]
 
 
@@ -116,17 +115,5 @@ class TelemetryError(ReproError, RuntimeError):
     innermost open one) and on malformed trace artifacts handed to the
     exporters — both indicate a harness bug, never a property of the
     computation being traced.
-    """
-
-
-class MaskProvenanceError(ReproError, RuntimeError):
-    """A bitmask was used against a :class:`VertexTable` it did not come from.
-
-    Raised only by the runtime sanitizer (``REPRO_SANITIZE=1``, see
-    :mod:`repro.topology.sanitize`): masks are bare ``int``s that are only
-    meaningful relative to the table that encoded them, so combining or
-    decoding masks across incompatible tables silently yields wrong
-    simplices.  The static flow rule RPR006 proves the same contract on
-    source code; this exception is its dynamic cross-validation.
     """
 

@@ -22,7 +22,6 @@ from repro.instrumentation import counter
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
-from repro.topology.table import VertexTable
 from repro.topology.vertex import Vertex
 from repro.topology.views import View
 
@@ -47,11 +46,8 @@ class ComputationModel(ABC):
         :class:`~repro.models.protocol.ProtocolOperator` iteration and every
         ``σ`` of a solvability sweep over the same model instance shares
         one materialization; subclasses implement the actual enumeration in
-        :meth:`_build_one_round_complex`.  Entries are keyed by
-        ``(table_id, mask)`` int pairs over a per-instance growable
-        :class:`~repro.topology.table.VertexTable` (values keep ``σ``
-        alongside the complex so audits can rebuild), which avoids
-        re-hashing simplex objects on the hot lookup path.
+        :meth:`_build_one_round_complex`.  Entries are keyed by ``σ``
+        itself (simplices cache their hash).
         """
         cache = getattr(self, "_one_round_cache", None)
         if cache is None:
@@ -62,7 +58,7 @@ class ComputationModel(ABC):
             self._one_round_stats = counter(  # norpr: RPR003
                 f"one-round-complex[{self.name}]"
             )
-        found = cache.get(self._memo_key(sigma))
+        found = cache.get(sigma)
         if found is None:
             self._one_round_stats.miss()
             # The span is opened only on a miss: cache hits stay a bare
@@ -73,22 +69,10 @@ class ComputationModel(ABC):
                 model=self.name,
                 participants=len(sigma.ids),
             ):
-                built = self._build_one_round_complex(sigma)
-                cache[self._memo_key(sigma)] = (sigma, built)
-            return built
-        self._one_round_stats.hit()
-        return found[1]
-
-    def _memo_key(self, sigma: Simplex) -> tuple[int, int]:
-        """The ``(table_id, mask)`` memo key of ``σ``, interning as needed.
-
-        The table is per-model-instance and growable; masks from it are
-        only meaningful paired with its ``table_id``.
-        """
-        table = getattr(self, "_memo_table", None)
-        if table is None:
-            table = self._memo_table = VertexTable()
-        return (table.table_id, table.encode_mask_interning(sigma))
+                found = cache[sigma] = self._build_one_round_complex(sigma)
+        else:
+            self._one_round_stats.hit()
+        return found
 
     @abstractmethod
     def _build_one_round_complex(self, sigma: Simplex) -> SimplicialComplex:

@@ -15,7 +15,6 @@ from repro.models.base import ComputationModel
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
-from repro.topology.table import VertexTable
 
 __all__ = ["ProtocolOperator"]
 
@@ -35,21 +34,9 @@ class ProtocolOperator:
 
     def __init__(self, model: ComputationModel) -> None:
         self._model = model
-        # Memo keys are ``(table_id, mask, rounds)`` int triples over a
-        # per-operator growable table — the hot of_simplex probe never
-        # hashes a Simplex object (see ``repro.topology.table``).
-        self._memo_table = VertexTable()
         self._simplex_cache: dict[
-            tuple[int, int, int], SimplicialComplex
+            tuple[Simplex, int], SimplicialComplex
         ] = {}
-
-    def _memo_key(self, sigma: Simplex, rounds: int) -> tuple[int, int, int]:
-        table = self._memo_table
-        return (
-            table.table_id,
-            table.encode_mask_interning(sigma),
-            rounds,
-        )
 
     @property
     def model(self) -> ComputationModel:
@@ -62,7 +49,7 @@ class ProtocolOperator:
         For ``rounds == 0`` this is the complex of ``σ`` itself (``Ξ_0`` is
         the identity, Claim 1's setting).
         """
-        key = self._memo_key(sigma, rounds)
+        key = (sigma, rounds)
         found = self._simplex_cache.get(key)
         if found is None:
             _OF_SIMPLEX_STATS.miss()

@@ -564,6 +564,36 @@ class SimplicialComplex:
         found = [v for v in self.vertices if v.color == color]
         return sorted(found, key=lambda v: v._sort_key())
 
+    # ------------------------------------------------------------------
+    # Masks over the complex's own vertex table
+    # ------------------------------------------------------------------
+    def mask_of(self, simplex: Simplex) -> Optional[int]:
+        """The mask of ``simplex`` over this complex's vertex table.
+
+        ``None`` when some vertex of ``simplex`` is not in ``V(K)``.  The
+        mask means something only to this complex (and to complexes
+        equal to it, which share its table): combine it with
+        :meth:`color_bits` and decode it with :meth:`simplex_of`.
+        """
+        table, _ = self._ensure_index()
+        try:
+            return table.encode_mask(simplex)
+        except ChromaticityError:
+            return None
+
+    def color_bits(self, color: int) -> list[int]:
+        """One single-bit mask per vertex of ``color``, in sorted order."""
+        table, _ = self._ensure_index()
+        return [
+            1 << table.index_of(vertex)
+            for vertex in self.vertices_of_color(color)
+        ]
+
+    def simplex_of(self, mask: int) -> Simplex:
+        """The simplex of a mask from :meth:`mask_of`/:meth:`color_bits`."""
+        table, _ = self._ensure_index()
+        return table.decode_mask_trusted(mask)
+
     def f_vector(self) -> tuple[int, ...]:
         """The f-vector ``(f_0, f_1, …)``: simplex counts per dimension."""
         if self.is_empty():

@@ -14,16 +14,15 @@ construction" (ROADMAP item 1's remaining headroom).
 Conventions shared by every kernel:
 
 * a *mask array* is a sequence of facet masks over one table; kernels
-  never mix arrays from different tables (the RPR006 provenance
-  contract — under ``REPRO_SANITIZE=1`` the tagged masks themselves
-  enforce it);
+  never mix arrays from different tables (callers re-encode through
+  one merged table first, as ``SimplicialComplex.union`` does);
 * *vertex graphs* are ``list[int]`` adjacency masks indexed by table
   bit: ``adjacency[i]`` has bit ``j`` set iff vertices ``i`` and ``j``
   share a simplex.  *Facet graphs* use the same shape indexed by
   position in the mask array;
 * all outputs are deterministic functions of the input order: loops run
   over sequences and bit scans ascend from the low bit, so no set
-  iteration order ever leaks (the RPR007 concern);
+  iteration order ever leaks into a result;
 * each kernel records one build on a process-wide telemetry counter
   (:func:`repro.instrumentation.counter`), so cache reports and span
   metrics show sweep counts next to the cache hit rates.

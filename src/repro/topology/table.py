@@ -8,24 +8,20 @@ sweep of integer comparisons.  :class:`~repro.topology.complex.SimplicialComplex
 keeps one table per complex; the wire codec (:mod:`repro.topology.wire`)
 ships the same table across process boundaries.
 
-Tables come in two flavours:
+Tables are immutable and interned (:meth:`VertexTable.interned` /
+:meth:`VertexTable.interned_of`): they are shared process-wide through a
+weak registry keyed by their pair tuple, so equal complexes built at
+different times index against the *same* table object — which makes
+table identity a valid fast path for complex equality and keeps
+re-encoding to wire form a near-no-op.
 
-* *growable* tables (the plain constructor) intern vertices on demand via
-  :meth:`VertexTable.add` / :meth:`VertexTable.encode_mask_interning`.
-  The memoization layer keeps one per model/operator and keys caches by
-  ``(table_id, mask)`` int pairs.
-* *interned* tables (:meth:`VertexTable.interned` /
-  :meth:`VertexTable.interned_of`) are frozen and shared process-wide
-  through a weak registry keyed by their pair tuple, so equal complexes
-  built at different times index against the *same* table object — which
-  makes table identity a valid fast path for complex equality and keeps
-  re-encoding to wire form a near-no-op.
+Masks never leave :mod:`repro.topology`: code outside the package asks a
+:class:`~repro.topology.complex.SimplicialComplex` for its masks and
+decodes them through the same complex, so a mask is only ever combined
+with masks of the table it came from.
 
 :meth:`VertexTable.encode_mask` is *strict*: encoding a vertex the table
-does not hold raises :class:`~repro.errors.ChromaticityError` instead of
-silently interning it.  Silent interning against a shared or stale table
-yields order-dependent masks that poison memo keys; the table-building
-path must opt in explicitly via :meth:`encode_mask_interning`.
+does not hold raises :class:`~repro.errors.ChromaticityError`.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ import weakref
 from itertools import count
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.errors import ChromaticityError, ReproError
-from repro.topology import sanitize as _sanitize
+from repro.errors import ChromaticityError
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
@@ -103,22 +98,22 @@ class VertexTable:
         "_index",
         "_vertices",
         "_sorted",
-        "_frozen",
         "_table_id",
         "__weakref__",
     )
 
-    def __init__(
-        self, pairs: Iterable[tuple[int, Hashable]] = ()
-    ) -> None:
-        self._pairs: list[tuple[int, Hashable]] = []
+    def __init__(self, pairs: Iterable[tuple[int, Hashable]]) -> None:
+        # Callers go through interned()/interned_of(), which share tables.
         self._index: dict[Vertex, int] = {}
         self._vertices: list[Vertex] = []
-        self._sorted: bool | None = None
-        self._frozen = False
-        self._table_id = next(_TABLE_IDS)
         for color, value in pairs:
-            self.add(Vertex(color, value))
+            vertex = Vertex(color, value)
+            if vertex not in self._index:
+                self._index[vertex] = len(self._vertices)
+                self._vertices.append(vertex)
+        self._pairs = [vertex.as_pair() for vertex in self._vertices]
+        self._sorted: bool | None = None
+        self._table_id = next(_TABLE_IDS)
 
     # ------------------------------------------------------------------
     # Interned constructors
@@ -135,9 +130,7 @@ class VertexTable:
         key = tuple(pairs)
         found = _INTERNED.get(key)
         if found is None:
-            found = cls(key)
-            found._frozen = True
-            _INTERNED[key] = found
+            found = _INTERNED[key] = cls(key)
         return found
 
     @classmethod
@@ -161,32 +154,16 @@ class VertexTable:
         vertices: Sequence[Vertex],
         pairs: tuple[tuple[int, Hashable], ...],
     ) -> None:
-        """Initialize a frozen table from pre-sorted vertices (no re-intern)."""
+        """Initialize a table from pre-sorted vertices (no re-intern)."""
         self._pairs = list(pairs)
         self._vertices = list(vertices)
         self._index = {v: i for i, v in enumerate(vertices)}
         self._sorted = True
-        self._frozen = True
         self._table_id = next(_TABLE_IDS)
 
     # ------------------------------------------------------------------
-    # Growth and lookup
+    # Lookup
     # ------------------------------------------------------------------
-    def add(self, vertex: Vertex) -> int:
-        """Intern a vertex, returning its (new or existing) index."""
-        found = self._index.get(vertex)
-        if found is None:
-            if self._frozen:
-                raise ReproError(
-                    "cannot add vertices to an interned (frozen) table"
-                )
-            found = len(self._pairs)
-            self._index[vertex] = found
-            self._pairs.append(vertex.as_pair())
-            self._vertices.append(vertex)
-            self._sorted = None
-        return found
-
     def index_of(self, vertex: Vertex) -> int:
         """The index of an interned vertex (:class:`KeyError` if absent)."""
         return self._index[vertex]
@@ -211,16 +188,10 @@ class VertexTable:
         return self._table_id
 
     @property
-    def is_interned(self) -> bool:
-        """``True`` for frozen tables from the process-wide registry."""
-        return self._frozen
-
-    @property
     def is_sorted(self) -> bool:
         """``True`` iff the entries are in canonical ``_sort_key`` order.
 
-        Computed once and cached (growing the table re-checks); sorted
-        tables are what makes narrowing and wire encoding order-stable.
+        Computed once and cached; sorted tables are what makes narrowing and wire encoding order-stable.
         """
         if self._sorted is None:
             keys = [v._sort_key() for v in self._vertices]
@@ -230,28 +201,20 @@ class VertexTable:
     @property
     def full_mask(self) -> int:
         """The mask with every table bit set."""
-        mask = (1 << len(self._pairs)) - 1
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
-        return mask
+        return (1 << len(self._pairs)) - 1
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __repr__(self) -> str:
         return (
-            f"VertexTable(id={self._table_id}, entries={len(self._pairs)}, "
-            f"interned={self._frozen})"
+            f"VertexTable(id={self._table_id}, entries={len(self._pairs)})"
         )
 
     def __reduce__(self) -> tuple:
-        # Table ids are process-local and never cross the wire, but the
-        # table's *flavour* round-trips: frozen tables re-intern on the
-        # receiving side (joining that process's weak registry), growable
-        # tables rebuild as plain growable tables.
-        if self._frozen:
-            return (VertexTable.interned, (self.pairs,))
-        return (VertexTable, (self.pairs,))
+        # Table ids are process-local and never cross the wire: tables
+        # re-intern on the receiving side, joining its weak registry.
+        return (VertexTable.interned, (self.pairs,))
 
     # ------------------------------------------------------------------
     # Masks
@@ -262,11 +225,7 @@ class VertexTable:
         Raises
         ------
         ChromaticityError
-            If some vertex of the simplex is not interned here.  Strict
-            encoding is what keeps masks canonical: silently interning
-            (the historical behaviour) made masks depend on encounter
-            order, poisoning any cache keyed by them.  Table-building
-            call sites use :meth:`encode_mask_interning` instead.
+            If some vertex of the simplex is not interned here.
         """
         index = self._index
         mask = 0
@@ -276,25 +235,8 @@ class VertexTable:
                 mask |= 1 << index[vertex]
         except KeyError:
             raise ChromaticityError(
-                f"vertex {vertex!r} is not interned in this table; use "
-                "encode_mask_interning on the table-building path"
+                f"vertex {vertex!r} is not interned in this table"
             ) from None
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
-        return mask
-
-    def encode_mask_interning(self, simplex: Simplex) -> int:
-        """The bitmask of a simplex, interning unknown vertices.
-
-        This is the table-*building* primitive (growable memo tables);
-        masks from different interning orders are not comparable, so the
-        result is only meaningful against this very table instance.
-        """
-        mask = 0
-        for vertex in simplex.vertices:
-            mask |= 1 << self.add(vertex)
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
         return mask
 
     def colors_mask(self, colors: Iterable[int]) -> int:
@@ -304,14 +246,10 @@ class VertexTable:
         for index, vertex in enumerate(self._vertices):
             if vertex.color in keep:
                 mask |= 1 << index
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
         return mask
 
     def decode_mask(self, mask: int) -> Simplex:
         """Rebuild the simplex whose vertices are the set bits of ``mask``."""
-        if _sanitize.ACTIVE:
-            _sanitize.check_decode(self, mask, "decode_mask")
         if mask <= 0:
             raise ChromaticityError(
                 f"simplex bitmask must be positive, got {mask}"
@@ -339,8 +277,6 @@ class VertexTable:
         Non-chromatic bit sets (forged facets) fall back to the checking
         constructor, which raises exactly as eager materialization did.
         """
-        if _sanitize.ACTIVE:
-            _sanitize.check_decode(self, mask, "decode_mask_trusted")
         vertices = []
         m = mask
         while m:

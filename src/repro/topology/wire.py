@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator, Optional
 
-from repro.topology import sanitize as _sanitize
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
@@ -101,12 +100,6 @@ def encode_complex(complex_: SimplicialComplex) -> WireComplex:
     tuples.
     """
     table, masks = complex_._ensure_index()
-    if _sanitize.ACTIVE:
-        # Sanitizer hook: the index masks must belong to the index table
-        # (a cross-table mix that slipped into ``_masks`` would otherwise
-        # ship silently and corrupt every consumer of the record).
-        for mask in masks:
-            _sanitize.check_decode(table, mask, "encode_complex")
     return WireComplex(table.pairs, masks)
 
 
@@ -125,11 +118,6 @@ def decode_complex(
     and prunes — non-maximal families.
     """
     table = VertexTable.interned(wire.pairs)
-    if _sanitize.ACTIVE:
-        # Sanitizer hook: records built in-process may still carry tags;
-        # they must be compatible with the interned decode table.
-        for mask in wire.masks:
-            _sanitize.check_decode(table, mask, "decode_complex")
     if check:
         return SimplicialComplex(
             [table.decode_mask(mask) for mask in wire.masks]

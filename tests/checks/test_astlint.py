@@ -18,9 +18,14 @@ def rule_ids(code, module="repro.experiments.fixture"):
 
 
 class TestFramework:
-    def test_all_five_rules_registered(self):
+    def test_all_lint_rules_registered(self):
         assert sorted(LINT_RULES) == [
-            f"RPR00{i}" for i in range(1, 6)
+            "RPR001",
+            "RPR002",
+            "RPR003",
+            "RPR004",
+            "RPR005",
+            "RPR008",
         ]
 
     def test_syntax_error_reported_not_raised(self):
@@ -270,8 +275,6 @@ class TestUnusedSuppressions:
     """
 
     def test_used_suppression_is_not_reported(self):
-        import repro.checks.flow  # noqa: F401  (populates EXTERNAL_RPR_IDS)
-
         code = self.BARE.replace("except:", "except:  # norpr: RPR004")
         assert rule_ids(code) == set()
 
@@ -295,16 +298,6 @@ class TestUnusedSuppressions:
         assert [f.rule_id for f in findings] == ["RPR000"]
         assert "no engine defines" in findings[0].message
 
-    def test_flow_owned_ids_are_left_to_the_flow_engine(self):
-        import repro.checks.flow  # noqa: F401
-
-        assert rule_ids(
-            """
-            def fine(x):
-                return x  # norpr: RPR006
-            """
-        ) == set()
-
     def test_all_wildcard_is_exempt_from_staleness(self):
         assert rule_ids(
             """
@@ -321,3 +314,84 @@ class TestUnusedSuppressions:
                 return x
             '''
         ) == set()
+
+
+class TestRPR008PurePaths:
+    def test_unseeded_random_fires_in_pure_package(self):
+        assert rule_ids(
+            """
+            import random
+
+            def bad(items: list) -> list:
+                random.shuffle(items)
+                return items
+            """,
+            module="repro.core.fixture",
+        ) == {"RPR008"}
+
+    def test_seeded_random_instance_is_allowed(self):
+        assert (
+            rule_ids(
+                """
+                import random
+
+                def good(items: list, seed: int) -> list:
+                    rng = random.Random(seed)
+                    rng.shuffle(items)
+                    return items
+                """,
+                module="repro.core.fixture",
+            )
+            == set()
+        )
+
+    def test_wall_clock_fires_in_pure_package(self):
+        assert rule_ids(
+            """
+            import time
+
+            def bad() -> float:
+                return time.monotonic()
+            """,
+            module="repro.topology.fixture",
+        ) == {"RPR008"}
+
+    def test_from_import_resolves_too(self):
+        findings = lint(
+            """
+            from time import perf_counter as clock
+            from datetime import datetime
+
+            def bad() -> tuple:
+                return clock(), datetime.now()
+            """,
+            module="repro.core.fixture",
+        )
+        assert [f.rule_id for f in findings] == ["RPR008", "RPR008"]
+        assert "time.perf_counter()" in findings[0].message
+        assert "datetime.datetime.now()" in findings[1].message
+
+    def test_id_keyed_sort_fires(self):
+        assert rule_ids(
+            """
+            def bad(items: list) -> list:
+                return sorted(items, key=id)
+            """,
+            module="repro.core.fixture",
+        ) == {"RPR008"}
+
+    def test_rule_is_silent_outside_the_pure_packages(self):
+        assert (
+            rule_ids(
+                """
+                import random
+                import time
+
+                def fine(items):
+                    random.shuffle(items)
+                    return sorted(items, key=id), time.time()
+                """,
+                module="repro.experiments.fixture",
+            )
+            == set()
+        )

@@ -7,7 +7,7 @@ from repro.checks.findings import Finding, Severity, sort_findings
 from repro.checks.reporters import render_json, render_text
 
 
-def finding(path, rule="RPR006", severity=Severity.ERROR, message="m"):
+def finding(path, rule="RPR005", severity=Severity.ERROR, message="m"):
     return Finding(rule, severity, path, message)
 
 
@@ -21,9 +21,9 @@ class TestSortFindings:
         assert sort_findings([b, a]) == [a, b]
 
     def test_rule_id_breaks_location_ties(self):
-        lint = finding("src/x.py:3", rule="RPR004")
-        flow = finding("src/x.py:3", rule="RPR006")
-        assert sort_findings([flow, lint]) == [lint, flow]
+        first = finding("src/x.py:3", rule="RPR004")
+        second = finding("src/x.py:3", rule="RPR005")
+        assert sort_findings([second, first]) == [first, second]
 
     def test_worst_severity_first_within_a_rule(self):
         warn = finding("src/x.py:3", severity=Severity.WARNING)
@@ -43,7 +43,7 @@ class TestSortFindings:
         findings = [
             finding("src/x.py:10"),
             finding("src/x.py:9"),
-            finding("src/a.py:2", rule="RPR007"),
+            finding("src/a.py:2", rule="RPR008"),
         ]
         once = sort_findings(findings)
         assert sort_findings(once) == once
@@ -75,16 +75,16 @@ class TestReportersUseTheOrder:
             "src/x.py:10",
         ]
 
-    def test_json_carries_flow_counters(self):
+    def test_json_carries_scope_counters(self):
         document = json.loads(
             render_json(
                 CheckReport(
-                    scope="flow[src]",
+                    scope="lint[src]",
                     findings=(),
-                    files_analyzed=7,
-                    baselined=2,
+                    targets_audited=3,
+                    files_linted=7,
                 )
             )
         )
-        assert document["files_analyzed"] == 7
-        assert document["baselined"] == 2
+        assert document["targets_audited"] == 3
+        assert document["files_linted"] == 7

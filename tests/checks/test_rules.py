@@ -318,10 +318,7 @@ class TestModelRules:
         sigma = Simplex([(1, "a"), (2, "b")])
         model.one_round_complex(sigma)  # warm the memo honestly
         # Poison the cache the way an accidental in-place mutation would.
-        model._one_round_cache[model._memo_key(sigma)] = (
-            sigma,
-            SimplicialComplex.from_simplex(sigma),
-        )
+        model._one_round_cache[sigma] = SimplicialComplex.from_simplex(sigma)
         target = AuditTarget("model", "fixture/stale-memo", model, {})
         findings = run_rules([target])
         assert {f.rule_id for f in findings} == {"AUD007"}

@@ -108,6 +108,23 @@ class TestClosedForms:
         with pytest.raises(SolvabilityError):
             aa_lower_bound_iis(1, F(1, 2))
 
+    @pytest.mark.parametrize("eps", [F(-1, 8), 0, "0"])
+    def test_iis_rejects_non_positive_eps(self, eps):
+        for n in (2, 3):
+            with pytest.raises(SolvabilityError, match="ε > 0"):
+                aa_lower_bound_iis(n, eps)
+
+    @pytest.mark.parametrize("eps", [F(-1, 8), 0])
+    def test_tas_rejects_non_positive_eps(self, eps):
+        for n in (2, 3):
+            with pytest.raises(SolvabilityError, match="ε > 0"):
+                aa_lower_bound_iis_tas(n, eps)
+
+    @pytest.mark.parametrize("eps", [F(-1, 8), 0])
+    def test_bc_rejects_non_positive_eps(self, eps):
+        with pytest.raises(SolvabilityError, match="ε > 0"):
+            aa_lower_bound_iis_bc(3, eps)
+
 
 class TestGenericIteration:
     def test_zero_for_trivial_task(self, iis):

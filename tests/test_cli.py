@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -318,11 +320,11 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "Fig. 8" in out
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(["experiment", "E99"])
+    def test_unknown_experiment_is_a_one_line_error(self, capsys):
+        assert main(["experiment", "E99"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown experiment 'E99'")
+        assert "Traceback" not in captured.err
 
     def test_failing_experiment_exits_nonzero_with_cause(
         self, capsys, monkeypatch
@@ -352,3 +354,47 @@ class TestTraceDirectorySummarize:
         # Summarize reads one artifact file; a directory is not one.
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(["trace", "summarize", str(tmp_path)])
+
+
+class TestInputErrors:
+    """Bad input ends in one diagnosable line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["closure", "--m", "0"], "error: "),
+            (["impossibility", "consensus", "--n", "0"], "error: "),
+            (["bounds", "--eps=-1/8"], "ε > 0"),
+            (["bounds", "--n", "2", "--eps", "0"], "ε > 0"),
+        ],
+    )
+    def test_library_errors_exit_one(self, argv, needle, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert needle in captured.err
+        assert "rounds" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--eps", "abc"],
+            ["closure", "--eps", "1/0"],
+            ["bounds", "--eps", "x"],
+            ["run", "halving", "--inputs", "0,x"],
+            ["run", "halving", "--eps", ""],
+            ["chaos", "--eps", "1/"],
+        ],
+    )
+    def test_malformed_rationals_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "is not a rational number" in capsys.readouterr().err
+
+    def test_rational_options_parse_to_fractions(self):
+        args = build_parser().parse_args(
+            ["run", "halving", "--eps", "1/4", "--inputs", "0,1/2"]
+        )
+        assert args.eps == Fraction(1, 4)
+        assert args.inputs == [Fraction(0), Fraction(1, 2)]

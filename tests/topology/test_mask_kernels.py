@@ -9,18 +9,14 @@ distribution than the audit sees:
   structure algorithms against the retained object-set oracles of
   :mod:`repro.topology.reference`;
 * lazy-materialization tests prove the sweeps are pure mask code: on a
-  wire-born complex no ``Simplex`` may be decoded during a sweep, and
-  under the RPR006 sanitizer a cross-table batch is caught in the
-  kernel itself.
+  wire-born complex no ``Simplex`` may be decoded during a sweep.
 """
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import MaskProvenanceError
 from repro.topology import (
     Simplex,
     SimplicialComplex,
@@ -49,7 +45,6 @@ from repro.topology.kernels import (
     ridge_table,
     vertex_adjacency,
 )
-from repro.topology.sanitize import sanitizer
 from repro.topology.structure import (
     boundary_complex,
     is_pseudomanifold,
@@ -275,30 +270,6 @@ class TestLazyMaterialization:
         assert is_connected(reborn)
         assert len(connected_components(reborn)) == 1
         assert boundary_complex(reborn).facet_count == 3
-
-    def test_sweeps_run_clean_under_sanitizer(self, triangle, edge):
-        with sanitizer():
-            complex_ = SimplicialComplex([triangle])
-            assert is_pseudomanifold(complex_)
-            assert is_connected(complex_)
-            one_skeleton_adjacency(complex_)
-            boundary_complex(complex_)
-            shortest_path(
-                complex_,
-                triangle.vertices[0],
-                triangle.vertices[-1],
-            )
-            other = SimplicialComplex([Simplex([(7, "x"), (8, "y")])])
-            join_complexes(complex_, other)
-
-    def test_sanitizer_catches_cross_table_batch(self, triangle):
-        with sanitizer():
-            left = SimplicialComplex([triangle])
-            right = SimplicialComplex([Simplex([(1, "zz"), (2, "ww")])])
-            _, left_masks = left._ensure_index()
-            _, right_masks = right._ensure_index()
-            with pytest.raises(MaskProvenanceError):
-                pairwise_unions(left_masks, right_masks)
 
 
 class TestDeterminism:

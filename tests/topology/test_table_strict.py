@@ -1,56 +1,46 @@
-"""VertexTable strict-mode error paths and pickling flavour."""
+"""VertexTable strict-mode error paths and pickling."""
 
+import gc
 import pickle
 
 import pytest
 
-from repro.errors import ChromaticityError, ReproError
-from repro.topology import Simplex, Vertex, VertexTable
+from repro.errors import ChromaticityError
+from repro.topology import Simplex, VertexTable
 
 PAIRS = ((1, "x"), (2, "y"), (3, "z"))
 
 
 class TestStrictEncoding:
     def test_encode_mask_raises_on_unknown_vertex(self):
-        table = VertexTable(PAIRS[:2])
+        table = VertexTable.interned(PAIRS[:2])
         stranger = Simplex([(1, "x"), (3, "z")])
         with pytest.raises(ChromaticityError, match="not interned"):
             table.encode_mask(stranger)
 
     def test_encode_mask_does_not_intern_on_failure(self):
-        table = VertexTable(PAIRS[:2])
+        table = VertexTable.interned(PAIRS[:2])
         before = table.pairs
         with pytest.raises(ChromaticityError):
             table.encode_mask(Simplex([(3, "z")]))
         assert table.pairs == before
 
-    def test_encode_mask_interning_grows_instead(self):
-        table = VertexTable(PAIRS[:2])
-        mask = table.encode_mask_interning(Simplex([(1, "x"), (3, "z")]))
-        assert len(table) == 3
-        assert table.decode_mask(mask) == Simplex([(1, "x"), (3, "z")])
-
-    def test_frozen_table_refuses_growth(self):
-        table = VertexTable.interned(PAIRS)
-        with pytest.raises(ReproError, match="frozen"):
-            table.encode_mask_interning(Simplex([(4, "w")]))
-
 
 class TestDecodeRangeChecks:
     def test_decode_mask_rejects_non_positive_masks(self):
-        table = VertexTable(PAIRS)
+        table = VertexTable.interned(PAIRS)
         with pytest.raises(ChromaticityError, match="positive"):
             table.decode_mask(0)
         with pytest.raises(ChromaticityError, match="positive"):
             table.decode_mask(-1)
 
     def test_decode_mask_rejects_out_of_range_bits(self):
-        table = VertexTable(PAIRS)
+        table = VertexTable.interned(PAIRS)
         with pytest.raises(ChromaticityError, match="exceeds"):
             table.decode_mask(1 << len(table))
 
     def test_trusted_decode_agrees_with_checked_on_valid_masks(self):
-        table = VertexTable(PAIRS)
+        table = VertexTable.interned(PAIRS)
         for mask in range(1, 1 << len(table)):
             assert table.decode_mask_trusted(mask) == table.decode_mask(
                 mask
@@ -59,7 +49,7 @@ class TestDecodeRangeChecks:
     def test_trusted_decode_skips_the_range_check(self):
         # The "trusted" contract: callers guarantee in-range masks, so
         # the method indexes straight into the vertex list.
-        table = VertexTable(PAIRS)
+        table = VertexTable.interned(PAIRS)
         with pytest.raises(IndexError):
             table.decode_mask_trusted(1 << len(table))
 
@@ -68,28 +58,23 @@ class TestPicklingFlavour:
     def test_interned_table_round_trips_interned(self):
         table = VertexTable.interned(PAIRS)
         restored = pickle.loads(pickle.dumps(table))
-        assert restored.is_interned
         assert restored.pairs == table.pairs
         # Rejoins the weak registry: same object as a fresh intern.
         assert restored is VertexTable.interned(PAIRS)
 
-    def test_growable_table_round_trips_growable(self):
-        table = VertexTable(PAIRS)
-        restored = pickle.loads(pickle.dumps(table))
-        assert not restored.is_interned
-        assert restored.pairs == table.pairs
-        restored.add(Vertex(4, "w"))
-        assert len(restored) == 4
-
     def test_sortedness_survives_the_round_trip(self):
         sorted_table = VertexTable.interned(PAIRS)
-        shuffled = VertexTable(tuple(reversed(PAIRS)))
+        shuffled = VertexTable.interned(tuple(reversed(PAIRS)))
         assert sorted_table.is_sorted
         assert not shuffled.is_sorted
         assert pickle.loads(pickle.dumps(sorted_table)).is_sorted
         assert not pickle.loads(pickle.dumps(shuffled)).is_sorted
 
     def test_table_ids_are_process_local_not_pickled(self):
-        table = VertexTable(PAIRS)
-        restored = pickle.loads(pickle.dumps(table))
-        assert restored.table_id != table.table_id
+        pairs = ((1, "pickled-id"), (2, "pickled-id"))
+        table = VertexTable.interned(pairs)
+        payload, table_id = pickle.dumps(table), table.table_id
+        del table
+        gc.collect()
+        # The registry dropped the table; unpickling interns a new one.
+        assert pickle.loads(payload).table_id != table_id

@@ -91,36 +91,29 @@ class TestComplexRoundTrip:
 class TestVertexTable:
     @given(st.lists(st.tuples(colors, values), min_size=1, max_size=6))
     def test_interning_is_idempotent(self, pairs):
-        table = VertexTable()
-        first = [table.add(Vertex(c, v)) for c, v in pairs]
-        second = [table.add(Vertex(c, v)) for c, v in pairs]
-        assert first == second
+        table = VertexTable.interned(pairs)
+        assert VertexTable.interned(pairs) is table
         assert len(table) == len({Vertex(c, v) for c, v in pairs})
+        for c, v in pairs:
+            vertex = Vertex(c, v)
+            assert table.vertex_at(table.index_of(vertex)) == vertex
 
     @given(simplices())
     def test_mask_round_trip(self, sigma):
-        table = VertexTable()
-        assert (
-            table.decode_mask(table.encode_mask_interning(sigma)) == sigma
-        )
+        table = VertexTable.interned(v.as_pair() for v in sigma.vertices)
+        assert table.decode_mask(table.encode_mask(sigma)) == sigma
 
     @given(simplices())
     def test_encode_mask_is_strict(self, sigma):
-        # Regression: encode_mask used to silently intern unknown
-        # vertices, so masks depended on encounter order.  It must now
-        # reject vertices the table does not hold.
-        table = VertexTable()
+        # Encoding never interns: a table without the vertices rejects
+        # the simplex, and one holding them encodes it.
         with pytest.raises(ChromaticityError):
-            table.encode_mask(sigma)
-        # Once the table holds the vertices, strict encoding agrees
-        # with the interning builder.
-        mask = table.encode_mask_interning(sigma)
-        assert table.encode_mask(sigma) == mask
+            VertexTable.interned(()).encode_mask(sigma)
+        table = VertexTable.interned(v.as_pair() for v in sigma.vertices)
+        assert table.encode_mask(sigma) == table.full_mask
 
     def test_encode_mask_rejects_stale_table(self):
-        table = VertexTable()
-        known = Simplex([(1, "a")])
-        table.encode_mask_interning(known)
+        table = VertexTable.interned([(1, "a")])
         stale = Simplex([(1, "a"), (2, "b")])
         with pytest.raises(ChromaticityError):
             table.encode_mask(stale)
@@ -128,8 +121,7 @@ class TestVertexTable:
         assert len(table) == 1
 
     def test_decode_mask_rejects_empty_and_foreign_bits(self):
-        table = VertexTable()
-        table.add(Vertex(1, 0))
+        table = VertexTable.interned([(1, 0)])
         with pytest.raises(ChromaticityError):
             table.decode_mask(0)
         with pytest.raises(ChromaticityError):
