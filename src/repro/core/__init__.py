@@ -4,6 +4,8 @@
   "``Π`` is solvable in ``t`` rounds in ``M``" on finite instances, by
   exhaustive search for a chromatic simplicial map ``f : P^(t) → O``
   agreeing with ``Δ`` (Section 2.2's definition of solvability).
+* :mod:`repro.core.certify` — an independent check of the decision maps
+  that procedure returns, on the original complexes.
 * :mod:`repro.core.local_task` — the local task ``Π_{τ,σ}``
   (Definition 1).
 * :mod:`repro.core.closure` — the closure ``CL_M(Π)`` (Definition 2) and
@@ -24,6 +26,7 @@ from repro.core.solvability import (
     find_decision_map,
     is_solvable,
 )
+from repro.core.certify import check_decision_map
 from repro.core.local_task import local_task
 from repro.core.closure import ClosureComputer, closure_task
 from repro.core.speedup import speedup_decision_map, verify_speedup_theorem
@@ -47,6 +50,7 @@ __all__ = [
     "build_solvability_problem",
     "find_decision_map",
     "is_solvable",
+    "check_decision_map",
     "local_task",
     "ClosureComputer",
     "closure_task",

@@ -18,11 +18,20 @@ cheap, exact forward check.  The engine is model-agnostic: register-only and
 augmented models both work, and the closure machinery reuses it for the
 one-round local tasks of Definition 2 (whose ``Δ`` is not monotone, which is
 why constraints range over all input simplices, not only facets).
+
+:func:`build_solvability_problem` compiles an instance once to integers
+(vertex ranks, output bits, domain masks, allowed-mask sets), and
+propagation, component splitting and search run on those alone; the
+decision map is decoded back to vertices at the end.
+:func:`repro.core.certify.check_decision_map` re-checks a returned map
+on the original complexes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Callable,
     Iterable,
@@ -37,8 +46,10 @@ from repro.models.protocol import ProtocolOperator
 from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
+from repro.topology.kernels import mask_components
 from repro.topology.maps import SimplicialMap
 from repro.topology.simplex import Simplex
+from repro.topology.table import iter_bits, iter_submasks, popcount
 from repro.topology.vertex import Vertex
 
 __all__ = [
@@ -85,133 +96,79 @@ class DecisionMap:
         return SimplicialMap(source, target, restricted)
 
 
+#: The constraints one vertex takes part in, for the search's consistency
+#: test: ``(indices of the facet's other vertices, allowed masks)``.
+_Watched = list[tuple[tuple[int, ...], frozenset[int]]]
+
+
 @dataclass
 class SolvabilityProblem:
-    """A compiled solvability instance, ready to be searched.
+    """A compiled solvability instance, over integers.
+
+    Protocol vertices are numbered by their rank in sort order, and
+    every output vertex of some ``Δ(σ)`` owns one bit, also in sort
+    order.  A domain is then an ``int`` mask of output bits, and
+    scanning it from the low bit visits the candidates in sort order.
+    A partial image is consistent with a constraint iff the OR of its
+    bits is one of the constraint's allowed masks (complexes are
+    face-closed, so the test is exact for partial images too).
 
     Attributes
     ----------
-    candidates:
-        Allowed output vertices per protocol vertex.
-    constraints:
-        Pairs ``(protocol facet, allowed face set)``: the image of the facet
-        (and of each of its faces, incrementally) must belong to the set.
+    vertices:
+        The protocol vertex of each index, in sort order.
+    outputs:
+        The output vertex of each bit, in sort order.
+    domains:
+        The candidate mask of each protocol vertex: the same-colored
+        output vertices allowed by every ``Δ(σ)`` whose protocol complex
+        contains it.
+    scopes:
+        One protocol facet per constraint, as its vertex indices in
+        color order.
+    allowed:
+        Per constraint, the masks of every simplex of its ``Δ(σ)``;
+        constraints with equal ``Δ(σ)`` share one set.
     rounds:
         Recorded for reporting only.
     """
 
-    candidates: dict[Vertex, tuple[Vertex, ...]]
-    constraints: list[tuple[Simplex, frozenset[Simplex]]]
+    vertices: tuple[Vertex, ...]
+    outputs: tuple[Vertex, ...]
+    domains: tuple[int, ...]
+    scopes: tuple[tuple[int, ...], ...]
+    allowed: tuple[frozenset[int], ...]
     rounds: int = 0
     #: Number of search nodes explored by the most recent :meth:`solve`.
     #: Derived state, not a constructor parameter: keeping it out of
     #: ``__init__`` guarantees positional construction binds exactly
-    #: ``(candidates, constraints, rounds)`` and nothing more.
+    #: the compiled tables and ``rounds``, and nothing more.
     last_search_nodes: int = field(default=0, init=False, compare=False)
-    _by_vertex: dict[Vertex, list[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: Lookup tables derived by :meth:`_index`, all mask-native: every
-    #: output vertex appearing in some allowed family gets a bit in a
-    #: problem-local bit space (``_out_bit``), an allowed face becomes
-    #: the OR of its vertices' bits, and a partial image is consistent
-    #: iff its OR is in the constraint's ``set[int]``.  Building the
-    #: image frozenset per probe was the search's hottest allocation;
-    #: an int OR plus one set lookup replaces it.  Partner tables for
-    #: the pairwise propagation are ``bit → color → partner bit-mask``,
-    #: so arc survival is a single AND against the partner's domain
-    #: mask.  Tables are shared between constraints with the same
-    #: allowed family.
-    _constraint_vertices: list[tuple[Vertex, ...]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _allowed_masks: list[set[int]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _allowed_partners: list[dict[int, dict[int, int]]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _out_bit: dict[Vertex, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: Per vertex, ``(other scope indices, allowed masks)`` of every
+    #: constraint of arity ≥ 2 that contains it; built on first search.
+    _watch: Optional[list[_Watched]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
-    def _index(self) -> None:
-        self._by_vertex = {vertex: [] for vertex in self.candidates}
-        self._constraint_vertices = []
-        self._allowed_masks = []
-        self._allowed_partners = []
-        bit_of: dict[Vertex, int] = {}
-        self._out_bit = bit_of
-        mask_tables: dict[frozenset[Simplex], set[int]] = {}
-        partner_tables: dict[
-            frozenset[Simplex], dict[int, dict[int, int]]
-        ] = {}
-        for position, (facet, allowed) in enumerate(self.constraints):
-            vertices = facet.vertices
-            self._constraint_vertices.append(vertices)
-            for vertex in vertices:
-                self._by_vertex[vertex].append(position)
-            masks = mask_tables.get(allowed)
-            if masks is None:
-                masks = set()
-                partners: dict[int, dict[int, int]] = {}
-                for simplex in allowed:
-                    mask = 0
-                    for vertex in simplex.vertices:
-                        bit = bit_of.get(vertex)
-                        if bit is None:
-                            bit = bit_of[vertex] = len(bit_of)
-                        mask |= 1 << bit
-                    masks.add(mask)
-                    if len(simplex.vertices) == 2:
-                        first, second = simplex.vertices
-                        first_bit = bit_of[first]
-                        second_bit = bit_of[second]
-                        by_color = partners.setdefault(first_bit, {})
-                        by_color[second.color] = by_color.get(
-                            second.color, 0
-                        ) | (1 << second_bit)
-                        by_color = partners.setdefault(second_bit, {})
-                        by_color[first.color] = by_color.get(
-                            first.color, 0
-                        ) | (1 << first_bit)
-                mask_tables[allowed] = masks
-                partner_tables[allowed] = partners
-            self._allowed_masks.append(masks)
-            self._allowed_partners.append(partner_tables[allowed])
+    @property
+    def candidates(self) -> Mapping[Vertex, tuple[Vertex, ...]]:
+        """Allowed output vertices per protocol vertex (decoded, read-only)."""
+        outputs = self.outputs
+        return MappingProxyType(
+            {
+                vertex: tuple(outputs[bit] for bit in iter_bits(domain))
+                for vertex, domain in zip(self.vertices, self.domains)
+            }
+        )
 
-    def _image_mask(
-        self,
-        vertices: tuple[Vertex, ...],
-        assignment: dict[Vertex, Vertex],
-    ) -> Optional[int]:
-        """OR of the assigned images' bits over one constraint facet.
+    @property
+    def constraints(self) -> Sequence[tuple[Simplex, frozenset[Simplex]]]:
+        """``(protocol facet, allowed simplices)`` pairs, decoded on access.
 
-        Returns ``None`` when fewer than two of ``vertices`` are
-        assigned (partial images of size < 2 are vacuously consistent:
-        single vertices were filtered into the domains already), and
-        ``-1`` when some image has no bit at all — it appears in no
-        allowed family, so no allowed face can contain it, and ``-1``
-        is never a member of a mask set, making the membership test
-        reject it without a special case.
+        The image of the facet (and of each of its faces, incrementally)
+        must belong to the set.
         """
-        bit_of = self._out_bit
-        mask = 0
-        count = 0
-        missing = False
-        for vertex in vertices:
-            image = assignment.get(vertex)
-            if image is None:
-                continue
-            count += 1
-            bit = bit_of.get(image)
-            if bit is None:
-                missing = True
-            else:
-                mask |= 1 << bit
-        if count < 2:
-            return None
-        return -1 if missing else mask
+        return _DecodedConstraints(self)
 
     def solve(
         self,
@@ -238,8 +195,8 @@ class SolvabilityProblem:
         """
         with span(
             "solvability/solve",
-            vertices=len(self.candidates),
-            constraints=len(self.constraints),
+            vertices=len(self.vertices),
+            constraints=len(self.scopes),
             rounds=self.rounds,
         ) as solve_span:
             result = self._solve(use_propagation, use_components, node_limit)
@@ -251,31 +208,24 @@ class SolvabilityProblem:
         self,
         use_propagation: bool = True,
         use_components: bool = True,
-    ) -> Optional[
-        tuple[
-            dict[Vertex, list[Vertex]],
-            dict[Vertex, Vertex],
-            list[list[Vertex]],
-        ]
-    ]:
+    ) -> Optional[tuple[list[int], list[int], list[list[int]]]]:
         """Run every pre-search stage; ``None`` refutes the instance.
 
-        The empty-domain check, constraint indexing, pairwise
-        arc-consistency propagation, up-front assignment of forced
-        (singleton-domain) vertices, the pinned-pair constraint
-        precheck, and the connected-component decomposition.  Returns
-        ``(domains, assignment, components)`` ready for per-component
-        backtracking — each component is independent of the others
-        given the forced assignment.
+        The empty-domain check, pairwise arc-consistency propagation,
+        up-front assignment of forced (singleton-domain) vertices, the
+        pinned-pair constraint precheck, and the connected-component
+        decomposition.  Returns ``(domains, assignment, components)``
+        ready for per-component backtracking: ``domains`` and
+        ``assignment`` are indexed by protocol vertex (an assigned image
+        is its single output bit, ``0`` means unassigned), and each
+        component lists its vertex indices in ascending order.  Each
+        component is independent of the others given the forced
+        assignment.
         """
         self.last_search_nodes = 0
-        if any(not domain for domain in self.candidates.values()):
+        domains = list(self.domains)
+        if not all(domains):
             return None
-        self._index()
-        domains: dict[Vertex, list[Vertex]] = {
-            vertex: list(options)
-            for vertex, options in self.candidates.items()
-        }
         if use_propagation and not self._propagate_pairwise(domains):
             return None
 
@@ -285,25 +235,25 @@ class SolvabilityProblem:
         # decomposition genuinely split the problem: forced vertices are
         # shared between otherwise-independent input windows and would
         # bridge their components.
-        assignment: dict[Vertex, Vertex] = {
-            vertex: options[0]
-            for vertex, options in domains.items()
-            if len(options) == 1
-        }
-        for position, vertices in enumerate(self._constraint_vertices):
-            pinned = self._image_mask(vertices, assignment)
-            if (
-                pinned is not None
-                and pinned not in self._allowed_masks[position]
-            ):
+        assignment = [
+            0 if domain & (domain - 1) else domain for domain in domains
+        ]
+        for scope, allowed in zip(self.scopes, self.allowed):
+            image = 0
+            for index in scope:
+                image |= assignment[index]
+            # Distinct colors have distinct output bits, so two or more
+            # set bits means two or more pinned vertices.
+            if image & (image - 1) and image not in allowed:
                 return None
 
-        free = [v for v in domains if v not in assignment]
-        components = (
-            self._components(free)
-            if use_components
-            else ([sorted(free, key=lambda v: v._sort_key())] if free else [])
-        )
+        if use_components:
+            components = self._components(assignment)
+        else:
+            free = [
+                index for index, image in enumerate(assignment) if not image
+            ]
+            components = [free] if free else []
         return domains, assignment, components
 
     def _solve(
@@ -321,182 +271,208 @@ class SolvabilityProblem:
                 component, domains, assignment, node_limit
             ):
                 return None
-        return DecisionMap(dict(assignment), self.rounds)
+        outputs = self.outputs
+        return DecisionMap(
+            {
+                vertex: outputs[image.bit_length() - 1]
+                for vertex, image in zip(self.vertices, assignment)
+            },
+            self.rounds,
+        )
 
-    def _propagate_pairwise(
-        self, domains: dict[Vertex, list[Vertex]]
-    ) -> bool:
-        """AC-3 over the pairs of every constraint facet.
+    def _propagate_pairwise(self, domains: list[int]) -> bool:
+        """AC-3 over the pairs of every constraint facet, on domain masks.
 
         A candidate for ``u`` survives only if, for every facet containing
         both ``u`` and some ``v``, a candidate of ``v`` forms an allowed
         edge with it (complexes are face-closed, so the pair must itself
-        be an allowed simplex).  Edge tests go through the bit-indexed
-        partner tables built by :meth:`_index`: each domain is mirrored
-        as an OR of its candidates' bits, so one arc test is a dict
-        lookup plus a single AND — no simplices (or sets) are
-        materialized during the fixpoint.
+        be an allowed simplex).  Each allowed family gets one pair table,
+        ``bit → OR of the bits it forms an allowed edge with``; ``v``'s
+        domain holds only bits of ``v``'s color, so one AND against it
+        decides an arc test.
         """
-        arcs = []
-        arc_set = set()
-        for position, vertices in enumerate(self._constraint_vertices):
-            partners = self._allowed_partners[position]
-            for i, u in enumerate(vertices):
-                for v in vertices[i + 1 :]:
-                    for left, right in ((u, v), (v, u)):
-                        key = (left, right, id(partners))
-                        if key not in arc_set:
-                            arc_set.add(key)
-                            arcs.append((left, right, partners))
-        from collections import deque
+        tables: dict[int, dict[int, int]] = {}
+        arcs: list[tuple[int, int, dict[int, int]]] = []
+        arc_keys: set[tuple[int, int, int]] = set()
+        # watchers[v]: the arcs (u, v) to revisit when v's domain shrinks.
+        watchers: list[list[int]] = [[] for _ in domains]
+        for scope, allowed in zip(self.scopes, self.allowed):
+            if len(scope) < 2:
+                continue
+            partners = tables.get(id(allowed))
+            if partners is None:
+                partners = tables[id(allowed)] = _pair_table(allowed)
+            for u in scope:
+                for v in scope:
+                    key = (u, v, id(partners))
+                    if u != v and key not in arc_keys:
+                        arc_keys.add(key)
+                        watchers[v].append(len(arcs))
+                        arcs.append((u, v, partners))
 
-        queue = deque(arcs)
-        watchers: dict[Vertex, list] = {}
-        for arc in arcs:
-            watchers.setdefault(arc[1], []).append(arc)
-
-        bit_of = self._out_bit
-
-        def domain_mask(options: list[Vertex]) -> int:
-            mask = 0
-            for option in options:
-                bit = bit_of.get(option)
-                if bit is not None:
-                    mask |= 1 << bit
-            return mask
-
-        domain_masks = {
-            vertex: domain_mask(options)
-            for vertex, options in domains.items()
-        }
-        empty: dict[int, int] = {}
+        queue = deque(range(len(arcs)))
+        queued = [True] * len(arcs)
         while queue:
-            u, v, partners = queue.popleft()
-            mask_v = domain_masks[v]
-            color_v = v.color
-            kept = []
-            for cand_u in domains[u]:
-                bit = bit_of.get(cand_u)
-                allowed_mask = (
-                    partners.get(bit, empty).get(color_v)
-                    if bit is not None
-                    else None
-                )
-                if allowed_mask is not None and allowed_mask & mask_v:
-                    kept.append(cand_u)
-            if len(kept) != len(domains[u]):
+            arc = queue.popleft()
+            queued[arc] = False
+            u, v, partners = arcs[arc]
+            support = domains[v]
+            domain = kept = domains[u]
+            while domain:
+                bit = domain & -domain
+                domain ^= bit
+                if not partners.get(bit, 0) & support:
+                    kept ^= bit
+            if kept != domains[u]:
                 if not kept:
                     return False
                 domains[u] = kept
-                domain_masks[u] = domain_mask(kept)
-                for arc in watchers.get(u, ()):
-                    queue.append(arc)
+                for watcher in watchers[u]:
+                    if not queued[watcher]:
+                        queued[watcher] = True
+                        queue.append(watcher)
         return True
 
-    def _components(self, free: list[Vertex]) -> list[list[Vertex]]:
+    def _components(self, assignment: list[int]) -> list[list[int]]:
         """Connected components of the constraint graph over free vertices.
 
         Forced vertices are excluded: their values are already fixed, so
         they transmit no uncertainty between the subproblems they touch.
+        Indices are ranks, so the kernel's lowest-bit-first order puts the
+        component holding the smallest free vertex first.
         """
-        free_set = set(free)
-        neighbors: dict[Vertex, set] = {v: set() for v in free_set}
-        for constraint_vertices in self._constraint_vertices:
-            vertices = [v for v in constraint_vertices if v in free_set]
-            for i, u in enumerate(vertices):
-                for v in vertices[i + 1 :]:
-                    neighbors[u].add(v)
-                    neighbors[v].add(u)
-        remaining = set(free_set)
-        components: list[list[Vertex]] = []
-        while remaining:
-            seed = min(remaining, key=lambda v: v._sort_key())
-            stack, seen = [seed], {seed}
-            while stack:
-                current = stack.pop()
-                for neighbor in neighbors[current]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-            components.append(
-                sorted(seen, key=lambda v: v._sort_key())
-            )
-            remaining -= seen
-        return components
+        free_parts = []
+        for scope in self.scopes:
+            mask = 0
+            for index in scope:
+                if not assignment[index]:
+                    mask |= 1 << index
+            if mask:
+                free_parts.append(mask)
+        return [
+            list(iter_bits(component))
+            for component in mask_components(free_parts, len(assignment))
+        ]
+
+    def _watchers(self) -> list[_Watched]:
+        watch = self._watch
+        if watch is None:
+            watch = [[] for _ in self.vertices]
+            for scope, allowed in zip(self.scopes, self.allowed):
+                if len(scope) < 2:
+                    continue
+                for index in scope:
+                    others = tuple(other for other in scope if other != index)
+                    watch[index].append((others, allowed))
+            self._watch = watch
+        return watch
 
     def _search_component(
         self,
-        component: list[Vertex],
-        domains: dict[Vertex, list[Vertex]],
-        assignment: dict[Vertex, Vertex],
+        component: list[int],
+        domains: list[int],
+        assignment: list[int],
         node_limit: Optional[int] = None,
     ) -> bool:
         order = sorted(
-            component, key=lambda v: (len(domains[v]), v._sort_key())
+            component, key=lambda index: (popcount(domains[index]), index)
         )
-        constraint_vertices = self._constraint_vertices
-        allowed_masks = self._allowed_masks
-        by_vertex = self._by_vertex
-        image_mask = self._image_mask
-
-        def consistent(vertex: Vertex) -> bool:
-            # One OR sweep plus one set-of-int lookup per touched
-            # constraint, for any arity — the pair case needs no special
-            # path since a two-bit mask lookup is exactly as cheap.
-            for constraint_index in by_vertex[vertex]:
-                partial = image_mask(
-                    constraint_vertices[constraint_index], assignment
-                )
-                if (
-                    partial is not None
-                    and partial not in allowed_masks[constraint_index]
-                ):
-                    return False
-            return True
+        watch = self._watchers()
+        nodes = self.last_search_nodes
 
         # Depth-first backtracking over ``order`` with an explicit stack:
-        # ``next_option[depth]`` is the index of the next candidate to try
-        # for ``order[depth]``, and ``order[:depth]`` is assigned.  Deep
+        # ``untried[depth]`` holds the candidate bits of ``order[depth]``
+        # not tried yet, and ``order[:depth]`` is assigned.  Deep
         # components (one level per free vertex) would otherwise exhaust
         # the interpreter's recursion limit.
         size = len(order)
-        next_option = [0] * size
+        untried = [0] * size
+        if size:
+            untried[0] = domains[order[0]]
         depth = 0
         while depth < size:
             vertex = order[depth]
-            options = domains[vertex]
-            index = next_option[depth]
-            placed = False
-            while index < len(options):
-                self.last_search_nodes += 1
-                if node_limit is not None and (
-                    self.last_search_nodes > node_limit
-                ):
+            options = untried[depth]
+            placed = 0
+            while options:
+                image = options & -options
+                options ^= image
+                nodes += 1
+                if node_limit is not None and nodes > node_limit:
                     # Unwind the component's partial images so a caught
                     # error leaves the problem (and the shared assignment)
                     # reusable for a later solve.
-                    for assigned in order:
-                        assignment.pop(assigned, None)
+                    self.last_search_nodes = nodes
+                    for index in order:
+                        assignment[index] = 0
                     raise SolvabilityError(
                         f"search exceeded the node budget of {node_limit}"
                     )
-                assignment[vertex] = options[index]
-                index += 1
-                if consistent(vertex):
-                    placed = True
+                # One OR sweep plus one set-of-int lookup per touched
+                # constraint, for any arity.
+                for others, allowed in watch[vertex]:
+                    partial = image
+                    for other in others:
+                        partial |= assignment[other]
+                    if partial != image and partial not in allowed:
+                        break
+                else:
+                    placed = image
                     break
-                del assignment[vertex]
+            assignment[vertex] = placed
             if placed:
-                next_option[depth] = index
+                untried[depth] = options
                 depth += 1
                 if depth < size:
-                    next_option[depth] = 0
+                    untried[depth] = domains[order[depth]]
                 continue
             if depth == 0:
+                self.last_search_nodes = nodes
                 return False
             depth -= 1
-            del assignment[order[depth]]
+        self.last_search_nodes = nodes
         return True
+
+
+class _DecodedConstraints(Sequence[tuple[Simplex, frozenset[Simplex]]]):
+    """The constraints of a problem as objects, decoded item by item.
+
+    ``len`` needs no decoding, and each allowed family is decoded once.
+    """
+
+    def __init__(self, problem: SolvabilityProblem) -> None:
+        self._problem = problem
+        self._families: dict[int, frozenset[Simplex]] = {}
+
+    def __len__(self) -> int:
+        return len(self._problem.scopes)
+
+    def __getitem__(  # type: ignore[override]
+        self, position: int
+    ) -> tuple[Simplex, frozenset[Simplex]]:
+        problem = self._problem
+        scope = problem.scopes[position]
+        allowed = problem.allowed[position]
+        faces = self._families.get(id(allowed))
+        if faces is None:
+            outputs = problem.outputs
+            faces = self._families[id(allowed)] = frozenset(
+                Simplex(outputs[bit] for bit in iter_bits(mask))
+                for mask in allowed
+            )
+        return Simplex(problem.vertices[index] for index in scope), faces
+
+
+def _pair_table(allowed: frozenset[int]) -> dict[int, int]:
+    """``bit → OR of the bits it forms an allowed edge with``."""
+    partners: dict[int, int] = {}
+    for mask in allowed:
+        low = mask & -mask
+        high = mask ^ low
+        if high and not high & (high - 1):
+            partners[low] = partners.get(low, 0) | high
+            partners[high] = partners.get(high, 0) | low
+    return partners
 
 
 def build_solvability_problem(
@@ -518,39 +494,77 @@ def build_solvability_problem(
         ``σ ↦ P^(t)(σ)``, the executions where exactly ``ID(σ)``
         participate.
     """
-    candidates: dict[Vertex, set] = {}
-    constraints: list[tuple[Simplex, frozenset[Simplex]]] = []
-    constraint_keys: set = set()
-
+    # Gather the distinct Δ(σ) and every vertex on either side.
+    families: dict[SimplicialComplex, int] = {}
+    pieces: list[tuple[int, SimplicialComplex]] = []
+    protocol_vertices: set[Vertex] = set()
+    output_vertices: set[Vertex] = set()
     for sigma in input_simplices:
         allowed = delta_of(sigma)
-        allowed_faces = allowed.simplices
-        # Accumulate per-color domains in plain sets (rebuilding a frozenset
-        # per vertex is quadratic in the color class size).
-        allowed_by_color: dict[int, set] = {}
-        for output_vertex in allowed.vertices:
-            allowed_by_color.setdefault(output_vertex.color, set()).add(
-                output_vertex
-            )
+        family = families.get(allowed)
+        if family is None:
+            family = families[allowed] = len(families)
+            output_vertices.update(allowed.vertices)
         protocol = protocol_of(sigma)
-        empty: set = set()
-        for vertex in protocol.vertices:
-            domain = allowed_by_color.get(vertex.color, empty)
-            if vertex in candidates:
-                candidates[vertex] &= domain
-            else:
-                candidates[vertex] = set(domain)
-        for facet in protocol.facets:
-            key = (facet, allowed_faces)
-            if key not in constraint_keys:
-                constraint_keys.add(key)
-                constraints.append((facet, allowed_faces))
+        protocol_vertices.update(protocol.vertices)
+        pieces.append((family, protocol))
 
-    ordered_candidates = {
-        vertex: tuple(sorted(domain, key=lambda v: v._sort_key()))
-        for vertex, domain in candidates.items()
-    }
-    return SolvabilityProblem(ordered_candidates, constraints, rounds)
+    # The one sort: it ranks the protocol vertices and orders the output
+    # bits, so every later order is an integer order.
+    index_of: dict[Vertex, int] = {}
+    bit_of: dict[Vertex, int] = {}
+    vertices: list[Vertex] = []
+    outputs: list[Vertex] = []
+    for vertex in sorted(
+        protocol_vertices | output_vertices, key=Vertex._sort_key
+    ):
+        if vertex in protocol_vertices:
+            index_of[vertex] = len(vertices)
+            vertices.append(vertex)
+        if vertex in output_vertices:
+            bit_of[vertex] = 1 << len(outputs)
+            outputs.append(vertex)
+
+    # Each Δ(σ) once: its simplices as masks, its vertices by color.
+    family_faces: list[frozenset[int]] = []
+    family_colors: list[dict[int, int]] = []
+    for allowed in families:
+        faces: set[int] = set()
+        for facet in allowed.facets:
+            mask = 0
+            for vertex in facet.vertices:
+                mask |= bit_of[vertex]
+            faces.update(iter_submasks(mask))
+        by_color: dict[int, int] = {}
+        for vertex in allowed.vertices:
+            by_color[vertex.color] = (
+                by_color.get(vertex.color, 0) | bit_of[vertex]
+            )
+        family_faces.append(frozenset(faces))
+        family_colors.append(by_color)
+
+    domains = [-1] * len(vertices)
+    scopes: list[tuple[int, ...]] = []
+    allowed_sets: list[frozenset[int]] = []
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    for family, protocol in pieces:
+        by_color = family_colors[family]
+        for vertex in protocol.vertices:
+            domains[index_of[vertex]] &= by_color.get(vertex.color, 0)
+        for facet in protocol.facets:
+            scope = tuple(index_of[vertex] for vertex in facet.vertices)
+            if (scope, family) not in seen:
+                seen.add((scope, family))
+                scopes.append(scope)
+                allowed_sets.append(family_faces[family])
+    return SolvabilityProblem(
+        tuple(vertices),
+        tuple(outputs),
+        tuple(domains),
+        tuple(scopes),
+        tuple(allowed_sets),
+        rounds,
+    )
 
 
 def find_decision_map(

@@ -32,7 +32,6 @@ from repro.telemetry.export import (
     TRACE_VERSION,
     chrome_events,
     load_trace,
-    merge_traces,
     render_chrome,
     render_json,
     render_text,
@@ -92,7 +91,6 @@ __all__ = [
     "TRACE_VERSION",
     "chrome_events",
     "load_trace",
-    "merge_traces",
     "render_chrome",
     "render_json",
     "render_text",

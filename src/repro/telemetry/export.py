@@ -21,7 +21,7 @@ works on artifacts recorded by an earlier process.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.tracer import Span, Tracer
@@ -37,7 +37,6 @@ __all__ = [
     "self_time_table",
     "render_text",
     "load_trace",
-    "merge_traces",
     "write_trace",
 ]
 
@@ -249,33 +248,6 @@ def load_trace(text: str) -> dict[str, Any]:
     if not isinstance(payload.get("spans"), list):
         raise TelemetryError("trace artifact has no 'spans' list")
     return payload
-
-
-def merge_traces(trees: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Concatenate several trace artifacts into one span forest.
-
-    Summarizing several recorded runs together means merging the root
-    spans of every artifact into a single tree the existing exporters
-    already understand.  Inputs must be validated artifacts
-    (:func:`load_trace` output); their root spans are kept in input
-    order.
-    """
-    spans: list[Any] = []
-    for tree in trees:
-        if (
-            tree.get("format") != TRACE_FORMAT
-            or tree.get("version") != TRACE_VERSION
-        ):
-            raise TelemetryError(
-                f"cannot merge artifact with format="
-                f"{tree.get('format')!r} version={tree.get('version')!r}"
-            )
-        spans.extend(tree.get("spans", []))
-    return {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "spans": spans,
-    }
 
 
 _RENDERERS = {

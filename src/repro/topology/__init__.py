@@ -40,17 +40,6 @@ from repro.topology.table import (
     iter_submasks,
     popcount,
 )
-from repro.topology.wire import (
-    WireComplex,
-    WireSimplex,
-    canonical_bytes,
-    decode_complex,
-    decode_simplex,
-    digest_complex,
-    digest_payload,
-    encode_complex,
-    encode_simplex,
-)
 
 __all__ = [
     "Vertex",
@@ -75,13 +64,4 @@ __all__ = [
     "iter_bits",
     "iter_submasks",
     "popcount",
-    "WireSimplex",
-    "WireComplex",
-    "encode_simplex",
-    "decode_simplex",
-    "encode_complex",
-    "decode_complex",
-    "canonical_bytes",
-    "digest_payload",
-    "digest_complex",
 ]

@@ -15,10 +15,9 @@ are unchanged.
 
 ``Simplex`` objects are materialized lazily, only at API boundaries
 (``facets``, ``simplices``, iteration, sorted accessors): a complex
-decoded from its wire form answers membership, projection, and equality
-queries without rebuilding a single vertex object, and encoding back to
-:class:`~repro.topology.wire.WireComplex` is a near-no-op because the
-in-memory index *is* the canonical wire table.
+built from masks (every mask-level operation returns one) answers
+membership, projection, and equality queries without rebuilding a
+single vertex object.
 
 Two complexes compare equal iff they contain exactly the same simplices.
 The class is immutable: every operation returns a new complex.
@@ -138,8 +137,8 @@ class SimplicialComplex:
     * *object-born* (``__init__`` / ``from_maximal``): ``_facets`` holds
       the facet frozenset; the mask index (``_table``, ``_masks``) is
       built lazily by ``_ensure_index``.
-    * *wire-born* (``_from_masks``, used by the trusted wire decoder and
-      every mask-level operation): ``_table``/``_masks`` are set and
+    * *mask-born* (``_from_masks``, used by every mask-level
+      operation): ``_table``/``_masks`` are set and
       ``_facets`` is ``None`` until an API boundary materializes it.
 
     Whenever ``_masks`` is set it is an ascending tuple of facet masks
@@ -230,8 +229,7 @@ class SimplicialComplex:
         every table entry, the table is narrowed so the minimal-table
         invariant holds (a subsequence of a sorted vertex list is still
         sorted, so narrowing preserves canonicality).  A non-canonical
-        (unsorted) table — only reachable through foreign wire records —
-        falls back to eager materialization.
+        (unsorted) table falls back to eager materialization.
         """
         mask_list = sorted(set(masks))
         if not mask_list:
@@ -361,7 +359,7 @@ class SimplicialComplex:
                     found.update(facet.vertices)
                 self._vertices_cache = frozenset(found)
             else:
-                # Wire-born: the (narrowed) table lists exactly V(K).
+                # Mask-born: the (narrowed) table lists exactly V(K).
                 table = self._table
                 assert table is not None
                 self._vertices_cache = frozenset(table.vertices)

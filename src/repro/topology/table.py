@@ -5,15 +5,13 @@ The bitmask-native core represents a simplex as an integer mask over a
 vertex".  Subset tests become ``sub & sup == sub``, face enumeration
 becomes submask enumeration, and inclusion-maximality pruning becomes a
 sweep of integer comparisons.  :class:`~repro.topology.complex.SimplicialComplex`
-keeps one table per complex; the wire codec (:mod:`repro.topology.wire`)
-ships the same table across process boundaries.
+keeps one table per complex.
 
 Tables are immutable and interned (:meth:`VertexTable.interned` /
 :meth:`VertexTable.interned_of`): they are shared process-wide through a
 weak registry keyed by their pair tuple, so equal complexes built at
 different times index against the *same* table object — which makes
-table identity a valid fast path for complex equality and keeps
-re-encoding to wire form a near-no-op.
+table identity a valid fast path for complex equality.
 
 Masks never leave :mod:`repro.topology`: code outside the package asks a
 :class:`~repro.topology.complex.SimplicialComplex` for its masks and
@@ -84,9 +82,8 @@ class VertexTable:
     """An interned table of ``(color, value)`` pairs with stable indices.
 
     The table assigns each distinct vertex a small integer index; simplex
-    bitmasks are built over those indices.  Encoding and decoding sides
-    must share the same pair tuple (the wire encoder embeds it in the
-    record).
+    bitmasks are built over those indices.  A mask means something only
+    to the table it was encoded against: decode it with the same table.
 
     Every table carries a process-unique ``table_id`` (never reused), so
     ``(table_id, mask)`` int pairs are unambiguous memo keys across any
@@ -191,7 +188,8 @@ class VertexTable:
     def is_sorted(self) -> bool:
         """``True`` iff the entries are in canonical ``_sort_key`` order.
 
-        Computed once and cached; sorted tables are what makes narrowing and wire encoding order-stable.
+        Computed once and cached; sorted tables are what makes narrowing
+        order-stable.
         """
         if self._sorted is None:
             keys = [v._sort_key() for v in self._vertices]
@@ -212,7 +210,7 @@ class VertexTable:
         )
 
     def __reduce__(self) -> tuple:
-        # Table ids are process-local and never cross the wire: tables
+        # Table ids are process-local and are not pickled: tables
         # re-intern on the receiving side, joining its weak registry.
         return (VertexTable.interned, (self.pairs,))
 

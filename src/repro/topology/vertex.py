@@ -14,11 +14,27 @@ gives a stable order even across heterogeneous value types such as
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
 from typing import Any, Hashable
 
 __all__ = ["Vertex", "value_sort_key"]
+
+
+def _rounded(number: Fraction) -> float:
+    """A float that never reverses the order of two numbers.
+
+    Rounding is monotone, so ``_rounded(a) < _rounded(b)`` implies
+    ``a < b``; equal floats leave the decision to the exact value that
+    follows them in the key.  Comparing two floats is a C-level
+    operation, while two Fractions compare through Python-level
+    ``__eq__`` and ``__lt__`` calls, once per level of a nested key.
+    """
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def value_sort_key(value: Any) -> tuple:
@@ -37,7 +53,8 @@ def value_sort_key(value: Any) -> tuple:
     if isinstance(value, bool):
         return ("bool", int(value))
     if isinstance(value, (int, Fraction, float)):
-        return ("num", Fraction(value))
+        exact = value if type(value) is Fraction else Fraction(value)
+        return ("num", _rounded(exact), exact)
     if isinstance(value, str):
         return ("str", value)
     if isinstance(value, bytes):

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import find_decision_map, is_solvable
-from repro.core.solvability import build_solvability_problem
+from repro.core import check_decision_map, find_decision_map, is_solvable
+from repro.core.solvability import (
+    DecisionMap,
+    SolvabilityProblem,
+    build_solvability_problem,
+)
 from repro.errors import SolvabilityError
 from repro.models import ProtocolOperator
 from repro.tasks import (
@@ -14,17 +18,43 @@ from repro.tasks import (
     multivalued_consensus_task,
 )
 from repro.tasks.inputs import input_simplex
+from repro.topology import Vertex
 
 
 def F(num, den=1):
     return Fraction(num, den)
 
 
+def certified_map(task, model, rounds, input_simplices=None):
+    """Solve, and re-check any map found with the independent checker."""
+    operator = ProtocolOperator(model)
+    simplices = (
+        list(input_simplices)
+        if input_simplices is not None
+        else list(task.input_complex)
+    )
+    decision = find_decision_map(
+        task, model, rounds, simplices, operator=operator
+    )
+    if decision is not None:
+        check_decision_map(
+            simplices,
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, rounds),
+            decision,
+        )
+    return decision
+
+
+def solvable(task, model, rounds, input_simplices=None):
+    return certified_map(task, model, rounds, input_simplices) is not None
+
+
 class TestZeroRounds:
     def test_trivial_task_zero_round_solvable(self, iis):
         # "Output your input" is 0-round solvable.
         task = approximate_agreement_task([1, 2], 1, 1)
-        assert is_solvable(task, iis, 0)
+        assert solvable(task, iis, 0)
 
     def test_consensus_not_zero_round_solvable(self, iis):
         assert not is_solvable(binary_consensus_task([1, 2]), iis, 0)
@@ -44,13 +74,13 @@ class TestOneRound:
         # ⌈log₃ 3⌉ = 1 round suffices for ε = 1/3 … use ε = 1/2 with m = 2:
         # ⌈log₃ 2⌉ = 1.
         task = approximate_agreement_task([1, 2], F(1, 2), 2)
-        decision = find_decision_map(task, iis, 1)
+        decision = certified_map(task, iis, 1)
         assert decision is not None
         assert decision.rounds == 1
 
     def test_half_aa_solvable_in_one_round_three_procs(self, iis):
         task = approximate_agreement_task([1, 2, 3], F(1, 2), 2)
-        assert is_solvable(task, iis, 1)
+        assert solvable(task, iis, 1)
 
     def test_consensus_not_one_round_solvable(self, iis):
         assert not is_solvable(binary_consensus_task([1, 2]), iis, 1)
@@ -59,6 +89,12 @@ class TestOneRound:
         task = approximate_agreement_task([1, 2], F(1, 2), 2)
         operator = ProtocolOperator(iis)
         decision = find_decision_map(task, iis, 1, operator=operator)
+        check_decision_map(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 1),
+            decision,
+        )
         for sigma in task.input_complex:
             allowed = task.delta(sigma).simplices
             for facet in operator.of_simplex(sigma, 1).facets:
@@ -75,7 +111,7 @@ class TestOneRound:
             input_simplex({1: 1}),
             input_simplex({2: 0}),
         ]
-        assert is_solvable(task, iis, 0, input_simplices=uniform)
+        assert solvable(task, iis, 0, input_simplices=uniform)
 
 
 class TestQuarterEpsilon:
@@ -97,6 +133,12 @@ class TestQuarterEpsilon:
         assert algorithm.rounds == 2
         decision = extract_decision_map(algorithm, iis, task.input_complex)
         operator = ProtocolOperator(iis)
+        check_decision_map(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 2),
+            decision,
+        )
         for sigma in task.input_complex:
             allowed = task.delta(sigma).simplices
             for facet in operator.of_simplex(sigma, 2).facets:
@@ -106,11 +148,11 @@ class TestQuarterEpsilon:
 class TestAugmentedSolvability:
     def test_two_proc_consensus_with_tas_one_round(self, iis_tas):
         # Fig. 4: binary consensus for 2 processes, one round with test&set.
-        assert is_solvable(binary_consensus_task([1, 2]), iis_tas, 1)
+        assert solvable(binary_consensus_task([1, 2]), iis_tas, 1)
 
     def test_multivalued_two_proc_with_tas(self, iis_tas):
         task = multivalued_consensus_task([1, 2], ["x", "y", "z"])
-        assert is_solvable(task, iis_tas, 1)
+        assert solvable(task, iis_tas, 1)
 
     def test_two_proc_consensus_without_tas_unsolvable(self, iis):
         assert not is_solvable(binary_consensus_task([1, 2]), iis, 1)
@@ -156,37 +198,39 @@ class TestProblemConstruction:
             rounds=rounds,
         )
 
-    def test_positional_construction_binds_rounds(self, iis):
-        # ``last_search_nodes`` once leaked into the dataclass __init__ as a
-        # fourth positional parameter, silently swallowing arguments meant
-        # for nothing.  Positional construction must bind exactly
-        # (candidates, constraints, rounds).
-        from repro.core.solvability import SolvabilityProblem
-
-        compiled = self._compiled(iis)
-        problem = SolvabilityProblem(
-            compiled.candidates, compiled.constraints, 3
+    @staticmethod
+    def _tables(compiled):
+        return (
+            compiled.vertices,
+            compiled.outputs,
+            compiled.domains,
+            compiled.scopes,
+            compiled.allowed,
         )
+
+    def test_positional_construction_binds_rounds(self, iis):
+        # ``last_search_nodes`` once leaked into the dataclass __init__ as
+        # a positional parameter after ``rounds``, silently swallowing
+        # arguments meant for nothing.  Positional construction must bind
+        # exactly the compiled tables and ``rounds``.
+        compiled = self._compiled(iis)
+        problem = SolvabilityProblem(*self._tables(compiled), 3)
         assert problem.rounds == 3
         assert problem.last_search_nodes == 0
+        assert problem.candidates == compiled.candidates
+        assert list(problem.constraints) == list(compiled.constraints)
 
     def test_no_fourth_positional_parameter(self, iis):
-        from repro.core.solvability import SolvabilityProblem
-
+        # Nothing binds after ``rounds``.
         compiled = self._compiled(iis)
         with pytest.raises(TypeError):
-            SolvabilityProblem(
-                compiled.candidates, compiled.constraints, 3, 99
-            )
+            SolvabilityProblem(*self._tables(compiled), 3, 99)
 
     def test_last_search_nodes_not_settable_at_init(self, iis):
-        from repro.core.solvability import SolvabilityProblem
-
         compiled = self._compiled(iis)
         with pytest.raises(TypeError):
             SolvabilityProblem(
-                compiled.candidates,
-                compiled.constraints,
+                *self._tables(compiled),
                 rounds=1,
                 last_search_nodes=5,
             )
@@ -218,6 +262,14 @@ class TestBudgetRecovery:
         assert decision is not None
         for facet, allowed in problem.constraints:
             assert decision.output_simplex(facet) in allowed
+        task = approximate_agreement_task([1, 2], F(1, 2), 2)
+        operator = ProtocolOperator(iis)
+        check_decision_map(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 1),
+            decision,
+        )
 
     def test_budget_failure_repeatable(self, iis):
         problem = self._hard_but_solvable(iis)
@@ -235,8 +287,9 @@ def _recursive_search(problem, use_components):
     """The recursive backtracking the explicit-stack search replaced.
 
     Returns ``(assignment or None, nodes)`` over the same pre-search
-    state, trying candidates in the same order and counting a node per
-    tried candidate.
+    state, trying candidates in the same order (ascending output bit)
+    and counting a node per tried candidate.  Its consistency test is
+    its own, read straight off the compiled scopes and allowed masks.
     """
     prepared = problem.prepare_search(
         use_propagation=False, use_components=use_components
@@ -245,15 +298,16 @@ def _recursive_search(problem, use_components):
         return None, 0
     domains, assignment, components = prepared
     nodes = 0
+    touching = {index: [] for index in range(len(domains))}
+    for scope, allowed in zip(problem.scopes, problem.allowed):
+        for index in scope:
+            touching[index].append((scope, allowed))
 
     def consistent(vertex):
-        for index in problem._by_vertex[vertex]:
-            partial = problem._image_mask(
-                problem._constraint_vertices[index], assignment
-            )
-            if partial is not None and (
-                partial not in problem._allowed_masks[index]
-            ):
+        for scope, allowed in touching[vertex]:
+            images = [assignment[index] for index in scope]
+            assigned = [image for image in images if image]
+            if len(assigned) >= 2 and sum(assigned) not in allowed:
                 return False
         return True
 
@@ -262,21 +316,27 @@ def _recursive_search(problem, use_components):
         if depth == len(order):
             return True
         vertex = order[depth]
-        for image in domains[vertex]:
+        for bit in range(domains[vertex].bit_length()):
+            if not domains[vertex] >> bit & 1:
+                continue
             nodes += 1
-            assignment[vertex] = image
+            assignment[vertex] = 1 << bit
             if consistent(vertex) and backtrack(order, depth + 1):
                 return True
-            del assignment[vertex]
+            assignment[vertex] = 0
         return False
 
     for component in components:
         order = sorted(
-            component, key=lambda v: (len(domains[v]), v._sort_key())
+            component, key=lambda v: (bin(domains[v]).count("1"), v)
         )
         if not backtrack(order, 0):
             return None, nodes
-    return dict(assignment), nodes
+    decoded = {
+        problem.vertices[index]: problem.outputs[image.bit_length() - 1]
+        for index, image in enumerate(assignment)
+    }
+    return decoded, nodes
 
 
 class TestExplicitStackSearch:
@@ -323,6 +383,12 @@ class TestExplicitStackSearch:
         else:
             assert found is not None
             assert dict(found.assignment) == expected
+            check_decision_map(
+                list(task.input_complex),
+                task.delta,
+                lambda sigma: operator.of_simplex(sigma, 1),
+                found,
+            )
 
     def test_budget_abort_unwinds_every_component_vertex(self, iis):
         task = approximate_agreement_task([1, 2], F(1, 4), 4)
@@ -336,7 +402,7 @@ class TestExplicitStackSearch:
         domains, assignment, components = problem.prepare_search(
             use_propagation=False, use_components=False
         )
-        forced = dict(assignment)
+        forced = list(assignment)
         with pytest.raises(SolvabilityError, match="node budget of 5"):
             problem._search_component(
                 components[0], domains, assignment, node_limit=5
@@ -353,4 +419,71 @@ class TestExplicitStackSearch:
         from repro.tasks import liberal_approximate_agreement_task
 
         task = liberal_approximate_agreement_task([1, 2, 3], F(1, 4), 4)
-        assert is_solvable(task, ImmediateSnapshotModel(), 2)
+        assert solvable(task, ImmediateSnapshotModel(), 2)
+
+
+class TestDecisionMapChecker:
+    """The independent checker rejects maps that do not solve the task."""
+
+    def _instance(self, iis):
+        task = approximate_agreement_task([1, 2], F(1, 2), 2)
+        operator = ProtocolOperator(iis)
+        simplices = list(task.input_complex)
+
+        def protocol_of(sigma):
+            return operator.of_simplex(sigma, 1)
+
+        decision = find_decision_map(task, iis, 1, operator=operator)
+        assert decision is not None
+        return task, simplices, protocol_of, decision
+
+    def _mutant(self, decision, changes=(), dropped=()):
+        assignment = dict(decision.assignment)
+        assignment.update(changes)
+        for vertex in dropped:
+            del assignment[vertex]
+        return DecisionMap(assignment, decision.rounds)
+
+    def _solo_vertex(self, protocol_of, color, value):
+        (vertex,) = protocol_of(input_simplex({color: value})).vertices
+        return vertex
+
+    def test_accepts_the_solver_map(self, iis):
+        task, simplices, protocol_of, decision = self._instance(iis)
+        check_decision_map(simplices, task.delta, protocol_of, decision)
+
+    def test_rejects_a_one_image_mutant(self, iis):
+        # A process running solo on input 0 must decide 0 (validity);
+        # moving only that image to the far end of the range breaks Δ.
+        task, simplices, protocol_of, decision = self._instance(iis)
+        solo = self._solo_vertex(protocol_of, 1, F(0))
+        assert decision(solo) == Vertex(1, F(0))
+        mutant = self._mutant(decision, {solo: Vertex(1, F(1))})
+        with pytest.raises(SolvabilityError, match="not a simplex"):
+            check_decision_map(simplices, task.delta, protocol_of, mutant)
+
+    def test_rejects_an_unassigned_vertex(self, iis):
+        task, simplices, protocol_of, decision = self._instance(iis)
+        solo = self._solo_vertex(protocol_of, 2, F(1))
+        mutant = self._mutant(decision, dropped=[solo])
+        with pytest.raises(SolvabilityError, match="unassigned"):
+            check_decision_map(simplices, task.delta, protocol_of, mutant)
+
+    def test_rejects_a_color_change(self, iis):
+        task, simplices, protocol_of, decision = self._instance(iis)
+        solo = self._solo_vertex(protocol_of, 1, F(0))
+        mutant = self._mutant(decision, {solo: Vertex(2, F(0))})
+        with pytest.raises(SolvabilityError, match="not chromatic"):
+            check_decision_map(simplices, task.delta, protocol_of, mutant)
+
+
+@pytest.mark.slow
+class TestVerifiedRange:
+    """The n = 2 IIS closed form 3^t >= m at its t = 3 boundary."""
+
+    @pytest.mark.parametrize("m, expected", [(27, True), (28, False)])
+    def test_two_process_iis_boundary_at_three_rounds(
+        self, iis, m, expected
+    ):
+        task = approximate_agreement_task([1, 2], F(1, m), m)
+        assert solvable(task, iis, 3) is expected

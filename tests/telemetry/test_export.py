@@ -138,34 +138,3 @@ class TestLoadTrace:
     def test_rejects_missing_spans(self):
         with pytest.raises(TelemetryError, match="spans"):
             load_trace(json.dumps({"format": "repro-trace", "version": 1}))
-
-
-class TestMergeTraces:
-    def test_merges_roots_in_input_order(self):
-        from repro.telemetry import merge_traces
-
-        first = trace_tree(recorded_tracer())
-        second = trace_tree(recorded_tracer())
-        merged = merge_traces([first, second])
-        assert merged["format"] == first["format"]
-        assert merged["version"] == first["version"]
-        assert len(merged["spans"]) == len(first["spans"]) * 2
-        # Merged artifacts feed the existing renderers unchanged.
-        assert "outer" in render_text(merged)
-
-    def test_empty_merge_is_an_empty_forest(self):
-        from repro.telemetry import merge_traces
-
-        assert merge_traces([])["spans"] == []
-
-    def test_rejects_foreign_artifacts(self):
-        from repro.telemetry import merge_traces
-
-        with pytest.raises(TelemetryError, match="cannot merge"):
-            merge_traces([{"traceEvents": []}])
-
-    def test_round_trips_through_load_trace(self):
-        from repro.telemetry import merge_traces
-
-        merged = merge_traces([trace_tree(recorded_tracer())])
-        assert load_trace(json.dumps(merged)) == merged

@@ -5,23 +5,20 @@ operation against its retained seed implementation from
 :mod:`repro.topology.reference` on hypothesis-generated chromatic
 complexes — the same parity contract audit rule AUD013 enforces on live
 experiment targets, but over a much wilder input distribution.  A second
-group of tests pins the lazy-materialization contract of wire-born
-complexes: queries must be answerable without rebuilding ``Simplex``
-objects.
+group of tests pins the lazy-materialization contract of mask-born
+complexes (built by ``SimplicialComplex._from_masks`` from a table and
+facet masks alone): queries must be answerable without rebuilding ``Simplex``
+objects.  A last group pins the interned :class:`VertexTable`.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.topology import (
-    Simplex,
-    SimplicialComplex,
-    Vertex,
-    decode_complex,
-    encode_complex,
-)
+from repro.errors import ChromaticityError
+from repro.topology import Simplex, SimplicialComplex, Vertex, VertexTable
 from repro.topology import reference
 
 colors = st.integers(min_value=1, max_value=5)
@@ -45,6 +42,12 @@ def simplices(draw, max_colors=4):
 @st.composite
 def families(draw, max_size=6):
     return draw(st.lists(simplices(), min_size=1, max_size=max_size))
+
+
+def mask_born(complex_):
+    """A copy of ``complex_`` built from its mask index alone."""
+    table, masks = complex_._ensure_index()
+    return SimplicialComplex._from_masks(table, masks)
 
 
 class TestPruningParity:
@@ -135,13 +138,13 @@ class TestQueryParity:
 
 
 class TestLazyMaterialization:
-    """Wire-born complexes answer queries without rebuilding facets."""
+    """Mask-born complexes answer queries without rebuilding facets."""
 
     @given(families())
     def test_wire_born_complex_defers_facet_objects(self, family):
         original = SimplicialComplex(family)
-        reborn = decode_complex(encode_complex(original))
-        assert reborn._facets is None  # not materialized at decode time
+        reborn = mask_born(original)
+        assert reborn._facets is None  # not materialized at build time
         # Mask-level queries must not force materialization …
         assert reborn.facet_count == original.facet_count
         assert len(reborn) == len(original)
@@ -154,12 +157,8 @@ class TestLazyMaterialization:
 
     @given(families(), families())
     def test_mask_level_operations_stay_lazy(self, left, right):
-        a = decode_complex(
-            encode_complex(SimplicialComplex(left))
-        )
-        b = decode_complex(
-            encode_complex(SimplicialComplex(right))
-        )
+        a = mask_born(SimplicialComplex(left))
+        b = mask_born(SimplicialComplex(right))
         merged = a.union(b)
         projected = a.proj(sorted(a.ids)[:1])
         assert a._facets is None and b._facets is None
@@ -169,10 +168,11 @@ class TestLazyMaterialization:
     @given(families())
     def test_reencoding_uses_the_existing_index(self, family):
         original = SimplicialComplex(family)
-        wire = encode_complex(original)
-        reborn = decode_complex(wire)
-        assert encode_complex(reborn) == wire
-        assert reborn._facets is None  # encoding is a pure index read
+        reborn = mask_born(original)
+        table, masks = reborn._ensure_index()
+        assert table is original._ensure_index()[0]
+        assert masks == original._ensure_index()[1]
+        assert reborn._facets is None  # reading the index decodes nothing
 
     @given(families())
     def test_equal_complexes_share_one_interned_table(self, family):
@@ -180,3 +180,43 @@ class TestLazyMaterialization:
         second = SimplicialComplex(list(first.facets))
         assert first._ensure_index()[0] is second._ensure_index()[0]
         assert first._ensure_index()[1] == second._ensure_index()[1]
+
+
+class TestVertexTable:
+    @given(st.lists(st.tuples(colors, values), min_size=1, max_size=6))
+    def test_interning_is_idempotent(self, pairs):
+        table = VertexTable.interned(pairs)
+        assert VertexTable.interned(pairs) is table
+        assert len(table) == len({Vertex(c, v) for c, v in pairs})
+        for c, v in pairs:
+            vertex = Vertex(c, v)
+            assert table.vertex_at(table.index_of(vertex)) == vertex
+
+    @given(simplices())
+    def test_mask_round_trip(self, sigma):
+        table = VertexTable.interned(v.as_pair() for v in sigma.vertices)
+        assert table.decode_mask(table.encode_mask(sigma)) == sigma
+
+    @given(simplices())
+    def test_encode_mask_is_strict(self, sigma):
+        # Encoding never interns: a table without the vertices rejects
+        # the simplex, and one holding them encodes it.
+        with pytest.raises(ChromaticityError):
+            VertexTable.interned(()).encode_mask(sigma)
+        table = VertexTable.interned(v.as_pair() for v in sigma.vertices)
+        assert table.encode_mask(sigma) == table.full_mask
+
+    def test_encode_mask_rejects_stale_table(self):
+        table = VertexTable.interned([(1, "a")])
+        stale = Simplex([(1, "a"), (2, "b")])
+        with pytest.raises(ChromaticityError):
+            table.encode_mask(stale)
+        # The strict probe must not have grown the table.
+        assert len(table) == 1
+
+    def test_decode_mask_rejects_empty_and_foreign_bits(self):
+        table = VertexTable.interned([(1, 0)])
+        with pytest.raises(ChromaticityError):
+            table.decode_mask(0)
+        with pytest.raises(ChromaticityError):
+            table.decode_mask(0b10)

@@ -9,7 +9,8 @@ distribution than the audit sees:
   structure algorithms against the retained object-set oracles of
   :mod:`repro.topology.reference`;
 * lazy-materialization tests prove the sweeps are pure mask code: on a
-  wire-born complex no ``Simplex`` may be decoded during a sweep.
+  complex built from its mask index alone (``_from_masks``) no
+  ``Simplex`` may be decoded during a sweep.
 """
 
 from fractions import Fraction
@@ -21,8 +22,6 @@ from repro.topology import (
     Simplex,
     SimplicialComplex,
     connected_components,
-    decode_complex,
-    encode_complex,
     is_connected,
     one_skeleton_adjacency,
     shortest_path,
@@ -240,14 +239,15 @@ class TestStructureParity:
 class TestLazyMaterialization:
     """Pure-mask sweeps never decode a Simplex from the index."""
 
-    def _wire_born(self, family):
-        reborn = decode_complex(encode_complex(SimplicialComplex(family)))
+    def _mask_born(self, family):
+        table, masks = SimplicialComplex(family)._ensure_index()
+        reborn = SimplicialComplex._from_masks(table, masks)
         assert reborn._facets is None
         return reborn
 
     @given(families())
     def test_sweeps_leave_wire_born_facets_unmaterialized(self, family):
-        reborn = self._wire_born(family)
+        reborn = self._mask_born(family)
         connected_components(reborn)
         is_connected(reborn)
         is_pseudomanifold(reborn)
@@ -257,7 +257,7 @@ class TestLazyMaterialization:
         assert boundary._facets is None or boundary.is_empty()
 
     def test_mask_sweep_never_decodes(self, monkeypatch, triangle):
-        reborn = self._wire_born([triangle])
+        reborn = self._mask_born([triangle])
 
         def boom(self, mask):
             raise AssertionError(

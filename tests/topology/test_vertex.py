@@ -72,6 +72,17 @@ class TestValueSortKey:
     def test_int_and_fraction_interleave(self):
         assert value_sort_key(Fraction(3, 2)) < value_sort_key(2)
 
+    def test_numbers_a_float_cannot_separate_order_exactly(self):
+        # Both pairs round to one float (or overflow it); the exact
+        # value after the float must still decide.
+        third = Fraction(1, 3)
+        above = third + Fraction(1, 10**30)
+        assert float(third) == float(above)
+        assert value_sort_key(third) < value_sort_key(above)
+        assert value_sort_key(10**400) < value_sort_key(10**400 + 1)
+        assert value_sort_key(-(10**400)) < value_sort_key(0)
+        assert value_sort_key(2) == value_sort_key(Fraction(4, 2))
+
     def test_bool_has_own_tag(self):
         assert value_sort_key(True)[0] == "bool"
         assert value_sort_key(1)[0] == "num"
