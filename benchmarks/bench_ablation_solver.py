@@ -20,10 +20,8 @@ from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_solver_ablation
 from repro.experiments.performance import SOLVER_NODE_BUDGET as NODE_BUDGET
 
-def test_solver_ablation(benchmark, record_table):
-    data = benchmark.pedantic(
-        reproduce_solver_ablation, rounds=1, iterations=1
-    )
+def test_solver_ablation(record_table):
+    data = reproduce_solver_ablation()
 
     assert data["full"]["refuted"] and data["full"]["nodes"] == 0
     assert data["components_only"]["refuted"]

@@ -24,10 +24,8 @@ matching algorithm happens not to need immediacy there.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_affine_concurrency
 
-def test_affine_concurrency(benchmark, record_table):
-    data = benchmark.pedantic(
-        reproduce_affine_concurrency, rounds=1, iterations=1
-    )
+def test_affine_concurrency(record_table):
+    data = reproduce_affine_concurrency()
 
     assert data["sequential_2proc"]
     assert not data["sequential_3proc_1round"]

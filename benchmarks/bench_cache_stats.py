@@ -13,10 +13,8 @@ from repro.analysis import ExperimentRow, render_cache_report, render_table
 from repro.experiments import reproduce_cache_effectiveness
 
 
-def test_cache_effectiveness(benchmark, record_table):
-    data = benchmark.pedantic(
-        reproduce_cache_effectiveness, rounds=1, iterations=1
-    )
+def test_cache_effectiveness(record_table):
+    data = reproduce_cache_effectiveness()
 
     # The memoized run must reproduce the substrate bit-identically.
     assert data["facets"] == 169

@@ -9,8 +9,8 @@ solvable (the technical wrinkle that costs Theorem 4 its additive −1).
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_claim1
 
-def test_claim1_zero_round_unsolvability(benchmark, record_table):
-    data = benchmark(reproduce_claim1)
+def test_claim1_zero_round_unsolvability(record_table):
+    data = reproduce_claim1()
 
     assert not data["strict_2"]
     assert not data["strict_3"]

@@ -10,8 +10,8 @@ there).
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_claim3
 
-def test_claim3_closure_is_2eps(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_claim3, rounds=1, iterations=1)
+def test_claim3_closure_is_2eps(record_table):
+    data = reproduce_claim3()
 
     assert data["mismatches"] == 0
 

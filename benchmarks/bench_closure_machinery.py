@@ -7,8 +7,8 @@ a full Δ'(σ) — the three operations every later experiment composes.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_closure_machinery
 
-def test_closure_machinery(benchmark, record_table):
-    data = benchmark(reproduce_closure_machinery)
+def test_closure_machinery(record_table):
+    data = reproduce_closure_machinery()
 
     assert not data["tau_in_delta"]
     assert data["witness_found"]

@@ -8,8 +8,8 @@ Reproduced mechanically for n = 2 and n = 3.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary1
 
-def test_corollary1_consensus_impossibility(benchmark, record_table):
-    outcomes = benchmark.pedantic(reproduce_corollary1, rounds=1, iterations=1)
+def test_corollary1_consensus_impossibility(record_table):
+    outcomes = reproduce_corollary1()
 
     rows = []
     for n, data in outcomes.items():

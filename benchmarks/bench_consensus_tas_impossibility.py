@@ -10,8 +10,8 @@ execution pair that forces agreement inside the closure argument.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary2
 
-def test_corollary2_consensus_with_tas(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_corollary2, rounds=1, iterations=1)
+def test_corollary2_consensus_with_tas(record_table):
+    data = reproduce_corollary2()
 
     assert data["fixed_point"]
     assert data["unsolvable"]

@@ -13,8 +13,8 @@ instance, and the algorithms' round counts (tightness).
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary3
 
-def test_corollary3_lower_bounds(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_corollary3, rounds=1, iterations=1)
+def test_corollary3_lower_bounds(record_table):
+    data = reproduce_corollary3()
 
     rows = []
     for n, eps, k, lower, upper in data["table"]:

@@ -9,8 +9,8 @@ schedule and box behavior.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig4
 
-def test_fig4_two_process_consensus_with_tas(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_fig4, rounds=1, iterations=1)
+def test_fig4_two_process_consensus_with_tas(record_table):
+    data = reproduce_fig4()
 
     assert data["map_found"]
     assert data["correct"] == data["runs"]

@@ -10,8 +10,8 @@ from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig5
 
 
-def test_fig5_tas_complex(benchmark, record_table):
-    data = benchmark(reproduce_fig5)
+def test_fig5_tas_complex(record_table):
+    data = reproduce_fig5()
 
     assert data["per_color"] == {1: 7, 2: 7, 3: 7}
     assert set(data["solo_outcomes"].values()) == {1}

@@ -10,8 +10,8 @@ from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig7
 
 
-def test_fig7_bc_complex(benchmark, record_table):
-    bundle = benchmark(reproduce_fig7)
+def test_fig7_bc_complex(record_table):
+    bundle = reproduce_fig7()
     data = bundle["mixed"]
 
     assert all(data["opposite_solo_removed"].values())

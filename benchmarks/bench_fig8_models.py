@@ -9,8 +9,8 @@ vertices.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig8
 
-def test_fig8_model_hierarchy(benchmark, record_table):
-    data = benchmark(reproduce_fig8)
+def test_fig8_model_hierarchy(record_table):
+    data = reproduce_fig8()
 
     assert data["immediate_snapshot"].facets == 13
     assert data["immediate_snapshot"].f_vector == (12, 24, 13)

@@ -11,8 +11,8 @@ needed there), while 1-round unsolvability is still certified by search.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_kset
 
-def test_kset_extension(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_kset, rounds=1, iterations=1)
+def test_kset_extension(record_table):
+    data = reproduce_kset()
 
     assert not data["zero_round"]
     assert not data["one_round"]

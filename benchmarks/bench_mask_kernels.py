@@ -25,13 +25,11 @@ protocol complex and asserts the acceptance bar of the mask-kernel PR:
   pre-kernel ``consistent()`` did.
 
 Both sides of each pair are timed interleaved and the per-side minimum
-over repeats is kept, so clock drift hits them equally.  The round
-count is ``REPRO_BENCH_KERNEL_ROUNDS`` (default 2 → 169 facets; CI
-smoke uses the same), and the record lands in
-``benchmarks/results/BENCH_mask_kernels.json``.  The speedup
-assertions are gated on a multi-core host like the parallel scaling
-gate: single-core CI containers time sub-millisecond sweeps too
-noisily to enforce a ratio.
+over repeats is kept, so clock drift hits them equally.  The complex
+has ``ROUNDS = 2`` rounds (169 facets); the measured ratios are
+printed.  The speedup assertions are gated on a multi-core host:
+single-core CI containers time sub-millisecond sweeps too noisily to
+enforce a ratio.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from repro.topology.kernels import mask_components, vertex_adjacency
 from repro.topology.structure import boundary_complex, is_pseudomanifold
 from repro.topology.table import iter_submasks, popcount
 
-ROUNDS = int(os.environ.get("REPRO_BENCH_KERNEL_ROUNDS", "2"))
+ROUNDS = 2
 
 #: The acceptance bar from the mask-kernel PR.
 MIN_SPEEDUP = 3.0
@@ -83,7 +81,7 @@ def _interleaved_min(fast, slow) -> tuple[float, float]:
     return best_fast, best_slow
 
 
-def test_mask_kernel_speedup(benchmark):
+def test_mask_kernel_speedup():
     protocol = ProtocolOperator(ImmediateSnapshotModel()).of_simplex(
         _triangle(), ROUNDS
     )
@@ -202,31 +200,8 @@ def test_mask_kernel_speedup(benchmark):
             f"{solv_ref_s * 1e3:.2f} ms)"
         )
 
-    # One benchmarked pass of the mask-side workload, so pytest-benchmark
-    # stats (and conftest's wall_s fallback) describe the shipped path.
-    benchmark.pedantic(
-        lambda: (
-            connectivity_masks(),
-            structure_masks(),
-            solvability_masks(),
-        ),
-        rounds=3,
-        iterations=1,
-    )
-    benchmark.extra_info.update(
-        rounds=ROUNDS,
-        facets=len(facets),
-        vertices=size,
-        sweeps=SWEEPS,
-        connectivity_mask_s=conn_mask_s,
-        connectivity_reference_s=conn_ref_s,
-        connectivity_speedup=round(conn_speedup, 3),
-        structure_mask_s=struct_mask_s,
-        structure_reference_s=struct_ref_s,
-        structure_speedup=round(struct_speedup, 3),
-        solvability_mask_s=solv_mask_s,
-        solvability_reference_s=solv_ref_s,
-        solvability_speedup=round(solv_speedup, 3),
-        min_speedup=MIN_SPEEDUP,
-        cores=cores,
+    print(
+        f"\n{len(facets)} facets: connectivity {conn_speedup:.1f}x, "
+        f"structure {struct_speedup:.1f}x, "
+        f"solvability probe {solv_speedup:.1f}x"
     )

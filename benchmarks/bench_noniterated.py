@@ -23,8 +23,8 @@ from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_noniterated
 
 
-def test_noniterated_model(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_noniterated, rounds=1, iterations=1)
+def test_noniterated_model(record_table):
+    data = reproduce_noniterated()
 
     assert data["plain_async"]["violations"] > 0
     assert data["plain_sync"]["violations"] > 0

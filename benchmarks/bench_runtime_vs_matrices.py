@@ -9,10 +9,8 @@ land inside (and, for n = 3, cover much of) the corresponding matrix sets.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_runtime_vs_matrices
 
-def test_runtime_vs_matrices(benchmark, record_table):
-    report = benchmark.pedantic(
-        reproduce_runtime_vs_matrices, rounds=1, iterations=1
-    )
+def test_runtime_vs_matrices(record_table):
+    report = reproduce_runtime_vs_matrices()
 
     rows = []
     expectations = {"immediate": 13, "snapshot": 19, "collect": 25}

@@ -14,8 +14,8 @@ from repro.experiments import reproduce_scaling
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
 
-def test_scaling(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_scaling, rounds=1, iterations=1)
+def test_scaling(record_table):
+    data = reproduce_scaling()
 
     rows = []
     for n, count in data["subdivision"].items():

@@ -20,7 +20,7 @@ them in sequential blocks instead bakes clock-speed drift into the
 comparison (observed: a >20 % phantom "overhead" from thermal drift
 alone); interleaving puts every configuration under the same drift.
 The verdict compares ``disabled`` to ``baseline``: the overhead must
-stay under 3 %.  Results go to ``benchmarks/results/BENCH_telemetry.json``.
+stay under 3 %, and the verdict is printed.
 
 Run directly::
 
@@ -31,16 +31,18 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
-import pathlib
 import sys
 import time
-from datetime import datetime, timezone
 from typing import Callable
 
 from repro.experiments.performance import reproduce_cache_effectiveness
-from repro.instrumentation import reset_counters
-from repro.telemetry import NOOP_SPAN, Tracer, disable, enable
+from repro.telemetry import (
+    NOOP_SPAN,
+    Tracer,
+    default_registry,
+    disable,
+    enable,
+)
 
 #: Every module that binds ``from repro.telemetry import span`` on a path
 #: the E22 workload exercises.  ``from``-imports bind per module, so the
@@ -54,10 +56,6 @@ WIRED_MODULES = (
 
 #: Acceptance threshold: disabled telemetry may cost at most this much.
 MAX_OVERHEAD_PCT = 3.0
-
-RESULTS_PATH = (
-    pathlib.Path(__file__).parent / "results" / "BENCH_telemetry.json"
-)
 
 
 def _stub_span(name, **attributes):  # noqa: ANN001 - signature mirror
@@ -80,7 +78,7 @@ def _restore_spans(saved: dict) -> None:
 
 
 def _time_once() -> float:
-    reset_counters()
+    default_registry().reset()
     start = time.perf_counter()
     reproduce_cache_effectiveness()
     return time.perf_counter() - start
@@ -110,21 +108,10 @@ def run(repeats: int = 7) -> dict:
         (disabled - baseline) / baseline * 100.0 if baseline else 0.0
     )
     return {
-        # Standard BENCH_<name>.json keys (see benchmarks/conftest.py).
-        "name": "telemetry",
-        "wall_s": disabled,
-        "facets": None,
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "benchmark": "telemetry-disabled-overhead",
-        "workload": "E22 reproduce_cache_effectiveness",
-        "repeats": repeats,
         "baseline_s": baseline,
         "disabled_s": disabled,
         "enabled_s": enabled,
         "overhead_pct": overhead_pct,
-        "max_overhead_pct": MAX_OVERHEAD_PCT,
         "pass": overhead_pct < MAX_OVERHEAD_PCT,
     }
 
@@ -139,11 +126,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     record = run(repeats=args.repeats)
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     print(
         f"baseline {record['baseline_s'] * 1000.0:.2f} ms | "
         f"disabled {record['disabled_s'] * 1000.0:.2f} ms | "
@@ -154,7 +136,6 @@ def main(argv=None) -> int:
         f"(budget {MAX_OVERHEAD_PCT}%) -> "
         + ("PASS" if record["pass"] else "FAIL")
     )
-    print(f"wrote {RESULTS_PATH}")
     return 0 if record["pass"] else 1
 
 

@@ -14,8 +14,8 @@ from repro.experiments import reproduce_theorem3
 def F(num, den=1):
     return Fraction(num, den)
 
-def test_theorem3_tas_useless_for_aa(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_theorem3, rounds=1, iterations=1)
+def test_theorem3_tas_useless_for_aa(record_table):
+    data = reproduce_theorem3()
 
     assert data["mismatches"] == 0
     rows = [

@@ -12,8 +12,8 @@ from repro.core import ceil_log
 from repro.experiments import reproduce_theorem4
 
 
-def test_theorem4_bc_aa(benchmark, record_table):
-    data = benchmark.pedantic(reproduce_theorem4, rounds=1, iterations=1)
+def test_theorem4_bc_aa(record_table):
+    data = reproduce_theorem4()
 
     assert data["mismatches"] == 0
     assert data["mixed_escapes"]

@@ -16,8 +16,8 @@ the exact round count.
 from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_upper_bounds
 
-def test_upper_bound_algorithms(benchmark, record_table):
-    cases = benchmark.pedantic(reproduce_upper_bounds, rounds=1, iterations=1)
+def test_upper_bound_algorithms(record_table):
+    cases = reproduce_upper_bounds()
 
     rows = []
     for label, expected_rounds, rounds, ok in cases:

@@ -4,19 +4,13 @@ Every benchmark regenerates one of the paper's evaluation artifacts
 (figure, claim, corollary, or theorem — see the per-experiment index in
 DESIGN.md), asserts the reproduced *shape*, and records a paper-vs-measured
 table under ``benchmarks/results/`` so EXPERIMENTS.md can cite it.
-
-Every benchmark test additionally emits a machine-readable
-``benchmarks/results/BENCH_<name>.json`` record with the standard
-schema ``{name, wall_s, facets, timestamp}`` (plus any
-extra keys the test stashes in ``benchmark.extra_info``), so the perf
-trajectory can be diffed across PRs without parsing rendered tables.
+Timings are recorded in one place only: the performance ledger in
+``benchmarks/ledger/``.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-from datetime import datetime, timezone
 
 import pytest
 
@@ -40,49 +34,3 @@ def record_table(results_dir):
         print(text)
 
     return write
-
-
-def _bench_wall_s(bench) -> float:
-    """Total measured wall time of a finished ``benchmark`` fixture."""
-    stats = getattr(bench, "stats", None)
-    inner = getattr(stats, "stats", None)
-    total = getattr(inner, "total", None)
-    return float(total) if total is not None else 0.0
-
-
-@pytest.fixture(autouse=True)
-def emit_bench_json(request):
-    """Standardized BENCH_<name>.json emission for every benchmark test.
-
-    Runs after the test body (and after pytest-benchmark collected its
-    stats).  The record name defaults to the module stem without its
-    ``bench_`` prefix; tests override it — or add ``facets`` and
-    arbitrary extra keys — through ``benchmark.extra_info``.
-    """
-    bench = (
-        request.getfixturevalue("benchmark")
-        if "benchmark" in request.fixturenames
-        else None
-    )
-    yield
-    if bench is None or getattr(bench, "stats", None) is None:
-        return  # no benchmark fixture, or requested but never run
-    extra = dict(getattr(bench, "extra_info", None) or {})
-    stem = pathlib.Path(str(request.node.fspath)).stem
-    default_name = stem[6:] if stem.startswith("bench_") else stem
-    name = str(extra.pop("bench_name", default_name))
-    record = {
-        "name": name,
-        "wall_s": extra.pop("wall_s", _bench_wall_s(bench)),
-        "facets": extra.pop("facets", None),
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
-    record.update(extra)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -31,19 +31,20 @@ EXPECTED_F_VECTOR = (99, 267, 169)
 
 def run_smoke() -> dict:
     """Time a cold 2-round 3-process IIS expansion; return measurements."""
-    from repro.instrumentation import counters_delta, counters_snapshot
     from repro.models import ImmediateSnapshotModel, ProtocolOperator
+    from repro.telemetry import default_registry
     from repro.topology import Simplex
 
     iis = ImmediateSnapshotModel()
     operator = ProtocolOperator(iis)
     triangle = Simplex([(1, "a"), (2, "b"), (3, "c")])
 
-    before = counters_snapshot()
+    registry = default_registry()
+    before = registry.cache_snapshot()
     start = time.perf_counter()
     protocol = operator.of_simplex(triangle, 2)
     elapsed = time.perf_counter() - start
-    stats = counters_delta(before, counters_snapshot())
+    stats = registry.cache_delta(before, registry.cache_snapshot())
 
     hits, misses = stats.get(
         "one-round-complex[iterated-immediate-snapshot]", (0, 0)

@@ -3,18 +3,18 @@
 The substrate memoizes at four layers (one-round complexes per model,
 view maps per participant set, ``P^(t)`` per protocol operator, closure
 membership per ``(Δ(σ), τ)`` window); every layer reports into the
-process-wide counters of :mod:`repro.instrumentation`.  This module turns
-those counters into rows and plain-text tables, in the same format as the
-experiment tables, so benchmarks can record cache effectiveness alongside
-the reproduced artifacts.
+cache counters of :func:`repro.telemetry.default_registry`.  This module
+turns those counters into rows and plain-text tables, in the same format
+as the experiment tables, so benchmarks can record cache effectiveness
+alongside the reproduced artifacts.
 
 Typical use::
 
-    from repro.instrumentation import counters_snapshot, counters_delta
-
-    before = counters_snapshot()
+    registry = default_registry()
+    before = registry.cache_snapshot()
     ...  # run the workload
-    print(render_cache_report(counters_delta(before, counters_snapshot())))
+    after = registry.cache_snapshot()
+    print(render_cache_report(registry.cache_delta(before, after)))
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.reporting import render_table
-from repro.instrumentation import all_counters
+from repro.telemetry import default_registry
 
 __all__ = ["CacheStatsRow", "cache_stats_rows", "render_cache_report"]
 
@@ -56,14 +56,11 @@ def cache_stats_rows(
     ----------
     stats:
         ``{name: (hits, misses)}``, e.g. from
-        :func:`repro.instrumentation.counters_delta`.  Defaults to the
-        lifetime totals of every registered counter.
+        :meth:`~repro.telemetry.MetricsRegistry.cache_delta`.  Defaults
+        to the lifetime totals of every registered counter.
     """
     if stats is None:
-        stats = {
-            entry.name: (entry.hits, entry.misses)
-            for entry in all_counters()
-        }
+        stats = default_registry().cache_snapshot()
     # stats.get with a zero default: a delta dict may mention a counter
     # group without tallies (e.g. assembled by hand, or filtered), and a
     # fresh process — telemetry never enabled, no cache touched — has no

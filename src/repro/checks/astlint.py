@@ -15,7 +15,7 @@ RPR002    construction sites that already hold an inclusion-maximal
           ``x.facets_containing(v)``) must use
           ``SimplicialComplex.from_maximal``, not the pruning
           constructor — the prune is pure overhead there
-RPR003    ``repro.instrumentation.counter`` is a registry lookup;
+RPR003    ``default_registry().cache(name)`` is a registry lookup;
           fetch counters once at module level, never per call on a hot
           path
 RPR004    no bare ``except:`` anywhere, and no silent ``except …:
@@ -397,16 +397,17 @@ def check_from_maximal(context: LintContext) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # RPR003 — counters are module-level
 # ----------------------------------------------------------------------
-@lint_rule("RPR003", "counter() declarations belong at module level")
+_REGISTRY_FETCHES = frozenset(
+    {
+        "repro.telemetry.default_registry",
+        "repro.telemetry.metrics.default_registry",
+    }
+)
+
+
+@lint_rule("RPR003", "registry cache counters are fetched at module level")
 def check_counter_placement(context: LintContext) -> Iterator[Finding]:
-    imported = any(
-        isinstance(node, ast.ImportFrom)
-        and node.module == "repro.instrumentation"
-        and any(alias.name == "counter" for alias in node.names)
-        for node in ast.walk(context.tree)
-    )
-    if not imported:
-        return
+    aliases = _import_aliases(context.tree)
     for function in ast.walk(context.tree):
         if not isinstance(
             function, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -415,16 +416,19 @@ def check_counter_placement(context: LintContext) -> Iterator[Finding]:
         for node in ast.walk(function):
             if (
                 isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "counter"
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cache"
+                and isinstance(node.func.value, ast.Call)
+                and _resolve_call(node.func.value, aliases)
+                in _REGISTRY_FETCHES
             ):
                 yield Finding(
                     "RPR003",
                     Severity.ERROR,
                     _location(context, node),
-                    "counter() called inside a function: fetch the "
-                    "counter once at module level and keep a reference "
-                    "on the hot path",
+                    "default_registry().cache() called inside a "
+                    "function: fetch the counter once at module level "
+                    "and keep a reference on the hot path",
                 )
 
 

@@ -28,19 +28,18 @@ from typing import Iterable, Optional
 from repro.core.local_task import local_task
 from repro.core.solvability import build_solvability_problem
 from repro.errors import SolvabilityError
-from repro.instrumentation import counter
 from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
 from repro.objects.augmented import AugmentedModel
 from repro.objects.beta import beta_input_function
 from repro.tasks.task import Task
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
 __all__ = ["ClosureComputer", "closure_task"]
 
-_MEMBERSHIP_STATS = counter("closure.membership")
+_MEMBERSHIP_STATS = default_registry().cache("closure.membership")
 
 
 class ClosureComputer:

@@ -8,9 +8,9 @@ from fractions import Fraction
 from repro.core import ClosureComputer
 from repro.core.solvability import build_solvability_problem
 from repro.errors import SolvabilityError
-from repro.instrumentation import counters_delta, counters_snapshot
 from repro.models import ImmediateSnapshotModel, ProtocolOperator
 from repro.tasks import approximate_agreement_task
+from repro.telemetry import default_registry
 from repro.topology import Simplex
 
 __all__ = [
@@ -121,7 +121,8 @@ def reproduce_cache_effectiveness() -> dict[str, object]:
     triangle = Simplex([(1, "a"), (2, "b"), (3, "c")])
     faces = list(triangle.faces())
 
-    before = counters_snapshot()
+    registry = default_registry()
+    before = registry.cache_snapshot()
     start = time.perf_counter()
     protocol = None
     for _ in range(CACHE_SWEEP_OPERATORS):
@@ -131,7 +132,7 @@ def reproduce_cache_effectiveness() -> dict[str, object]:
             if face is faces[0]:
                 protocol = result
     elapsed = time.perf_counter() - start
-    stats = counters_delta(before, counters_snapshot())
+    stats = registry.cache_delta(before, registry.cache_snapshot())
 
     hits, misses = stats.get(
         "one-round-complex[iterated-immediate-snapshot]", (0, 0)

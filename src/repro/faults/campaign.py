@@ -16,9 +16,10 @@ is built to survive its own subjects:
   ``(campaign seed, i)`` only, so re-running a campaign reproduces every
   classification, and any single execution can be re-run alone from its
   recorded seed;
-* **accounting** — aggregate counts feed the process-wide
-  :mod:`repro.instrumentation` counters, and reports render to text
-  (via :mod:`repro.analysis.reporting`) or deterministic JSON.
+* **accounting** — aggregate counts feed the process-wide cache
+  counters of :func:`repro.telemetry.default_registry`, and reports
+  render to text (via :mod:`repro.analysis.reporting`) or
+  deterministic JSON.
 
 Violating executions carry a replayable
 :class:`~repro.faults.injectors.FaultTrace`; feed it to
@@ -76,7 +77,6 @@ from repro.algorithms.approximate_agreement import (
     TwoProcessThirdsAA,
 )
 from repro.algorithms.consensus_bc import ConsensusViaBinaryConsensus
-from repro.instrumentation import counter
 from repro.objects import BinaryConsensusBox
 from repro.objects.base import BlackBox
 from repro.runtime.adversary import (
@@ -86,7 +86,7 @@ from repro.runtime.adversary import (
 )
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.iterated import ExecutionResult, IteratedExecutor
-from repro.telemetry import ambient_clock, span
+from repro.telemetry import default_registry, span
 
 __all__ = [
     "CampaignConfig",
@@ -96,22 +96,19 @@ __all__ = [
     "CellSpec",
     "CELLS",
     "ILLEGAL_MODES",
-    "TrialRecord",
     "run_campaign",
-    "run_trial",
-    "fold_record",
     "classify_execution",
     "replay_trace",
     "render_report",
     "report_to_json",
 ]
 
-# Fetched once at import time (hot path — see repro.instrumentation).
-_EXECUTIONS = counter("faults.campaign.executions")
-_VIOLATIONS = counter("faults.campaign.violations")
-_HUNG = counter("faults.campaign.hung")
-_DETECTED = counter("faults.campaign.detected")
-_INCIDENTS = counter("faults.campaign.incidents")
+# Fetched once at import time (hot path — see lint rule RPR003).
+_EXECUTIONS = default_registry().cache("faults.campaign.executions")
+_VIOLATIONS = default_registry().cache("faults.campaign.violations")
+_HUNG = default_registry().cache("faults.campaign.hung")
+_DETECTED = default_registry().cache("faults.campaign.detected")
+_INCIDENTS = default_registry().cache("faults.campaign.incidents")
 
 #: How many non-OK outcomes a report keeps in full (witness + trace).
 _MAX_KEPT = 25
@@ -299,6 +296,19 @@ class CampaignConfig:
             )
         if not 0 < self.epsilon <= 1:
             raise ReproError(f"ε = {self.epsilon} outside (0, 1]")
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ReproError(
+                f"step budget {self.step_budget} must be at least 1"
+            )
+        if self.exec_deadline is not None and self.exec_deadline <= 0:
+            raise ReproError(
+                f"per-execution deadline {self.exec_deadline}s must be "
+                "positive"
+            )
+        if self.deadline is not None and self.deadline < 0:
+            raise ReproError(
+                f"campaign deadline {self.deadline}s must not be negative"
+            )
         if self.illegal is not None:
             if self.illegal not in ILLEGAL_MODES:
                 raise ReproError(
@@ -503,11 +513,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             HARNESS_FAULT_DETECTED: 0,
         },
     )
-    # The campaign-level clock is the ambient (injectable) one, so
-    # deadline behaviour is scriptable in tests; the per-execution
-    # budget guard keeps raw time.monotonic() — it exists to catch real
-    # hangs and must not freeze with a scripted clock.
-    started = ambient_clock().now()
+    kept = {
+        VIOLATION: (_VIOLATIONS, report.violations),
+        HUNG: (_HUNG, report.hung),
+        HARNESS_FAULT_DETECTED: (_DETECTED, report.detected),
+    }
+    started = time.monotonic()
     campaign_deadline_at = (
         started + config.deadline if config.deadline is not None else None
     )
@@ -520,182 +531,88 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         executions=config.executions,
         seed=config.seed,
     ) as campaign_span:
-        _run_trials(config, spec, report, campaign_deadline_at)
+        for index in range(config.executions):
+            if (
+                campaign_deadline_at is not None
+                and time.monotonic() > campaign_deadline_at
+            ):
+                report.skipped = config.executions - index
+                break
+            seed = derive_seed(config.seed, index)
+            inputs = spec.sample_inputs(
+                config.n, config.epsilon, random.Random(seed)
+            )
+            exec_deadline_at = (
+                time.monotonic() + config.exec_deadline
+                if config.exec_deadline is not None
+                else None
+            )
+            incident: Optional[CampaignIncident] = None
+            # One span per execution, carrying the oracle's verdict (or
+            # "INCIDENT"); it stays open across classification so
+            # executor/oracle work nests under it.
+            with span("chaos/trial", index=index, seed=seed) as trial_span:
+                try:
+                    classification, violation, result = classify_execution(
+                        algorithm=spec.build(config.n, config.epsilon),
+                        inputs=inputs,
+                        adversary=_make_adversary(config.model, seed),
+                        injector=_make_injector(config, seed, spec),
+                        box=(
+                            spec.make_box()
+                            if spec.make_box is not None
+                            else None
+                        ),
+                        oracle=spec.oracle(config.n, config.epsilon),
+                        step_budget=config.step_budget,
+                        deadline_at=exec_deadline_at,
+                    )
+                except Exception as exc:
+                    # Error isolation: one raising execution never kills
+                    # the campaign; it becomes a structured incident.
+                    trial_span.set_attribute("verdict", "INCIDENT")
+                    trial_span.set_attribute("error", type(exc).__name__)
+                    incident = CampaignIncident(
+                        index=index,
+                        seed=seed,
+                        error=type(exc).__name__,
+                        message=str(exc),
+                    )
+                else:
+                    trial_span.set_attribute("verdict", classification)
+            _EXECUTIONS.built()
+            if incident is not None:
+                _INCIDENTS.built()
+                report.incidents.append(incident)
+                continue
+            report.counts[classification] += 1
+            if classification == DECIDED_OK:
+                continue
+            tally, outcomes = kept[classification]
+            tally.built()
+            if len(outcomes) < _MAX_KEPT:
+                assert violation is not None
+                outcomes.append(
+                    ExecutionOutcome(
+                        index=index,
+                        seed=seed,
+                        classification=classification,
+                        property=violation.property,
+                        witness=violation.witness,
+                        trace=(
+                            FaultTrace.from_execution(
+                                result, inputs, spec.key
+                            )
+                            if result is not None
+                            else None
+                        ),
+                    )
+                )
         campaign_span.set_attribute("clean", report.clean)
         campaign_span.set_attribute("incidents", len(report.incidents))
-    report.elapsed = ambient_clock().now() - started
+    report.elapsed = time.monotonic() - started
     report.peak_rss_kb = _peak_rss_kb()
     return report
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Everything one trial produced, before report folding.
-
-    The per-trial unit of work of the campaign loop: :func:`run_trial`
-    produces records, :func:`fold_record` accumulates them into a report.
-    Incident records carry ``error``/``message`` and an empty
-    classification.
-    """
-
-    index: int
-    seed: int
-    classification: str = ""
-    property: str = ""
-    witness: str = ""
-    trace: Optional[FaultTrace] = None
-    error: str = ""
-    message: str = ""
-
-    # NB: no helper @property here — the ``property`` *field* shadows
-    # the builtin inside this class body.  A record is an incident iff
-    # ``error`` is non-empty.
-
-
-def run_trial(
-    config: CampaignConfig, spec: CellSpec, index: int
-) -> TrialRecord:
-    """Run and classify the trial at ``index``; never raises.
-
-    Fully determined by ``(config, index)``: the RNG seeds derive from
-    the campaign seed and the index alone, so any trial can be re-run
-    in isolation with an identical outcome.
-    """
-    seed = derive_seed(config.seed, index)
-    rng = random.Random(seed)
-    inputs = spec.sample_inputs(config.n, config.epsilon, rng)
-    exec_deadline_at = (
-        time.monotonic() + config.exec_deadline
-        if config.exec_deadline is not None
-        else None
-    )
-    # One span per trial, carrying the oracle's verdict (or
-    # "INCIDENT") as an attribute; the trial span stays open across
-    # classification so executor/oracle work nests under it.
-    with span("chaos/trial", index=index, seed=seed) as trial_span:
-        try:
-            classification, violation, result = classify_execution(
-                algorithm=spec.build(config.n, config.epsilon),
-                inputs=inputs,
-                adversary=_make_adversary(config.model, seed),
-                injector=_make_injector(config, seed, spec),
-                box=(
-                    spec.make_box()
-                    if spec.make_box is not None
-                    else None
-                ),
-                oracle=spec.oracle(config.n, config.epsilon),
-                step_budget=config.step_budget,
-                deadline_at=exec_deadline_at,
-            )
-        except Exception as exc:
-            # Error isolation: one raising execution never kills the
-            # campaign; it becomes a structured incident instead.
-            trial_span.set_attribute("verdict", "INCIDENT")
-            trial_span.set_attribute("error", type(exc).__name__)
-            return TrialRecord(
-                index=index,
-                seed=seed,
-                error=type(exc).__name__,
-                message=str(exc),
-            )
-        trial_span.set_attribute("verdict", classification)
-    if classification == VIOLATION:
-        assert violation is not None and result is not None
-        return TrialRecord(
-            index=index,
-            seed=seed,
-            classification=classification,
-            property=violation.property,
-            witness=violation.witness,
-            trace=FaultTrace.from_execution(result, inputs, spec.key),
-        )
-    if classification in (HUNG, HARNESS_FAULT_DETECTED):
-        assert violation is not None
-        return TrialRecord(
-            index=index,
-            seed=seed,
-            classification=classification,
-            property=violation.property,
-            witness=violation.witness,
-        )
-    return TrialRecord(index=index, seed=seed, classification=classification)
-
-
-def fold_record(report: CampaignReport, record: TrialRecord) -> None:
-    """Accumulate one trial record into the report.
-
-    All counter bumps happen here — not in :func:`run_trial`.  Records
-    must be folded in ascending index order (the kept-outcome lists
-    truncate at ``_MAX_KEPT``).
-    """
-    _EXECUTIONS.built()
-    if record.error:
-        _INCIDENTS.built()
-        report.incidents.append(
-            CampaignIncident(
-                index=record.index,
-                seed=record.seed,
-                error=record.error,
-                message=record.message,
-            )
-        )
-        return
-    report.counts[record.classification] += 1
-    if record.classification == VIOLATION:
-        _VIOLATIONS.built()
-        if len(report.violations) < _MAX_KEPT:
-            report.violations.append(
-                ExecutionOutcome(
-                    index=record.index,
-                    seed=record.seed,
-                    classification=record.classification,
-                    property=record.property,
-                    witness=record.witness,
-                    trace=record.trace,
-                )
-            )
-    elif record.classification == HUNG:
-        _HUNG.built()
-        if len(report.hung) < _MAX_KEPT:
-            report.hung.append(
-                ExecutionOutcome(
-                    index=record.index,
-                    seed=record.seed,
-                    classification=record.classification,
-                    property=record.property,
-                    witness=record.witness,
-                )
-            )
-    elif record.classification == HARNESS_FAULT_DETECTED:
-        _DETECTED.built()
-        if len(report.detected) < _MAX_KEPT:
-            report.detected.append(
-                ExecutionOutcome(
-                    index=record.index,
-                    seed=record.seed,
-                    classification=record.classification,
-                    property=record.property,
-                    witness=record.witness,
-                )
-            )
-
-
-def _run_trials(
-    config: CampaignConfig,
-    spec: CellSpec,
-    report: CampaignReport,
-    campaign_deadline_at: Optional[float],
-) -> None:
-    """The serial campaign loop: run and fold one trial per index."""
-    for index in range(config.executions):
-        if (
-            campaign_deadline_at is not None
-            and ambient_clock().now() > campaign_deadline_at
-        ):
-            report.skipped = config.executions - index
-            break
-        fold_record(report, run_trial(config, spec, index))
 
 
 def _peak_rss_kb() -> Optional[int]:

@@ -33,11 +33,11 @@ from typing import Callable, Optional
 from repro.faults.campaign import replay_trace
 from repro.faults.injectors import FaultTrace, TraceRound
 from repro.faults.oracles import Violation
-from repro.instrumentation import counter
+from repro.telemetry import default_registry
 
 __all__ = ["shrink_trace", "trace_weight", "simplifications"]
 
-_REPLAYS = counter("faults.shrink.replays")
+_REPLAYS = default_registry().cache("faults.shrink.replays")
 
 Verdict = tuple[str, Optional[str]]
 ReplayFn = Callable[[FaultTrace], Verdict]

@@ -18,8 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
-from repro.instrumentation import counter
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
@@ -55,7 +54,7 @@ class ComputationModel(ABC):
             # Per-instance lazy init: the counter name embeds self.name,
             # so a module-level fetch is impossible; this runs once per
             # model instance, not per lookup.
-            self._one_round_stats = counter(  # norpr: RPR003
+            self._one_round_stats = default_registry().cache(  # norpr: RPR003
                 f"one-round-complex[{self.name}]"
             )
         found = cache.get(sigma)
@@ -153,7 +152,7 @@ class IteratedModel(ComputationModel):
         if cache is None:
             cache = self._view_map_cache = {}
             # Same per-instance lazy init as one_round_complex above.
-            self._view_map_stats = counter(  # norpr: RPR003
+            self._view_map_stats = default_registry().cache(  # norpr: RPR003
                 f"view-maps[{self.name}]"
             )
         key = frozenset(ids)

@@ -10,9 +10,8 @@ information needed to state solvability ("for every σ,
 
 from __future__ import annotations
 
-from repro.instrumentation import counter
 from repro.models.base import ComputationModel
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
@@ -20,7 +19,7 @@ __all__ = ["ProtocolOperator"]
 
 #: Shared across operator instances on purpose: a sweep that constructs many
 #: short-lived operators still aggregates into one hit/miss line.
-_OF_SIMPLEX_STATS = counter("protocol-operator.of-simplex")
+_OF_SIMPLEX_STATS = default_registry().cache("protocol-operator.of-simplex")
 
 
 class ProtocolOperator:

@@ -8,9 +8,8 @@ The observability layer of the proof machine, in three pieces:
   default; the module-level :func:`span` fast path makes disabled
   telemetry effectively free on the hot loops.
 * **metrics** (:mod:`repro.telemetry.metrics`) — the process-wide
-  :class:`MetricsRegistry` of counters, gauges, histograms, and the PR-1
-  cache hit/miss tallies (re-exported through the
-  :mod:`repro.instrumentation` compatibility shim).
+  :class:`MetricsRegistry` of cache hit/miss tallies; the hot layers
+  fetch theirs once with ``default_registry().cache(name)``.
 * **exporters** (:mod:`repro.telemetry.export`) — the canonical JSON span
   tree, Chrome trace-event JSON (``chrome://tracing`` / Perfetto), and a
   top-N self-time text summary; surfaced on the CLI as
@@ -20,13 +19,7 @@ The observability layer of the proof machine, in three pieces:
 See docs/OBSERVABILITY.md for the span taxonomy and naming conventions.
 """
 
-from repro.telemetry.clock import (
-    Clock,
-    ManualClock,
-    MonotonicClock,
-    ambient_clock,
-    set_ambient_clock,
-)
+from repro.telemetry.clock import Clock, ManualClock, MonotonicClock
 from repro.telemetry.export import (
     TRACE_FORMAT,
     TRACE_VERSION,
@@ -42,9 +35,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import (
     CacheCounter,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
 )
@@ -66,13 +56,8 @@ __all__ = [
     "Clock",
     "ManualClock",
     "MonotonicClock",
-    "ambient_clock",
-    "set_ambient_clock",
     # metrics
     "CacheCounter",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "default_registry",
     # tracing

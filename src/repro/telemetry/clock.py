@@ -6,28 +6,17 @@ tracing uses :class:`MonotonicClock`; tests and deterministic artifacts
 (the fault-campaign reports, the exporter golden files) inject a
 :class:`ManualClock` whose ``now()`` is fully scripted — a trace recorded
 under a manual clock is byte-for-byte reproducible.
-
-Beyond the tracer, the process keeps one *ambient* clock
-(:func:`ambient_clock`/:func:`set_ambient_clock`): the time source for
-deadline comparisons such as the chaos campaign budget.  Production
-leaves the monotonic default in place; tests inject a
-:class:`ManualClock` so deadline behaviour is scripted instead of racing
-the wall clock — the same injectability contract RPR008 enforces for the
-pure computation paths.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Optional
 
 __all__ = [
     "Clock",
     "MonotonicClock",
     "ManualClock",
-    "ambient_clock",
-    "set_ambient_clock",
 ]
 
 
@@ -74,20 +63,3 @@ class ManualClock(Clock):
         if seconds < 0:
             raise ValueError("a monotone clock cannot move backwards")
         self._now += seconds
-
-
-_AMBIENT: Optional[Clock] = None
-
-
-def ambient_clock() -> Clock:
-    """The process-wide clock used for deadline comparisons."""
-    global _AMBIENT
-    if _AMBIENT is None:
-        _AMBIENT = MonotonicClock()
-    return _AMBIENT
-
-
-def set_ambient_clock(clock: Optional[Clock]) -> None:
-    """Install ``clock`` as the ambient time source (``None`` resets)."""
-    global _AMBIENT
-    _AMBIENT = clock

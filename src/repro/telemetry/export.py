@@ -181,8 +181,8 @@ def self_time_table(
 
 def render_text(trace: TraceInput, top: int = 15) -> str:
     """The top-``top`` self-time table plus a one-line trace census."""
-    # Imported lazily: repro.analysis pulls in the instrumentation shim,
-    # which imports repro.telemetry — a module-level import here would
+    # Imported lazily: repro.analysis imports repro.telemetry (the cache
+    # report reads the registry) — a module-level import here would
     # close that cycle during package initialization.
     from repro.analysis.reporting import render_rows
 

@@ -177,22 +177,17 @@ class Tracer:
     registry:
         The metrics registry whose cumulative metrics are snapshotted at
         span boundaries (default: the process-wide registry).
-    capture_metrics:
-        Disable to skip the per-span registry snapshots (cheaper tracing
-        when only timing is wanted).
     """
 
     def __init__(
         self,
         clock: Optional[Clock] = None,
         registry: Optional[MetricsRegistry] = None,
-        capture_metrics: bool = True,
     ) -> None:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.registry: MetricsRegistry = (
             registry if registry is not None else default_registry()
         )
-        self.capture_metrics = capture_metrics
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
@@ -216,8 +211,7 @@ class Tracer:
         else:
             self.roots.append(entry)
         self._stack.append(entry)
-        if self.capture_metrics:
-            entry._metrics_before = self.registry.snapshot()
+        entry._metrics_before = self.registry.snapshot()
         entry.start = self.clock.now()
 
     def _close(

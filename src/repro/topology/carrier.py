@@ -20,14 +20,14 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.errors import ChromaticityError, TaskSpecificationError
-from repro.instrumentation import counter
+from repro.telemetry import default_registry
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
 
 __all__ = ["CarrierMap"]
 
-_CARRIER_STATS = counter("carrier.evaluations")
+_CARRIER_STATS = default_registry().cache("carrier.evaluations")
 
 
 class CarrierMap:

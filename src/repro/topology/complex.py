@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ChromaticityError
-from repro.instrumentation import counter
+from repro.telemetry import default_registry
 from repro.topology.simplex import Simplex
 from repro.topology.table import (
     VertexTable,
@@ -41,8 +41,8 @@ from repro.topology.vertex import Vertex
 
 __all__ = ["SimplicialComplex"]
 
-_PRUNED_BUILDS = counter("simplicial-complex.pruned-builds")
-_TRUSTED_BUILDS = counter("simplicial-complex.trusted-builds")
+_PRUNED_BUILDS = default_registry().cache("simplicial-complex.pruned-builds")
+_TRUSTED_BUILDS = default_registry().cache("simplicial-complex.trusted-builds")
 
 
 def _prune_masks(masks: Iterable[int]) -> list[int]:

@@ -23,8 +23,8 @@ Conventions shared by every kernel:
 * all outputs are deterministic functions of the input order: loops run
   over sequences and bit scans ascend from the low bit, so no set
   iteration order ever leaks into a result;
-* each kernel records one build on a process-wide telemetry counter
-  (:func:`repro.instrumentation.counter`), so cache reports and span
+* each kernel records one build on a process-wide cache counter of
+  :func:`repro.telemetry.default_registry`, so cache reports and span
   metrics show sweep counts next to the cache hit rates.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.instrumentation import counter
+from repro.telemetry import default_registry
 from repro.topology.table import popcount
 
 __all__ = [
@@ -53,13 +53,13 @@ __all__ = [
     "bfs_parents",
 ]
 
-_SWEEPS = counter("kernels.popcount-sweeps")
-_FILTERS = counter("kernels.containment-filters")
-_PRODUCTS = counter("kernels.pairwise-products")
-_RIDGE_TABLES = counter("kernels.ridge-tables")
-_ADJACENCY_BUILDS = counter("kernels.adjacency-builds")
-_COMPONENT_SWEEPS = counter("kernels.component-sweeps")
-_BFS_SWEEPS = counter("kernels.bfs-sweeps")
+_SWEEPS = default_registry().cache("kernels.popcount-sweeps")
+_FILTERS = default_registry().cache("kernels.containment-filters")
+_PRODUCTS = default_registry().cache("kernels.pairwise-products")
+_RIDGE_TABLES = default_registry().cache("kernels.ridge-tables")
+_ADJACENCY_BUILDS = default_registry().cache("kernels.adjacency-builds")
+_COMPONENT_SWEEPS = default_registry().cache("kernels.component-sweeps")
+_BFS_SWEEPS = default_registry().cache("kernels.bfs-sweeps")
 
 
 # ----------------------------------------------------------------------

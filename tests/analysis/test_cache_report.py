@@ -1,7 +1,7 @@
 """Tests for the cache-stats report."""
 
 from repro.analysis import CacheStatsRow, cache_stats_rows, render_cache_report
-from repro.instrumentation import counter
+from repro.telemetry import MetricsRegistry, default_registry
 
 
 class TestRows:
@@ -32,7 +32,7 @@ class TestReport:
         assert "90.0%" in text
 
     def test_defaults_to_registered_counters(self):
-        sample = counter("test-cache-report.lifetime")
+        sample = default_registry().cache("test-cache-report.lifetime")
         sample.hit()
         text = render_cache_report()
         assert "test-cache-report.lifetime" in text
@@ -52,8 +52,6 @@ class TestReport:
 
     def test_fresh_registry_renders(self):
         # Same empty-path guarantee through the registry default.
-        from repro.telemetry import MetricsRegistry
-
         registry = MetricsRegistry()
         text = render_cache_report(registry.cache_snapshot())
         assert "no cache activity recorded" in text

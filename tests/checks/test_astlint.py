@@ -128,10 +128,10 @@ class TestRPR003CounterPlacement:
     def test_counter_in_function_fires(self):
         assert rule_ids(
             """
-            from repro.instrumentation import counter
+            from repro.telemetry import default_registry
 
             def hot_path():
-                stats = counter("my-cache")
+                stats = default_registry().cache("my-cache")
                 stats.hit()
             """
         ) == {"RPR003"}
@@ -139,9 +139,9 @@ class TestRPR003CounterPlacement:
     def test_module_level_counter_is_fine(self):
         assert rule_ids(
             """
-            from repro.instrumentation import counter
+            from repro.telemetry import default_registry
 
-            _STATS = counter("my-cache")
+            _STATS = default_registry().cache("my-cache")
 
             def hot_path():
                 _STATS.hit()
@@ -149,24 +149,34 @@ class TestRPR003CounterPlacement:
         ) == set()
 
     def test_unrelated_counter_function_ignored(self):
-        # Only fires when `counter` is imported from repro.instrumentation.
+        # Only a .cache() fetch on the telemetry registry fires.
         assert rule_ids(
             """
-            from collections import Counter as counter
+            from myproject import default_registry
 
-            def tally(items):
-                return counter(items)
+            def lookup(key):
+                return default_registry().cache(key)
+            """
+        ) == set()
+
+    def test_functools_cache_ignored(self):
+        assert rule_ids(
+            """
+            import functools
+
+            def memoize(function):
+                return functools.cache(function)
             """
         ) == set()
 
     def test_suppression_comment_honored(self):
         assert rule_ids(
             """
-            from repro.instrumentation import counter
+            from repro.telemetry import default_registry
 
             class Model:
                 def lazy_init(self):
-                    self._stats = counter(  # norpr: RPR003
+                    self._stats = default_registry().cache(  # norpr: RPR003
                         "per-instance"
                     )
             """

@@ -45,7 +45,7 @@ class TestCleanArtifacts:
         )
         with tracer.span("outer", eps="1/8"):
             with tracer.span("inner", round=0):
-                tracer.registry.counter("steps").inc()
+                tracer.registry.cache("steps").miss()
         assert findings_for(trace_tree(tracer)) == []
 
     def test_error_status_is_clean(self):

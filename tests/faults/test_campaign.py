@@ -44,6 +44,19 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             CampaignConfig(cell="aa2", n=3).validate()
 
+    def test_negative_campaign_deadline_rejected(self):
+        # It would skip every execution and still report a clean run.
+        with pytest.raises(ReproError, match="campaign deadline"):
+            CampaignConfig(cell="aa", deadline=-1.0).validate()
+
+    def test_non_positive_execution_deadline_rejected(self):
+        with pytest.raises(ReproError, match="per-execution deadline"):
+            CampaignConfig(cell="aa", exec_deadline=0.0).validate()
+
+    def test_step_budget_below_one_rejected(self):
+        with pytest.raises(ReproError, match="step budget"):
+            CampaignConfig(cell="aa", step_budget=0).validate()
+
 
 class TestCleanCampaigns:
     def test_aa_iis_all_decide_ok(self):

@@ -1,12 +1,12 @@
 """The model-level memoization layer (one-round complexes, view maps)."""
 
-from repro.instrumentation import counter, counters_delta, counters_snapshot
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
     ProtocolOperator,
     SnapshotModel,
 )
+from repro.telemetry import MetricsRegistry, default_registry
 from repro.topology import Simplex
 
 
@@ -34,9 +34,11 @@ class TestOneRoundMemo:
         sigma = triangle()
         ProtocolOperator(iis).of_simplex(sigma, 1)
         name = f"one-round-complex[{iis.name}]"
-        before = counters_snapshot()
+        before = default_registry().cache_snapshot()
         ProtocolOperator(iis).of_simplex(sigma, 1)
-        delta = counters_delta(before, counters_snapshot())
+        delta = MetricsRegistry.cache_delta(
+            before, default_registry().cache_snapshot()
+        )
         hits, misses = delta.get(name, (0, 0))
         assert misses == 0
         assert hits > 0
@@ -66,15 +68,16 @@ class TestViewMapMemo:
 
 class TestCounterPlumbing:
     def test_counter_is_a_process_wide_singleton(self):
-        a = counter("test-caching.sample")
-        b = counter("test-caching.sample")
+        a = default_registry().cache("test-caching.sample")
+        b = default_registry().cache("test-caching.sample")
         assert a is b
 
     def test_counters_delta_omits_unchanged(self):
-        sample = counter("test-caching.delta")
-        before = counters_snapshot()
-        delta = counters_delta(before, counters_snapshot())
+        registry = default_registry()
+        sample = registry.cache("test-caching.delta")
+        before = registry.cache_snapshot()
+        delta = registry.cache_delta(before, registry.cache_snapshot())
         assert "test-caching.delta" not in delta
         sample.hit()
-        delta = counters_delta(before, counters_snapshot())
+        delta = registry.cache_delta(before, registry.cache_snapshot())
         assert delta["test-caching.delta"] == (1, 0)

@@ -104,29 +104,26 @@ class TestMetricsCapture:
         tracer = make_tracer(registry=registry)
         with tracer.span("work") as entry:
             registry.cache("memo").miss()
-            registry.counter("steps").inc(3)
+            steps = registry.cache("steps")
+            for _ in range(3):
+                steps.hit()
         assert entry.metrics == {
             "cache:memo:misses": 1,
-            "counter:steps": 3,
+            "cache:steps:hits": 3,
         }
 
     def test_delta_nests_per_span(self):
         registry = MetricsRegistry()
         tracer = make_tracer(registry=registry)
+        steps = registry.cache("steps")
         with tracer.span("outer") as outer:
-            registry.counter("steps").inc()
+            steps.miss()
             with tracer.span("inner") as inner:
-                registry.counter("steps").inc(2)
-        assert inner.metrics == {"counter:steps": 2}
+                steps.miss()
+                steps.miss()
+        assert inner.metrics == {"cache:steps:misses": 2}
         # The outer delta covers the whole window, child included.
-        assert outer.metrics == {"counter:steps": 3}
-
-    def test_capture_disabled(self):
-        registry = MetricsRegistry()
-        tracer = make_tracer(registry=registry, capture_metrics=False)
-        with tracer.span("work") as entry:
-            registry.counter("steps").inc()
-        assert entry.metrics == {}
+        assert outer.metrics == {"cache:steps:misses": 3}
 
 
 class TestModuleFastPath:

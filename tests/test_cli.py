@@ -256,6 +256,14 @@ class TestChaosCommand:
                 ]
             )
 
+    def test_negative_deadline_exits_one_with_message(self):
+        with pytest.raises(SystemExit) as exited:
+            main(["chaos", "--deadline", "-1", "--executions", "50"])
+        # A string exit code prints the message and exits with status 1.
+        assert exited.value.code == (
+            "campaign deadline -1.0s must not be negative"
+        )
+
     def test_replay_and_shrink_round_trip(self, capsys, tmp_path):
         import json
 
