@@ -7,11 +7,19 @@ local task ``Π_{τ,σ}`` is solvable in at most one round in ``M``.  Since a
 collected, membership reduces to 1-round solvability, decided exactly by the
 engine of :mod:`repro.core.solvability`.
 
-Two practical notes:
+Three practical notes:
 
 * membership only depends on the pair ``(Δ(σ), τ)``, so results are memoized
   on that pair — sweeps over many input simplices with the same output
   window (ubiquitous in approximate agreement) share almost all the work;
+* the candidates ``τ`` of one window share one compiled one-round network.
+  By Definition 1, ``Π_{τ,σ}`` depends on ``τ`` only through condition 1,
+  which pins each solo process ``i`` to ``τ_i``; every larger face ranges
+  over ``proj(Δ(σ))``.  And the one-round complex of ``τ`` is a
+  value-relabelling of one shape, fixed by ``ID(τ)`` and the box inputs
+  ``α(τ_i)``.  So the network is compiled once per ``(Δ(σ), ID(σ),
+  operator, box inputs)`` with the solo domains left free, and each
+  ``τ`` is decided by ANDing ``τ_i`` into the solo domains;
 * for augmented models whose box takes inputs, the one-round algorithm is a
   pair ``(α, f)``.  When the model carries a fixed input function (the
   ``β``-restricted closure ``CL_M(Π|β)`` of Theorem 4) it is used as is;
@@ -22,13 +30,16 @@ Two practical notes:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
-from repro.core.local_task import local_task
-from repro.core.solvability import build_solvability_problem
+from repro.core.solvability import (
+    SolvabilityProblem,
+    build_solvability_problem,
+)
 from repro.errors import SolvabilityError
-from repro.models.base import ComputationModel
+from repro.models.base import ComputationModel, IteratedModel
 from repro.models.protocol import ProtocolOperator
 from repro.objects.augmented import AugmentedModel
 from repro.objects.beta import beta_input_function
@@ -36,10 +47,41 @@ from repro.tasks.task import Task
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
+from repro.topology.vertex import Vertex
 
 __all__ = ["ClosureComputer", "closure_task"]
 
 _MEMBERSHIP_STATS = default_registry().cache("closure.membership")
+_WINDOW_STATS = default_registry().cache("closure.window")
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The one-round network shared by the candidates ``τ`` of a window.
+
+    It is compiled from the first ``τ`` decided, so its protocol vertices
+    carry that ``τ``'s values; for any other ``τ`` they stand for the
+    vertices of the same schedule and box outputs.
+    """
+
+    #: The network at arc consistency before any pin; ``None`` if that
+    #: already refutes it, and with it every ``τ`` of the window.
+    settled: Optional[SolvabilityProblem]
+    #: Per process, the network indices of its solo vertices.
+    solo: dict[int, tuple[int, ...]]
+    #: The network's output bit of each vertex of ``Δ(σ)``.
+    bit_of: dict[Vertex, int]
+
+    def admits(self, tau: Simplex) -> bool:
+        """Is ``Π_{τ,σ}`` solvable in the window's one round?"""
+        if self.settled is None:
+            return False
+        pins: dict[int, int] = {}
+        for vertex in tau.vertices:
+            for index in self.solo[vertex.color]:
+                pins[index] = self.bit_of[vertex]
+        problem = self.settled.pinned(pins)
+        return problem is not None and problem.solve() is not None
 
 
 class ClosureComputer:
@@ -90,6 +132,11 @@ class ClosureComputer:
             tuple[tuple[int, ...], tuple[int, ...]],
             tuple[ComputationModel, ProtocolOperator],
         ] = {}
+        #: Networks keyed by ``(Δ(σ), ID(σ), operator, box inputs)``.
+        self._windows: dict[
+            tuple[SimplicialComplex, frozenset, ProtocolOperator, Hashable],
+            _Window,
+        ] = {}
 
     @property
     def task(self) -> Task:
@@ -118,11 +165,10 @@ class ClosureComputer:
         mask = allowed.mask_of(tau)
         if mask is None:
             return False
-        return self._contains_mask(sigma, allowed, mask, tau)
+        return self._contains_mask(allowed, mask, tau)
 
     def _contains_mask(
         self,
-        sigma: Simplex,
         allowed: SimplicialComplex,
         mask: int,
         tau: Optional[Simplex] = None,
@@ -139,16 +185,12 @@ class ClosureComputer:
             _MEMBERSHIP_STATS.miss()
             if tau is None:
                 tau = allowed.simplex_of(mask)
-            found = self._membership_cache[key] = self._decide(
-                sigma, tau, allowed
-            )
+            found = self._membership_cache[key] = self._decide(tau, allowed)
         else:
             _MEMBERSHIP_STATS.hit()
         return found
 
-    def _decide(
-        self, sigma: Simplex, tau: Simplex, allowed: SimplicialComplex
-    ) -> bool:
+    def _decide(self, tau: Simplex, allowed: SimplicialComplex) -> bool:
         # Fast path: τ ∈ Δ(σ) is 0-round solvable (each process keeps its
         # value), hence in the closure — the containment Δ ⊆ Δ' of the
         # paper's remark after Definition 2.
@@ -160,20 +202,59 @@ class ClosureComputer:
             model=self._model.name,
             participants=len(tau.ids),
         ) as decision_span:
-            the_local_task = local_task(self._task, sigma, tau)
-            member = False
-            for _, operator in self._candidate_operators(tau):
-                problem = build_solvability_problem(
-                    list(the_local_task.input_complex),
-                    the_local_task.delta,
-                    lambda face: operator.of_simplex(face, 1),
-                    rounds=1,
-                )
-                if problem.solve() is not None:
-                    member = True
-                    break
+            member = any(
+                self._window(allowed, tau, model, operator).admits(tau)
+                for model, operator in self._candidate_operators(tau)
+            )
             decision_span.set_attribute("member", member)
             return member
+
+    def _window(
+        self,
+        allowed: SimplicialComplex,
+        tau: Simplex,
+        model: ComputationModel,
+        operator: ProtocolOperator,
+    ) -> _Window:
+        """The shared network of ``τ``'s window, compiled on a miss.
+
+        Every face of ``τ`` is constrained by ``proj_{ID(face)}(Δ(σ))``,
+        singletons included, so no domain holds condition 1 yet.
+        """
+        key = (allowed, tau.ids, operator, _box_inputs(model, tau))
+        window = self._windows.get(key)
+        if window is not None:
+            _WINDOW_STATS.hit()
+            return window
+        _WINDOW_STATS.miss()
+        with span(
+            "closure/compile-window",
+            task=self._task.name,
+            model=model.name,
+            participants=len(tau.ids),
+        ):
+            network = build_solvability_problem(
+                tau.faces(),
+                lambda face: allowed.proj(face.ids),
+                lambda face: operator.of_simplex(face, 1),
+                rounds=1,
+            )
+            solo = {
+                vertex.color: tuple(
+                    network.vertices.index(solo_vertex)
+                    for solo_vertex in operator.of_simplex(
+                        Simplex([vertex]), 1
+                    ).vertices
+                )
+                for vertex in tau.vertices
+            }
+            bit_of = {
+                vertex: 1 << bit for bit, vertex in enumerate(network.outputs)
+            }
+            window = self._windows[key] = _Window(
+                network.propagated(), solo, bit_of
+            )
+        return window
 
     def _candidate_operators(
         self, tau: Simplex
@@ -199,13 +280,6 @@ class ClosureComputer:
                 )
             yield entry
 
-    def _candidate_models(
-        self, tau: Simplex
-    ) -> Iterable[ComputationModel]:
-        """The models quantified over for ``τ`` (kept for introspection)."""
-        for model, _ in self._candidate_operators(tau):
-            yield model
-
     # ------------------------------------------------------------------
     # The closure's specification
     # ------------------------------------------------------------------
@@ -228,7 +302,7 @@ class ClosureComputer:
                 mask = 0
                 for bit in combo:
                     mask |= bit
-                if self._contains_mask(sigma, allowed, mask):
+                if self._contains_mask(allowed, mask):
                     found.append(mask)
             return sorted(
                 (allowed.simplex_of(mask) for mask in found),
@@ -277,6 +351,20 @@ class ClosureComputer:
             output_complex,
             self.delta_prime,
         )
+
+
+def _box_inputs(model: ComputationModel, tau: Simplex) -> Hashable:
+    """What, besides ``ID(τ)``, fixes the shape of ``τ``'s one round.
+
+    Register-only models build it from view maps over ``ID(τ)`` alone.
+    An augmented model's box also sees ``α(τ_i)`` per process, which may
+    read values.  Any other model gets ``τ`` itself: no sharing.
+    """
+    if isinstance(model, AugmentedModel):
+        return tuple(model.input_of(vertex) for vertex in tau.vertices)
+    if isinstance(model, IteratedModel):
+        return ()
+    return tau
 
 
 def closure_task(

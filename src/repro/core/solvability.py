@@ -30,7 +30,7 @@ on the original complexes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -100,6 +100,24 @@ class DecisionMap:
 #: test: ``(indices of the facet's other vertices, allowed masks)``.
 _Watched = list[tuple[tuple[int, ...], frozenset[int]]]
 
+#: Propagation's tables: the arcs ``(u, v, pair table)``, and per vertex
+#: ``v`` the arcs ``(u, v)`` to revisit when ``v``'s domain shrinks.
+_Arcs = tuple[list[tuple[int, int, dict[int, int]]], list[list[int]]]
+
+
+@dataclass
+class _Index:
+    """Tables that depend on the scopes and allowed sets alone.
+
+    Built on first use.  Copies made by
+    :meth:`SolvabilityProblem.propagated` and
+    :meth:`SolvabilityProblem.pinned` differ only in their domains, so
+    they share one index.
+    """
+
+    arcs: Optional[_Arcs] = None
+    watch: Optional[list[_Watched]] = None
+
 
 @dataclass
 class SolvabilityProblem:
@@ -144,10 +162,15 @@ class SolvabilityProblem:
     #: ``__init__`` guarantees positional construction binds exactly
     #: the compiled tables and ``rounds``, and nothing more.
     last_search_nodes: int = field(default=0, init=False, compare=False)
-    #: Per vertex, ``(other scope indices, allowed masks)`` of every
-    #: constraint of arity ≥ 2 that contains it; built on first search.
-    _watch: Optional[list[_Watched]] = field(
+    #: The vertices whose domains shrank since the domains were last
+    #: arc-consistent, or ``None`` if they never were: propagation then
+    #: starts from the arcs into these vertices rather than from all.
+    _narrowed: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: Arc tables and watch lists, built on first use.
+    _index: _Index = field(
+        default_factory=_Index, init=False, repr=False, compare=False
     )
 
     @property
@@ -256,6 +279,51 @@ class SolvabilityProblem:
             components = [free] if free else []
         return domains, assignment, components
 
+    def propagated(self) -> Optional["SolvabilityProblem"]:
+        """This problem with arc-consistent domains; ``None`` refutes it.
+
+        Propagate once, then decide many narrowings of it with
+        :meth:`pinned`: each re-propagates only from what it pinned.
+        """
+        domains = list(self.domains)
+        if not all(domains) or not self._propagate_pairwise(domains):
+            return None
+        return self._derived(domains, ())
+
+    def pinned(
+        self, pins: Mapping[int, int]
+    ) -> Optional["SolvabilityProblem"]:
+        """This problem with each pinned vertex's domain ANDed with a mask.
+
+        ``pins`` maps vertex indices to output masks.  ``None`` if a
+        pinned domain empties, which refutes the narrowed problem.  The
+        copy shares this problem's compiled and derived tables.  If these
+        domains are arc-consistent, the copy's propagation revisits only
+        the arcs into the narrowed vertices.  Arc consistency has one
+        fixpoint below any start, so the copy propagates to the same
+        domains as a fresh compile of the narrowed problem would.
+        """
+        domains = list(self.domains)
+        narrowed = set(self._narrowed or ())
+        for vertex, mask in pins.items():
+            kept = domains[vertex] & mask
+            if not kept:
+                return None
+            if kept != domains[vertex]:
+                domains[vertex] = kept
+                narrowed.add(vertex)
+        return self._derived(
+            domains, None if self._narrowed is None else tuple(narrowed)
+        )
+
+    def _derived(
+        self, domains: list[int], narrowed: Optional[tuple[int, ...]]
+    ) -> "SolvabilityProblem":
+        copy = replace(self, domains=tuple(domains))
+        copy._narrowed = narrowed
+        copy._index = self._index
+        return copy
+
     def _solve(
         self,
         use_propagation: bool,
@@ -289,29 +357,21 @@ class SolvabilityProblem:
         be an allowed simplex).  Each allowed family gets one pair table,
         ``bit → OR of the bits it forms an allowed edge with``; ``v``'s
         domain holds only bits of ``v``'s color, so one AND against it
-        decides an arc test.
+        decides an arc test.  Only the arcs into :attr:`_narrowed`
+        start in the queue when it is set.
         """
-        tables: dict[int, dict[int, int]] = {}
-        arcs: list[tuple[int, int, dict[int, int]]] = []
-        arc_keys: set[tuple[int, int, int]] = set()
-        # watchers[v]: the arcs (u, v) to revisit when v's domain shrinks.
-        watchers: list[list[int]] = [[] for _ in domains]
-        for scope, allowed in zip(self.scopes, self.allowed):
-            if len(scope) < 2:
-                continue
-            partners = tables.get(id(allowed))
-            if partners is None:
-                partners = tables[id(allowed)] = _pair_table(allowed)
-            for u in scope:
-                for v in scope:
-                    key = (u, v, id(partners))
-                    if u != v and key not in arc_keys:
-                        arc_keys.add(key)
-                        watchers[v].append(len(arcs))
-                        arcs.append((u, v, partners))
-
-        queue = deque(range(len(arcs)))
-        queued = [True] * len(arcs)
+        arcs, watchers = self._arcs()
+        if self._narrowed is None:
+            queue = deque(range(len(arcs)))
+            queued = [True] * len(arcs)
+        else:
+            queue = deque()
+            queued = [False] * len(arcs)
+            for vertex in self._narrowed:
+                for arc in watchers[vertex]:
+                    if not queued[arc]:
+                        queued[arc] = True
+                        queue.append(arc)
         while queue:
             arc = queue.popleft()
             queued[arc] = False
@@ -332,6 +392,29 @@ class SolvabilityProblem:
                         queued[watcher] = True
                         queue.append(watcher)
         return True
+
+    def _arcs(self) -> _Arcs:
+        found = self._index.arcs
+        if found is None:
+            tables: dict[int, dict[int, int]] = {}
+            arcs: list[tuple[int, int, dict[int, int]]] = []
+            arc_keys: set[tuple[int, int, int]] = set()
+            watchers: list[list[int]] = [[] for _ in self.vertices]
+            for scope, allowed in zip(self.scopes, self.allowed):
+                if len(scope) < 2:
+                    continue
+                partners = tables.get(id(allowed))
+                if partners is None:
+                    partners = tables[id(allowed)] = _pair_table(allowed)
+                for u in scope:
+                    for v in scope:
+                        key = (u, v, id(partners))
+                        if u != v and key not in arc_keys:
+                            arc_keys.add(key)
+                            watchers[v].append(len(arcs))
+                            arcs.append((u, v, partners))
+            found = self._index.arcs = (arcs, watchers)
+        return found
 
     def _components(self, assignment: list[int]) -> list[list[int]]:
         """Connected components of the constraint graph over free vertices.
@@ -355,7 +438,7 @@ class SolvabilityProblem:
         ]
 
     def _watchers(self) -> list[_Watched]:
-        watch = self._watch
+        watch = self._index.watch
         if watch is None:
             watch = [[] for _ in self.vertices]
             for scope, allowed in zip(self.scopes, self.allowed):
@@ -364,7 +447,7 @@ class SolvabilityProblem:
                 for index in scope:
                     others = tuple(other for other in scope if other != index)
                     watch[index].append((others, allowed))
-            self._watch = watch
+            self._index.watch = watch
         return watch
 
     def _search_component(

@@ -1,21 +1,76 @@
 """Unit tests for the closure operator CL_M(Π) (Definition 2)."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from repro.core import ClosureComputer, closure_task
+from repro.core.local_task import local_task
+from repro.core.solvability import build_solvability_problem
 from repro.errors import SolvabilityError
+from repro.models import (
+    ImmediateSnapshotModel,
+    ProtocolOperator,
+    SnapshotModel,
+)
+from repro.objects import (
+    AugmentedModel,
+    BinaryConsensusBox,
+    TestAndSetBox,
+    beta_input_function,
+)
 from repro.tasks import (
+    Task,
     approximate_agreement_task,
     binary_consensus_task,
     liberal_approximate_agreement_task,
 )
 from repro.tasks.inputs import input_simplex
+from repro.telemetry import ManualClock, default_registry, tracing
+from repro.topology import Simplex, SimplicialComplex, Vertex
 
 
 def F(num, den=1):
     return Fraction(num, den)
+
+
+def fresh_member(task, sigma, tau, models):
+    """Membership the way it was decided before windows were shared.
+
+    ``Π_{τ,σ}`` is compiled from scratch for every candidate model and
+    solved; the test oracle for the shared window networks.
+    """
+    the_local_task = local_task(task, sigma, tau)
+    for model in models:
+        operator = ProtocolOperator(model)
+        problem = build_solvability_problem(
+            list(the_local_task.input_complex),
+            the_local_task.delta,
+            lambda face: operator.of_simplex(face, 1),
+            rounds=1,
+        )
+        if problem.solve() is not None:
+            return True
+    return False
+
+
+def candidates(task, sigma):
+    """Every chromatic ``τ ⊆ V(Δ(σ))`` with ``ID(τ) = ID(σ)``."""
+    allowed = task.delta(sigma)
+    per_color = [allowed.vertices_of_color(i) for i in sorted(sigma.ids)]
+    return [Simplex(combo) for combo in product(*per_color)]
+
+
+def bc(beta):
+    return AugmentedModel(BinaryConsensusBox(), beta_input_function(beta))
+
+
+def every_beta(ids):
+    return [
+        bc(dict(zip(ids, bits)))
+        for bits in product((0, 1), repeat=len(ids))
+    ]
 
 
 class TestMembership:
@@ -140,3 +195,142 @@ class TestClosureWithBoxes:
         assert set(fixed.legal_outputs(sigma)) <= set(
             quantified.legal_outputs(sigma)
         )
+
+
+#: β of the fixed-β rows: majority side {1, 3}.
+PARITY_BETA = {1: 0, 2: 1, 3: 0}
+
+#: (label, model factory, quantify β, members among the two windows'
+#: 128 candidates).  A quantified row's oracle tries every β; the
+#: others try the model alone.
+PARITY_MODELS = [
+    ("IIS", ImmediateSnapshotModel, False, 92),
+    ("snapshot", SnapshotModel, False, 92),
+    ("IIS+t&s", lambda: AugmentedModel(TestAndSetBox()), False, 92),
+    ("IIS+bc|β", lambda: bc(PARITY_BETA), False, 112),
+    ("IIS+bc, β quantified", lambda: bc(PARITY_BETA), True, 128),
+]
+
+
+def non_pure_task():
+    """One window whose ``Δ(σ)`` has an isolated vertex ``(1, "c")``.
+
+    Arc consistency on the unpinned network drops ``"c"`` from process
+    1's solo domain, so a ``τ`` pinning it is refuted by the pin itself.
+    """
+    sigma = Simplex([(1, 0), (2, 0)])
+    allowed = SimplicialComplex(
+        [
+            Simplex([(1, "a"), (2, "a")]),
+            Simplex([(1, "b"), (2, "b")]),
+            Simplex([(1, "c")]),
+        ]
+    )
+    task = Task(
+        "non-pure",
+        SimplicialComplex.from_simplex(sigma),
+        allowed,
+        lambda face: allowed if face == sigma else allowed.proj(face.ids),
+    )
+    return task, sigma
+
+
+class TestSharedWindowParity:
+    """Each τ decided on its window's network, as a fresh compile would."""
+
+    @pytest.mark.parametrize(
+        "label, make_model, quantify, members",
+        PARITY_MODELS,
+        ids=[row[0] for row in PARITY_MODELS],
+    )
+    def test_every_candidate_of_two_windows(
+        self, label, make_model, quantify, members
+    ):
+        model = make_model()
+        ids = [1, 2, 3]
+        task = liberal_approximate_agreement_task(ids, F(1, 4), 4)
+        computer = ClosureComputer(task, model, quantify_beta=quantify)
+        models = every_beta(ids) if quantify else [model]
+        windows = [
+            input_simplex({1: F(0), 2: F(1, 4), 3: F(3, 4)}),
+            input_simplex({1: F(1, 4), 2: F(1, 2), 3: F(1)}),
+        ]
+        found = 0
+        for sigma in windows:
+            for tau in candidates(task, sigma):
+                member = computer.contains(sigma, tau)
+                assert member == fresh_member(task, sigma, tau, models), tau
+                found += member
+        assert found == members
+        # At most one network per window and β, however many τ it decides.
+        assert len(computer._windows) <= len(windows) * len(models)
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [ImmediateSnapshotModel, lambda: AugmentedModel(TestAndSetBox())],
+        ids=["IIS", "IIS+t&s"],
+    )
+    def test_non_pure_window(self, make_model):
+        model = make_model()
+        task, sigma = non_pure_task()
+        computer = ClosureComputer(task, model)
+        for tau in candidates(task, sigma):
+            assert computer.contains(sigma, tau) == fresh_member(
+                task, sigma, tau, [model]
+            ), tau
+        (window,) = computer._windows.values()
+        isolated = window.bit_of[Vertex(1, "c")]
+        (solo,) = window.solo[1]
+        assert not window.settled.domains[solo] & isolated
+
+    def test_value_reading_alpha_splits_windows(self):
+        # α reads the value: τ's box inputs, hence its one-round shape,
+        # change within one Δ(σ), so those τ must not share a network.
+        def alpha(vertex):
+            return int(vertex.value >= F(1, 2))
+
+        model = AugmentedModel(BinaryConsensusBox(), alpha)
+        # At m = 6, a network shared across box inputs errs on 12 of
+        # the 49 candidates.
+        task = approximate_agreement_task([1, 2], F(1, 6), 6)
+        sigma = input_simplex({1: F(0), 2: F(1)})
+        computer = ClosureComputer(task, model)
+        allowed = task.delta(sigma)
+        decided = []
+        for tau in candidates(task, sigma):
+            assert computer.contains(sigma, tau) == fresh_member(
+                task, sigma, tau, [model]
+            ), tau
+            if tau not in allowed:
+                decided.append(tau)
+        inputs = {tuple(alpha(v) for v in tau.vertices) for tau in decided}
+        assert len(inputs) > 1
+        assert len(computer._windows) == len(inputs)
+
+
+class TestWindowObservability:
+    def test_compile_span_and_counter_per_window_miss(self, iis):
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        computer = ClosureComputer(task, iis)
+        sigma = input_simplex({1: F(0), 2: F(1)})
+        before = default_registry().cache_snapshot()
+        with tracing(clock=ManualClock(tick=0.001)) as tracer:
+            computer.legal_outputs(sigma)
+        stats = default_registry().cache_delta(
+            before, default_registry().cache_snapshot()
+        )
+
+        def walk(spans):
+            for item in spans:
+                yield item
+                yield from walk(item.children)
+
+        spans = list(walk(tracer.roots))
+        compiles = [s for s in spans if s.name == "closure/compile-window"]
+        decides = [s for s in spans if s.name == "closure/decide"]
+        assert len(compiles) == 1
+        assert compiles[0].attributes["participants"] == 2
+        hits, misses = stats["closure.window"]
+        assert misses == 1
+        assert hits == len(decides) - 1
+        assert all("member" in s.attributes for s in decides)

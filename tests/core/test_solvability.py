@@ -1,6 +1,8 @@
 """Unit tests for the solvability decision procedure."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +17,12 @@ from repro.models import ProtocolOperator
 from repro.tasks import (
     approximate_agreement_task,
     binary_consensus_task,
+    liberal_approximate_agreement_task,
     multivalued_consensus_task,
 )
 from repro.tasks.inputs import input_simplex
 from repro.topology import Vertex
+from repro.topology.table import iter_bits
 
 
 def F(num, den=1):
@@ -416,10 +420,71 @@ class TestExplicitStackSearch:
         # the interpreter's default recursion limit.  The closed form
         # 2^t >= m (here 4 >= 4) says two rounds suffice.
         from repro.models import ImmediateSnapshotModel
-        from repro.tasks import liberal_approximate_agreement_task
 
         task = liberal_approximate_agreement_task([1, 2, 3], F(1, 4), 4)
         assert solvable(task, ImmediateSnapshotModel(), 2)
+
+
+class TestPinnedPropagation:
+    """``propagated`` then ``pinned`` equals propagating the pins afresh."""
+
+    @staticmethod
+    def compiled(iis):
+        task = approximate_agreement_task([1, 2], F(1, 2), 2)
+        operator = ProtocolOperator(iis)
+        return build_solvability_problem(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 1),
+            rounds=1,
+        )
+
+    def test_every_pin_pair_matches_a_fresh_propagation(self, iis):
+        problem = self.compiled(iis)
+        settled = problem.propagated()
+        assert settled is not None
+        pins = [
+            (vertex, 1 << bit)
+            for vertex, domain in enumerate(problem.domains)
+            for bit in iter_bits(domain)
+        ]
+        outcomes = set()
+        for (u, u_bit), (v, v_bit) in combinations(pins, 2):
+            if u == v:
+                continue
+            start = list(problem.domains)
+            start[u] &= u_bit
+            start[v] &= v_bit
+            fresh = replace(problem, domains=tuple(start)).propagated()
+            pinned = settled.pinned({u: u_bit, v: v_bit})
+            if pinned is None:
+                outcomes.add("pin")
+                assert fresh is None
+                continue
+            pinned = pinned.propagated()
+            if pinned is None:
+                outcomes.add("propagation")
+                assert fresh is None
+                continue
+            assert pinned.domains == fresh.domains
+            assert pinned.solve() is not None
+            outcomes.add("solved")
+        assert outcomes == {"pin", "propagation", "solved"}
+
+    def test_pin_ands_into_the_settled_domain(self, iis):
+        problem = self.compiled(iis)
+        settled = problem.propagated()
+        pruned = [
+            (vertex, before & ~after)
+            for vertex, (before, after) in enumerate(
+                zip(problem.domains, settled.domains)
+            )
+            if before != after
+        ]
+        # A value propagation already removed cannot be pinned back.
+        assert pruned
+        for vertex, removed in pruned:
+            assert settled.pinned({vertex: removed}) is None
 
 
 class TestDecisionMapChecker:
@@ -479,11 +544,20 @@ class TestDecisionMapChecker:
 
 @pytest.mark.slow
 class TestVerifiedRange:
-    """The n = 2 IIS closed form 3^t >= m at its t = 3 boundary."""
+    """IIS closed forms at their boundaries, solved without closures."""
 
     @pytest.mark.parametrize("m, expected", [(27, True), (28, False)])
     def test_two_process_iis_boundary_at_three_rounds(
         self, iis, m, expected
     ):
+        # n = 2: 3^t >= m.
         task = approximate_agreement_task([1, 2], F(1, m), m)
         assert solvable(task, iis, 3) is expected
+
+    @pytest.mark.parametrize("m, expected", [(4, True), (5, False)])
+    def test_three_process_liberal_boundary_at_two_rounds(
+        self, iis, m, expected
+    ):
+        # n = 3: the Eq. 3 halving bound 2^t >= m.
+        task = liberal_approximate_agreement_task([1, 2, 3], F(1, m), m)
+        assert solvable(task, iis, 2) is expected
