@@ -1,7 +1,10 @@
 """Repo-specific AST lint rules (the ``RPR`` rule family).
 
 A small stdlib-``ast`` visitor framework with rules encoding contracts
-that generic linters cannot know:
+that generic linters cannot know.  Properties that ruff or mypy already
+gate are left to them: bare ``except:`` is ruff's E722, and complete
+annotations are mypy's ``disallow_untyped_defs`` /
+``disallow_incomplete_defs``.
 
 ========  ============================================================
 rule id   contract
@@ -18,14 +21,10 @@ RPR002    construction sites that already hold an inclusion-maximal
 RPR003    ``default_registry().cache(name)`` is a registry lookup;
           fetch counters once at module level, never per call on a hot
           path
-RPR004    no bare ``except:`` anywhere, and no silent ``except …:
-          pass`` in the solver hot paths (``repro.core``,
-          ``repro.models``, ``repro.topology``) — swallowed errors
-          there turn invariant violations into wrong theorems
-RPR005    public functions in ``repro.core``, ``repro.models``, and
-          ``repro.topology`` must carry complete type annotations
-          (every parameter and the return type), keeping the mypy
-          gate and ``py.typed`` honest
+RPR004    no silent ``except …: pass`` in the solver hot paths
+          (``repro.core``, ``repro.models``, ``repro.topology``) —
+          swallowed errors there turn invariant violations into wrong
+          theorems
 RPR008    ``repro.core`` and ``repro.topology`` are free of ambient
           nondeterminism: no unseeded module-level ``random`` calls, no
           wall-clock reads, no ``key=id`` orderings — results depend on
@@ -84,8 +83,8 @@ _ALWAYS_PROTECTED: frozenset[str] = frozenset(
     {"_facets", "_faces_cache", "_vertices_cache"}
 )
 
-#: Packages whose exception handling and annotations are held to the
-#: strictest standard (the proof-machine hot paths).
+#: Packages whose exception handling is held to the strictest standard
+#: (the proof-machine hot paths).
 _HOT_PACKAGES: frozenset[tuple[str, str]] = frozenset(
     {
         ("repro", "core"),
@@ -435,22 +434,16 @@ def check_counter_placement(context: LintContext) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # RPR004 — no swallowed errors on hot paths
 # ----------------------------------------------------------------------
-@lint_rule("RPR004", "no bare except / silent pass in solver hot paths")
+@lint_rule("RPR004", "no silent pass in solver hot paths")
 def check_exception_hygiene(context: LintContext) -> Iterator[Finding]:
+    if not context.in_hot_package():
+        return
     for node in ast.walk(context.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        if node.type is None:
-            yield Finding(
-                "RPR004",
-                Severity.ERROR,
-                _location(context, node),
-                "bare `except:` catches SystemExit/KeyboardInterrupt "
-                "and hides invariant violations; name the exceptions",
-            )
-            continue
-        silent = len(node.body) == 1 and isinstance(node.body[0], ast.Pass)
-        if silent and context.in_hot_package():
+        if (
+            isinstance(node, ast.ExceptHandler)
+            and len(node.body) == 1
+            and isinstance(node.body[0], ast.Pass)
+        ):
             yield Finding(
                 "RPR004",
                 Severity.ERROR,
@@ -459,68 +452,6 @@ def check_exception_hygiene(context: LintContext) -> Iterator[Finding]:
                 "swallowed error here turns an invariant violation "
                 "into a wrong theorem — handle or re-raise",
             )
-
-
-# ----------------------------------------------------------------------
-# RPR005 — annotated public API in the proof core
-# ----------------------------------------------------------------------
-def _missing_annotations(
-    function: ast.FunctionDef,
-) -> list[str]:
-    missing: list[str] = []
-    arguments = function.args
-    positional = list(arguments.posonlyargs) + list(arguments.args)
-    if positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    for argument in positional + list(arguments.kwonlyargs):
-        if argument.annotation is None:
-            missing.append(argument.arg)
-    for star in (arguments.vararg, arguments.kwarg):
-        if star is not None and star.annotation is None:
-            missing.append(star.arg)
-    if function.returns is None:
-        missing.append("return")
-    return missing
-
-
-@lint_rule("RPR005", "public proof-core functions are fully annotated")
-def check_public_annotations(context: LintContext) -> Iterator[Finding]:
-    if not context.in_hot_package():
-        return
-
-    class Scope(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.found: list[tuple[ast.FunctionDef, list[str]]] = []
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            name = node.name
-            public = not name.startswith("_")
-            if public:
-                missing = _missing_annotations(node)
-                if missing:
-                    self.found.append((node, missing))
-            # Do not descend: closures inside a function are local
-            # implementation details, not public API.
-
-        def visit_AsyncFunctionDef(
-            self, node: ast.AsyncFunctionDef
-        ) -> None:
-            self.visit_FunctionDef(node)  # type: ignore[arg-type]
-
-        def visit_ClassDef(self, node: ast.ClassDef) -> None:
-            self.generic_visit(node)
-
-    scope = Scope()
-    scope.visit(context.tree)
-    for node, missing in scope.found:
-        yield Finding(
-            "RPR005",
-            Severity.ERROR,
-            _location(context, node),
-            f"public function {node.name!r} is missing annotations for: "
-            f"{', '.join(missing)} (the mypy gate and py.typed require "
-            "a fully typed proof core)",
-        )
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ from repro.checks.astlint import iter_python_files, lint_paths
 from repro.checks.findings import Finding, Severity, max_severity
 from repro.checks.rules import AuditTarget, run_rules
 from repro.checks.targets import targets_for_all, targets_for_experiment
+from repro.errors import TelemetryError
 from repro.experiments.registry import EXPERIMENTS
+from repro.telemetry import load_trace
 
 __all__ = [
     "CheckReport",
@@ -114,19 +116,20 @@ def lint_report(paths: Iterable[str]) -> CheckReport:
 def trace_report(paths: Iterable[str]) -> CheckReport:
     """Audit telemetry trace artifacts (AUD011) from files on disk.
 
-    Unreadable or non-JSON files become ``AUD011`` findings rather than
-    raising, so one bad artifact in a batch does not mask the others.
+    Each file is parsed by :func:`~repro.telemetry.export.load_trace`,
+    the one header validator; an unreadable file or a rejected artifact
+    becomes one ``AUD011`` finding rather than raising, so one bad
+    artifact in a batch does not mask the others.
     """
-    import json
-
     resolved = list(paths)
     findings: list[Finding] = []
     targets: list[AuditTarget] = []
     for path in resolved:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                payload = json.loads(handle.read())
-        except OSError as exc:
+                payload = load_trace(handle.read())
+            targets.append(AuditTarget("trace", path, payload))
+        except (OSError, UnicodeDecodeError) as exc:
             findings.append(
                 Finding(
                     "AUD011",
@@ -135,18 +138,10 @@ def trace_report(paths: Iterable[str]) -> CheckReport:
                     f"cannot read trace artifact: {exc}",
                 )
             )
-            continue
-        except ValueError as exc:
+        except TelemetryError as exc:
             findings.append(
-                Finding(
-                    "AUD011",
-                    Severity.ERROR,
-                    path,
-                    f"trace artifact is not JSON: {exc}",
-                )
+                Finding("AUD011", Severity.ERROR, path, str(exc))
             )
-            continue
-        targets.append(AuditTarget("trace", path, payload))
     findings.extend(run_rules(targets))
     return CheckReport(
         scope=f"trace[{', '.join(resolved)}]",

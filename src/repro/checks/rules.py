@@ -35,14 +35,12 @@ AUD008    task       task well-formedness: ``Δ(σ)`` is chromatic and
                      contained in the output complex
 AUD009    closure    closure well-formedness (Theorem 1): ``Δ ⊆ Δ'`` and
                      ``Δ'`` is name-preserving
-AUD010    faults-    chaos campaign configuration soundness: known cell,
-          config     supported model, probabilities in range, crash
-                     budget ``0 ≤ t < n``, illegal injectors gated behind
-                     ``allow_illegal``
-AUD011    trace      telemetry trace artifact well-formedness: every
-                     span closed with numeric ``start ≤ end``, children
-                     nested within their parent's interval, attributes
-                     JSON-serializable, metric deltas numeric
+AUD011    trace      telemetry trace span-tree well-formedness: every
+                     span named and closed with numeric ``start ≤ end``,
+                     children nested within their parent's interval,
+                     status ``ok``/``error``, attributes
+                     JSON-serializable, metric deltas numeric (the
+                     artifact header is ``load_trace``'s to check)
 AUD013    complex    bitmask-core parity: pruning, containment,
                      ``proj``/``star``/``skeleton``, ``union``/
                      ``intersection`` and the f-vector computed through
@@ -57,7 +55,9 @@ AUD016    complex    mask-kernel parity: 1-skeleton adjacency,
 ========  =========  ====================================================
 
 Each rule applies to one *kind* of :class:`AuditTarget`; the driver in
-:mod:`repro.checks.audit` matches targets to rules by kind.
+:mod:`repro.checks.audit` matches targets to rules by kind.  Chaos
+campaign configurations have no rule: every campaign the program runs
+passes through ``CampaignConfig.validate``, their single gate.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class AuditTarget:
     ----------
     kind:
         What the object is: ``complex``, ``carrier``, ``schedule``,
-        ``task``, ``model``, or ``closure``.  Rules declare the kind they
-        audit.
+        ``task``, ``model``, ``closure``, or ``trace``.  Rules declare
+        the kind they audit.
     path:
         Stable human-readable location, e.g. ``E7/task[ε-AA]/Δ``.
     obj:
@@ -829,83 +829,6 @@ def check_closure_well_formed(target: AuditTarget) -> Iterator[Finding]:
             )
 
 
-@audit_rule(
-    "AUD010", "faults-config", "chaos campaign configurations are sound"
-)
-def check_faults_config(target: AuditTarget) -> Iterator[Finding]:
-    """Soundness of a chaos :class:`~repro.faults.campaign.CampaignConfig`.
-
-    The campaign runner validates eagerly; this rule re-checks the same
-    conditions as findings (all at once, never raising) so ``repro check``
-    can audit config constants and CLI presets without running anything:
-    the cell must exist, the model must be supported by the cell (black
-    box cells are IIS-only — general matrix schedules have no temporal
-    blocks), probabilities must be in range, the crash budget must leave a
-    survivor, and *illegal* injectors must be explicitly opted into.
-    """
-    from repro.faults.campaign import CELLS, ILLEGAL_MODES
-
-    config = target.obj
-    spec = CELLS.get(config.cell)
-    if spec is None:
-        yield Finding(
-            "AUD010",
-            Severity.ERROR,
-            target.path,
-            f"unknown chaos cell {config.cell!r}",
-        )
-        return
-    if not 0.0 <= config.crash_probability <= 1.0:
-        yield Finding(
-            "AUD010",
-            Severity.ERROR,
-            target.path,
-            f"crash probability {config.crash_probability} outside "
-            "[0, 1]",
-        )
-    if config.model not in spec.models:
-        yield Finding(
-            "AUD010",
-            Severity.ERROR,
-            target.path,
-            f"cell {config.cell!r} does not support model "
-            f"{config.model!r} (allowed: {'/'.join(spec.models)})",
-        )
-    if not 0 <= config.t < config.n:
-        yield Finding(
-            "AUD010",
-            Severity.ERROR,
-            target.path,
-            f"crash budget t={config.t} must satisfy 0 ≤ t < n="
-            f"{config.n} (some process must survive)",
-        )
-    if not 0 < config.epsilon <= 1:
-        yield Finding(
-            "AUD010",
-            Severity.ERROR,
-            target.path,
-            f"ε = {config.epsilon} outside (0, 1]",
-        )
-    if config.illegal is not None:
-        if config.illegal not in ILLEGAL_MODES:
-            yield Finding(
-                "AUD010",
-                Severity.ERROR,
-                target.path,
-                f"unknown illegal injector {config.illegal!r} "
-                f"(known: {', '.join(ILLEGAL_MODES)})",
-            )
-        elif not config.allow_illegal:
-            yield Finding(
-                "AUD010",
-                Severity.ERROR,
-                target.path,
-                f"illegal injector {config.illegal!r} configured "
-                "without allow_illegal: model-breaking faults must be "
-                "an explicit opt-in",
-            )
-
-
 def _audit_span_node(
     node: Any,
     location: str,
@@ -1040,60 +963,18 @@ def _audit_span_node(
 
 
 @audit_rule(
-    "AUD011", "trace", "telemetry trace artifacts are well-formed"
+    "AUD011", "trace", "telemetry trace span trees are well-formed"
 )
 def check_trace_artifact(target: AuditTarget) -> Iterator[Finding]:
-    """Well-formedness of a finished ``repro-trace`` artifact.
+    """Well-formedness of the span tree of a ``repro-trace`` artifact.
 
-    The exporters produce valid artifacts by construction (attributes
-    are coerced at record time, open spans refuse to export); this rule
-    re-checks the contract on the *serialized* artifact, so foreign or
-    hand-edited traces — and regressions in the exporters themselves —
-    are caught before a dashboard or ``repro trace summarize`` consumes
-    them: every span closed, ``start ≤ end``, children nested within
-    their parent's interval, attribute values JSON-serializable, metric
-    deltas numeric.
+    The target is a payload that :func:`~repro.telemetry.export.load_trace`
+    accepted, so its header (format, version, ``spans`` list) is already
+    checked.  The exporters build valid trees; this walk catches foreign
+    or hand-edited traces and exporter regressions before ``repro trace
+    summarize`` consumes them.
     """
-    from repro.telemetry.export import TRACE_FORMAT, TRACE_VERSION
-
-    trace = target.obj
-    if not isinstance(trace, dict):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            target.path,
-            f"trace artifact is {type(trace).__name__}, not an object",
-        )
-        return
-    if trace.get("format") != TRACE_FORMAT:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            target.path,
-            f"unknown trace format {trace.get('format')!r} (expected "
-            f"{TRACE_FORMAT!r})",
-        )
-        return
-    if trace.get("version") != TRACE_VERSION:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            target.path,
-            f"unsupported trace version {trace.get('version')!r} "
-            f"(expected {TRACE_VERSION})",
-        )
-        return
-    spans = trace.get("spans")
-    if not isinstance(spans, list):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            target.path,
-            "trace artifact has no 'spans' list",
-        )
-        return
-    for position, root in enumerate(spans):
+    for position, root in enumerate(target.obj["spans"]):
         yield from _audit_span_node(
             root, f"spans[{position}]", target.path, None
         )
-

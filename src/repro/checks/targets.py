@@ -253,39 +253,6 @@ def _group_closure_consensus() -> list[AuditTarget]:
     )
 
 
-def _group_faults_configs() -> list[AuditTarget]:
-    """One sound config per chaos cell, plus a gated illegal probe."""
-    from repro.faults.campaign import CELLS, CampaignConfig
-
-    targets: list[AuditTarget] = []
-    for key in sorted(CELLS):
-        spec = CELLS[key]
-        n = spec.min_n if spec.max_n is not None else max(spec.min_n, 3)
-        targets.append(
-            AuditTarget(
-                "faults-config",
-                f"faults/cells/{key}",
-                CampaignConfig(
-                    cell=key, model=spec.models[0], n=n, t=min(1, n - 1)
-                ),
-            )
-        )
-    targets.append(
-        AuditTarget(
-            "faults-config",
-            "faults/illegal-probe",
-            CampaignConfig(
-                cell="aa",
-                n=3,
-                t=0,
-                illegal="lost-write",
-                allow_illegal=True,
-            ),
-        )
-    )
-    return targets
-
-
 def _group_closure_aa() -> list[AuditTarget]:
     return _closure_targets(
         "closure/CL_IIS(1/2-AA[n=2])",
@@ -308,7 +275,6 @@ TARGET_GROUPS: dict[str, Callable[[], list[AuditTarget]]] = {
     "tasks-kset": _group_kset_task,
     "closure-consensus": _group_closure_consensus,
     "closure-aa": _group_closure_aa,
-    "faults-configs": _group_faults_configs,
 }
 
 #: Which groups each experiment depends on.  Kept exhaustive on purpose —
@@ -337,7 +303,7 @@ _EXPERIMENT_GROUPS: dict[str, tuple[str, ...]] = {
     "E20": ("models-affine", "tasks-consensus"),
     "E21": ("models-n2", "schedules-n2"),
     "E22": ("models-n3",),
-    "E23": ("faults-configs", "schedules-n3"),
+    "E23": ("schedules-n3",),
 }
 
 

@@ -21,7 +21,7 @@ works on artifacts recorded by an earlier process.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.tracer import Span, Tracer
@@ -232,8 +232,8 @@ def load_trace(text: str) -> dict[str, Any]:
         raise TelemetryError("trace artifact must be a JSON object")
     if "traceEvents" in payload and "format" not in payload:
         raise TelemetryError(
-            "this is a Chrome trace-event artifact; summarize needs the "
-            "canonical span tree (--trace-format json)"
+            "this is a Chrome trace-event artifact, which has no span "
+            "tree; record the canonical one with --trace-format json"
         )
     if payload.get("format") != TRACE_FORMAT:
         raise TelemetryError(
@@ -257,18 +257,12 @@ _RENDERERS = {
 }
 
 
-def write_trace(
-    path: str, trace: TraceInput, fmt: str = "json", top: Optional[int] = None
-) -> None:
+def write_trace(path: str, trace: TraceInput, fmt: str = "json") -> None:
     """Render ``trace`` in the given format and write it to ``path``."""
     if fmt not in _RENDERERS:
         known = ", ".join(sorted(_RENDERERS))
         raise TelemetryError(
             f"unknown trace format {fmt!r}; known formats: {known}"
         )
-    if fmt == "text" and top is not None:
-        rendered = render_text(trace, top=top)
-    else:
-        rendered = _RENDERERS[fmt](trace)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(rendered + "\n")
+        handle.write(_RENDERERS[fmt](trace) + "\n")

@@ -30,20 +30,13 @@ Conventions shared by every kernel:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.telemetry import default_registry
 from repro.topology.table import popcount
 
 __all__ = [
-    "popcount_sweep",
-    "max_popcount",
-    "filter_subsets",
-    "filter_supersets",
-    "filter_intersecting",
-    "pairwise_intersections",
     "pairwise_unions",
-    "iter_ridges",
     "ridge_table",
     "vertex_adjacency",
     "facet_adjacency",
@@ -53,8 +46,6 @@ __all__ = [
     "bfs_parents",
 ]
 
-_SWEEPS = default_registry().cache("kernels.popcount-sweeps")
-_FILTERS = default_registry().cache("kernels.containment-filters")
 _PRODUCTS = default_registry().cache("kernels.pairwise-products")
 _RIDGE_TABLES = default_registry().cache("kernels.ridge-tables")
 _ADJACENCY_BUILDS = default_registry().cache("kernels.adjacency-builds")
@@ -63,68 +54,8 @@ _BFS_SWEEPS = default_registry().cache("kernels.bfs-sweeps")
 
 
 # ----------------------------------------------------------------------
-# Popcount sweeps
-# ----------------------------------------------------------------------
-def popcount_sweep(masks: Sequence[int]) -> list[int]:
-    """Per-mask set-bit counts (simplex cardinalities) for a batch."""
-    _SWEEPS.built()
-    return [popcount(mask) for mask in masks]
-
-
-def max_popcount(masks: Sequence[int]) -> int:
-    """The largest set-bit count in the batch; ``0`` for an empty batch."""
-    _SWEEPS.built()
-    best = 0
-    for mask in masks:
-        bits = popcount(mask)
-        if bits > best:
-            best = bits
-    return best
-
-
-# ----------------------------------------------------------------------
-# Batched containment filters
-# ----------------------------------------------------------------------
-def filter_subsets(masks: Sequence[int], super_mask: int) -> list[int]:
-    """The masks that are subsets of ``super_mask`` (``m & sup == m``)."""
-    _FILTERS.built()
-    return [mask for mask in masks if mask & super_mask == mask]
-
-
-def filter_supersets(masks: Sequence[int], sub_mask: int) -> list[int]:
-    """The masks that contain ``sub_mask`` (``m & sub == sub``)."""
-    _FILTERS.built()
-    return [mask for mask in masks if mask & sub_mask == sub_mask]
-
-
-def filter_intersecting(masks: Sequence[int], probe: int) -> list[int]:
-    """The masks sharing at least one bit with ``probe``."""
-    _FILTERS.built()
-    return [mask for mask in masks if mask & probe]
-
-
-# ----------------------------------------------------------------------
 # Pairwise products
 # ----------------------------------------------------------------------
-def pairwise_intersections(
-    left: Sequence[int], right: Sequence[int]
-) -> list[int]:
-    """All non-empty pairwise ANDs between two batches.
-
-    The mask-level core of complex intersection: candidate common faces
-    are intersections of facet pairs.  Duplicates are kept (callers
-    dedup while pruning); empty intersections are dropped.
-    """
-    _PRODUCTS.built()
-    found = []
-    for l_mask in left:
-        for r_mask in right:
-            shared = l_mask & r_mask
-            if shared:
-                found.append(shared)
-    return found
-
-
 def pairwise_unions(
     left: Sequence[int], right: Sequence[int]
 ) -> list[int]:
@@ -136,23 +67,6 @@ def pairwise_unions(
 # ----------------------------------------------------------------------
 # Ridges and adjacency
 # ----------------------------------------------------------------------
-def iter_ridges(mask: int) -> Iterator[int]:
-    """Yield the ridges of a facet mask via bit-clear iteration.
-
-    A ridge of a ``k``-bit facet is the facet with one bit cleared; the
-    walk peels the low bit each step, so ridges come out in ascending
-    cleared-bit order.  Masks with fewer than two bits yield nothing:
-    the only candidate would be the empty face, which is not a simplex.
-    """
-    if popcount(mask) < 2:
-        return
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        yield mask ^ low
-        remaining ^= low
-
-
 def ridge_table(masks: Sequence[int]) -> dict[int, list[int]]:
     """Map each ridge mask to the positions of the facets containing it.
 

@@ -13,10 +13,21 @@ BROKEN_MODULE = textwrap.dedent(
     def swallow(step):
         try:
             step()
-        except:
+        except ValueError:
             pass
     """
 )
+
+
+def write_broken_module(root):
+    """Write BROKEN_MODULE where the lint treats it as ``repro.core``.
+
+    RPR004 only fires in the solver hot packages, and the lint derives
+    the module name from the path.
+    """
+    package = root / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "bad.py").write_text(BROKEN_MODULE)
 
 
 class TestAuditScopes:
@@ -46,16 +57,14 @@ class TestAuditScopes:
 
 class TestLintScope:
     def test_lint_violations_fail(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BROKEN_MODULE)
+        write_broken_module(tmp_path)
         assert main(["check", "--lint", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "RPR001" in out
         assert "RPR004" in out
 
     def test_fail_on_policy_downgrades(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BROKEN_MODULE)
+        write_broken_module(tmp_path)
         # Findings are errors; asking to fail only above error never fires.
         assert (
             main(["check", "--lint", str(tmp_path), "--fail-on", "error"])
@@ -86,8 +95,7 @@ class TestJsonFormat:
         assert document["targets_audited"] > 0
 
     def test_json_reports_lint_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BROKEN_MODULE)
+        write_broken_module(tmp_path)
         assert (
             main(["check", "--lint", str(tmp_path), "--format", "json"])
             == 1

@@ -1,12 +1,20 @@
-"""Tests for AUD011: telemetry trace artifact well-formedness."""
+"""Tests for AUD011 and ``trace_report``.
+
+``trace_report`` parses every artifact with ``load_trace``, the one
+header validator (its messages are pinned in
+``tests/telemetry/test_export.py``); AUD011 walks the span tree of the
+artifacts it accepts.
+"""
 
 import json
 
 from repro.checks import AuditTarget, run_rules, trace_report
+from repro.cli import main
 from repro.telemetry import (
     ManualClock,
     MetricsRegistry,
     Tracer,
+    chrome_events,
     render_json,
     trace_tree,
 )
@@ -28,6 +36,12 @@ def span_node(**overrides):
     }
     node.update(overrides)
     return node
+
+
+def write_artifact(tmp_path, payload):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
 
 
 def valid_trace(*spans):
@@ -57,20 +71,6 @@ class TestCleanArtifacts:
 
 
 class TestMalformedArtifacts:
-    def test_wrong_format(self):
-        findings = findings_for({"format": "other", "version": 1})
-        assert any("format" in f.message for f in findings)
-
-    def test_wrong_version(self):
-        findings = findings_for(
-            {"format": "repro-trace", "version": 2, "spans": []}
-        )
-        assert any("version" in f.message for f in findings)
-
-    def test_missing_spans(self):
-        findings = findings_for({"format": "repro-trace", "version": 1})
-        assert any("spans" in f.message for f in findings)
-
     def test_open_span(self):
         findings = findings_for(valid_trace(span_node(end=None)))
         assert any("never closed" in f.message for f in findings)
@@ -147,3 +147,38 @@ class TestTraceReport:
         report = trace_report([str(bad), str(good)])
         assert report.targets_audited == 1  # the good one was audited
         assert len(report.findings) == 1  # only the bad one reported
+
+    def test_wrong_format(self, tmp_path):
+        path = write_artifact(tmp_path, {"format": "other", "version": 1})
+        (finding,) = trace_report([path]).findings
+        assert finding.rule_id == "AUD011"
+        assert "unknown trace format" in finding.message
+
+    def test_wrong_version(self, tmp_path):
+        path = write_artifact(
+            tmp_path, {"format": "repro-trace", "version": 2, "spans": []}
+        )
+        (finding,) = trace_report([path]).findings
+        assert "unsupported trace version" in finding.message
+
+    def test_missing_spans(self, tmp_path):
+        path = write_artifact(
+            tmp_path, {"format": "repro-trace", "version": 1}
+        )
+        (finding,) = trace_report([path]).findings
+        assert "no 'spans' list" in finding.message
+
+    def test_chrome_artifact_is_one_finding(self, tmp_path, capsys):
+        tracer = Tracer(
+            clock=ManualClock(tick=1.0), registry=MetricsRegistry()
+        )
+        with tracer.span("root"):
+            pass
+        path = write_artifact(tmp_path, chrome_events(tracer))
+        report = trace_report([path])
+        assert report.targets_audited == 0
+        (finding,) = report.findings
+        assert finding.rule_id == "AUD011"
+        assert "--trace-format json" in finding.message
+        assert main(["check", "--trace", path]) == 1
+        assert "--trace-format json" in capsys.readouterr().out

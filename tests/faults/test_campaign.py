@@ -57,6 +57,34 @@ class TestConfigValidation:
         with pytest.raises(ReproError, match="step budget"):
             CampaignConfig(cell="aa", step_budget=0).validate()
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"executions": 0}, "at least one execution"),
+            ({"crash_probability": -0.1}, "crash probability"),
+            ({"crash_probability": 1.5}, "crash probability"),
+            ({"epsilon": Fraction(0)}, "outside"),
+            ({"epsilon": Fraction(3, 2)}, "outside"),
+            (
+                {"illegal": "gremlin", "allow_illegal": True},
+                "unknown illegal mode",
+            ),
+            # `aa` has no black box for the bad-box injector to corrupt.
+            ({"illegal": "bad-box", "allow_illegal": True}, "black box"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, fields, message):
+        with pytest.raises(ReproError, match=message):
+            CampaignConfig(cell="aa", **fields).validate()
+
+    @pytest.mark.parametrize("key", sorted(CELLS))
+    def test_minimal_config_of_every_cell_validates(self, key):
+        spec = CELLS[key]
+        n = spec.min_n if spec.max_n is not None else max(spec.min_n, 3)
+        CampaignConfig(
+            cell=key, model=spec.models[0], n=n, t=min(1, n - 1)
+        ).validate()
+
 
 class TestCleanCampaigns:
     def test_aa_iis_all_decide_ok(self):

@@ -32,15 +32,8 @@ from repro.topology.kernels import (
     component_count,
     component_labels,
     facet_adjacency,
-    filter_intersecting,
-    filter_subsets,
-    filter_supersets,
-    iter_ridges,
     mask_components,
-    max_popcount,
-    pairwise_intersections,
     pairwise_unions,
-    popcount_sweep,
     ridge_table,
     vertex_adjacency,
 )
@@ -76,34 +69,14 @@ def families(draw, max_size=6):
 
 
 class TestKernelPrimitives:
-    def test_popcount_sweep(self):
-        assert popcount_sweep([0b1011, 0b1, 0, 0b1111]) == [3, 1, 0, 4]
-        assert popcount_sweep([]) == []
-
-    def test_max_popcount(self):
-        assert max_popcount([0b11, 0b10110, 0b1]) == 3
-        assert max_popcount([]) == 0
-
-    def test_containment_filters(self):
-        masks = [0b001, 0b011, 0b110, 0b111]
-        assert filter_subsets(masks, 0b011) == [0b001, 0b011]
-        assert filter_supersets(masks, 0b010) == [0b011, 0b110, 0b111]
-        assert filter_intersecting(masks, 0b100) == [0b110, 0b111]
-
     def test_pairwise_products(self):
         left, right = [0b011, 0b100], [0b110, 0b001]
-        assert pairwise_intersections(left, right) == [0b010, 0b001, 0b100]
         assert pairwise_unions(left, right) == [
             0b111,
             0b011,
             0b110,
             0b101,
         ]
-
-    def test_iter_ridges_clears_one_bit_each(self):
-        assert list(iter_ridges(0b1101)) == [0b1100, 0b1001, 0b0101]
-        assert list(iter_ridges(0b0100)) == []
-        assert list(iter_ridges(0)) == []
 
     def test_ridge_table_positions(self):
         # Two triangles sharing the edge {0,1}, plus an isolated vertex.
