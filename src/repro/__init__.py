@@ -37,7 +37,6 @@ Quick start::
 from repro.errors import (
     ReproError,
     ChromaticityError,
-    SimplicialityError,
     ScheduleError,
     TaskSpecificationError,
     SolvabilityError,
@@ -49,7 +48,6 @@ from repro.topology import (
     View,
     Simplex,
     SimplicialComplex,
-    SimplicialMap,
     CarrierMap,
     canonical_isomorphism,
 )
@@ -91,7 +89,6 @@ from repro.core import (
     closure_task,
     speedup_decision_map,
     verify_speedup_theorem,
-    is_fixed_point,
     impossibility_from_fixed_point,
     iterated_closure_lower_bound,
     ceil_log,
@@ -128,7 +125,6 @@ __all__ = [
     # errors
     "ReproError",
     "ChromaticityError",
-    "SimplicialityError",
     "ScheduleError",
     "TaskSpecificationError",
     "SolvabilityError",
@@ -139,7 +135,6 @@ __all__ = [
     "View",
     "Simplex",
     "SimplicialComplex",
-    "SimplicialMap",
     "CarrierMap",
     "canonical_isomorphism",
     # models
@@ -177,7 +172,6 @@ __all__ = [
     "closure_task",
     "speedup_decision_map",
     "verify_speedup_theorem",
-    "is_fixed_point",
     "impossibility_from_fixed_point",
     "iterated_closure_lower_bound",
     "ceil_log",

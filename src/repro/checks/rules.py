@@ -2,11 +2,11 @@
 
 The paper's machinery rests on structural side conditions that the data
 types only partially enforce at construction time — and that trusted fast
-paths (``SimplicialComplex.from_maximal``, ``check=False`` maps, the
-memoization layer) deliberately skip.  This module turns each side
-condition into a composable :class:`AuditRule` that inspects live objects
-and reports :class:`~repro.checks.findings.Finding` records instead of
-raising, so a single run can surface every violation at once.
+paths (``SimplicialComplex.from_maximal``, the memoization layer)
+deliberately skip.  This module turns each side condition into a
+composable :class:`AuditRule` that inspects live objects and reports
+:class:`~repro.checks.findings.Finding` records instead of raising, so a
+single run can surface every violation at once.
 
 Rule catalog
 ------------

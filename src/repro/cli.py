@@ -55,7 +55,7 @@ from repro.objects import (
     beta_input_function,
 )
 from repro.objects.base import BlackBox
-from repro.errors import ReproError
+from repro.errors import ReproError, TaskSpecificationError
 from repro.runtime import (
     Adversary,
     IteratedExecutor,
@@ -152,6 +152,11 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        # σ spreads the inputs evenly over [0, 1], which takes two ends.
+        raise TaskSpecificationError(
+            f"closure needs at least 2 processes, got --n {args.n}"
+        )
     ids = list(range(1, args.n + 1))
     eps = args.eps
     builder = (

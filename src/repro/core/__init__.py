@@ -32,7 +32,6 @@ from repro.core.closure import ClosureComputer, closure_task
 from repro.core.speedup import speedup_decision_map, verify_speedup_theorem
 from repro.core.fixed_point import (
     FixedPointReport,
-    is_fixed_point,
     impossibility_from_fixed_point,
 )
 from repro.core.lower_bounds import (
@@ -57,7 +56,6 @@ __all__ = [
     "speedup_decision_map",
     "verify_speedup_theorem",
     "FixedPointReport",
-    "is_fixed_point",
     "impossibility_from_fixed_point",
     "ceil_log",
     "iterated_closure_lower_bound",

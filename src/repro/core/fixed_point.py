@@ -7,7 +7,8 @@ otherwise shrink a ``t``-round algorithm to a 0-round one.
 
 Consensus is a fixed point of wait-free IIS (Corollary 1) and the relaxed
 consensus of Corollary 2 is a fixed point of IIS+test&set; both yield their
-impossibility results through :func:`impossibility_from_fixed_point`.
+impossibility results through :func:`impossibility_from_fixed_point`,
+the one place that compares ``Δ'`` with ``Δ``.
 """
 
 from __future__ import annotations
@@ -20,40 +21,9 @@ from repro.core.solvability import is_solvable
 from repro.models.base import ComputationModel
 from repro.tasks.task import Task
 from repro.telemetry import span
-from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
-__all__ = ["is_fixed_point", "impossibility_from_fixed_point", "FixedPointReport"]
-
-
-def is_fixed_point(
-    task: Task,
-    model: ComputationModel,
-    input_simplices: Optional[Iterable[Simplex]] = None,
-    quantify_beta: bool = False,
-) -> bool:
-    """``True`` iff ``Δ'(σ) = Δ(σ)`` on every given input simplex.
-
-    ``Δ ⊆ Δ'`` always holds (remark after Definition 2), so the check
-    amounts to ruling out any *extra* legal output in the closure.
-    """
-    computer = ClosureComputer(task, model, quantify_beta=quantify_beta)
-    pool = (
-        list(input_simplices)
-        if input_simplices is not None
-        else list(task.input_complex)
-    )
-    with span(
-        "core/fixed-point-check",
-        task=task.name,
-        model=model.name,
-        inputs=len(pool),
-    ):
-        for sigma in pool:
-            closed: SimplicialComplex = computer.delta_prime(sigma)
-            if closed.simplices != task.delta(sigma).simplices:
-                return False
-        return True
+__all__ = ["impossibility_from_fixed_point", "FixedPointReport"]
 
 
 @dataclass

@@ -23,8 +23,10 @@ why constraints range over all input simplices, not only facets).
 (vertex ranks, output bits, domain masks, allowed-mask sets), and
 propagation, component splitting and search run on those alone; the
 decision map is decoded back to vertices at the end.
-:func:`repro.core.certify.check_decision_map` re-checks a returned map
-on the original complexes.
+:func:`repro.core.certify.check_decision_map` can re-check a returned
+map on the original complexes; the tests and
+:func:`~repro.core.speedup.verify_speedup_theorem` call it, this module
+does not.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.kernels import mask_components
-from repro.topology.maps import SimplicialMap
 from repro.topology.simplex import Simplex
 from repro.topology.table import iter_bits, iter_submasks, popcount
 from repro.topology.vertex import Vertex
@@ -85,15 +86,6 @@ class DecisionMap:
         return Simplex(
             self.assignment[v] for v in protocol_simplex.vertices
         )
-
-    def as_simplicial_map(
-        self, source: SimplicialComplex, target: SimplicialComplex
-    ) -> SimplicialMap:
-        """Package the assignment as a checked :class:`SimplicialMap`."""
-        restricted = {
-            vertex: self.assignment[vertex] for vertex in source.vertices
-        }
-        return SimplicialMap(source, target, restricted)
 
 
 #: The constraints one vertex takes part in, for the search's consistency

@@ -14,9 +14,10 @@ also carries the black box's solo answer:
 :func:`speedup_decision_map` performs the construction;
 :func:`verify_speedup_theorem` additionally *checks* the theorem's statement
 on a concrete instance: it verifies that ``f`` solves ``Π`` in ``t`` rounds
-and that the constructed ``f'`` solves the closure in ``t - 1`` rounds
-(every image configuration ``τ = f'(ρ)`` is certified by exhibiting the
-1-round solvability of the local task ``Π_{τ,σ}``).
+(through :func:`repro.core.certify.check_decision_map`) and that the
+constructed ``f'`` solves the closure in ``t - 1`` rounds (every image
+configuration ``τ = f'(ρ)`` is certified by exhibiting the 1-round
+solvability of the local task ``Π_{τ,σ}``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.certify import check_decision_map
 from repro.core.closure import ClosureComputer
 from repro.core.solvability import DecisionMap
 from repro.errors import SolvabilityError
@@ -110,21 +112,6 @@ class SpeedupReport:
         return self.original_valid and self.sped_up_valid
 
 
-def _solves(
-    task: Task,
-    decision_map: DecisionMap,
-    operator: ProtocolOperator,
-    rounds: int,
-) -> bool:
-    for sigma in task.input_complex:
-        allowed = task.delta(sigma).simplices
-        protocol = operator.of_simplex(sigma, rounds)
-        for facet in protocol.facets:
-            if decision_map.output_simplex(facet) not in allowed:
-                return False
-    return True
-
-
 def verify_speedup_theorem(
     task: Task,
     model: ComputationModel,
@@ -144,7 +131,17 @@ def verify_speedup_theorem(
         rounds=rounds,
     ) as verify_span:
         operator = ProtocolOperator(model)
-        original_valid = _solves(task, decision_map, operator, rounds)
+        try:
+            check_decision_map(
+                task.input_complex,
+                task.delta,
+                lambda sigma: operator.of_simplex(sigma, rounds),
+                decision_map,
+            )
+        except SolvabilityError:
+            original_valid = False
+        else:
+            original_valid = True
 
         faster = speedup_decision_map(task, model, decision_map, operator)
         closure = ClosureComputer(task, model)

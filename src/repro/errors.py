@@ -3,7 +3,7 @@
 Every error raised by the library derives from :class:`ReproError`, so user
 code can catch library failures with a single ``except`` clause while still
 being able to distinguish the failure modes that matter (malformed chromatic
-data, non-simplicial maps, invalid schedules, ill-specified tasks).
+data, invalid schedules, ill-specified tasks).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ChromaticityError",
-    "SimplicialityError",
     "ScheduleError",
     "TaskSpecificationError",
     "SolvabilityError",
@@ -34,10 +33,6 @@ class ChromaticityError(ReproError, ValueError):
     Chromatic complexes require every simplex to carry pairwise-distinct
     colors, and chromatic maps must preserve the color of every vertex.
     """
-
-
-class SimplicialityError(ReproError, ValueError):
-    """A vertex map fails to send some simplex onto a simplex of the target."""
 
 
 class ScheduleError(ReproError, ValueError):

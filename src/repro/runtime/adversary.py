@@ -134,11 +134,15 @@ class RandomAdversary(Adversary):
     seed:
         RNG seed for reproducibility.
     crash_probability:
-        Per-process, per-round crash probability.  The adversary never
-        crashes the last surviving process.
+        Per-process, per-round crash probability, in ``[0, 1]``.  The
+        adversary never crashes the last surviving process.
     """
 
     def __init__(self, seed: int = 0, crash_probability: float = 0.0) -> None:
+        if not 0.0 <= crash_probability <= 1.0:
+            raise RuntimeModelError(
+                f"crash probability {crash_probability} outside [0, 1]"
+            )
         self._rng = random.Random(seed)
         self._crash_probability = crash_probability
 

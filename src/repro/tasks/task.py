@@ -2,16 +2,15 @@
 
 ``Δ`` maps each input simplex to the complex of its legal outputs, on the
 same colors.  The paper deliberately does **not** require ``Δ`` to be a
-carrier (monotone) map — local tasks (Definition 1) are not monotone — so
-:class:`Task` validates only chromaticity and containment in ``O``, and
-exposes monotonicity as a queryable property.
+carrier (monotone) map — local tasks (Definition 1) are not monotone.
+:class:`Task` checks nothing at construction: audit rule AUD008
+(``repro check``) checks that ``Δ`` is chromatic and inside ``O``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
-from repro.errors import TaskSpecificationError
 from repro.topology.carrier import CarrierMap
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -33,8 +32,8 @@ class Task:
     output_complex:
         The complex ``O`` of legal output states.
     delta:
-        Either a callable ``σ ↦ SimplicialComplex`` or an explicit mapping;
-        results are memoized through a :class:`CarrierMap`.
+        A callable ``σ ↦ SimplicialComplex``; results are memoized
+        through a :class:`CarrierMap`.
     """
 
     def __init__(
@@ -65,103 +64,9 @@ class Task:
         """``True`` iff ``τ ∈ Δ(σ)`` with matching colors."""
         return tau.ids == sigma.ids and tau in self.delta(sigma)
 
-    # ------------------------------------------------------------------
-    # Well-formedness
-    # ------------------------------------------------------------------
-    def validate(
-        self, simplices: Optional[Iterable[Simplex]] = None
-    ) -> None:
-        """Check chromaticity and output-containment of ``Δ``.
-
-        Raises
-        ------
-        TaskSpecificationError
-            If some ``Δ(σ)`` uses colors outside ``ID(σ)`` or contains
-            simplices not in the output complex.
-        """
-        pool = (
-            list(simplices)
-            if simplices is not None
-            else list(self.input_complex)
-        )
-        for sigma in pool:
-            allowed = self.delta(sigma)
-            if not allowed.ids <= sigma.ids:
-                raise TaskSpecificationError(
-                    f"{self.name}: Δ({sigma!r}) uses colors "
-                    f"{sorted(allowed.ids - sigma.ids)} outside ID(σ)"
-                )
-            stray = allowed.simplices - self.output_complex.simplices
-            if stray:
-                sample = next(iter(stray))
-                raise TaskSpecificationError(
-                    f"{self.name}: Δ({sigma!r}) contains {sample!r}, which "
-                    "is not a simplex of the output complex"
-                )
-
-    def is_monotone(
-        self, simplices: Optional[Iterable[Simplex]] = None
-    ) -> bool:
-        """Whether ``Δ`` is a carrier map on the given simplices."""
-        return self._delta.is_monotone(simplices)
-
-    # ------------------------------------------------------------------
-    # Derived tasks
-    # ------------------------------------------------------------------
-    def restricted_to(self, input_complex: SimplicialComplex) -> "Task":
-        """The same task on a subcomplex of the input complex.
-
-        Used by Theorem 4's recursion, which repeatedly restricts
-        approximate agreement to a shrinking set of participants.
-        """
-        stray = input_complex.simplices - self.input_complex.simplices
-        if stray:
-            raise TaskSpecificationError(
-                "restriction requires a subcomplex of the input complex"
-            )
-        return Task(
-            f"{self.name}|restricted",
-            input_complex,
-            self.output_complex,
-            self.delta,
-        )
-
     def with_name(self, name: str) -> "Task":
         """A renamed view of the same task."""
         return Task(name, self.input_complex, self.output_complex, self.delta)
-
-    def specification_table(
-        self, simplices: Optional[Iterable[Simplex]] = None
-    ) -> dict[Simplex, SimplicialComplex]:
-        """Materialize ``Δ`` into an explicit table (small tasks only)."""
-        pool = (
-            list(simplices)
-            if simplices is not None
-            else list(self.input_complex)
-        )
-        return {sigma: self.delta(sigma) for sigma in pool}
-
-    def same_specification_as(
-        self,
-        other: "Task",
-        simplices: Optional[Iterable[Simplex]] = None,
-    ) -> bool:
-        """``True`` iff both tasks agree on ``Δ`` over the given simplices.
-
-        This is the equality used by fixed-point arguments (e.g. "the
-        closure of consensus *is* consensus"): same inputs, same legal
-        outputs per input.  Output-complex padding is ignored.
-        """
-        if simplices is None:
-            if self.input_complex != other.input_complex:
-                return False
-            pool = list(self.input_complex)
-        else:
-            pool = list(simplices)
-        return all(
-            self.delta(sigma).simplices == other.delta(sigma).simplices
-            for sigma in pool
-        )
 
     def __repr__(self) -> str:
         return (

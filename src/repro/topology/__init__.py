@@ -1,9 +1,9 @@
 """Chromatic combinatorial topology substrate.
 
 This subpackage implements the topological language of the paper
-(Appendix A.1): chromatic simplicial complexes, chromatic simplicial maps,
-carrier maps, the canonical isomorphism χ between one-round complexes
-(Eq. (1)), and connectivity analysis of 1-skeletons.
+(Appendix A.1): chromatic simplicial complexes, carrier maps, the
+canonical isomorphism χ between one-round complexes (Eq. (1)), and
+connectivity analysis of 1-skeletons.
 
 Everything here is plain combinatorics over immutable value objects: a
 *vertex* is a pair ``(color, value)``, a *simplex* is a set of vertices with
@@ -15,17 +15,14 @@ from repro.topology.vertex import Vertex, value_sort_key
 from repro.topology.views import View
 from repro.topology.simplex import Simplex
 from repro.topology.complex import SimplicialComplex
-from repro.topology.maps import SimplicialMap
 from repro.topology.carrier import CarrierMap
 from repro.topology.isomorphism import (
     canonical_isomorphism,
-    find_color_preserving_isomorphism,
     relabel_complex,
 )
 from repro.topology.structure import (
     boundary_complex,
     is_pseudomanifold,
-    join_complexes,
     ridge_incidence,
 )
 from repro.topology.connectivity import (
@@ -46,10 +43,8 @@ __all__ = [
     "View",
     "Simplex",
     "SimplicialComplex",
-    "SimplicialMap",
     "CarrierMap",
     "canonical_isomorphism",
-    "find_color_preserving_isomorphism",
     "relabel_complex",
     "connected_components",
     "is_connected",
@@ -58,7 +53,6 @@ __all__ = [
     "value_sort_key",
     "boundary_complex",
     "is_pseudomanifold",
-    "join_complexes",
     "ridge_incidence",
     "VertexTable",
     "iter_bits",

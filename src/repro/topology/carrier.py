@@ -4,8 +4,9 @@ A carrier map ``Δ : K → 2^{K'}`` assigns to every simplex of ``K`` a
 subcomplex of ``K'`` on the same colors, monotonically (``σ' ⊆ σ`` implies
 ``Δ(σ') ⊆ Δ(σ)``).  Task specifications, protocol-complex maps ``Ξ``, and
 closure maps ``Δ'`` are all carrier-like; the paper deliberately does *not*
-force task maps to be monotone, so :class:`CarrierMap` records the property
-instead of enforcing it.
+force task maps to be monotone, so :class:`CarrierMap` does not enforce
+it (audit rules AUD003 and AUD004 check name preservation and declared
+monotonicity).
 
 Evaluations are memoized under ``(table_id, mask)`` int-pair keys over
 the domain complex's canonical vertex table — the same strict-probe
@@ -17,9 +18,9 @@ two small ints beats re-hashing a vertex tuple on every Δ evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Optional
 
-from repro.errors import ChromaticityError, TaskSpecificationError
+from repro.errors import ChromaticityError
 from repro.telemetry import default_registry
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -71,26 +72,6 @@ class CarrierMap:
         self._foreign_cache: dict[Simplex, SimplicialComplex] = {}
         self._name = name or "Δ"
 
-    @classmethod
-    def from_mapping(
-        cls,
-        domain: SimplicialComplex,
-        mapping: Mapping[Simplex, SimplicialComplex],
-        name: Optional[str] = None,
-    ) -> "CarrierMap":
-        """Build a carrier map from an explicit table."""
-        table = dict(mapping)
-
-        def lookup(simplex: Simplex) -> SimplicialComplex:
-            try:
-                return table[simplex]
-            except KeyError:
-                raise TaskSpecificationError(
-                    f"carrier map has no entry for {simplex!r}"
-                ) from None
-
-        return cls(domain, lookup, name=name)
-
     @property
     def domain(self) -> SimplicialComplex:
         """The domain complex."""
@@ -119,48 +100,6 @@ class CarrierMap:
         else:
             _CARRIER_STATS.hit()
         return found
-
-    # ------------------------------------------------------------------
-    # Structural checks
-    # ------------------------------------------------------------------
-    def is_monotone(
-        self, simplices: Optional[Iterable[Simplex]] = None
-    ) -> bool:
-        """Check ``σ' ⊆ σ ⟹ Δ(σ') ⊆ Δ(σ)`` over the given simplices.
-
-        When ``simplices`` is omitted, the check runs over every simplex of
-        the domain — fine for the small complexes of this library.
-        """
-        pool = list(simplices) if simplices is not None else list(self._domain)
-        for simplex in pool:
-            big = self(simplex).simplices
-            for face in simplex.proper_faces():
-                if not self(face).simplices <= big:
-                    return False
-        return True
-
-    def is_chromatic(
-        self, simplices: Optional[Iterable[Simplex]] = None
-    ) -> bool:
-        """Check that ``Δ(σ)`` only uses the colors of ``σ``."""
-        pool = list(simplices) if simplices is not None else list(self._domain)
-        return all(self(simplex).ids <= simplex.ids for simplex in pool)
-
-    def agrees_on(
-        self,
-        other: "CarrierMap",
-        simplices: Optional[Iterable[Simplex]] = None,
-    ) -> bool:
-        """``True`` iff both maps return equal complexes on every simplex."""
-        pool = list(simplices) if simplices is not None else list(self._domain)
-        return all(self(simplex) == other(simplex) for simplex in pool)
-
-    def total_image(self) -> SimplicialComplex:
-        """The union ``∪_σ Δ(σ)`` over all facets of the domain."""
-        image = SimplicialComplex.empty()
-        for facet in self._domain.facets:
-            image = image.union(self(facet))
-        return image
 
     def __repr__(self) -> str:
         return f"CarrierMap({self._name}, domain={self._domain!r})"

@@ -18,7 +18,7 @@ construction rather than by re-sorting set-iteration output.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.topology.complex import SimplicialComplex
 from repro.topology.kernels import (
@@ -34,7 +34,6 @@ __all__ = [
     "connected_components",
     "is_connected",
     "shortest_path",
-    "to_networkx",
 ]
 
 
@@ -110,23 +109,3 @@ def shortest_path(
         indices.append(parents[indices[-1]])
     indices.reverse()
     return [table.vertex_at(index) for index in indices]
-
-
-def to_networkx(complex_: SimplicialComplex) -> Any:
-    """Export the 1-skeleton as a :class:`networkx.Graph` (optional dep).
-
-    Typed ``Any`` because networkx is an optional dependency: the
-    annotation cannot name a class of a package that may be absent.
-    """
-    import networkx as nx
-
-    graph = nx.Graph()
-    table, masks = complex_._ensure_index()
-    adjacency = vertex_adjacency(masks, len(table))
-    vertex_at = table.vertex_at
-    graph.add_nodes_from(table.vertices)
-    for index, neighbors in enumerate(adjacency):
-        for neighbor in iter_bits(neighbors):
-            if neighbor > index:
-                graph.add_edge(vertex_at(index), vertex_at(neighbor))
-    return graph

@@ -1,26 +1,19 @@
-"""Isomorphisms between chromatic complexes.
+"""The canonical isomorphism ``χ`` of Eq. (1).
 
-Two kinds of isomorphism matter in the paper:
-
-* the *canonical isomorphism* ``χ`` of Eq. (1): for two input simplices
-  ``σ = {(i, x_i)}`` and ``σ' = {(i, x'_i)}`` on the same colors, the
-  one-round complexes ``P^(1)(σ)`` and ``P^(1)(σ')`` are isomorphic via the
-  vertex relabeling ``(i, {(j, x_j) : j ∈ J_i}) ↦ (i, {(j, x'_j) : j ∈ J_i})``
-  — and the same holds round after round.  :func:`canonical_isomorphism`
-  implements the relabeling generically by substituting base values inside
-  nested views.
-
-* generic color-preserving complex isomorphism, used by tests to compare
-  complexes up to value renaming (:func:`find_color_preserving_isomorphism`).
+For two input simplices ``σ = {(i, x_i)}`` and ``σ' = {(i, x'_i)}`` on
+the same colors, the one-round complexes ``P^(1)(σ)`` and ``P^(1)(σ')``
+are isomorphic via the vertex relabeling
+``(i, {(j, x_j) : j ∈ J_i}) ↦ (i, {(j, x'_j) : j ∈ J_i})`` — and the same
+holds round after round.  :func:`canonical_isomorphism` implements the
+relabeling generically by substituting base values inside nested views.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Mapping
 
 from repro.errors import ChromaticityError
 from repro.topology.complex import SimplicialComplex
-from repro.topology.maps import SimplicialMap
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 from repro.topology.views import View
@@ -30,7 +23,6 @@ __all__ = [
     "relabel_vertex",
     "relabel_complex",
     "canonical_isomorphism",
-    "find_color_preserving_isomorphism",
 ]
 
 
@@ -92,7 +84,7 @@ def canonical_isomorphism(
     source: SimplicialComplex,
     sigma: Simplex,
     sigma_prime: Simplex,
-) -> SimplicialMap:
+) -> dict[Vertex, Vertex]:
     """The canonical isomorphism ``χ : P^(1)(σ) → P^(1)(σ')`` of Eq. (1).
 
     Parameters
@@ -105,8 +97,9 @@ def canonical_isomorphism(
 
     Returns
     -------
-    SimplicialMap
-        The relabeling map, whose target is the relabeled complex.
+    dict[Vertex, Vertex]
+        The relabeling, on every vertex of ``source``; its image is
+        :func:`relabel_complex` of ``source`` with ``σ'``'s inputs.
     """
     if sigma.ids != sigma_prime.ids:
         raise ChromaticityError(
@@ -114,86 +107,7 @@ def canonical_isomorphism(
             f"colors, got {sorted(sigma.ids)} and {sorted(sigma_prime.ids)}"
         )
     replacements = sigma_prime.as_mapping()
-    target = relabel_complex(source, replacements)
-    vertex_map = {
+    return {
         vertex: relabel_vertex(vertex, replacements)
         for vertex in source.vertices
     }
-    return SimplicialMap(source, target, vertex_map, check=False)
-
-
-def find_color_preserving_isomorphism(
-    left: SimplicialComplex, right: SimplicialComplex
-) -> Optional[dict[Vertex, Vertex]]:
-    """Search for a color-preserving isomorphism between two complexes.
-
-    Returns a vertex bijection realizing the isomorphism, or ``None`` when
-    the complexes are not isomorphic.  Exhaustive backtracking — intended for
-    the small complexes this library manipulates (tests and figures).
-    """
-    if left.f_vector() != right.f_vector():
-        return None
-    left_vertices = left.sorted_vertices()
-    right_by_color: dict[int, tuple[Vertex, ...]] = {}
-    for vertex in right.vertices:
-        right_by_color.setdefault(vertex.color, ())
-        right_by_color[vertex.color] += (vertex,)
-    if sorted(v.color for v in left_vertices) != sorted(
-        v.color for v in right.vertices
-    ):
-        return None
-
-    left_faces = left.simplices
-    right_faces = right.simplices
-    assignment: dict[Vertex, Vertex] = {}
-    used: set = set()
-
-    # Degree-based compatibility pruning: a vertex can only map to a vertex
-    # contained in the same number of simplices.
-    def degree(vertex: Vertex, faces) -> int:
-        return sum(1 for s in faces if vertex in s)
-
-    left_degree = {v: degree(v, left_faces) for v in left.vertices}
-    right_degree = {v: degree(v, right_faces) for v in right.vertices}
-
-    def consistent(vertex: Vertex, image: Vertex) -> bool:
-        for simplex in left_faces:
-            if vertex not in simplex:
-                continue
-            mapped = [
-                assignment[v] for v in simplex.vertices if v in assignment
-            ]
-            if vertex not in assignment:
-                mapped.append(image)
-            if len(mapped) < 2:
-                continue
-            try:
-                candidate = Simplex(mapped)
-            except ChromaticityError:
-                return False
-            if candidate not in right_faces:
-                return False
-        return True
-
-    def backtrack(index: int) -> bool:
-        if index == len(left_vertices):
-            return True
-        vertex = left_vertices[index]
-        for image in right_by_color.get(vertex.color, ()):
-            if image in used:
-                continue
-            if left_degree[vertex] != right_degree[image]:
-                continue
-            if not consistent(vertex, image):
-                continue
-            assignment[vertex] = image
-            used.add(image)
-            if backtrack(index + 1):
-                return True
-            del assignment[vertex]
-            used.discard(image)
-        return False
-
-    if backtrack(0):
-        return dict(assignment)
-    return None

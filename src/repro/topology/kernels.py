@@ -36,7 +36,6 @@ from repro.telemetry import default_registry
 from repro.topology.table import popcount
 
 __all__ = [
-    "pairwise_unions",
     "ridge_table",
     "vertex_adjacency",
     "facet_adjacency",
@@ -46,22 +45,10 @@ __all__ = [
     "bfs_parents",
 ]
 
-_PRODUCTS = default_registry().cache("kernels.pairwise-products")
 _RIDGE_TABLES = default_registry().cache("kernels.ridge-tables")
 _ADJACENCY_BUILDS = default_registry().cache("kernels.adjacency-builds")
 _COMPONENT_SWEEPS = default_registry().cache("kernels.component-sweeps")
 _BFS_SWEEPS = default_registry().cache("kernels.bfs-sweeps")
-
-
-# ----------------------------------------------------------------------
-# Pairwise products
-# ----------------------------------------------------------------------
-def pairwise_unions(
-    left: Sequence[int], right: Sequence[int]
-) -> list[int]:
-    """All pairwise ORs between two batches (the join's facet products)."""
-    _PRODUCTS.built()
-    return [l_mask | r_mask for l_mask in left for r_mask in right]
 
 
 # ----------------------------------------------------------------------

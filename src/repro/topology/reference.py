@@ -42,7 +42,6 @@ __all__ = [
     "ridge_incidence_reference",
     "is_pseudomanifold_reference",
     "boundary_reference",
-    "join_reference",
 ]
 
 
@@ -298,27 +297,4 @@ def boundary_reference(
     incidence = ridge_incidence_reference(facets)
     return prune_reference(
         ridge for ridge, found in incidence.items() if len(found) == 1
-    )
-
-
-def join_reference(
-    left: Iterable[Simplex], right: Iterable[Simplex]
-) -> frozenset[Simplex]:
-    """Facets of the chromatic join by pairwise unions plus pruning.
-
-    The seed path pruned defensively; the kernel join proves pruning
-    unnecessary for disjoint colors, and this oracle (which does prune)
-    is what that claim is checked against.  Color disjointness is the
-    caller's responsibility, as in :func:`join_complexes`.
-    """
-    left_pool = list(left)
-    right_pool = list(right)
-    if not left_pool:
-        return frozenset(right_pool)
-    if not right_pool:
-        return frozenset(left_pool)
-    return prune_reference(
-        l_facet.union(r_facet)
-        for l_facet in left_pool
-        for r_facet in right_pool
     )

@@ -1,4 +1,4 @@
-"""Structural invariants of complexes: pseudomanifolds, boundaries, joins.
+"""Structural invariants of complexes: pseudomanifolds and boundaries.
 
 The one-round IIS complex of a simplex is a *subdivision* of it, so it must
 be a pseudomanifold with the subdivided boundary of the original simplex as
@@ -11,35 +11,25 @@ Definitions used (standard):
   (``(d-1)``-face) lies in at most two facets and the facet adjacency graph
   (facets sharing a ridge) is connected;
 * its **boundary** is the complex generated by the ridges lying in exactly
-  one facet;
-* the **join** of two chromatic complexes on disjoint color sets has as
-  facets the unions of their facets.
+  one facet.
 
-All three invariants run mask-native on the complex's canonical
+Both invariants run mask-native on the complex's canonical
 ``(table, facet masks)`` index via :mod:`repro.topology.kernels`: ridge
 enumeration is bit-clear iteration, the facet-adjacency graph is built
 from the ridge table keyed by ``(table_id, mask)``-canonical ridge
 masks, and connectivity is union-find over facet positions.  ``Simplex``
 objects are only materialized at the API boundary
 (:func:`ridge_incidence`'s return value); :func:`is_pseudomanifold`
-decides entirely at the mask level, and :func:`boundary_complex` /
-:func:`join_complexes` hand mask arrays straight to the trusted complex
-constructor.
+decides entirely at the mask level, and :func:`boundary_complex` hands
+mask arrays straight to the trusted complex constructor.
 """
 
 from __future__ import annotations
 
-from repro.errors import ChromaticityError
-from repro.topology.complex import (
-    SimplicialComplex,
-    _merge_tables,
-    _prune_masks,
-    _remap_mask,
-)
+from repro.topology.complex import SimplicialComplex, _prune_masks
 from repro.topology.kernels import (
     component_count,
     facet_adjacency,
-    pairwise_unions,
     ridge_table,
 )
 from repro.topology.simplex import Simplex
@@ -48,7 +38,6 @@ __all__ = [
     "ridge_incidence",
     "is_pseudomanifold",
     "boundary_complex",
-    "join_complexes",
 ]
 
 
@@ -106,36 +95,3 @@ def boundary_complex(complex_: SimplicialComplex) -> SimplicialComplex:
     # may put a boundary vertex under a boundary edge), so the family
     # still needs the maximality prune before the trusted constructor.
     return SimplicialComplex._from_masks(table, _prune_masks(border))
-
-
-def join_complexes(
-    left: SimplicialComplex, right: SimplicialComplex
-) -> SimplicialComplex:
-    """The chromatic join ``K * L`` of complexes on disjoint colors.
-
-    Raises
-    ------
-    ChromaticityError
-        If the two complexes share a color (the join would not be
-        chromatic).
-    """
-    shared = left.ids & right.ids
-    if shared:
-        raise ChromaticityError(
-            f"join requires disjoint colors; shared: {sorted(shared)}"
-        )
-    if left.is_empty():
-        return right
-    if right.is_empty():
-        return left
-    left_table, left_masks = left._ensure_index()
-    right_table, right_masks = right._ensure_index()
-    merged, left_map, right_map = _merge_tables(left_table, right_table)
-    joined = pairwise_unions(
-        [_remap_mask(mask, left_map) for mask in left_masks],
-        [_remap_mask(mask, right_map) for mask in right_masks],
-    )
-    # No pruning pass: with disjoint colors, l1|r1 ⊆ l2|r2 splits into
-    # l1 ⊆ l2 and r1 ⊆ r2, and both sides are maximal families — so the
-    # pairwise unions are automatically inclusion-maximal (and distinct).
-    return SimplicialComplex._from_masks(merged, joined)

@@ -2,8 +2,7 @@
 
 from fractions import Fraction
 
-
-from repro.core import impossibility_from_fixed_point, is_fixed_point
+from repro.core import impossibility_from_fixed_point
 from repro.tasks import (
     approximate_agreement_task,
     binary_consensus_task,
@@ -18,7 +17,11 @@ def F(num, den=1):
 
 class TestFixedPointDetection:
     def test_consensus_is_fixed_point_of_iis_two_procs(self, iis):
-        assert is_fixed_point(binary_consensus_task([1, 2]), iis)
+        report = impossibility_from_fixed_point(
+            binary_consensus_task([1, 2]), iis
+        )
+        assert report.fixed_point
+        assert report.counterexamples == []
 
     def test_consensus_is_fixed_point_of_iis_three_procs(self, iis):
         task = binary_consensus_task([1, 2, 3])
@@ -29,13 +32,20 @@ class TestFixedPointDetection:
             for sigma in task.input_complex.simplices_of_dim(2)
             if len({v.value for v in sigma.vertices}) == 2
         ]
-        assert is_fixed_point(task, iis, input_simplices=mixed)
+        report = impossibility_from_fixed_point(
+            task, iis, input_simplices=mixed
+        )
+        assert report.fixed_point
 
     def test_aa_is_not_fixed_point(self, iis):
         # The whole point of Section 5: ε-AA closes to (3ε)-AA, not itself.
         task = approximate_agreement_task([1, 2], F(1, 4), 4)
         sigma = input_simplex({1: F(0), 2: F(1)})
-        assert not is_fixed_point(task, iis, input_simplices=[sigma])
+        report = impossibility_from_fixed_point(
+            task, iis, input_simplices=[sigma]
+        )
+        assert not report.fixed_point
+        assert report.counterexamples == [sigma]
 
     def test_relaxed_consensus_fixed_point_of_tas(self, iis_tas):
         # Corollary 2's engine.
@@ -45,14 +55,20 @@ class TestFixedPointDetection:
             for sigma in task.input_complex.simplices_of_dim(2)
             if len({v.value for v in sigma.vertices}) == 2
         ]
-        assert is_fixed_point(task, iis_tas, input_simplices=mixed)
+        report = impossibility_from_fixed_point(
+            task, iis_tas, input_simplices=mixed
+        )
+        assert report.fixed_point
 
     def test_plain_consensus_not_fixed_point_of_tas(self, iis_tas):
         # Two-process faces become solvable with test&set, so the closure
         # is strictly bigger than Δ on 1-dimensional simplices.
         task = binary_consensus_task([1, 2, 3])
         edge = input_simplex({1: 0, 2: 1})
-        assert not is_fixed_point(task, iis_tas, input_simplices=[edge])
+        report = impossibility_from_fixed_point(
+            task, iis_tas, input_simplices=[edge]
+        )
+        assert report.counterexamples == [edge]
 
 
 class TestImpossibilityPipeline:

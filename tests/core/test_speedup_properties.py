@@ -78,7 +78,7 @@ def test_speedup_theorem_holds_on_random_tasks(task):
     report = verify_speedup_theorem(task, IIS, decision)
     assert report.original_valid
     assert report.sped_up_valid, (
-        f"speedup violated on {task.specification_table()}: "
+        f"speedup violated on { {s: task.delta(s) for s in task.input_complex} }: "
         f"{report.violations}"
     )
 
@@ -136,7 +136,7 @@ def test_extended_speedup_theorem_holds_on_random_tasks(task):
     report = verify_speedup_theorem(task, TAS_MODEL, decision)
     assert report.original_valid
     assert report.sped_up_valid, (
-        f"extended speedup violated on {task.specification_table()}: "
+        f"extended speedup violated on { {s: task.delta(s) for s in task.input_complex} }: "
         f"{report.violations}"
     )
 

@@ -88,6 +88,11 @@ class TestRandomAdversary:
             if len(active) == 1:
                 break
 
+    @pytest.mark.parametrize("probability", [-0.1, 1.5, float("nan")])
+    def test_probability_outside_unit_interval_rejected(self, probability):
+        with pytest.raises(RuntimeModelError, match="outside"):
+            RandomAdversary(seed=0, crash_probability=probability)
+
     def test_zero_probability_never_crashes(self):
         adversary = RandomAdversary(seed=3, crash_probability=0.0)
         assert adversary.crashes(1, ACTIVE) == frozenset()

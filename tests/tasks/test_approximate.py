@@ -75,8 +75,9 @@ class TestStandardTask:
         right = task.delta(input_simplex({1: F(1, 2), 2: F(0)}))
         assert left is right  # same (ids, min, max) key
 
-    def test_validates(self):
-        approximate_agreement_task([1, 2], F(1, 2), 2).validate()
+    def test_validates(self, audit):
+        task = approximate_agreement_task([1, 2], F(1, 2), 2)
+        assert audit("task", task) == set()
 
     def test_epsilon_one_makes_everything_legal(self):
         task = approximate_agreement_task([1, 2], 1, 2)
@@ -121,8 +122,9 @@ class TestLiberalTask:
                 <= liberal.delta(sigma).simplices
             )
 
-    def test_validates(self):
-        liberal_approximate_agreement_task([1, 2, 3], F(1, 2), 2).validate()
+    def test_validates(self, audit):
+        task = liberal_approximate_agreement_task([1, 2, 3], F(1, 2), 2)
+        assert audit("task", task) == set()
 
     def test_values_are_exact_fractions(self):
         task = liberal_approximate_agreement_task([1, 2], F(1, 4), 4)

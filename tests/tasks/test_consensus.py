@@ -35,8 +35,8 @@ class TestBinaryConsensus:
         sigma = input_simplex({2: 0})
         assert task.delta(sigma).facets == frozenset({sigma})
 
-    def test_validates(self):
-        binary_consensus_task([1, 2, 3]).validate()
+    def test_validates(self, audit):
+        assert audit("task", binary_consensus_task([1, 2, 3])) == set()
 
 
 class TestMultivaluedConsensus:
@@ -55,8 +55,9 @@ class TestMultivaluedConsensus:
                 values = {v.value for v in facet.vertices}
                 assert len(values) == 1
 
-    def test_validates(self):
-        multivalued_consensus_task([1, 2], ["x", "y", "z"]).validate()
+    def test_validates(self, audit):
+        task = multivalued_consensus_task([1, 2], ["x", "y", "z"])
+        assert audit("task", task) == set()
 
 
 class TestRelaxedConsensus:
@@ -105,5 +106,5 @@ class TestRelaxedConsensus:
                 <= relaxed.delta(sigma).simplices
             )
 
-    def test_validates(self):
-        relaxed_consensus_task([1, 2, 3]).validate()
+    def test_validates(self, audit):
+        assert audit("task", relaxed_consensus_task([1, 2, 3])) == set()

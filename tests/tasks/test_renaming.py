@@ -35,8 +35,8 @@ class TestSpecification:
         with pytest.raises(TaskSpecificationError):
             renaming_task([1], 0)
 
-    def test_validates(self):
-        renaming_task([1, 2], 3).validate()
+    def test_validates(self, audit):
+        assert audit("task", renaming_task([1, 2], 3)) == set()
 
 
 class TestSolvability:

@@ -47,5 +47,6 @@ class TestSetAgreement:
             not in task.output_complex
         )
 
-    def test_validates(self):
-        set_agreement_task([1, 2, 3], ["a", "b"], 2).validate()
+    def test_validates(self, audit):
+        task = set_agreement_task([1, 2, 3], ["a", "b"], 2)
+        assert audit("task", task) == set()

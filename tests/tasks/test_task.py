@@ -1,4 +1,4 @@
-"""Unit tests for the Task triple and its well-formedness checks."""
+"""Unit tests for the Task triple and its well-formedness gate (AUD008)."""
 
 import pytest
 
@@ -59,10 +59,10 @@ class TestTaskBasics:
         # Color mismatch is never legal.
         assert not task.is_legal_output(sigma, input_simplex({1: 0}))
 
-    def test_validate_passes_for_consensus(self):
-        binary_consensus_task([1, 2, 3]).validate()
+    def test_validate_passes_for_consensus(self, audit):
+        assert audit("task", binary_consensus_task([1, 2, 3])) == set()
 
-    def test_validate_rejects_color_leak(self):
+    def test_validate_rejects_color_leak(self, audit):
         def delta(sigma):
             return SimplicialComplex.from_simplex(Simplex([(99, 0)]))
 
@@ -72,10 +72,9 @@ class TestTaskBasics:
             SimplicialComplex.from_simplex(Simplex([(99, 0)])),
             delta,
         )
-        with pytest.raises(TaskSpecificationError):
-            task.validate()
+        assert audit("task", task) == {"AUD008"}
 
-    def test_validate_rejects_output_outside_complex(self):
+    def test_validate_rejects_output_outside_complex(self, audit):
         def delta(sigma):
             return SimplicialComplex.from_simplex(
                 Simplex((i, "stray") for i in sorted(sigma.ids))
@@ -87,45 +86,15 @@ class TestTaskBasics:
             binary_input_complex([1]),
             delta,
         )
-        with pytest.raises(TaskSpecificationError):
-            task.validate()
+        assert audit("task", task) == {"AUD008"}
 
 
 class TestDerivedTasks:
-    def test_restricted_to_subcomplex(self):
-        task = binary_consensus_task([1, 2, 3])
-        sub = SimplicialComplex.from_simplex(input_simplex({1: 0, 2: 1}))
-        restricted = task.restricted_to(sub)
-        assert restricted.input_complex == sub
-        # Same Δ on surviving simplices.
-        sigma = input_simplex({1: 0, 2: 1})
-        assert restricted.delta(sigma) == task.delta(sigma)
-
-    def test_restricted_to_non_subcomplex_rejected(self):
-        task = binary_consensus_task([1, 2])
-        foreign = SimplicialComplex.from_simplex(input_simplex({1: "z"}))
-        with pytest.raises(TaskSpecificationError):
-            task.restricted_to(foreign)
-
     def test_with_name(self):
         task = binary_consensus_task([1, 2]).with_name("renamed")
         assert task.name == "renamed"
 
-    def test_same_specification_as_self(self):
-        left = binary_consensus_task([1, 2])
-        right = binary_consensus_task([1, 2])
-        assert left.same_specification_as(right)
-
-    def test_specification_differs_across_sizes(self):
-        left = binary_consensus_task([1, 2])
-        right = binary_consensus_task([1, 2, 3])
-        assert not left.same_specification_as(right)
-
-    def test_specification_table(self):
-        task = binary_consensus_task([1, 2])
-        table = task.specification_table()
-        assert set(table) == set(task.input_complex.simplices)
-
-    def test_monotonicity_of_consensus(self):
+    def test_monotonicity_of_consensus(self, audit):
         # Consensus Δ is a carrier map: faces' outputs are contained.
-        assert binary_consensus_task([1, 2]).is_monotone()
+        delta_map = binary_consensus_task([1, 2]).delta_map
+        assert audit("carrier", delta_map, expect_monotone=True) == set()

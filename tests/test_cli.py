@@ -374,12 +374,18 @@ class TestInputErrors:
             (["impossibility", "consensus", "--n", "0"], "error: "),
             (["bounds", "--eps=-1/8"], "ε > 0"),
             (["bounds", "--n", "2", "--eps", "0"], "ε > 0"),
+            (["closure", "--n", "1"], "at least 2 processes"),
+            (
+                ["run", "halving", "--inputs", "0,1", "--crash", "1.5"],
+                "crash probability 1.5 outside [0, 1]",
+            ),
         ],
     )
     def test_library_errors_exit_one(self, argv, needle, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert needle in captured.err
         assert "rounds" not in captured.out
 

@@ -8,7 +8,6 @@ from repro.errors import (
     ReproError,
     RuntimeModelError,
     ScheduleError,
-    SimplicialityError,
     SolvabilityError,
     TaskSpecificationError,
 )
@@ -19,7 +18,6 @@ class TestHierarchy:
         "exception_type",
         [
             ChromaticityError,
-            SimplicialityError,
             ScheduleError,
             TaskSpecificationError,
             SolvabilityError,
@@ -34,7 +32,6 @@ class TestHierarchy:
         "exception_type",
         [
             ChromaticityError,
-            SimplicialityError,
             ScheduleError,
             TaskSpecificationError,
             ModelError,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import TaskSpecificationError
 from repro.topology import CarrierMap, Simplex, SimplicialComplex
 
 
@@ -31,18 +30,6 @@ class TestEvaluation:
         second = carrier(triangle)
         assert first == second
         assert len(calls) == 1
-
-    def test_from_mapping(self, domain, triangle):
-        table = {
-            simplex: constant_delta(simplex) for simplex in domain
-        }
-        carrier = CarrierMap.from_mapping(domain, table)
-        assert carrier(triangle) == constant_delta(triangle)
-
-    def test_from_mapping_missing_entry(self, domain, triangle):
-        carrier = CarrierMap.from_mapping(domain, {})
-        with pytest.raises(TaskSpecificationError):
-            carrier(triangle)
 
     def test_mask_key_shares_equal_but_distinct_simplices(self, domain):
         calls = []
@@ -75,11 +62,13 @@ class TestEvaluation:
 
 
 class TestStructuralChecks:
-    def test_monotone(self, domain):
-        carrier = CarrierMap(domain, constant_delta)
-        assert carrier.is_monotone()
+    """Name preservation (AUD003) and declared monotonicity (AUD004)."""
 
-    def test_non_monotone_detected(self, domain, triangle):
+    def test_monotone(self, domain, audit):
+        carrier = CarrierMap(domain, constant_delta)
+        assert audit("carrier", carrier, expect_monotone=True) == set()
+
+    def test_non_monotone_detected(self, domain, audit):
         def delta(sigma):
             if sigma.dim == 0:
                 # A vertex maps to something NOT inside the edge images.
@@ -89,24 +78,14 @@ class TestStructuralChecks:
             return constant_delta(sigma)
 
         carrier = CarrierMap(domain, delta)
-        assert not carrier.is_monotone()
+        assert audit("carrier", carrier, expect_monotone=True) == {"AUD004"}
 
-    def test_chromatic(self, domain):
+    def test_chromatic(self, domain, audit):
         carrier = CarrierMap(domain, constant_delta)
-        assert carrier.is_chromatic()
+        assert audit("carrier", carrier) == set()
 
-    def test_non_chromatic_detected(self, domain):
+    def test_non_chromatic_detected(self, domain, audit):
         def delta(sigma):
             return SimplicialComplex.from_simplex(Simplex([(99, 0)]))
 
-        assert not CarrierMap(domain, delta).is_chromatic()
-
-    def test_agrees_on(self, domain):
-        left = CarrierMap(domain, constant_delta)
-        right = CarrierMap(domain, constant_delta)
-        assert left.agrees_on(right)
-
-    def test_total_image(self, domain, triangle):
-        carrier = CarrierMap(domain, constant_delta)
-        image = carrier.total_image()
-        assert image == constant_delta(triangle)
+        assert audit("carrier", CarrierMap(domain, delta)) == {"AUD003"}

@@ -8,7 +8,6 @@ from repro.topology.connectivity import (
     is_connected,
     one_skeleton_adjacency,
     shortest_path,
-    to_networkx,
 )
 
 
@@ -115,10 +114,3 @@ class TestDeterminism:
             for component in first
         ]
         assert smallest == sorted(smallest, key=lambda v: v._sort_key())
-
-
-class TestNetworkxExport:
-    def test_export_matches_adjacency(self, path_complex):
-        graph = to_networkx(path_complex)
-        assert graph.number_of_nodes() == len(path_complex.vertices)
-        assert graph.number_of_edges() == 3

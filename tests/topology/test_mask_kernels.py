@@ -33,14 +33,12 @@ from repro.topology.kernels import (
     component_labels,
     facet_adjacency,
     mask_components,
-    pairwise_unions,
     ridge_table,
     vertex_adjacency,
 )
 from repro.topology.structure import (
     boundary_complex,
     is_pseudomanifold,
-    join_complexes,
     ridge_incidence,
 )
 from repro.topology.table import VertexTable
@@ -69,15 +67,6 @@ def families(draw, max_size=6):
 
 
 class TestKernelPrimitives:
-    def test_pairwise_products(self):
-        left, right = [0b011, 0b100], [0b110, 0b001]
-        assert pairwise_unions(left, right) == [
-            0b111,
-            0b011,
-            0b110,
-            0b101,
-        ]
-
     def test_ridge_table_positions(self):
         # Two triangles sharing the edge {0,1}, plus an isolated vertex.
         masks = [0b0111, 0b1011, 0b10000]
@@ -189,24 +178,6 @@ class TestStructureParity:
         assert boundary_complex(
             complex_
         ).facets == reference.boundary_reference(complex_.facets)
-
-    @given(families(max_size=4), families(max_size=4))
-    def test_join_matches_pruning_oracle(self, left, right):
-        # Shift the right side's colors out of the left's range so the
-        # join is chromatic; the kernel join skips the pruning pass and
-        # must still equal the oracle that prunes defensively.
-        shifted = [
-            Simplex(
-                (vertex.color + 10, vertex.value)
-                for vertex in simplex.vertices
-            )
-            for simplex in right
-        ]
-        a = SimplicialComplex(left)
-        b = SimplicialComplex(shifted)
-        assert join_complexes(a, b).facets == reference.join_reference(
-            a.facets, b.facets
-        )
 
 
 class TestLazyMaterialization:

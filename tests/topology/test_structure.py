@@ -1,15 +1,13 @@
-"""Unit tests for pseudomanifolds, boundaries, and joins."""
+"""Unit tests for pseudomanifolds and boundaries."""
 
 import pytest
 
-from repro.errors import ChromaticityError
 from repro.models import standard_chromatic_subdivision
 from repro.topology import (
     Simplex,
     SimplicialComplex,
     boundary_complex,
     is_pseudomanifold,
-    join_complexes,
     ridge_incidence,
 )
 
@@ -115,27 +113,6 @@ class TestBoundary:
 
 
 class TestJoin:
-    def test_join_of_vertices_is_edge(self):
-        left = SimplicialComplex([Simplex([(1, "a")])])
-        right = SimplicialComplex([Simplex([(2, "b")])])
-        joined = join_complexes(left, right)
-        assert joined.facets == frozenset({Simplex([(1, "a"), (2, "b")])})
-
-    def test_join_with_empty_is_identity(self, triangle):
-        complex_ = SimplicialComplex.from_simplex(triangle)
-        assert join_complexes(complex_, SimplicialComplex.empty()) == complex_
-        assert join_complexes(SimplicialComplex.empty(), complex_) == complex_
-
-    def test_shared_colors_rejected(self, triangle):
-        complex_ = SimplicialComplex.from_simplex(triangle)
-        with pytest.raises(ChromaticityError):
-            join_complexes(complex_, complex_)
-
-    def test_join_dimension(self):
-        left = SimplicialComplex.from_simplex(Simplex([(1, "a"), (2, "b")]))
-        right = SimplicialComplex.from_simplex(Simplex([(3, "c")]))
-        assert join_complexes(left, right).dim == 2
-
     def test_protocol_complex_is_not_a_join(self, iis):
         # join(P^(1)({1}), P^(1)({2})) pairs the two SOLO views in one
         # simplex — an execution where both processes see only themselves,
@@ -143,12 +120,12 @@ class TestJoin:
         # earlier write).  The protocol complex is strictly thinner than
         # the join of its face complexes: that missing simplex is the whole
         # content of the consensus impossibility for two processes.
-        left = iis.one_round_complex(Simplex([(1, "a")]))
-        right = iis.one_round_complex(Simplex([(2, "b")]))
-        joined = join_complexes(left, right)
+        (left,) = iis.one_round_complex(Simplex([(1, "a")])).vertices
+        (right,) = iis.one_round_complex(Simplex([(2, "b")])).vertices
         full = iis.protocol_complex(
             SimplicialComplex.from_simplex(Simplex([(1, "a"), (2, "b")])), 1
         )
-        assert not joined.simplices <= full.simplices
-        both_solo = next(iter(joined.facets))
+        # The join of the two solo complexes is this one edge.
+        both_solo = Simplex([left, right])
+        assert {left, right} <= full.vertices
         assert both_solo not in full
