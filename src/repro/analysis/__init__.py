@@ -27,7 +27,6 @@ from repro.analysis.cache_report import (
     cache_stats_rows,
     render_cache_report,
 )
-from repro.analysis.export import to_dot, facet_listing, vertex_legend
 
 __all__ = [
     "model_census",
@@ -43,7 +42,4 @@ __all__ = [
     "CacheStatsRow",
     "cache_stats_rows",
     "render_cache_report",
-    "to_dot",
-    "facet_listing",
-    "vertex_legend",
 ]

@@ -14,8 +14,7 @@ RPR001    never assign to the internal attributes of :class:`Vertex`,
           own modules — the memoization layer interns and shares these
           objects, so one mutation corrupts every holder of the object
 RPR002    construction sites that already hold an inclusion-maximal
-          facet family (``x.facets``, ``x.sorted_facets()``,
-          ``x.facets_containing(v)``) must use
+          facet family (``x.facets``, ``x.sorted_facets()``) must use
           ``SimplicialComplex.from_maximal``, not the pruning
           constructor — the prune is pure overhead there
 RPR003    ``default_registry().cache(name)`` is a registry lookup;
@@ -115,9 +114,7 @@ _WALLCLOCK: frozenset[str] = frozenset(
 
 #: Methods of SimplicialComplex whose return value is already an
 #: inclusion-maximal facet family.
-_MAXIMAL_PRODUCERS: frozenset[str] = frozenset(
-    {"sorted_facets", "facets_containing"}
-)
+_MAXIMAL_PRODUCERS: frozenset[str] = frozenset({"sorted_facets"})
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,10 @@ AUD011    trace      telemetry trace span-tree well-formedness: every
                      JSON-serializable, metric deltas numeric (the
                      artifact header is ``load_trace``'s to check)
 AUD013    complex    bitmask-core parity: pruning, containment,
-                     ``proj``/``star``/``skeleton``, ``union``/
-                     ``intersection`` and the f-vector computed through
-                     the mask index equal the retained object-set
-                     reference algorithms on the live complex
-AUD016    complex    mask-kernel parity: 1-skeleton adjacency,
-                     connected components, shortest paths, ridge
-                     incidence, the pseudomanifold test, and the
-                     boundary complex computed by the mask-sweep
-                     kernels equal the object-set oracles of
-                     ``topology/reference.py`` on the live complex
+                     ``proj``, ``union``/``intersection`` and the
+                     f-vector computed through the mask index equal the
+                     retained object-set reference algorithms on the
+                     live complex
 ========  =========  ====================================================
 
 Each rule applies to one *kind* of :class:`AuditTarget`; the driver in
@@ -248,9 +242,9 @@ def check_bitmask_reference_parity(
     """Cross-check the mask index against the retained seed algorithms.
 
     The bitmask-native core answers pruning, membership, projection,
-    star, skeleton, union, intersection, and f-vector queries through
-    integer masks; :mod:`repro.topology.reference` keeps the seed
-    object-set implementations.  This probe runs both on the live
+    union, intersection, and f-vector queries through integer masks;
+    :mod:`repro.topology.reference` keeps the seed object-set
+    implementations.  This probe runs both on the live
     complex and requires identical answers — a divergence means the mask
     index (or a trusted constructor feeding it) is corrupt even though
     every individual facet looks healthy.
@@ -331,16 +325,6 @@ def check_bitmask_reference_parity(
         ):
             yield mismatch("proj", f"projection onto {keep} diverges")
 
-    star_vertex = ordered[0].vertices[0]
-    if live.star(star_vertex).facets != reference.star_reference(
-        family, star_vertex
-    ):
-        yield mismatch("star", f"star of {star_vertex!r} diverges")
-
-    k = live.dim - 1
-    if live.skeleton(k).facets != reference.skeleton_reference(family, k):
-        yield mismatch("skeleton", f"{k}-skeleton diverges")
-
     left, right = ordered[::2], ordered[1::2]
     if left and right:
         left_complex = SimplicialComplex.from_maximal(left)
@@ -365,139 +349,6 @@ def check_bitmask_reference_parity(
             f"{live.f_vector()} vs "
             f"{reference.f_vector_reference(family)}",
         )
-
-
-@audit_rule(
-    "AUD016",
-    "complex",
-    "mask kernels agree with the connectivity/structure oracles",
-)
-def check_mask_kernel_parity(target: AuditTarget) -> Iterator[Finding]:
-    """Cross-check the mask-sweep kernels against the object oracles.
-
-    Connectivity (:mod:`repro.topology.connectivity`) and structural
-    invariants (:mod:`repro.topology.structure`) run as batch bitwise
-    kernels over the complex's mask index;
-    :mod:`repro.topology.reference` keeps the pre-kernel object-set
-    algorithms.  This probe runs both on the live complex — the same
-    target population as AUD013, one layer up the stack: AUD013 proves
-    the index itself sound, this rule proves the sweeps over it.
-
-    Malformed families are AUD001's findings and are skipped here;
-    oversized complexes are audited on a deterministic 64-facet
-    subfamily so the reference side stays affordable.
-    """
-    from repro.topology import reference
-    from repro.topology.connectivity import (
-        connected_components,
-        one_skeleton_adjacency,
-        shortest_path,
-    )
-    from repro.topology.structure import (
-        boundary_complex,
-        is_pseudomanifold,
-        ridge_incidence,
-    )
-
-    complex_: SimplicialComplex = target.obj
-    facets = list(complex_.facets)
-    if not facets:
-        return
-    for facet in facets:
-        if not isinstance(facet, Simplex):
-            return
-        colors = [v.color for v in facet.vertices]
-        if any(not isinstance(c, int) for c in colors):
-            return
-        if len(set(colors)) != len(colors):
-            return
-
-    def mismatch(operation: str, detail: str) -> Finding:
-        return Finding(
-            "AUD016",
-            Severity.ERROR,
-            target.path,
-            f"mask-kernel {operation} disagrees with the object-set "
-            f"oracle: {detail}",
-        )
-
-    ordered = sorted(facets, key=lambda s: s._sort_key())
-    if len(ordered) > 64:
-        # A subfamily of an inclusion-maximal family is still maximal.
-        ordered = ordered[:64]
-        live = SimplicialComplex.from_maximal(ordered)
-    else:
-        live = complex_
-    family = frozenset(ordered)
-
-    if one_skeleton_adjacency(live) != reference.adjacency_reference(
-        family
-    ):
-        yield mismatch("adjacency", "1-skeleton neighbor sets diverge")
-
-    live_components = connected_components(live)
-    oracle_components = reference.components_reference(family)
-    if live_components != oracle_components:
-        yield mismatch(
-            "components",
-            f"{len(live_components)} components vs "
-            f"{len(oracle_components)} from the oracle",
-        )
-
-    # Shortest paths can tie, so compare reachability and length, not
-    # the vertex sequence.  Probing within the first component and
-    # across components (when there are two) covers both answers.
-    probes = []
-    first = sorted(
-        oracle_components[0], key=lambda v: v._sort_key()
-    )
-    probes.append((first[0], first[-1]))
-    if len(oracle_components) > 1:
-        second = sorted(
-            oracle_components[1], key=lambda v: v._sort_key()
-        )
-        probes.append((first[0], second[0]))
-    for start, goal in probes:
-        live_path = shortest_path(live, start, goal)
-        oracle_path = reference.shortest_path_reference(
-            family, start, goal
-        )
-        live_length = None if live_path is None else len(live_path)
-        oracle_length = None if oracle_path is None else len(oracle_path)
-        if live_length != oracle_length:
-            yield mismatch(
-                "shortest-path",
-                f"{start!r} → {goal!r} gives length {live_length} vs "
-                f"{oracle_length}",
-            )
-
-    live_incidence = ridge_incidence(live)
-    oracle_incidence = reference.ridge_incidence_reference(family)
-    if {
-        ridge: frozenset(found)
-        for ridge, found in live_incidence.items()
-    } != {
-        ridge: frozenset(found)
-        for ridge, found in oracle_incidence.items()
-    }:
-        yield mismatch("ridge-incidence", "ridge → facet maps diverge")
-
-    for require_connected in (True, False):
-        if is_pseudomanifold(
-            live, require_connected
-        ) != reference.is_pseudomanifold_reference(
-            family, require_connected
-        ):
-            yield mismatch(
-                "pseudomanifold",
-                f"verdict diverges (require_connected="
-                f"{require_connected})",
-            )
-
-    if boundary_complex(live).facets != reference.boundary_reference(
-        family
-    ):
-        yield mismatch("boundary", "boundary facet sets diverge")
 
 
 # ----------------------------------------------------------------------

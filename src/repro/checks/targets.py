@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.checks.rules import AuditTarget
 from repro.core.closure import ClosureComputer
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
@@ -322,12 +322,7 @@ def build_group(name: str) -> tuple[AuditTarget, ...]:
 
 def groups_for_experiment(identifier: str) -> tuple[str, ...]:
     """The target groups audited for one experiment id (e.g. ``"E7"``)."""
-    key = identifier.upper()
-    if key not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(
-            f"unknown experiment {identifier!r}; known ids: {known}"
-        )
+    key = get_experiment(identifier).identifier
     try:
         return _EXPERIMENT_GROUPS[key]
     except KeyError:

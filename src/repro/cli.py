@@ -306,10 +306,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.all:
         reports.append(audit_all())
     elif args.ids:
-        try:
-            reports.append(audit_experiments(args.ids))
-        except KeyError as exc:
-            raise SystemExit(str(exc.args[0]))
+        reports.append(audit_experiments(args.ids))
     if not reports:
         # Bare `repro check` audits everything, like `--all`.
         reports.append(audit_all())

@@ -48,9 +48,13 @@ from repro.models.protocol import ProtocolOperator
 from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
-from repro.topology.kernels import mask_components
 from repro.topology.simplex import Simplex
-from repro.topology.table import iter_bits, iter_submasks, popcount
+from repro.topology.table import (
+    iter_bits,
+    iter_submasks,
+    mask_components,
+    popcount,
+)
 from repro.topology.vertex import Vertex
 
 __all__ = [
@@ -413,8 +417,8 @@ class SolvabilityProblem:
 
         Forced vertices are excluded: their values are already fixed, so
         they transmit no uncertainty between the subproblems they touch.
-        Indices are ranks, so the kernel's lowest-bit-first order puts the
-        component holding the smallest free vertex first.
+        Indices are ranks, so :func:`mask_components`'s lowest-bit-first
+        order puts the component holding the smallest free vertex first.
         """
         free_parts = []
         for scope in self.scopes:

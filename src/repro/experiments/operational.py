@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from repro.algorithms import (
     BitwiseAA,
@@ -14,6 +14,11 @@ from repro.algorithms import (
     TwoProcessThirdsAA,
 )
 from repro.core import ceil_log
+from repro.faults.oracles import (
+    ApproximateAgreementOracle,
+    ConsensusOracle,
+    PropertyOracle,
+)
 from repro.models.schedules import (
     collect_schedules,
     immediate_snapshot_schedules,
@@ -24,6 +29,7 @@ from repro.objects import BinaryConsensusBox, TestAndSetBox
 from repro.runtime import (
     IteratedExecutor,
     RandomAdversary,
+    RoundAlgorithm,
     random_collect_round,
     random_immediate_snapshot_round,
     random_snapshot_round,
@@ -34,19 +40,25 @@ __all__ = ["reproduce_upper_bounds", "reproduce_runtime_vs_matrices"]
 F = Fraction
 
 
-def _aa_ok(result, inputs, eps) -> bool:
-    values = list(result.decisions.values())
-    lo, hi = min(inputs.values()), max(inputs.values())
-    return (
-        bool(values)
-        and max(values) - min(values) <= eps
-        and all(lo <= v <= hi for v in values)
+def _every_run_ok(
+    oracle: PropertyOracle,
+    executor: IteratedExecutor,
+    algorithm: RoundAlgorithm,
+    inputs: dict[int, Hashable],
+    seeds: list[int],
+    crash_probability: float,
+) -> bool:
+    """Whether ``oracle`` accepts the run under every seeded adversary."""
+    return all(
+        oracle.check(
+            inputs,
+            executor.run(
+                algorithm, inputs, RandomAdversary(seed, crash_probability)
+            ),
+        )
+        is None
+        for seed in seeds
     )
-
-
-def _consensus_ok(result, inputs) -> bool:
-    values = set(result.decisions.values())
-    return len(values) == 1 and values <= set(inputs.values())
 
 
 def reproduce_upper_bounds(
@@ -57,70 +69,61 @@ def reproduce_upper_bounds(
     actual rounds, all-correct)."""
     seeds = list(seeds)
     eps = F(1, 8)
+    consensus = ConsensusOracle()
     cases: list[tuple[str, int, int, bool]] = []
 
-    algorithm = TwoProcessThirdsAA(F(1, 9))
-    inputs = {1: F(0), 2: F(1)}
-    ok = all(
-        _aa_ok(
-            IteratedExecutor().run(
-                algorithm, inputs, RandomAdversary(seed, 0.1)
-            ),
-            inputs,
-            F(1, 9),
-        )
-        for seed in seeds
+    algorithm: RoundAlgorithm = TwoProcessThirdsAA(F(1, 9))
+    ok = _every_run_ok(
+        ApproximateAgreementOracle(F(1, 9)),
+        IteratedExecutor(),
+        algorithm,
+        {1: F(0), 2: F(1)},
+        seeds,
+        0.1,
     )
     cases.append(("thirds AA n=2 ε=1/9", 2, algorithm.rounds, ok))
 
     algorithm = HalvingAA(eps)
-    inputs = {1: F(0), 2: F(3, 8), 3: F(5, 8), 4: F(1)}
-    ok = all(
-        _aa_ok(
-            IteratedExecutor().run(
-                algorithm, inputs, RandomAdversary(seed, 0.15)
-            ),
-            inputs,
-            eps,
-        )
-        for seed in seeds
+    ok = _every_run_ok(
+        ApproximateAgreementOracle(eps),
+        IteratedExecutor(),
+        algorithm,
+        {1: F(0), 2: F(3, 8), 3: F(5, 8), 4: F(1)},
+        seeds,
+        0.15,
     )
     cases.append(("halving AA n=4 ε=1/8", 3, algorithm.rounds, ok))
 
     algorithm = TwoProcessConsensusTAS()
-    inputs = {1: "a", 2: "b"}
-    executor = IteratedExecutor(box=TestAndSetBox())
-    ok = all(
-        _consensus_ok(
-            executor.run(algorithm, inputs, RandomAdversary(seed, 0.1)),
-            inputs,
-        )
-        for seed in seeds
+    ok = _every_run_ok(
+        consensus,
+        IteratedExecutor(box=TestAndSetBox()),
+        algorithm,
+        {1: "a", 2: "b"},
+        seeds,
+        0.1,
     )
     cases.append(("t&s consensus n=2", 1, algorithm.rounds, ok))
 
     algorithm = BitwiseAA(eps)
-    inputs = {1: F(0), 2: F(5, 16), 3: F(1)}
-    executor = IteratedExecutor(box=BinaryConsensusBox())
-    ok = all(
-        _aa_ok(
-            executor.run(algorithm, inputs, RandomAdversary(seed, 0.15)),
-            inputs,
-            eps,
-        )
-        for seed in seeds
+    ok = _every_run_ok(
+        ApproximateAgreementOracle(eps),
+        IteratedExecutor(box=BinaryConsensusBox()),
+        algorithm,
+        {1: F(0), 2: F(5, 16), 3: F(1)},
+        seeds,
+        0.15,
     )
     cases.append(("bitwise AA n=3 ε=1/8", 3, algorithm.rounds, ok))
 
     algorithm = ConsensusViaBinaryConsensus(5)
-    inputs = {i: f"v{i}" for i in range(1, 6)}
-    executor = IteratedExecutor(box=BinaryConsensusBox())
-    ok = all(
-        _consensus_ok(
-            executor.run(algorithm, inputs, RandomAdversary(seed, 0.15)),
-            inputs,
-        )
-        for seed in seeds
+    ok = _every_run_ok(
+        consensus,
+        IteratedExecutor(box=BinaryConsensusBox()),
+        algorithm,
+        {i: f"v{i}" for i in range(1, 6)},
+        seeds,
+        0.15,
     )
     cases.append(("consensus via bc n=5", ceil_log(2, 5), algorithm.rounds, ok))
     return cases

@@ -184,7 +184,7 @@ def get_experiment(identifier: str) -> Experiment:
     try:
         return EXPERIMENTS[key]
     except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
+        known = ", ".join(sorted(EXPERIMENTS, key=lambda e: int(e[1:])))
         raise ReproError(
             f"unknown experiment {identifier!r}; known ids: {known}"
         ) from None

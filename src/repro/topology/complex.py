@@ -6,8 +6,8 @@ A complex is a non-empty-set family closed under taking non-empty subsets
 bitmasks over an interned, canonically sorted
 :class:`~repro.topology.table.VertexTable`: subset tests become
 ``sub & sup == sub``, inclusion-maximality pruning becomes a sweep of
-integer comparisons, and projection/star/skeleton/union/intersection are
-bitwise passes over one ``int`` per facet.  This is what keeps the
+integer comparisons, and projection/union/intersection are bitwise
+passes over one ``int`` per facet.  This is what keeps the
 ``13^t``-facet protocol complexes of the round-expansion blow-up
 tractable — the object-set reference semantics (retained in
 :mod:`repro.topology.reference` and cross-checked by audit rule AUD013)
@@ -25,7 +25,6 @@ The class is immutable: every operation returns a new complex.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ChromaticityError
@@ -420,14 +419,6 @@ class SimplicialComplex:
             return False
         return mask in self._face_mask_set()
 
-    def contains_chromatic_set(self, vertices: Iterable[Vertex]) -> bool:
-        """``True`` iff the given vertices form a simplex of the complex."""
-        try:
-            candidate = Simplex(vertices)
-        except ChromaticityError:
-            return False
-        return candidate in self
-
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices)
 
@@ -456,21 +447,6 @@ class SimplicialComplex:
         return SimplicialComplex._from_masks(
             table, _prune_masks(projected)
         )
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        """The ``k``-skeleton: all simplices of dimension at most ``k``."""
-        if k < 0 or self.is_empty():
-            return SimplicialComplex.empty()
-        table, masks = self._ensure_index()
-        pieces: set[int] = set()
-        for mask in masks:
-            if popcount(mask) <= k + 1:
-                pieces.add(mask)
-            else:
-                bits = [1 << i for i in iter_bits(mask)]
-                for combo in combinations(bits, k + 1):
-                    pieces.add(sum(combo))
-        return SimplicialComplex._from_masks(table, _prune_masks(pieces))
 
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """The complex whose simplices are the union of both families."""
@@ -530,32 +506,6 @@ class SimplicialComplex:
             if popcount(mask) == k + 1
         ]
         return sorted(found, key=lambda s: s._sort_key())
-
-    def facets_containing(self, vertex: Vertex) -> list[Simplex]:
-        """All facets containing the given vertex, sorted."""
-        table, masks = self._ensure_index()
-        try:
-            bit = 1 << table.index_of(vertex)
-        except KeyError:
-            return []
-        found = [
-            table.decode_mask_trusted(mask)
-            for mask in masks
-            if mask & bit
-        ]
-        return sorted(found, key=lambda s: s._sort_key())
-
-    def star(self, vertex: Vertex) -> "SimplicialComplex":
-        """The star of a vertex: all facets containing it."""
-        table, masks = self._ensure_index()
-        try:
-            bit = 1 << table.index_of(vertex)
-        except KeyError:
-            return SimplicialComplex.empty()
-        # Facets of a complex never nest, so the kept family is maximal.
-        return SimplicialComplex._from_masks(
-            table, [mask for mask in masks if mask & bit]
-        )
 
     def vertices_of_color(self, color: int) -> list[Vertex]:
         """All vertices of the given color, sorted."""

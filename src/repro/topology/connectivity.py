@@ -6,14 +6,11 @@ simplicial map sends connected complexes to connected complexes.  This module
 provides the 1-skeleton graph of a complex, connected components, and
 shortest paths.
 
-Everything runs mask-native on the complex's ``(table, facet masks)``
-index through the batch kernels of :mod:`repro.topology.kernels`:
-adjacency is a ``list[int]`` of per-bit neighbor masks, components come
-from a union-find over table bits, and shortest paths are a BFS whose
-frontiers are masks.  ``Vertex`` objects only appear at the API
-boundary, and every result is ordered by table index — the table lists
-the vertices in canonical sort order, so outputs are deterministic by
-construction rather than by re-sorting set-iteration output.
+Adjacency and shortest paths are plain object-set algorithms over the
+facets.  Components come from :func:`~repro.topology.table.mask_components`
+on the complex's ``(table, facet masks)`` index, the union-find the solver
+also uses.  Every result is ordered by the canonical vertex order
+(``sorted_vertices()``), so outputs are deterministic by construction.
 """
 
 from __future__ import annotations
@@ -21,12 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.topology.complex import SimplicialComplex
-from repro.topology.kernels import (
-    bfs_parents,
-    mask_components,
-    vertex_adjacency,
-)
-from repro.topology.table import iter_bits
+from repro.topology.table import iter_bits, mask_components
 from repro.topology.vertex import Vertex
 
 __all__ = [
@@ -43,18 +35,17 @@ def one_skeleton_adjacency(
     """The adjacency structure of the complex's 1-skeleton.
 
     Two vertices are adjacent iff they belong to a common simplex (of any
-    dimension ≥ 1).  Keys appear in canonical vertex order (the table's
-    index order); isolated vertices map to an empty set.
+    dimension ≥ 1).  Keys appear in canonical vertex order
+    (``sorted_vertices()``); isolated vertices map to an empty set.
     """
-    table, masks = complex_._ensure_index()
-    adjacency = vertex_adjacency(masks, len(table))
-    vertex_at = table.vertex_at
-    return {
-        vertex_at(index): {
-            vertex_at(neighbor) for neighbor in iter_bits(neighbors)
-        }
-        for index, neighbors in enumerate(adjacency)
+    adjacency: dict[Vertex, set[Vertex]] = {
+        vertex: set() for vertex in complex_.sorted_vertices()
     }
+    for facet in complex_.facets:
+        for vertex in facet.vertices:
+            adjacency[vertex].update(facet.vertices)
+            adjacency[vertex].discard(vertex)
+    return adjacency
 
 
 def connected_components(
@@ -89,23 +80,30 @@ def shortest_path(
 
     The path includes both endpoints; a vertex connected to itself yields the
     singleton path.  Ties between equally short paths break toward
-    smaller table indices (= smaller vertices), deterministically.
+    smaller vertices: each BFS level is expanded in canonical vertex
+    order, and a vertex's parent is the first vertex of the previous
+    level that reaches it.
     """
-    table, masks = complex_._ensure_index()
-    try:
-        start_index = table.index_of(start)
-        goal_index = table.index_of(goal)
-    except KeyError:
-        # Either endpoint is not a vertex of the complex at all.
+    adjacency = one_skeleton_adjacency(complex_)
+    if start not in adjacency or goal not in adjacency:
         return None
-    if start_index == goal_index:
+    if start == goal:
         return [start]
-    adjacency = vertex_adjacency(masks, len(table))
-    parents = bfs_parents(adjacency, start_index, goal=goal_index)
-    if parents[goal_index] < 0:
+    rank = {vertex: index for index, vertex in enumerate(adjacency)}
+    parents = {start: start}
+    frontier = [start]
+    while frontier and goal not in parents:
+        reached: list[Vertex] = []
+        for current in sorted(frontier, key=rank.__getitem__):
+            for neighbor in adjacency[current]:
+                if neighbor not in parents:
+                    parents[neighbor] = current
+                    reached.append(neighbor)
+        frontier = reached
+    if goal not in parents:
         return None
-    indices = [goal_index]
-    while indices[-1] != start_index:
-        indices.append(parents[indices[-1]])
-    indices.reverse()
-    return [table.vertex_at(index) for index in indices]
+    path = [goal]
+    while path[-1] != start:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path

@@ -13,25 +13,13 @@ Definitions used (standard):
 * its **boundary** is the complex generated by the ridges lying in exactly
   one facet.
 
-Both invariants run mask-native on the complex's canonical
-``(table, facet masks)`` index via :mod:`repro.topology.kernels`: ridge
-enumeration is bit-clear iteration, the facet-adjacency graph is built
-from the ridge table keyed by ``(table_id, mask)``-canonical ridge
-masks, and connectivity is union-find over facet positions.  ``Simplex``
-objects are only materialized at the API boundary
-(:func:`ridge_incidence`'s return value); :func:`is_pseudomanifold`
-decides entirely at the mask level, and :func:`boundary_complex` hands
-mask arrays straight to the trusted complex constructor.
+All three are plain object-set algorithms over the facets in canonical
+order (``sorted_facets()``), so every result is deterministic.
 """
 
 from __future__ import annotations
 
-from repro.topology.complex import SimplicialComplex, _prune_masks
-from repro.topology.kernels import (
-    component_count,
-    facet_adjacency,
-    ridge_table,
-)
+from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
 __all__ = [
@@ -48,14 +36,16 @@ def ridge_incidence(
 
     Only meaningful for pure complexes of dimension ≥ 1; for a pure
     0-complex the result is empty.  Entries (and each facet list) come
-    out in deterministic mask order.
+    out in canonical facet order.
     """
-    table, masks = complex_._ensure_index()
-    decode = table.decode_mask_trusted
-    return {
-        decode(ridge): [decode(masks[position]) for position in positions]
-        for ridge, positions in ridge_table(masks).items()
-    }
+    incidence: dict[Simplex, list[Simplex]] = {}
+    for facet in complex_.sorted_facets():
+        if facet.dim < 1:
+            continue
+        for dropped in facet.vertices:
+            ridge = Simplex(v for v in facet.vertices if v != dropped)
+            incidence.setdefault(ridge, []).append(facet)
+    return incidence
 
 
 def is_pseudomanifold(
@@ -64,34 +54,41 @@ def is_pseudomanifold(
     """Whether the complex is a pseudomanifold (possibly with boundary).
 
     Checks purity, the two-facets-per-ridge condition, and (by default)
-    strong connectivity of the facet-adjacency graph.  Decided entirely
-    at the mask level — no simplex is ever materialized.
+    strong connectivity of the facet-adjacency graph.
     """
     if complex_.is_empty() or not complex_.is_pure():
         return False
     if complex_.dim == 0:
         return complex_.facet_count == 1 or not require_connected
-    _, masks = complex_._ensure_index()
-    ridges = ridge_table(masks)
-    if any(len(positions) > 2 for positions in ridges.values()):
+    incidence = ridge_incidence(complex_)
+    if any(len(found) > 2 for found in incidence.values()):
         return False
     if not require_connected:
         return True
-    adjacency = facet_adjacency(masks, ridges)
-    return component_count(adjacency) == 1
+    neighbors: dict[Simplex, list[Simplex]] = {}
+    for found in incidence.values():
+        if len(found) == 2:
+            left, right = found
+            neighbors.setdefault(left, []).append(right)
+            neighbors.setdefault(right, []).append(left)
+    start = next(iter(complex_.facets))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for neighbor in neighbors.get(frontier.pop(), ()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return len(seen) == complex_.facet_count
 
 
 def boundary_complex(complex_: SimplicialComplex) -> SimplicialComplex:
     """The boundary: ridges contained in exactly one facet."""
-    table, masks = complex_._ensure_index()
-    border = [
-        ridge
-        for ridge, positions in ridge_table(masks).items()
-        if len(positions) == 1
-    ]
-    if not border:
-        return SimplicialComplex.empty()
     # Ridges of different-dimensional facets can nest (an impure complex
     # may put a boundary vertex under a boundary edge), so the family
-    # still needs the maximality prune before the trusted constructor.
-    return SimplicialComplex._from_masks(table, _prune_masks(border))
+    # goes through the pruning constructor.
+    return SimplicialComplex(
+        ridge
+        for ridge, found in ridge_incidence(complex_).items()
+        if len(found) == 1
+    )

@@ -20,6 +20,11 @@ with masks of the table it came from.
 
 :meth:`VertexTable.encode_mask` is *strict*: encoding a vertex the table
 does not hold raises :class:`~repro.errors.ChromaticityError`.
+
+:func:`mask_components` is the one sweep over a whole mask family: a
+union-find over bits that yields connected components.  Both
+:func:`~repro.topology.connectivity.connected_components` and the
+solver's component split run on it.
 """
 
 from __future__ import annotations
@@ -29,10 +34,20 @@ from itertools import count
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import ChromaticityError
+from repro.telemetry import default_registry
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
-__all__ = ["VertexTable", "popcount", "iter_bits", "iter_submasks"]
+__all__ = [
+    "VertexTable",
+    "popcount",
+    "iter_bits",
+    "iter_submasks",
+    "mask_components",
+]
+
+#: The performance ledger reads this counter by name.
+_COMPONENT_SWEEPS = default_registry().cache("kernels.component-sweeps")
 
 
 def _portable_popcount(value: int) -> int:
@@ -65,6 +80,57 @@ def iter_submasks(mask: int) -> Iterator[int]:
     while sub:
         yield sub
         sub = (sub - 1) & mask
+
+
+def mask_components(masks: Sequence[int], size: int) -> list[int]:
+    """Vertex-component masks of a facet family, smallest bit first.
+
+    Unions the bits of every facet mask (a simplex connects all its
+    vertices) and returns one mask per component, covering exactly the
+    bits that appear in some facet.  Ordering by lowest set bit makes
+    the result deterministic — on a canonical table, "lowest bit" is
+    "smallest vertex".
+    """
+    _COMPONENT_SWEEPS.built()
+    parent = list(range(size))
+
+    def find(node: int) -> int:
+        root = node
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    used = 0
+    for mask in masks:
+        used |= mask
+        remaining = mask & (mask - 1)  # all but the low bit
+        if not remaining:
+            continue
+        anchor = find((mask & -mask).bit_length() - 1)
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            root = find(low.bit_length() - 1)
+            if root != anchor:
+                if root < anchor:
+                    parent[anchor] = root
+                    anchor = root
+                else:
+                    parent[root] = anchor
+    components: dict[int, int] = {}
+    bit = 0
+    scan = used
+    while scan:
+        if scan & 1:
+            root = find(bit)
+            components[root] = components.get(root, 0) | (1 << bit)
+        scan >>= 1
+        bit += 1
+    # Roots are the smallest bit of their component, so sorting by root
+    # index is sorting by lowest set bit.
+    return [components[root] for root in sorted(components)]
 
 
 #: Process-wide weak registry of interned tables, keyed by pair tuple.

@@ -98,11 +98,11 @@ class TestRPR002FromMaximal:
             """
         ) == {"RPR002"}
 
-    def test_facets_containing_fires(self):
+    def test_sorted_facets_fires(self):
         assert rule_ids(
             """
-            def star(complex_, v, SimplicialComplex):
-                return SimplicialComplex(complex_.facets_containing(v))
+            def rebuild(complex_, SimplicialComplex):
+                return SimplicialComplex(complex_.sorted_facets())
             """
         ) == {"RPR002"}
 

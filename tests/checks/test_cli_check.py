@@ -47,12 +47,8 @@ class TestAuditScopes:
         assert "audit[--all]" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self, capsys):
-        try:
-            main(["check", "E99"])
-        except SystemExit as exc:
-            assert "unknown experiment" in str(exc)
-        else:
-            raise AssertionError("expected SystemExit")
+        assert main(["check", "E99"]) == 1
+        assert "unknown experiment" in capsys.readouterr().err
 
 
 class TestLintScope:

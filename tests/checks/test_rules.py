@@ -47,13 +47,12 @@ def forge_schedule(groups, views):
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
+    def test_all_eleven_rules_registered(self):
         assert sorted(RULES) == [
             f"AUD00{i}" for i in range(1, 10)
         ] + [
             "AUD011",
             "AUD013",
-            "AUD016",
         ]
 
     def test_rules_partition_by_kind(self):
@@ -132,38 +131,6 @@ class TestComplexRules:
         complex_ = SimplicialComplex.from_maximal([broken])
         target = AuditTarget("complex", "fixture/aud001-turf", complex_)
         assert "AUD013" not in fired_rules([target])
-
-    def test_aud016_fires_on_corrupt_mask_index(self):
-        sigma = Simplex([(1, "a"), (2, "b")])
-        tau = Simplex([(1, "a"), (3, "c")])
-        complex_ = SimplicialComplex([sigma, tau])
-        _, masks = complex_._ensure_index()
-        # Drop a facet from the mask index only: the kernels (which
-        # sweep masks) now see a different complex than the oracles
-        # (which read the facet objects).
-        complex_._masks = (masks[0],)
-        target = AuditTarget("complex", "fixture/corrupt-masks", complex_)
-        findings = [
-            f for f in run_rules([target]) if f.rule_id == "AUD016"
-        ]
-        assert findings
-        assert any("adjacency" in f.message for f in findings)
-        assert all(f.severity is Severity.ERROR for f in findings)
-
-    def test_aud016_skips_malformed_families(self):
-        broken = forge_simplex([Vertex(1, "a"), Vertex(1, "b")])
-        complex_ = SimplicialComplex.from_maximal([broken])
-        target = AuditTarget("complex", "fixture/aud001-turf", complex_)
-        assert "AUD016" not in fired_rules([target])
-
-    def test_aud016_clean_on_subdivided_complex(self, iis):
-        sigma = Simplex([(1, 0), (2, 0), (3, 1)])
-        protocol = iis.one_round_complex(sigma)
-        target = AuditTarget("complex", "fixture/one-round", protocol)
-        findings = [
-            f for f in run_rules([target]) if f.rule_id == "AUD016"
-        ]
-        assert findings == []
 
 
 class TestCarrierRules:

@@ -379,6 +379,8 @@ class TestInputErrors:
                 ["run", "halving", "--inputs", "0,1", "--crash", "1.5"],
                 "crash probability 1.5 outside [0, 1]",
             ),
+            (["experiment", "E99"], "known ids: E1, E2, E3, "),
+            (["check", "E99"], "known ids: E1, E2, E3, "),
         ],
     )
     def test_library_errors_exit_one(self, argv, needle, capsys):

@@ -94,27 +94,6 @@ class TestQueryParity:
             complex_.facets, keep
         )
 
-    @given(families())
-    def test_star_of_every_vertex(self, family):
-        complex_ = SimplicialComplex(family)
-        for vertex in complex_.vertices:
-            assert complex_.star(vertex).facets == (
-                reference.star_reference(complex_.facets, vertex)
-            )
-
-    @given(families())
-    def test_star_of_a_foreign_vertex_is_empty(self, family):
-        complex_ = SimplicialComplex(family)
-        foreign = Vertex(1, ("bitmask-core", "absent"))
-        assert complex_.star(foreign).is_empty()
-
-    @given(families(), st.integers(min_value=-1, max_value=4))
-    def test_skeleton(self, family, k):
-        complex_ = SimplicialComplex(family)
-        assert complex_.skeleton(k).facets == (
-            reference.skeleton_reference(complex_.facets, k)
-        )
-
     @given(families(), families())
     def test_union(self, left, right):
         a, b = SimplicialComplex(left), SimplicialComplex(right)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology import Simplex, SimplicialComplex, Vertex
+from repro.topology import Simplex, SimplicialComplex
 
 
 @pytest.fixture
@@ -90,19 +90,6 @@ class TestAccessors:
         assert Simplex([(3, "c"), (3, "z")]) if False else True
         assert Simplex([(1, "zzz")]) not in two_triangles
 
-    def test_contains_chromatic_set(self, two_triangles):
-        assert two_triangles.contains_chromatic_set(
-            [Vertex(1, "a"), Vertex(2, "b")]
-        )
-        # conflicting colors are not a simplex at all
-        assert not two_triangles.contains_chromatic_set(
-            [Vertex(1, "a"), Vertex(1, "a2")]
-        )
-        # cross-facet pairing {(3,"c"),(3,"z")} is not chromatic either
-        assert not two_triangles.contains_chromatic_set(
-            [Vertex(3, "c"), Vertex(3, "z")]
-        )
-
     def test_len_counts_all_simplices(self, triangle):
         assert len(SimplicialComplex.from_simplex(triangle)) == 7
 
@@ -122,15 +109,6 @@ class TestDerivedComplexes:
     def test_proj_to_absent_color_is_empty(self, two_triangles):
         assert two_triangles.proj([9]).is_empty()
 
-    def test_skeleton(self, triangle):
-        complex_ = SimplicialComplex.from_simplex(triangle)
-        skeleton = complex_.skeleton(1)
-        assert skeleton.dim == 1
-        assert len(skeleton.facets) == 3  # the three edges
-
-    def test_skeleton_negative(self, triangle):
-        assert SimplicialComplex.from_simplex(triangle).skeleton(-1).is_empty()
-
     def test_union_and_intersection(self, triangle):
         left = SimplicialComplex.from_simplex(triangle.proj([1, 2]))
         right = SimplicialComplex.from_simplex(triangle.proj([2, 3]))
@@ -138,10 +116,6 @@ class TestDerivedComplexes:
         assert len(union.facets) == 2
         shared = left.intersection(right)
         assert shared.facets == frozenset({triangle.proj([2])})
-
-    def test_star(self, two_triangles):
-        star = two_triangles.star(Vertex(3, "c"))
-        assert len(star.facets) == 1
 
     def test_vertices_of_color(self, two_triangles):
         assert len(two_triangles.vertices_of_color(3)) == 2

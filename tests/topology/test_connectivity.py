@@ -1,6 +1,10 @@
 """Unit tests for 1-skeleton connectivity."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.topology import Simplex, SimplicialComplex, Vertex
 from repro.topology.connectivity import (
@@ -9,6 +13,29 @@ from repro.topology.connectivity import (
     one_skeleton_adjacency,
     shortest_path,
 )
+
+
+colors = st.integers(min_value=1, max_value=5)
+values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(
+        min_value=Fraction(0), max_value=Fraction(1), max_denominator=8
+    ),
+    st.text(alphabet="abc", min_size=0, max_size=2),
+)
+
+
+@st.composite
+def simplices(draw, max_colors=4):
+    pool = draw(
+        st.lists(colors, min_size=1, max_size=max_colors, unique=True)
+    )
+    return Simplex((c, draw(values)) for c in pool)
+
+
+@st.composite
+def families(draw, max_size=6):
+    return draw(st.lists(simplices(), min_size=1, max_size=max_size))
 
 
 @pytest.fixture
@@ -88,6 +115,17 @@ class TestPaths:
             is None
         )
 
+    def test_ties_break_toward_the_smaller_vertex(self):
+        # A 4-cycle s–a–t, s–b–t with a < b: both routes have length 2.
+        s_, a, b, t = (
+            Vertex(1, "s"), Vertex(2, "a"), Vertex(2, "b"), Vertex(1, "t")
+        )
+        complex_ = SimplicialComplex(
+            Simplex(edge) for edge in ([s_, a], [s_, b], [a, t], [b, t])
+        )
+        assert a._sort_key() < b._sort_key()
+        assert shortest_path(complex_, s_, t) == [s_, a, t]
+
     def test_consecutive_path_vertices_are_adjacent(self, iis, triangle):
         complex_ = iis.one_round_complex(triangle)
         vertices = complex_.sorted_vertices()
@@ -98,7 +136,7 @@ class TestPaths:
 
 
 class TestDeterminism:
-    """Regression: mask-native results are ordered by the vertex table."""
+    """Regression: results are ordered by the canonical vertex order."""
 
     def test_adjacency_keys_follow_table_order(self, iis, triangle):
         complex_ = iis.one_round_complex(triangle)
@@ -114,3 +152,23 @@ class TestDeterminism:
             for component in first
         ]
         assert smallest == sorted(smallest, key=lambda v: v._sort_key())
+
+    @given(families())
+    def test_adjacency_keys_in_table_order(self, family):
+        complex_ = SimplicialComplex(family)
+        assert (
+            list(one_skeleton_adjacency(complex_))
+            == complex_.sorted_vertices()
+        )
+
+    @given(families())
+    def test_components_ordered_by_smallest_vertex(self, family):
+        complex_ = SimplicialComplex(family)
+        components = connected_components(complex_)
+        smallest = [
+            min(component, key=lambda v: v._sort_key())
+            for component in components
+        ]
+        assert smallest == sorted(
+            smallest, key=lambda v: v._sort_key()
+        )

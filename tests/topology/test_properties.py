@@ -129,12 +129,6 @@ def test_intersection_contained_in_both(left, right):
 
 
 @given(complexes())
-def test_skeleton_dimension_bound(complex_):
-    for k in range(complex_.dim + 1):
-        assert complex_.skeleton(k).dim <= k
-
-
-@given(complexes())
 def test_proj_is_subcomplex_on_colors(complex_):
     for color in complex_.ids:
         projected = complex_.proj([color])

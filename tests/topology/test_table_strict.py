@@ -1,4 +1,4 @@
-"""VertexTable strict-mode error paths and pickling."""
+"""VertexTable strict-mode error paths, pickling, and mask_components."""
 
 import gc
 import pickle
@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ChromaticityError
 from repro.topology import Simplex, VertexTable
+from repro.topology.table import mask_components
 
 PAIRS = ((1, "x"), (2, "y"), (3, "z"))
 
@@ -78,3 +79,10 @@ class TestPicklingFlavour:
         gc.collect()
         # The registry dropped the table; unpickling interns a new one.
         assert pickle.loads(payload).table_id != table_id
+
+
+class TestMaskComponents:
+    def test_mask_components_orders_by_lowest_bit(self):
+        # {0,1} ∪ {3,4} with bit 2 unused by any mask.
+        assert mask_components([0b00011, 0b11000], 5) == [0b00011, 0b11000]
+        assert mask_components([], 5) == []
