@@ -18,6 +18,7 @@ Two variants:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Union
@@ -27,6 +28,7 @@ from repro.tasks.inputs import full_input_complex
 from repro.tasks.task import Task
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
+from repro.topology.vertex import Vertex
 
 __all__ = [
     "grid",
@@ -55,43 +57,70 @@ def _normalize_epsilon(epsilon: Rational, m: int) -> Fraction:
     return eps
 
 
-def _range_of(sigma: Simplex) -> tuple[Fraction, Fraction]:
-    values = [Fraction(v.value) for v in sigma.vertices]
-    return min(values), max(values)
-
-
 class _AgreementDelta:
     """Memoized ``Δ`` for (liberal) ε-approximate agreement.
 
-    ``Δ(σ)`` depends only on ``(ID(σ), min σ, max σ)``; the cache keys on
-    that triple so sweeps over many input simplices stay cheap.
+    ``Δ(σ)`` depends only on ``ID(σ)`` and on which grid values lie in
+    ``[min σ, max σ]``: the ranks ``k`` with ``min σ ≤ k/m ≤ max σ``.
+    The cache keys on ``(ID(σ), low rank, high rank)``, and each complex
+    is built in integer ranks — an output combination is legal iff its
+    ranks differ by at most ``ε·m`` — over vertices that carry the
+    task's own grid Fractions.
     """
 
     def __init__(self, epsilon: Fraction, m: int, liberal: bool) -> None:
-        self._epsilon = epsilon
+        self._m = m
         self._values = grid(m)
+        self._rank_of = {value: k for k, value in enumerate(self._values)}
+        # ε is an integral multiple of 1/m (``_normalize_epsilon``).
+        self._span = int(epsilon * m)
         self._liberal = liberal
         self._cache: dict[
-            tuple[frozenset[int], Fraction, Fraction], SimplicialComplex
+            tuple[frozenset[int], int, int], SimplicialComplex
         ] = {}
 
+    def _window(self, sigma: Simplex) -> tuple[int, int]:
+        """The ranks of the first and last grid value in σ's range."""
+        low = high = None
+        for vertex in sigma.vertices:
+            rank = self._rank_of.get(vertex.value)
+            if rank is None:
+                # Off the grid: the window starts at the first grid value
+                # above it and ends at the last one below it.
+                scaled = Fraction(vertex.value) * self._m
+                first, last = math.ceil(scaled), math.floor(scaled)
+            else:
+                first = last = rank
+            if low is None or first < low:
+                low = first
+            if high is None or last > high:
+                high = last
+        assert low is not None and high is not None
+        return max(low, 0), min(high, self._m)
+
     def __call__(self, sigma: Simplex) -> SimplicialComplex:
-        low, high = _range_of(sigma)
+        low, high = self._window(sigma)
         key = (sigma.ids, low, high)
         if key not in self._cache:
             self._cache[key] = self._build(sorted(sigma.ids), low, high)
         return self._cache[key]
 
-    def _build(
-        self, ids: list[int], low: Fraction, high: Fraction
-    ) -> SimplicialComplex:
-        window = [v for v in self._values if low <= v <= high]
+    def _build(self, ids: list[int], low: int, high: int) -> SimplicialComplex:
+        if low > high:
+            # No grid value lies in σ's range.
+            return SimplicialComplex.empty()
+        window = self._values[low : high + 1]
+        rows = [[Vertex(i, value) for value in window] for i in ids]
         distance_free = self._liberal and len(ids) == 2
+        span = self._span
         facets = []
-        for combo in product(window, repeat=len(ids)):
-            if distance_free or max(combo) - min(combo) <= self._epsilon:
-                facets.append(Simplex(zip(ids, combo)))
-        return SimplicialComplex(facets)
+        for combo in product(range(len(window)), repeat=len(ids)):
+            if distance_free or max(combo) - min(combo) <= span:
+                facets.append(
+                    Simplex([row[k] for row, k in zip(rows, combo)])
+                )
+        # Distinct combinations of one length: the family is maximal.
+        return SimplicialComplex.from_maximal(facets)
 
 
 def _output_complex(

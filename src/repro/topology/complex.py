@@ -48,46 +48,23 @@ def _prune_masks(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks of a family (bitwise pruning pass).
 
     Masks are visited by decreasing popcount, so a non-maximal mask
-    always meets an already-accepted superset; the subset tests are
-    confined to the accepted masks sharing the candidate's rarest bit
-    (bit-indexed buckets), which keeps the pass near-linear in practice
-    instead of quadratic in the candidate count.
+    always comes after an already-accepted superset.  Accepting a mask
+    marks all its submasks as covered, and a later mask is maximal iff
+    it is not covered.  A chromatic simplex has at most ``n`` vertices,
+    so each accepted facet costs at most ``2^n`` set insertions.
     """
-    by_bit: dict[int, list[int]] = {}
-    get_bucket = by_bit.get
+    covered: set[int] = set()
+    cover = covered.add
     accepted: list[int] = []
     for mask in sorted(masks, key=popcount, reverse=True):
-        novel = False
-        best: Optional[list[int]] = None
-        bits: list[int] = []
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            index = low.bit_length() - 1
-            bits.append(index)
-            if not novel:
-                bucket = get_bucket(index)
-                if bucket is None:
-                    # A bit no accepted mask has: the candidate is novel.
-                    novel = True
-                elif best is None or len(bucket) < len(best):
-                    best = bucket
-        if not novel and best is not None:
-            subsumed = False
-            for sup in best:
-                if mask & sup == mask:
-                    subsumed = True
-                    break
-            if subsumed:
-                continue
+        if mask in covered:
+            continue
         accepted.append(mask)
-        for index in bits:
-            bucket = get_bucket(index)
-            if bucket is None:
-                by_bit[index] = [mask]
-            else:
-                bucket.append(mask)
+        # Inlined iter_submasks, as in _face_mask_set.
+        sub = mask
+        while sub:
+            cover(sub)
+            sub = (sub - 1) & mask
     return accepted
 
 

@@ -9,9 +9,9 @@ keeps one table per complex.
 
 Tables are immutable and interned (:meth:`VertexTable.interned` /
 :meth:`VertexTable.interned_of`): they are shared process-wide through a
-weak registry keyed by their pair tuple, so equal complexes built at
-different times index against the *same* table object — which makes
-table identity a valid fast path for complex equality.
+weak registry keyed by their interned vertex tuple, so equal complexes
+built at different times index against the *same* table object — which
+makes table identity a valid fast path for complex equality.
 
 Masks never leave :mod:`repro.topology`: code outside the package asks a
 :class:`~repro.topology.complex.SimplicialComplex` for its masks and
@@ -133,7 +133,9 @@ def mask_components(masks: Sequence[int], size: int) -> list[int]:
     return [components[root] for root in sorted(components)]
 
 
-#: Process-wide weak registry of interned tables, keyed by pair tuple.
+#: Process-wide weak registry of interned tables, keyed by the tuple of
+#: interned vertices.  Vertices are interned, so the key hashes cached
+#: vertex hashes and compares on identity, never re-hashing a payload.
 #: Values are weak so that sweeps over many distinct complexes (the
 #: ``13^t`` blow-up) do not pin dead tables in memory: a table lives
 #: exactly as long as some complex (or memo layer) references it.
@@ -157,7 +159,6 @@ class VertexTable:
     """
 
     __slots__ = (
-        "_pairs",
         "_index",
         "_vertices",
         "_sorted",
@@ -165,17 +166,13 @@ class VertexTable:
         "__weakref__",
     )
 
-    def __init__(self, pairs: Iterable[tuple[int, Hashable]]) -> None:
+    def __init__(
+        self, vertices: Sequence[Vertex], is_sorted: bool | None = None
+    ) -> None:
         # Callers go through interned()/interned_of(), which share tables.
-        self._index: dict[Vertex, int] = {}
-        self._vertices: list[Vertex] = []
-        for color, value in pairs:
-            vertex = Vertex(color, value)
-            if vertex not in self._index:
-                self._index[vertex] = len(self._vertices)
-                self._vertices.append(vertex)
-        self._pairs = [vertex.as_pair() for vertex in self._vertices]
-        self._sorted: bool | None = None
+        self._vertices = tuple(dict.fromkeys(vertices))
+        self._index = {vertex: i for i, vertex in enumerate(self._vertices)}
+        self._sorted = is_sorted
         self._table_id = next(_TABLE_IDS)
 
     # ------------------------------------------------------------------
@@ -189,8 +186,10 @@ class VertexTable:
 
         Tables are shared through a weak registry: two calls with equal
         pairs return the same object for as long as anything holds it.
+        The pairs become interned vertices, so this reaches the same
+        registry key as :meth:`interned_of` on those vertices.
         """
-        key = tuple(pairs)
+        key = tuple(Vertex(color, value) for color, value in pairs)
         found = _INTERNED.get(key)
         if found is None:
             found = _INTERNED[key] = cls(key)
@@ -204,25 +203,11 @@ class VertexTable:
         ``_sort_key`` order (the complex index builder sorts before
         calling); the table is marked sorted without re-checking.
         """
-        key = tuple(v.as_pair() for v in vertices)
+        key = tuple(vertices)
         found = _INTERNED.get(key)
         if found is None:
-            found = cls.__new__(cls)
-            found._seed_sorted(vertices, key)
-            _INTERNED[key] = found
+            found = _INTERNED[key] = cls(key, is_sorted=True)
         return found
-
-    def _seed_sorted(
-        self,
-        vertices: Sequence[Vertex],
-        pairs: tuple[tuple[int, Hashable], ...],
-    ) -> None:
-        """Initialize a table from pre-sorted vertices (no re-intern)."""
-        self._pairs = list(pairs)
-        self._vertices = list(vertices)
-        self._index = {v: i for i, v in enumerate(vertices)}
-        self._sorted = True
-        self._table_id = next(_TABLE_IDS)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -238,12 +223,12 @@ class VertexTable:
     @property
     def pairs(self) -> tuple[tuple[int, Hashable], ...]:
         """The interned ``(color, value)`` pairs, in index order."""
-        return tuple(self._pairs)
+        return tuple(vertex.as_pair() for vertex in self._vertices)
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
         """The interned vertices, in index order."""
-        return tuple(self._vertices)
+        return self._vertices
 
     @property
     def table_id(self) -> int:
@@ -265,14 +250,14 @@ class VertexTable:
     @property
     def full_mask(self) -> int:
         """The mask with every table bit set."""
-        return (1 << len(self._pairs)) - 1
+        return (1 << len(self._vertices)) - 1
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._vertices)
 
     def __repr__(self) -> str:
         return (
-            f"VertexTable(id={self._table_id}, entries={len(self._pairs)})"
+            f"VertexTable(id={self._table_id}, entries={len(self._vertices)})"
         )
 
     def __reduce__(self) -> tuple:

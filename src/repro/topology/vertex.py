@@ -10,16 +10,52 @@ complexes can be iterated deterministically.  Ordering compares colors first
 and then a structural key of the value (see :func:`value_sort_key`), which
 gives a stable order even across heterogeneous value types such as
 :class:`fractions.Fraction`, tuples, and :class:`repro.topology.views.View`.
+
+Vertices are also *interned*: constructing a vertex equal to a live one
+returns that object (see :func:`exact_key` for what "equal" means here),
+so set and dict lookups succeed on identity, and the hash and sort key
+are computed once per distinct value.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import total_ordering
 from typing import Any, Hashable
 
-__all__ = ["Vertex", "value_sort_key"]
+__all__ = ["Vertex", "value_sort_key", "exact_key"]
+
+#: Payload types for which "same type and ``==``" means interchangeable:
+#: the same ``repr``, the same sort key, the same behaviour everywhere.
+#: Floats are left out on purpose (``0.0 == -0.0`` but their reprs
+#: differ).
+_PLAIN_KINDS = frozenset({int, bool, str, bytes, Fraction, type(None)})
+
+
+def exact_key(value: Any) -> Hashable:
+    """The type-exact part of an interning key for ``value``.
+
+    ``(value, exact_key(value))`` compares equal for two values only if
+    they are interchangeable: ``==`` alone would merge ``True``, ``1``
+    and ``Fraction(1)``, whose reprs and sort keys differ, and then what
+    the program prints would depend on which object was built first.
+    Plain scalars contribute their type, tuples and frozensets recurse,
+    and every other payload — interned views and vertices included —
+    contributes its ``id``.  An interning registry keeps its keys, hence
+    the payload objects, alive, so such an ``id`` is never reused while
+    the key exists; and for an interned object, identity is exactly
+    "equal and interchangeable".
+    """
+    kind = type(value)
+    if kind in _PLAIN_KINDS:
+        return kind
+    if kind is tuple:
+        return tuple([exact_key(item) for item in value])
+    if kind is frozenset:
+        return frozenset([(item, exact_key(item)) for item in value])
+    return id(value)
 
 
 def _rounded(number: Fraction) -> float:
@@ -87,16 +123,28 @@ class Vertex:
         Any hashable payload.  For input complexes this is an input value;
         for protocol complexes it is a :class:`~repro.topology.views.View`
         (possibly paired with a black-box output).
+
+    Notes
+    -----
+    Construction interns through a process-wide weak registry: while an
+    equal vertex is alive, ``Vertex(color, value)`` returns it.  The
+    registry holds its vertices weakly, so it keeps nothing alive.
     """
 
-    __slots__ = ("_color", "_value", "_hash", "_skey")
+    __slots__ = ("_color", "_value", "_hash", "_skey", "__weakref__")
 
-    def __init__(self, color: int, value: Hashable):
+    def __new__(cls, color: int, value: Hashable) -> "Vertex":
         if not isinstance(color, int):
             raise TypeError(f"vertex color must be an int, got {color!r}")
-        self._color = color
-        self._value = value
-        self._hash = hash((color, value))
+        key = (color, value, type(color), exact_key(value))
+        found = _VERTICES.get(key)
+        if found is None:
+            found = object.__new__(cls)
+            found._color = color
+            found._value = value
+            found._hash = hash((color, value))
+            _VERTICES[key] = found
+        return found
 
     @property
     def color(self) -> int:
@@ -128,8 +176,12 @@ class Vertex:
             return key
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Vertex):
             return NotImplemented
+        # Structural fallback: interning never merges ``Vertex(1, 0)``
+        # and ``Vertex(1, Fraction(0))``, but they still compare equal.
         return self._color == other._color and self._value == other._value
 
     def __lt__(self, other: "Vertex") -> bool:
@@ -140,5 +192,16 @@ class Vertex:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Re-intern on load (and on copy/deepcopy, which go through
+        # ``__reduce_ex__`` too): the result is the live equal vertex.
+        return (Vertex, (self._color, self._value))
+
     def __repr__(self) -> str:
         return f"Vertex({self._color}, {self._value!r})"
+
+
+#: The interning registry: type-exact key → the live vertex.
+_VERTICES: "weakref.WeakValueDictionary[tuple, Vertex]" = (
+    weakref.WeakValueDictionary()
+)

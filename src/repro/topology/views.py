@@ -11,10 +11,13 @@ deterministic color order.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Union
+import weakref
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Any, Hashable, Iterable, Iterator, Union
 
 from repro.errors import ChromaticityError
-from repro.topology.vertex import Vertex, value_sort_key
+from repro.topology.vertex import Vertex, exact_key, value_sort_key
 
 __all__ = ["View"]
 
@@ -39,37 +42,54 @@ class View:
         A mapping ``{color: value}``, an iterable of ``(color, value)``
         tuples, or an iterable of :class:`Vertex`.  Colors must be pairwise
         distinct.
+
+    Notes
+    -----
+    Construction interns through a process-wide weak registry: while an
+    equal view is alive, ``View(pairs)`` returns it.  The registry holds
+    its views weakly, so it keeps nothing alive.
     """
 
-    __slots__ = ("_items", "_index", "_hash", "_skey")
+    __slots__ = ("_items", "_index", "_hash", "_skey", "__weakref__")
 
-    def __init__(self, pairs: PairsLike):
+    def __new__(cls, pairs: PairsLike) -> "View":
         if isinstance(pairs, Mapping):
-            raw = list(pairs.items())
+            raw: Iterable[Any] = pairs.items()
         else:
-            raw = []
-            for entry in pairs:
-                if isinstance(entry, Vertex):
-                    raw.append((entry.color, entry.value))
-                else:
-                    color, value = entry
-                    raw.append((color, value))
+            raw = [
+                (entry.color, entry.value)
+                if isinstance(entry, Vertex)
+                else entry
+                for entry in pairs
+            ]
         index: dict[int, Hashable] = {}
+        plain_colors = True
         for color, value in raw:
-            if not isinstance(color, int):
-                raise ChromaticityError(
-                    f"view colors must be ints, got {color!r}"
-                )
+            if type(color) is not int:
+                if not isinstance(color, int):
+                    raise ChromaticityError(
+                        f"view colors must be ints, got {color!r}"
+                    )
+                plain_colors = False
             if color in index:
                 raise ChromaticityError(
                     f"duplicate color {color} in view: a view holds at most "
                     "one value per process"
                 )
             index[color] = value
-        items = tuple(sorted(index.items(), key=lambda kv: kv[0]))
-        self._items = items
-        self._index = dict(items)
-        self._hash = hash(items)
+        items = tuple(sorted(index.items(), key=_color_of))
+        key: tuple = (items, tuple([exact_key(value) for _, value in items]))
+        if not plain_colors:
+            # ``View({True: x})`` and ``View({1: x})`` print differently.
+            key += (tuple([type(color) for color, _ in items]),)
+        found = _VIEWS.get(key)
+        if found is None:
+            found = object.__new__(cls)
+            found._items = items
+            found._index = index
+            found._hash = hash(items)
+            _VIEWS[key] = found
+        return found
 
     # ------------------------------------------------------------------
     # Mapping protocol
@@ -160,13 +180,30 @@ class View:
             return key
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, View):
             return NotImplemented
+        # Structural fallback: ``View({1: True})`` and ``View({1: 1})``
+        # are distinct interned objects that still compare equal.
         return self._items == other._items
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Re-intern on load (and on copy/deepcopy, which go through
+        # ``__reduce_ex__`` too): the result is the live equal view.
+        return (View, (self._items,))
+
     def __repr__(self) -> str:
         body = ", ".join(f"{c}:{v!r}" for c, v in self._items)
         return f"View({{{body}}})"
+
+
+_color_of = itemgetter(0)
+
+#: The interning registry: type-exact key → the live view.
+_VIEWS: "weakref.WeakValueDictionary[tuple, View]" = (
+    weakref.WeakValueDictionary()
+)

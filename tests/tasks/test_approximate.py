@@ -1,6 +1,7 @@
 """Unit tests for (liberal) ε-approximate agreement on the rational grid."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.tasks import (
     liberal_approximate_agreement_task,
 )
 from repro.tasks.inputs import input_simplex
+from repro.topology import Simplex, SimplicialComplex
 
 
 def F(num, den=1):
@@ -131,3 +133,67 @@ class TestLiberalTask:
         sigma = input_simplex({1: F(0), 2: F(1)})
         for vertex in task.delta(sigma).vertices:
             assert isinstance(vertex.value, Fraction)
+
+
+def _reference_delta(sigma, epsilon, m, liberal):
+    """Δ(σ) from exact Fractions, the way the task first defined it."""
+    values = [Fraction(v.value) for v in sigma.vertices]
+    low, high = min(values), max(values)
+    window = [v for v in grid(m) if low <= v <= high]
+    ids = sorted(sigma.ids)
+    distance_free = liberal and len(ids) == 2
+    return SimplicialComplex(
+        Simplex(zip(ids, combo))
+        for combo in product(window, repeat=len(ids))
+        if distance_free or max(combo) - min(combo) <= epsilon
+    )
+
+
+class TestDeltaParity:
+    """The rank-built Δ equals the Fraction-built one on every σ."""
+
+    @pytest.mark.parametrize("liberal", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_every_input_simplex(self, liberal, n, m, steps):
+        epsilon = F(steps, m)
+        build = (
+            liberal_approximate_agreement_task
+            if liberal
+            else approximate_agreement_task
+        )
+        task = build(range(1, n + 1), epsilon, m)
+        for sigma in task.input_complex:
+            assert task.delta(sigma) == _reference_delta(
+                sigma, epsilon, m, liberal
+            ), sigma
+
+    @pytest.mark.parametrize("liberal", [False, True])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {1: F(1, 3)},  # strictly between two grid points: Δ is empty
+            {1: F(1, 3), 2: F(1, 3)},
+            {1: F(1, 3), 2: F(3, 4)},
+            {1: F(0), 2: F(1, 3), 3: F(5, 6)},
+            {1: F(-1, 2), 2: F(3, 2)},  # beyond the grid on both sides
+        ],
+    )
+    def test_off_grid_sigma(self, liberal, values):
+        build = (
+            liberal_approximate_agreement_task
+            if liberal
+            else approximate_agreement_task
+        )
+        task = build([1, 2, 3], F(1, 4), 4)
+        sigma = input_simplex(values)
+        assert task.delta(sigma) == _reference_delta(
+            sigma, F(1, 4), 4, liberal
+        )
+
+    def test_vertices_carry_grid_fractions(self):
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        sigma = input_simplex({1: 0, 2: 1})  # ints, not Fractions
+        for vertex in task.delta(sigma).vertices:
+            assert type(vertex.value) is Fraction

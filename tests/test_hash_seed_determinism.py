@@ -6,6 +6,11 @@ output is identical under two different seeds does not let such an
 order leak into what it reports.  E2, E7 and E9 drive
 the closure, the solver and the lower-bound tables; E22 is left out
 because it prints a wall-clock ``seconds`` field.
+
+Views and vertices are interned, so the first equal object built is the
+one every later construction returns.  Running the same experiments in
+the reverse order must print the same block for each of them, so that
+what an experiment reports does not depend on what ran before it.
 """
 
 import os
@@ -15,14 +20,20 @@ from pathlib import Path
 
 _EXPERIMENTS = ("E2", "E7", "E9")
 
+#: Printed before each experiment's block, so blocks can be compared.
+_MARKER = b"@@ experiment "
+
 _PROBE = f"""
+import sys
 from repro.cli import main
-for identifier in {_EXPERIMENTS!r}:
+for identifier in sys.argv[1:]:
+    print({_MARKER.decode()!r} + identifier, flush=True)
     assert main(["experiment", identifier]) == 0
+    sys.stdout.flush()
 """
 
 
-def _run_under(seed):
+def _run_under(seed, experiments=_EXPERIMENTS):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -30,7 +41,7 @@ def _run_under(seed):
     )
     env["PYTHONHASHSEED"] = str(seed)
     completed = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", _PROBE, *experiments],
         capture_output=True,
         env=env,
         check=True,
@@ -38,8 +49,26 @@ def _run_under(seed):
     return completed.stdout
 
 
+def _blocks(stdout):
+    """``{experiment id: its printed block}`` of one probe run."""
+    blocks = {}
+    for chunk in stdout.split(_MARKER)[1:]:
+        identifier, _, block = chunk.partition(b"\n")
+        blocks[identifier.decode()] = block
+    return blocks
+
+
 def test_experiment_output_is_identical_across_hash_seeds():
     first, second = _run_under(1), _run_under(2)
     for identifier in _EXPERIMENTS:
         assert f"{identifier} — ".encode() in first
     assert first == second
+
+
+def test_experiment_output_does_not_depend_on_run_order():
+    forward = _blocks(_run_under(1))
+    backward = _blocks(_run_under(1, tuple(reversed(_EXPERIMENTS))))
+    assert sorted(forward) == sorted(_EXPERIMENTS)
+    for identifier in _EXPERIMENTS:
+        assert f"{identifier} — ".encode() in forward[identifier]
+        assert backward[identifier] == forward[identifier], identifier

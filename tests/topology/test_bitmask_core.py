@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ChromaticityError
 from repro.topology import Simplex, SimplicialComplex, Vertex, VertexTable
 from repro.topology import reference
+from repro.topology.complex import _prune_masks
 
 colors = st.integers(min_value=1, max_value=5)
 values = st.one_of(
@@ -64,6 +65,33 @@ class TestPruningParity:
             face for facet in complex_.facets for face in facet.faces()
         ]
         assert SimplicialComplex(candidates) == complex_
+
+
+#: Chromatic-sized masks (at most 4 set bits) over a few bits, so that
+#: random families often nest.
+small_masks = st.sets(
+    st.integers(min_value=0, max_value=7), min_size=1, max_size=4
+).map(lambda bits: sum(1 << bit for bit in bits))
+
+
+def _maximal_by_pairs(masks):
+    """Quadratic oracle: the distinct masks no other mask contains."""
+    distinct = set(masks)
+    return {
+        mask
+        for mask in distinct
+        if not any(
+            mask != other and mask & other == mask for other in distinct
+        )
+    }
+
+
+class TestPruneMasks:
+    @given(st.lists(small_masks, max_size=40))
+    def test_matches_the_quadratic_oracle(self, masks):
+        pruned = _prune_masks(masks)
+        assert len(pruned) == len(set(pruned))
+        assert set(pruned) == _maximal_by_pairs(masks)
 
 
 class TestQueryParity:

@@ -1,10 +1,14 @@
 """Unit tests for chromatic vertices and the structural sort key."""
 
+import copy
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from repro.topology import Vertex
+from repro.topology import Vertex, View
 from repro.topology.vertex import value_sort_key
 
 
@@ -98,3 +102,42 @@ class TestValueSortKey:
     def test_mixed_types_never_raise(self):
         keys = [value_sort_key(v) for v in [1, "a", (1,), frozenset(), None]]
         assert sorted(keys) == sorted(keys)  # comparable without TypeError
+
+
+class TestVertexInterning:
+    def test_equal_vertices_are_one_object(self):
+        assert Vertex(1, Fraction(1, 2)) is Vertex(1, Fraction(2, 4))
+        assert Vertex(2, View({1: "a"})) is Vertex(2, View([(1, "a")]))
+
+    def test_equal_values_of_different_types_stay_distinct(self):
+        as_int, as_fraction = Vertex(1, 0), Vertex(1, Fraction(0))
+        assert as_int is not as_fraction
+        assert as_int == as_fraction  # structural fallback
+        assert repr(as_int) == "Vertex(1, 0)"
+        assert repr(as_fraction) == "Vertex(1, Fraction(0, 1))"
+        assert Vertex(1, True) is not Vertex(1, 1)
+        assert Vertex(True, "x") is not Vertex(1, "x")
+
+    def test_augmented_payloads_stay_distinct(self):
+        view = View({1: "a"})
+        as_int, as_bool = Vertex(1, (0, view)), Vertex(1, (False, view))
+        assert as_int is not as_bool
+        assert Vertex(1, (0, View({1: "a"}))) is as_int
+        assert repr(as_bool) == "Vertex(1, (False, View({1:'a'})))"
+
+    def test_color_check_still_runs(self):
+        with pytest.raises(TypeError):
+            Vertex(1.0, "x")
+
+    def test_registry_keeps_nothing_alive(self):
+        vertex = Vertex(1, ("dropped-vertex", View({1: "dropped"})))
+        ref = weakref.ref(vertex)
+        del vertex
+        gc.collect()
+        assert ref() is None
+
+    def test_pickle_and_copy_reintern(self):
+        vertex = Vertex(2, (1, View({1: View({2: Fraction(1, 3)})})))
+        assert pickle.loads(pickle.dumps(vertex)) is vertex
+        assert copy.copy(vertex) is vertex
+        assert copy.deepcopy(vertex) is vertex

@@ -1,5 +1,11 @@
 """Unit tests for full-information views."""
 
+import copy
+import gc
+import pickle
+import weakref
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import ChromaticityError
@@ -87,3 +93,58 @@ class TestViewSemantics:
 
     def test_repr_is_stable(self):
         assert repr(View({2: "b", 1: "a"})) == repr(View({1: "a", 2: "b"}))
+
+
+class TestViewInterning:
+    def test_equal_views_are_one_object(self):
+        from_dict = View({1: "a", 2: View({3: "c"})})
+        from_pairs = View([(2, View([(3, "c")])), (1, "a")])
+        from_vertices = View([Vertex(1, "a"), Vertex(2, View({3: "c"}))])
+        assert from_dict is from_pairs is from_vertices
+
+    def test_derived_views_are_interned(self):
+        view = View({1: "a", 2: "b"})
+        assert view.restrict([1]) is View({1: "a"})
+        assert view.with_pair(3, "c") is View({1: "a", 2: "b", 3: "c"})
+
+    def test_equal_values_of_different_types_stay_distinct(self):
+        as_bool, as_int = View({1: True}), View({1: 1})
+        as_fraction = View({1: Fraction(1)})
+        assert as_bool is not as_int and as_int is not as_fraction
+        assert as_bool == as_int == as_fraction  # structural fallback
+        assert repr(as_bool) == "View({1:True})"
+        assert repr(as_int) == "View({1:1})"
+        assert repr(as_fraction) == "View({1:Fraction(1, 1)})"
+
+    def test_distinct_types_inside_nested_views_stay_distinct(self):
+        inner_int, inner_bool = View({1: 0}), View({1: False})
+        outer_int = View({2: (0, inner_int)})
+        outer_bool = View({2: (0, inner_bool)})
+        assert outer_int is not outer_bool
+        assert View({2: (0, View({1: 0}))}) is outer_int
+        assert repr(outer_bool) == "View({2:(0, View({1:False}))})"
+
+    def test_bool_colors_stay_distinct_from_int_colors(self):
+        assert View({True: "a"}) is not View({1: "a"})
+        assert repr(View({True: "a"})) == "View({True:'a'})"
+
+    def test_validation_still_runs(self):
+        with pytest.raises(ChromaticityError):
+            View([(1, "a"), (1, "a")])
+        with pytest.raises(ChromaticityError):
+            View({"1": "a"})
+
+    def test_registry_keeps_nothing_alive(self):
+        view = View({1: "dropped-view", 2: View({1: "dropped-inner"})})
+        ref = weakref.ref(view)
+        inner_ref = weakref.ref(view[2])
+        del view
+        gc.collect()
+        assert ref() is None
+        assert inner_ref() is None
+
+    def test_pickle_and_copy_reintern(self):
+        view = View({1: View({1: Fraction(1, 2)}), 2: (True, View({2: 0}))})
+        assert pickle.loads(pickle.dumps(view)) is view
+        assert copy.copy(view) is view
+        assert copy.deepcopy(view) is view
