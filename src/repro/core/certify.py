@@ -35,11 +35,12 @@ def check_decision_map(
 ) -> None:
     """Raise :class:`SolvabilityError` unless ``decision`` solves the instance.
 
-    The parameters are those of
-    :func:`~repro.core.solvability.build_solvability_problem`: the input
-    simplices whose executions constrain the map, ``σ ↦ Δ(σ)`` and
-    ``σ ↦ P^(t)(σ)``.  Vertices and facets are visited in sorted order,
-    so the reported violation is the same on every run.
+    The parameters are the input simplices whose executions constrain
+    the map, ``σ ↦ Δ(σ)`` and ``σ ↦ P^(t)(σ)``; pass
+    ``operator.of_simplex`` so that the complexes are built from views,
+    not from the solver's templates.  Vertices and facets are visited
+    in sorted order, so the reported violation is the same on every
+    run.
     """
     assignment = decision.assignment
     for source in sorted(assignment, key=lambda v: v._sort_key()):

@@ -16,10 +16,11 @@ Three practical notes:
   By Definition 1, ``Π_{τ,σ}`` depends on ``τ`` only through condition 1,
   which pins each solo process ``i`` to ``τ_i``; every larger face ranges
   over ``proj(Δ(σ))``.  And the one-round complex of ``τ`` is a
-  value-relabelling of one shape, fixed by ``ID(τ)`` and the box inputs
-  ``α(τ_i)``.  So the network is compiled once per ``(Δ(σ), ID(σ),
-  operator, box inputs)`` with the solo domains left free, and each
-  ``τ`` is decided by ANDing ``τ_i`` into the solo domains;
+  value-relabelling of one shape, fixed by the model's shape key of
+  ``τ`` (``ID(τ)``, plus the box inputs ``α(τ_i)`` in augmented
+  models).  So the network is compiled once per ``(Δ(σ), operator,
+  shape key)`` with the solo domains left free, and each ``τ`` is
+  decided by ANDing ``τ_i`` into the solo domains;
 * for augmented models whose box takes inputs, the one-round algorithm is a
   pair ``(α, f)``.  When the model carries a fixed input function (the
   ``β``-restricted closure ``CL_M(Π|β)`` of Theorem 4) it is used as is;
@@ -39,7 +40,7 @@ from repro.core.solvability import (
     build_solvability_problem,
 )
 from repro.errors import SolvabilityError
-from repro.models.base import ComputationModel, IteratedModel
+from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
 from repro.objects.augmented import AugmentedModel
 from repro.objects.beta import beta_input_function
@@ -132,10 +133,9 @@ class ClosureComputer:
             tuple[tuple[int, ...], tuple[int, ...]],
             tuple[ComputationModel, ProtocolOperator],
         ] = {}
-        #: Networks keyed by ``(Δ(σ), ID(σ), operator, box inputs)``.
+        #: Networks keyed by ``(Δ(σ), operator, shape key of τ)``.
         self._windows: dict[
-            tuple[SimplicialComplex, frozenset, ProtocolOperator, Hashable],
-            _Window,
+            tuple[SimplicialComplex, ProtocolOperator, Hashable], _Window
         ] = {}
 
     @property
@@ -221,7 +221,7 @@ class ClosureComputer:
         Every face of ``τ`` is constrained by ``proj_{ID(face)}(Δ(σ))``,
         singletons included, so no domain holds condition 1 yet.
         """
-        key = (allowed, tau.ids, operator, _box_inputs(model, tau))
+        key = (allowed, operator, model.shape_key(tau, 1))
         window = self._windows.get(key)
         if window is not None:
             _WINDOW_STATS.hit()
@@ -236,8 +236,8 @@ class ClosureComputer:
             network = build_solvability_problem(
                 tau.faces(),
                 lambda face: allowed.proj(face.ids),
-                lambda face: operator.of_simplex(face, 1),
-                rounds=1,
+                operator,
+                1,
             )
             solo = {
                 vertex.color: tuple(
@@ -351,20 +351,6 @@ class ClosureComputer:
             output_complex,
             self.delta_prime,
         )
-
-
-def _box_inputs(model: ComputationModel, tau: Simplex) -> Hashable:
-    """What, besides ``ID(τ)``, fixes the shape of ``τ``'s one round.
-
-    Register-only models build it from view maps over ``ID(τ)`` alone.
-    An augmented model's box also sees ``α(τ_i)`` per process, which may
-    read values.  Any other model gets ``τ`` itself: no sharing.
-    """
-    if isinstance(model, AugmentedModel):
-        return tuple(model.input_of(vertex) for vertex in tau.vertices)
-    if isinstance(model, IteratedModel):
-        return ()
-    return tau
 
 
 def closure_task(

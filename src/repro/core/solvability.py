@@ -20,7 +20,9 @@ one-round local tasks of Definition 2 (whose ``Δ`` is not monotone, which is
 why constraints range over all input simplices, not only facets).
 
 :func:`build_solvability_problem` compiles an instance once to integers
-(vertex ranks, output bits, domain masks, allowed-mask sets), and
+(vertex ranks, output bits, domain masks, allowed-mask sets), reading
+each ``P^(t)(σ)`` off the protocol operator's template for ``σ``'s
+shape key rather than building its views, and
 propagation, component splitting and search run on those alone; the
 decision map is decoded back to vertices at the end.
 :func:`repro.core.certify.check_decision_map` can re-check a returned
@@ -44,7 +46,12 @@ from typing import (
 
 from repro.errors import SolvabilityError
 from repro.models.base import ComputationModel
-from repro.models.protocol import ProtocolOperator
+from repro.models.protocol import (
+    ProtocolOperator,
+    ProtocolTemplate,
+    VertexKey,
+    decode_vertex,
+)
 from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
@@ -557,8 +564,8 @@ def _pair_table(allowed: frozenset[int]) -> dict[int, int]:
 def build_solvability_problem(
     input_simplices: Iterable[Simplex],
     delta_of: Callable[[Simplex], SimplicialComplex],
-    protocol_of: Callable[[Simplex], SimplicialComplex],
-    rounds: int = 0,
+    operator: ProtocolOperator,
+    rounds: int,
 ) -> SolvabilityProblem:
     """Compile constraints for a (generalized) solvability question.
 
@@ -569,24 +576,36 @@ def build_solvability_problem(
         all simplices of ``I``; for local tasks, all faces of ``τ``).
     delta_of:
         The specification ``σ ↦ Δ(σ)``.
-    protocol_of:
-        ``σ ↦ P^(t)(σ)``, the executions where exactly ``ID(σ)``
-        participate.
+    operator, rounds:
+        ``P^(t)(σ)``, the executions where exactly ``ID(σ)`` participate,
+        is ``operator``'s ``rounds``-round template of ``σ``, relabelled
+        with ``σ``'s inputs: each vertex is named by a
+        :data:`~repro.models.protocol.VertexKey`, and only the distinct
+        keys are decoded to vertices.
     """
-    # Gather the distinct Δ(σ) and every vertex on either side.
+    # Gather the distinct Δ(σ), the output vertices and the protocol
+    # vertices' keys.  The σ go in sort order, and below each σ's scopes
+    # in rank order: the constraint order is then the same under every
+    # hash seed, whatever order a complex iterates its simplices in.
     families: dict[SimplicialComplex, int] = {}
-    pieces: list[tuple[int, SimplicialComplex]] = []
-    protocol_vertices: set[Vertex] = set()
+    pieces: list[tuple[int, ProtocolTemplate, list[VertexKey]]] = []
+    protocol_keys: set[VertexKey] = set()
     output_vertices: set[Vertex] = set()
-    for sigma in input_simplices:
+    for sigma in sorted(input_simplices, key=Simplex._sort_key):
         allowed = delta_of(sigma)
         family = families.get(allowed)
         if family is None:
             family = families[allowed] = len(families)
             output_vertices.update(allowed.vertices)
-        protocol = protocol_of(sigma)
-        protocol_vertices.update(protocol.vertices)
-        pieces.append((family, protocol))
+        template = operator.template(sigma, rounds)
+        keys = template.keys(sigma)
+        protocol_keys.update(keys)
+        pieces.append((family, template, keys))
+    memo: dict = {}
+    vertex_of = {
+        key: decode_vertex(key, rounds, memo) for key in protocol_keys
+    }
+    protocol_vertices = set(vertex_of.values())
 
     # The one sort: it ranks the protocol vertices and orders the output
     # bits, so every later order is an integer order.
@@ -603,6 +622,7 @@ def build_solvability_problem(
         if vertex in output_vertices:
             bit_of[vertex] = 1 << len(outputs)
             outputs.append(vertex)
+    rank_of = {key: index_of[vertex] for key, vertex in vertex_of.items()}
 
     # Each Δ(σ) once: its simplices as masks, its vertices by color.
     family_faces: list[frozenset[int]] = []
@@ -626,12 +646,14 @@ def build_solvability_problem(
     scopes: list[tuple[int, ...]] = []
     allowed_sets: list[frozenset[int]] = []
     seen: set[tuple[tuple[int, ...], int]] = set()
-    for family, protocol in pieces:
+    for family, template, keys in pieces:
         by_color = family_colors[family]
-        for vertex in protocol.vertices:
-            domains[index_of[vertex]] &= by_color.get(vertex.color, 0)
-        for facet in protocol.facets:
-            scope = tuple(index_of[vertex] for vertex in facet.vertices)
+        ranks = [rank_of[key] for key in keys]
+        for rank in ranks:
+            domains[rank] &= by_color.get(vertices[rank].color, 0)
+        for scope in sorted(
+            tuple([ranks[k] for k in facet]) for facet in template.facets
+        ):
             if (scope, family) not in seen:
                 seen.add((scope, family))
                 scopes.append(scope)
@@ -673,12 +695,7 @@ def find_decision_map(
         if input_simplices is not None
         else list(task.input_complex)
     )
-    problem = build_solvability_problem(
-        simplices,
-        task.delta,
-        lambda sigma: op.of_simplex(sigma, rounds),
-        rounds=rounds,
-    )
+    problem = build_solvability_problem(simplices, task.delta, op, rounds)
     return problem.solve()
 
 

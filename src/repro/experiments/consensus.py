@@ -46,10 +46,7 @@ def reproduce_closure_machinery() -> dict[str, object]:
     operator = ProtocolOperator(iis)
     the_local = local_task(task, sigma, tau_in)
     problem = build_solvability_problem(
-        list(the_local.input_complex),
-        the_local.delta,
-        lambda face: operator.of_simplex(face, 1),
-        rounds=1,
+        list(the_local.input_complex), the_local.delta, operator, 1
     )
     witness = problem.solve()
 

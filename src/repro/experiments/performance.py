@@ -32,10 +32,7 @@ def _refutation_problem():
     task = approximate_agreement_task([1, 2], F(1, 4), 4)
     operator = ProtocolOperator(iis)
     return build_solvability_problem(
-        list(task.input_complex),
-        task.delta,
-        lambda sigma: operator.of_simplex(sigma, 1),
-        rounds=1,
+        list(task.input_complex), task.delta, operator, 1
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
+from repro.errors import ModelError
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -87,6 +88,20 @@ class ComputationModel(ABC):
         proofs of Theorems 1 and 2.
         """
 
+    def shape_key(self, sigma: Simplex, rounds: int) -> Hashable:
+        """What fixes ``P^(t)(σ)`` up to relabelling ``σ``'s inputs.
+
+        Two simplices with equal keys have the same ``t``-round complex
+        once each input leaf is replaced by the input of its color, so
+        one expansion serves both (see
+        :meth:`~repro.models.protocol.ProtocolOperator.template`).  A
+        model that returns anything but ``σ`` promises that each round
+        value is a :class:`View` of the previous round's values, or a
+        ``(box output, View)`` pair.  The default, ``σ`` itself, shares
+        nothing and promises nothing.
+        """
+        return sigma
+
     def solo_vertex(self, vertex: Vertex) -> Vertex:
         """The protocol vertex reached from ``vertex`` by a solo round."""
         return Vertex(vertex.color, self.solo_value(vertex))
@@ -102,6 +117,8 @@ class ComputationModel(ABC):
         ``Ξ(K)`` is the union of ``P^(1)(σ)`` over every simplex ``σ ∈ K``
         (Section 2.2).
         """
+        if rounds < 0:
+            raise ModelError(f"rounds must be non-negative, got {rounds}")
         current = base
         for _ in range(rounds):
             pieces = [
@@ -169,6 +186,10 @@ class IteratedModel(ComputationModel):
         self, ids: frozenset[int]
     ) -> list[dict[int, frozenset[int]]]:
         """Enumerate the view maps (uncached hook behind :meth:`view_maps`)."""
+
+    def shape_key(self, sigma: Simplex, rounds: int) -> Hashable:
+        """``ID(σ)``: the view maps depend on the participants alone."""
+        return sigma.ids
 
     def _build_one_round_complex(self, sigma: Simplex) -> SimplicialComplex:
         """Materialize the view maps into the complex ``P^(1)(σ)``."""

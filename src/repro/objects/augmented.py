@@ -111,6 +111,22 @@ class AugmentedModel(ComputationModel):
         # one dimension and the deduplicated family is maximal as-is.
         return SimplicialComplex.from_maximal(facets)
 
+    def shape_key(self, sigma: Simplex, rounds: int) -> Hashable:
+        """``ID(σ)`` and the box inputs ``α(σ_i)``, when they fix the rounds.
+
+        The box sees ``α`` of each carrier vertex, which may read its
+        value.  In round one the carrier is ``σ``, so ``α(σ_i)`` fixes
+        what the box is fed; a box that ignores inputs is fed nothing
+        that matters.  Later rounds feed it ``α`` of protocol vertices,
+        which ``σ``'s inputs alone do not fix: ``σ`` itself, no sharing.
+        """
+        if rounds == 1 or not self._box.requires_inputs():
+            return (
+                sigma.ids,
+                tuple(self.input_of(vertex) for vertex in sigma.vertices),
+            )
+        return sigma
+
     def solo_value(self, vertex: Vertex) -> Hashable:
         solo_box = self._box.solo_output(vertex.color, self._alpha(vertex))
         return (solo_box, View([(vertex.color, vertex.value)]))

@@ -47,8 +47,8 @@ def fresh_member(task, sigma, tau, models):
         problem = build_solvability_problem(
             list(the_local_task.input_complex),
             the_local_task.delta,
-            lambda face: operator.of_simplex(face, 1),
-            rounds=1,
+            operator,
+            1,
         )
         if problem.solve() is not None:
             return True

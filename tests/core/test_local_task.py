@@ -99,7 +99,8 @@ class TestSolvability:
         problem = build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda face: operator.of_simplex(face, 0),
+            operator,
+            0,
         )
         assert problem.solve() is not None
 
@@ -113,8 +114,8 @@ class TestSolvability:
         problem = build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda face: operator.of_simplex(face, 1),
-            rounds=1,
+            operator,
+            1,
         )
         assert problem.solve() is None
 
@@ -128,8 +129,8 @@ class TestSolvability:
         problem = build_solvability_problem(
             list(local.input_complex),
             local.delta,
-            lambda face: operator.of_simplex(face, 1),
-            rounds=1,
+            operator,
+            1,
         )
         assert problem.solve() is not None
 
@@ -142,7 +143,7 @@ class TestSolvability:
         problem = build_solvability_problem(
             list(local.input_complex),
             local.delta,
-            lambda face: operator.of_simplex(face, 1),
-            rounds=1,
+            operator,
+            1,
         )
         assert problem.solve() is None

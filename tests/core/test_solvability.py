@@ -170,8 +170,8 @@ class TestProblemCompilation:
         problem = build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, 1),
-            rounds=1,
+            operator,
+            1,
         )
         # Candidate domains are non-empty (the search fails later).
         assert all(problem.candidates.values())
@@ -183,7 +183,8 @@ class TestProblemCompilation:
         problem = build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, 1),
+            operator,
+            1,
         )
         for vertex, domain in problem.candidates.items():
             assert all(image.color == vertex.color for image in domain)
@@ -198,8 +199,8 @@ class TestProblemConstruction:
         return build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, rounds),
-            rounds=rounds,
+            operator,
+            rounds,
         )
 
     @staticmethod
@@ -249,8 +250,8 @@ class TestBudgetRecovery:
         return build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, 1),
-            rounds=1,
+            operator,
+            1,
         )
 
     def test_resolve_after_budget_failure(self, iis):
@@ -370,8 +371,8 @@ class TestExplicitStackSearch:
             return build_solvability_problem(
                 list(task.input_complex),
                 task.delta,
-                lambda sigma: operator.of_simplex(sigma, 1),
-                rounds=1,
+                operator,
+                1,
             )
 
         expected, expected_nodes = _recursive_search(
@@ -400,8 +401,8 @@ class TestExplicitStackSearch:
         problem = build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, 1),
-            rounds=1,
+            operator,
+            1,
         )
         domains, assignment, components = problem.prepare_search(
             use_propagation=False, use_components=False
@@ -435,8 +436,8 @@ class TestPinnedPropagation:
         return build_solvability_problem(
             list(task.input_complex),
             task.delta,
-            lambda sigma: operator.of_simplex(sigma, 1),
-            rounds=1,
+            operator,
+            1,
         )
 
     def test_every_pin_pair_matches_a_fresh_propagation(self, iis):

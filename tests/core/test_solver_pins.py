@@ -119,8 +119,8 @@ def test_decision_map_is_pinned(task, model, rounds, nodes, digest):
     problem = build_solvability_problem(
         list(task.input_complex),
         task.delta,
-        lambda sigma: operator.of_simplex(sigma, rounds),
-        rounds=rounds,
+        operator,
+        rounds,
     )
     decision = problem.solve()
     assert decision is not None
@@ -147,8 +147,8 @@ def test_ablation_node_counts_are_pinned(
     problem = build_solvability_problem(
         list(task.input_complex),
         task.delta,
-        lambda sigma: operator.of_simplex(sigma, 1),
-        rounds=1,
+        operator,
+        1,
     )
     assert problem.solve(use_propagation, use_components) is None
     assert problem.last_search_nodes == nodes

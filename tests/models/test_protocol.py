@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.models import ProtocolOperator
+from repro.errors import ModelError
+from repro.models import ImmediateSnapshotModel, ProtocolOperator
+from repro.models.protocol import decode_vertex
+from repro.objects import AugmentedModel, BinaryConsensusBox, TestAndSetBox
+from repro.tasks.inputs import input_simplex
+from repro.telemetry import default_registry
 from repro.topology import Simplex, SimplicialComplex
 
 
@@ -38,30 +43,77 @@ class TestOfSimplex:
         assert face_protocol.simplices <= full_protocol.simplices
 
 
-class TestOfComplex:
-    def test_union_over_simplices(self, operator, triangle):
-        base = SimplicialComplex.from_simplex(triangle)
-        merged = operator.of_complex(base, 1)
-        assert merged == operator.of_simplex(triangle, 1)
+class TestNegativeRounds:
+    def test_of_simplex_raises_model_error(self, triangle):
+        with pytest.raises(ModelError):
+            ProtocolOperator(ImmediateSnapshotModel()).of_simplex(
+                triangle, -1
+            )
 
-    def test_disjoint_inputs(self, operator):
-        base = SimplicialComplex(
-            [Simplex([(1, "a")]), Simplex([(2, "b")])]
+    def test_protocol_complex_raises_model_error(self, iis, triangle):
+        with pytest.raises(ModelError):
+            iis.protocol_complex_of_simplex(triangle, -2)
+
+
+def _decoded(operator, sigma, rounds):
+    keys = operator.template(sigma, rounds).keys(sigma)
+    return [decode_vertex(key, rounds) for key in keys]
+
+
+class TestTemplate:
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    def test_relabelled_template_is_the_protocol_complex(
+        self, operator, rounds
+    ):
+        first = input_simplex({1: "a", 2: "b", 3: "c"})
+        other = input_simplex({1: "c", 2: "c", 3: 0})
+        operator.template(first, rounds)
+        template = operator.template(other, rounds)
+        vertices = _decoded(operator, other, rounds)
+        protocol = operator.of_simplex(other, rounds)
+        assert set(vertices) == protocol.vertices
+        assert {
+            Simplex(vertices[k] for k in facet) for facet in template.facets
+        } == protocol.facets
+
+    def test_one_template_per_shape_key(self, operator):
+        stats = default_registry().cache("protocol-operator.template")
+        before = (stats.hits, stats.misses)
+        operator.template(input_simplex({1: 0, 2: 1}), 1)
+        operator.template(input_simplex({1: 5, 2: 5}), 1)
+        operator.template(input_simplex({2: 5, 3: 5}), 1)
+        assert (stats.hits - before[0], stats.misses - before[1]) == (1, 2)
+
+    def test_shared_vertex_has_one_key(self, operator):
+        # The solo view of process 1 lies in P^(1) of {1} and of {1, 2}.
+        solo = input_simplex({1: 0})
+        pair = input_simplex({1: 0, 2: 1})
+        (solo_key,) = operator.template(solo, 1).keys(solo)
+        assert solo_key in operator.template(pair, 1).keys(pair)
+
+    def test_augmented_shape_key(self):
+        def alpha(vertex):
+            return int(vertex.value >= 1)
+
+        model = AugmentedModel(BinaryConsensusBox(), alpha)
+        sigma = input_simplex({1: 0, 2: 1})
+        assert model.shape_key(sigma, 1) == (sigma.ids, (0, 1))
+        # Later rounds feed α protocol vertices: no sharing.
+        assert model.shape_key(sigma, 2) == sigma
+        ignores = AugmentedModel(TestAndSetBox())
+        assert ignores.shape_key(sigma, 2) == (sigma.ids, (None, None))
+
+    def test_unshared_template_keeps_its_vertices(self):
+        def alpha(vertex):
+            # Inputs in round one, (box output, view) pairs after it.
+            if isinstance(vertex.value, tuple):
+                return int(sum(vertex.value[1].values()) >= 1)
+            return int(vertex.value >= 1)
+
+        operator = ProtocolOperator(
+            AugmentedModel(BinaryConsensusBox(), alpha)
         )
-        protocol = operator.of_complex(base, 1)
-        assert len(protocol.facets) == 2
-        assert protocol.dim == 0
-
-
-class TestCarriers:
-    def test_carrier_table_covers_all_simplices(self, operator, triangle):
-        base = SimplicialComplex.from_simplex(triangle)
-        table = operator.carriers(base, 1)
-        assert set(table) == set(base.simplices)
-
-    def test_carrier_facets_have_input_colors(self, operator, triangle):
-        base = SimplicialComplex.from_simplex(triangle)
-        table = operator.carriers(base, 1)
-        for sigma, facets in table.items():
-            for facet in facets:
-                assert facet.ids == sigma.ids
+        sigma = input_simplex({1: 0, 2: 1})
+        template = operator.template(sigma, 2)
+        assert set(template.shapes) == operator.of_simplex(sigma, 2).vertices
+        assert set(template.carriers) == {()}

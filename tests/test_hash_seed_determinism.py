@@ -11,6 +11,10 @@ Views and vertices are interned, so the first equal object built is the
 one every later construction returns.  Running the same experiments in
 the reverse order must print the same block for each of them, so that
 what an experiment reports does not depend on what ran before it.
+
+The compiled solvability problem's constraint order must not depend on
+the seed either: a multivalued consensus task over strings is compiled
+under two seeds and its scopes compared.
 """
 
 import os
@@ -33,7 +37,23 @@ for identifier in sys.argv[1:]:
 """
 
 
-def _run_under(seed, experiments=_EXPERIMENTS):
+_SCOPES_PROBE = """
+from repro.core.solvability import build_solvability_problem
+from repro.models import ProtocolOperator
+from repro.objects import AugmentedModel, TestAndSetBox
+from repro.tasks import multivalued_consensus_task
+task = multivalued_consensus_task([1, 2], ["x", "y", "z"])
+problem = build_solvability_problem(
+    list(task.input_complex),
+    task.delta,
+    ProtocolOperator(AugmentedModel(TestAndSetBox())),
+    1,
+)
+print(problem.scopes)
+"""
+
+
+def _run_under(seed, experiments=_EXPERIMENTS, probe=_PROBE):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -41,7 +61,7 @@ def _run_under(seed, experiments=_EXPERIMENTS):
     )
     env["PYTHONHASHSEED"] = str(seed)
     completed = subprocess.run(
-        [sys.executable, "-c", _PROBE, *experiments],
+        [sys.executable, "-c", probe, *experiments],
         capture_output=True,
         env=env,
         check=True,
@@ -72,3 +92,9 @@ def test_experiment_output_does_not_depend_on_run_order():
     for identifier in _EXPERIMENTS:
         assert f"{identifier} — ".encode() in forward[identifier]
         assert backward[identifier] == forward[identifier], identifier
+
+
+def test_compiled_scopes_are_identical_across_hash_seeds():
+    first = _run_under(0, (), _SCOPES_PROBE)
+    assert first.startswith(b"((")
+    assert first == _run_under(1, (), _SCOPES_PROBE)
