@@ -23,6 +23,7 @@ from repro.models.schedules import (
     immediate_snapshot_schedules,
     schedule_from_blocks,
     view_maps_of_schedules,
+    distinct_schedules,
 )
 from repro.models.base import IteratedModel, ComputationModel
 from repro.models.collect import CollectModel
@@ -46,6 +47,7 @@ __all__ = [
     "immediate_snapshot_schedules",
     "schedule_from_blocks",
     "view_maps_of_schedules",
+    "distinct_schedules",
     "IteratedModel",
     "ComputationModel",
     "CollectModel",

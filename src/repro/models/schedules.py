@@ -25,7 +25,9 @@ reads exactly the values written by ``P_s``, so its one-round view is
 This module enumerates schedules for all three models and converts between
 the matrix form and the ordered-blocks form.  Enumeration is exhaustive and
 deterministic; distinct matrices can induce the same view map, so consumers
-deduplicate at the view-map level via :func:`view_maps_of_schedules`.
+deduplicate at the view-map level via :func:`view_maps_of_schedules`, or
+take the shared pool of one matrix per view map from
+:func:`distinct_schedules`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ScheduleError
+from repro.telemetry import default_registry
 
 __all__ = [
     "OneRoundSchedule",
@@ -44,10 +47,13 @@ __all__ = [
     "immediate_snapshot_schedules",
     "schedule_from_blocks",
     "view_maps_of_schedules",
+    "distinct_schedules",
 ]
 
 Ids = frozenset[int]
 ViewMap = dict[int, Ids]
+
+_DISTINCT_STATS = default_registry().cache("schedules.distinct")
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,10 @@ class OneRoundSchedule:
     views: tuple[Ids, ...]
 
     def __post_init__(self) -> None:
+        # Coerce to tuples of frozensets so every schedule is a hashable
+        # value: one instance is shared by every adversary drawing it.
+        object.__setattr__(self, "groups", tuple(map(frozenset, self.groups)))
+        object.__setattr__(self, "views", tuple(map(frozenset, self.views)))
         if len(self.groups) != len(self.views):
             raise ScheduleError(
                 "schedule must have as many groups as view sets"
@@ -297,6 +307,14 @@ def snapshot_schedules(ids: Iterable[int]) -> Iterator[OneRoundSchedule]:
             yield schedule
 
 
+def _view_map_key(view_map: ViewMap) -> tuple:
+    """The per-process view tuples: the dedup key and the sort order."""
+    return tuple(
+        (process, tuple(sorted(view)))
+        for process, view in sorted(view_map.items())
+    )
+
+
 def view_maps_of_schedules(
     schedules: Iterable[OneRoundSchedule],
 ) -> list[ViewMap]:
@@ -308,9 +326,44 @@ def view_maps_of_schedules(
     seen = {}
     for schedule in schedules:
         view_map = schedule.view_map()
-        key = tuple(
-            (process, tuple(sorted(view)))
-            for process, view in sorted(view_map.items())
-        )
-        seen.setdefault(key, view_map)
+        seen.setdefault(_view_map_key(view_map), view_map)
     return [seen[key] for key in sorted(seen)]
+
+
+_ENUMERATORS = {
+    "immediate": immediate_snapshot_schedules,
+    "snapshot": snapshot_schedules,
+    "collect": collect_schedules,
+}
+_DISTINCT: dict[tuple[str, Ids], tuple[OneRoundSchedule, ...]] = {}
+
+
+def distinct_schedules(
+    kind: str, ids: Iterable[int]
+) -> tuple[OneRoundSchedule, ...]:
+    """One schedule per distinct view map of a model over ``ids``.
+
+    ``kind`` is ``"immediate"``, ``"snapshot"`` or ``"collect"``.  Each
+    view map keeps the first matrix its enumerator yields, and the pool
+    is ordered like :func:`view_maps_of_schedules` (by the per-process
+    view tuples).  The pool is built once per ``(kind, frozenset(ids))``
+    and shared process-wide; counter ``schedules.distinct``.
+    """
+    key = (kind, frozenset(ids))
+    pool = _DISTINCT.get(key)
+    if pool is not None:
+        _DISTINCT_STATS.hit()
+        return pool
+    try:
+        enumerate_schedules = _ENUMERATORS[kind]
+    except KeyError:
+        raise ScheduleError(
+            f"unknown schedule kind {kind!r}: use one of "
+            f"{', '.join(sorted(_ENUMERATORS))}"
+        ) from None
+    _DISTINCT_STATS.miss()
+    seen: dict[tuple, OneRoundSchedule] = {}
+    for schedule in enumerate_schedules(key[1]):
+        seen.setdefault(_view_map_key(schedule.view_map()), schedule)
+    pool = _DISTINCT[key] = tuple(seen[k] for k in sorted(seen))
+    return pool

@@ -21,6 +21,7 @@ from itertools import product
 from repro.errors import RuntimeModelError
 from repro.models.schedules import (
     OneRoundSchedule,
+    distinct_schedules,
     ordered_partitions,
     schedule_from_blocks,
 )
@@ -110,12 +111,11 @@ class FixedScheduleAdversary(Adversary):
     def schedule(
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
-        try:
-            blocks = self._blocks[round_index - 1]
-        except IndexError:
+        if not 1 <= round_index <= len(self._blocks):
             raise RuntimeModelError(
                 f"fixed adversary has no schedule for round {round_index}"
-            ) from None
+            )
+        blocks = self._blocks[round_index - 1]
         trimmed = [block & active for block in blocks]
         trimmed = [block for block in trimmed if block]
         if frozenset().union(*trimmed) != active:
@@ -185,9 +185,11 @@ class RandomMatrixAdversary(Adversary):
     """Random schedules drawn from a *weaker* model's matrices.
 
     Samples uniformly among the distinct snapshot (or collect) view maps of
-    the active set each round, so algorithms can be stress-tested outside
-    the immediate-snapshot guarantees (e.g. to check whether the halving
-    map of Eq. 3 survives incomparable collect views).
+    the active set each round, from the process-wide pool of
+    :func:`~repro.models.schedules.distinct_schedules`, so algorithms can
+    be stress-tested outside the immediate-snapshot guarantees (e.g. to
+    check whether the halving map of Eq. 3 survives incomparable collect
+    views).
 
     Parameters
     ----------
@@ -204,38 +206,13 @@ class RandomMatrixAdversary(Adversary):
             )
         self._kind = kind
         self._rng = random.Random(seed)
-        self._pool: dict[frozenset[int], list[OneRoundSchedule]] = {}
-
-    def _schedules_for(
-        self, active: frozenset[int]
-    ) -> list[OneRoundSchedule]:
-        if active not in self._pool:
-            from repro.models.schedules import (
-                collect_schedules,
-                snapshot_schedules,
-            )
-
-            source = (
-                snapshot_schedules
-                if self._kind == "snapshot"
-                else collect_schedules
-            )
-            # Deduplicate by view map so sampling is over behaviors, not
-            # over syntactically distinct matrices.
-            seen = {}
-            for schedule in source(active):
-                key = tuple(
-                    (p, tuple(sorted(view)))
-                    for p, view in sorted(schedule.view_map().items())
-                )
-                seen.setdefault(key, schedule)
-            self._pool[active] = [seen[key] for key in sorted(seen)]
-        return self._pool[active]
 
     def schedule(
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
-        pool = self._schedules_for(active)
+        # The pool holds one matrix per view map, so sampling is over
+        # behaviors, not over syntactically distinct matrices.
+        pool = distinct_schedules(self._kind, active)
         return pool[self._rng.randrange(len(pool))]
 
 
@@ -248,12 +225,11 @@ class FixedMatrixAdversary(Adversary):
     def schedule(
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
-        try:
-            schedule = self._schedules[round_index - 1]
-        except IndexError:
+        if not 1 <= round_index <= len(self._schedules):
             raise RuntimeModelError(
                 f"no schedule supplied for round {round_index}"
-            ) from None
+            )
+        schedule = self._schedules[round_index - 1]
         if schedule.participants != active:
             raise RuntimeModelError(
                 f"round {round_index} schedule covers "
@@ -271,5 +247,6 @@ def all_schedule_sequences(
     There are ``Fubini(n)^rounds`` of them (13² = 169 for three processes
     and two rounds); use only on small instances.
     """
-    per_round = list(ordered_partitions(ids))
-    yield from product(per_round, repeat=rounds)
+    if rounds < 0:
+        raise RuntimeModelError(f"round count {rounds} is negative")
+    return product(list(ordered_partitions(ids)), repeat=rounds)

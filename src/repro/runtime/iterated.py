@@ -133,11 +133,17 @@ class IteratedExecutor:
             active = active - doomed
 
             schedule = scheduler.schedule(round_index, active)
-            if schedule.participants != active:
+            # Derive everything the round needs from the schedule once.
+            participants = schedule.participants
+            if participants != active:
                 raise RuntimeModelError(
-                    f"adversary schedule covers {sorted(schedule.participants)}"
+                    f"adversary schedule covers {sorted(participants)}"
                     f", expected the active set {sorted(active)}"
                 )
+            declared = schedule.view_map()
+            blocks: Optional[tuple[frozenset[int], ...]] = (
+                schedule.blocks() if schedule.is_immediate_snapshot() else None
+            )
             dying: frozenset = frozenset()
             if injector is not None:
                 dying = (
@@ -151,9 +157,12 @@ class IteratedExecutor:
                         "the injector may not crash every process mid-round"
                     )
             box_outputs, box_choice = self._run_box(
-                round_index, schedule, states, algorithm, scheduler
+                round_index, schedule, participants, states, algorithm,
+                scheduler,
             )
-            views = self._run_round(round_index, schedule, states, dying)
+            views = self._run_round(
+                round_index, participants, declared, blocks, states, dying
+            )
             new_states = {}
             for process in active - dying:
                 seen_states = {j: states[j] for j in views[process]}
@@ -168,15 +177,13 @@ class IteratedExecutor:
             for process in dying:
                 crashed[process] = round_index
             active = active - dying
-            if schedule.is_immediate_snapshot():
-                blocks = tuple(
-                    tuple(sorted(block)) for block in schedule.blocks()
-                )
+            if blocks is not None:
+                recorded = tuple(tuple(sorted(block)) for block in blocks)
                 schedule_views: Optional[tuple[tuple[int, ...], ...]] = None
             else:
                 # Snapshot/collect schedules have no temporal block
                 # decomposition; record the matrix groups and view sets.
-                blocks = tuple(
+                recorded = tuple(
                     tuple(sorted(group)) for group in schedule.groups
                 )
                 schedule_views = tuple(
@@ -186,7 +193,7 @@ class IteratedExecutor:
                 RoundRecord(
                     round_index=round_index,
                     active=tuple(sorted(active)),
-                    blocks=blocks,
+                    blocks=recorded,
                     views={
                         p: tuple(sorted(view)) for p, view in views.items()
                     },
@@ -214,12 +221,16 @@ class IteratedExecutor:
     def _run_round(
         self,
         round_index: int,
-        schedule: OneRoundSchedule,
+        participants: frozenset[int],
+        declared: Mapping[int, frozenset[int]],
+        blocks: Optional[tuple[frozenset[int], ...]],
         states: Mapping[int, object],
         dying: frozenset,
     ) -> dict[int, frozenset]:
-        """Materialize the schedule through a real register array.
+        """Materialize the round's schedule through a real register array.
 
+        ``declared`` is the schedule's view map and ``blocks`` its temporal
+        blocks, or ``None`` for a schedule that is not immediate-snapshot.
         Immediate-snapshot schedules run block by block (write together,
         snapshot together); general snapshot/collect schedules read the
         declared view sets directly — their realizability is guaranteed by
@@ -227,11 +238,11 @@ class IteratedExecutor:
         write but never snapshot (they crash mid-round), so their writes
         remain visible to the survivors while they themselves get no view.
         """
-        active = tuple(sorted(schedule.participants))
+        active = tuple(sorted(participants))
         array = self._array(round_index, active)
         views: dict[int, frozenset] = {}
-        if schedule.is_immediate_snapshot():
-            for block in schedule.blocks():
+        if blocks is not None:
+            for block in blocks:
                 for process in sorted(block):
                     array.write(process, states[process])
                 content = frozenset(array.snapshot())
@@ -241,7 +252,7 @@ class IteratedExecutor:
         else:
             for process in active:
                 array.write(process, states[process])
-            missing = frozenset(active) - frozenset(array.written())
+            missing = participants - frozenset(array.written())
             if missing:
                 raise FaultInjectionError(
                     f"round {round_index}: writes by processes "
@@ -249,11 +260,10 @@ class IteratedExecutor:
                 )
             views = {
                 process: view
-                for process, view in schedule.view_map().items()
+                for process, view in declared.items()
                 if process not in dying
             }
         # Cross-check against the schedule's declared views.
-        declared = schedule.view_map()
         for process, view in views.items():
             if view != declared[process]:
                 raise FaultInjectionError(
@@ -267,6 +277,7 @@ class IteratedExecutor:
         self,
         round_index: int,
         schedule: OneRoundSchedule,
+        participants: frozenset[int],
         states: Mapping[int, object],
         algorithm: RoundAlgorithm,
         scheduler: Adversary,
@@ -277,7 +288,7 @@ class IteratedExecutor:
             process: algorithm.box_input(
                 process, states[process], round_index
             )
-            for process in schedule.participants
+            for process in participants
         }
         options = list(self._box.assignments(schedule, box_inputs))
         if not options:

@@ -6,6 +6,7 @@ from repro.errors import ScheduleError
 from repro.models.schedules import (
     OneRoundSchedule,
     collect_schedules,
+    distinct_schedules,
     immediate_snapshot_schedules,
     ordered_partitions,
     schedule_from_blocks,
@@ -55,6 +56,19 @@ class TestScheduleValidation:
     def test_empty_group_rejected(self):
         with pytest.raises(ScheduleError):
             OneRoundSchedule(groups=(fs(),), views=(fs(),))
+
+    def test_mutable_sets_coerced_to_hashable_value(self):
+        mutable = OneRoundSchedule(groups=({1, 2},), views=({1, 2},))
+        frozen = OneRoundSchedule(groups=(fs(1, 2),), views=(fs(1, 2),))
+        assert mutable == frozen
+        assert hash(mutable) == hash(frozen)
+        assert type(mutable.groups) is tuple
+        assert all(type(g) is frozenset for g in mutable.groups)
+        assert all(type(v) is frozenset for v in mutable.views)
+
+    def test_coerced_lists_still_validated(self):
+        with pytest.raises(ScheduleError):
+            OneRoundSchedule(groups=[{1}, {2}], views=[{1}, {2}])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ScheduleError):
@@ -203,3 +217,61 @@ class TestEnumerations:
     def test_empty_enumerations(self):
         assert list(ordered_partitions([])) == []
         assert list(collect_schedules([])) == []
+
+
+ENUMERATORS = {
+    "immediate": immediate_snapshot_schedules,
+    "snapshot": snapshot_schedules,
+    "collect": collect_schedules,
+}
+
+
+def brute_force_distinct(kind, ids):
+    """First matrix per view map, sorted by the per-process view tuples."""
+    first = {}
+    for schedule in ENUMERATORS[kind](ids):
+        key = tuple(
+            sorted(
+                (process, tuple(sorted(view)))
+                for process, view in schedule.view_map().items()
+            )
+        )
+        if key not in first:
+            first[key] = schedule
+    return [first[key] for key in sorted(first)]
+
+
+class TestDistinctSchedules:
+    @pytest.mark.parametrize("kind", sorted(ENUMERATORS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_brute_force_dedup(self, kind, n):
+        ids = range(1, n + 1)
+        pool = distinct_schedules(kind, ids)
+        expected = brute_force_distinct(kind, ids)
+        # The kept matrices themselves, in order — not only their views.
+        assert [(s.groups, s.views) for s in pool] == [
+            (s.groups, s.views) for s in expected
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(ENUMERATORS))
+    def test_order_matches_view_maps_of_schedules(self, kind):
+        ids = [1, 2, 3]
+        assert [s.view_map() for s in distinct_schedules(kind, ids)] == (
+            view_maps_of_schedules(ENUMERATORS[kind](ids))
+        )
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("immediate", 13), ("snapshot", 19), ("collect", 25)],
+    )
+    def test_three_process_counts(self, kind, expected):
+        assert len(distinct_schedules(kind, [1, 2, 3])) == expected
+
+    def test_pool_is_shared_and_immutable(self):
+        first = distinct_schedules("collect", [3, 2, 1])
+        assert distinct_schedules("collect", frozenset({1, 2, 3})) is first
+        assert isinstance(first, tuple)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ScheduleError):
+            distinct_schedules("quantum", [1, 2])

@@ -62,6 +62,13 @@ class TestFixedSchedule:
         with pytest.raises(RuntimeModelError):
             adversary.schedule(1, ACTIVE)
 
+    @pytest.mark.parametrize("round_index", [0, -1])
+    def test_rounds_before_the_first_rejected(self, round_index):
+        # Round 0 must not wrap around to the last round's schedule.
+        adversary = FixedScheduleAdversary([[[1], [2]], [[1, 2]]])
+        with pytest.raises(RuntimeModelError):
+            adversary.schedule(round_index, frozenset({1, 2}))
+
 
 class TestRandomAdversary:
     def test_deterministic_per_seed(self):
@@ -116,6 +123,10 @@ class TestExhaustiveSequences:
         assert len(list(all_schedule_sequences([1, 2], 1))) == 3
         assert len(list(all_schedule_sequences([1, 2], 2))) == 9
         assert len(list(all_schedule_sequences([1, 2, 3], 1))) == 13
+
+    def test_negative_round_count_rejected(self):
+        with pytest.raises(RuntimeModelError):
+            all_schedule_sequences([1, 2], -1)
 
     def test_sequences_are_block_tuples(self):
         for sequence in all_schedule_sequences([1, 2], 2):

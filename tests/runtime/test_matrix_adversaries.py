@@ -6,16 +6,14 @@ import pytest
 
 from repro.algorithms import HalvingAA
 from repro.errors import RuntimeModelError
-from repro.models.schedules import (
-    collect_schedules,
-    schedule_from_blocks,
-    snapshot_schedules,
-)
+from repro.models import schedules
+from repro.models.schedules import distinct_schedules, schedule_from_blocks
 from repro.runtime import (
     FixedMatrixAdversary,
     IteratedExecutor,
     RandomMatrixAdversary,
 )
+from repro.telemetry import default_registry
 
 
 def F(num, den=1):
@@ -23,7 +21,6 @@ def F(num, den=1):
 
 
 ACTIVE = frozenset({1, 2, 3})
-
 
 class TestRandomMatrixAdversary:
     def test_unknown_kind_rejected(self):
@@ -54,10 +51,20 @@ class TestRandomMatrixAdversary:
             )
 
     def test_pool_sizes_match_models(self):
-        adversary = RandomMatrixAdversary("collect", seed=0)
-        assert len(adversary._schedules_for(ACTIVE)) == 25
-        snap = RandomMatrixAdversary("snapshot", seed=0)
-        assert len(snap._schedules_for(ACTIVE)) == 19
+        assert len(distinct_schedules("collect", ACTIVE)) == 25
+        assert len(distinct_schedules("snapshot", ACTIVE)) == 19
+
+    def test_pool_built_once_per_key_across_instances(self, monkeypatch):
+        monkeypatch.setattr(schedules, "_DISTINCT", {})
+        counter = default_registry().cache("schedules.distinct")
+        hits, misses = counter.hits, counter.misses
+        for seed in (0, 1):
+            adversary = RandomMatrixAdversary("collect", seed=seed)
+            for round_index in range(1, 6):
+                adversary.schedule(round_index, ACTIVE)
+                adversary.schedule(round_index, frozenset({1, 2}))
+        assert counter.misses - misses == 2
+        assert counter.hits - hits == 18
 
 
 class TestFixedMatrixAdversary:
@@ -74,6 +81,14 @@ class TestFixedMatrixAdversary:
         adversary = FixedMatrixAdversary([])
         with pytest.raises(RuntimeModelError):
             adversary.schedule(1, ACTIVE)
+
+    @pytest.mark.parametrize("round_index", [0, -1])
+    def test_rounds_before_the_first_rejected(self, round_index):
+        adversary = FixedMatrixAdversary(
+            [schedule_from_blocks([[1], [2]]), schedule_from_blocks([[1, 2]])]
+        )
+        with pytest.raises(RuntimeModelError):
+            adversary.schedule(round_index, frozenset({1, 2}))
 
     def test_participant_mismatch_rejected(self):
         adversary = FixedMatrixAdversary([schedule_from_blocks([[1, 2]])])
@@ -103,14 +118,7 @@ class TestHalvingUnderWeakerModels:
         algorithm = HalvingAA(eps)
         inputs = {1: F(0), 2: F(1, 2), 3: F(1)}
         executor = IteratedExecutor()
-        seen = {}
-        for schedule in collect_schedules([1, 2, 3]):
-            key = tuple(
-                (p, tuple(sorted(v)))
-                for p, v in sorted(schedule.view_map().items())
-            )
-            seen.setdefault(key, schedule)
-        pool = list(seen.values())
+        pool = distinct_schedules("collect", [1, 2, 3])
         for first in pool:
             for second in pool:
                 result = executor.run(
