@@ -1,9 +1,8 @@
 """Cache-stats reporting for the memoized hot paths.
 
-The substrate memoizes at five layers (one-round complexes per model,
-view maps per participant set, ``P^(t)`` per protocol operator, its
-templates per shape key, closure membership per ``(Δ(σ), τ)``
-window); every layer reports into the
+The substrate memoizes at four layers (one-round complexes per model,
+``P^(t)`` per protocol operator, its templates per shape key, closure
+membership per ``(Δ(σ), τ)`` window); every layer reports into the
 cache counters of :func:`repro.telemetry.default_registry`.  This module
 turns those counters into rows and plain-text tables, in the same format
 as the experiment tables, so benchmarks can record cache effectiveness

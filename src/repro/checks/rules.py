@@ -22,15 +22,15 @@ AUD003    carrier    name preservation: ``Δ(σ)`` only uses the colors of
                      ``σ``
 AUD004    carrier    monotonicity: ``σ' ⊆ σ ⟹ Δ(σ') ⊆ Δ(σ)`` (only for
                      maps declared monotone)
-AUD005    schedule   the matrix conditions (1)–(5) of Appendix A.3.4,
-                     plus the snapshot chain / immediate-snapshot
-                     conditions when the schedule claims them
+AUD005    schedule   the snapshot chain / immediate-snapshot conditions
+                     when the schedule claims them (the constructor
+                     enforces the matrix conditions (1)–(5))
 AUD006    model      one-round structure: ``P^(1)(σ)`` is pure of
                      dimension ``|σ|−1`` on ``ID(σ)``, contains the solo
                      executions, and is idempotent on solo views
                      (``P^(1)({v}) = {solo(v)}``)
-AUD007    model      memo coherence: every cached one-round complex and
-                     view-map table equals a freshly built one
+AUD007    model      memo coherence: every cached one-round complex
+                     equals a freshly built one
 AUD008    task       task well-formedness: ``Δ(σ)`` is chromatic and
                      contained in the output complex
 AUD009    closure    closure well-formedness (Theorem 1): ``Δ ⊆ Δ'`` and
@@ -68,7 +68,7 @@ from typing import (
 
 from repro.checks.findings import Finding, Severity
 from repro.errors import ReproError
-from repro.models.base import ComputationModel, IteratedModel
+from repro.models.base import ComputationModel
 from repro.models.schedules import OneRoundSchedule
 from repro.tasks.task import Task
 from repro.topology.carrier import CarrierMap
@@ -410,73 +410,19 @@ def check_carrier_monotone(target: AuditTarget) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # Schedule rules
 # ----------------------------------------------------------------------
-@audit_rule("AUD005", "schedule", "schedule matrices satisfy (1)–(5)")
+@audit_rule("AUD005", "schedule", "schedules meet their model's claim")
 def check_schedule_conditions(target: AuditTarget) -> Iterator[Finding]:
-    """Re-verify the Appendix A.3.4 matrix conditions from the raw fields.
+    """The chain and immediate-snapshot conditions a schedule claims.
 
-    ``OneRoundSchedule.__post_init__`` validates at construction, but
-    forged or deserialized schedules bypass it; the audit recomputes every
-    condition, plus the chain condition for schedules claiming the
-    snapshot model and the footnote-2 condition for claimed
+    ``OneRoundSchedule.__post_init__`` enforces the matrix conditions
+    (1)–(5) of Appendix A.3.4 at construction.  The audit checks what the
+    constructor leaves to the model: the chain condition for schedules
+    claiming the snapshot model and the footnote-2 condition for claimed
     immediate-snapshot schedules (``schedule_model`` extra: ``collect``,
     ``snapshot``, or ``iis``).
     """
     schedule: OneRoundSchedule = target.obj
     path = target.path
-    groups, views = schedule.groups, schedule.views
-    if len(groups) != len(views) or not groups:
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            f"malformed matrix: {len(groups)} groups vs {len(views)} "
-            "view sets",
-        )
-        return
-    participants = frozenset().union(*groups)
-    if len(groups) > len(participants):
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            f"condition (1) violated: r = {len(groups) - 1} exceeds "
-            f"|I| - 1 = {len(participants) - 1}",
-        )
-    if sum(len(g) for g in groups) != len(participants):
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            "condition (4) violated: the groups do not partition I",
-        )
-    for index, view in enumerate(views):
-        if not view <= participants:
-            yield Finding(
-                "AUD005",
-                Severity.ERROR,
-                path,
-                f"condition (2) violated: P_{index} = {sorted(view)} is "
-                f"not a subset of I = {sorted(participants)}",
-            )
-    if views[0] != participants:
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            f"condition (3) violated: P_0 = {sorted(views[0])} differs "
-            f"from I = {sorted(participants)}",
-        )
-    suffix: frozenset[str] = frozenset()
-    for index in range(len(groups) - 1, -1, -1):
-        suffix = suffix | groups[index]
-        if not suffix <= views[index]:
-            yield Finding(
-                "AUD005",
-                Severity.ERROR,
-                path,
-                f"condition (5) violated: P_{index} does not contain "
-                f"I_{index} ∪ … ∪ I_r",
-            )
     claimed = target.extras.get("schedule_model")
     if claimed in ("snapshot", "iis") and not schedule.is_snapshot():
         yield Finding(
@@ -558,13 +504,13 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
 
 @audit_rule("AUD007", "model", "memoized complexes match fresh builds")
 def check_memo_coherence(target: AuditTarget) -> Iterator[Finding]:
-    """Cache-coherence probe for the PR-1 memoization layer.
+    """Cache-coherence probe for the model's one-round memo.
 
-    Interned one-round complexes and view-map tables are shared across
-    every consumer of a model instance; a single in-place mutation (or a
-    cache poisoned by a buggy write) silently corrupts every later
-    computation.  The probe rebuilds each cached entry through the
-    uncached hook and requires exact equality.
+    Interned one-round complexes are shared across every consumer of a
+    model instance; a single in-place mutation (or a cache poisoned by a
+    buggy write) silently corrupts every later computation.  The probe
+    rebuilds each cached entry through the uncached hook and requires
+    exact equality.
     """
     model: ComputationModel = target.obj
     one_round_cache = getattr(model, "_one_round_cache", None) or {}
@@ -581,18 +527,6 @@ def check_memo_coherence(target: AuditTarget) -> Iterator[Finding]:
                 f"facets) differs from a fresh build "
                 f"({len(fresh.facets)} facets)",
             )
-    if isinstance(model, IteratedModel):
-        view_cache = getattr(model, "_view_map_cache", None) or {}
-        for ids, cached_maps in list(view_cache.items()):
-            fresh_maps = model._enumerate_view_maps(ids)
-            if cached_maps != fresh_maps:
-                yield Finding(
-                    "AUD007",
-                    Severity.ERROR,
-                    f"{target.path}/view-map-cache[{sorted(ids)}]",
-                    f"stale view-map entry: {len(cached_maps)} cached "
-                    f"maps vs {len(fresh_maps)} freshly enumerated",
-                )
 
 
 # ----------------------------------------------------------------------

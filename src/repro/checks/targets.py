@@ -12,7 +12,7 @@ audits the union of the groups of every registered experiment, building
 each group exactly once.  The construction stays deliberately small
 (n ≤ 3, coarse grids) so the full audit runs in seconds while still
 covering every model family, every task family, all three schedule
-enumerations, and the closure machinery.
+pools, and the closure machinery.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
     SnapshotModel,
-    collect_schedules,
-    immediate_snapshot_schedules,
+    distinct_schedules,
     k_concurrency_model,
-    snapshot_schedules,
 )
 from repro.models.base import ComputationModel
 from repro.objects import (
@@ -116,23 +114,23 @@ def _task_targets(path: str, task: Task) -> list[AuditTarget]:
 
 
 def _schedule_targets(path: str, n: int) -> list[AuditTarget]:
-    ids = range(1, n + 1)
-    targets: list[AuditTarget] = []
-    for label, enumerate_, claimed in (
-        ("collect", collect_schedules, "collect"),
-        ("snapshot", snapshot_schedules, "snapshot"),
-        ("iis", immediate_snapshot_schedules, "iis"),
-    ):
-        for index, schedule in enumerate(enumerate_(ids)):
-            targets.append(
-                AuditTarget(
-                    "schedule",
-                    f"{path}/{label}[{index}]",
-                    schedule,
-                    {"schedule_model": claimed},
-                )
-            )
-    return targets
+    """Every schedule of each model's shared pool over ``1..n``."""
+    return [
+        AuditTarget(
+            "schedule",
+            f"{path}/{label}[{index}]",
+            schedule,
+            {"schedule_model": label},
+        )
+        for kind, label in (
+            ("collect", "collect"),
+            ("snapshot", "snapshot"),
+            ("immediate", "iis"),
+        )
+        for index, schedule in enumerate(
+            distinct_schedules(kind, range(1, n + 1))
+        )
+    ]
 
 
 def _closure_targets(

@@ -19,12 +19,7 @@ from repro.faults.oracles import (
     ConsensusOracle,
     PropertyOracle,
 )
-from repro.models.schedules import (
-    collect_schedules,
-    immediate_snapshot_schedules,
-    snapshot_schedules,
-    view_maps_of_schedules,
-)
+from repro.models.schedules import distinct_schedules
 from repro.objects import BinaryConsensusBox, TestAndSetBox
 from repro.runtime import (
     IteratedExecutor,
@@ -137,26 +132,13 @@ def reproduce_runtime_vs_matrices(
     ids = [1, 2, 3]
     values = {1: "a", 2: "b", 3: "c"}
 
-    def normalize(view_map):
-        return tuple(
-            (p, tuple(sorted(v))) for p, v in sorted(view_map.items())
-        )
-
+    # A view map {process: seen writers} compared as its set of items.
     matrix_sets = {
-        "collect": {
-            normalize(m)
-            for m in view_maps_of_schedules(collect_schedules(ids))
-        },
-        "snapshot": {
-            normalize(m)
-            for m in view_maps_of_schedules(snapshot_schedules(ids))
-        },
-        "immediate": {
-            normalize(m)
-            for m in view_maps_of_schedules(
-                immediate_snapshot_schedules(ids)
-            )
-        },
+        kind: {
+            frozenset(s.view_map().items())
+            for s in distinct_schedules(kind, ids)
+        }
+        for kind in ("collect", "snapshot", "immediate")
     }
     runners = {
         "collect": random_collect_round,
@@ -169,7 +151,7 @@ def reproduce_runtime_vs_matrices(
         reached = set()
         sound = True
         for _ in range(samples):
-            views = normalize(runner(ids, values, rng))
+            views = frozenset(runner(ids, values, rng).items())
             reached.add(views)
             if views not in matrix_sets[name]:
                 sound = False

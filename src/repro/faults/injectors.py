@@ -37,7 +37,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import RuntimeModelError
+from repro.errors import RuntimeModelError, ScheduleError
 from repro.models.schedules import OneRoundSchedule, schedule_from_blocks
 from repro.runtime.adversary import Adversary
 from repro.runtime.iterated import ExecutionResult
@@ -560,7 +560,7 @@ class ReplayAdversary(Adversary):
             if scheduled == active:
                 try:
                     return OneRoundSchedule(tuple(groups), tuple(views))
-                except Exception:
+                except ScheduleError:
                     pass
             return schedule_from_blocks([active])
         blocks = []

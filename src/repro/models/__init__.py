@@ -3,7 +3,9 @@
 One round of the generic full-information protocol (Algorithm 1) is a
 *communication pattern*: which processes see which writes.  The paper encodes
 patterns as matrices ``[[P_0 … P_r],[I_0 … I_r]]`` (Appendix A.3.4); this
-subpackage enumerates them for the three models of the paper —
+subpackage enumerates them, one shared pool per model and participant set
+(:func:`~repro.models.schedules.distinct_schedules`), for the three models
+of the paper —
 
 * **write-collect** (:class:`~repro.models.collect.CollectModel`),
 * **write-snapshot** (:class:`~repro.models.snapshot.SnapshotModel`),
@@ -22,7 +24,6 @@ from repro.models.schedules import (
     snapshot_schedules,
     immediate_snapshot_schedules,
     schedule_from_blocks,
-    view_maps_of_schedules,
     distinct_schedules,
 )
 from repro.models.base import IteratedModel, ComputationModel
@@ -46,7 +47,6 @@ __all__ = [
     "snapshot_schedules",
     "immediate_snapshot_schedules",
     "schedule_from_blocks",
-    "view_maps_of_schedules",
     "distinct_schedules",
     "IteratedModel",
     "ComputationModel",

@@ -6,8 +6,9 @@ standard chromatic subdivision, round after round.  The speedup theorem
 (Theorem 1) applies to any affine model that still *allows solo executions*.
 
 :class:`AffineModel` wraps a base iterated model with a predicate on view
-maps; it refuses construction if the predicate kills a solo execution, since
-the speedup machinery would then be unsound for the resulting model.
+maps; it refuses every use on a participant set where the predicate kills a
+solo execution, since the speedup machinery would then be unsound for the
+resulting model.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import ModelError
 from repro.models.base import IteratedModel
+from repro.models.schedules import OneRoundSchedule
 
 __all__ = ["AffineModel", "k_concurrency_model", "no_synchrony_model"]
 
@@ -24,6 +26,9 @@ ViewMap = dict[int, frozenset[int]]
 
 class AffineModel(IteratedModel):
     """A facet-restricted iterated model.
+
+    Every use on a participant set verifies that solo executions survive
+    the restriction, as required by the hypotheses of Theorem 1.
 
     Parameters
     ----------
@@ -34,11 +39,6 @@ class AffineModel(IteratedModel):
         are removed from every round.
     name:
         Label for reports.
-    require_solo:
-        When true (default), construction-time use on any participant set
-        verifies that solo executions survive the restriction, as required
-        by the hypotheses of Theorem 1.  The check runs lazily per
-        participant set, the first time that set is used.
     """
 
     def __init__(
@@ -46,21 +46,20 @@ class AffineModel(IteratedModel):
         base: IteratedModel,
         keep: Callable[[ViewMap], bool],
         name: Optional[str] = None,
-        require_solo: bool = True,
     ) -> None:
         self._base = base
         self._keep = keep
-        self._require_solo = require_solo
         self.name = name or f"affine({base.name})"
 
-    def _enumerate_view_maps(self, ids: frozenset[int]) -> list[ViewMap]:
-        kept = [
-            view_map
-            for view_map in self._base.view_maps(ids)
-            if self._keep(view_map)
-        ]
-        if self._require_solo:
-            self._verify_solo(ids, kept)
+    def schedules(self, ids: Iterable[int]) -> tuple[OneRoundSchedule, ...]:
+        """The base model's schedules whose view map the predicate keeps."""
+        participants = frozenset(ids)
+        kept = tuple(
+            schedule
+            for schedule in self._base.schedules(participants)
+            if self._keep(schedule.view_map())
+        )
+        self._verify_solo(participants, kept)
         return kept
 
     def one_round_schedule_allowed(self, view_map: ViewMap) -> bool:
@@ -68,20 +67,15 @@ class AffineModel(IteratedModel):
         return self._keep(view_map)
 
     def _verify_solo(
-        self, ids: frozenset[int], kept: Iterable[ViewMap]
+        self, ids: frozenset[int], kept: tuple[OneRoundSchedule, ...]
     ) -> None:
-        kept = list(kept)
         for process in ids:
-            has_solo = any(
-                view_map.get(process) == frozenset({process})
-                for view_map in kept
-            )
-            if not has_solo:
+            solo = frozenset({process})
+            if not any(schedule.view_of(process) == solo for schedule in kept):
                 raise ModelError(
                     f"affine restriction removes every solo execution of "
                     f"process {process} among {sorted(ids)}; the speedup "
-                    "theorem does not apply to such models "
-                    "(pass require_solo=False to bypass)"
+                    "theorem does not apply to such models"
                 )
 
 

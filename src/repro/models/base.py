@@ -9,8 +9,10 @@ Two layers of abstraction:
 
 * :class:`IteratedModel` is the register-only specialization: a model defined
   by a set of one-round schedules (collect / snapshot / immediate snapshot /
-  affine restrictions).  Augmented models (with black boxes) implement
-  :class:`ComputationModel` directly in :mod:`repro.objects.augmented`.
+  affine restrictions), read from the shared pool of
+  :func:`~repro.models.schedules.distinct_schedules`.  Augmented models
+  (with black boxes) implement :class:`ComputationModel` directly in
+  :mod:`repro.objects.augmented`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
 from repro.errors import ModelError
+from repro.models.schedules import OneRoundSchedule, distinct_schedules
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -155,53 +158,36 @@ class ComputationModel(ABC):
 
 
 class IteratedModel(ComputationModel):
-    """A register-only iterated model defined by one-round view maps."""
+    """A register-only iterated model defined by its one-round schedules.
 
-    def view_maps(
-        self, ids: frozenset[int]
-    ) -> list[dict[int, frozenset[int]]]:
-        """The distinct per-process view maps of one round among ``ids``.
+    A model declares its :attr:`schedule_kind`; the schedules it admits
+    are the shared pool of
+    :func:`~repro.models.schedules.distinct_schedules`, one matrix per
+    distinct view map.  Restrictions override :meth:`schedules`.
+    """
 
-        Memoized per participant set at the model level; subclasses
-        implement the enumeration in :meth:`_enumerate_view_maps`.
-        """
-        cache = getattr(self, "_view_map_cache", None)
-        if cache is None:
-            cache = self._view_map_cache = {}
-            # Same per-instance lazy init as one_round_complex above.
-            self._view_map_stats = default_registry().cache(  # norpr: RPR003
-                f"view-maps[{self.name}]"
-            )
-        key = frozenset(ids)
-        found = cache.get(key)
-        if found is None:
-            self._view_map_stats.miss()
-            found = cache[key] = self._enumerate_view_maps(key)
-        else:
-            self._view_map_stats.hit()
-        return found
+    #: ``"immediate"``, ``"snapshot"`` or ``"collect"``.
+    schedule_kind: str
 
-    @abstractmethod
-    def _enumerate_view_maps(
-        self, ids: frozenset[int]
-    ) -> list[dict[int, frozenset[int]]]:
-        """Enumerate the view maps (uncached hook behind :meth:`view_maps`)."""
+    def schedules(self, ids: Iterable[int]) -> tuple[OneRoundSchedule, ...]:
+        """One schedule per distinct view map of one round among ``ids``."""
+        return distinct_schedules(self.schedule_kind, ids)
 
     def shape_key(self, sigma: Simplex, rounds: int) -> Hashable:
-        """``ID(σ)``: the view maps depend on the participants alone."""
+        """``ID(σ)``: the schedules depend on the participants alone."""
         return sigma.ids
 
     def _build_one_round_complex(self, sigma: Simplex) -> SimplicialComplex:
-        """Materialize the view maps into the complex ``P^(1)(σ)``."""
+        """Materialize the schedules into the complex ``P^(1)(σ)``."""
         facets = set()
         values = sigma.as_mapping()
-        for view_map in self.view_maps(sigma.ids):
+        for schedule in self.schedules(sigma.ids):
             vertices = []
-            for process, seen in view_map.items():
+            for group, seen in zip(schedule.groups, schedule.views):
                 view = View((j, values[j]) for j in seen)
-                vertices.append(Vertex(process, view))
+                vertices.extend(Vertex(process, view) for process in group)
             facets.add(Simplex(vertices))
-        # Every view map covers all of ID(σ), so the facets share one
+        # Every schedule covers all of ID(σ), so the facets share one
         # dimension and the family is maximal as-is.
         return SimplicialComplex.from_maximal(facets)
 

@@ -9,9 +9,7 @@ of Appendix A.3.4 (Fig. 8(d) shows the simplices unique to it).
 
 from __future__ import annotations
 
-
 from repro.models.base import IteratedModel
-from repro.models.schedules import collect_schedules, view_maps_of_schedules
 
 __all__ = ["CollectModel"]
 
@@ -20,8 +18,4 @@ class CollectModel(IteratedModel):
     """Iterated write-collect (sequential reads)."""
 
     name = "write-collect"
-
-    def _enumerate_view_maps(
-        self, ids: frozenset[int]
-    ) -> list[dict[int, frozenset[int]]]:
-        return view_maps_of_schedules(collect_schedules(ids))
+    schedule_kind = "collect"

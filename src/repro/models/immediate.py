@@ -14,12 +14,7 @@ models and in the non-iterated variants).
 
 from __future__ import annotations
 
-
 from repro.models.base import IteratedModel
-from repro.models.schedules import (
-    immediate_snapshot_schedules,
-    view_maps_of_schedules,
-)
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
@@ -30,11 +25,7 @@ class ImmediateSnapshotModel(IteratedModel):
     """Iterated immediate snapshot (the wait-free IIS model)."""
 
     name = "iterated-immediate-snapshot"
-
-    def _enumerate_view_maps(
-        self, ids: frozenset[int]
-    ) -> list[dict[int, frozenset[int]]]:
-        return view_maps_of_schedules(immediate_snapshot_schedules(ids))
+    schedule_kind = "immediate"
 
 
 def standard_chromatic_subdivision(sigma: Simplex) -> SimplicialComplex:

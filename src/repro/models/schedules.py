@@ -24,10 +24,11 @@ reads exactly the values written by ``P_s``, so its one-round view is
 
 This module enumerates schedules for all three models and converts between
 the matrix form and the ordered-blocks form.  Enumeration is exhaustive and
-deterministic; distinct matrices can induce the same view map, so consumers
-deduplicate at the view-map level via :func:`view_maps_of_schedules`, or
-take the shared pool of one matrix per view map from
-:func:`distinct_schedules`.
+deterministic; distinct matrices can induce the same view map, so every
+consumer — the one-round complexes of the register and augmented models,
+the matrix adversaries, E16 and the audit — reads the shared pool of one
+matrix per view map from :func:`distinct_schedules`, the one place that
+decides which schedules a model admits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ScheduleError
-from repro.telemetry import default_registry
 
 __all__ = [
     "OneRoundSchedule",
@@ -46,14 +46,11 @@ __all__ = [
     "snapshot_schedules",
     "immediate_snapshot_schedules",
     "schedule_from_blocks",
-    "view_maps_of_schedules",
     "distinct_schedules",
 ]
 
 Ids = frozenset[int]
 ViewMap = dict[int, Ids]
-
-_DISTINCT_STATS = default_registry().cache("schedules.distinct")
 
 
 @dataclass(frozen=True)
@@ -271,8 +268,8 @@ def collect_schedules(ids: Iterable[int]) -> Iterator[OneRoundSchedule]:
     Enumeration follows the matrix conditions directly: for every ordered
     partition ``I_0, …, I_r`` (in matrix order) choose each ``P_s`` with
     ``I_s ∪ … ∪ I_r ⊆ P_s ⊆ I`` and ``P_0 = I``.  Distinct matrices may
-    induce the same view map; deduplicate with
-    :func:`view_maps_of_schedules` when only views matter.
+    induce the same view map; :func:`distinct_schedules` keeps one per
+    view map.
     """
     participants = frozenset(ids)
     if not participants:
@@ -315,21 +312,6 @@ def _view_map_key(view_map: ViewMap) -> tuple:
     )
 
 
-def view_maps_of_schedules(
-    schedules: Iterable[OneRoundSchedule],
-) -> list[ViewMap]:
-    """Deduplicate schedules down to their distinct view maps.
-
-    Returns the view maps in a deterministic order (sorted by the per-process
-    view tuples).
-    """
-    seen = {}
-    for schedule in schedules:
-        view_map = schedule.view_map()
-        seen.setdefault(_view_map_key(view_map), view_map)
-    return [seen[key] for key in sorted(seen)]
-
-
 _ENUMERATORS = {
     "immediate": immediate_snapshot_schedules,
     "snapshot": snapshot_schedules,
@@ -345,14 +327,12 @@ def distinct_schedules(
 
     ``kind`` is ``"immediate"``, ``"snapshot"`` or ``"collect"``.  Each
     view map keeps the first matrix its enumerator yields, and the pool
-    is ordered like :func:`view_maps_of_schedules` (by the per-process
-    view tuples).  The pool is built once per ``(kind, frozenset(ids))``
-    and shared process-wide; counter ``schedules.distinct``.
+    is ordered by the per-process view tuples.  The pool is built once
+    per ``(kind, frozenset(ids))`` and shared process-wide.
     """
     key = (kind, frozenset(ids))
     pool = _DISTINCT.get(key)
     if pool is not None:
-        _DISTINCT_STATS.hit()
         return pool
     try:
         enumerate_schedules = _ENUMERATORS[kind]
@@ -361,7 +341,6 @@ def distinct_schedules(
             f"unknown schedule kind {kind!r}: use one of "
             f"{', '.join(sorted(_ENUMERATORS))}"
         ) from None
-    _DISTINCT_STATS.miss()
     seen: dict[tuple, OneRoundSchedule] = {}
     for schedule in enumerate_schedules(key[1]):
         seen.setdefault(_view_map_key(schedule.view_map()), schedule)

@@ -9,9 +9,7 @@ snapshot and collect (Fig. 8(c)).
 
 from __future__ import annotations
 
-
 from repro.models.base import IteratedModel
-from repro.models.schedules import snapshot_schedules, view_maps_of_schedules
 
 __all__ = ["SnapshotModel"]
 
@@ -20,8 +18,4 @@ class SnapshotModel(IteratedModel):
     """Iterated write-snapshot (atomic collect)."""
 
     name = "write-snapshot"
-
-    def _enumerate_view_maps(
-        self, ids: frozenset[int]
-    ) -> list[dict[int, frozenset[int]]]:
-        return view_maps_of_schedules(snapshot_schedules(ids))
+    schedule_kind = "snapshot"

@@ -20,10 +20,7 @@ from typing import Callable, Hashable, Iterable, Optional
 
 from repro.errors import ModelError
 from repro.models.base import ComputationModel
-from repro.models.schedules import (
-    OneRoundSchedule,
-    immediate_snapshot_schedules,
-)
+from repro.models.schedules import OneRoundSchedule, distinct_schedules
 from repro.objects.base import BlackBox
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -33,7 +30,6 @@ from repro.topology.views import View
 __all__ = ["AugmentedModel"]
 
 InputFunction = Callable[[Vertex], Hashable]
-ScheduleFilter = Callable[[OneRoundSchedule], bool]
 
 
 class AugmentedModel(ComputationModel):
@@ -48,10 +44,6 @@ class AugmentedModel(ComputationModel):
         process feeds the box.  May be omitted for boxes that ignore inputs
         (test&set).  Theorem 4's ID-only restriction is obtained with
         :func:`repro.objects.beta.beta_input_function`.
-    schedule_filter:
-        Optional affine restriction: schedules for which the predicate is
-        false are dropped.  Solo executions must survive for the speedup
-        theorem to apply; :meth:`allows_solo_executions` checks it.
     name:
         Label for reports; defaults to ``IIS+<box name>``.
     """
@@ -60,7 +52,6 @@ class AugmentedModel(ComputationModel):
         self,
         box: BlackBox,
         input_function: Optional[InputFunction] = None,
-        schedule_filter: Optional[ScheduleFilter] = None,
         name: Optional[str] = None,
     ) -> None:
         if input_function is None and box.requires_inputs():
@@ -70,7 +61,6 @@ class AugmentedModel(ComputationModel):
             )
         self._box = box
         self._alpha = input_function or (lambda vertex: None)
-        self._filter = schedule_filter
         self.name = name or f"IIS+{box.name}"
 
     @property
@@ -85,11 +75,9 @@ class AugmentedModel(ComputationModel):
     # ------------------------------------------------------------------
     # ComputationModel interface
     # ------------------------------------------------------------------
-    def schedules(self, ids: Iterable[int]) -> Iterable[OneRoundSchedule]:
-        """The admissible immediate-snapshot schedules over ``ids``."""
-        for schedule in immediate_snapshot_schedules(ids):
-            if self._filter is None or self._filter(schedule):
-                yield schedule
+    def schedules(self, ids: Iterable[int]) -> tuple[OneRoundSchedule, ...]:
+        """The immediate-snapshot schedules over ``ids``, one per view map."""
+        return distinct_schedules("immediate", ids)
 
     def _build_one_round_complex(self, sigma: Simplex) -> SimplicialComplex:
         values = sigma.as_mapping()
@@ -98,15 +86,18 @@ class AugmentedModel(ComputationModel):
         }
         facets = set()
         for schedule in self.schedules(sigma.ids):
-            view_map = schedule.view_map()
+            views = [
+                (group, View((j, values[j]) for j in seen))
+                for group, seen in zip(schedule.groups, schedule.views)
+            ]
             for assignment in self._box.assignments(schedule, inputs):
-                vertices = []
-                for process, seen in view_map.items():
-                    view = View((j, values[j]) for j in seen)
-                    vertices.append(
+                facets.add(
+                    Simplex(
                         Vertex(process, (assignment[process], view))
+                        for group, view in views
+                        for process in group
                     )
-                facets.add(Simplex(vertices))
+                )
         # Every schedule's view map covers all of ID(σ), so all facets share
         # one dimension and the deduplicated family is maximal as-is.
         return SimplicialComplex.from_maximal(facets)

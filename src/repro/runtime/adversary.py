@@ -35,9 +35,29 @@ __all__ = [
     "RandomMatrixAdversary",
     "FixedMatrixAdversary",
     "all_schedule_sequences",
+    "random_ordered_partition",
 ]
 
 Blocks = tuple[frozenset[int], ...]
+
+
+def random_ordered_partition(
+    ids: Sequence[int], rng: random.Random
+) -> list[tuple[int, ...]]:
+    """A uniform-ish random ordered partition of ``ids`` (temporal blocks).
+
+    Shuffles ``ids`` and cuts the shuffle into consecutive blocks of
+    random sizes; the RNG stream depends on the order of ``ids``.
+    """
+    pool = list(ids)
+    rng.shuffle(pool)
+    blocks: list[tuple[int, ...]] = []
+    index = 0
+    while index < len(pool):
+        size = rng.randint(1, len(pool) - index)
+        blocks.append(tuple(pool[index : index + size]))
+        index += size
+    return blocks
 
 
 class Adversary(ABC):
@@ -162,15 +182,9 @@ class RandomAdversary(Adversary):
     def schedule(
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
-        pool = sorted(active)
-        self._rng.shuffle(pool)
-        blocks: list[tuple[int, ...]] = []
-        index = 0
-        while index < len(pool):
-            size = self._rng.randint(1, len(pool) - index)
-            blocks.append(tuple(pool[index : index + size]))
-            index += size
-        return schedule_from_blocks(blocks)
+        return schedule_from_blocks(
+            random_ordered_partition(sorted(active), self._rng)
+        )
 
     def choose_assignment(
         self,

@@ -20,6 +20,7 @@ import random
 from collections.abc import Hashable, Mapping, Sequence
 
 from repro.errors import RuntimeModelError
+from repro.runtime.adversary import random_ordered_partition
 from repro.runtime.registers import RegisterArray
 
 __all__ = [
@@ -29,21 +30,6 @@ __all__ = [
 ]
 
 ViewSets = dict[int, frozenset[int]]
-
-
-def _random_blocks(
-    ids: Sequence[int], rng: random.Random
-) -> list[tuple[int, ...]]:
-    """A uniform-ish random ordered partition of ``ids``."""
-    pool = list(ids)
-    rng.shuffle(pool)
-    blocks: list[tuple[int, ...]] = []
-    index = 0
-    while index < len(pool):
-        size = rng.randint(1, len(pool) - index)
-        blocks.append(tuple(pool[index : index + size]))
-        index += size
-    return blocks
 
 
 def random_collect_round(
@@ -162,7 +148,7 @@ def random_immediate_snapshot_round(
     id_list = sorted(set(ids))
     array = RegisterArray(tuple(id_list))
     views: dict[int, frozenset[int]] = {}
-    for block in _random_blocks(id_list, rng):
+    for block in random_ordered_partition(id_list, rng):
         for process in block:
             array.write(process, values[process])
         content = frozenset(array.snapshot())

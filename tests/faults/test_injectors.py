@@ -172,3 +172,38 @@ class TestFaultTrace:
             HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(edited)
         )
         assert sorted(result.decisions) == [1, 2, 3]
+
+
+class TestReplayMatrixRounds:
+    ACTIVE = frozenset({1, 2, 3})
+
+    def test_rejected_matrix_round_replays_as_full_sync(self):
+        # P_0 = {1} is not the participant set: condition (3) fails.
+        trace = FaultTrace(
+            inputs=(),
+            rounds=(
+                TraceRound(blocks=((1,), (2, 3)), views=((1,), (1, 2, 3))),
+            ),
+        )
+        assert ReplayAdversary(trace).schedule(1, self.ACTIVE) == SYNC3
+
+    def test_other_rebuild_errors_propagate(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def broken(groups, views):
+            raise Boom("not a schedule error")
+
+        monkeypatch.setattr(
+            "repro.faults.injectors.OneRoundSchedule", broken
+        )
+        trace = FaultTrace(
+            inputs=(),
+            rounds=(
+                TraceRound(
+                    blocks=((1, 2), (3,)), views=((1, 2, 3), (1, 3))
+                ),
+            ),
+        )
+        with pytest.raises(Boom):
+            ReplayAdversary(trace).schedule(1, self.ACTIVE)

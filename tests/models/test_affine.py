@@ -31,12 +31,7 @@ class TestAffineRestriction:
     def test_solo_killing_restriction_rejected(self, iis):
         affine = AffineModel(iis, keep_only_synchronous)
         with pytest.raises(ModelError):
-            affine.view_maps(frozenset({1, 2}))
-
-    def test_solo_killing_allowed_with_flag(self, iis):
-        affine = AffineModel(iis, keep_only_synchronous, require_solo=False)
-        maps = affine.view_maps(frozenset({1, 2}))
-        assert len(maps) == 1  # only the synchronous execution survives
+            affine.schedules(frozenset({1, 2}))
 
     def test_name_defaults(self, iis):
         assert "affine" in AffineModel(iis, drop_synchronous).name
@@ -50,7 +45,9 @@ class TestAffineRestriction:
         )
 
     def test_caching_per_participant_set(self, iis):
+        # The restriction keeps members of the base model's shared pool.
         affine = AffineModel(iis, drop_synchronous)
-        assert affine.view_maps(frozenset({1, 2})) is affine.view_maps(
-            frozenset({1, 2})
-        )
+        kept = affine.schedules(frozenset({1, 2}))
+        pool = iis.schedules(frozenset({2, 1}))
+        assert len(kept) == len(pool) - 1
+        assert all(any(s is t for t in pool) for s in kept)

@@ -55,15 +55,16 @@ class TestOneRoundMemo:
 
 
 class TestViewMapMemo:
+    """Every model instance reads one shared pool per participant set."""
+
     def test_repeat_requests_return_the_same_object(self):
-        iis = ImmediateSnapshotModel()
-        first = iis.view_maps([1, 2, 3])
-        second = iis.view_maps([1, 2, 3])
+        first = ImmediateSnapshotModel().schedules([1, 2, 3])
+        second = ImmediateSnapshotModel().schedules([1, 2, 3])
         assert first is second
 
     def test_id_order_is_irrelevant(self):
         iis = ImmediateSnapshotModel()
-        assert iis.view_maps([1, 2]) is iis.view_maps([2, 1])
+        assert iis.schedules([1, 2]) is iis.schedules([2, 1])
 
 
 class TestCounterPlumbing:

@@ -42,9 +42,9 @@ class TestKConcurrency:
 
     def test_block_sizes_bounded(self, iis, triangle):
         model = k_concurrency_model(iis, 2)
-        for view_map in model.view_maps(frozenset({1, 2, 3})):
+        for schedule in model.schedules(frozenset({1, 2, 3})):
             by_view = {}
-            for view in view_map.values():
+            for view in schedule.view_map().values():
                 by_view[view] = by_view.get(view, 0) + 1
             assert max(by_view.values()) <= 2
 

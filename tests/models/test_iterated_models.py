@@ -54,8 +54,8 @@ class TestImmediateSnapshot:
         assert iis.allows_solo_executions([1, 2, 3])
 
     def test_view_maps_cached(self, iis):
-        first = iis.view_maps(frozenset({1, 2}))
-        second = iis.view_maps(frozenset({1, 2}))
+        first = iis.schedules(frozenset({1, 2}))
+        second = ImmediateSnapshotModel().schedules([2, 1])
         assert first is second
 
     def test_single_process(self, iis):

@@ -9,12 +9,10 @@ from repro.models import (
     SnapshotModel,
 )
 from repro.models.schedules import (
-    collect_schedules,
+    distinct_schedules,
     immediate_snapshot_schedules,
     ordered_partitions,
     schedule_from_blocks,
-    snapshot_schedules,
-    view_maps_of_schedules,
 )
 from repro.topology import Simplex
 
@@ -59,18 +57,13 @@ def test_is_schedules_satisfy_prefix_views(ids):
 @given(st.sets(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
 @settings(max_examples=20, deadline=None)
 def test_model_view_map_hierarchy(ids):
-    iis_maps = {
-        tuple(sorted((k, tuple(sorted(v))) for k, v in m.items()))
-        for m in view_maps_of_schedules(immediate_snapshot_schedules(ids))
-    }
-    snap_maps = {
-        tuple(sorted((k, tuple(sorted(v))) for k, v in m.items()))
-        for m in view_maps_of_schedules(snapshot_schedules(ids))
-    }
-    collect_maps = {
-        tuple(sorted((k, tuple(sorted(v))) for k, v in m.items()))
-        for m in view_maps_of_schedules(collect_schedules(ids))
-    }
+    iis_maps, snap_maps, collect_maps = (
+        {
+            frozenset(s.view_map().items())
+            for s in distinct_schedules(kind, ids)
+        }
+        for kind in ("immediate", "snapshot", "collect")
+    )
     assert iis_maps <= snap_maps <= collect_maps
 
 
@@ -78,7 +71,8 @@ def test_model_view_map_hierarchy(ids):
 @settings(max_examples=15, deadline=None)
 def test_every_view_contains_self_and_someone_sees_all(ids):
     for model in (CollectModel(), SnapshotModel(), ImmediateSnapshotModel()):
-        for view_map in model.view_maps(frozenset(ids)):
+        for schedule in model.schedules(ids):
+            view_map = schedule.view_map()
             assert set(view_map) == set(ids)
             for process, view in view_map.items():
                 assert process in view

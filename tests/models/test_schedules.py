@@ -11,7 +11,6 @@ from repro.models.schedules import (
     ordered_partitions,
     schedule_from_blocks,
     snapshot_schedules,
-    view_maps_of_schedules,
 )
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
@@ -189,29 +188,28 @@ class TestEnumerations:
         "n, expected_facets", [(1, 1), (2, 3), (3, 13), (4, 75)]
     )
     def test_distinct_is_view_maps(self, n, expected_facets):
-        maps = view_maps_of_schedules(
-            immediate_snapshot_schedules(range(1, n + 1))
-        )
-        assert len(maps) == expected_facets
+        pool = distinct_schedules("immediate", range(1, n + 1))
+        assert len(pool) == expected_facets
 
     @pytest.mark.parametrize("n, expected", [(2, 3), (3, 19)])
     def test_distinct_snapshot_view_maps(self, n, expected):
-        maps = view_maps_of_schedules(snapshot_schedules(range(1, n + 1)))
-        assert len(maps) == expected
+        pool = distinct_schedules("snapshot", range(1, n + 1))
+        assert len(pool) == expected
 
     @pytest.mark.parametrize("n, expected", [(2, 3), (3, 25)])
     def test_distinct_collect_view_maps(self, n, expected):
-        maps = view_maps_of_schedules(collect_schedules(range(1, n + 1)))
-        assert len(maps) == expected
+        pool = distinct_schedules("collect", range(1, n + 1))
+        assert len(pool) == expected
 
     def test_every_collect_view_contains_self(self):
-        for view_map in view_maps_of_schedules(collect_schedules([1, 2, 3])):
-            for process, view in view_map.items():
+        for schedule in distinct_schedules("collect", [1, 2, 3]):
+            for process, view in schedule.view_map().items():
                 assert process in view
 
     def test_someone_sees_everything_in_collect(self):
         # Condition (3): P_0 = I — the last writer sees every write.
-        for view_map in view_maps_of_schedules(collect_schedules([1, 2, 3])):
+        for schedule in distinct_schedules("collect", [1, 2, 3]):
+            view_map = schedule.view_map()
             assert any(view == fs(1, 2, 3) for view in view_map.values())
 
     def test_empty_enumerations(self):
@@ -252,13 +250,6 @@ class TestDistinctSchedules:
         assert [(s.groups, s.views) for s in pool] == [
             (s.groups, s.views) for s in expected
         ]
-
-    @pytest.mark.parametrize("kind", sorted(ENUMERATORS))
-    def test_order_matches_view_maps_of_schedules(self, kind):
-        ids = [1, 2, 3]
-        assert [s.view_map() for s in distinct_schedules(kind, ids)] == (
-            view_maps_of_schedules(ENUMERATORS[kind](ids))
-        )
 
     @pytest.mark.parametrize(
         "kind, expected",

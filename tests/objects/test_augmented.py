@@ -92,28 +92,6 @@ class TestBinaryConsensusComplex:
         assert iis_bc_beta011.input_of(Vertex(3, "anything")) == 1
 
 
-class TestScheduleFilter:
-    def test_filtered_schedules(self, triangle):
-        # Keep only schedules whose first block is a singleton.
-        model = AugmentedModel(
-            TestAndSetBox(),
-            schedule_filter=lambda s: len(s.blocks()[0]) == 1,
-        )
-        schedules = list(model.schedules({1, 2, 3}))
-        assert all(len(s.blocks()[0]) == 1 for s in schedules)
-        assert len(schedules) == 6 + 3  # [a][b][c] ×6 and [a][bc] ×3
-
-    def test_filter_affects_complex(self, triangle):
-        model = AugmentedModel(
-            TestAndSetBox(),
-            schedule_filter=lambda s: len(s.blocks()[0]) == 1,
-        )
-        full = AugmentedModel(TestAndSetBox())
-        assert len(model.one_round_complex(triangle).facets) < len(
-            full.one_round_complex(triangle).facets
-        )
-
-
 class TestMultiRound:
     def test_two_round_augmented_values_nest(self, iis_tas, edge):
         two = iis_tas.protocol_complex(

@@ -10,12 +10,7 @@ import random
 
 import pytest
 
-from repro.models.schedules import (
-    collect_schedules,
-    immediate_snapshot_schedules,
-    snapshot_schedules,
-    view_maps_of_schedules,
-)
+from repro.models.schedules import distinct_schedules
 from repro.runtime import (
     random_collect_round,
     random_immediate_snapshot_round,
@@ -33,26 +28,23 @@ def normalize(view_map):
     )
 
 
+def pool_maps(kind, ids=IDS):
+    return {normalize(s.view_map()) for s in distinct_schedules(kind, ids)}
+
+
 @pytest.fixture(scope="module")
 def collect_maps():
-    return {
-        normalize(m) for m in view_maps_of_schedules(collect_schedules(IDS))
-    }
+    return pool_maps("collect")
 
 
 @pytest.fixture(scope="module")
 def snapshot_maps():
-    return {
-        normalize(m) for m in view_maps_of_schedules(snapshot_schedules(IDS))
-    }
+    return pool_maps("snapshot")
 
 
 @pytest.fixture(scope="module")
 def is_maps():
-    return {
-        normalize(m)
-        for m in view_maps_of_schedules(immediate_snapshot_schedules(IDS))
-    }
+    return pool_maps("immediate")
 
 
 class TestSoundness:
@@ -93,11 +85,7 @@ class TestCompleteness:
         reached = set()
         for _ in range(500):
             reached.add(normalize(random_collect_round([1, 2], VALUES, rng)))
-        expected = {
-            normalize(m)
-            for m in view_maps_of_schedules(collect_schedules([1, 2]))
-        }
-        assert reached == expected
+        assert reached == pool_maps("collect", [1, 2])
 
     def test_random_is_reaches_all_three_proc_views(self, is_maps):
         rng = random.Random(29)

@@ -13,7 +13,6 @@ from repro.runtime import (
     IteratedExecutor,
     RandomMatrixAdversary,
 )
-from repro.telemetry import default_registry
 
 
 def F(num, den=1):
@@ -54,17 +53,23 @@ class TestRandomMatrixAdversary:
         assert len(distinct_schedules("collect", ACTIVE)) == 25
         assert len(distinct_schedules("snapshot", ACTIVE)) == 19
 
+
     def test_pool_built_once_per_key_across_instances(self, monkeypatch):
         monkeypatch.setattr(schedules, "_DISTINCT", {})
-        counter = default_registry().cache("schedules.distinct")
-        hits, misses = counter.hits, counter.misses
+        built = []
+        enumerate_collect = schedules._ENUMERATORS["collect"]
+
+        def counting(ids):
+            built.append(frozenset(ids))
+            return enumerate_collect(ids)
+
+        monkeypatch.setitem(schedules._ENUMERATORS, "collect", counting)
         for seed in (0, 1):
             adversary = RandomMatrixAdversary("collect", seed=seed)
             for round_index in range(1, 6):
                 adversary.schedule(round_index, ACTIVE)
                 adversary.schedule(round_index, frozenset({1, 2}))
-        assert counter.misses - misses == 2
-        assert counter.hits - hits == 18
+        assert built == [ACTIVE, frozenset({1, 2})]
 
 
 class TestFixedMatrixAdversary:
