@@ -17,8 +17,6 @@ tasks the paper does not fully work out:
 Run:  python examples/lower_bound_explorer.py
 """
 
-from fractions import Fraction
-
 from repro import (
     ClosureComputer,
     ImmediateSnapshotModel,

@@ -239,15 +239,13 @@ class ClosureComputer:
                 operator,
                 1,
             )
-            solo = {
-                vertex.color: tuple(
-                    network.vertices.index(solo_vertex)
-                    for solo_vertex in operator.of_simplex(
-                        Simplex([vertex]), 1
-                    ).vertices
+            solo: dict[int, tuple[int, ...]] = {}
+            for vertex in tau.vertices:
+                alone = Simplex([vertex])
+                solo[vertex.color] = tuple(
+                    network.rank_of(key)
+                    for key in operator.template(alone, 1).keys(alone)
                 )
-                for vertex in tau.vertices
-            }
             bit_of = {
                 vertex: 1 << bit for bit, vertex in enumerate(network.outputs)
             }

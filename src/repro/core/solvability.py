@@ -22,9 +22,11 @@ why constraints range over all input simplices, not only facets).
 :func:`build_solvability_problem` compiles an instance once to integers
 (vertex ranks, output bits, domain masks, allowed-mask sets), reading
 each ``P^(t)(σ)`` off the protocol operator's template for ``σ``'s
-shape key rather than building its views, and
-propagation, component splitting and search run on those alone; the
-decision map is decoded back to vertices at the end.
+shape key rather than building its views.  The protocol vertices are
+ranked by their keys' sort keys and decoded only when a caller reads
+them; propagation, component splitting and search read only their
+count, so a refutation builds no protocol view, and the decision map
+is decoded back to vertices at the end.
 :func:`repro.core.certify.check_decision_map` can re-check a returned
 map on the original complexes; the tests and
 :func:`~repro.core.speedup.verify_speedup_theorem` call it, this module
@@ -39,9 +41,11 @@ from types import MappingProxyType
 from typing import (
     Callable,
     Iterable,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
+    Union,
 )
 
 from repro.errors import SolvabilityError
@@ -51,6 +55,7 @@ from repro.models.protocol import (
     ProtocolTemplate,
     VertexKey,
     decode_vertex,
+    key_sort_key,
 )
 from repro.tasks.task import Task
 from repro.telemetry import span
@@ -103,6 +108,9 @@ class DecisionMap:
 #: test: ``(indices of the facet's other vertices, allowed masks)``.
 _Watched = list[tuple[tuple[int, ...], frozenset[int]]]
 
+#: A decoded constraint: ``(protocol facet, allowed simplices)``.
+_Constraint = tuple[Simplex, frozenset[Simplex]]
+
 #: Propagation's tables: the arcs ``(u, v, pair table)``, and per vertex
 #: ``v`` the arcs ``(u, v)`` to revisit when ``v``'s domain shrinks.
 _Arcs = tuple[list[tuple[int, int, dict[int, int]]], list[list[int]]]
@@ -137,7 +145,9 @@ class SolvabilityProblem:
     Attributes
     ----------
     vertices:
-        The protocol vertex of each index, in sort order.
+        The protocol vertex of each index, in sort order.  A compiled
+        problem decodes them on first read; propagation, components and
+        search read only their count.
     outputs:
         The output vertex of each bit, in sort order.
     domains:
@@ -154,7 +164,7 @@ class SolvabilityProblem:
         Recorded for reporting only.
     """
 
-    vertices: tuple[Vertex, ...]
+    vertices: Sequence[Vertex]
     outputs: tuple[Vertex, ...]
     domains: tuple[int, ...]
     scopes: tuple[tuple[int, ...], ...]
@@ -188,13 +198,23 @@ class SolvabilityProblem:
         )
 
     @property
-    def constraints(self) -> Sequence[tuple[Simplex, frozenset[Simplex]]]:
+    def constraints(self) -> Sequence[_Constraint]:
         """``(protocol facet, allowed simplices)`` pairs, decoded on access.
 
         The image of the facet (and of each of its faces, incrementally)
         must belong to the set.
         """
         return _DecodedConstraints(self)
+
+    def rank_of(self, key: VertexKey) -> int:
+        """The index of the protocol vertex ``key`` names.
+
+        A compiled problem looks the key up without decoding a vertex.
+        """
+        vertices = self.vertices
+        if isinstance(vertices, _ProtocolVertices):
+            return vertices.rank_of[key]
+        return vertices.index(decode_vertex(key, self.rounds))
 
     def solve(
         self,
@@ -402,7 +422,9 @@ class SolvabilityProblem:
             tables: dict[int, dict[int, int]] = {}
             arcs: list[tuple[int, int, dict[int, int]]] = []
             arc_keys: set[tuple[int, int, int]] = set()
-            watchers: list[list[int]] = [[] for _ in self.vertices]
+            watchers: list[list[int]] = [
+                [] for _ in range(len(self.vertices))
+            ]
             for scope, allowed in zip(self.scopes, self.allowed):
                 if len(scope) < 2:
                     continue
@@ -443,7 +465,7 @@ class SolvabilityProblem:
     def _watchers(self) -> list[_Watched]:
         watch = self._index.watch
         if watch is None:
-            watch = [[] for _ in self.vertices]
+            watch = [[] for _ in range(len(self.vertices))]
             for scope, allowed in zip(self.scopes, self.allowed):
                 if len(scope) < 2:
                     continue
@@ -520,7 +542,62 @@ class SolvabilityProblem:
         return True
 
 
-class _DecodedConstraints(Sequence[tuple[Simplex, frozenset[Simplex]]]):
+class _ProtocolVertices(Sequence[Vertex]):
+    """A compiled problem's protocol vertices, decoded on first read.
+
+    Holds the ranked keys; ``len`` and :attr:`rank_of` need no vertex.
+    The first item access or iteration decodes every key once, and the
+    copies made by :meth:`SolvabilityProblem.propagated` and
+    :meth:`SolvabilityProblem.pinned` share this object, hence that
+    decode.  Compares equal to the tuple of the decoded vertices.
+    """
+
+    __slots__ = ("rank_of", "_rounds", "_decoded")
+
+    def __init__(self, rank_of: dict[VertexKey, int], rounds: int) -> None:
+        #: ``key → rank``, iterating in rank order.
+        self.rank_of = rank_of
+        self._rounds = rounds
+        self._decoded: Optional[tuple[Vertex, ...]] = None
+
+    def _vertices(self) -> tuple[Vertex, ...]:
+        decoded = self._decoded
+        if decoded is None:
+            memo: dict = {}
+            decoded = self._decoded = tuple(
+                [
+                    decode_vertex(key, self._rounds, memo)
+                    for key in self.rank_of
+                ]
+            )
+        return decoded
+
+    def __len__(self) -> int:
+        return len(self.rank_of)
+
+    def __getitem__(  # type: ignore[override]
+        self, position: Union[int, slice]
+    ) -> Union[Vertex, tuple[Vertex, ...]]:
+        return self._vertices()[position]
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return iter(self._vertices())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProtocolVertices):
+            other = other._vertices()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._vertices() == other
+
+    def __hash__(self) -> int:
+        return hash(self._vertices())
+
+    def __repr__(self) -> str:
+        return repr(self._vertices())
+
+
+class _DecodedConstraints(Sequence[_Constraint]):
     """The constraints of a problem as objects, decoded item by item.
 
     ``len`` needs no decoding, and each allowed family is decoded once.
@@ -534,8 +611,15 @@ class _DecodedConstraints(Sequence[tuple[Simplex, frozenset[Simplex]]]):
         return len(self._problem.scopes)
 
     def __getitem__(  # type: ignore[override]
-        self, position: int
-    ) -> tuple[Simplex, frozenset[Simplex]]:
+        self, position: Union[int, slice]
+    ) -> Union[_Constraint, tuple[_Constraint, ...]]:
+        if isinstance(position, slice):
+            return tuple(
+                [self._pair(k) for k in range(len(self))[position]]
+            )
+        return self._pair(position)
+
+    def _pair(self, position: int) -> _Constraint:
         problem = self._problem
         scope = problem.scopes[position]
         allowed = problem.allowed[position]
@@ -561,6 +645,17 @@ def _pair_table(allowed: frozenset[int]) -> dict[int, int]:
     return partners
 
 
+def _rank_keys(keys: Iterable[VertexKey], rounds: int) -> dict[VertexKey, int]:
+    """``key → rank`` in the sort order of the vertices the keys name.
+
+    Ranked on :func:`~repro.models.protocol.key_sort_key`, so no vertex
+    is decoded; the dict iterates in rank order.
+    """
+    memo: dict = {}
+    ranked = sorted(keys, key=lambda key: key_sort_key(key, rounds, memo))
+    return {key: rank for rank, key in enumerate(ranked)}
+
+
 def build_solvability_problem(
     input_simplices: Iterable[Simplex],
     delta_of: Callable[[Simplex], SimplicialComplex],
@@ -580,8 +675,10 @@ def build_solvability_problem(
         ``P^(t)(σ)``, the executions where exactly ``ID(σ)`` participate,
         is ``operator``'s ``rounds``-round template of ``σ``, relabelled
         with ``σ``'s inputs: each vertex is named by a
-        :data:`~repro.models.protocol.VertexKey`, and only the distinct
-        keys are decoded to vertices.
+        :data:`~repro.models.protocol.VertexKey`.  The distinct keys are
+        ranked by :func:`~repro.models.protocol.key_sort_key`, and the
+        problem's :attr:`~SolvabilityProblem.vertices` decodes them on
+        first read.
     """
     # Gather the distinct Δ(σ), the output vertices and the protocol
     # vertices' keys.  The σ go in sort order, and below each σ's scopes
@@ -601,28 +698,11 @@ def build_solvability_problem(
         keys = template.keys(sigma)
         protocol_keys.update(keys)
         pieces.append((family, template, keys))
-    memo: dict = {}
-    vertex_of = {
-        key: decode_vertex(key, rounds, memo) for key in protocol_keys
-    }
-    protocol_vertices = set(vertex_of.values())
 
-    # The one sort: it ranks the protocol vertices and orders the output
-    # bits, so every later order is an integer order.
-    index_of: dict[Vertex, int] = {}
-    bit_of: dict[Vertex, int] = {}
-    vertices: list[Vertex] = []
-    outputs: list[Vertex] = []
-    for vertex in sorted(
-        protocol_vertices | output_vertices, key=Vertex._sort_key
-    ):
-        if vertex in protocol_vertices:
-            index_of[vertex] = len(vertices)
-            vertices.append(vertex)
-        if vertex in output_vertices:
-            bit_of[vertex] = 1 << len(outputs)
-            outputs.append(vertex)
-    rank_of = {key: index_of[vertex] for key, vertex in vertex_of.items()}
+    # The protocol vertices and the output bits are ranked apart.
+    rank_of = _rank_keys(protocol_keys, rounds)
+    outputs = sorted(output_vertices, key=Vertex._sort_key)
+    bit_of = {vertex: 1 << bit for bit, vertex in enumerate(outputs)}
 
     # Each Δ(σ) once: its simplices as masks, its vertices by color.
     family_faces: list[frozenset[int]] = []
@@ -642,15 +722,15 @@ def build_solvability_problem(
         family_faces.append(frozenset(faces))
         family_colors.append(by_color)
 
-    domains = [-1] * len(vertices)
+    domains = [-1] * len(rank_of)
     scopes: list[tuple[int, ...]] = []
     allowed_sets: list[frozenset[int]] = []
     seen: set[tuple[tuple[int, ...], int]] = set()
     for family, template, keys in pieces:
         by_color = family_colors[family]
         ranks = [rank_of[key] for key in keys]
-        for rank in ranks:
-            domains[rank] &= by_color.get(vertices[rank].color, 0)
+        for key, rank in zip(keys, ranks):
+            domains[rank] &= by_color.get(key[0].color, 0)
         for scope in sorted(
             tuple([ranks[k] for k in facet]) for facet in template.facets
         ):
@@ -659,7 +739,7 @@ def build_solvability_problem(
                 scopes.append(scope)
                 allowed_sets.append(family_faces[family])
     return SolvabilityProblem(
-        tuple(vertices),
+        _ProtocolVertices(rank_of, rounds),
         tuple(outputs),
         tuple(domains),
         tuple(scopes),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import RuntimeModelError, ScheduleError

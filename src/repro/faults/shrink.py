@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 from repro.faults.campaign import replay_trace
 from repro.faults.injectors import FaultTrace, TraceRound
-from repro.faults.oracles import Violation
 from repro.telemetry import default_registry
 
 __all__ = ["shrink_trace", "trace_weight", "simplifications"]

@@ -12,10 +12,12 @@ is that complex expanded once, with each vertex written as a *shape* —
 its value with the depth-``t`` input leaves replaced by their colors —
 and a *carrier*, the colors whose inputs it holds.  The pair
 ``(shape, σ's input vertices on the carrier)`` then names a vertex of
-``P^(t)(σ)`` without building its view, and :func:`decode_vertex`
-builds the view when it is needed.  A shape is a function of the vertex
-alone, so templates of different participant sets name a shared vertex
-(a solo view, say) by the same key.
+``P^(t)(σ)`` without building its view.  :func:`key_sort_key` computes
+the sort key of the vertex a key names from the key alone, so keys can
+be ranked in vertex order without building a view, and
+:func:`decode_vertex` builds the view when it is needed.  A shape is a
+function of the vertex alone, so templates of different participant
+sets name a shared vertex (a solo view, say) by the same key.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.models.base import ComputationModel
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
-from repro.topology.vertex import Vertex
+from repro.topology.vertex import Vertex, value_sort_key
 from repro.topology.views import View
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "ProtocolTemplate",
     "VertexKey",
     "decode_vertex",
+    "key_sort_key",
 ]
 
 #: Shared across operator instances on purpose: a sweep that constructs many
@@ -91,6 +94,30 @@ def decode_vertex(
     )
 
 
+def key_sort_key(
+    key: VertexKey, rounds: int, memo: Optional[dict] = None
+) -> tuple:
+    """``decode_vertex(key, rounds)._sort_key()``, built without a view.
+
+    The depth-``rounds`` leaves get the sort keys of the key's input
+    values, and each level above them the tuple that
+    :func:`~repro.topology.vertex.value_sort_key` gives a view or a
+    ``(box output, view)`` pair.  ``memo`` caches them per shape and
+    inputs, as in :func:`decode_vertex`; pass one dict to rank many
+    keys.
+    """
+    shape, inputs = key
+    if not inputs:
+        return shape._sort_key()
+    leaves = {vertex.color: value_sort_key(vertex.value) for vertex in inputs}
+    if memo is None:
+        memo = {}
+    return (
+        shape.color,
+        _fill_sort_key(shape.value, rounds, leaves, inputs, memo),
+    )
+
+
 def _shape(
     value: Hashable, color: int, depth: int, carrier: set[int]
 ) -> Hashable:
@@ -136,6 +163,38 @@ def _fill(
                 for seen, item in shape
             ]
         )
+    return found
+
+
+def _fill_sort_key(
+    shape: Hashable,
+    depth: int,
+    leaves: Mapping[int, tuple],
+    inputs: tuple[Vertex, ...],
+    memo: dict,
+) -> tuple:
+    """``value_sort_key`` of what :func:`_fill` would build."""
+    if depth == 0:
+        return leaves[shape]  # type: ignore[index]
+    if isinstance(shape, tuple):
+        box, view = shape
+        return (
+            "tuple",
+            (
+                value_sort_key(box),
+                _fill_sort_key(view, depth, leaves, inputs, memo),
+            ),
+        )
+    found: Optional[tuple] = memo.get((shape, inputs))
+    if found is None:
+        assert isinstance(shape, View)
+        items = tuple(
+            [
+                (seen, _fill_sort_key(item, depth - 1, leaves, inputs, memo))
+                for seen, item in shape
+            ]
+        )
+        found = memo[(shape, inputs)] = ("View", items)
     return found
 
 

@@ -33,7 +33,6 @@ from repro.topology.simplex import Simplex
 from repro.topology.table import (
     VertexTable,
     iter_bits,
-    iter_submasks,
     popcount,
 )
 from repro.topology.vertex import Vertex

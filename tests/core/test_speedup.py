@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     find_decision_map,
-    is_solvable,
     speedup_decision_map,
     verify_speedup_theorem,
 )

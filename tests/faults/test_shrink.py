@@ -1,7 +1,5 @@
 """Tests for counterexample shrinking (delta-debugging fault traces)."""
 
-from fractions import Fraction
-
 from repro.faults.campaign import (
     CampaignConfig,
     replay_trace,

@@ -5,7 +5,6 @@ import pytest
 from repro.core import impossibility_from_fixed_point, is_solvable  # noqa: F401
 from repro.errors import ModelError
 from repro.models import (
-    ImmediateSnapshotModel,
     k_concurrency_model,
     no_synchrony_model,
 )

@@ -2,9 +2,7 @@
 
 
 from repro.models import (
-    CollectModel,
     ImmediateSnapshotModel,
-    SnapshotModel,
     standard_chromatic_subdivision,
 )
 from repro.topology import Simplex, SimplicialComplex, Vertex, View

@@ -1,11 +1,20 @@
 """Unit tests for the memoized protocol operator Ξ."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import ModelError
-from repro.models import ImmediateSnapshotModel, ProtocolOperator
-from repro.models.protocol import decode_vertex
+from repro.models import (
+    CollectModel,
+    ImmediateSnapshotModel,
+    ProtocolOperator,
+    SnapshotModel,
+    k_concurrency_model,
+)
+from repro.models.protocol import decode_vertex, key_sort_key
 from repro.objects import AugmentedModel, BinaryConsensusBox, TestAndSetBox
+from repro.tasks import approximate_agreement_task, binary_consensus_task
 from repro.tasks.inputs import input_simplex
 from repro.telemetry import default_registry
 from repro.topology import Simplex, SimplicialComplex
@@ -117,3 +126,75 @@ class TestTemplate:
         template = operator.template(sigma, 2)
         assert set(template.shapes) == operator.of_simplex(sigma, 2).vertices
         assert set(template.carriers) == {()}
+
+
+def _value_reading_alpha(vertex):
+    # As in tests/core/test_template_compile.py: inputs in round one,
+    # (box output, view) pairs after it.
+    if isinstance(vertex.value, tuple):
+        return int(sum(vertex.value[1].values()) >= 1)
+    return int(vertex.value >= Fraction(1, 2))
+
+
+#: (label, model factory, task factory): two-process ε-AA on the grid
+#: m = 2, and binary consensus for three processes.
+_KEYED_CASES = [
+    ("IIS", ImmediateSnapshotModel, 2),
+    ("snapshot", SnapshotModel, 2),
+    ("collect", CollectModel, 2),
+    (
+        "1-concurrency",
+        lambda: k_concurrency_model(ImmediateSnapshotModel(), 1),
+        3,
+    ),
+    ("IIS+t&s", lambda: AugmentedModel(TestAndSetBox()), 2),
+    (
+        "IIS+bc value-reading α",
+        lambda: AugmentedModel(BinaryConsensusBox(), _value_reading_alpha),
+        2,
+    ),
+]
+
+
+class TestKeySortKey:
+    """The sort key of a key is the sort key of the vertex it names."""
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "model, processes",
+        [pytest.param(*case[1:], id=case[0]) for case in _KEYED_CASES],
+    )
+    def test_matches_the_decoded_vertex(self, model, processes, rounds):
+        operator = ProtocolOperator(model())
+        if processes == 2:
+            task = approximate_agreement_task([1, 2], Fraction(1, 2), 2)
+        else:
+            task = binary_consensus_task([1, 2, 3])
+        simplices = list(task.input_complex)
+        if processes == 3 and rounds == 2:
+            # One triangle and its faces keep P^(2) small.
+            facet = min(task.input_complex.facets, key=Simplex._sort_key)
+            simplices = list(facet.faces())
+        memo: dict = {}
+        checked = 0
+        for sigma in simplices:
+            for key in operator.template(sigma, rounds).keys(sigma):
+                expected = decode_vertex(key, rounds)._sort_key()
+                assert key_sort_key(key, rounds) == expected
+                # A memo shared across keys changes nothing.
+                assert key_sort_key(key, rounds, memo) == expected
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_sigma_keyed_templates_are_covered(self, rounds):
+        # The value-reading α keys rounds 0 and 2 by σ itself: every
+        # key has an empty carrier and is its own vertex.
+        operator = ProtocolOperator(
+            AugmentedModel(BinaryConsensusBox(), _value_reading_alpha)
+        )
+        sigma = input_simplex({1: Fraction(0), 2: Fraction(1, 2)})
+        keys = operator.template(sigma, rounds).keys(sigma)
+        assert keys and all(not inputs for _, inputs in keys)
+        for key in keys:
+            assert key_sort_key(key, rounds) == key[0]._sort_key()

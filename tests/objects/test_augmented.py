@@ -7,7 +7,6 @@ from repro.objects import (
     AugmentedModel,
     BinaryConsensusBox,
     TestAndSetBox,
-    beta_input_function,
 )
 from repro.topology import Simplex, SimplicialComplex, Vertex, View
 

@@ -12,9 +12,10 @@ one every later construction returns.  Running the same experiments in
 the reverse order must print the same block for each of them, so that
 what an experiment reports does not depend on what ran before it.
 
-The compiled solvability problem's constraint order must not depend on
-the seed either: a multivalued consensus task over strings is compiled
-under two seeds and its scopes compared.
+The compiled solvability problem's constraint order and vertex order
+must not depend on the seed either: a multivalued consensus task over
+strings is compiled under two seeds and its scopes and decoded vertices
+compared.
 """
 
 import os
@@ -51,6 +52,11 @@ problem = build_solvability_problem(
 )
 print(problem.scopes)
 """
+
+#: The same compile, printing its vertices in rank order.
+_VERTICES_PROBE = _SCOPES_PROBE.replace(
+    "print(problem.scopes)", "print(tuple(problem.vertices))"
+)
 
 
 def _run_under(seed, experiments=_EXPERIMENTS, probe=_PROBE):
@@ -98,3 +104,9 @@ def test_compiled_scopes_are_identical_across_hash_seeds():
     first = _run_under(0, (), _SCOPES_PROBE)
     assert first.startswith(b"((")
     assert first == _run_under(1, (), _SCOPES_PROBE)
+
+
+def test_compiled_vertex_order_is_identical_across_hash_seeds():
+    first = _run_under(0, (), _VERTICES_PROBE)
+    assert first.startswith(b"(Vertex(")
+    assert first == _run_under(1, (), _VERTICES_PROBE)
