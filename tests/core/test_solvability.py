@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import repro.core.solvability as solvability_module
 from repro.core import check_decision_map, find_decision_map, is_solvable
 from repro.core.solvability import (
     DecisionMap,
@@ -19,8 +20,10 @@ from repro.tasks import (
     binary_consensus_task,
     liberal_approximate_agreement_task,
     multivalued_consensus_task,
+    set_agreement_task,
 )
 from repro.tasks.inputs import input_simplex
+from repro.telemetry import ManualClock, tracing
 from repro.topology import Vertex
 from repro.topology.table import iter_bits
 
@@ -543,11 +546,186 @@ class TestDecisionMapChecker:
             check_decision_map(simplices, task.delta, protocol_of, mutant)
 
 
+def _full_instance_solvable(task, model, rounds, input_simplices=None):
+    """The whole instance compiled and solved at once, with no core stage."""
+    simplices = (
+        list(input_simplices)
+        if input_simplices is not None
+        else list(task.input_complex)
+    )
+    problem = build_solvability_problem(
+        simplices, task.delta, ProtocolOperator(model), rounds
+    )
+    return problem.solve() is not None
+
+
+def _e17_simplices():
+    rainbow = input_simplex({1: "a", 2: "b", 3: "c"})
+    return [rainbow] + list(rainbow.proper_faces())
+
+
+_KSET = set_agreement_task([1, 2, 3], ["a", "b", "c"], 2)
+
+#: ``(label, task, model fixture, rounds, input simplices)``.
+_SOUNDNESS_SWEEP = (
+    [
+        (f"aa-n2-m{m}-t{t}", approximate_agreement_task([1, 2], F(1, m), m),
+         "iis", t, None)
+        for t, grid in ((0, (1, 2)), (1, (2, 3, 4)), (2, (8, 9, 10)))
+        for m in grid
+    ]
+    + [
+        (f"liberal-n3-m{m}-{model}",
+         liberal_approximate_agreement_task([1, 2, 3], F(1, m), m),
+         model, 1, None)
+        for model in ("iis", "iis_tas")
+        for m in (1, 2, 3, 4)
+    ]
+    + [
+        (f"consensus-n{n}-t{t}", binary_consensus_task(range(1, n + 1)),
+         "iis", t, None)
+        for n in (2, 3)
+        for t in (0, 1)
+    ]
+    + [
+        ("2-set-agreement-t0", _KSET, "iis", 0, None),
+        ("2-set-agreement-e17-t0", _KSET, "iis", 0, _e17_simplices()),
+        ("2-set-agreement-e17-t1", _KSET, "iis", 1, _e17_simplices()),
+    ]
+)
+
+
+class TestCoreStage:
+    """The core stage refutes on one input facet and changes no verdict."""
+
+    @pytest.mark.parametrize(
+        "task, model, rounds, simplices",
+        [case[1:] for case in _SOUNDNESS_SWEEP],
+        ids=[case[0] for case in _SOUNDNESS_SWEEP],
+    )
+    def test_verdict_equals_the_full_instance(
+        self, request, task, model, rounds, simplices
+    ):
+        model = request.getfixturevalue(model)
+        assert is_solvable(
+            task, model, rounds, input_simplices=simplices
+        ) is _full_instance_solvable(task, model, rounds, simplices)
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The input simplices of every compile, in call order."""
+        calls = []
+        build = solvability_module.build_solvability_problem
+
+        def spy(input_simplices, *rest):
+            simplices = list(input_simplices)
+            calls.append(simplices)
+            return build(simplices, *rest)
+
+        monkeypatch.setattr(
+            solvability_module, "build_solvability_problem", spy
+        )
+        return calls
+
+    def test_refutation_compiles_only_the_core(self, iis, compiled):
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        assert not is_solvable(task, iis, 1)
+        widest = input_simplex({1: F(0), 2: F(1)})
+        assert len(compiled) == 1
+        assert set(compiled[0]) == set(widest.faces())
+
+    def test_solvable_instance_is_decided_on_every_simplex(
+        self, iis, compiled
+    ):
+        task = approximate_agreement_task([1, 2], F(1, 3), 3)
+        assert solvable(task, iis, 1)
+        assert len(compiled) == 2
+        assert set(compiled[-1]) == set(task.input_complex)
+
+    def test_non_face_closed_inputs_compile_only_given_simplices(
+        self, iis, compiled
+    ):
+        task = binary_consensus_task([1, 2, 3])
+        mixed = [
+            sigma
+            for sigma in task.input_complex.simplices_of_dim(2)
+            if len({v.value for v in sigma.vertices}) == 2
+        ]
+        # Without its faces, consensus on mixed facets alone is solvable
+        # (everyone decides 0): the core cannot refute, so both stages
+        # compile, each inside the given set.
+        assert solvable(task, iis, 0, input_simplices=mixed)
+        assert [len(simplices) for simplices in compiled] == [1, len(mixed)]
+        assert all(
+            set(simplices) <= set(mixed) for simplices in compiled
+        )
+
+    def test_partial_faces_stay_outside_the_core(self, iis, compiled):
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        wide = input_simplex({1: F(0), 2: F(1)})
+        given = [
+            wide,
+            input_simplex({1: F(1), 2: F(1)}),
+            input_simplex({1: F(0)}),
+        ]
+        is_solvable(task, iis, 0, input_simplices=given)
+        assert compiled[0] == [wide, input_simplex({1: F(0)})]
+        assert all(set(simplices) <= set(given) for simplices in compiled)
+
+    def test_single_maximal_simplex_skips_the_core(self, iis, compiled):
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        sigma = input_simplex({1: F(0), 2: F(1)})
+        is_solvable(task, iis, 1, input_simplices=[sigma])
+        assert compiled == [[sigma]]
+
+    def test_mixed_consensus_facets_rank_first(self, iis, compiled):
+        # Solo outputs 0 and 1 lie in different components of O's
+        # top-dimensional facets: an infinite distance.
+        task = binary_consensus_task([1, 2])
+        assert not is_solvable(task, iis, 1)
+        assert max(compiled[0], key=len) == input_simplex({1: 0, 2: 1})
+
+    def test_one_core_span_per_attempt(self, iis):
+        def core_spans(task, rounds, input_simplices=None):
+            with tracing(clock=ManualClock(tick=0.001)) as tracer:
+                is_solvable(task, iis, rounds, input_simplices)
+            return [
+                (span.attributes["simplices"], span.attributes["refuted"])
+                for span in tracer.roots
+                if span.name == "solvability/core"
+            ]
+
+        quarter = approximate_agreement_task([1, 2], F(1, 4), 4)
+        third = approximate_agreement_task([1, 2], F(1, 3), 3)
+        assert core_spans(quarter, 1) == [(3, True)]
+        assert core_spans(third, 1) == [(3, False)]
+        assert core_spans(_KSET, 1, _e17_simplices()) == []
+
+
+class TestRefutingBoundaries:
+    """Refuting sides of the verified range, decided on a one-facet core."""
+
+    def test_two_process_iis_twenty_eight_in_three_rounds(self, iis):
+        # n = 2: 3^3 < 28.
+        task = approximate_agreement_task([1, 2], F(1, 28), 28)
+        assert not solvable(task, iis, 3)
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_three_process_liberal_in_two_rounds(self, iis, m):
+        # n = 3: 2^2 < m.
+        task = liberal_approximate_agreement_task([1, 2, 3], F(1, m), m)
+        assert not solvable(task, iis, 2)
+
+
 @pytest.mark.slow
 class TestVerifiedRange:
-    """IIS closed forms at their boundaries, solved without closures."""
+    """IIS closed forms at their boundaries, solved without closures.
 
-    @pytest.mark.parametrize("m, expected", [(27, True), (28, False)])
+    The refuting sides of the t = 3 (n = 2) and t = 2 (n = 3) boundaries
+    run in tier-1, in :class:`TestRefutingBoundaries`.
+    """
+
+    @pytest.mark.parametrize("m, expected", [(27, True)])
     def test_two_process_iis_boundary_at_three_rounds(
         self, iis, m, expected
     ):
@@ -555,10 +733,27 @@ class TestVerifiedRange:
         task = approximate_agreement_task([1, 2], F(1, m), m)
         assert solvable(task, iis, 3) is expected
 
-    @pytest.mark.parametrize("m, expected", [(4, True), (5, False)])
+    @pytest.mark.parametrize("m, expected", [(4, True)])
     def test_three_process_liberal_boundary_at_two_rounds(
         self, iis, m, expected
     ):
         # n = 3: the Eq. 3 halving bound 2^t >= m.
         task = liberal_approximate_agreement_task([1, 2, 3], F(1, m), m)
         assert solvable(task, iis, 2) is expected
+
+    def test_two_process_iis_refuted_at_four_rounds(self, iis):
+        # 3^4 < 82.
+        task = approximate_agreement_task([1, 2], F(1, 82), 82)
+        assert not solvable(task, iis, 4)
+
+    @pytest.mark.parametrize(
+        "n, rounds, m", [(3, 3, 9), (4, 1, 3), (4, 2, 5)]
+    )
+    def test_liberal_refuted_one_past_the_halving_bound(
+        self, iis, n, rounds, m
+    ):
+        # 2^t < m = 2^t + 1.
+        task = liberal_approximate_agreement_task(
+            list(range(1, n + 1)), F(1, m), m
+        )
+        assert not solvable(task, iis, rounds)

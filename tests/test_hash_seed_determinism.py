@@ -15,7 +15,9 @@ what an experiment reports does not depend on what ran before it.
 The compiled solvability problem's constraint order and vertex order
 must not depend on the seed either: a multivalued consensus task over
 strings is compiled under two seeds and its scopes and decoded vertices
-compared.
+compared.  So must the input facet the solver's core stage picks: on
+three-process consensus over strings every mixed facet ties at infinite
+distance, and the tie-break alone decides.
 """
 
 import os
@@ -57,6 +59,23 @@ print(problem.scopes)
 _VERTICES_PROBE = _SCOPES_PROBE.replace(
     "print(problem.scopes)", "print(tuple(problem.vertices))"
 )
+
+
+#: Prints the largest simplex of the first compile: the core's facet.
+_CORE_PROBE = """
+import repro.core.solvability as solvability
+from repro.models import ImmediateSnapshotModel
+from repro.tasks import multivalued_consensus_task
+compiled = []
+build = solvability.build_solvability_problem
+def spy(simplices, *rest):
+    compiled.append(list(simplices))
+    return build(compiled[-1], *rest)
+solvability.build_solvability_problem = spy
+task = multivalued_consensus_task([1, 2, 3], ["x", "y", "z"])
+assert not solvability.is_solvable(task, ImmediateSnapshotModel(), 0)
+print(max(compiled[0], key=len))
+"""
 
 
 def _run_under(seed, experiments=_EXPERIMENTS, probe=_PROBE):
@@ -110,3 +129,9 @@ def test_compiled_vertex_order_is_identical_across_hash_seeds():
     first = _run_under(0, (), _VERTICES_PROBE)
     assert first.startswith(b"(Vertex(")
     assert first == _run_under(1, (), _VERTICES_PROBE)
+
+
+def test_core_facet_is_identical_across_hash_seeds():
+    first = _run_under(0, (), _CORE_PROBE)
+    assert first.startswith(b"Simplex[")
+    assert first == _run_under(1, (), _CORE_PROBE)
