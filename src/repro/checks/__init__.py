@@ -7,10 +7,9 @@ vocabulary and one CLI:
   :mod:`repro.checks.targets`, :mod:`repro.checks.audit`) — composable
   ``AUD00x`` rules over *live objects*: chromaticity and facet
   maximality of complexes, carrier-map monotonicity and name
-  preservation, the Appendix A.3.4 schedule matrix conditions,
-  one-round protocol structure and solo idempotence, task and closure
-  well-formedness (Theorem 1), and cache-coherence probes for the
-  memoization layer.
+  preservation, one-round protocol structure and solo idempotence, task
+  and closure well-formedness (Theorem 1), and the span trees of
+  recorded telemetry traces.
 
 * **AST lint** (:mod:`repro.checks.astlint`) — ``RPR00x`` rules over
   source code: interning safety, ``from_maximal`` discipline,
@@ -19,9 +18,9 @@ vocabulary and one CLI:
   ambient nondeterminism (unseeded ``random``, wall-clock reads,
   ``key=id`` sorts) in ``repro.core``/``repro.topology``.
 
-Run ``repro check --all`` to audit every registered experiment's
-machinery and ``repro check --lint src/`` to lint the tree; tier-1
-runs both as self-tests.
+Run ``repro check --all`` to audit every target group and
+``repro check --lint src/`` to lint the tree; tier-1 runs both as
+self-tests.
 """
 
 from repro.checks.astlint import (
@@ -34,7 +33,6 @@ from repro.checks.astlint import (
 from repro.checks.audit import (
     CheckReport,
     audit_all,
-    audit_experiments,
     lint_report,
     trace_report,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "lint_paths",
     "CheckReport",
     "audit_all",
-    "audit_experiments",
     "lint_report",
     "trace_report",
     "render_text",

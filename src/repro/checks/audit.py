@@ -1,28 +1,25 @@
-"""The audit driver: experiments in, findings out.
+"""The audit driver: targets in, findings out.
 
-Glues the three layers of the checks subsystem together: resolve
-experiment identifiers to audit targets (:mod:`repro.checks.targets`),
-run every applicable rule (:mod:`repro.checks.rules`), and package the
-results as a :class:`CheckReport` for the reporters and the CLI exit
-policy.
+Glues the three layers of the checks subsystem together: build the audit
+targets (:mod:`repro.checks.targets`), run every applicable rule
+(:mod:`repro.checks.rules`), and package the results as a
+:class:`CheckReport` for the reporters and the CLI exit policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.checks.astlint import iter_python_files, lint_paths
 from repro.checks.findings import Finding, Severity, max_severity
 from repro.checks.rules import AuditTarget, run_rules
-from repro.checks.targets import targets_for_all, targets_for_experiment
+from repro.checks.targets import targets_for_all
 from repro.errors import TelemetryError
-from repro.experiments.registry import EXPERIMENTS
 from repro.telemetry import load_trace
 
 __all__ = [
     "CheckReport",
-    "audit_experiments",
     "audit_all",
     "lint_report",
     "trace_report",
@@ -37,7 +34,6 @@ class CheckReport:
     findings: tuple[Finding, ...]
     targets_audited: int = 0
     files_linted: int = 0
-    experiments: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def worst(self) -> Severity:
@@ -64,40 +60,17 @@ class CheckReport:
             findings=self.findings + other.findings,
             targets_audited=self.targets_audited + other.targets_audited,
             files_linted=self.files_linted + other.files_linted,
-            experiments=self.experiments + other.experiments,
         )
 
 
-def audit_experiments(identifiers: Sequence[str]) -> CheckReport:
-    """Audit the targets of the given experiment ids (deduplicated)."""
-    resolved = [identifier.upper() for identifier in identifiers]
-    targets: list[AuditTarget] = []
-    seen_paths: set[str] = set()
-    for identifier in resolved:
-        for target in targets_for_experiment(identifier):
-            if target.path not in seen_paths:
-                seen_paths.add(target.path)
-                targets.append(target)
-    findings = run_rules(targets)
-    return CheckReport(
-        scope=f"audit[{', '.join(resolved)}]",
-        findings=tuple(findings),
-        targets_audited=len(targets),
-        experiments=tuple(resolved),
-    )
-
-
 def audit_all() -> CheckReport:
-    """Audit the targets of every registered experiment."""
+    """Audit the targets of every group."""
     targets = targets_for_all()
     findings = run_rules(targets)
     return CheckReport(
         scope="audit[--all]",
         findings=tuple(findings),
         targets_audited=len(targets),
-        experiments=tuple(
-            sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-        ),
     )
 
 

@@ -21,8 +21,6 @@ def _summary_line(report: CheckReport) -> str:
     pieces = []
     if report.targets_audited:
         pieces.append(f"{report.targets_audited} targets audited")
-    if report.experiments:
-        pieces.append(f"{len(report.experiments)} experiments")
     if report.files_linted:
         pieces.append(f"{report.files_linted} files linted")
     pieces.append(
@@ -54,7 +52,6 @@ def render_json(report: CheckReport) -> str:
         "scope": report.scope,
         "targets_audited": report.targets_audited,
         "files_linted": report.files_linted,
-        "experiments": list(report.experiments),
         "clean": report.is_clean(),
         "worst_severity": str(report.worst),
         "findings": [

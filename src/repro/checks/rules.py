@@ -1,10 +1,10 @@
 """Domain invariant audit rules over live objects.
 
 The paper's machinery rests on structural side conditions that the data
-types only partially enforce at construction time — and that trusted fast
-paths (``SimplicialComplex.from_maximal``, the memoization layer)
-deliberately skip.  This module turns each side condition into a
-composable :class:`AuditRule` that inspects live objects and reports
+types only partially enforce at construction time — and that the trusted
+fast path ``SimplicialComplex.from_maximal`` deliberately skips.  This
+module turns each side condition into a composable :class:`AuditRule`
+that inspects live objects and reports
 :class:`~repro.checks.findings.Finding` records instead of raising, so a
 single run can surface every violation at once.
 
@@ -22,15 +22,10 @@ AUD003    carrier    name preservation: ``Δ(σ)`` only uses the colors of
                      ``σ``
 AUD004    carrier    monotonicity: ``σ' ⊆ σ ⟹ Δ(σ') ⊆ Δ(σ)`` (only for
                      maps declared monotone)
-AUD005    schedule   the snapshot chain / immediate-snapshot conditions
-                     when the schedule claims them (the constructor
-                     enforces the matrix conditions (1)–(5))
 AUD006    model      one-round structure: ``P^(1)(σ)`` is pure of
                      dimension ``|σ|−1`` on ``ID(σ)``, contains the solo
                      executions, and is idempotent on solo views
                      (``P^(1)({v}) = {solo(v)}``)
-AUD007    model      memo coherence: every cached one-round complex
-                     equals a freshly built one
 AUD008    task       task well-formedness: ``Δ(σ)`` is chromatic and
                      contained in the output complex
 AUD009    closure    closure well-formedness (Theorem 1): ``Δ ⊆ Δ'`` and
@@ -41,17 +36,16 @@ AUD011    trace      telemetry trace span-tree well-formedness: every
                      status ``ok``/``error``, attributes
                      JSON-serializable, metric deltas numeric (the
                      artifact header is ``load_trace``'s to check)
-AUD013    complex    bitmask-core parity: pruning, containment,
-                     ``proj``, ``union``/``intersection`` and the
-                     f-vector computed through the mask index equal the
-                     retained object-set reference algorithms on the
-                     live complex
 ========  =========  ====================================================
 
 Each rule applies to one *kind* of :class:`AuditTarget`; the driver in
 :mod:`repro.checks.audit` matches targets to rules by kind.  Chaos
 campaign configurations have no rule: every campaign the program runs
-passes through ``CampaignConfig.validate``, their single gate.
+passes through ``CampaignConfig.validate``, their single gate.  Nor do
+properties a tier-1 suite already gates: the schedule pools' snapshot and
+immediate-snapshot claims (``tests/models/test_schedules.py``), one-round
+memo coherence (``tests/models/test_caching.py``) and bitmask-core parity
+with :mod:`repro.topology.reference` (``tests/topology/test_bitmask_core.py``).
 """
 
 from __future__ import annotations
@@ -69,12 +63,10 @@ from typing import (
 from repro.checks.findings import Finding, Severity
 from repro.errors import ReproError
 from repro.models.base import ComputationModel
-from repro.models.schedules import OneRoundSchedule
 from repro.tasks.task import Task
 from repro.topology.carrier import CarrierMap
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
-from repro.topology.vertex import Vertex
 
 __all__ = [
     "AuditTarget",
@@ -93,18 +85,18 @@ class AuditTarget:
     Attributes
     ----------
     kind:
-        What the object is: ``complex``, ``carrier``, ``schedule``,
-        ``task``, ``model``, ``closure``, or ``trace``.  Rules declare
+        What the object is: ``complex``, ``carrier``, ``task``,
+        ``model``, ``closure``, or ``trace``.  Rules declare
         the kind they audit.
     path:
-        Stable human-readable location, e.g. ``E7/task[ε-AA]/Δ``.
+        Stable human-readable location, e.g. ``tasks/aa[n=2]/Δ``.
     obj:
         The object itself.
     extras:
         Rule-specific context: sample simplices for model probes
         (``samples``), the monotonicity expectation for carrier maps
-        (``expect_monotone``), the claimed schedule model
-        (``schedule_model``), the base task of a closure (``base_task``).
+        (``expect_monotone``), the base task of a closure
+        (``base_task``).
     """
 
     kind: str
@@ -231,126 +223,6 @@ def check_facet_maximality(target: AuditTarget) -> Iterator[Finding]:
                 break
 
 
-@audit_rule(
-    "AUD013",
-    "complex",
-    "bitmask core agrees with the object-set reference",
-)
-def check_bitmask_reference_parity(
-    target: AuditTarget,
-) -> Iterator[Finding]:
-    """Cross-check the mask index against the retained seed algorithms.
-
-    The bitmask-native core answers pruning, membership, projection,
-    union, intersection, and f-vector queries through integer masks;
-    :mod:`repro.topology.reference` keeps the seed object-set
-    implementations.  This probe runs both on the live
-    complex and requires identical answers — a divergence means the mask
-    index (or a trusted constructor feeding it) is corrupt even though
-    every individual facet looks healthy.
-
-    Malformed families (non-``Simplex`` facets, repeated or non-integer
-    colors) are AUD001's findings and are skipped here; oversized
-    complexes are audited on a deterministic 64-facet subfamily so the
-    reference side stays affordable.
-    """
-    from repro.topology import reference
-
-    complex_: SimplicialComplex = target.obj
-    facets = list(complex_.facets)
-    if not facets:
-        return
-    for facet in facets:
-        if not isinstance(facet, Simplex):
-            return
-        colors = [v.color for v in facet.vertices]
-        if any(not isinstance(c, int) for c in colors):
-            return
-        if len(set(colors)) != len(colors):
-            return
-
-    def mismatch(operation: str, detail: str) -> Finding:
-        return Finding(
-            "AUD013",
-            Severity.ERROR,
-            target.path,
-            f"bitmask/{operation} disagrees with the object-set "
-            f"reference: {detail}",
-        )
-
-    ordered = sorted(facets, key=lambda s: s._sort_key())
-    if len(ordered) > 64:
-        # A subfamily of an inclusion-maximal family is still maximal.
-        ordered = ordered[:64]
-        live = SimplicialComplex.from_maximal(ordered)
-    else:
-        live = complex_
-    family = frozenset(ordered)
-
-    candidates = [face for facet in ordered for face in facet.faces()]
-    repruned = SimplicialComplex(candidates).facets
-    expected = reference.prune_reference(candidates)
-    if repruned != expected:
-        yield mismatch(
-            "prune",
-            f"{len(repruned)} facets vs {len(expected)} from the "
-            "reference pruning pass",
-        )
-
-    for facet in ordered[:8]:
-        for face in facet.faces():
-            if (face in live) != reference.contains_reference(
-                family, face
-            ):
-                yield mismatch(
-                    "contains", f"membership of {face!r} diverges"
-                )
-                break
-        vertex = facet.vertices[0]
-        absent = Vertex(vertex.color, ("aud013-absent", vertex.value))
-        probe = Simplex(
-            (absent,) + facet.vertices[1:]
-        )
-        if (probe in live) != reference.contains_reference(family, probe):
-            yield mismatch(
-                "contains", f"membership of absent {probe!r} diverges"
-            )
-
-    colors = sorted(live.ids)
-    for keep in (colors[:1], colors[1:], colors):
-        if not keep:
-            continue
-        if live.proj(keep).facets != reference.proj_reference(
-            family, keep
-        ):
-            yield mismatch("proj", f"projection onto {keep} diverges")
-
-    left, right = ordered[::2], ordered[1::2]
-    if left and right:
-        left_complex = SimplicialComplex.from_maximal(left)
-        right_complex = SimplicialComplex.from_maximal(right)
-        if left_complex.union(
-            right_complex
-        ).facets != reference.union_reference(left, right):
-            yield mismatch("union", "facet-half union diverges")
-        small_left, small_right = left[:6], right[:6]
-        if SimplicialComplex.from_maximal(small_left).intersection(
-            SimplicialComplex.from_maximal(small_right)
-        ).facets != reference.intersection_reference(
-            small_left, small_right
-        ):
-            yield mismatch(
-                "intersection", "facet-half intersection diverges"
-            )
-
-    if live.f_vector() != reference.f_vector_reference(family):
-        yield mismatch(
-            "f-vector",
-            f"{live.f_vector()} vs "
-            f"{reference.f_vector_reference(family)}",
-        )
-
-
 # ----------------------------------------------------------------------
 # Carrier map rules
 # ----------------------------------------------------------------------
@@ -405,41 +277,6 @@ def check_carrier_monotone(target: AuditTarget) -> Iterator[Finding]:
                     "simplex's image",
                 )
                 return
-
-
-# ----------------------------------------------------------------------
-# Schedule rules
-# ----------------------------------------------------------------------
-@audit_rule("AUD005", "schedule", "schedules meet their model's claim")
-def check_schedule_conditions(target: AuditTarget) -> Iterator[Finding]:
-    """The chain and immediate-snapshot conditions a schedule claims.
-
-    ``OneRoundSchedule.__post_init__`` enforces the matrix conditions
-    (1)–(5) of Appendix A.3.4 at construction.  The audit checks what the
-    constructor leaves to the model: the chain condition for schedules
-    claiming the snapshot model and the footnote-2 condition for claimed
-    immediate-snapshot schedules (``schedule_model`` extra: ``collect``,
-    ``snapshot``, or ``iis``).
-    """
-    schedule: OneRoundSchedule = target.obj
-    path = target.path
-    claimed = target.extras.get("schedule_model")
-    if claimed in ("snapshot", "iis") and not schedule.is_snapshot():
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            "snapshot condition violated: the view sets do not form a "
-            "chain (footnote 1)",
-        )
-    if claimed == "iis" and not schedule.is_immediate_snapshot():
-        yield Finding(
-            "AUD005",
-            Severity.ERROR,
-            path,
-            "immediate-snapshot condition violated: q ∈ P_i ∩ I_j with "
-            "P_j ⊄ P_i (footnote 2)",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -500,33 +337,6 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
                     f"{len(solo_complex.facets)} facets instead of the "
                     "single solo vertex",
                 )
-
-
-@audit_rule("AUD007", "model", "memoized complexes match fresh builds")
-def check_memo_coherence(target: AuditTarget) -> Iterator[Finding]:
-    """Cache-coherence probe for the model's one-round memo.
-
-    Interned one-round complexes are shared across every consumer of a
-    model instance; a single in-place mutation (or a cache poisoned by a
-    buggy write) silently corrupts every later computation.  The probe
-    rebuilds each cached entry through the uncached hook and requires
-    exact equality.
-    """
-    model: ComputationModel = target.obj
-    one_round_cache = getattr(model, "_one_round_cache", None) or {}
-    # The memo is keyed by the input simplex itself, so each entry can
-    # be rebuilt directly.
-    for sigma, cached in list(one_round_cache.items()):
-        fresh = model._build_one_round_complex(sigma)
-        if cached != fresh:
-            yield Finding(
-                "AUD007",
-                Severity.ERROR,
-                f"{target.path}/one-round-cache[{sigma!r}]",
-                f"stale memo entry: cached complex ({len(cached.facets)} "
-                f"facets) differs from a fresh build "
-                f"({len(fresh.facets)} facets)",
-            )
 
 
 # ----------------------------------------------------------------------

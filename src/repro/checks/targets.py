@@ -1,18 +1,12 @@
-"""Audit targets: what ``repro check`` actually inspects per experiment.
+"""Audit targets: the live objects ``repro check`` inspects.
 
-Every experiment in :mod:`repro.experiments.registry` exercises a slice of
-the library — some models, tasks, schedules, and (for the closure
-experiments) a materialized ``CL_M(Π)``.  This module maps each experiment
-identifier to named *target groups*; a group builds the live objects once
-(memoized process-wide) and wraps them into
+The audit covers every model family, every task family and the closure
+machinery through named *target groups*; a group builds its live objects
+once (memoized process-wide) and wraps them into
 :class:`~repro.checks.rules.AuditTarget` records for the rule engine.
-
-Groups are shared between experiments on purpose: ``repro check --all``
-audits the union of the groups of every registered experiment, building
-each group exactly once.  The construction stays deliberately small
-(n ≤ 3, coarse grids) so the full audit runs in seconds while still
-covering every model family, every task family, all three schedule
-pools, and the closure machinery.
+``repro check --all`` audits every group.  The construction stays
+deliberately small (n ≤ 3, coarse grids) so the full audit runs in
+seconds.
 """
 
 from __future__ import annotations
@@ -23,12 +17,10 @@ from typing import Callable
 
 from repro.checks.rules import AuditTarget
 from repro.core.closure import ClosureComputer
-from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
     SnapshotModel,
-    distinct_schedules,
     k_concurrency_model,
 )
 from repro.models.base import ComputationModel
@@ -53,8 +45,6 @@ from repro.topology.simplex import Simplex
 __all__ = [
     "TARGET_GROUPS",
     "build_group",
-    "groups_for_experiment",
-    "targets_for_experiment",
     "targets_for_all",
 ]
 
@@ -96,8 +86,6 @@ def _model_targets(
                 {"expect_monotone": True},
             )
         )
-    # Re-audit the memo after the probes above warmed the caches.
-    targets.append(AuditTarget("model", f"{path}/memo", model, {}))
     return targets
 
 
@@ -110,26 +98,6 @@ def _task_targets(path: str, task: Task) -> list[AuditTarget]:
         # Task maps are audited for name preservation only: the paper
         # deliberately does not require Δ to be monotone.
         AuditTarget("carrier", f"{path}/Δ", task.delta_map),
-    ]
-
-
-def _schedule_targets(path: str, n: int) -> list[AuditTarget]:
-    """Every schedule of each model's shared pool over ``1..n``."""
-    return [
-        AuditTarget(
-            "schedule",
-            f"{path}/{label}[{index}]",
-            schedule,
-            {"schedule_model": label},
-        )
-        for kind, label in (
-            ("collect", "collect"),
-            ("snapshot", "snapshot"),
-            ("immediate", "iis"),
-        )
-        for index, schedule in enumerate(
-            distinct_schedules(kind, range(1, n + 1))
-        )
     ]
 
 
@@ -197,14 +165,6 @@ def _group_bc() -> list[AuditTarget]:
     return _model_targets("objects/IIS+BC[n=3]", model, (_sample(3),))
 
 
-def _group_schedules_n2() -> list[AuditTarget]:
-    return _schedule_targets("schedules[n=2]", 2)
-
-
-def _group_schedules_n3() -> list[AuditTarget]:
-    return _schedule_targets("schedules[n=3]", 3)
-
-
 def _group_consensus_tasks() -> list[AuditTarget]:
     targets = _task_targets(
         "tasks/consensus[n=2]", binary_consensus_task([1, 2])
@@ -266,42 +226,11 @@ TARGET_GROUPS: dict[str, Callable[[], list[AuditTarget]]] = {
     "models-affine": _group_affine,
     "objects-tas": _group_tas,
     "objects-bc": _group_bc,
-    "schedules-n2": _group_schedules_n2,
-    "schedules-n3": _group_schedules_n3,
     "tasks-consensus": _group_consensus_tasks,
     "tasks-aa": _group_aa_tasks,
     "tasks-kset": _group_kset_task,
     "closure-consensus": _group_closure_consensus,
     "closure-aa": _group_closure_aa,
-}
-
-#: Which groups each experiment depends on.  Kept exhaustive on purpose —
-#: ``repro check`` fails on unknown experiment ids, so a new registry
-#: entry must be mapped here before it can ship (tested in tier-1).
-_EXPERIMENT_GROUPS: dict[str, tuple[str, ...]] = {
-    "E1": ("models-n3", "schedules-n3"),
-    "E2": ("tasks-aa", "closure-aa", "models-n2"),
-    "E3": ("tasks-consensus", "models-n2", "closure-consensus"),
-    "E4": ("objects-tas", "tasks-consensus"),
-    "E5": ("objects-tas",),
-    "E6": ("objects-tas", "tasks-consensus"),
-    "E7": ("tasks-aa", "closure-aa", "models-n2"),
-    "E8": ("tasks-aa", "models-n3"),
-    "E9": ("tasks-aa", "models-n2", "models-n3"),
-    "E10": ("objects-tas", "tasks-aa"),
-    "E11": ("objects-bc",),
-    "E12": ("objects-bc", "tasks-aa"),
-    "E13": ("models-n2", "models-n3", "tasks-consensus"),
-    "E14": ("tasks-aa",),
-    "E15": ("models-n2", "objects-tas", "objects-bc"),
-    "E16": ("schedules-n2", "schedules-n3", "models-n3"),
-    "E17": ("tasks-kset", "models-n3"),
-    "E18": ("tasks-consensus", "models-n3"),
-    "E19": ("models-n3", "schedules-n3"),
-    "E20": ("models-affine", "tasks-consensus"),
-    "E21": ("models-n2", "schedules-n2"),
-    "E22": ("models-n3",),
-    "E23": ("schedules-n3",),
 }
 
 
@@ -318,37 +247,8 @@ def build_group(name: str) -> tuple[AuditTarget, ...]:
     return tuple(builder())
 
 
-def groups_for_experiment(identifier: str) -> tuple[str, ...]:
-    """The target groups audited for one experiment id (e.g. ``"E7"``)."""
-    key = get_experiment(identifier).identifier
-    try:
-        return _EXPERIMENT_GROUPS[key]
-    except KeyError:
-        raise KeyError(
-            f"experiment {key} has no audit-target mapping; add it to "
-            "repro.checks.targets._EXPERIMENT_GROUPS"
-        ) from None
-
-
-def targets_for_experiment(identifier: str) -> list[AuditTarget]:
-    """All audit targets of one experiment, group-deduplicated."""
-    targets: list[AuditTarget] = []
-    for group in groups_for_experiment(identifier):
-        targets.extend(build_group(group))
-    return targets
-
-
 def targets_for_all() -> list[AuditTarget]:
-    """The union of the audit targets of every registered experiment.
-
-    Groups shared between experiments are built and audited once.
-    """
-    names: list[str] = []
-    for identifier in sorted(EXPERIMENTS, key=lambda e: int(e[1:])):
-        for group in groups_for_experiment(identifier):
-            if group not in names:
-                names.append(group)
-    targets: list[AuditTarget] = []
-    for group in names:
-        targets.extend(build_group(group))
-    return targets
+    """The audit targets of every group, in :data:`TARGET_GROUPS` order."""
+    return [
+        target for name in TARGET_GROUPS for target in build_group(name)
+    ]

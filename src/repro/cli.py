@@ -7,7 +7,7 @@ Exposes the library's headline computations without writing Python::
     repro closure --n 3 --eps 1/4 --m 4 --liberal --model tas
     repro bounds --eps 1/8 --n 3
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
-    repro check --all                 # audit every experiment's invariants
+    repro check --all                 # audit live invariants (AUD rules)
     repro check --lint src/           # repo-specific AST lint (RPR rules)
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
@@ -285,7 +285,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checks import (
         audit_all,
-        audit_experiments,
         lint_report,
         parse_severity,
         render_json,
@@ -303,11 +302,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         reports.append(lint_report(args.lint))
     if args.trace_paths:
         reports.append(trace_report(args.trace_paths))
-    if args.all:
-        reports.append(audit_all())
-    elif args.ids:
-        reports.append(audit_experiments(args.ids))
-    if not reports:
+    if args.all or not reports:
         # Bare `repro check` audits everything, like `--all`.
         reports.append(audit_all())
 
@@ -490,23 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="static analysis: audit domain invariants and lint sources",
         description=(
-            "Audit the library's structural invariants over the experiment "
-            "registry's live objects (chromaticity, facet maximality, "
-            "carrier monotonicity, schedule matrix conditions, memo "
-            "coherence, task/closure well-formedness) and/or run the "
-            "repo-specific AST lint (RPR rules)."
+            "Audit the library's structural invariants over live models, "
+            "tasks and closures (chromaticity, facet maximality, carrier "
+            "name preservation and monotonicity, one-round structure, "
+            "task/closure well-formedness) and/or run the repo-specific "
+            "AST lint (RPR rules)."
         ),
-    )
-    p.add_argument(
-        "ids",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help="experiment ids to audit (e.g. E7 E12); default: all",
     )
     p.add_argument(
         "--all",
         action="store_true",
-        help="audit every registered experiment's machinery",
+        help="audit every target group (the default when no other "
+        "scope is given)",
     )
     p.add_argument(
         "--lint",

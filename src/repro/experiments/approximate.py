@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from repro.algorithms import HalvingAA, TwoProcessThirdsAA
 from repro.core import (
@@ -26,6 +27,8 @@ from repro.tasks import (
     liberal_approximate_agreement_task,
 )
 from repro.tasks.inputs import input_simplex
+from repro.tasks.task import Task
+from repro.topology.simplex import Simplex
 
 __all__ = [
     "reproduce_claim1",
@@ -40,6 +43,35 @@ F = Fraction
 
 #: The β function used for Theorem 4's experiment (5 declared processes).
 THEOREM4_BETA = {1: 0, 2: 1, 3: 0, 4: 0, 5: 1}
+
+
+def _closure_identity(
+    computer: ClosureComputer,
+    target: Task,
+    simplices: Iterable[Simplex],
+    per_window: bool = False,
+) -> tuple[int, int]:
+    """Check ``Δ'(σ) = target.Δ(σ)`` for each ``σ``: ``(checked, mismatches)``.
+
+    With ``per_window`` only the first ``σ`` of each ``(min, max)``
+    input-value window is checked.
+    """
+    checked = mismatches = 0
+    seen_windows: set[tuple[object, object]] = set()
+    for sigma in simplices:
+        if per_window:
+            values = sorted(v.value for v in sigma.vertices)
+            window = (values[0], values[-1])
+            if window in seen_windows:
+                continue
+            seen_windows.add(window)
+        checked += 1
+        if (
+            computer.delta_prime(sigma).simplices
+            != target.delta(sigma).simplices
+        ):
+            mismatches += 1
+    return checked, mismatches
 
 
 def reproduce_claim1() -> dict[str, bool]:
@@ -71,14 +103,9 @@ def reproduce_claim2(m: int = 6, eps: Fraction = F(1, 6)) -> dict[str, object]:
     task = approximate_agreement_task([1, 2], eps, m)
     target = approximate_agreement_task([1, 2], 3 * eps, m)
     computer = ClosureComputer(task, iis)
-    checked = mismatches = 0
-    for sigma in task.input_complex:
-        checked += 1
-        if (
-            computer.delta_prime(sigma).simplices
-            != target.delta(sigma).simplices
-        ):
-            mismatches += 1
+    checked, mismatches = _closure_identity(
+        computer, target, task.input_complex
+    )
     return {"checked": checked, "mismatches": mismatches, "eps": eps, "m": m}
 
 
@@ -89,25 +116,14 @@ def reproduce_claim3(m: int = 4, eps: Fraction = F(1, 4)) -> dict[str, object]:
     task = liberal_approximate_agreement_task([1, 2, 3], eps, m)
     target = liberal_approximate_agreement_task([1, 2, 3], 2 * eps, m)
     computer = ClosureComputer(task, iis)
-    checked = mismatches = 0
-    for sigma in task.input_complex.simplices_of_dim(2):
-        checked += 1
-        if (
-            computer.delta_prime(sigma).simplices
-            != target.delta(sigma).simplices
-        ):
-            mismatches += 1
-    for sigma in [
+    faces = [
         input_simplex({1: F(0), 2: F(1)}),
         input_simplex({2: F(1, 4), 3: F(1, 2)}),
         input_simplex({1: F(1, 2)}),
-    ]:
-        checked += 1
-        if (
-            computer.delta_prime(sigma).simplices
-            != target.delta(sigma).simplices
-        ):
-            mismatches += 1
+    ]
+    checked, mismatches = _closure_identity(
+        computer, target, task.input_complex.simplices_of_dim(2) + faces
+    )
     return {"checked": checked, "mismatches": mismatches, "eps": eps, "m": m}
 
 
@@ -139,21 +155,12 @@ def reproduce_theorem3(
     task = liberal_approximate_agreement_task([1, 2, 3], eps, m)
     target = liberal_approximate_agreement_task([1, 2, 3], 2 * eps, m)
     computer = ClosureComputer(task, model)
-
-    checked = mismatches = 0
-    seen_windows = set()
-    for sigma in task.input_complex.simplices_of_dim(2):
-        values = sorted(v.value for v in sigma.vertices)
-        window = (values[0], values[-1])
-        if window in seen_windows:
-            continue
-        seen_windows.add(window)
-        checked += 1
-        if (
-            computer.delta_prime(sigma).simplices
-            != target.delta(sigma).simplices
-        ):
-            mismatches += 1
+    checked, mismatches = _closure_identity(
+        computer,
+        target,
+        task.input_complex.simplices_of_dim(2),
+        per_window=True,
+    )
 
     bounds = [
         (n, e, aa_lower_bound_iis(n, e), aa_lower_bound_iis_tas(n, e))
@@ -188,21 +195,12 @@ def reproduce_theorem4(
     task = liberal_approximate_agreement_task(side, eps, m)
     target = liberal_approximate_agreement_task(side, 2 * eps, m)
     computer = ClosureComputer(task, model)
-
-    checked = mismatches = 0
-    seen = set()
-    for sigma in task.input_complex.simplices_of_dim(2):
-        values = sorted(v.value for v in sigma.vertices)
-        window = (values[0], values[-1])
-        if window in seen:
-            continue
-        seen.add(window)
-        checked += 1
-        if (
-            computer.delta_prime(sigma).simplices
-            != target.delta(sigma).simplices
-        ):
-            mismatches += 1
+    checked, mismatches = _closure_identity(
+        computer,
+        target,
+        task.input_complex.simplices_of_dim(2),
+        per_window=True,
+    )
 
     mixed = [1, 2, 5]
     mixed_task = liberal_approximate_agreement_task(mixed, eps, m)

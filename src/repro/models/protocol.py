@@ -244,7 +244,7 @@ class ProtocolOperator:
                     rounds=rounds,
                 ):
                     previous = self.of_simplex(sigma, rounds - 1)
-                    found = self._one_round_of_complex(previous)
+                    found = self._model.protocol_complex(previous, 1)
             self._simplex_cache[key] = found
         else:
             _OF_SIMPLEX_STATS.hit()
@@ -270,14 +270,6 @@ class ProtocolOperator:
         else:
             _TEMPLATE_STATS.hit()
         return found
-
-    def _one_round_of_complex(
-        self, base: SimplicialComplex
-    ) -> SimplicialComplex:
-        pieces: list[Simplex] = []
-        for simplex in base:
-            pieces.extend(self._model.one_round_complex(simplex).facets)
-        return SimplicialComplex(pieces)
 
 
 def _template_of(

@@ -8,23 +8,17 @@ force task maps to be monotone, so :class:`CarrierMap` does not enforce
 it (audit rules AUD003 and AUD004 check name preservation and declared
 monotonicity).
 
-Evaluations are memoized under ``(table_id, mask)`` int-pair keys over
-the domain complex's canonical vertex table — the same strict-probe
-discipline as the model memos: the strict
-:meth:`~repro.topology.table.VertexTable.encode_mask` either yields the
-canonical mask or proves the simplex foreign to the domain, and hashing
-two small ints beats re-hashing a vertex tuple on every Δ evaluation.
+Evaluations are memoized per simplex: a :class:`Simplex` caches its
+hash, so a memo hit is one dict lookup.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import ChromaticityError
 from repro.telemetry import default_registry
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
-from repro.topology.table import VertexTable
 
 __all__ = ["CarrierMap"]
 
@@ -44,14 +38,7 @@ class CarrierMap:
         Optional human-readable label used in ``repr``.
     """
 
-    __slots__ = (
-        "_domain",
-        "_function",
-        "_table",
-        "_cache",
-        "_foreign_cache",
-        "_name",
-    )
+    __slots__ = ("_domain", "_function", "_cache", "_name")
 
     def __init__(
         self,
@@ -61,15 +48,9 @@ class CarrierMap:
     ):
         self._domain = domain
         self._function = function
-        #: The domain's canonical table, bound on first evaluation (the
-        #: index may not exist yet at construction time).
-        self._table: Optional[VertexTable] = None
-        self._cache: dict[tuple[int, int], SimplicialComplex] = {}
-        #: Simplices with vertices outside the domain's table cannot be
-        #: encoded against it; the class has always accepted them (the
-        #: function decides whether they are an error), so they memoize
-        #: in a simplex-keyed side table instead.
-        self._foreign_cache: dict[Simplex, SimplicialComplex] = {}
+        #: Simplices outside the domain are accepted too: the function
+        #: decides whether they are an error.
+        self._cache: dict[Simplex, SimplicialComplex] = {}
         self._name = name or "Δ"
 
     @property
@@ -78,25 +59,10 @@ class CarrierMap:
         return self._domain
 
     def __call__(self, simplex: Simplex) -> SimplicialComplex:
-        table = self._table
-        if table is None:
-            table = self._table = self._domain._ensure_index()[0]
-        try:
-            key = (table.table_id, table.encode_mask(simplex))
-        except ChromaticityError:
-            found = self._foreign_cache.get(simplex)
-            if found is None:
-                _CARRIER_STATS.miss()
-                found = self._foreign_cache[simplex] = self._function(
-                    simplex
-                )
-            else:
-                _CARRIER_STATS.hit()
-            return found
-        found = self._cache.get(key)
+        found = self._cache.get(simplex)
         if found is None:
             _CARRIER_STATS.miss()
-            found = self._cache[key] = self._function(simplex)
+            found = self._cache[simplex] = self._function(simplex)
         else:
             _CARRIER_STATS.hit()
         return found

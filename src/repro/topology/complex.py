@@ -10,7 +10,7 @@ integer comparisons, and projection/union/intersection are bitwise
 passes over one ``int`` per facet.  This is what keeps the
 ``13^t``-facet protocol complexes of the round-expansion blow-up
 tractable — the object-set reference semantics (retained in
-:mod:`repro.topology.reference` and cross-checked by audit rule AUD013)
+:mod:`repro.topology.reference` and cross-checked by its parity tests)
 are unchanged.
 
 ``Simplex`` objects are materialized lazily, only at API boundaries

@@ -6,12 +6,11 @@ the hot paths use — pruning, containment, projection, union,
 intersection and the f-vector — retained verbatim in spirit: every
 function works on plain ``Simplex``/``Vertex`` sets with ``frozenset``
 subset tests and materialized face families, exactly as the seed
-implementation did.  They exist for three reasons:
+implementation did.  They exist for two reasons:
 
-* audit rule AUD013 cross-checks the bitmask core against them on every
-  live complex of an experiment's target group;
 * the property tests in ``tests/topology/test_bitmask_core.py`` assert
-  bitmask results equal reference results on randomized complexes;
+  bitmask results equal reference results on randomized complexes and
+  on the one-round complexes of every model family;
 * ``benchmarks/bench_bitmask_core.py`` uses them as the before-side of
   the facet-pruning and containment-test timings.
 

@@ -3,6 +3,8 @@
 import json
 import textwrap
 
+import pytest
+
 from repro.cli import main
 
 BROKEN_MODULE = textwrap.dedent(
@@ -31,24 +33,22 @@ def write_broken_module(root):
 
 
 class TestAuditScopes:
-    def test_single_experiment_exits_zero(self, capsys):
-        assert main(["check", "E1"]) == 0
-        out = capsys.readouterr().out
-        assert "audit[E1]" in out
-        assert "clean" in out
-
     def test_all_experiments_exit_zero(self, capsys):
         assert main(["check", "--all"]) == 0
         out = capsys.readouterr().out
-        assert "23 experiments" in out
+        assert "audit[--all]: 62 targets audited, clean" in out
 
     def test_bare_check_defaults_to_all(self, capsys):
         assert main(["check"]) == 0
         assert "audit[--all]" in capsys.readouterr().out
 
-    def test_unknown_experiment_rejected(self, capsys):
-        assert main(["check", "E99"]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_experiment_ids_are_usage_errors(self, capsys):
+        # The audit has no per-experiment scope: every id is rejected.
+        for argv in (["check", "E1"], ["check", "E99"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLintScope:
@@ -83,12 +83,12 @@ class TestLintScope:
 
 class TestJsonFormat:
     def test_json_document_shape(self, capsys):
-        assert main(["check", "E4", "--format", "json"]) == 0
+        assert main(["check", "--all", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["clean"] is True
-        assert document["experiments"] == ["E4"]
+        assert document["scope"] == "audit[--all]"
         assert document["findings"] == []
-        assert document["targets_audited"] > 0
+        assert document["targets_audited"] == 62
 
     def test_json_reports_lint_findings(self, tmp_path, capsys):
         write_broken_module(tmp_path)
@@ -106,9 +106,9 @@ class TestJsonFormat:
         clean = tmp_path / "ok.py"
         clean.write_text("X = 1\n")
         assert (
-            main(["check", "E1", "--lint", str(clean)])
+            main(["check", "--all", "--lint", str(clean)])
             == 0
         )
         out = capsys.readouterr().out
         assert "lint[" in out
-        assert "audit[E1]" in out
+        assert "audit[--all]" in out

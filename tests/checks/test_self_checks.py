@@ -1,7 +1,7 @@
 """The codebase passes its own static analysis (tier-1 gate).
 
 Two self-tests: the AST lint over ``src/`` must be clean, and the domain
-audit over every registered experiment's machinery must be clean.  These
+audit over every target group must be clean.  These
 are the same checks CI runs via ``repro check``; keeping them in tier-1
 means a violation fails the default test run, not just the CI job.
 """
@@ -9,12 +9,7 @@ means a violation fails the default test run, not just the CI job.
 from pathlib import Path
 
 from repro.checks import audit_all, lint_report
-from repro.checks.targets import (
-    TARGET_GROUPS,
-    build_group,
-    groups_for_experiment,
-)
-from repro.experiments.registry import EXPERIMENTS
+from repro.checks.targets import TARGET_GROUPS, build_group
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -30,31 +25,14 @@ class TestSelfLint:
 
 
 class TestSelfAudit:
-    def test_every_experiment_has_audit_targets(self):
-        for identifier in EXPERIMENTS:
-            groups = groups_for_experiment(identifier)
-            assert groups, f"{identifier} maps to no target groups"
-            for group in groups:
-                assert group in TARGET_GROUPS
-
-    def test_every_group_is_reachable_from_some_experiment(self):
-        used = {
-            group
-            for identifier in EXPERIMENTS
-            for group in groups_for_experiment(identifier)
-        }
-        assert used == set(TARGET_GROUPS)
-
     def test_groups_build_non_empty(self):
         for name in TARGET_GROUPS:
             assert build_group(name), f"group {name} built no targets"
 
     def test_full_audit_is_clean(self):
         report = audit_all()
-        assert report.targets_audited > 100
-        assert report.experiments == tuple(
-            sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-        )
+        assert len(TARGET_GROUPS) == 10
+        assert report.targets_audited == 62
         details = "\n".join(
             f"{f.rule_id} {f.path}: {f.message}" for f in report.findings
         )

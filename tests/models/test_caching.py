@@ -5,9 +5,28 @@ from repro.models import (
     ImmediateSnapshotModel,
     ProtocolOperator,
     SnapshotModel,
+    k_concurrency_model,
+)
+from repro.objects import (
+    AugmentedModel,
+    BinaryConsensusBox,
+    TestAndSetBox,
+    beta_input_function,
 )
 from repro.telemetry import MetricsRegistry, default_registry
 from repro.topology import Simplex
+
+#: One fresh instance per call of every model family the experiments use.
+MODEL_FAMILIES = {
+    "collect": CollectModel,
+    "snapshot": SnapshotModel,
+    "IIS": ImmediateSnapshotModel,
+    "2-concurrency": lambda: k_concurrency_model(ImmediateSnapshotModel(), 2),
+    "IIS+t&s": lambda: AugmentedModel(TestAndSetBox()),
+    "IIS+bc": lambda: AugmentedModel(
+        BinaryConsensusBox(), beta_input_function({1: 1, 2: 0, 3: 1})
+    ),
+}
 
 
 def triangle():
@@ -22,10 +41,20 @@ class TestOneRoundMemo:
 
     def test_memo_is_per_model_instance(self):
         sigma = triangle()
-        first = ImmediateSnapshotModel().one_round_complex(sigma)
-        second = ImmediateSnapshotModel().one_round_complex(sigma)
-        assert first is not second
-        assert first == second
+        for family, make in MODEL_FAMILIES.items():
+            model = make()
+            first = model.one_round_complex(sigma)
+            second = make().one_round_complex(sigma)
+            assert first is not second, family
+            assert first == second, family
+            # Every memo entry, read back through the memo, still equals
+            # a fresh uncached build.
+            for face in sigma.faces():
+                model.one_round_complex(face)
+            for face in sigma.faces():
+                assert model.one_round_complex(face) == (
+                    make()._build_one_round_complex(face)
+                ), (family, face)
 
     def test_operators_share_the_model_cache(self):
         # Independent operators over one model must not re-materialize

@@ -15,6 +15,15 @@ from repro.models.schedules import (
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
 
+#: What each model's schedules claim beyond the matrix conditions (1)–(5)
+#: the constructor enforces: immediate snapshots (footnote 2) are
+#: snapshots, snapshot views chain (footnote 1), collect claims nothing.
+POOL_CLAIMS = {
+    "immediate": ("is_immediate_snapshot", "is_snapshot"),
+    "snapshot": ("is_snapshot",),
+    "collect": (),
+}
+
 
 def fs(*items):
     return frozenset(items)
@@ -178,6 +187,12 @@ class TestEnumerations:
         for schedule in immediate_snapshot_schedules(ids):
             assert schedule.is_immediate_snapshot()
             assert schedule.is_snapshot()
+        # The shared pools the models read must keep those claims too.
+        for kind, claims in POOL_CLAIMS.items():
+            for schedule in distinct_schedules(kind, ids):
+                assert schedule.participants == frozenset(ids)
+                for claim in claims:
+                    assert getattr(schedule, claim)(), (kind, schedule)
 
     def test_snapshot_schedules_subset_of_collect(self):
         collect = {s.view_map()[1] for s in collect_schedules([1, 2])}

@@ -380,7 +380,7 @@ class TestInputErrors:
                 "crash probability 1.5 outside [0, 1]",
             ),
             (["experiment", "E99"], "known ids: E1, E2, E3, "),
-            (["check", "E99"], "known ids: E1, E2, E3, "),
+            (["experiment", "e99"], "known ids: E1, E2, E3, "),
         ],
     )
     def test_library_errors_exit_one(self, argv, needle, capsys):

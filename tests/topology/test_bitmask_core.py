@@ -3,9 +3,10 @@
 Every property here pits a mask-native :class:`SimplicialComplex`
 operation against its retained seed implementation from
 :mod:`repro.topology.reference` on hypothesis-generated chromatic
-complexes — the same parity contract audit rule AUD013 enforces on live
-experiment targets, but over a much wilder input distribution.  A second
-group of tests pins the lazy-materialization contract of mask-born
+complexes, plus, as explicit examples, the one-round complexes
+``P^(1)(σ)`` of every model family at ``n = 3``, whose ``View`` and
+``(box output, View)`` vertex values the strategies never generate.  A
+second group of tests pins the lazy-materialization contract of mask-born
 complexes (built by ``SimplicialComplex._from_masks`` from a table and
 facet masks alone): queries must be answerable without rebuilding ``Simplex``
 objects.  A last group pins the interned :class:`VertexTable`.
@@ -14,10 +15,22 @@ objects.  A last group pins the interned :class:`VertexTable`.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ChromaticityError
+from repro.models import (
+    CollectModel,
+    ImmediateSnapshotModel,
+    SnapshotModel,
+    k_concurrency_model,
+)
+from repro.objects import (
+    AugmentedModel,
+    BinaryConsensusBox,
+    TestAndSetBox,
+    beta_input_function,
+)
 from repro.topology import Simplex, SimplicialComplex, Vertex, VertexTable
 from repro.topology import reference
 from repro.topology.complex import _prune_masks
@@ -45,6 +58,51 @@ def families(draw, max_size=6):
     return draw(st.lists(simplices(), min_size=1, max_size=max_size))
 
 
+def _one_round_facets():
+    """The sorted facets of ``P^(1)(σ)`` at ``n = 3``, one list per model."""
+    sigma = Simplex((i, f"x{i}") for i in range(1, 4))
+    models = (
+        CollectModel(),
+        SnapshotModel(),
+        ImmediateSnapshotModel(),
+        k_concurrency_model(ImmediateSnapshotModel(), 2),
+        AugmentedModel(TestAndSetBox()),
+        AugmentedModel(
+            BinaryConsensusBox(), beta_input_function({1: 1, 2: 0, 3: 1})
+        ),
+    )
+    return [model.one_round_complex(sigma).sorted_facets() for model in models]
+
+
+MODEL_FACETS = _one_round_facets()
+
+
+def on_model_complexes(*builds):
+    """Add the explicit examples ``build(facets)`` for every model family."""
+
+    def decorate(test):
+        for facets in MODEL_FACETS:
+            for build in builds:
+                test = example(*build(facets))(test)
+        return test
+
+    return decorate
+
+
+def _whole(facets):
+    return (facets,)
+
+
+def _halves(facets):
+    return (facets[::2], facets[1::2])
+
+
+def _mixed_probe(facets):
+    """A simplex of the complex's vertices that mixes two facets."""
+    first, last = facets[0].vertices, facets[-1].vertices
+    return (facets, Simplex(first[:1] + last[1:]))
+
+
 def mask_born(complex_):
     """A copy of ``complex_`` built from its mask index alone."""
     table, masks = complex_._ensure_index()
@@ -52,12 +110,14 @@ def mask_born(complex_):
 
 
 class TestPruningParity:
+    @on_model_complexes(_whole)
     @given(families())
     def test_init_prunes_like_the_reference(self, family):
         assert SimplicialComplex(family).facets == (
             reference.prune_reference(family)
         )
 
+    @on_model_complexes(_whole)
     @given(families())
     def test_pruning_all_faces_reproduces_the_facets(self, family):
         complex_ = SimplicialComplex(family)
@@ -95,12 +155,14 @@ class TestPruneMasks:
 
 
 class TestQueryParity:
+    @on_model_complexes(_whole)
     @given(families())
     def test_contains_present_faces(self, family):
         complex_ = SimplicialComplex(family)
         for face in reference.faces_reference(complex_.facets):
             assert face in complex_
 
+    @on_model_complexes(_mixed_probe)
     @given(families(), simplices())
     def test_contains_arbitrary_probe(self, family, probe):
         complex_ = SimplicialComplex(family)
@@ -108,6 +170,7 @@ class TestQueryParity:
             complex_.facets, probe
         )
 
+    @on_model_complexes(_whole)
     @given(families())
     def test_simplices_and_len(self, family):
         complex_ = SimplicialComplex(family)
@@ -115,6 +178,9 @@ class TestQueryParity:
         assert complex_.simplices == faces
         assert len(complex_) == len(faces)
 
+    @on_model_complexes(
+        lambda facets: (facets, {1}), lambda facets: (facets, {2, 3})
+    )
     @given(families(), st.sets(colors, max_size=3))
     def test_proj(self, family, keep):
         complex_ = SimplicialComplex(family)
@@ -122,6 +188,7 @@ class TestQueryParity:
             complex_.facets, keep
         )
 
+    @on_model_complexes(_halves)
     @given(families(), families())
     def test_union(self, left, right):
         a, b = SimplicialComplex(left), SimplicialComplex(right)
@@ -129,6 +196,7 @@ class TestQueryParity:
             a.facets, b.facets
         )
 
+    @on_model_complexes(_halves)
     @given(families(), families())
     def test_intersection(self, left, right):
         a, b = SimplicialComplex(left), SimplicialComplex(right)
@@ -136,6 +204,7 @@ class TestQueryParity:
             reference.intersection_reference(a.facets, b.facets)
         )
 
+    @on_model_complexes(_whole)
     @given(families())
     def test_f_vector(self, family):
         complex_ = SimplicialComplex(family)
