@@ -7,20 +7,17 @@ vocabulary and one CLI:
   :mod:`repro.checks.targets`, :mod:`repro.checks.audit`) — composable
   ``AUD00x`` rules over *live objects*: chromaticity and facet
   maximality of complexes, carrier-map monotonicity and name
-  preservation, one-round protocol structure and solo idempotence, task
-  and closure well-formedness (Theorem 1), and the span trees of
-  recorded telemetry traces.
+  preservation, one-round protocol structure and solo idempotence, and
+  task and closure well-formedness (Theorem 1).
 
 * **AST lint** (:mod:`repro.checks.astlint`) — ``RPR00x`` rules over
-  source code: interning safety, ``from_maximal`` discipline,
-  counter placement, exception hygiene on solver hot paths, the
-  fully-annotated public proof core backing the mypy gate, and no
-  ambient nondeterminism (unseeded ``random``, wall-clock reads,
+  source code: interning safety, exception hygiene on solver hot paths,
+  and no ambient nondeterminism (unseeded ``random``, wall-clock reads,
   ``key=id`` sorts) in ``repro.core``/``repro.topology``.
 
-Run ``repro check --all`` to audit every target group and
-``repro check --lint src/`` to lint the tree; tier-1 runs both as
-self-tests.
+Every finding is an error.  Run ``repro check --all`` to audit every
+target group and ``repro check --lint src/`` to lint the tree; tier-1
+runs both as self-tests.
 """
 
 from repro.checks.astlint import (
@@ -30,20 +27,9 @@ from repro.checks.astlint import (
     lint_paths,
     lint_source,
 )
-from repro.checks.audit import (
-    CheckReport,
-    audit_all,
-    lint_report,
-    trace_report,
-)
-from repro.checks.findings import (
-    Finding,
-    Severity,
-    max_severity,
-    parse_severity,
-    sort_findings,
-)
-from repro.checks.reporters import render_json, render_text
+from repro.checks.audit import CheckReport, audit_all, lint_report
+from repro.checks.findings import Finding, sort_findings
+from repro.checks.reporters import render_text
 from repro.checks.rules import (
     RULES,
     AuditRule,
@@ -54,9 +40,6 @@ from repro.checks.rules import (
 
 __all__ = [
     "Finding",
-    "Severity",
-    "max_severity",
-    "parse_severity",
     "sort_findings",
     "AuditRule",
     "AuditTarget",
@@ -71,7 +54,5 @@ __all__ = [
     "CheckReport",
     "audit_all",
     "lint_report",
-    "trace_report",
     "render_text",
-    "render_json",
 ]

@@ -1,10 +1,11 @@
 """Repo-specific AST lint rules (the ``RPR`` rule family).
 
-A small stdlib-``ast`` visitor framework with rules encoding contracts
-that generic linters cannot know.  Properties that ruff or mypy already
-gate are left to them: bare ``except:`` is ruff's E722, and complete
-annotations are mypy's ``disallow_untyped_defs`` /
-``disallow_incomplete_defs``.
+A small stdlib-``ast`` visitor framework with rules encoding correctness
+contracts that generic linters cannot know.  Properties that ruff or
+mypy already gate are left to them: bare ``except:`` is ruff's E722, and
+complete annotations are mypy's ``disallow_untyped_defs`` /
+``disallow_incomplete_defs``.  Performance conventions are left to the
+ledger, which measures them.
 
 ========  ============================================================
 rule id   contract
@@ -13,13 +14,6 @@ RPR001    never assign to the internal attributes of :class:`Vertex`,
           :class:`Simplex`, or :class:`SimplicialComplex` outside their
           own modules — the memoization layer interns and shares these
           objects, so one mutation corrupts every holder of the object
-RPR002    construction sites that already hold an inclusion-maximal
-          facet family (``x.facets``, ``x.sorted_facets()``) must use
-          ``SimplicialComplex.from_maximal``, not the pruning
-          constructor — the prune is pure overhead there
-RPR003    ``default_registry().cache(name)`` is a registry lookup;
-          fetch counters once at module level, never per call on a hot
-          path
 RPR004    no silent ``except …: pass`` in the solver hot paths
           (``repro.core``, ``repro.models``, ``repro.topology``) —
           swallowed errors there turn invariant violations into wrong
@@ -30,30 +24,17 @@ RPR008    ``repro.core`` and ``repro.topology`` are free of ambient
           inputs only (a seeded ``random.Random`` is fine)
 ========  ============================================================
 
-Suppression: append ``# norpr: RPR003`` (comma-separate several ids, or
-``all``) to the offending line.  Suppressions are deliberate, reviewable
-exemptions — e.g. the lazy per-instance counter init in
-:mod:`repro.models.base`.  A suppression that suppresses *nothing* (a
-stale or misspelled id, or no finding left on that line) is itself
-reported as RPR000 so exemptions cannot rot silently; the ``all``
-wildcard is exempt from staleness.
+A module that does not parse is one ``RPR000`` finding.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-)
+from typing import Callable, Iterable, Iterator, Optional
 
-from repro.checks.findings import Finding, Severity
+from repro.checks.findings import Finding
 
 __all__ = [
     "LintContext",
@@ -63,8 +44,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
 ]
-
-_SUPPRESSION = re.compile(r"#\s*norpr:\s*([A-Za-z0-9_,\s]+)")
 
 #: Internal attributes of the interned value objects, keyed by the module
 #: allowed to assign them.
@@ -112,10 +91,6 @@ _WALLCLOCK: frozenset[str] = frozenset(
     }
 )
 
-#: Methods of SimplicialComplex whose return value is already an
-#: inclusion-maximal facet family.
-_MAXIMAL_PRODUCERS: frozenset[str] = frozenset({"sorted_facets"})
-
 
 @dataclass(frozen=True)
 class LintContext:
@@ -124,8 +99,6 @@ class LintContext:
     path: str
     module: str
     tree: ast.Module
-    lines: tuple[str, ...]
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @property
     def module_parts(self) -> tuple[str, ...]:
@@ -133,12 +106,6 @@ class LintContext:
 
     def in_hot_package(self) -> bool:
         return self.module_parts[:2] in _HOT_PACKAGES
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        active = self.suppressions.get(line)
-        if not active:
-            return False
-        return rule_id in active or "all" in active
 
 
 Checker = Callable[[LintContext], Iterator[Finding]]
@@ -168,42 +135,6 @@ def lint_rule(rule_id: str, title: str) -> Callable[[Checker], Checker]:
     return register
 
 
-def _parse_suppressions(lines: Sequence[str]) -> dict[int, frozenset[str]]:
-    """Map line numbers to the rule ids suppressed on them.
-
-    Works on real comment tokens, not raw text, so a ``# norpr:``
-    example quoted inside a docstring is not treated as a suppression.
-    Sources that fail to tokenize fall back to a line-regex scan (the
-    lint still reports their syntax error separately).
-    """
-    found: dict[int, frozenset[str]] = {}
-
-    def record(line_number: int, comment: str) -> None:
-        match = _SUPPRESSION.search(comment)
-        if match:
-            found[line_number] = frozenset(
-                part.strip()
-                for part in match.group(1).split(",")
-                if part.strip()
-            )
-
-    import io
-    import tokenize
-
-    source = "\n".join(lines)
-    try:
-        for token in tokenize.generate_tokens(
-            io.StringIO(source).readline
-        ):
-            if token.type == tokenize.COMMENT:
-                record(token.start[0], token.string)
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        found.clear()
-        for number, line in enumerate(lines, start=1):
-            record(number, line)
-    return found
-
-
 def _module_name_of(path: Path) -> str:
     """Derive the dotted module name from a file path (best effort)."""
     parts = list(path.with_suffix("").parts)
@@ -229,65 +160,15 @@ def lint_source(
         return [
             Finding(
                 "RPR000",
-                Severity.ERROR,
                 f"{path}:{exc.lineno or 0}",
                 f"syntax error: {exc.msg}",
             )
         ]
-    lines = tuple(source.splitlines())
-    context = LintContext(
-        path=path,
-        module=resolved_module,
-        tree=tree,
-        lines=lines,
-        suppressions=_parse_suppressions(lines),
-    )
+    context = LintContext(path=path, module=resolved_module, tree=tree)
     findings: list[Finding] = []
-    used: set[tuple[int, str]] = set()
     for rule in LINT_RULES.values():
-        for finding in rule.check(context):
-            line = int(finding.path.rsplit(":", 1)[-1])
-            if context.suppressed(line, finding.rule_id):
-                active = context.suppressions.get(line) or frozenset()
-                used.add(
-                    (
-                        line,
-                        finding.rule_id
-                        if finding.rule_id in active
-                        else "all",
-                    )
-                )
-            else:
-                findings.append(finding)
-    findings.extend(_unused_suppressions(context, used))
+        findings.extend(rule.check(context))
     return findings
-
-
-def _unused_suppressions(
-    context: LintContext, used: set[tuple[int, str]]
-) -> Iterator[Finding]:
-    """RPR000 findings for suppressions that suppressed nothing.
-
-    The ``all`` wildcard is exempt.
-    """
-    for line, ids in sorted(context.suppressions.items()):
-        for rule_id in sorted(ids):
-            if rule_id == "all":
-                continue
-            if (line, rule_id) in used:
-                continue
-            reason = (
-                "suppresses no finding on this line"
-                if rule_id in LINT_RULES
-                else "names a rule id no engine defines"
-            )
-            yield Finding(
-                "RPR000",
-                Severity.WARNING,
-                f"{context.path}:{line}",
-                f"unused suppression: `# norpr: {rule_id}` {reason} "
-                "— remove it before it rots",
-            )
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
@@ -348,84 +229,11 @@ def check_no_interned_mutation(context: LintContext) -> Iterator[Finding]:
                 continue
             yield Finding(
                 "RPR001",
-                Severity.ERROR,
                 _location(context, node),
                 f"assignment to {attr!r} outside {owner}: interned "
                 "topology objects are shared by the memoization layer "
                 "and must never be mutated",
             )
-
-
-# ----------------------------------------------------------------------
-# RPR002 — from_maximal discipline
-# ----------------------------------------------------------------------
-@lint_rule("RPR002", "maximal facet families must use from_maximal")
-def check_from_maximal(context: LintContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "SimplicialComplex"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            continue
-        argument = node.args[0]
-        maximal = (
-            isinstance(argument, ast.Attribute)
-            and argument.attr == "facets"
-        ) or (
-            isinstance(argument, ast.Call)
-            and isinstance(argument.func, ast.Attribute)
-            and argument.func.attr in _MAXIMAL_PRODUCERS
-        )
-        if maximal:
-            yield Finding(
-                "RPR002",
-                Severity.ERROR,
-                _location(context, node),
-                "this argument is already an inclusion-maximal facet "
-                "family; use SimplicialComplex.from_maximal(...) and "
-                "skip the pruning pass",
-            )
-
-
-# ----------------------------------------------------------------------
-# RPR003 — counters are module-level
-# ----------------------------------------------------------------------
-_REGISTRY_FETCHES = frozenset(
-    {
-        "repro.telemetry.default_registry",
-        "repro.telemetry.metrics.default_registry",
-    }
-)
-
-
-@lint_rule("RPR003", "registry cache counters are fetched at module level")
-def check_counter_placement(context: LintContext) -> Iterator[Finding]:
-    aliases = _import_aliases(context.tree)
-    for function in ast.walk(context.tree):
-        if not isinstance(
-            function, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "cache"
-                and isinstance(node.func.value, ast.Call)
-                and _resolve_call(node.func.value, aliases)
-                in _REGISTRY_FETCHES
-            ):
-                yield Finding(
-                    "RPR003",
-                    Severity.ERROR,
-                    _location(context, node),
-                    "default_registry().cache() called inside a "
-                    "function: fetch the counter once at module level "
-                    "and keep a reference on the hot path",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +251,6 @@ def check_exception_hygiene(context: LintContext) -> Iterator[Finding]:
         ):
             yield Finding(
                 "RPR004",
-                Severity.ERROR,
                 _location(context, node),
                 "silent `except …: pass` in a solver hot path: a "
                 "swallowed error here turns an invariant violation "
@@ -525,6 +332,4 @@ def check_ambient_nondeterminism(context: LintContext) -> Iterator[Finding]:
             )
         else:
             continue
-        yield Finding(
-            "RPR008", Severity.ERROR, _location(context, node), message
-        )
+        yield Finding("RPR008", _location(context, node), message)

@@ -2,57 +2,20 @@
 
 Both heads of :mod:`repro.checks` — the domain invariant auditor
 (:mod:`repro.checks.rules`) and the AST lint (:mod:`repro.checks.astlint`)
-— report violations as :class:`Finding` records: a rule identifier, a
-severity, the path of the offending object (an audit-target path such as
-``E7/task[ε-AA 1/4]/Δ`` or a source location such as
+— report violations as :class:`Finding` records: a rule identifier, the
+path of the offending object (an audit-target path such as
+``tasks/aa[n=2]/Δ`` or a source location such as
 ``src/repro/foo.py:12``), and a human-readable explanation.
 
-Findings are plain immutable data so reporters can render them as text or
-JSON and exit-code policies can filter them by severity without knowing
-which head produced them.
+Every finding is an error: ``repro check`` exits 1 on any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable
 
-__all__ = [
-    "Severity",
-    "Finding",
-    "max_severity",
-    "parse_severity",
-    "sort_findings",
-]
-
-
-class Severity(IntEnum):
-    """Ordered severity levels; higher values are worse."""
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    def __str__(self) -> str:
-        return self.name.lower()
-
-
-def parse_severity(label: str) -> Severity:
-    """Parse a CLI severity label (case-insensitive) into a :class:`Severity`.
-
-    Raises
-    ------
-    ValueError
-        If the label is not one of ``info``, ``warning``, ``error``.
-    """
-    try:
-        return Severity[label.upper()]
-    except KeyError:
-        known = ", ".join(s.name.lower() for s in Severity)
-        raise ValueError(
-            f"unknown severity {label!r}: use one of {known}"
-        ) from None
+__all__ = ["Finding", "sort_findings"]
 
 
 @dataclass(frozen=True)
@@ -64,8 +27,6 @@ class Finding:
     rule_id:
         The stable identifier of the rule that fired (``AUD00x`` for domain
         audit rules, ``RPR00x`` for AST lint rules).
-    severity:
-        How bad the violation is; drives the ``--fail-on`` exit policy.
     path:
         Where the violation lives: an audit-target path for live objects,
         or ``file:line`` for source findings.
@@ -74,27 +35,8 @@ class Finding:
     """
 
     rule_id: str
-    severity: Severity
     path: str
     message: str
-
-    def as_dict(self) -> dict[str, str]:
-        """JSON-friendly representation (severity as its lowercase name)."""
-        return {
-            "rule": self.rule_id,
-            "severity": str(self.severity),
-            "path": self.path,
-            "message": self.message,
-        }
-
-
-def max_severity(findings: Iterable[Finding]) -> Severity:
-    """The worst severity among ``findings`` (``INFO`` when empty)."""
-    worst = Severity.INFO
-    for finding in findings:
-        if finding.severity > worst:
-            worst = finding.severity
-    return worst
 
 
 def _path_key(path: str) -> tuple[str, int]:
@@ -112,19 +54,12 @@ def _path_key(path: str) -> tuple[str, int]:
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
-    """Order findings by path, line, then rule id — deterministically.
+    """Order findings by path, line, rule id, then message.
 
-    This is the one ordering every reporter and the baseline file use,
-    so text output, JSON output, and CI diffs are stable across runs
-    and across engines (severity breaks ties only after location and
-    rule, worst first).
+    The one ordering the report uses, so its output is stable across
+    runs and across engines.
     """
     return sorted(
         findings,
-        key=lambda f: (
-            *_path_key(f.path),
-            f.rule_id,
-            -int(f.severity),
-            f.message,
-        ),
+        key=lambda f: (*_path_key(f.path), f.rule_id, f.message),
     )

@@ -30,12 +30,6 @@ AUD008    task       task well-formedness: ``Δ(σ)`` is chromatic and
                      contained in the output complex
 AUD009    closure    closure well-formedness (Theorem 1): ``Δ ⊆ Δ'`` and
                      ``Δ'`` is name-preserving
-AUD011    trace      telemetry trace span-tree well-formedness: every
-                     span named and closed with numeric ``start ≤ end``,
-                     children nested within their parent's interval,
-                     status ``ok``/``error``, attributes
-                     JSON-serializable, metric deltas numeric (the
-                     artifact header is ``load_trace``'s to check)
 ========  =========  ====================================================
 
 Each rule applies to one *kind* of :class:`AuditTarget`; the driver in
@@ -46,6 +40,8 @@ properties a tier-1 suite already gates: the schedule pools' snapshot and
 immediate-snapshot claims (``tests/models/test_schedules.py``), one-round
 memo coherence (``tests/models/test_caching.py``) and bitmask-core parity
 with :mod:`repro.topology.reference` (``tests/topology/test_bitmask_core.py``).
+Recorded trace artifacts have no rule either:
+:func:`~repro.telemetry.export.load_trace` validates every one it reads.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from typing import (
     Sequence,
 )
 
-from repro.checks.findings import Finding, Severity
+from repro.checks.findings import Finding
 from repro.errors import ReproError
 from repro.models.base import ComputationModel
 from repro.tasks.task import Task
@@ -86,8 +82,7 @@ class AuditTarget:
     ----------
     kind:
         What the object is: ``complex``, ``carrier``, ``task``,
-        ``model``, ``closure``, or ``trace``.  Rules declare
-        the kind they audit.
+        ``model`` or ``closure``.  Rules declare the kind they audit.
     path:
         Stable human-readable location, e.g. ``tasks/aa[n=2]/Δ``.
     obj:
@@ -171,7 +166,6 @@ def check_complex_chromaticity(target: AuditTarget) -> Iterator[Finding]:
             # bare Vertex (or anything hashable) as a "facet".
             yield Finding(
                 "AUD001",
-                Severity.ERROR,
                 target.path,
                 f"stored facet {facet!r} is a "
                 f"{type(facet).__name__}, not a Simplex (from_maximal "
@@ -182,14 +176,12 @@ def check_complex_chromaticity(target: AuditTarget) -> Iterator[Finding]:
         if any(not isinstance(c, int) for c in colors):
             yield Finding(
                 "AUD001",
-                Severity.ERROR,
                 target.path,
                 f"facet {facet!r} carries a non-integer color",
             )
         elif len(set(colors)) != len(colors):
             yield Finding(
                 "AUD001",
-                Severity.ERROR,
                 target.path,
                 f"facet {facet!r} repeats a color: {sorted(colors)}",
             )
@@ -214,7 +206,6 @@ def check_facet_maximality(target: AuditTarget) -> Iterator[Finding]:
             if small < vertex_sets[j]:
                 yield Finding(
                     "AUD002",
-                    Severity.ERROR,
                     target.path,
                     f"facet {facets[i]!r} is a proper face of "
                     f"{facets[j]!r}; the stored family is not maximal "
@@ -236,7 +227,6 @@ def check_carrier_chromatic(target: AuditTarget) -> Iterator[Finding]:
         except ReproError as exc:
             yield Finding(
                 "AUD003",
-                Severity.ERROR,
                 target.path,
                 f"carrier map undefined on {simplex!r}: {exc}",
             )
@@ -245,7 +235,6 @@ def check_carrier_chromatic(target: AuditTarget) -> Iterator[Finding]:
         if stray:
             yield Finding(
                 "AUD003",
-                Severity.ERROR,
                 target.path,
                 f"image of {simplex!r} uses colors {sorted(stray)} "
                 "outside ID(σ)",
@@ -270,7 +259,6 @@ def check_carrier_monotone(target: AuditTarget) -> Iterator[Finding]:
                 missing = next(iter(small - big))
                 yield Finding(
                     "AUD004",
-                    Severity.ERROR,
                     target.path,
                     f"not monotone: {face!r} ⊆ {simplex!r} but the face's "
                     f"image contains {missing!r}, absent from the "
@@ -301,7 +289,6 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
         if not complex_.is_pure() or complex_.dim != sigma.dim:
             yield Finding(
                 "AUD006",
-                Severity.ERROR,
                 prefix,
                 f"P^(1)(σ) must be pure of dimension {sigma.dim}, got "
                 f"dim {complex_.dim} (pure={complex_.is_pure()})",
@@ -309,7 +296,6 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
         if complex_.ids != sigma.ids:
             yield Finding(
                 "AUD006",
-                Severity.ERROR,
                 prefix,
                 f"P^(1)(σ) colors {sorted(complex_.ids)} differ from "
                 f"ID(σ) = {sorted(sigma.ids)}",
@@ -319,7 +305,6 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
             if solo not in complex_.vertices:
                 yield Finding(
                     "AUD006",
-                    Severity.ERROR,
                     prefix,
                     f"no solo execution for process {vertex.color}: "
                     f"{solo!r} is not a vertex of P^(1)(σ)",
@@ -330,7 +315,6 @@ def check_model_one_round(target: AuditTarget) -> Iterator[Finding]:
             if solo_complex != expected:
                 yield Finding(
                     "AUD006",
-                    Severity.ERROR,
                     prefix,
                     f"operator not idempotent on solo views: "
                     f"P^(1)({{{vertex!r}}}) has "
@@ -352,7 +336,6 @@ def check_task_well_formed(target: AuditTarget) -> Iterator[Finding]:
         except ReproError as exc:
             yield Finding(
                 "AUD008",
-                Severity.ERROR,
                 target.path,
                 f"Δ undefined on {sigma!r}: {exc}",
             )
@@ -361,7 +344,6 @@ def check_task_well_formed(target: AuditTarget) -> Iterator[Finding]:
         if stray_colors:
             yield Finding(
                 "AUD008",
-                Severity.ERROR,
                 target.path,
                 f"Δ({sigma!r}) uses colors {sorted(stray_colors)} "
                 "outside ID(σ)",
@@ -371,7 +353,6 @@ def check_task_well_formed(target: AuditTarget) -> Iterator[Finding]:
             sample = next(iter(stray))
             yield Finding(
                 "AUD008",
-                Severity.ERROR,
                 target.path,
                 f"Δ({sigma!r}) contains {sample!r}, which is not a "
                 "simplex of the output complex",
@@ -395,7 +376,6 @@ def check_closure_well_formed(target: AuditTarget) -> Iterator[Finding]:
     if closure.input_complex != base.input_complex:
         yield Finding(
             "AUD009",
-            Severity.ERROR,
             target.path,
             "closure changed the input complex (Definition 2 keeps I)",
         )
@@ -408,7 +388,6 @@ def check_closure_well_formed(target: AuditTarget) -> Iterator[Finding]:
         if not prime.ids <= sigma.ids:
             yield Finding(
                 "AUD009",
-                Severity.ERROR,
                 target.path,
                 f"Δ'({sigma!r}) uses colors outside ID(σ)",
             )
@@ -417,159 +396,7 @@ def check_closure_well_formed(target: AuditTarget) -> Iterator[Finding]:
             sample = next(iter(missing))
             yield Finding(
                 "AUD009",
-                Severity.ERROR,
                 target.path,
                 f"Δ({sigma!r}) ⊄ Δ'({sigma!r}): lost legal output "
                 f"{sample!r} (closures only grow, Definition 2)",
             )
-
-
-def _audit_span_node(
-    node: Any,
-    location: str,
-    path: str,
-    parent_interval: Optional[tuple[float, float]],
-) -> Iterator[Finding]:
-    """Recursively validate one span node of a trace artifact."""
-    import json as _json
-
-    if not isinstance(node, dict):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{location}: span node is {type(node).__name__}, not an "
-            "object",
-        )
-        return
-    name = node.get("name")
-    if not isinstance(name, str) or not name:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{location}: span has no non-empty string 'name'",
-        )
-        name = "?"
-    where = f"{location}[{name}]"
-    start = node.get("start")
-    end = node.get("end")
-    numeric = isinstance(start, (int, float)) and isinstance(
-        end, (int, float)
-    )
-    if end is None:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: span was never closed (end is null) — the "
-            "traced region did not finish",
-        )
-    elif not numeric:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: start/end must be numeric seconds, got "
-            f"{start!r}/{end!r}",
-        )
-    elif start > end:
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: start {start} exceeds end {end} (negative "
-            "duration)",
-        )
-    elif parent_interval is not None and (
-        start < parent_interval[0] or end > parent_interval[1]
-    ):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: child interval [{start}, {end}] escapes its "
-            f"parent's [{parent_interval[0]}, {parent_interval[1]}]",
-        )
-    status = node.get("status")
-    if status not in ("ok", "error"):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: status must be 'ok' or 'error', got {status!r}",
-        )
-    attributes = node.get("attributes", {})
-    if not isinstance(attributes, dict):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: attributes must be an object",
-        )
-    else:
-        for key, value in attributes.items():
-            try:
-                _json.dumps(value)
-            except (TypeError, ValueError):
-                yield Finding(
-                    "AUD011",
-                    Severity.ERROR,
-                    path,
-                    f"{where}: attribute {key!r} is not "
-                    f"JSON-serializable ({type(value).__name__})",
-                )
-    metrics = node.get("metrics", {})
-    if not isinstance(metrics, dict):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: metrics must be an object",
-        )
-    else:
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float)) or isinstance(
-                value, bool
-            ):
-                yield Finding(
-                    "AUD011",
-                    Severity.ERROR,
-                    path,
-                    f"{where}: metric {key!r} must be numeric, got "
-                    f"{type(value).__name__}",
-                )
-    children = node.get("children", [])
-    if not isinstance(children, list):
-        yield Finding(
-            "AUD011",
-            Severity.ERROR,
-            path,
-            f"{where}: children must be a list",
-        )
-        return
-    own_interval = (
-        (float(start), float(end)) if numeric and start <= end else None
-    )
-    for position, child in enumerate(children):
-        yield from _audit_span_node(
-            child, f"{where}.children[{position}]", path, own_interval
-        )
-
-
-@audit_rule(
-    "AUD011", "trace", "telemetry trace span trees are well-formed"
-)
-def check_trace_artifact(target: AuditTarget) -> Iterator[Finding]:
-    """Well-formedness of the span tree of a ``repro-trace`` artifact.
-
-    The target is a payload that :func:`~repro.telemetry.export.load_trace`
-    accepted, so its header (format, version, ``spans`` list) is already
-    checked.  The exporters build valid trees; this walk catches foreign
-    or hand-edited traces and exporter regressions before ``repro trace
-    summarize`` consumes them.
-    """
-    for position, root in enumerate(target.obj["spans"]):
-        yield from _audit_span_node(
-            root, f"spans[{position}]", target.path, None
-        )

@@ -18,11 +18,12 @@ span tree of the invocation (see docs/OBSERVABILITY.md)::
 
     repro experiment E9 --trace e9.trace.json
     repro trace summarize e9.trace.json --top 10
-    repro check --trace e9.trace.json     # AUD011 artifact audit
 
-Library errors (bad task parameters, unknown experiment ids) print one
-``error: …`` line and exit 1; malformed option values are usage errors
-(exit 2).  Also available as ``python -m repro``.
+``trace summarize`` validates the whole artifact first and rejects a
+malformed one with one ``invalid trace …`` line (exit 1).  ``check``
+exits 1 on any finding.  Library errors (bad task parameters, unknown
+experiment ids) print one ``error: …`` line and exit 1; malformed option
+values are usage errors (exit 2).  Also available as ``python -m repro``.
 """
 
 from __future__ import annotations
@@ -283,25 +284,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.checks import (
-        audit_all,
-        lint_report,
-        parse_severity,
-        render_json,
-        render_text,
-        trace_report,
-    )
-
-    try:
-        fail_on = parse_severity(args.fail_on)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    from repro.checks import audit_all, lint_report, render_text
 
     reports = []
     if args.lint:
         reports.append(lint_report(args.lint))
-    if args.trace_paths:
-        reports.append(trace_report(args.trace_paths))
     if args.all or not reports:
         # Bare `repro check` audits everything, like `--all`.
         reports.append(audit_all())
@@ -309,9 +296,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     merged = reports[0]
     for report in reports[1:]:
         merged = merged.merged_with(report)
-    renderer = render_json if args.format == "json" else render_text
-    print(renderer(merged))
-    return merged.exit_code(fail_on)
+    print(render_text(merged))
+    return 0 if merged.is_clean() else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -489,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
             "tasks and closures (chromaticity, facet maximality, carrier "
             "name preservation and monotonicity, one-round structure, "
             "task/closure well-formedness) and/or run the repo-specific "
-            "AST lint (RPR rules)."
+            "AST lint (RPR rules).  Any finding exits 1."
         ),
     )
     p.add_argument(
@@ -503,26 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="PATH",
         help="lint the given files/directories with the RPR rules",
-    )
-    p.add_argument(
-        "--format",
-        default="text",
-        choices=["text", "json"],
-        help="report format (default: text)",
-    )
-    p.add_argument(
-        "--fail-on",
-        default="error",
-        metavar="SEVERITY",
-        help="exit non-zero when a finding reaches this severity "
-        "(info, warning, error; default: error)",
-    )
-    p.add_argument(
-        "--trace",
-        dest="trace_paths",
-        nargs="+",
-        metavar="PATH",
-        help="audit recorded telemetry trace artifacts (AUD011)",
     )
 
     p = sub.add_parser(

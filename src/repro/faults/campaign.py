@@ -103,7 +103,7 @@ __all__ = [
     "report_to_json",
 ]
 
-# Fetched once at import time (hot path — see lint rule RPR003).
+# Fetched once at import time (hot path).
 _EXECUTIONS = default_registry().cache("faults.campaign.executions")
 _VIOLATIONS = default_registry().cache("faults.campaign.violations")
 _HUNG = default_registry().cache("faults.campaign.hung")

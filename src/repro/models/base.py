@@ -56,9 +56,8 @@ class ComputationModel(ABC):
         if cache is None:
             cache = self._one_round_cache = {}
             # Per-instance lazy init: the counter name embeds self.name,
-            # so a module-level fetch is impossible; this runs once per
-            # model instance, not per lookup.
-            self._one_round_stats = default_registry().cache(  # norpr: RPR003
+            # so it is fetched once per model instance, not per lookup.
+            self._one_round_stats = default_registry().cache(
                 f"one-round-complex[{self.name}]"
             )
         found = cache.get(sigma)

@@ -4,7 +4,7 @@ Three renderings of one recorded :class:`~repro.telemetry.tracer.Tracer`:
 
 * :func:`render_json` — the canonical ``repro-trace`` JSON span tree.
   Deterministic (sorted keys, stable child order); this is the format
-  ``repro trace summarize`` consumes and audit rule AUD011 validates.
+  ``repro trace summarize`` consumes and :func:`load_trace` validates.
 * :func:`render_chrome` — Chrome trace-event JSON (complete ``"X"``
   events, microsecond timestamps) loadable in ``chrome://tracing`` and
   `Perfetto <https://ui.perfetto.dev>`_.
@@ -21,10 +21,11 @@ works on artifacts recorded by an earlier process.
 from __future__ import annotations
 
 import json
-from typing import Any, Union
+import math
+from typing import Any, Optional, Union
 
 from repro.errors import TelemetryError
-from repro.telemetry.tracer import Span, Tracer
+from repro.telemetry.tracer import _VERBATIM, Span, Tracer
 
 __all__ = [
     "TRACE_FORMAT",
@@ -217,12 +218,82 @@ def render_text(trace: TraceInput, top: int = 15) -> str:
 # ----------------------------------------------------------------------
 # Artifact I/O
 # ----------------------------------------------------------------------
+def _check_span(
+    node: Any, where: str, parent: Optional[tuple[float, float]]
+) -> None:
+    """Validate one span node and its subtree, raising at the first defect.
+
+    A span is named and closed with finite ``start ≤ end`` inside its
+    parent's interval, has status ``ok``/``error``, scalar attributes
+    (what the tracer records) and numeric metric deltas.
+    """
+    if not isinstance(node, dict):
+        raise TelemetryError(
+            f"{where}: span node is {type(node).__name__}, not an object"
+        )
+    name = node.get("name")
+    if not isinstance(name, str) or not name:
+        raise TelemetryError(f"{where}: span has no non-empty string 'name'")
+    where = f"{where}[{name}]"
+    start, end = node.get("start"), node.get("end")
+    if end is None:
+        raise TelemetryError(
+            f"{where}: span was never closed (end is null) — the traced "
+            "region did not finish"
+        )
+    if not all(
+        isinstance(t, (int, float)) and math.isfinite(t) for t in (start, end)
+    ):
+        raise TelemetryError(
+            f"{where}: start/end must be finite numeric seconds, got "
+            f"{start!r}/{end!r}"
+        )
+    if start > end:
+        raise TelemetryError(
+            f"{where}: start {start} exceeds end {end} (negative duration)"
+        )
+    if parent is not None and (start < parent[0] or end > parent[1]):
+        raise TelemetryError(
+            f"{where}: child interval [{start}, {end}] escapes its "
+            f"parent's [{parent[0]}, {parent[1]}]"
+        )
+    status = node.get("status")
+    if status not in ("ok", "error"):
+        raise TelemetryError(
+            f"{where}: status must be 'ok' or 'error', got {status!r}"
+        )
+    attributes = node.get("attributes", {})
+    if not isinstance(attributes, dict):
+        raise TelemetryError(f"{where}: attributes must be an object")
+    for key, value in attributes.items():
+        if not isinstance(value, _VERBATIM):
+            raise TelemetryError(
+                f"{where}: attribute {key!r} is a "
+                f"{type(value).__name__}, not a JSON scalar"
+            )
+    metrics = node.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise TelemetryError(f"{where}: metrics must be an object")
+    for key, value in metrics.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TelemetryError(
+                f"{where}: metric {key!r} must be numeric, got "
+                f"{type(value).__name__}"
+            )
+    children = node.get("children", [])
+    if not isinstance(children, list):
+        raise TelemetryError(f"{where}: children must be a list")
+    for position, child in enumerate(children):
+        _check_span(child, f"{where}.children[{position}]", (start, end))
+
+
 def load_trace(text: str) -> dict[str, Any]:
-    """Parse a ``repro-trace`` artifact, rejecting foreign payloads.
+    """Parse and validate a ``repro-trace`` artifact.
 
     Raises :class:`~repro.errors.TelemetryError` with a one-line cause on
     malformed JSON, Chrome-format artifacts (which carry no span tree),
-    and unknown formats/versions.
+    unknown formats/versions, and the first malformed span node (see
+    :func:`_check_span`), so every consumer reads a well-formed tree.
     """
     try:
         payload = json.loads(text)
@@ -247,6 +318,8 @@ def load_trace(text: str) -> dict[str, Any]:
         )
     if not isinstance(payload.get("spans"), list):
         raise TelemetryError("trace artifact has no 'spans' list")
+    for position, root in enumerate(payload["spans"]):
+        _check_span(root, f"spans[{position}]", None)
     return payload
 
 

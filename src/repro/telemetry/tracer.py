@@ -21,7 +21,8 @@ attributes, and the per-span delta of the cumulative metrics in a
 Spans nest by ``with``-block structure; an exception unwinding through a
 span closes it (recording ``status="error"`` and the exception type) and
 propagates, so a trace of a failing run is still a well-formed tree —
-exactly what audit rule AUD011 checks on finished artifacts.
+exactly what :func:`~repro.telemetry.export.load_trace` checks on
+finished artifacts.
 """
 
 from __future__ import annotations

@@ -19,13 +19,7 @@ def rule_ids(code, module="repro.experiments.fixture"):
 
 class TestFramework:
     def test_all_lint_rules_registered(self):
-        assert sorted(LINT_RULES) == [
-            "RPR001",
-            "RPR002",
-            "RPR003",
-            "RPR004",
-            "RPR008",
-        ]
+        assert sorted(LINT_RULES) == ["RPR001", "RPR004", "RPR008"]
 
     def test_syntax_error_reported_not_raised(self):
         findings = lint("def broken(:\n    pass\n")
@@ -89,99 +83,6 @@ class TestRPR001InterningSafety:
         ) == {"RPR001"}
 
 
-class TestRPR002FromMaximal:
-    def test_pruning_constructor_on_facets_fires(self):
-        assert rule_ids(
-            """
-            def rebuild(complex_, SimplicialComplex):
-                return SimplicialComplex(complex_.facets)
-            """
-        ) == {"RPR002"}
-
-    def test_sorted_facets_fires(self):
-        assert rule_ids(
-            """
-            def rebuild(complex_, SimplicialComplex):
-                return SimplicialComplex(complex_.sorted_facets())
-            """
-        ) == {"RPR002"}
-
-    def test_merged_families_are_fine(self):
-        assert rule_ids(
-            """
-            def union(a, b, SimplicialComplex):
-                return SimplicialComplex(list(a.facets) + list(b.facets))
-            """
-        ) == set()
-
-    def test_from_maximal_is_fine(self):
-        assert rule_ids(
-            """
-            def rebuild(complex_, SimplicialComplex):
-                return SimplicialComplex.from_maximal(complex_.facets)
-            """
-        ) == set()
-
-
-class TestRPR003CounterPlacement:
-    def test_counter_in_function_fires(self):
-        assert rule_ids(
-            """
-            from repro.telemetry import default_registry
-
-            def hot_path():
-                stats = default_registry().cache("my-cache")
-                stats.hit()
-            """
-        ) == {"RPR003"}
-
-    def test_module_level_counter_is_fine(self):
-        assert rule_ids(
-            """
-            from repro.telemetry import default_registry
-
-            _STATS = default_registry().cache("my-cache")
-
-            def hot_path():
-                _STATS.hit()
-            """
-        ) == set()
-
-    def test_unrelated_counter_function_ignored(self):
-        # Only a .cache() fetch on the telemetry registry fires.
-        assert rule_ids(
-            """
-            from myproject import default_registry
-
-            def lookup(key):
-                return default_registry().cache(key)
-            """
-        ) == set()
-
-    def test_functools_cache_ignored(self):
-        assert rule_ids(
-            """
-            import functools
-
-            def memoize(function):
-                return functools.cache(function)
-            """
-        ) == set()
-
-    def test_suppression_comment_honored(self):
-        assert rule_ids(
-            """
-            from repro.telemetry import default_registry
-
-            class Model:
-                def lazy_init(self):
-                    self._stats = default_registry().cache(  # norpr: RPR003
-                        "per-instance"
-                    )
-            """
-        ) == set()
-
-
 class TestRPR004ExceptionHygiene:
     def test_silent_pass_fires_in_hot_package(self):
         code = """
@@ -204,61 +105,6 @@ class TestRPR004ExceptionHygiene:
                 pass
         """
         assert rule_ids(code, module="repro.cli") == set()
-
-
-class TestUnusedSuppressions:
-    """Stale ``# norpr:`` comments are themselves findings (RPR000)."""
-
-    SILENT = """
-        def swallow(action):
-            try:
-                action()
-            except ValueError:
-                pass
-    """
-
-    def test_used_suppression_is_not_reported(self):
-        code = self.SILENT.replace(
-            "except ValueError:", "except ValueError:  # norpr: RPR004"
-        )
-        assert rule_ids(code, module="repro.core.fixture") == set()
-
-    def test_stale_known_id_is_reported(self):
-        findings = lint(
-            """
-            def fine(x):
-                return x  # norpr: RPR004
-            """
-        )
-        assert [f.rule_id for f in findings] == ["RPR000"]
-        assert "suppresses no finding" in findings[0].message
-
-    def test_unknown_id_is_reported_as_undefined(self):
-        findings = lint(
-            """
-            def fine(x):
-                return x  # norpr: RPR999
-            """
-        )
-        assert [f.rule_id for f in findings] == ["RPR000"]
-        assert "no engine defines" in findings[0].message
-
-    def test_all_wildcard_is_exempt_from_staleness(self):
-        assert rule_ids(
-            """
-            def fine(x):
-                return x  # norpr: all
-            """
-        ) == set()
-
-    def test_docstring_example_is_not_a_suppression(self):
-        assert rule_ids(
-            '''
-            def documented(x):
-                """Use ``# norpr: RPR004`` to silence this."""
-                return x
-            '''
-        ) == set()
 
 
 class TestRPR008PurePaths:

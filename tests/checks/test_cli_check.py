@@ -1,6 +1,5 @@
-"""The ``repro check`` CLI subcommand: scopes, formats, exit policy."""
+"""The ``repro check`` CLI subcommand: scopes and exit status."""
 
-import json
 import textwrap
 
 import pytest
@@ -9,6 +8,8 @@ from repro.cli import main
 
 BROKEN_MODULE = textwrap.dedent(
     """
+    import random
+
     def corrupt(complex_, facets):
         complex_._facets = facets
 
@@ -17,6 +18,9 @@ BROKEN_MODULE = textwrap.dedent(
             step()
         except ValueError:
             pass
+
+    def shuffle(items):
+        random.shuffle(items)
     """
 )
 
@@ -24,8 +28,9 @@ BROKEN_MODULE = textwrap.dedent(
 def write_broken_module(root):
     """Write BROKEN_MODULE where the lint treats it as ``repro.core``.
 
-    RPR004 only fires in the solver hot packages, and the lint derives
-    the module name from the path.
+    RPR004 and RPR008 only fire in the packages they guard (both
+    include ``repro.core``), and the lint derives the module name from
+    the path.
     """
     package = root / "repro" / "core"
     package.mkdir(parents=True)
@@ -58,49 +63,8 @@ class TestLintScope:
         out = capsys.readouterr().out
         assert "RPR001" in out
         assert "RPR004" in out
-
-    def test_fail_on_policy_downgrades(self, tmp_path, capsys):
-        write_broken_module(tmp_path)
-        # Findings are errors; asking to fail only above error never fires.
-        assert (
-            main(["check", "--lint", str(tmp_path), "--fail-on", "error"])
-            == 1
-        )
-        capsys.readouterr()
-        clean = tmp_path / "clean"
-        clean.mkdir()
-        (clean / "ok.py").write_text("X = 1\n")
-        assert main(["check", "--lint", str(clean)]) == 0
-
-    def test_invalid_fail_on_rejected(self):
-        try:
-            main(["check", "--fail-on", "fatal"])
-        except SystemExit as exc:
-            assert "unknown severity" in str(exc)
-        else:
-            raise AssertionError("expected SystemExit")
-
-
-class TestJsonFormat:
-    def test_json_document_shape(self, capsys):
-        assert main(["check", "--all", "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["clean"] is True
-        assert document["scope"] == "audit[--all]"
-        assert document["findings"] == []
-        assert document["targets_audited"] == 62
-
-    def test_json_reports_lint_findings(self, tmp_path, capsys):
-        write_broken_module(tmp_path)
-        assert (
-            main(["check", "--lint", str(tmp_path), "--format", "json"])
-            == 1
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["clean"] is False
-        assert document["worst_severity"] == "error"
-        rules = {finding["rule"] for finding in document["findings"]}
-        assert {"RPR001", "RPR004"} <= rules
+        assert "RPR008" in out
+        assert "3 finding(s)" in out
 
     def test_combined_lint_and_audit_scope(self, tmp_path, capsys):
         clean = tmp_path / "ok.py"
@@ -112,3 +76,20 @@ class TestJsonFormat:
         out = capsys.readouterr().out
         assert "lint[" in out
         assert "audit[--all]" in out
+
+
+class TestNoKnobs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--fail-on", "error"],
+            ["check", "--format", "json"],
+            ["check", "--trace", "x.json"],
+        ],
+        ids=["fail-on", "format", "trace"],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

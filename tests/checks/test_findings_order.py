@@ -1,14 +1,12 @@
-"""Deterministic finding order across reporters and engines."""
-
-import json
+"""Deterministic finding order across the report and engines."""
 
 from repro.checks.audit import CheckReport
-from repro.checks.findings import Finding, Severity, sort_findings
-from repro.checks.reporters import render_json, render_text
+from repro.checks.findings import Finding, sort_findings
+from repro.checks.reporters import render_text
 
 
-def finding(path, rule="RPR005", severity=Severity.ERROR, message="m"):
-    return Finding(rule, severity, path, message)
+def finding(path, rule="RPR005", message="m"):
+    return Finding(rule, path, message)
 
 
 class TestSortFindings:
@@ -25,10 +23,10 @@ class TestSortFindings:
         second = finding("src/x.py:3", rule="RPR005")
         assert sort_findings([second, first]) == [first, second]
 
-    def test_worst_severity_first_within_a_rule(self):
-        warn = finding("src/x.py:3", severity=Severity.WARNING)
-        err = finding("src/x.py:3", severity=Severity.ERROR)
-        assert sort_findings([warn, err]) == [err, warn]
+    def test_message_breaks_rule_ties(self):
+        first = finding("src/x.py:3", message="a")
+        second = finding("src/x.py:3", message="b")
+        assert sort_findings([second, first]) == [first, second]
 
     def test_audit_target_paths_sort_by_text(self):
         targets = [
@@ -61,30 +59,3 @@ class TestReportersUseTheOrder:
             )
         )
         assert text.index("src/x.py:9") < text.index("src/x.py:10")
-
-    def test_json_findings_come_out_sorted(self):
-        document = json.loads(
-            render_json(
-                self.report(
-                    [finding("src/x.py:10"), finding("src/x.py:9")]
-                )
-            )
-        )
-        assert [f["path"] for f in document["findings"]] == [
-            "src/x.py:9",
-            "src/x.py:10",
-        ]
-
-    def test_json_carries_scope_counters(self):
-        document = json.loads(
-            render_json(
-                CheckReport(
-                    scope="lint[src]",
-                    findings=(),
-                    targets_audited=3,
-                    files_linted=7,
-                )
-            )
-        )
-        assert document["targets_audited"] == 3
-        assert document["files_linted"] == 7

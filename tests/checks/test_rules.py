@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.checks import AuditTarget, Severity, run_rules
+from repro.checks import AuditTarget, run_rules
 from repro.checks.rules import RULES, rules_for_kind
 from repro.models import ImmediateSnapshotModel, IteratedModel
 from repro.models.schedules import schedule_from_blocks
@@ -39,7 +39,7 @@ def forge_simplex(vertices):
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert sorted(RULES) == [
             "AUD001",
             "AUD002",
@@ -48,7 +48,6 @@ class TestRegistry:
             "AUD006",
             "AUD008",
             "AUD009",
-            "AUD011",
         ]
 
     def test_rules_partition_by_kind(self):
@@ -76,7 +75,6 @@ class TestComplexRules:
         target = AuditTarget("complex", "fixture/non-chromatic", complex_)
         findings = run_rules([target])
         assert {f.rule_id for f in findings} == {"AUD001"}
-        assert findings[0].severity is Severity.ERROR
         assert "repeats a color" in findings[0].message
 
     def test_aud001_fires_on_non_simplex_facet(self):

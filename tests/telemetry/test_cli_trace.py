@@ -1,6 +1,10 @@
-"""CLI round-trip: --trace artifacts through summarize and check."""
+"""CLI round-trip: --trace artifacts through ``repro trace summarize``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,40 +67,6 @@ class TestExperimentTrace:
         assert payload["format"] == "repro-trace"
 
 
-class TestCheckTrace:
-    def test_valid_artifact_is_clean(self, tmp_path, capsys):
-        artifact = tmp_path / "trace.json"
-        assert main(["experiment", "E9", "--trace", str(artifact)]) == 0
-        capsys.readouterr()
-        assert main(["check", "--trace", str(artifact)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_malformed_artifact_fails(self, tmp_path, capsys):
-        artifact = tmp_path / "bad.json"
-        artifact.write_text(
-            json.dumps(
-                {
-                    "format": "repro-trace",
-                    "version": 1,
-                    "spans": [
-                        {
-                            "name": "open",
-                            "start": 0.0,
-                            "end": None,
-                            "status": "ok",
-                            "attributes": {},
-                            "metrics": {},
-                            "children": [],
-                        }
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
-        assert main(["check", "--trace", str(artifact)]) == 1
-        assert "AUD011" in capsys.readouterr().out
-
-
 class TestSummarizeErrors:
     def test_missing_file_exits(self):
         with pytest.raises(SystemExit, match="cannot read"):
@@ -109,3 +79,38 @@ class TestSummarizeErrors:
         )
         with pytest.raises(SystemExit, match="Chrome"):
             main(["trace", "summarize", str(artifact)])
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            {"name": "open", "start": 0.0, "end": None, "status": "ok"},
+            {"name": "text", "start": 0.0, "end": "z", "status": "ok"},
+            7,
+        ],
+        ids=["end-null", "end-text", "span-not-object"],
+    )
+    def test_malformed_span_tree_is_one_line(self, tmp_path, span):
+        # The header is valid; only the span tree is malformed.
+        artifact = tmp_path / "bad.json"
+        artifact.write_text(
+            json.dumps(
+                {"format": "repro-trace", "version": 1, "spans": [span]}
+            ),
+            encoding="utf-8",
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        argv = ["trace", "summarize", str(artifact)]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("invalid trace ")
+        assert completed.stderr.count("\n") == 1

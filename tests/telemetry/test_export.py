@@ -138,3 +138,87 @@ class TestLoadTrace:
     def test_rejects_missing_spans(self):
         with pytest.raises(TelemetryError, match="spans"):
             load_trace(json.dumps({"format": "repro-trace", "version": 1}))
+
+
+def span(**overrides):
+    node = {
+        "name": "s",
+        "start": 0.0,
+        "end": 1.0,
+        "status": "ok",
+        "attributes": {},
+        "metrics": {},
+        "children": [],
+    }
+    node.update(overrides)
+    return node
+
+
+def artifact_text(*spans):
+    return json.dumps(
+        {"format": "repro-trace", "version": 1, "spans": list(spans)}
+    )
+
+
+def load_spans(*spans):
+    return load_trace(artifact_text(*spans))
+
+
+class TestLoadTraceSpanTree:
+    """``load_trace`` validates every span node, not only the header."""
+
+    def test_recorded_trace_is_clean(self):
+        tracer = Tracer(
+            clock=ManualClock(tick=1.0), registry=MetricsRegistry()
+        )
+        with tracer.span("outer", eps="1/8"):
+            with tracer.span("inner", round=0):
+                tracer.registry.cache("steps").miss()
+        assert load_trace(render_json(tracer)) == trace_tree(tracer)
+
+    def test_error_status_is_clean(self):
+        load_spans(span(status="error"))
+
+    def test_empty_spans_list_is_clean(self):
+        assert load_spans()["spans"] == []
+
+    def test_open_span(self):
+        with pytest.raises(TelemetryError, match="never closed"):
+            load_spans(span(end=None))
+
+    def test_negative_duration(self):
+        with pytest.raises(TelemetryError, match="exceeds end"):
+            load_spans(span(start=2.0, end=1.0))
+
+    def test_non_numeric_timestamps(self):
+        with pytest.raises(TelemetryError, match="numeric seconds"):
+            load_spans(span(start="zero"))
+
+    def test_nan_timestamp(self):
+        # json.loads accepts NaN, and NaN compares false with everything.
+        text = artifact_text(span()).replace('"start": 0.0', '"start": NaN')
+        with pytest.raises(TelemetryError, match="finite"):
+            load_trace(text)
+
+    def test_child_escapes_parent_interval(self):
+        child = span(name="child", start=0.5, end=3.0)
+        with pytest.raises(TelemetryError, match="escapes"):
+            load_spans(span(name="parent", children=[child]))
+
+    def test_unserializable_attribute(self):
+        # Parsed JSON serializes by construction; an attribute must also
+        # be a scalar, as the tracer records it.
+        with pytest.raises(TelemetryError, match="not a JSON scalar"):
+            load_spans(span(attributes={"bad": [1, 2]}))
+
+    def test_non_numeric_metric(self):
+        with pytest.raises(TelemetryError, match="metric 'm'"):
+            load_spans(span(metrics={"m": "three"}))
+
+    def test_bad_status(self):
+        with pytest.raises(TelemetryError, match="status"):
+            load_spans(span(status="maybe"))
+
+    def test_missing_name(self):
+        with pytest.raises(TelemetryError, match="'name'"):
+            load_spans(span(name=""))
