@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.telemetry import is_enabled
+from repro.telemetry import is_enabled, load_trace
 
 
 class TestExperimentTrace:
@@ -65,6 +65,21 @@ class TestExperimentTrace:
         )
         payload = json.loads(artifact.read_text(encoding="utf-8"))
         assert payload["format"] == "repro-trace"
+
+
+class TestCheckTrace:
+    """The check of an artifact is ``load_trace``, which summarize runs."""
+
+    def test_valid_artifact_is_clean(self, tmp_path, capsys):
+        artifact = tmp_path / "trace.json"
+        assert main(["experiment", "E9", "--trace", str(artifact)]) == 0
+        capsys.readouterr()
+        trace = load_trace(artifact.read_text(encoding="utf-8"))
+        assert trace["spans"][0]["name"] == "experiment/E9"
+        assert main(["trace", "summarize", str(artifact)]) == 0
+        captured = capsys.readouterr()
+        assert "experiment/E9" in captured.out
+        assert captured.err == ""
 
 
 class TestSummarizeErrors:
