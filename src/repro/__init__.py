@@ -86,7 +86,6 @@ from repro.core import (
     is_solvable,
     local_task,
     ClosureComputer,
-    closure_task,
     speedup_decision_map,
     verify_speedup_theorem,
     impossibility_from_fixed_point,
@@ -169,7 +168,6 @@ __all__ = [
     "is_solvable",
     "local_task",
     "ClosureComputer",
-    "closure_task",
     "speedup_decision_map",
     "verify_speedup_theorem",
     "impossibility_from_fixed_point",

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.checks.findings import Finding
+from repro.errors import ReproError
 
 __all__ = [
     "LintContext",
@@ -172,13 +173,22 @@ def lint_source(
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
-    """Yield every ``.py`` file under the given files/directories, sorted."""
+    """Yield every ``.py`` file under the given files/directories, sorted.
+
+    Raises :class:`~repro.errors.ReproError` on a path that is neither a
+    directory nor an existing ``.py`` file, so a mistyped path is not
+    reported as clean.
+    """
     for entry in paths:
         root = Path(entry)
         if root.is_dir():
             yield from sorted(root.rglob("*.py"))
-        elif root.suffix == ".py":
+        elif root.suffix == ".py" and root.is_file():
             yield root
+        else:
+            raise ReproError(
+                f"cannot lint {entry!r}: not a directory or a .py file"
+            )
 
 
 def lint_paths(paths: Iterable[str]) -> list[Finding]:

@@ -13,15 +13,17 @@ Exposes the library's headline computations without writing Python::
     repro chaos --replay trace.json --shrink
 
 The ``run``, ``experiment``, and ``chaos`` subcommands accept
-``--trace PATH [--trace-format json|chrome|text]`` to record a telemetry
-span tree of the invocation (see docs/OBSERVABILITY.md)::
+``--trace PATH`` to record a telemetry span tree of the invocation as
+repro-trace JSON (see docs/OBSERVABILITY.md)::
 
     repro experiment E9 --trace e9.trace.json
     repro trace summarize e9.trace.json --top 10
 
 ``trace summarize`` validates the whole artifact first and rejects a
-malformed one with one ``invalid trace …`` line (exit 1).  ``check``
-exits 1 on any finding.  Library errors (bad task parameters, unknown
+malformed one with one ``invalid trace …`` line (exit 1); ``chaos
+--replay`` does the same for a fault trace it cannot replay (``cannot
+load trace …``).  ``check`` exits 1 on any finding, and on a ``--lint``
+path that is neither a directory nor a ``.py`` file.  Library errors (bad task parameters, unknown
 experiment ids) print one ``error: …`` line and exit 1; malformed option
 values are usage errors (exit 2).  Also available as ``python -m repro``.
 """
@@ -355,17 +357,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     eps = args.eps
     if args.replay is not None:
+        # Every library error of a replay is a defect of the trace file.
         try:
             with open(args.replay, "r", encoding="utf-8") as handle:
                 trace = FaultTrace.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"cannot load trace {args.replay!r}: {exc}")
-        try:
             if args.shrink:
                 trace = shrink_trace(trace, epsilon=eps)
             classification, violation = replay_trace(trace, epsilon=eps)
-        except ReproError as exc:
-            raise SystemExit(f"replay failed: {exc}")
+        except (OSError, ReproError) as exc:
+            raise SystemExit(f"cannot load trace {args.replay!r}: {exc}")
         payload = {
             "classification": classification,
             "property": violation.property if violation else None,
@@ -395,7 +395,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         epsilon=eps,
         deadline=args.deadline,
         illegal=args.inject_illegal,
-        allow_illegal=args.allow_illegal,
     )
     try:
         report = run_campaign(config)
@@ -412,21 +411,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--trace``/``--trace-format`` options."""
+    """Attach the shared ``--trace`` option."""
     group = parser.add_argument_group("telemetry")
     group.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a telemetry span tree of this invocation to PATH",
-    )
-    group.add_argument(
-        "--trace-format",
-        default="json",
-        choices=["json", "chrome", "text"],
-        help="trace artifact format: canonical span tree (json), "
-        "chrome://tracing / Perfetto events (chrome), or the top-N "
-        "self-time table (text); default: json",
+        help="record a telemetry span tree of this invocation to PATH "
+        "(read it with `repro trace summarize`)",
     )
 
 
@@ -591,13 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-illegal",
         default=None,
         choices=["lost-write", "stale-snapshot", "bad-box"],
-        help="inject a model-illegal fault the executor must detect "
-        "(requires --allow-illegal)",
-    )
-    p.add_argument(
-        "--allow-illegal",
-        action="store_true",
-        help="acknowledge that --inject-illegal makes executions invalid",
+        help="inject a model-illegal fault the executor must detect",
     )
     _add_trace_arguments(p)
 
@@ -639,7 +625,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     finally:
         disable()
     try:
-        write_trace(trace_path, tracer, args.trace_format)
+        write_trace(trace_path, tracer)
     except OSError as exc:
         print(
             f"cannot write trace {trace_path!r}: {exc}", file=sys.stderr

@@ -28,7 +28,7 @@ from repro.core.solvability import (
 )
 from repro.core.certify import check_decision_map
 from repro.core.local_task import local_task
-from repro.core.closure import ClosureComputer, closure_task
+from repro.core.closure import ClosureComputer
 from repro.core.speedup import speedup_decision_map, verify_speedup_theorem
 from repro.core.fixed_point import (
     FixedPointReport,
@@ -52,7 +52,6 @@ __all__ = [
     "check_decision_map",
     "local_task",
     "ClosureComputer",
-    "closure_task",
     "speedup_decision_map",
     "verify_speedup_theorem",
     "FixedPointReport",

@@ -18,15 +18,13 @@ Three practical notes:
   over ``proj(Δ(σ))``.  And the one-round complex of ``τ`` is a
   value-relabelling of one shape, fixed by the model's shape key of
   ``τ`` (``ID(τ)``, plus the box inputs ``α(τ_i)`` in augmented
-  models).  So the network is compiled once per ``(Δ(σ), operator,
-  shape key)`` with the solo domains left free, and each ``τ`` is
+  models).  So the network is compiled once per ``(Δ(σ), shape key)``
+  with the solo domains left free, and each ``τ`` is
   decided by ANDing ``τ_i`` into the solo domains;
 * for augmented models whose box takes inputs, the one-round algorithm is a
-  pair ``(α, f)``.  When the model carries a fixed input function (the
-  ``β``-restricted closure ``CL_M(Π|β)`` of Theorem 4) it is used as is;
-  alternatively the computer can quantify over *all* ID-to-bit functions
-  (``quantify_beta=True``), which yields the unrestricted closure for boxes
-  called with ID-based inputs.
+  pair ``(α, f)`` and the model carries the input function ``α``, so the
+  closure is the ``β``-restricted ``CL_M(Π|β)`` of Theorem 4 — the only
+  closure of an augmented model the paper needs.
 """
 
 from __future__ import annotations
@@ -39,18 +37,15 @@ from repro.core.solvability import (
     SolvabilityProblem,
     build_solvability_problem,
 )
-from repro.errors import SolvabilityError
 from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
-from repro.objects.augmented import AugmentedModel
-from repro.objects.beta import beta_input_function
 from repro.tasks.task import Task
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
-__all__ = ["ClosureComputer", "closure_task"]
+__all__ = ["ClosureComputer"]
 
 _MEMBERSHIP_STATS = default_registry().cache("closure.membership")
 _WINDOW_STATS = default_registry().cache("closure.window")
@@ -93,29 +88,14 @@ class ClosureComputer:
     task:
         The task ``Π`` being closed.
     model:
-        The computation model ``M``.  For :class:`AugmentedModel` instances
-        with an input-taking box, the model's own input function defines the
-        admissible one-round algorithms (the ``β``-closure); set
-        ``quantify_beta`` to instead search over every ID-to-{0,1} input
-        function.
-    quantify_beta:
-        Existentially quantify over β functions when deciding local-task
-        solvability.  Only meaningful for augmented models.
+        The computation model ``M``.  For augmented models with an
+        input-taking box, the model's own input function defines the
+        admissible one-round algorithms (the ``β``-closure).
     """
 
-    def __init__(
-        self,
-        task: Task,
-        model: ComputationModel,
-        quantify_beta: bool = False,
-    ) -> None:
+    def __init__(self, task: Task, model: ComputationModel) -> None:
         self._task = task
         self._model = model
-        self._quantify_beta = quantify_beta
-        if quantify_beta and not isinstance(model, AugmentedModel):
-            raise SolvabilityError(
-                "quantify_beta requires an augmented model"
-            )
         #: Membership keyed by ``(Δ(σ), Δ(σ).mask_of(τ))``.  Equal allowed
         #: complexes share one vertex table, so the mask is canonical; the
         #: complex stays in the key because a mask only means something
@@ -124,19 +104,13 @@ class ClosureComputer:
             tuple[SimplicialComplex, int], bool
         ] = {}
         self._delta_cache: dict[Simplex, SimplicialComplex] = {}
-        # One memoized operator shared by every (σ, τ, β) decision — the
+        # One memoized operator shared by every (σ, τ) decision — the
         # model's own one-round cache makes a fresh operator cheap, but
         # reusing a single instance also shares the iterated ``P^(t)``
         # complexes across decisions.
         self._operator = ProtocolOperator(model)
-        self._beta_cache: dict[
-            tuple[tuple[int, ...], tuple[int, ...]],
-            tuple[ComputationModel, ProtocolOperator],
-        ] = {}
-        #: Networks keyed by ``(Δ(σ), operator, shape key of τ)``.
-        self._windows: dict[
-            tuple[SimplicialComplex, ProtocolOperator, Hashable], _Window
-        ] = {}
+        #: Networks keyed by ``(Δ(σ), shape key of τ)``.
+        self._windows: dict[tuple[SimplicialComplex, Hashable], _Window] = {}
 
     @property
     def task(self) -> Task:
@@ -202,26 +176,17 @@ class ClosureComputer:
             model=self._model.name,
             participants=len(tau.ids),
         ) as decision_span:
-            member = any(
-                self._window(allowed, tau, model, operator).admits(tau)
-                for model, operator in self._candidate_operators(tau)
-            )
+            member = self._window(allowed, tau).admits(tau)
             decision_span.set_attribute("member", member)
             return member
 
-    def _window(
-        self,
-        allowed: SimplicialComplex,
-        tau: Simplex,
-        model: ComputationModel,
-        operator: ProtocolOperator,
-    ) -> _Window:
+    def _window(self, allowed: SimplicialComplex, tau: Simplex) -> _Window:
         """The shared network of ``τ``'s window, compiled on a miss.
 
         Every face of ``τ`` is constrained by ``proj_{ID(face)}(Δ(σ))``,
         singletons included, so no domain holds condition 1 yet.
         """
-        key = (allowed, operator, model.shape_key(tau, 1))
+        key = (allowed, self._model.shape_key(tau, 1))
         window = self._windows.get(key)
         if window is not None:
             _WINDOW_STATS.hit()
@@ -230,9 +195,10 @@ class ClosureComputer:
         with span(
             "closure/compile-window",
             task=self._task.name,
-            model=model.name,
+            model=self._model.name,
             participants=len(tau.ids),
         ):
+            operator = self._operator
             network = build_solvability_problem(
                 tau.faces(),
                 lambda face: allowed.proj(face.ids),
@@ -253,30 +219,6 @@ class ClosureComputer:
                 network.propagated(), solo, bit_of
             )
         return window
-
-    def _candidate_operators(
-        self, tau: Simplex
-    ) -> Iterable[tuple[ComputationModel, ProtocolOperator]]:
-        if not self._quantify_beta:
-            yield self._model, self._operator
-            return
-        assert isinstance(self._model, AugmentedModel)
-        ids = tuple(sorted(tau.ids))
-        for bits in product((0, 1), repeat=len(ids)):
-            key = (ids, bits)
-            entry = self._beta_cache.get(key)
-            if entry is None:
-                beta = dict(zip(ids, bits))
-                model = AugmentedModel(
-                    self._model.box,
-                    beta_input_function(beta),
-                    name=f"{self._model.name}|β={bits}",
-                )
-                entry = self._beta_cache[key] = (
-                    model,
-                    ProtocolOperator(model),
-                )
-            yield entry
 
     # ------------------------------------------------------------------
     # The closure's specification
@@ -316,9 +258,7 @@ class ClosureComputer:
         return self._delta_cache[sigma]
 
     def as_task(
-        self,
-        name: Optional[str] = None,
-        input_simplices: Optional[Iterable[Simplex]] = None,
+        self, input_simplices: Optional[Iterable[Simplex]] = None
     ) -> Task:
         """Materialize ``CL_M(Π)`` as a :class:`Task`.
 
@@ -342,21 +282,10 @@ class ClosureComputer:
             for sigma in pool:
                 output_facets.extend(self.delta_prime(sigma).facets)
             output_complex = SimplicialComplex(output_facets)
-        label = name or f"CL_{self._model.name}({self._task.name})"
         return Task(
-            label,
+            f"CL_{self._model.name}({self._task.name})",
             self._task.input_complex,
             output_complex,
             self.delta_prime,
         )
 
-
-def closure_task(
-    task: Task,
-    model: ComputationModel,
-    name: Optional[str] = None,
-    quantify_beta: bool = False,
-) -> Task:
-    """One-call convenience wrapper: materialize ``CL_M(Π)``."""
-    computer = ClosureComputer(task, model, quantify_beta=quantify_beta)
-    return computer.as_task(name=name)

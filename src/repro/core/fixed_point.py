@@ -70,7 +70,6 @@ def impossibility_from_fixed_point(
     task: Task,
     model: ComputationModel,
     input_simplices: Optional[Iterable[Simplex]] = None,
-    quantify_beta: bool = False,
 ) -> FixedPointReport:
     """Run the full Lemma 1 pipeline and return a certificate.
 
@@ -78,7 +77,7 @@ def impossibility_from_fixed_point(
     decides 0-round solvability; ``report.unsolvable`` is the impossibility
     verdict.
     """
-    computer = ClosureComputer(task, model, quantify_beta=quantify_beta)
+    computer = ClosureComputer(task, model)
     pool = (
         list(input_simplices)
         if input_simplices is not None

@@ -80,7 +80,6 @@ def iterated_closure_lower_bound(
     task: Task,
     model: ComputationModel,
     max_rounds: int,
-    quantify_beta: bool = False,
 ) -> int:
     """A certified round lower bound by explicit closure iteration.
 
@@ -108,10 +107,7 @@ def iterated_closure_lower_bound(
                 if is_solvable(current, model, 0):
                     break
                 bound += 1
-                computer = ClosureComputer(
-                    current, model, quantify_beta=quantify_beta
-                )
-                current = computer.as_task()
+                current = ClosureComputer(current, model).as_task()
         bound_span.set_attribute("bound", bound)
         return bound
 

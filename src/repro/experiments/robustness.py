@@ -136,7 +136,6 @@ def reproduce_chaos_harness() -> dict[str, Any]:
                 executions=50,
                 seed=0,
                 illegal=mode,
-                allow_illegal=True,
             )
         )
         illegal.append(

@@ -116,6 +116,15 @@ _MAX_KEPT = 25
 #: The illegal injector modes selectable via ``--inject-illegal``.
 ILLEGAL_MODES = ("lost-write", "stale-snapshot", "bad-box")
 
+#: Per-round probability that the crash injector crashes a process
+#: mid-round (while the crash budget ``t`` lasts).
+CRASH_PROBABILITY = 0.15
+#: Algorithm steps one execution may take before it is classified
+#: ``HUNG``.
+STEP_BUDGET = 20_000
+#: Wall-clock seconds one campaign execution may take (monotonic clock).
+EXECUTION_DEADLINE = 30.0
+
 
 # ----------------------------------------------------------------------
 # Cells: the (algorithm, oracle, box) combinations a campaign can target
@@ -257,12 +266,8 @@ class CampaignConfig:
     executions: int = 100
     seed: int = 0
     epsilon: Fraction = Fraction(1, 8)
-    crash_probability: float = 0.15
-    step_budget: Optional[int] = 20_000
-    exec_deadline: Optional[float] = 30.0
     deadline: Optional[float] = None
     illegal: Optional[str] = None
-    allow_illegal: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ReproError` on an inconsistent configuration."""
@@ -290,21 +295,8 @@ class CampaignConfig:
             )
         if self.executions < 1:
             raise ReproError("at least one execution is required")
-        if not 0.0 <= self.crash_probability <= 1.0:
-            raise ReproError(
-                f"crash probability {self.crash_probability} outside [0, 1]"
-            )
         if not 0 < self.epsilon <= 1:
             raise ReproError(f"ε = {self.epsilon} outside (0, 1]")
-        if self.step_budget is not None and self.step_budget < 1:
-            raise ReproError(
-                f"step budget {self.step_budget} must be at least 1"
-            )
-        if self.exec_deadline is not None and self.exec_deadline <= 0:
-            raise ReproError(
-                f"per-execution deadline {self.exec_deadline}s must be "
-                "positive"
-            )
         if self.deadline is not None and self.deadline < 0:
             raise ReproError(
                 f"campaign deadline {self.deadline}s must not be negative"
@@ -314,11 +306,6 @@ class CampaignConfig:
                 raise ReproError(
                     f"unknown illegal mode {self.illegal!r}; known: "
                     + ", ".join(ILLEGAL_MODES)
-                )
-            if not self.allow_illegal:
-                raise ReproError(
-                    f"illegal injector {self.illegal!r} requires "
-                    "--allow-illegal (it deliberately breaks the model)"
                 )
             if self.illegal == "bad-box" and get_cell(self.cell).make_box is None:
                 raise ReproError(
@@ -376,16 +363,12 @@ class CampaignReport:
 # Execution machinery
 # ----------------------------------------------------------------------
 class _BudgetedAlgorithm(RoundAlgorithm):
-    """Wrap an algorithm with a step budget and a monotonic deadline."""
+    """Wrap an algorithm with :data:`STEP_BUDGET` and a monotonic deadline."""
 
     def __init__(
-        self,
-        inner: RoundAlgorithm,
-        step_budget: Optional[int],
-        deadline_at: Optional[float],
+        self, inner: RoundAlgorithm, deadline_at: Optional[float]
     ) -> None:
         self._inner = inner
-        self._step_budget = step_budget
         self._deadline_at = deadline_at
         self._steps = 0
         self.rounds = inner.rounds
@@ -408,12 +391,9 @@ class _BudgetedAlgorithm(RoundAlgorithm):
         round_index: int,
     ) -> object:
         self._steps += 1
-        if (
-            self._step_budget is not None
-            and self._steps > self._step_budget
-        ):
+        if self._steps > STEP_BUDGET:
             raise ExecutionBudgetExceeded(
-                f"step budget {self._step_budget} exhausted at round "
+                f"step budget {STEP_BUDGET} exhausted at round "
                 f"{round_index}"
             )
         if (
@@ -450,7 +430,7 @@ def _make_injector(
         parts.append(
             MidRoundCrashInjector(
                 seed=seed + 1,
-                probability=config.crash_probability,
+                probability=CRASH_PROBABILITY,
                 budget=config.t,
             )
         )
@@ -476,7 +456,6 @@ def classify_execution(
     injector: Optional[FaultInjector],
     box: Optional[BlackBox],
     oracle: PropertyOracle,
-    step_budget: Optional[int] = None,
     deadline_at: Optional[float] = None,
 ) -> tuple[str, Optional[Violation], Optional[ExecutionResult]]:
     """Run one execution and classify it (see :mod:`repro.faults.oracles`).
@@ -486,7 +465,7 @@ def classify_execution(
     execution did not complete.  Exceptions other than the budget guard
     and the safety net propagate — the campaign loop isolates them.
     """
-    guarded = _BudgetedAlgorithm(algorithm, step_budget, deadline_at)
+    guarded = _BudgetedAlgorithm(algorithm, deadline_at)
     executor = IteratedExecutor(box=box, injector=injector)
     try:
         result = executor.run(guarded, inputs, adversary)
@@ -542,11 +521,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             inputs = spec.sample_inputs(
                 config.n, config.epsilon, random.Random(seed)
             )
-            exec_deadline_at = (
-                time.monotonic() + config.exec_deadline
-                if config.exec_deadline is not None
-                else None
-            )
+            execution_deadline_at = time.monotonic() + EXECUTION_DEADLINE
             incident: Optional[CampaignIncident] = None
             # One span per execution, carrying the oracle's verdict (or
             # "INCIDENT"); it stays open across classification so
@@ -564,8 +539,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                             else None
                         ),
                         oracle=spec.oracle(config.n, config.epsilon),
-                        step_budget=config.step_budget,
-                        deadline_at=exec_deadline_at,
+                        deadline_at=execution_deadline_at,
                     )
                 except Exception as exc:
                     # Error isolation: one raising execution never kills
@@ -627,7 +601,6 @@ def _peak_rss_kb() -> Optional[int]:
 def replay_trace(
     trace: FaultTrace,
     epsilon: Fraction = Fraction(1, 8),
-    step_budget: Optional[int] = 20_000,
 ) -> tuple[str, Optional[Violation]]:
     """Deterministically re-execute a recorded trace and re-classify it.
 
@@ -637,7 +610,12 @@ def replay_trace(
     :class:`~repro.faults.injectors.ReplayInjector`.
     """
     spec = get_cell(trace.cell)
-    inputs = trace.parsed_inputs(spec.parse_input)
+    try:
+        inputs = trace.parsed_inputs(spec.parse_input)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise RuntimeModelError(
+            f"cell {trace.cell!r} cannot parse the trace's inputs: {exc}"
+        ) from exc
     if not inputs:
         raise RuntimeModelError("trace has no inputs to replay")
     classification, violation, _ = classify_execution(
@@ -647,7 +625,6 @@ def replay_trace(
         injector=ReplayInjector(trace),
         box=spec.make_box() if spec.make_box is not None else None,
         oracle=spec.oracle(len(inputs), epsilon),
-        step_budget=step_budget,
     )
     return classification, violation
 
@@ -667,8 +644,8 @@ def report_to_json(report: CampaignReport) -> dict:
             "executions": config.executions,
             "seed": config.seed,
             "epsilon": str(config.epsilon),
-            "crash_probability": config.crash_probability,
-            "step_budget": config.step_budget,
+            "crash_probability": CRASH_PROBABILITY,
+            "step_budget": STEP_BUDGET,
             "illegal": config.illegal,
         },
         "counts": {key: report.counts[key] for key in sorted(report.counts)},

@@ -35,7 +35,7 @@ import json
 import random
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import RuntimeModelError, ScheduleError
 from repro.models.schedules import OneRoundSchedule, schedule_from_blocks
@@ -471,32 +471,62 @@ class FaultTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultTrace":
-        """Parse a trace produced by :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls(
-            inputs=tuple(
-                (int(process), str(value))
-                for process, value in payload["inputs"]
-            ),
-            rounds=tuple(
+        """Parse a trace produced by :meth:`to_json`.
+
+        Raises :class:`~repro.errors.RuntimeModelError` naming the first
+        field that is not JSON of :meth:`to_json`'s shape.
+        """
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise RuntimeModelError(f"not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise RuntimeModelError("a fault trace must be a JSON object")
+        inputs = _field(payload, "inputs", list)
+        if not all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and _is_int(pair[0])
+            and isinstance(pair[1], (str, int))
+            for pair in inputs
+        ):
+            raise RuntimeModelError(
+                "'inputs' must be a list of [process, value] pairs"
+            )
+        if len({pair[0] for pair in inputs}) < len(inputs):
+            raise RuntimeModelError("'inputs' lists a process twice")
+        rounds = []
+        for position, entry in enumerate(_field(payload, "rounds", list)):
+            where = f"rounds[{position}]"
+            if not isinstance(entry, dict):
+                raise RuntimeModelError(f"{where} must be an object")
+            views = entry.get("views")
+            box_choice = _field(entry, "box_choice", int, 0, where)
+            if box_choice < 0:
+                raise RuntimeModelError(
+                    f"{where}.box_choice {box_choice} is negative"
+                )
+            rounds.append(
                 TraceRound(
-                    blocks=tuple(
-                        tuple(block) for block in entry["blocks"]
+                    blocks=_int_lists(entry.get("blocks"), f"{where}.blocks"),
+                    crashes=_ints(
+                        entry.get("crashes", []), f"{where}.crashes"
                     ),
-                    crashes=tuple(entry.get("crashes", ())),
-                    mid_crashes=tuple(entry.get("mid_crashes", ())),
-                    box_choice=int(entry.get("box_choice", 0)),
+                    mid_crashes=_ints(
+                        entry.get("mid_crashes", []), f"{where}.mid_crashes"
+                    ),
+                    box_choice=box_choice,
                     views=(
                         None
-                        if entry.get("views") is None
-                        else tuple(
-                            tuple(view) for view in entry["views"]
-                        )
+                        if views is None
+                        else _int_lists(views, f"{where}.views")
                     ),
                 )
-                for entry in payload["rounds"]
-            ),
-            cell=str(payload.get("cell", "")),
+            )
+        return cls(
+            inputs=tuple((process, str(value)) for process, value in inputs),
+            rounds=tuple(rounds),
+            cell=_field(payload, "cell", str, ""),
         )
 
     def replace_round(self, index: int, entry: TraceRound) -> "FaultTrace":
@@ -506,6 +536,44 @@ class FaultTrace:
         return FaultTrace(
             inputs=self.inputs, rounds=tuple(rounds), cell=self.cell
         )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(
+    payload: dict,
+    key: str,
+    kind: type,
+    default: object = None,
+    where: str = "",
+) -> Any:
+    """``payload[key]`` checked to be a ``kind`` (``default`` if absent)."""
+    value = payload.get(key, default)
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
+        raise RuntimeModelError(
+            f"{where + '.' if where else ''}{key} must be a "
+            f"{kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _ints(value: object, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise RuntimeModelError(
+            f"{where} must be a list of process ids, got {value!r}"
+        )
+    return tuple(value)
+
+
+def _int_lists(value: object, where: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise RuntimeModelError(f"{where} must be a list, got {value!r}")
+    return tuple(
+        _ints(item, f"{where}[{position}]")
+        for position, item in enumerate(value)
+    )
 
 
 class ReplayAdversary(Adversary):

@@ -38,6 +38,10 @@ __all__ = ["shrink_trace", "trace_weight", "simplifications"]
 
 _REPLAYS = default_registry().cache("faults.shrink.replays")
 
+#: Hard cap on re-executions per shrink (defense in depth — the weight
+#: metric already guarantees termination).
+REPLAY_LIMIT = 2_000
+
 Verdict = tuple[str, Optional[str]]
 ReplayFn = Callable[[FaultTrace], Verdict]
 
@@ -151,13 +155,9 @@ def simplifications(trace: FaultTrace) -> Iterator[FaultTrace]:
             )
 
 
-def _default_replay(
-    epsilon: Fraction, step_budget: Optional[int]
-) -> ReplayFn:
+def _default_replay(epsilon: Fraction) -> ReplayFn:
     def replay(trace: FaultTrace) -> Verdict:
-        classification, violation = replay_trace(
-            trace, epsilon=epsilon, step_budget=step_budget
-        )
+        classification, violation = replay_trace(trace, epsilon=epsilon)
         return classification, (
             violation.property if violation is not None else None
         )
@@ -169,8 +169,6 @@ def shrink_trace(
     trace: FaultTrace,
     replay: Optional[ReplayFn] = None,
     epsilon: Fraction = Fraction(1, 8),
-    step_budget: Optional[int] = 20_000,
-    max_replays: int = 2_000,
 ) -> FaultTrace:
     """Minimize a trace while preserving its replay verdict.
 
@@ -180,12 +178,9 @@ def shrink_trace(
         The counterexample to minimize.
     replay:
         ``trace -> (classification, property)``; defaults to
-        :func:`repro.faults.campaign.replay_trace` with the given ε and
-        step budget.  A candidate is accepted iff its verdict equals the
-        original trace's verdict.
-    max_replays:
-        Hard cap on re-executions (defense in depth — the weight metric
-        already guarantees termination).
+        :func:`repro.faults.campaign.replay_trace` with the given ε.  A
+        candidate is accepted iff its verdict equals the original trace's
+        verdict.  At most :data:`REPLAY_LIMIT` replays are made.
 
     Returns
     -------
@@ -193,13 +188,13 @@ def shrink_trace(
         A locally minimal trace with the same verdict as the input.
     """
     if replay is None:
-        replay = _default_replay(epsilon, step_budget)
+        replay = _default_replay(epsilon)
     _REPLAYS.built()
     target = replay(trace)
     replays = 1
     current = trace
     improved = True
-    while improved and replays < max_replays:
+    while improved and replays < REPLAY_LIMIT:
         improved = False
         current_weight = trace_weight(current)
         for candidate in simplifications(current):
@@ -211,6 +206,6 @@ def shrink_trace(
                 current = candidate
                 improved = True
                 break
-            if replays >= max_replays:
+            if replays >= REPLAY_LIMIT:
                 break
     return current

@@ -11,8 +11,7 @@ The observability layer of the proof machine, in three pieces:
   :class:`MetricsRegistry` of cache hit/miss tallies; the hot layers
   fetch theirs once with ``default_registry().cache(name)``.
 * **exporters** (:mod:`repro.telemetry.export`) — the canonical JSON span
-  tree, Chrome trace-event JSON (``chrome://tracing`` / Perfetto), and a
-  top-N self-time text summary; surfaced on the CLI as
+  tree and a top-N self-time text summary; surfaced on the CLI as
   ``repro run/experiment/chaos --trace PATH`` and
   ``repro trace summarize PATH``.
 
@@ -23,9 +22,7 @@ from repro.telemetry.clock import Clock, ManualClock, MonotonicClock
 from repro.telemetry.export import (
     TRACE_FORMAT,
     TRACE_VERSION,
-    chrome_events,
     load_trace,
-    render_chrome,
     render_json,
     render_text,
     self_time_table,
@@ -74,9 +71,7 @@ __all__ = [
     # export
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "chrome_events",
     "load_trace",
-    "render_chrome",
     "render_json",
     "render_text",
     "self_time_table",

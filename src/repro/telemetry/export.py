@@ -1,19 +1,17 @@
-"""Trace exporters: JSON span tree, Chrome trace events, text summary.
+"""Trace exporters: the JSON span tree and its text summary.
 
-Three renderings of one recorded :class:`~repro.telemetry.tracer.Tracer`:
+Two renderings of one recorded :class:`~repro.telemetry.tracer.Tracer`:
 
 * :func:`render_json` — the canonical ``repro-trace`` JSON span tree.
-  Deterministic (sorted keys, stable child order); this is the format
-  ``repro trace summarize`` consumes and :func:`load_trace` validates.
-* :func:`render_chrome` — Chrome trace-event JSON (complete ``"X"``
-  events, microsecond timestamps) loadable in ``chrome://tracing`` and
-  `Perfetto <https://ui.perfetto.dev>`_.
+  Deterministic (sorted keys, stable child order); this is the artifact
+  :func:`write_trace` writes, ``repro trace summarize`` consumes and
+  :func:`load_trace` validates.
 * :func:`render_text` — a human-readable top-N *self-time* table:
   per span name, the time spent in spans of that name minus the time
   spent in their child spans, which is what actually identifies the
   dominating phase of a run.
 
-Every exporter also accepts an already-parsed span tree (the dict
+Both exporters also accept an already-parsed span tree (the dict
 produced by :func:`trace_tree` / :func:`load_trace`), so the summary CLI
 works on artifacts recorded by an earlier process.
 """
@@ -33,8 +31,6 @@ __all__ = [
     "span_node",
     "trace_tree",
     "render_json",
-    "chrome_events",
-    "render_chrome",
     "self_time_table",
     "render_text",
     "load_trace",
@@ -45,10 +41,6 @@ __all__ = [
 TRACE_FORMAT = "repro-trace"
 #: Schema version of the canonical JSON artifact.
 TRACE_VERSION = 1
-
-#: Where the exporters keep timestamps: seconds (JSON tree) vs
-#: microseconds (Chrome trace events).
-_MICROSECONDS = 1_000_000.0
 
 TraceInput = Union[Tracer, dict]
 
@@ -95,51 +87,6 @@ def _as_tree(trace: TraceInput) -> dict[str, Any]:
 def render_json(trace: TraceInput) -> str:
     """Serialize the canonical span tree deterministically."""
     return json.dumps(_as_tree(trace), indent=2, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Chrome trace-event format
-# ----------------------------------------------------------------------
-def _chrome_walk(
-    node: dict[str, Any], events: list[dict[str, Any]]
-) -> None:
-    args: dict[str, Any] = dict(node.get("attributes", {}))
-    for key, value in node.get("metrics", {}).items():
-        args[f"metric:{key}"] = value
-    start = float(node["start"])
-    end = float(node["end"])
-    events.append(
-        {
-            "name": node["name"],
-            "cat": "repro",
-            "ph": "X",
-            "ts": start * _MICROSECONDS,
-            "dur": (end - start) * _MICROSECONDS,
-            "pid": 1,
-            "tid": 1,
-            "args": args,
-        }
-    )
-    for child in node.get("children", ()):
-        _chrome_walk(child, events)
-
-
-def chrome_events(trace: TraceInput) -> dict[str, Any]:
-    """The trace as a Chrome trace-event object (``{"traceEvents": …}``).
-
-    Complete events (``ph: "X"``) with microsecond ``ts``/``dur``; the
-    viewer reconstructs nesting from the containment of time ranges on
-    one ``pid``/``tid``, which holds by construction for a span tree.
-    """
-    events: list[dict[str, Any]] = []
-    for root in _as_tree(trace)["spans"]:
-        _chrome_walk(root, events)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def render_chrome(trace: TraceInput) -> str:
-    """Serialize the Chrome trace-event rendering deterministically."""
-    return json.dumps(chrome_events(trace), indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +251,7 @@ def load_trace(text: str) -> dict[str, Any]:
     if "traceEvents" in payload and "format" not in payload:
         raise TelemetryError(
             "this is a Chrome trace-event artifact, which has no span "
-            "tree; record the canonical one with --trace-format json"
+            "tree; record a repro-trace one with --trace PATH"
         )
     if payload.get("format") != TRACE_FORMAT:
         raise TelemetryError(
@@ -323,19 +270,7 @@ def load_trace(text: str) -> dict[str, Any]:
     return payload
 
 
-_RENDERERS = {
-    "json": render_json,
-    "chrome": render_chrome,
-    "text": render_text,
-}
-
-
-def write_trace(path: str, trace: TraceInput, fmt: str = "json") -> None:
-    """Render ``trace`` in the given format and write it to ``path``."""
-    if fmt not in _RENDERERS:
-        known = ", ".join(sorted(_RENDERERS))
-        raise TelemetryError(
-            f"unknown trace format {fmt!r}; known formats: {known}"
-        )
+def write_trace(path: str, trace: TraceInput) -> None:
+    """Write the canonical JSON span tree of ``trace`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_RENDERERS[fmt](trace) + "\n")
+        handle.write(render_json(trace) + "\n")

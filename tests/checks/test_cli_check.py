@@ -77,6 +77,21 @@ class TestLintScope:
         assert "lint[" in out
         assert "audit[--all]" in out
 
+    @pytest.mark.parametrize(
+        "name", ["no/such/dir", "README.md"], ids=["missing", "not-python"]
+    )
+    def test_unlintable_path_is_one_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "README.md":
+            path.write_text("# not Python\n")
+        assert main(["check", "--lint", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot lint {str(path)!r}: not a directory or a .py "
+            "file\n"
+        )
+
 
 class TestNoKnobs:
     @pytest.mark.parametrize(

@@ -225,10 +225,10 @@ class TestTaskAndClosureRules:
         assert "closures only grow" in findings[0].message
 
     def test_real_closure_passes(self):
-        from repro.core.closure import closure_task
+        from repro.core.closure import ClosureComputer
 
         base = approximate_agreement_task([1, 2], Fraction(1, 2), 2)
-        closure = closure_task(base, ImmediateSnapshotModel())
+        closure = ClosureComputer(base, ImmediateSnapshotModel()).as_task()
         target = AuditTarget(
             "closure", "fixture/real-closure", closure, {"base_task": base}
         )

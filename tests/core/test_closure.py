@@ -5,10 +5,9 @@ from itertools import product
 
 import pytest
 
-from repro.core import ClosureComputer, closure_task
+from repro.core import ClosureComputer
 from repro.core.local_task import local_task
 from repro.core.solvability import build_solvability_problem
-from repro.errors import SolvabilityError
 from repro.models import (
     ImmediateSnapshotModel,
     ProtocolOperator,
@@ -35,24 +34,20 @@ def F(num, den=1):
     return Fraction(num, den)
 
 
-def fresh_member(task, sigma, tau, models):
+def fresh_member(task, sigma, tau, model):
     """Membership the way it was decided before windows were shared.
 
-    ``Π_{τ,σ}`` is compiled from scratch for every candidate model and
-    solved; the test oracle for the shared window networks.
+    ``Π_{τ,σ}`` is compiled from scratch and solved; the test oracle for
+    the shared window networks.
     """
     the_local_task = local_task(task, sigma, tau)
-    for model in models:
-        operator = ProtocolOperator(model)
-        problem = build_solvability_problem(
-            list(the_local_task.input_complex),
-            the_local_task.delta,
-            operator,
-            1,
-        )
-        if problem.solve() is not None:
-            return True
-    return False
+    problem = build_solvability_problem(
+        list(the_local_task.input_complex),
+        the_local_task.delta,
+        ProtocolOperator(model),
+        1,
+    )
+    return problem.solve() is not None
 
 
 def candidates(task, sigma):
@@ -64,13 +59,6 @@ def candidates(task, sigma):
 
 def bc(beta):
     return AugmentedModel(BinaryConsensusBox(), beta_input_function(beta))
-
-
-def every_beta(ids):
-    return [
-        bc(dict(zip(ids, bits)))
-        for bits in product((0, 1), repeat=len(ids))
-    ]
 
 
 class TestMembership:
@@ -99,10 +87,6 @@ class TestMembership:
         before = len(computer._membership_cache)
         computer.contains(sigma_b, tau)
         assert len(computer._membership_cache) == before
-
-    def test_quantify_beta_requires_augmented(self, iis):
-        with pytest.raises(SolvabilityError):
-            ClosureComputer(binary_consensus_task([1, 2]), iis, quantify_beta=True)
 
 
 class TestClosureOfAA:
@@ -140,27 +124,24 @@ class TestClosureOfAA:
 class TestClosureTask:
     def test_as_task_keeps_inputs(self, iis):
         task = binary_consensus_task([1, 2])
-        closed = closure_task(task, iis)
+        closed = ClosureComputer(task, iis).as_task()
         assert closed.input_complex == task.input_complex
 
     def test_closure_of_consensus_is_consensus(self, iis):
         # Corollary 1's engine: CL(consensus) has the same specification.
         task = binary_consensus_task([1, 2])
-        closed = closure_task(task, iis)
+        closed = ClosureComputer(task, iis).as_task()
         for sigma in task.input_complex:
             assert closed.delta(sigma) == task.delta(sigma)
 
     def test_closure_name(self, iis):
-        closed = closure_task(binary_consensus_task([1, 2]), iis)
-        assert "CL_" in closed.name
-        named = closure_task(
-            binary_consensus_task([1, 2]), iis, name="custom"
-        )
-        assert named.name == "custom"
+        task = binary_consensus_task([1, 2])
+        closed = ClosureComputer(task, iis).as_task()
+        assert closed.name == f"CL_{iis.name}({task.name})"
 
     def test_closure_output_complex_covers_images(self, iis):
         task = approximate_agreement_task([1, 2], F(1, 2), 2)
-        closed = closure_task(task, iis)
+        closed = ClosureComputer(task, iis).as_task()
         for sigma in task.input_complex:
             assert (
                 closed.delta(sigma).simplices
@@ -185,31 +166,17 @@ class TestClosureWithBoxes:
         outputs = set(computer.legal_outputs(sigma))
         assert len(outputs) == 4  # all bit pairs
 
-    def test_quantify_beta_expands_closure(self, iis_bc_beta011):
-        # With β quantification the solver may pick a β that separates the
-        # two processes, making 2-process consensus-like coordination
-        # possible (consensus box has consensus number ∞).
-        task = binary_consensus_task([1, 2])
-        fixed = ClosureComputer(task, iis_bc_beta011)
-        quantified = ClosureComputer(task, iis_bc_beta011, quantify_beta=True)
-        sigma = input_simplex({1: 0, 2: 1})
-        assert set(fixed.legal_outputs(sigma)) <= set(
-            quantified.legal_outputs(sigma)
-        )
-
 
 #: β of the fixed-β rows: majority side {1, 3}.
 PARITY_BETA = {1: 0, 2: 1, 3: 0}
 
-#: (label, model factory, quantify β, members among the two windows'
-#: 128 candidates).  A quantified row's oracle tries every β; the
-#: others try the model alone.
+#: (label, model factory, members among the two windows' 128
+#: candidates).
 PARITY_MODELS = [
-    ("IIS", ImmediateSnapshotModel, False, 92),
-    ("snapshot", SnapshotModel, False, 92),
-    ("IIS+t&s", lambda: AugmentedModel(TestAndSetBox()), False, 92),
-    ("IIS+bc|β", lambda: bc(PARITY_BETA), False, 112),
-    ("IIS+bc, β quantified", lambda: bc(PARITY_BETA), True, 128),
+    ("IIS", ImmediateSnapshotModel, 92),
+    ("snapshot", SnapshotModel, 92),
+    ("IIS+t&s", lambda: AugmentedModel(TestAndSetBox()), 92),
+    ("IIS+bc|β", lambda: bc(PARITY_BETA), 112),
 ]
 
 
@@ -240,18 +207,14 @@ class TestSharedWindowParity:
     """Each τ decided on its window's network, as a fresh compile would."""
 
     @pytest.mark.parametrize(
-        "label, make_model, quantify, members",
+        "label, make_model, members",
         PARITY_MODELS,
         ids=[row[0] for row in PARITY_MODELS],
     )
-    def test_every_candidate_of_two_windows(
-        self, label, make_model, quantify, members
-    ):
+    def test_every_candidate_of_two_windows(self, label, make_model, members):
         model = make_model()
-        ids = [1, 2, 3]
-        task = liberal_approximate_agreement_task(ids, F(1, 4), 4)
-        computer = ClosureComputer(task, model, quantify_beta=quantify)
-        models = every_beta(ids) if quantify else [model]
+        task = liberal_approximate_agreement_task([1, 2, 3], F(1, 4), 4)
+        computer = ClosureComputer(task, model)
         windows = [
             input_simplex({1: F(0), 2: F(1, 4), 3: F(3, 4)}),
             input_simplex({1: F(1, 4), 2: F(1, 2), 3: F(1)}),
@@ -260,11 +223,11 @@ class TestSharedWindowParity:
         for sigma in windows:
             for tau in candidates(task, sigma):
                 member = computer.contains(sigma, tau)
-                assert member == fresh_member(task, sigma, tau, models), tau
+                assert member == fresh_member(task, sigma, tau, model), tau
                 found += member
         assert found == members
-        # At most one network per window and β, however many τ it decides.
-        assert len(computer._windows) <= len(windows) * len(models)
+        # At most one network per window, however many τ it decides.
+        assert len(computer._windows) <= len(windows)
 
     @pytest.mark.parametrize(
         "make_model",
@@ -277,7 +240,7 @@ class TestSharedWindowParity:
         computer = ClosureComputer(task, model)
         for tau in candidates(task, sigma):
             assert computer.contains(sigma, tau) == fresh_member(
-                task, sigma, tau, [model]
+                task, sigma, tau, model
             ), tau
         (window,) = computer._windows.values()
         isolated = window.bit_of[Vertex(1, "c")]
@@ -300,7 +263,7 @@ class TestSharedWindowParity:
         decided = []
         for tau in candidates(task, sigma):
             assert computer.contains(sigma, tau) == fresh_member(
-                task, sigma, tau, [model]
+                task, sigma, tau, model
             ), tau
             if tau not in allowed:
                 decided.append(tau)

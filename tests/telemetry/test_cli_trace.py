@@ -29,25 +29,6 @@ class TestExperimentTrace:
         assert "experiment/E9" in out
         assert "self ms" in out
 
-    def test_chrome_format(self, tmp_path):
-        artifact = tmp_path / "e9.chrome.json"
-        assert (
-            main(
-                [
-                    "experiment",
-                    "E9",
-                    "--trace",
-                    str(artifact),
-                    "--trace-format",
-                    "chrome",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(artifact.read_text(encoding="utf-8"))
-        events = payload["traceEvents"]
-        assert events and all(e["ph"] == "X" for e in events)
-
     def test_run_command_traced(self, tmp_path):
         artifact = tmp_path / "run.trace.json"
         assert (

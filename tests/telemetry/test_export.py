@@ -1,4 +1,4 @@
-"""Tests for the trace exporters: JSON tree, Chrome events, text table."""
+"""Tests for the trace exporters: JSON tree and text table."""
 
 import json
 
@@ -9,9 +9,7 @@ from repro.telemetry import (
     ManualClock,
     MetricsRegistry,
     Tracer,
-    chrome_events,
     load_trace,
-    render_chrome,
     render_json,
     render_text,
     self_time_table,
@@ -59,33 +57,6 @@ class TestJsonTree:
             trace_tree(tracer)
 
 
-class TestChromeEvents:
-    def test_event_schema(self):
-        payload = chrome_events(recorded_tracer())
-        events = payload["traceEvents"]
-        assert payload["displayTimeUnit"] == "ms"
-        assert [event["name"] for event in events] == ["outer", "inner"]
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["cat"] == "repro"
-            assert event["pid"] == 1 and event["tid"] == 1
-        outer, inner = events
-        # ManualClock ticks 1 s per reading; timestamps are microseconds.
-        assert outer["dur"] == pytest.approx(3_000_000.0)
-        assert inner["dur"] == pytest.approx(1_000_000.0)
-        assert inner["ts"] > outer["ts"]
-
-    def test_args_carry_attributes_and_metrics(self):
-        payload = chrome_events(recorded_tracer())
-        inner = payload["traceEvents"][1]
-        assert inner["args"]["round"] == 1
-        assert inner["args"]["metric:cache:memo:misses"] == 1
-
-    def test_render_chrome_is_json(self):
-        parsed = json.loads(render_chrome(recorded_tracer()))
-        assert "traceEvents" in parsed
-
-
 class TestSelfTime:
     def test_self_excludes_children(self):
         rows = {
@@ -121,7 +92,7 @@ class TestLoadTrace:
 
     def test_rejects_chrome_artifact_with_hint(self):
         with pytest.raises(TelemetryError, match="Chrome"):
-            load_trace(render_chrome(recorded_tracer()))
+            load_trace(json.dumps({"traceEvents": []}))
 
     def test_rejects_unknown_format(self):
         with pytest.raises(TelemetryError, match="unknown trace format"):

@@ -1,10 +1,26 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _subprocess_env():
+    """The environment of a ``python -m repro`` child importing ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 class TestParser:
@@ -246,16 +262,6 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out
 
-    def test_illegal_injection_requires_allow_flag(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "chaos", "--algorithm", "aa",
-                    "--inject-illegal", "lost-write",
-                    "--executions", "5",
-                ]
-            )
-
     def test_negative_deadline_exits_one_with_message(self):
         with pytest.raises(SystemExit) as exited:
             main(["chaos", "--deadline", "-1", "--executions", "50"])
@@ -287,6 +293,60 @@ class TestChaosCommand:
     def test_replay_missing_file_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--replay", "/nonexistent/trace.json"])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"inputs": 5, "rounds": []}',
+            "[1, 2]",
+            '{"cell": "aa", "inputs": [[1, "0"], [2, "1"]], '
+            '"rounds": [{"blocks": [[1, 2]], "crashes": 3}]}',
+            '{"cell": "aa", "inputs": [[1, "abc"], [2, "1"]], "rounds": []}',
+            '{"cell": "aa", "inputs": [[1, "0"], [1, "1"]], "rounds": []}',
+            '{"cell": "consensus", "inputs": [[1, "a"], [2, "b"]], '
+            '"rounds": [{"blocks": [[1, 2]], "box_choice": -5}]}',
+        ],
+        ids=[
+            "inputs-not-list",
+            "not-object",
+            "crashes-not-list",
+            "bad-input",
+            "process-twice",
+            "negative-box-choice",
+        ],
+    )
+    def test_malformed_replay_trace_is_one_line(self, tmp_path, payload):
+        trace_file = tmp_path / "trace.json"
+        trace_file.write_text(payload)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--replay",
+             str(trace_file)],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith(
+            f"cannot load trace {str(trace_file)!r}: "
+        )
+        assert completed.stderr.count("\n") == 1
+
+    def test_json_report_is_pinned(self):
+        # The campaign's crash probability and step budget, its seeding
+        # and the report's format all show in this digest.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--executions", "200",
+             "--seed", "0", "--json"],
+            capture_output=True,
+            env=_subprocess_env(),
+            timeout=120,
+        )
+        assert completed.returncode == 0
+        assert hashlib.sha256(completed.stdout).hexdigest() == (
+            "f83a1da40017a866f887dae82bb8f2715a4e76fd3b6aa7b7a7dd078856a8655d"
+        )
 
 
 class TestSerialSurface:
