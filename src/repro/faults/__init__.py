@@ -4,18 +4,22 @@ The runtime of :mod:`repro.runtime` claims wait-freedom: algorithms survive
 *every* legal adversary (crashes, schedules, adversarial black-box
 choices).  This subpackage stress-tests that claim operationally and — just
 as importantly — verifies the runtime's *safety nets*: behaviors outside
-the model (lost writes, corrupted snapshots, non-admissible box outputs,
-non-linearizable objects) must surface as
-:class:`~repro.errors.FaultInjectionError`, never be silently absorbed.
+the model (lost writes, stale snapshots, non-admissible box outputs) must
+surface as :class:`~repro.errors.FaultInjectionError`, never be silently
+absorbed.  As in the paper, one
+:class:`~repro.runtime.adversary.Adversary` fixes each execution: the
+campaign's chaos adversary makes every decision, faults included.
 
-* :mod:`repro.faults.injectors` — composable, seed-deterministic fault
-  injectors plugging into the executor hooks, plus the replayable
-  :class:`~repro.faults.injectors.FaultTrace`;
+* :mod:`repro.faults.injectors` — the replayable
+  :class:`~repro.faults.injectors.FaultTrace` and the
+  :class:`~repro.faults.injectors.ReplayAdversary` that re-executes it;
 * :mod:`repro.faults.oracles` — property oracles (consensus, ε-approximate
   agreement, k-set agreement) and the execution classification lattice;
 * :mod:`repro.faults.campaign` — the chaos campaign runner: N randomized
-  executions per (algorithm, model, n, t) cell with budget guards, error
-  isolation, and JSON/text reporting;
+  executions per (algorithm, model, n, t) cell under a seeded chaos
+  adversary (mid-round crashes, adversarial box choices, optional
+  illegal register or box faults), with budget guards, error isolation,
+  and JSON/text reporting;
 * :mod:`repro.faults.shrink` — delta-debugging of violating traces down to
   locally minimal counterexamples;
 * :mod:`repro.faults.fixtures` — deliberately broken algorithms used to
@@ -23,20 +27,7 @@ non-linearizable objects) must surface as
   consensus in plain IIS, impossible by Corollary 1).
 """
 
-from repro.faults.injectors import (
-    FaultInjector,
-    CompositeInjector,
-    MidRoundCrashInjector,
-    CrashStormInjector,
-    AdversarialBoxInjector,
-    LostWriteInjector,
-    StaleSnapshotInjector,
-    NonAdmissibleBoxInjector,
-    FaultTrace,
-    TraceRound,
-    ReplayAdversary,
-    ReplayInjector,
-)
+from repro.faults.injectors import FaultTrace, TraceRound, ReplayAdversary
 from repro.faults.oracles import (
     DECIDED_OK,
     VIOLATION,
@@ -62,18 +53,9 @@ from repro.faults.campaign import (
 from repro.faults.shrink import shrink_trace, trace_weight
 
 __all__ = [
-    "FaultInjector",
-    "CompositeInjector",
-    "MidRoundCrashInjector",
-    "CrashStormInjector",
-    "AdversarialBoxInjector",
-    "LostWriteInjector",
-    "StaleSnapshotInjector",
-    "NonAdmissibleBoxInjector",
     "FaultTrace",
     "TraceRound",
     "ReplayAdversary",
-    "ReplayInjector",
     "DECIDED_OK",
     "VIOLATION",
     "HUNG",

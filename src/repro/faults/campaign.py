@@ -12,6 +12,11 @@ is built to survive its own subjects:
 * **error isolation** — an execution that raises is converted into a
   structured :class:`CampaignIncident` (exception type, message, seed)
   and the campaign continues;
+* **one adversary** — each execution runs under one seeded chaos
+  adversary that makes every decision the model leaves open (schedule,
+  mid-round crashes under the budget ``t``, box choices) and, with an
+  illegal mode, hands the executor a faulty register array or box
+  output to prove the executor's cross-checks fire;
 * **determinism** — execution ``i`` derives its RNG seeds from
   ``(campaign seed, i)`` only, so re-running a campaign reproduces every
   classification, and any single execution can be re-run alone from its
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -49,18 +54,7 @@ from repro.faults.fixtures import (
     StubbornAlgorithm,
     TooFewRoundsAA,
 )
-from repro.faults.injectors import (
-    AdversarialBoxInjector,
-    CompositeInjector,
-    FaultInjector,
-    FaultTrace,
-    LostWriteInjector,
-    MidRoundCrashInjector,
-    NonAdmissibleBoxInjector,
-    ReplayAdversary,
-    ReplayInjector,
-    StaleSnapshotInjector,
-)
+from repro.faults.injectors import FaultTrace, ReplayAdversary
 from repro.faults.oracles import (
     DECIDED_OK,
     HARNESS_FAULT_DETECTED,
@@ -77,6 +71,7 @@ from repro.algorithms.approximate_agreement import (
     TwoProcessThirdsAA,
 )
 from repro.algorithms.consensus_bc import ConsensusViaBinaryConsensus
+from repro.models.schedules import OneRoundSchedule
 from repro.objects import BinaryConsensusBox
 from repro.objects.base import BlackBox
 from repro.runtime.adversary import (
@@ -86,6 +81,7 @@ from repro.runtime.adversary import (
 )
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.iterated import ExecutionResult, IteratedExecutor
+from repro.runtime.registers import RegisterArray
 from repro.telemetry import default_registry, span
 
 __all__ = [
@@ -113,11 +109,19 @@ _INCIDENTS = default_registry().cache("faults.campaign.incidents")
 #: How many non-OK outcomes a report keeps in full (witness + trace).
 _MAX_KEPT = 25
 
-#: The illegal injector modes selectable via ``--inject-illegal``.
+#: The illegal modes selectable via ``--inject-illegal``.  Each breaks the
+#: model in round 1: a write is lost, a write is missing from every
+#: snapshot, or the box output of process min(P) is forged.
 ILLEGAL_MODES = ("lost-write", "stale-snapshot", "bad-box")
 
-#: Per-round probability that the crash injector crashes a process
-#: mid-round (while the crash budget ``t`` lasts).
+#: The process whose register the ``lost-write`` and ``stale-snapshot``
+#: modes break.
+_VICTIM = 1
+#: Output value no black box ever produces: the forged ``bad-box`` output.
+_BOGUS_OUTPUT = "⊥-injected"
+
+#: Per-participant, per-round probability that the chaos adversary
+#: crashes a process mid-round (while the crash budget ``t`` lasts).
 CRASH_PROBABILITY = 0.15
 #: Algorithm steps one execution may take before it is classified
 #: ``HUNG``.
@@ -309,7 +313,7 @@ class CampaignConfig:
                 )
             if self.illegal == "bad-box" and get_cell(self.cell).make_box is None:
                 raise ReproError(
-                    "the bad-box injector needs a cell with a black box"
+                    "the bad-box mode needs a cell with a black box"
                 )
 
 
@@ -351,10 +355,21 @@ class CampaignReport:
 
     @property
     def clean(self) -> bool:
-        """No violations, hangs, undetected faults, or incidents."""
+        """No violations, hangs, or incidents.
+
+        With an illegal mode every execution that ran must instead be
+        ``HARNESS_FAULT_DETECTED``: a fault that passed is not clean.
+        """
+        if self.incidents:
+            return False
+        if self.config.illegal is not None:
+            return all(
+                count == 0
+                for label, count in self.counts.items()
+                if label != HARNESS_FAULT_DETECTED
+            )
         return (
-            not self.incidents
-            and self.counts.get(VIOLATION, 0) == 0
+            self.counts.get(VIOLATION, 0) == 0
             and self.counts.get(HUNG, 0) == 0
         )
 
@@ -416,44 +431,116 @@ def derive_seed(campaign_seed: int, index: int) -> int:
     return (campaign_seed * 1_000_003 + index) % (2**31 - 1)
 
 
-def _make_adversary(model: str, seed: int) -> Adversary:
-    if model == "iis":
-        return RandomAdversary(seed=seed)
-    return RandomMatrixAdversary(kind=model, seed=seed)
+class _LostWriteArray(RegisterArray):
+    """Illegal register fault: every write by :data:`_VICTIM` is lost."""
+
+    def write(self, process: int, value: Hashable) -> None:
+        if process != _VICTIM:
+            super().write(process, value)
 
 
-def _make_injector(
-    config: CampaignConfig, seed: int, spec: CellSpec
-) -> Optional[FaultInjector]:
-    parts: list[FaultInjector] = []
-    if config.t > 0:
-        parts.append(
-            MidRoundCrashInjector(
-                seed=seed + 1,
-                probability=CRASH_PROBABILITY,
-                budget=config.t,
-            )
-        )
-    if spec.make_box is not None:
-        parts.append(AdversarialBoxInjector(seed=seed + 2))
-    if config.illegal == "lost-write":
-        parts.append(LostWriteInjector(round_index=1, victim=1))
-    elif config.illegal == "stale-snapshot":
-        parts.append(StaleSnapshotInjector(round_index=1, victim=1))
-    elif config.illegal == "bad-box":
-        parts.append(NonAdmissibleBoxInjector(round_index=1))
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return CompositeInjector(*parts)
+class _StaleSnapshotArray(RegisterArray):
+    """Illegal register fault: snapshots never show :data:`_VICTIM`."""
+
+    def snapshot(self) -> dict[int, Hashable]:
+        content = super().snapshot()
+        content.pop(_VICTIM, None)
+        return content
+
+
+class _ChaosAdversary(Adversary):
+    """The campaign's adversary: the model's random scheduler plus faults.
+
+    Crashes before a round and the schedule come from the wrapped
+    scheduler.  On top of that, three seeded streams, each drawn in a
+    fixed order so every execution replays from its seed:
+
+    * mid-round crashes from ``seed + 1``: each participant dies between
+      its write and its snapshot with :data:`CRASH_PROBABILITY`, at most
+      ``budget`` over the execution, and never the round's last survivor;
+    * box choices from ``seed + 2``: the wrapped scheduler draws its own
+      choice first, which keeps its stream and so every recorded seed
+      unchanged, then a seeded admissible option replaces it;
+    * the ``illegal`` mode (:data:`ILLEGAL_MODES`), which breaks round 1
+      for the executor's cross-checks to catch.
+    """
+
+    def __init__(
+        self,
+        inner: Adversary,
+        seed: int,
+        budget: int,
+        illegal: Optional[str] = None,
+    ) -> None:
+        self._inner = inner
+        self._crash_rng = random.Random(seed + 1)
+        self._box_rng = random.Random(seed + 2)
+        self._budget = budget
+        self._illegal = illegal
+
+    def crashes(
+        self, round_index: int, active: frozenset[int]
+    ) -> frozenset[int]:
+        return self._inner.crashes(round_index, active)
+
+    def schedule(
+        self, round_index: int, active: frozenset[int]
+    ) -> OneRoundSchedule:
+        return self._inner.schedule(round_index, active)
+
+    def mid_round_crashes(
+        self, round_index: int, schedule: OneRoundSchedule
+    ) -> frozenset[int]:
+        participants = sorted(schedule.participants)
+        doomed: set[int] = set()
+        for process in participants:
+            if len(doomed) >= self._budget:
+                break
+            if len(participants) - len(doomed) <= 1:
+                break
+            if self._crash_rng.random() < CRASH_PROBABILITY:
+                doomed.add(process)
+        self._budget -= len(doomed)
+        return frozenset(doomed)
+
+    def register_array(
+        self, round_index: int, ids: tuple[int, ...]
+    ) -> RegisterArray:
+        if round_index == 1 and self._illegal == "lost-write":
+            return _LostWriteArray(ids)
+        if round_index == 1 and self._illegal == "stale-snapshot":
+            return _StaleSnapshotArray(ids)
+        return RegisterArray(ids)
+
+    def choose_assignment(
+        self,
+        round_index: int,
+        schedule: OneRoundSchedule,
+        options: Sequence[Mapping[int, object]],
+    ) -> Mapping[int, object]:
+        self._inner.choose_assignment(round_index, schedule, options)
+        chosen = options[self._box_rng.randrange(len(options))]
+        if round_index == 1 and self._illegal == "bad-box":
+            chosen = {
+                **chosen,
+                min(schedule.participants): _BOGUS_OUTPUT,
+            }
+        return chosen
+
+
+def _make_adversary(config: CampaignConfig, seed: int) -> Adversary:
+    inner: Adversary
+    if config.model == "iis":
+        inner = RandomAdversary(seed=seed)
+    else:
+        inner = RandomMatrixAdversary(kind=config.model, seed=seed)
+    return _ChaosAdversary(inner, seed, config.t, config.illegal)
 
 
 def classify_execution(
     algorithm: RoundAlgorithm,
     inputs: Mapping[int, Hashable],
     adversary: Adversary,
-    injector: Optional[FaultInjector],
     box: Optional[BlackBox],
     oracle: PropertyOracle,
     deadline_at: Optional[float] = None,
@@ -466,7 +553,7 @@ def classify_execution(
     and the safety net propagate — the campaign loop isolates them.
     """
     guarded = _BudgetedAlgorithm(algorithm, deadline_at)
-    executor = IteratedExecutor(box=box, injector=injector)
+    executor = IteratedExecutor(box=box)
     try:
         result = executor.run(guarded, inputs, adversary)
     except ExecutionBudgetExceeded as exc:
@@ -531,8 +618,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                     classification, violation, result = classify_execution(
                         algorithm=spec.build(config.n, config.epsilon),
                         inputs=inputs,
-                        adversary=_make_adversary(config.model, seed),
-                        injector=_make_injector(config, seed, spec),
+                        adversary=_make_adversary(config, seed),
                         box=(
                             spec.make_box()
                             if spec.make_box is not None
@@ -606,8 +692,7 @@ def replay_trace(
 
     The trace's cell key selects the algorithm/oracle/box; the recorded
     inputs and per-round decisions are replayed through
-    :class:`~repro.faults.injectors.ReplayAdversary` /
-    :class:`~repro.faults.injectors.ReplayInjector`.
+    :class:`~repro.faults.injectors.ReplayAdversary`.
     """
     spec = get_cell(trace.cell)
     try:
@@ -622,7 +707,6 @@ def replay_trace(
         algorithm=spec.build(len(inputs), epsilon),
         inputs=inputs,
         adversary=ReplayAdversary(trace),
-        injector=ReplayInjector(trace),
         box=spec.make_box() if spec.make_box is not None else None,
         oracle=spec.oracle(len(inputs), epsilon),
     )

@@ -1,39 +1,18 @@
-"""Composable, seed-deterministic fault injectors and replayable traces.
+"""Replayable fault traces and the adversary that replays them.
 
-An injector plugs into the three hooks of
-:class:`~repro.runtime.iterated.IteratedExecutor`:
-
-* ``mid_round_crashes(round_index, schedule)`` — kill processes *between*
-  their write and their snapshot (the write stays visible to survivors,
-  the victim never sees a view);
-* ``register_array(round_index, ids)`` — substitute the round's register
-  array, optionally carrying a write or snapshot filter;
-* ``choose_assignment(round_index, schedule, options, chosen)`` — override
-  the adversary's black-box output assignment.
-
-Injectors are split by *legality*.  Legal injectors (``legal = True``)
-stay inside the model — crashes and adversarial-but-admissible box choices
-are behaviors a wait-free algorithm must survive, so the oracles still
-apply.  Illegal injectors break the model itself (lost writes, snapshots
-inconsistent with the schedule, non-admissible assignments); correct
-executor behavior is to *detect* them and raise
-:class:`~repro.errors.FaultInjectionError`.  The chaos campaign uses both
-kinds: legal ones to hunt property violations, illegal ones to prove the
-safety nets fire.
-
-Every random decision derives from a ``random.Random(seed)``, so a given
-``(injector seed, adversary seed, inputs)`` triple replays identically;
-the realized decisions are additionally recoverable from the execution's
-:class:`~repro.runtime.iterated.RoundRecord` list as a :class:`FaultTrace`
-that :class:`ReplayAdversary`/:class:`ReplayInjector` re-execute exactly —
-the substrate of counterexample shrinking (:mod:`repro.faults.shrink`).
+A campaign execution is fixed by its inputs and its adversary's decisions:
+per round, the crashes before it, the schedule, the mid-round crashes and
+the black box's realized option.  :class:`FaultTrace` records those
+decisions from an execution's :class:`~repro.runtime.iterated.RoundRecord`
+list, round-trips them through JSON, and :class:`ReplayAdversary`
+re-executes them exactly — the substrate of counterexample shrinking
+(:mod:`repro.faults.shrink`) and of ``repro chaos --replay``.
 """
 
 from __future__ import annotations
 
 import json
-import random
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -41,326 +20,12 @@ from repro.errors import RuntimeModelError, ScheduleError
 from repro.models.schedules import OneRoundSchedule, schedule_from_blocks
 from repro.runtime.adversary import Adversary
 from repro.runtime.iterated import ExecutionResult
-from repro.runtime.registers import RegisterArray
 
-__all__ = [
-    "FaultInjector",
-    "CompositeInjector",
-    "MidRoundCrashInjector",
-    "CrashStormInjector",
-    "AdversarialBoxInjector",
-    "LostWriteInjector",
-    "StaleSnapshotInjector",
-    "NonAdmissibleBoxInjector",
-    "FaultTrace",
-    "TraceRound",
-    "ReplayAdversary",
-    "ReplayInjector",
-]
+__all__ = ["FaultTrace", "TraceRound", "ReplayAdversary"]
 
 Assignment = Mapping[int, object]
 
-#: Sentinel output value no black box ever produces; used by the
-#: non-admissible injector so corruption can never collide with a real
-#: admissible assignment.
-_BOGUS_OUTPUT = "⊥-injected"
 
-
-class FaultInjector:
-    """Base injector: the identity on every hook (injects nothing).
-
-    Subclasses override :meth:`mid_round_crashes`,
-    :meth:`write_filter`/:meth:`snapshot_filter` (consumed by the default
-    :meth:`register_array`), or :meth:`choose_assignment`.
-    """
-
-    #: ``False`` for injectors producing model-breaking faults that the
-    #: executor must detect (see the module docstring).
-    legal: bool = True
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        """Processes to kill between their write and their snapshot."""
-        return frozenset()
-
-    def write_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[int, Hashable], bool]]:
-        """Per-round write filter for the register array (None: faithful)."""
-        return None
-
-    def snapshot_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[dict], dict]]:
-        """Per-round snapshot filter (None: faithful)."""
-        return None
-
-    def register_array(
-        self, round_index: int, ids: tuple[int, ...]
-    ) -> RegisterArray:
-        """The round's register array, carrying this injector's filters."""
-        return RegisterArray(
-            ids,
-            write_filter=self.write_filter(round_index),
-            snapshot_filter=self.snapshot_filter(round_index),
-        )
-
-    def choose_assignment(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        options: Sequence[Assignment],
-        chosen: Assignment,
-    ) -> Assignment:
-        """Override the adversary's box assignment (default: keep it)."""
-        return chosen
-
-
-class CompositeInjector(FaultInjector):
-    """Combine several injectors into one.
-
-    Mid-round crash sets are unioned; write filters conjoin (any member
-    dropping a write drops it); snapshot filters compose in member order;
-    box overrides fold left to right.  The composite is legal only when
-    every member is.
-    """
-
-    def __init__(self, *injectors: FaultInjector) -> None:
-        self._injectors = tuple(injectors)
-        self.legal = all(injector.legal for injector in self._injectors)
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        doomed: frozenset[int] = frozenset()
-        for injector in self._injectors:
-            doomed |= injector.mid_round_crashes(round_index, schedule)
-        return doomed
-
-    def write_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[int, Hashable], bool]]:
-        filters = [
-            found
-            for injector in self._injectors
-            if (found := injector.write_filter(round_index)) is not None
-        ]
-        if not filters:
-            return None
-
-        def conjoined(process: int, value: Hashable) -> bool:
-            return all(accept(process, value) for accept in filters)
-
-        return conjoined
-
-    def snapshot_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[dict], dict]]:
-        filters = [
-            found
-            for injector in self._injectors
-            if (found := injector.snapshot_filter(round_index)) is not None
-        ]
-        if not filters:
-            return None
-
-        def composed(content: dict) -> dict:
-            for transform in filters:
-                content = transform(content)
-            return content
-
-        return composed
-
-    def choose_assignment(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        options: Sequence[Assignment],
-        chosen: Assignment,
-    ) -> Assignment:
-        for injector in self._injectors:
-            chosen = injector.choose_assignment(
-                round_index, schedule, options, chosen
-            )
-        return chosen
-
-
-class MidRoundCrashInjector(FaultInjector):
-    """Seed-deterministic mid-round crashes under a total budget.
-
-    Each round, every participant independently dies between its write and
-    its snapshot with probability ``probability``, subject to two caps: at
-    most ``budget`` crashes over the whole execution, and at least one
-    participant always survives the round.
-    """
-
-    def __init__(
-        self, seed: int, probability: float = 0.1, budget: int = 1
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise RuntimeModelError(
-                f"crash probability {probability} outside [0, 1]"
-            )
-        if budget < 0:
-            raise RuntimeModelError(f"crash budget {budget} is negative")
-        self._rng = random.Random(seed)
-        self._probability = probability
-        self._budget = budget
-        self._spent = 0
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        participants = sorted(schedule.participants)
-        doomed: set[int] = set()
-        for process in participants:
-            if self._spent + len(doomed) >= self._budget:
-                break
-            if len(participants) - len(doomed) <= 1:
-                break
-            if self._rng.random() < self._probability:
-                doomed.add(process)
-        self._spent += len(doomed)
-        return frozenset(doomed)
-
-
-class CrashStormInjector(FaultInjector):
-    """A crash-heavy adversary: kill as many as allowed at chosen rounds.
-
-    At each round in ``storm_rounds`` it crashes every participant but one
-    (the survivor with the smallest ID), capped by the remaining budget —
-    the worst legal crash pattern, exercising executions where up to
-    ``n − 1`` processes die at once.
-    """
-
-    def __init__(
-        self, storm_rounds: Iterable[int], budget: Optional[int] = None
-    ) -> None:
-        self._storm_rounds = frozenset(storm_rounds)
-        self._budget = budget
-        self._spent = 0
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        if round_index not in self._storm_rounds:
-            return frozenset()
-        victims = sorted(schedule.participants)[1:]
-        if self._budget is not None:
-            victims = victims[: max(0, self._budget - self._spent)]
-        self._spent += len(victims)
-        return frozenset(victims)
-
-
-class AdversarialBoxInjector(FaultInjector):
-    """Replace the adversary's box choice by a seeded random *admissible* one.
-
-    Stays legal — the realized assignment is always one of the box's own
-    options — but decorrelates the box behavior from the schedule
-    adversary, covering combinations a single RNG stream would miss.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-
-    def choose_assignment(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        options: Sequence[Assignment],
-        chosen: Assignment,
-    ) -> Assignment:
-        return options[self._rng.randrange(len(options))]
-
-
-class LostWriteInjector(FaultInjector):
-    """Illegal: silently drop one process's write in one round.
-
-    The executor's completeness check (every active process must appear in
-    ``array.written()`` before views are taken, and the single-writer
-    re-read in the non-iterated executor) detects the loss and raises
-    :class:`~repro.errors.FaultInjectionError`.
-    """
-
-    legal = False
-
-    def __init__(self, round_index: int, victim: int) -> None:
-        self._round_index = round_index
-        self._victim = victim
-
-    def write_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[int, Hashable], bool]]:
-        if round_index != self._round_index:
-            return None
-        victim = self._victim
-        return lambda process, value: process != victim
-
-
-class StaleSnapshotInjector(FaultInjector):
-    """Illegal: erase one process from every snapshot of one round.
-
-    Models a snapshot primitive returning stale (pre-write) contents.  The
-    resulting views disagree with the schedule's declared view sets, which
-    the executor's cross-check flags as a
-    :class:`~repro.errors.FaultInjectionError`.
-    """
-
-    legal = False
-
-    def __init__(self, round_index: int, victim: int) -> None:
-        self._round_index = round_index
-        self._victim = victim
-
-    def snapshot_filter(
-        self, round_index: int
-    ) -> Optional[Callable[[dict], dict]]:
-        if round_index != self._round_index:
-            return None
-        victim = self._victim
-
-        def erase(content: dict) -> dict:
-            return {
-                process: value
-                for process, value in content.items()
-                if process != victim
-            }
-
-        return erase
-
-
-class NonAdmissibleBoxInjector(FaultInjector):
-    """Illegal: realize a box assignment outside the admissible options.
-
-    Corrupts one participant's output to a sentinel value no box produces;
-    the executor's membership check (`options.index`) fails and raises
-    :class:`~repro.errors.FaultInjectionError`.
-    """
-
-    legal = False
-
-    def __init__(self, round_index: int) -> None:
-        self._round_index = round_index
-
-    def choose_assignment(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        options: Sequence[Assignment],
-        chosen: Assignment,
-    ) -> Assignment:
-        if round_index != self._round_index:
-            return chosen
-        corrupted = dict(chosen)
-        victim = min(schedule.participants)
-        corrupted[victim] = _BOGUS_OUTPUT
-        return corrupted
-
-
-# ----------------------------------------------------------------------
-# Replayable traces
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TraceRound:
     """Every adversarial decision of one round, in replayable form.
@@ -576,6 +241,16 @@ def _int_lists(value: object, where: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _repaired(
+    recorded: tuple[int, ...], live: frozenset[int]
+) -> frozenset[int]:
+    """A recorded crash set trimmed to ``live``, never all of it."""
+    doomed = frozenset(recorded) & live
+    if doomed >= live:
+        doomed = doomed - {min(live)}
+    return doomed
+
+
 class ReplayAdversary(Adversary):
     """Re-execute the schedule/crash/box decisions recorded in a trace.
 
@@ -584,7 +259,8 @@ class ReplayAdversary(Adversary):
     the processes actually alive.  Each round the recorded blocks are
     intersected with the active set and any unscheduled active processes
     are appended as a final block; rounds beyond the trace run fully
-    synchronous.  Box choices are clamped into the option range.
+    synchronous.  Crash sets are trimmed to the live processes and never
+    take all of them; box choices are clamped into the option range.
     """
 
     def __init__(self, trace: FaultTrace) -> None:
@@ -601,11 +277,7 @@ class ReplayAdversary(Adversary):
         entry = self._round(round_index)
         if entry is None:
             return frozenset()
-        doomed = frozenset(entry.crashes) & active
-        if doomed >= active:
-            # Repair: never crash the whole active set.
-            doomed = doomed - {min(active)}
-        return doomed
+        return _repaired(entry.crashes, active)
 
     def schedule(
         self, round_index: int, active: frozenset[int]
@@ -645,6 +317,14 @@ class ReplayAdversary(Adversary):
             blocks.append(active)
         return schedule_from_blocks(blocks)
 
+    def mid_round_crashes(
+        self, round_index: int, schedule: OneRoundSchedule
+    ) -> frozenset[int]:
+        entry = self._round(round_index)
+        if entry is None:
+            return frozenset()
+        return _repaired(entry.mid_crashes, schedule.participants)
+
     def choose_assignment(
         self,
         round_index: int,
@@ -654,21 +334,3 @@ class ReplayAdversary(Adversary):
         entry = self._round(round_index)
         choice = entry.box_choice if entry is not None else 0
         return options[min(choice, len(options) - 1)]
-
-
-class ReplayInjector(FaultInjector):
-    """Replay the mid-round crashes recorded in a trace (repairing)."""
-
-    def __init__(self, trace: FaultTrace) -> None:
-        self._trace = trace
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        if not 1 <= round_index <= len(self._trace.rounds):
-            return frozenset()
-        entry = self._trace.rounds[round_index - 1]
-        doomed = frozenset(entry.mid_crashes) & schedule.participants
-        if doomed >= schedule.participants:
-            doomed = doomed - {min(schedule.participants)}
-        return doomed

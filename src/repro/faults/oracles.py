@@ -9,7 +9,7 @@ Every chaos execution lands in exactly one bucket:
   deadline (:class:`~repro.errors.ExecutionBudgetExceeded`);
 * ``HARNESS_FAULT_DETECTED`` — the runtime's safety net fired
   (:class:`~repro.errors.FaultInjectionError`), the *expected* outcome
-  when an illegal injector is active.
+  when an illegal fault mode is active.
 
 Oracles check decisions only — they are deliberately independent from the
 algorithms and the executors, so an executor bug and an algorithm bug are

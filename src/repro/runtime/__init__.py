@@ -12,11 +12,12 @@ exist; this subpackage *runs* them:
   algorithm shape of Algorithms 1–2, plus extraction of the combinatorial
   decision map ``f`` from an algorithm;
 * :mod:`repro.runtime.iterated` — a round-level executor driving algorithms
-  under adversarial schedules, black boxes, and crashes;
-* :mod:`repro.runtime.adversary` — schedulers: random, solo-first,
-  synchronous, fixed, exhaustive;
-* :mod:`repro.runtime.objects` — linearizable test&set / consensus objects
-  for the operation-level world.
+  under one adversary per execution (crashes, schedules, black-box
+  choices, register arrays), cross-checking everything it is handed;
+* :mod:`repro.runtime.adversary` — the adversary interface and its
+  schedulers: random, solo-first, synchronous, fixed, exhaustive;
+* :mod:`repro.runtime.noniterated` — reused registers under op-level
+  asynchrony (the paper's open question).
 """
 
 from repro.runtime.registers import SWMRRegister, RegisterArray
@@ -45,7 +46,6 @@ from repro.runtime.lowlevel import (
     random_snapshot_round,
     random_immediate_snapshot_round,
 )
-from repro.runtime.objects import LinearizableTestAndSet, LinearizableConsensus
 
 __all__ = [
     "SWMRRegister",
@@ -68,6 +68,4 @@ __all__ = [
     "random_collect_round",
     "random_snapshot_round",
     "random_immediate_snapshot_round",
-    "LinearizableTestAndSet",
-    "LinearizableConsensus",
 ]

@@ -2,8 +2,11 @@
 
 An adversary controls everything the model leaves open: which processes
 crash before each round, how the surviving processes are split into
-immediate-snapshot blocks, and — in augmented models — which admissible
-black-box assignment the round's object realizes.
+immediate-snapshot blocks, which of them crash between their write and
+their snapshot, and — in augmented models — which admissible black-box
+assignment the round's object realizes.  It also supplies the round's
+register array, so a chaos adversary can hand the executor a faulty one
+and check that the executor's cross-checks catch it.
 
 Wait-freedom means algorithms must cope with *every* adversary here, from
 the fully synchronous one to crash-heavy randomized ones.  For exhaustive
@@ -25,6 +28,7 @@ from repro.models.schedules import (
     ordered_partitions,
     schedule_from_blocks,
 )
+from repro.runtime.registers import RegisterArray
 
 __all__ = [
     "Adversary",
@@ -61,7 +65,7 @@ def random_ordered_partition(
 
 
 class Adversary(ABC):
-    """The scheduler's interface, one decision per round."""
+    """The scheduler's interface: the model's open decisions, per round."""
 
     def crashes(
         self, round_index: int, active: frozenset[int]
@@ -77,6 +81,22 @@ class Adversary(ABC):
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
         """The immediate-snapshot schedule of the round."""
+
+    def mid_round_crashes(
+        self, round_index: int, schedule: OneRoundSchedule
+    ) -> frozenset[int]:
+        """Processes that crash between their write and their snapshot.
+
+        Their writes stay visible to the survivors; they get no view and
+        never step again (default: none).
+        """
+        return frozenset()
+
+    def register_array(
+        self, round_index: int, ids: tuple[int, ...]
+    ) -> RegisterArray:
+        """The round's register array ``M_r`` (default: a faithful one)."""
+        return RegisterArray(ids)
 
     def choose_assignment(
         self,

@@ -2,21 +2,21 @@
 
 Implements Algorithms 1–2 operationally.  Each round uses a fresh register
 array ``M_r`` and (in augmented models) a fresh copy ``B_r`` of the black
-box.  The adversary picks crashes, the immediate-snapshot blocks, and the
-box's admissible output assignment; the executor materializes views through
-real register writes/snapshots and threads the algorithm's state.
+box.  One :class:`~repro.runtime.adversary.Adversary` fixes the execution:
+it picks the crashes (before a round, or between a process's write and its
+snapshot), the schedule, the box's output assignment and the round's
+register array.  The executor materializes views through real register
+writes and snapshots and threads the algorithm's state.
 
 Crashed processes simply stop taking steps — the wait-free survivors still
 finish their ``t`` rounds and decide, which is the whole point of the model.
 
-Fault injection: the executor accepts an optional
-:class:`~repro.faults.injectors.FaultInjector` (duck-typed — anything with
-the same hooks works).  The injector can kill processes *mid-round*
-(between their write and their snapshot), substitute a faulty register
-array, or override the black box's output assignment.  Every deviation
-from the model that the injector produces — a lost write, a snapshot
-inconsistent with the realized schedule, a non-admissible box assignment —
-is detected by the executor's cross-checks and raised as
+The executor trusts neither the adversary's register array nor its box
+choice.  Every round, each view read out of the array must equal the view
+the schedule declares (immediate-snapshot and matrix rounds alike; matrix
+rounds first check that every write landed), and the realized box
+assignment must be one of the box's admissible options.  A lost write, a
+stale snapshot or a non-admissible assignment is raised as
 :class:`~repro.errors.FaultInjectionError`, never silently absorbed.
 """
 
@@ -93,15 +93,10 @@ class IteratedExecutor:
         Optional black box (fresh copy per round, per Algorithm 2).  When
         provided, the adversary chooses among the box's admissible output
         assignments for the realized schedule.
-    injector:
-        Optional fault injector (see the module docstring).
     """
 
-    def __init__(
-        self, box: Optional[BlackBox] = None, injector=None
-    ) -> None:
+    def __init__(self, box: Optional[BlackBox] = None) -> None:
         self._box = box
-        self._injector = injector
 
     def run(
         self,
@@ -111,7 +106,6 @@ class IteratedExecutor:
     ) -> ExecutionResult:
         """Execute the algorithm once under the given adversary."""
         scheduler = adversary or FullSyncAdversary()
-        injector = self._injector
         active = frozenset(inputs)
         if not active:
             raise RuntimeModelError("at least one process must participate")
@@ -144,24 +138,24 @@ class IteratedExecutor:
             blocks: Optional[tuple[frozenset[int], ...]] = (
                 schedule.blocks() if schedule.is_immediate_snapshot() else None
             )
-            dying: frozenset = frozenset()
-            if injector is not None:
-                dying = (
-                    frozenset(
-                        injector.mid_round_crashes(round_index, schedule)
-                    )
-                    & active
+            dying = (
+                frozenset(scheduler.mid_round_crashes(round_index, schedule))
+                & active
+            )
+            if dying >= active:
+                raise RuntimeModelError(
+                    "the adversary may not crash every process mid-round"
                 )
-                if dying >= active:
-                    raise RuntimeModelError(
-                        "the injector may not crash every process mid-round"
-                    )
             box_outputs, box_choice = self._run_box(
                 round_index, schedule, participants, states, algorithm,
                 scheduler,
             )
+            array = scheduler.register_array(
+                round_index, tuple(sorted(participants))
+            )
             views = self._run_round(
-                round_index, participants, declared, blocks, states, dying
+                round_index, array, participants, declared, blocks, states,
+                dying,
             )
             new_states = {}
             for process in active - dying:
@@ -213,33 +207,30 @@ class IteratedExecutor:
     # ------------------------------------------------------------------
     # Round internals
     # ------------------------------------------------------------------
-    def _array(self, round_index: int, ids: tuple[int, ...]) -> RegisterArray:
-        if self._injector is not None:
-            return self._injector.register_array(round_index, ids)
-        return RegisterArray(ids)
-
     def _run_round(
         self,
         round_index: int,
+        array: RegisterArray,
         participants: frozenset[int],
         declared: Mapping[int, frozenset[int]],
         blocks: Optional[tuple[frozenset[int], ...]],
         states: Mapping[int, object],
         dying: frozenset,
     ) -> dict[int, frozenset]:
-        """Materialize the round's schedule through a real register array.
+        """Materialize the round's schedule through the register ``array``.
 
         ``declared`` is the schedule's view map and ``blocks`` its temporal
         blocks, or ``None`` for a schedule that is not immediate-snapshot.
         Immediate-snapshot schedules run block by block (write together,
-        snapshot together); general snapshot/collect schedules read the
-        declared view sets directly — their realizability is guaranteed by
-        the matrix conditions of Appendix A.3.4.  Processes in ``dying``
-        write but never snapshot (they crash mid-round), so their writes
-        remain visible to the survivors while they themselves get no view.
+        snapshot together).  General snapshot/collect schedules write
+        everything, take one snapshot, and give each process that snapshot
+        restricted to its declared view set — the matrix conditions of
+        Appendix A.3.4 guarantee some interleaving realizes those views.
+        Processes in ``dying`` write but never snapshot (they crash
+        mid-round), so their writes remain visible to the survivors while
+        they themselves get no view.
         """
         active = tuple(sorted(participants))
-        array = self._array(round_index, active)
         views: dict[int, frozenset] = {}
         if blocks is not None:
             for block in blocks:
@@ -258,8 +249,9 @@ class IteratedExecutor:
                     f"round {round_index}: writes by processes "
                     f"{sorted(missing)} were lost (register fault detected)"
                 )
+            content = frozenset(array.snapshot())
             views = {
-                process: view
+                process: content & view
                 for process, view in declared.items()
                 if process not in dying
             }
@@ -295,12 +287,9 @@ class IteratedExecutor:
             raise RuntimeModelError(
                 f"box {self._box.name} produced no admissible assignment"
             )
-        chosen = scheduler.choose_assignment(round_index, schedule, options)
-        if self._injector is not None:
-            chosen = self._injector.choose_assignment(
-                round_index, schedule, options, chosen
-            )
-        chosen = dict(chosen)
+        chosen = dict(
+            scheduler.choose_assignment(round_index, schedule, options)
+        )
         try:
             choice = options.index(chosen)
         except ValueError:

@@ -86,22 +86,15 @@ class NonIteratedExecutor:
         before anyone starts ``r+1``).  Phases align, but collects may
         still return *previous-phase* values of processes that have not
         written the current phase yet — the residual non-iterated effect.
-    injector:
-        Optional fault injector; its ``register_array`` hook supplies the
-        (single, reused) register array.  A lost write is detected by the
-        writer's own re-read — the register is single-writer, so reading
-        back anything but the value just written proves the fault.
+
+    Every write is re-read by its writer: the register is single-writer,
+    so reading back anything but the value just written proves a lost
+    write (:class:`~repro.errors.FaultInjectionError`).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        synchronized: bool = False,
-        injector=None,
-    ) -> None:
+    def __init__(self, seed: int = 0, synchronized: bool = False) -> None:
         self._rng = random.Random(seed)
         self._synchronized = synchronized
-        self._injector = injector
 
     def run(
         self,
@@ -112,10 +105,7 @@ class NonIteratedExecutor:
         if not inputs:
             raise RuntimeModelError("at least one process must participate")
         ids = tuple(sorted(inputs))
-        if self._injector is not None:
-            array = self._injector.register_array(0, ids)
-        else:
-            array = RegisterArray(ids)
+        array = RegisterArray(ids)
         states: dict[int, Hashable] = {
             p: algorithm.initial_state(p, inputs[p]) for p in ids
         }

@@ -3,31 +3,17 @@
 The iterated model organizes shared memory as arrays ``M_r`` of ``n`` SWMR
 registers, one per process and per round (Section 2.1).  Registers enforce
 the single-writer discipline and record every access for trace analysis.
-
-Fault-injection hooks: a :class:`RegisterArray` optionally carries a
-``write_filter`` and a ``snapshot_filter``.  The filters model *illegal*
-shared-memory behavior — a dropped write, a snapshot inconsistent with the
-writes that happened — and exist so the chaos harness
-(:mod:`repro.faults.injectors`) can prove the executors detect such faults
-rather than absorb them.  A ``None`` filter (the default) is the faithful
-atomic semantics.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import RuntimeModelError
 
 __all__ = ["SWMRRegister", "RegisterArray"]
-
-#: ``write_filter(process, value) -> bool``; ``False`` drops the write.
-WriteFilter = Callable[[int, Hashable], bool]
-
-#: ``snapshot_filter(content) -> content``; may corrupt the snapshot view.
-SnapshotFilter = Callable[[dict], dict]
 
 
 @dataclass
@@ -65,26 +51,12 @@ class SWMRRegister:
 
 
 class RegisterArray:
-    """One round's array ``M_r`` of SWMR registers, one per process.
+    """One round's array ``M_r`` of SWMR registers, one per process."""
 
-    Parameters
-    ----------
-    write_filter, snapshot_filter:
-        Optional fault-injection hooks (see the module docstring).  Both
-        default to ``None``: faithful atomic behavior.
-    """
-
-    def __init__(
-        self,
-        ids: tuple[int, ...],
-        write_filter: Optional[WriteFilter] = None,
-        snapshot_filter: Optional[SnapshotFilter] = None,
-    ) -> None:
+    def __init__(self, ids: tuple[int, ...]) -> None:
         self._registers: dict[int, SWMRRegister] = {
             process: SWMRRegister(owner=process) for process in ids
         }
-        self._write_filter = write_filter
-        self._snapshot_filter = snapshot_filter
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -99,12 +71,6 @@ class RegisterArray:
             raise RuntimeModelError(
                 f"no register for process {process} in this array"
             ) from None
-        if self._write_filter is not None and not self._write_filter(
-            process, value
-        ):
-            # Injected fault: the write is lost.  The executors detect the
-            # resulting view inconsistency and raise FaultInjectionError.
-            return
         register.write(process, value)
 
     def read(self, process: int) -> Optional[Hashable]:
@@ -118,14 +84,11 @@ class RegisterArray:
 
     def snapshot(self) -> dict[int, Hashable]:
         """An atomic snapshot: every written register, in one step."""
-        content = {
+        return {
             process: register.value
             for process, register in self._registers.items()
             if register.value is not None
         }
-        if self._snapshot_filter is not None:
-            content = dict(self._snapshot_filter(content))
-        return content
 
     def written(self) -> tuple[int, ...]:
         """The processes that have written so far."""

@@ -8,6 +8,7 @@ from repro.errors import ReproError
 from repro.faults.campaign import (
     CampaignConfig,
     CELLS,
+    _ChaosAdversary,
     derive_seed,
     replay_trace,
     report_to_json,
@@ -20,6 +21,8 @@ from repro.faults.oracles import (
     HUNG,
     VIOLATION,
 )
+from repro.models.schedules import schedule_from_blocks
+from repro.runtime import FullSyncAdversary, RandomAdversary
 
 
 class TestConfigValidation:
@@ -182,20 +185,78 @@ class TestErrorIsolation:
 
 class TestIllegalDetection:
     @pytest.mark.parametrize(
-        "mode,cell",
+        "mode,cell,model",
         [
-            ("lost-write", "aa"),
-            ("stale-snapshot", "aa"),
-            ("bad-box", "consensus"),
+            pytest.param("lost-write", "aa", "iis", id="lost-write-aa"),
+            pytest.param(
+                "stale-snapshot", "aa", "iis", id="stale-snapshot-aa"
+            ),
+            pytest.param(
+                "bad-box", "consensus", "iis", id="bad-box-consensus"
+            ),
+            ("lost-write", "aa", "snapshot"),
+            ("lost-write", "aa", "collect"),
+            ("stale-snapshot", "aa", "snapshot"),
+            ("stale-snapshot", "aa", "collect"),
         ],
     )
-    def test_every_illegal_execution_detected(self, mode, cell):
+    def test_every_illegal_execution_detected(self, mode, cell, model):
         report = run_campaign(
-            CampaignConfig(cell=cell, executions=25, seed=0, t=0,
-                           illegal=mode)
+            CampaignConfig(cell=cell, model=model, executions=25, seed=0,
+                           t=0, illegal=mode)
         )
         assert report.counts[HARNESS_FAULT_DETECTED] == 25
         assert report.counts[DECIDED_OK] == 0
+        assert report.clean
+
+    def test_undetected_fault_is_not_clean(self):
+        # With t = 2 process 1 can crash mid-round in the last block,
+        # taking the only view that would have shown its hidden write.
+        report = run_campaign(
+            CampaignConfig(cell="aa", executions=50, seed=0, t=2,
+                           illegal="stale-snapshot")
+        )
+        assert report.counts[DECIDED_OK] > 0
+        assert not report.clean
+
+
+class TestChaosAdversary:
+    SYNC3 = schedule_from_blocks([[1, 2, 3]])
+
+    def test_crash_stream_deterministic_for_a_seed(self):
+        def realized(seed):
+            adversary = _ChaosAdversary(FullSyncAdversary(), seed, budget=2)
+            return [
+                adversary.mid_round_crashes(r, self.SYNC3)
+                for r in range(1, 20)
+            ]
+
+        assert realized(7) == realized(7)
+
+    def test_crash_budget_caps_total_crashes(self):
+        adversary = _ChaosAdversary(FullSyncAdversary(), 0, budget=1)
+        total = set()
+        for round_index in range(1, 100):
+            total |= adversary.mid_round_crashes(round_index, self.SYNC3)
+        assert len(total) == 1
+
+    def test_someone_always_survives(self):
+        adversary = _ChaosAdversary(FullSyncAdversary(), 0, budget=3000)
+        sizes = {
+            len(adversary.mid_round_crashes(round_index, self.SYNC3))
+            for round_index in range(1, 1000)
+        }
+        # Rounds that lose two of three processes occur, and none more.
+        assert max(sizes) == 2
+
+    def test_box_choice_is_always_admissible(self):
+        adversary = _ChaosAdversary(RandomAdversary(seed=3), 3, budget=0)
+        options = [{1: 0, 2: 1}, {1: 1, 2: 0}]
+        for round_index in range(1, 30):
+            chosen = adversary.choose_assignment(
+                round_index, self.SYNC3, options
+            )
+            assert chosen in options
 
 
 class TestReporting:

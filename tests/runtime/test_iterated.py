@@ -148,23 +148,13 @@ class TestCrashSemantics:
 class TestMidRoundCrashSemantics:
     """Mid-round victims write (survivors see them) but never snapshot."""
 
-    class _MidCrashTwo:
-        legal = True
-
+    class _MidCrashTwo(FullSyncAdversary):
         def mid_round_crashes(self, round_index, schedule):
             return frozenset({2}) if round_index == 1 else frozenset()
 
-        def register_array(self, round_index, ids):
-            from repro.runtime.registers import RegisterArray
-
-            return RegisterArray(ids)
-
-        def choose_assignment(self, round_index, schedule, options, chosen):
-            return chosen
-
     def test_victim_write_visible_but_victim_has_no_view(self):
-        result = IteratedExecutor(injector=self._MidCrashTwo()).run(
-            HalvingAA(F(1, 4)), INPUTS, FullSyncAdversary()
+        result = IteratedExecutor().run(
+            HalvingAA(F(1, 4)), INPUTS, self._MidCrashTwo()
         )
         first = result.trace[0]
         assert first.mid_crashed == (2,)
@@ -176,14 +166,29 @@ class TestMidRoundCrashSemantics:
         assert sorted(result.decisions) == [1, 3]
 
     def test_injector_may_not_kill_every_participant(self):
-        class KillEveryone(self._MidCrashTwo):
+        class KillEveryone(FullSyncAdversary):
             def mid_round_crashes(self, round_index, schedule):
                 return schedule.participants
 
         with pytest.raises(RuntimeModelError):
-            IteratedExecutor(injector=KillEveryone()).run(
-                HalvingAA(F(1, 4)), INPUTS, FullSyncAdversary()
+            IteratedExecutor().run(
+                HalvingAA(F(1, 4)), INPUTS, KillEveryone()
             )
+
+    def test_executor_survives_n_minus_1_crashes(self):
+        class CrashStorm(FullSyncAdversary):
+            """Round 1 kills every participant but the smallest ID."""
+
+            def mid_round_crashes(self, round_index, schedule):
+                if round_index != 1:
+                    return frozenset()
+                return frozenset(sorted(schedule.participants)[1:])
+
+        result = IteratedExecutor().run(
+            HalvingAA(F(1, 4)), INPUTS, CrashStorm()
+        )
+        assert sorted(result.decisions) == [1]
+        assert result.crashed == {2: 1, 3: 1}
 
 
 class TestBoxIntegration:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import HalvingAA, NonIteratedHalvingAA
-from repro.errors import RuntimeModelError
-from repro.runtime import NonIteratedExecutor
+from repro.errors import FaultInjectionError, RuntimeModelError
+from repro.runtime import NonIteratedExecutor, RegisterArray
 
 
 def F(num, den=1):
@@ -29,6 +29,18 @@ class TestExecutorBasics:
     def test_empty_inputs_rejected(self):
         with pytest.raises(RuntimeModelError):
             NonIteratedExecutor().run(HalvingAA(F(1, 2)), {})
+
+    def test_lost_write_caught_by_writer_reread(self, monkeypatch):
+        class LosesWriteOfTwo(RegisterArray):
+            def write(self, process, value):
+                if process != 2:
+                    super().write(process, value)
+
+        monkeypatch.setattr(
+            "repro.runtime.noniterated.RegisterArray", LosesWriteOfTwo
+        )
+        with pytest.raises(FaultInjectionError, match="process 2"):
+            NonIteratedExecutor(seed=0).run(HalvingAA(F(1, 4)), INPUTS)
 
     def test_observations_cover_all_phases(self):
         algorithm = HalvingAA(F(1, 4))

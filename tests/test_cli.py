@@ -262,6 +262,29 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out
 
+    @pytest.mark.parametrize("cell", ["aa", "consensus-broken"])
+    def test_undetected_illegal_fault_exits_one(self, cell, capsys):
+        # With t = 2 process 1 can crash mid-round in the last block, so
+        # no view shows that its write was hidden: a fault that passed.
+        # A broken cell is no excuse; its violations are not at stake.
+        argv = [
+            "chaos", "--algorithm", cell, "--inject-illegal",
+            "stale-snapshot", "-t", "2", "--executions", "50", "--seed", "0",
+        ]
+        assert main(argv) == 1
+        assert "DECIDED_OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--t", "--exec"])
+    def test_abbreviated_option_is_a_usage_error(
+        self, option, tmp_path, monkeypatch
+    ):
+        # `--t 5` would otherwise mean `--trace 5` and write a file `5`.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["chaos", option, "5", "--executions", "1"])
+        assert exited.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_deadline_exits_one_with_message(self):
         with pytest.raises(SystemExit) as exited:
             main(["chaos", "--deadline", "-1", "--executions", "50"])
