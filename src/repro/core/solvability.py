@@ -28,6 +28,22 @@ them; propagation, component splitting and search read only their
 count, so a refutation builds no protocol view, and the decision map
 is decoded back to vertices at the end.
 
+:func:`find_decision_map` compiles with :func:`build_reduced_problem`,
+which adds a series-reduction pass between gathering the per-σ pieces
+and ranking the keys.  A template vertex whose key occurs in one piece
+alone, with only binary scopes there, lies in no other ``P^(t)(σ)``:
+leaves are folded into their neighbour's domain, and each path of
+degree-2 such vertices becomes one binary scope between its kept ends,
+its relation composed along ``Δ(σ)``'s edges.  Over two processes,
+``P^(t)`` of an input edge is such a path, so each input edge becomes
+one relation between its two solo vertices: "a walk of ``3^t`` edges
+joins ``f(a)`` and ``f(b)``", the paper's path argument for Claim 2.
+Vertices of degree three or more, and every vertex of an ``n ≥ 3``
+facet, stay variables.  The reduced problem is an ordinary
+:class:`SolvabilityProblem` and goes through the same search.  Its
+decision map is built when first read: each eliminated chain is walked
+from its ends' images, so a verdict alone decodes no vertex.
+
 :func:`find_decision_map` first tries to refute on a *core*: the faces
 of one maximal input simplex that lie in the given input simplices.
 A subset of the constraints that admits no map refutes the whole
@@ -74,6 +90,7 @@ from repro.models.protocol import (
     ProtocolTemplate,
     VertexKey,
     decode_vertex,
+    encode_vertex,
     key_sort_key,
 )
 from repro.tasks.task import Task
@@ -92,6 +109,7 @@ from repro.topology.vertex import Vertex
 __all__ = [
     "DecisionMap",
     "SolvabilityProblem",
+    "build_reduced_problem",
     "build_solvability_problem",
     "find_decision_map",
     "is_solvable",
@@ -106,7 +124,8 @@ class DecisionMap:
     ----------
     assignment:
         The vertex map: protocol vertex ``(i, V_i)`` ↦ output vertex
-        ``(i, y_i)``.
+        ``(i, y_i)``.  A map found by :func:`find_decision_map` builds
+        it on first read.
     rounds:
         The number of communication rounds the map decides after.
     """
@@ -204,6 +223,11 @@ class SolvabilityProblem:
     #: Arc tables and watch lists, built on first use.
     _index: _Index = field(
         default_factory=_Index, init=False, repr=False, compare=False
+    )
+    #: The vertices :func:`build_reduced_problem` eliminated, which a
+    #: found map extends to; ``None`` for a problem without them.
+    _expansion: Optional["_Expansion"] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -365,6 +389,7 @@ class SolvabilityProblem:
         copy = replace(self, domains=tuple(domains))
         copy._narrowed = narrowed
         copy._index = self._index
+        copy._expansion = self._expansion
         return copy
 
     def _solve(
@@ -383,6 +408,14 @@ class SolvabilityProblem:
             ):
                 return None
         outputs = self.outputs
+        expansion = self._expansion
+        if expansion is not None:
+            return DecisionMap(
+                _LazyAssignment(
+                    expansion, self.vertices, assignment, outputs, self.rounds
+                ),
+                self.rounds,
+            )
         return DecisionMap(
             {
                 vertex: outputs[image.bit_length() - 1]
@@ -466,10 +499,12 @@ class SolvabilityProblem:
 
         Forced vertices are excluded: their values are already fixed, so
         they transmit no uncertainty between the subproblems they touch.
-        Indices are ranks, so :func:`mask_components`'s lowest-bit-first
-        order puts the component holding the smallest free vertex first.
+        A free vertex in no scope is a component of its own.  Indices
+        are ranks, so :func:`mask_components`'s lowest-bit-first order
+        puts the component holding the smallest free vertex first.
         """
         free_parts = []
+        covered = 0
         for scope in self.scopes:
             mask = 0
             for index in scope:
@@ -477,6 +512,12 @@ class SolvabilityProblem:
                     mask |= 1 << index
             if mask:
                 free_parts.append(mask)
+                covered |= mask
+        free = [index for index, image in enumerate(assignment) if not image]
+        if popcount(covered) < len(free):
+            free_parts.extend(
+                [1 << index for index in free if not covered >> index & 1]
+            )
         return [
             list(iter_bits(component))
             for component in mask_components(free_parts, len(assignment))
@@ -617,6 +658,126 @@ class _ProtocolVertices(Sequence[Vertex]):
         return repr(self._vertices())
 
 
+@dataclass
+class _Expansion:
+    """How a reduced problem's map extends to its eliminated vertices.
+
+    ``chains`` are ``(s, interior, e, masks, step)`` over keys: the
+    interior keys of one eliminated walk from kept ``s`` to kept ``e``,
+    their domains, and the family's :class:`_Step`.  ``leaves`` are
+    ``(v, u, mask, step)`` in folding order.
+    """
+
+    chains: list[
+        tuple[VertexKey, tuple[VertexKey, ...], VertexKey, tuple[int, ...],
+              "_Step"]
+    ]
+    leaves: list[tuple[VertexKey, VertexKey, int, "_Step"]]
+
+    def images(self, image_of: dict[VertexKey, int]) -> None:
+        """Add an image bit for every eliminated key to ``image_of``.
+
+        Each chain is walked from its ends' images, each interior
+        vertex taking the lowest bit from which the walk still reaches
+        ``e``; then the leaves, last folded first, each take the lowest
+        bit compatible with its neighbour's image.
+        """
+        for start, interior, end, masks, step in self.chains:
+            ahead = [0] * len(interior)
+            reach = image_of[end]
+            for position in range(len(interior) - 1, -1, -1):
+                reach = ahead[position] = step(reach) & masks[position]
+            previous = image_of[start]
+            for key, allowed in zip(interior, ahead):
+                choices = step(previous) & allowed
+                previous = image_of[key] = choices & -choices
+        for leaf, neighbour, mask, step in reversed(self.leaves):
+            choices = step(image_of[neighbour]) & mask
+            image_of[leaf] = choices & -choices
+
+
+class _LazyAssignment(Mapping[Vertex, Vertex]):
+    """A reduced problem's decision map, built when it is first read.
+
+    The first read extends the search's images to the eliminated keys
+    (:meth:`_Expansion.images`), which decodes nothing.  Looking one
+    vertex up then encodes it back to its key; iterating, or taking the
+    length, decodes every key once: the kept vertices in rank order,
+    then the eliminated ones.
+    """
+
+    __slots__ = ("_parts", "_outputs", "_rounds", "_image_of", "_built")
+
+    def __init__(
+        self,
+        expansion: _Expansion,
+        vertices: Sequence[Vertex],
+        images: list[int],
+        outputs: tuple[Vertex, ...],
+        rounds: int,
+    ) -> None:
+        self._parts: Optional[tuple] = (expansion, vertices, images)
+        self._outputs = outputs
+        self._rounds = rounds
+        self._image_of: Optional[dict[VertexKey, int]] = None
+        self._built: Optional[dict[Vertex, Vertex]] = None
+
+    def _images(self) -> dict[VertexKey, int]:
+        image_of = self._image_of
+        if image_of is None:
+            assert self._parts is not None
+            expansion, vertices, images = self._parts
+            assert isinstance(vertices, _ProtocolVertices)
+            image_of = self._image_of = dict(zip(vertices.rank_of, images))
+            expansion.images(image_of)
+            self._parts = None
+        return image_of
+
+    def _map(self) -> dict[Vertex, Vertex]:
+        built = self._built
+        if built is None:
+            outputs, rounds = self._outputs, self._rounds
+            memo: dict = {}
+            built = self._built = {
+                decode_vertex(key, rounds, memo): outputs[
+                    bit.bit_length() - 1
+                ]
+                for key, bit in self._images().items()
+            }
+        return built
+
+    def _image(self, vertex: Vertex) -> Optional[int]:
+        image_of = self._images()
+        bit = image_of.get((vertex, ()))
+        if bit is None:
+            key = encode_vertex(vertex, self._rounds)
+            if key is not None:
+                bit = image_of.get(key)
+        return bit
+
+    def __getitem__(self, vertex: Vertex) -> Vertex:
+        if self._built is not None:
+            return self._built[vertex]
+        bit = self._image(vertex) if isinstance(vertex, Vertex) else None
+        if bit is None:
+            raise KeyError(vertex)
+        return self._outputs[bit.bit_length() - 1]
+
+    def __contains__(self, vertex: object) -> bool:
+        if self._built is not None:
+            return vertex in self._built
+        return isinstance(vertex, Vertex) and self._image(vertex) is not None
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return iter(self._map())
+
+    def __len__(self) -> int:
+        return len(self._map())
+
+    def __repr__(self) -> str:
+        return repr(self._map())
+
+
 class _DecodedConstraints(Sequence[_Constraint]):
     """The constraints of a problem as objects, decoded item by item.
 
@@ -676,6 +837,326 @@ def _rank_keys(keys: Iterable[VertexKey], rounds: int) -> dict[VertexKey, int]:
     return {key: rank for rank, key in enumerate(ranked)}
 
 
+@dataclass
+class _Gathered:
+    """An instance's per-σ pieces, and each distinct ``Δ(σ)`` once.
+
+    A piece is ``(family, template, keys)``: the index of ``σ``'s
+    ``Δ(σ)``, ``σ``'s template, and its vertices' keys in template
+    order.  Per family, ``faces`` holds the masks of its simplices and
+    ``colors`` its vertices' bits by color.
+    """
+
+    pieces: list[tuple[int, ProtocolTemplate, list[VertexKey]]]
+    outputs: tuple[Vertex, ...]
+    faces: list[frozenset[int]]
+    colors: list[dict[int, int]]
+
+
+def _gather(
+    input_simplices: Iterable[Simplex],
+    delta_of: Callable[[Simplex], SimplicialComplex],
+    operator: ProtocolOperator,
+    rounds: int,
+) -> _Gathered:
+    # The σ go in sort order, and below each σ its scopes in rank order
+    # (see _emit): the constraint order is then the same under every
+    # hash seed, whatever order a complex iterates its simplices in.
+    families: dict[SimplicialComplex, int] = {}
+    pieces: list[tuple[int, ProtocolTemplate, list[VertexKey]]] = []
+    output_vertices: set[Vertex] = set()
+    for sigma in sorted(input_simplices, key=Simplex._sort_key):
+        allowed = delta_of(sigma)
+        family = families.get(allowed)
+        if family is None:
+            family = families[allowed] = len(families)
+            output_vertices.update(allowed.vertices)
+        template = operator.template(sigma, rounds)
+        pieces.append((family, template, template.keys(sigma)))
+
+    outputs = sorted(output_vertices, key=Vertex._sort_key)
+    bit_of = {vertex: 1 << bit for bit, vertex in enumerate(outputs)}
+
+    # Each Δ(σ) once: its simplices as masks, its vertices by color.
+    family_faces: list[frozenset[int]] = []
+    family_colors: list[dict[int, int]] = []
+    for allowed in families:
+        faces: set[int] = set()
+        for facet in allowed.facets:
+            mask = 0
+            for vertex in facet.vertices:
+                mask |= bit_of[vertex]
+            faces.update(iter_submasks(mask))
+        by_color: dict[int, int] = {}
+        for vertex in allowed.vertices:
+            by_color[vertex.color] = (
+                by_color.get(vertex.color, 0) | bit_of[vertex]
+            )
+        family_faces.append(frozenset(faces))
+        family_colors.append(by_color)
+    return _Gathered(pieces, tuple(outputs), family_faces, family_colors)
+
+
+class _Step:
+    """One step along ``Δ(σ)``'s edges: ``mask → OR of its bits' partners``.
+
+    Memoized per mask: the walks of one family revisit the same
+    frontiers.
+    """
+
+    __slots__ = ("_partners", "_memo")
+
+    def __init__(self, faces: frozenset[int]) -> None:
+        self._partners = _pair_table(faces)
+        self._memo: dict[int, int] = {}
+
+    def __call__(self, mask: int) -> int:
+        found = self._memo.get(mask)
+        if found is None:
+            partners = self._partners
+            found = 0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                found |= partners.get(bit, 0)
+            self._memo[mask] = found
+        return found
+
+
+#: An eliminated chain ``(s, interior, e, masks)``: the walk from kept
+#: vertex ``s`` through ``interior`` (with domains ``masks``) to ``e``.
+_Chain = tuple[int, tuple[int, ...], int, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    """What the series reduction keeps of one piece, in template indices.
+
+    ``kept`` are the template vertices that stay variables.
+    ``narrowed`` ANDs masks into kept domains: the leaves folded into
+    them, and the local domain of a vertex that had to stay.  ``facets``
+    are the template facets over kept vertices alone.  Each chain
+    becomes one binary scope between its ends.  ``leaves`` are
+    ``(v, u, mask)`` in folding order: ``v`` was folded into its one
+    neighbour ``u`` with the domain ``mask``.
+    """
+
+    kept: tuple[int, ...]
+    narrowed: tuple[tuple[int, int], ...]
+    facets: tuple[tuple[int, ...], ...]
+    chains: tuple[_Chain, ...]
+    leaves: tuple[tuple[int, int, int], ...]
+
+
+def _binary_only(template: ProtocolTemplate) -> tuple[int, ...]:
+    """The template vertices all of whose facets are edges."""
+    other = set()
+    for facet in template.facets:
+        if len(facet) != 2:
+            other.update(facet)
+    return tuple(k for k in range(len(template.shapes)) if k not in other)
+
+
+def _reduce_piece(
+    template: ProtocolTemplate,
+    candidates: tuple[int, ...],
+    by_color: dict[int, int],
+    step: _Step,
+) -> _Reduced:
+    """Eliminate ``candidates`` from one piece: fold leaves, then chains.
+
+    A candidate of degree one is folded into its neighbour's domain,
+    until none is left.  Then each path of degree-2 candidates between
+    two kept vertices is one chain; a candidate of any other degree
+    stays a variable, and so does the lowest vertex of a cycle of
+    candidates.  Ends of one color (and a cycle's one end) would make a
+    scope whose pair masks collide, so such a chain keeps its last
+    interior vertex.
+    """
+    shapes = template.shapes
+    local = {k: by_color.get(shapes[k].color, 0) for k in candidates}
+    neighbours: dict[int, set[int]] = {}
+    for facet in template.facets:
+        if len(facet) == 2 and (facet[0] in local or facet[1] in local):
+            u, v = facet
+            neighbours.setdefault(u, set()).add(v)
+            neighbours.setdefault(v, set()).add(u)
+
+    narrowed: dict[int, int] = {}
+    leaves: list[tuple[int, int, int]] = []
+    pending = [k for k in reversed(candidates) if len(neighbours[k]) == 1]
+    while pending:
+        v = pending.pop()
+        if v not in local or len(neighbours[v]) != 1:
+            continue
+        (u,) = neighbours.pop(v)
+        neighbours[u].discard(v)
+        mask = local.pop(v)
+        leaves.append((v, u, mask))
+        reach = step(mask)
+        if u in local:
+            local[u] &= reach
+            if len(neighbours[u]) == 1:
+                pending.append(u)
+        else:
+            narrowed[u] = narrowed.get(u, -1) & reach
+
+    def stay(k: int) -> None:
+        narrowed[k] = local.pop(k)
+
+    for k in sorted(local):
+        if len(neighbours[k]) != 2:
+            stay(k)
+    interior = dict(local)
+    chains: list[_Chain] = []
+
+    def walk(start: int, first: int) -> None:
+        previous, current = start, first
+        path = []
+        while current in local:
+            path.append(current)
+            low, high = sorted(neighbours[current])
+            previous, current = current, high if low == previous else low
+        if shapes[current].color == shapes[start].color:
+            last = path.pop()
+            stay(last)
+            current = last
+        for k in path:
+            del local[k]
+        if path:
+            masks = tuple([interior[k] for k in path])
+            chains.append((start, tuple(path), current, masks))
+
+    ends = sorted(k for k in neighbours if k not in local)
+    for start in ends:
+        for first in sorted(neighbours[start]):
+            if first in local:
+                walk(start, first)
+    # What is left are cycles of candidates.
+    while local:
+        start = min(local)
+        stay(start)
+        walk(start, min(neighbours[start]))
+
+    eliminated = {v for v, _, _ in leaves}
+    for _, path, _, _ in chains:
+        eliminated.update(path)
+    return _Reduced(
+        tuple(k for k in range(len(shapes)) if k not in eliminated),
+        tuple(sorted(narrowed.items())),
+        tuple(
+            facet
+            for facet in template.facets
+            if not any(k in eliminated for k in facet)
+        ),
+        tuple(chains),
+        tuple(leaves),
+    )
+
+
+def _compose(
+    start: int, masks: tuple[int, ...], end: int, step: _Step
+) -> frozenset[int]:
+    """The faces of the walks ``start → masks → end`` along ``step``.
+
+    A pair ``x | y`` is allowed iff a walk leaves bit ``x`` of
+    ``start``, takes one bit of each mask in turn, and reaches bit ``y``
+    of ``end``; its two bits are allowed alone.
+    """
+    faces: set[int] = set()
+    rest = start
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        reach = x
+        for mask in masks:
+            reach = step(reach) & mask
+        reach = step(reach) & end
+        while reach:
+            y = reach & -reach
+            reach ^= y
+            faces.update((x, y, x | y))
+    return frozenset(faces)
+
+
+def _emit(
+    gathered: _Gathered,
+    rank_of: dict[VertexKey, int],
+    reduced: Sequence[Optional[_Reduced]],
+    steps: Mapping[int, _Step],
+    rounds: int,
+) -> SolvabilityProblem:
+    """The problem over the ranked keys: all domains, then the scopes.
+
+    A piece without a reduction (``None``) contributes its whole
+    template.  A chain's scope is composed from its ends' domains, so
+    the domains come first.
+    """
+    pieces = gathered.pieces
+    colors = gathered.colors
+    domains = [-1] * len(rank_of)
+    piece_ranks: list[list[int]] = []
+    for (family, _, keys), piece in zip(pieces, reduced):
+        by_color = colors[family]
+        if piece is None:
+            ranks = [rank_of[key] for key in keys]
+            for key, rank in zip(keys, ranks):
+                domains[rank] &= by_color.get(key[0].color, 0)
+        else:
+            ranks = [-1] * len(keys)
+            for k in piece.kept:
+                key = keys[k]
+                rank = ranks[k] = rank_of[key]
+                domains[rank] &= by_color.get(key[0].color, 0)
+            for k, mask in piece.narrowed:
+                domains[ranks[k]] &= mask
+        piece_ranks.append(ranks)
+
+    scopes: list[tuple[int, ...]] = []
+    allowed_sets: list[frozenset[int]] = []
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    composed: dict[tuple, frozenset[int]] = {}
+    for (family, template, keys), piece, ranks in zip(
+        pieces, reduced, piece_ranks
+    ):
+        faces = gathered.faces[family]
+        facets = template.facets if piece is None else piece.facets
+        found = [
+            (scope, faces)
+            for scope in sorted(
+                tuple([ranks[k] for k in facet]) for facet in facets
+            )
+        ]
+        if piece is not None and piece.chains:
+            for start, _, end, masks in piece.chains:
+                ends = (ranks[start], ranks[end])
+                first, last = domains[ends[0]], domains[ends[1]]
+                memo_key = (family, masks, first, last)
+                allowed = composed.get(memo_key)
+                if allowed is None:
+                    allowed = composed[memo_key] = _compose(
+                        first, masks, last, steps[family]
+                    )
+                if keys[start][0].color > keys[end][0].color:
+                    ends = ends[::-1]
+                found.append((ends, allowed))
+            found.sort(key=lambda pair: pair[0])
+        for scope, allowed in found:
+            if (scope, id(allowed)) not in seen:
+                seen.add((scope, id(allowed)))
+                scopes.append(scope)
+                allowed_sets.append(allowed)
+    return SolvabilityProblem(
+        _ProtocolVertices(rank_of, rounds),
+        gathered.outputs,
+        tuple(domains),
+        tuple(scopes),
+        tuple(allowed_sets),
+        rounds,
+    )
+
+
 def build_solvability_problem(
     input_simplices: Iterable[Simplex],
     delta_of: Callable[[Simplex], SimplicialComplex],
@@ -700,72 +1181,99 @@ def build_solvability_problem(
         problem's :attr:`~SolvabilityProblem.vertices` decodes them on
         first read.
     """
-    # Gather the distinct Δ(σ), the output vertices and the protocol
-    # vertices' keys.  The σ go in sort order, and below each σ's scopes
-    # in rank order: the constraint order is then the same under every
-    # hash seed, whatever order a complex iterates its simplices in.
-    families: dict[SimplicialComplex, int] = {}
-    pieces: list[tuple[int, ProtocolTemplate, list[VertexKey]]] = []
+    gathered = _gather(input_simplices, delta_of, operator, rounds)
     protocol_keys: set[VertexKey] = set()
-    output_vertices: set[Vertex] = set()
-    for sigma in sorted(input_simplices, key=Simplex._sort_key):
-        allowed = delta_of(sigma)
-        family = families.get(allowed)
-        if family is None:
-            family = families[allowed] = len(families)
-            output_vertices.update(allowed.vertices)
-        template = operator.template(sigma, rounds)
-        keys = template.keys(sigma)
+    for _, _, keys in gathered.pieces:
         protocol_keys.update(keys)
-        pieces.append((family, template, keys))
-
-    # The protocol vertices and the output bits are ranked apart.
     rank_of = _rank_keys(protocol_keys, rounds)
-    outputs = sorted(output_vertices, key=Vertex._sort_key)
-    bit_of = {vertex: 1 << bit for bit, vertex in enumerate(outputs)}
-
-    # Each Δ(σ) once: its simplices as masks, its vertices by color.
-    family_faces: list[frozenset[int]] = []
-    family_colors: list[dict[int, int]] = []
-    for allowed in families:
-        faces: set[int] = set()
-        for facet in allowed.facets:
-            mask = 0
-            for vertex in facet.vertices:
-                mask |= bit_of[vertex]
-            faces.update(iter_submasks(mask))
-        by_color: dict[int, int] = {}
-        for vertex in allowed.vertices:
-            by_color[vertex.color] = (
-                by_color.get(vertex.color, 0) | bit_of[vertex]
-            )
-        family_faces.append(frozenset(faces))
-        family_colors.append(by_color)
-
-    domains = [-1] * len(rank_of)
-    scopes: list[tuple[int, ...]] = []
-    allowed_sets: list[frozenset[int]] = []
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    for family, template, keys in pieces:
-        by_color = family_colors[family]
-        ranks = [rank_of[key] for key in keys]
-        for key, rank in zip(keys, ranks):
-            domains[rank] &= by_color.get(key[0].color, 0)
-        for scope in sorted(
-            tuple([ranks[k] for k in facet]) for facet in template.facets
-        ):
-            if (scope, family) not in seen:
-                seen.add((scope, family))
-                scopes.append(scope)
-                allowed_sets.append(family_faces[family])
-    return SolvabilityProblem(
-        _ProtocolVertices(rank_of, rounds),
-        tuple(outputs),
-        tuple(domains),
-        tuple(scopes),
-        tuple(allowed_sets),
-        rounds,
+    return _emit(
+        gathered, rank_of, [None] * len(gathered.pieces), {}, rounds
     )
+
+
+def build_reduced_problem(
+    input_simplices: Iterable[Simplex],
+    delta_of: Callable[[Simplex], SimplicialComplex],
+    operator: ProtocolOperator,
+    rounds: int,
+) -> SolvabilityProblem:
+    """:func:`build_solvability_problem` with its binary chains eliminated.
+
+    A template vertex is eliminated only if its key occurs in one
+    piece alone and all its scopes there are binary: it lies in no
+    other ``P^(t)(σ)``, so only those scopes constrain it.  Leaves are
+    folded into their neighbour's domain and paths of degree-2
+    vertices become one binary scope between their kept ends (see
+    :func:`_reduce_piece`).  Over two processes every interior vertex
+    of an input edge's path goes, and the edge becomes one relation
+    between its two solo vertices.  Eliminated vertices are never
+    ranked or decoded; the problem's decision map walks each chain back
+    from its ends' images when it is first read.  Opens one
+    ``solvability/reduce`` span with attributes ``eliminated`` and
+    ``kept``.
+    """
+    gathered = _gather(input_simplices, delta_of, operator, rounds)
+    pieces = gathered.pieces
+    with span("solvability/reduce") as reduce_span:
+        occurrences: dict[VertexKey, int] = {}
+        for _, _, keys in pieces:
+            for key in keys:
+                occurrences[key] = occurrences.get(key, 0) + 1
+        binary: dict[int, tuple[int, ...]] = {}
+        memo: dict[tuple, _Reduced] = {}
+        steps: dict[int, _Step] = {}
+        reduced: list[Optional[_Reduced]] = []
+        kept_keys: set[VertexKey] = set()
+        eliminated = 0
+        for family, template, keys in pieces:
+            only = binary.get(id(template))
+            if only is None:
+                only = binary[id(template)] = _binary_only(template)
+            candidates = tuple(
+                [k for k in only if occurrences[keys[k]] == 1]
+            )
+            if not candidates:
+                reduced.append(None)
+                kept_keys.update(keys)
+                continue
+            memo_key = (id(template), family, candidates)
+            piece = memo.get(memo_key)
+            if piece is None:
+                step = steps.get(family)
+                if step is None:
+                    step = steps[family] = _Step(gathered.faces[family])
+                piece = memo[memo_key] = _reduce_piece(
+                    template, candidates, gathered.colors[family], step
+                )
+            reduced.append(piece)
+            kept_keys.update([keys[k] for k in piece.kept])
+            eliminated += len(keys) - len(piece.kept)
+        reduce_span.set_attribute("eliminated", eliminated)
+        reduce_span.set_attribute("kept", len(kept_keys))
+
+    rank_of = _rank_keys(kept_keys, rounds)
+    problem = _emit(gathered, rank_of, reduced, steps, rounds)
+    if eliminated:
+        chains = []
+        leaves = []
+        for (family, _, keys), piece in zip(pieces, reduced):
+            if piece is None:
+                continue
+            step = steps[family]
+            for start, path, end, masks in piece.chains:
+                chains.append(
+                    (
+                        keys[start],
+                        tuple([keys[k] for k in path]),
+                        keys[end],
+                        masks,
+                        step,
+                    )
+                )
+            for v, u, mask in piece.leaves:
+                leaves.append((keys[v], keys[u], mask, step))
+        problem._expansion = _Expansion(chains, leaves)
+    return problem
 
 
 def _hardest_facet(task: Task, facets: Iterable[Simplex]) -> Simplex:
@@ -887,7 +1395,7 @@ def find_decision_map(
         ]
         with span("solvability/core", simplices=len(core)) as core_span:
             refuted = (
-                build_solvability_problem(
+                build_reduced_problem(
                     core, task.delta, op, rounds
                 ).prepare_search()
                 is None
@@ -895,7 +1403,7 @@ def find_decision_map(
             core_span.set_attribute("refuted", refuted)
         if refuted:
             return None
-    problem = build_solvability_problem(simplices, task.delta, op, rounds)
+    problem = build_reduced_problem(simplices, task.delta, op, rounds)
     return problem.solve()
 
 

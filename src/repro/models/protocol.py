@@ -38,6 +38,7 @@ __all__ = [
     "ProtocolTemplate",
     "VertexKey",
     "decode_vertex",
+    "encode_vertex",
     "key_sort_key",
 ]
 
@@ -119,25 +120,47 @@ def key_sort_key(
 
 
 def _shape(
-    value: Hashable, color: int, depth: int, carrier: set[int]
+    value: Hashable, color: int, depth: int, leaves: dict[int, Hashable]
 ) -> Hashable:
     """``value`` with its depth-``depth`` leaves replaced by their colors.
 
-    ``color`` holds ``value``; the replaced colors are added to
-    ``carrier``.
+    ``color`` holds ``value``; each replaced leaf is recorded in
+    ``leaves`` under its color.  Raises :class:`ModelError` if a level
+    above the leaves is neither a :class:`View` nor a ``(box output,
+    View)`` pair.
     """
     if depth == 0:
-        carrier.add(color)
+        leaves[color] = value
         return color
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and len(value) == 2:
         box, view = value
-        return (box, _shape(view, color, depth, carrier))
-    assert isinstance(value, View)
+        return (box, _shape(view, color, depth, leaves))
+    if not isinstance(value, View):
+        raise ModelError(f"{value!r} is not a view")
     return View(
         [
-            (seen, _shape(item, seen, depth - 1, carrier))
+            (seen, _shape(item, seen, depth - 1, leaves))
             for seen, item in value
         ]
+    )
+
+
+def encode_vertex(vertex: Vertex, rounds: int) -> Optional[VertexKey]:
+    """The key that :func:`decode_vertex` turns back into ``vertex``.
+
+    The key a relabelled template gives ``vertex``: its shape, and the
+    input vertices at its depth-``rounds`` leaves.  ``None`` if its
+    value is not ``rounds`` levels of views, so that no relabelled
+    template names it.
+    """
+    leaves: dict[int, Hashable] = {}
+    try:
+        shape = _shape(vertex.value, vertex.color, rounds, leaves)
+    except ModelError:
+        return None
+    return (
+        Vertex(vertex.color, shape),
+        tuple([Vertex(color, leaves[color]) for color in sorted(leaves)]),
     )
 
 
@@ -290,8 +313,8 @@ def _template_of(
     shapes = []
     carriers = []
     for vertex in vertices:
-        carrier: set[int] = set()
-        value = _shape(vertex.value, vertex.color, rounds, carrier)
+        leaves: dict[int, Hashable] = {}
+        value = _shape(vertex.value, vertex.color, rounds, leaves)
         shapes.append(Vertex(vertex.color, value))
-        carriers.append(tuple(sorted(carrier)))
+        carriers.append(tuple(sorted(leaves)))
     return ProtocolTemplate(tuple(shapes), tuple(carriers), facets)

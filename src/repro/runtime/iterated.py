@@ -243,12 +243,7 @@ class IteratedExecutor:
         else:
             for process in active:
                 array.write(process, states[process])
-            missing = participants - frozenset(array.written())
-            if missing:
-                raise FaultInjectionError(
-                    f"round {round_index}: writes by processes "
-                    f"{sorted(missing)} were lost (register fault detected)"
-                )
+            _check_written(round_index, array, participants)
             content = frozenset(array.snapshot())
             views = {
                 process: content & view
@@ -263,6 +258,10 @@ class IteratedExecutor:
                     f"process {process}, schedule declared "
                     f"{sorted(declared[process])}"
                 )
+        if blocks is not None:
+            # A lost write that no view shows (its writer crashed
+            # mid-round before any survivor's snapshot) is caught here.
+            _check_written(round_index, array, participants)
         return views
 
     def _run_box(
@@ -299,3 +298,15 @@ class IteratedExecutor:
                 "schedule (consistency fault detected)"
             ) from None
         return chosen, choice
+
+
+def _check_written(
+    round_index: int, array: RegisterArray, participants: frozenset[int]
+) -> None:
+    """Raise :class:`FaultInjectionError` unless every participant wrote."""
+    missing = participants - frozenset(array.written())
+    if missing:
+        raise FaultInjectionError(
+            f"round {round_index}: writes by processes "
+            f"{sorted(missing)} were lost (register fault detected)"
+        )

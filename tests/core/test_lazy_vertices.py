@@ -4,7 +4,9 @@
 :func:`~repro.models.protocol.key_sort_key` and hands the problem the
 ranked keys; the vertices are decoded on first read.  Propagation,
 components and search read only their count, so a refutation decodes
-nothing.
+nothing.  :func:`is_solvable` compiles with the series reduction: it
+ranks only the kept keys, and the map it finds is built on first read,
+so a solvable verdict decodes nothing either.
 """
 
 from fractions import Fraction
@@ -15,6 +17,8 @@ import repro.core.solvability as solvability
 from repro.core.solvability import (
     SolvabilityProblem,
     build_solvability_problem,
+    find_decision_map,
+    is_solvable,
 )
 from repro.models import ImmediateSnapshotModel, ProtocolOperator
 from repro.tasks import approximate_agreement_task
@@ -31,6 +35,20 @@ def decodes(monkeypatch):
         return real(key, rounds, memo)
 
     monkeypatch.setattr(solvability, "decode_vertex", counted)
+    return calls
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The keys the solver's ``key_sort_key`` was called on."""
+    calls = []
+    real = solvability.key_sort_key
+
+    def counted(key, rounds, memo=None):
+        calls.append(key)
+        return real(key, rounds, memo)
+
+    monkeypatch.setattr(solvability, "key_sort_key", counted)
     return calls
 
 
@@ -109,3 +127,25 @@ class TestConstraintSlices:
         assert constraints[0:2] == (constraints[0], constraints[1])
         assert constraints[::-1] == tuple(reversed(list(constraints)))
         assert constraints[len(constraints):] == ()
+
+
+class TestReducedMapOnDemand:
+    TASK = approximate_agreement_task([1, 2], Fraction(1, 9), 9)
+
+    def test_a_solvable_verdict_decodes_nothing(self, decodes, ranked):
+        assert is_solvable(self.TASK, ImmediateSnapshotModel(), 2)
+        assert decodes == []
+        # Only the solo vertices are kept: one key per input vertex,
+        # each holding one input (the core ranks two of them again).
+        assert all(len(inputs) == 1 for _, inputs in ranked)
+        assert len(set(ranked)) == len(self.TASK.input_complex.vertices)
+
+    def test_reading_the_map_decodes_each_vertex_once(self, decodes):
+        decision = find_decision_map(self.TASK, ImmediateSnapshotModel(), 2)
+        assert decodes == []
+        assignment = decision.assignment
+        assert len(assignment) == len(decodes) == len(set(decodes))
+        assert len(assignment) == len(_compiled(rounds=2).vertices)
+        assert dict(assignment.items()) == dict(assignment)
+        assert len(decodes) == len(assignment)
+

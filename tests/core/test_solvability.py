@@ -615,7 +615,7 @@ class TestCoreStage:
     def compiled(self, monkeypatch):
         """The input simplices of every compile, in call order."""
         calls = []
-        build = solvability_module.build_solvability_problem
+        build = solvability_module.build_reduced_problem
 
         def spy(input_simplices, *rest):
             simplices = list(input_simplices)
@@ -623,7 +623,7 @@ class TestCoreStage:
             return build(simplices, *rest)
 
         monkeypatch.setattr(
-            solvability_module, "build_solvability_problem", spy
+            solvability_module, "build_reduced_problem", spy
         )
         return calls
 
@@ -702,6 +702,151 @@ class TestCoreStage:
         assert core_spans(_KSET, 1, _e17_simplices()) == []
 
 
+def _mixed_consensus_facets(n):
+    task = binary_consensus_task(range(1, n + 1))
+    return [
+        sigma
+        for sigma in task.input_complex.simplices_of_dim(n - 1)
+        if len({v.value for v in sigma.vertices}) == 2
+    ]
+
+
+def _aa_parity_cases():
+    cases = []
+    for model in ("iis", "snapshot_model", "collect_model"):
+        for t in (1, 2, 3):
+            for m in (3**t - 1, 3**t, 3**t + 1):
+                cases.append(
+                    pytest.param(
+                        approximate_agreement_task([1, 2], F(1, m), m),
+                        model, t, None,
+                        id=f"aa-n2-{model}-t{t}-m{m}",
+                        # The full instance at t = 3 takes seconds.
+                        marks=(pytest.mark.slow,) if t == 3 else (),
+                    )
+                )
+    return cases
+
+
+def _consensus_parity_cases():
+    tasks = {
+        "binary": binary_consensus_task([1, 2]),
+        "multivalued": multivalued_consensus_task([1, 2], ["x", "y", "z"]),
+    }
+    cases = [
+        pytest.param(task, model, t, None, id=f"{name}-n2-{model}-t{t}")
+        for name, task in tasks.items()
+        for model in ("iis_tas", "iis_bc_beta011")
+        for t in (0, 1, 2)
+    ]
+    cases += [
+        pytest.param(
+            binary_consensus_task(range(1, n + 1)), "iis", t,
+            _mixed_consensus_facets(n), id=f"consensus-mixed-n{n}-t{t}",
+        )
+        for n in (2, 3)
+        for t in (0, 1)
+    ]
+    cases += [
+        pytest.param(_KSET, "iis", t, _e17_simplices(), id=f"e17-t{t}")
+        for t in (0, 1)
+    ]
+    return cases
+
+
+class TestSeriesReduction:
+    """The reduced compile decides as the whole instance does."""
+
+    @pytest.mark.parametrize(
+        "task, model, rounds, simplices",
+        _aa_parity_cases() + _consensus_parity_cases(),
+    )
+    def test_verdict_equals_the_full_instance(
+        self, request, task, model, rounds, simplices
+    ):
+        # certified_map re-checks every map found on operator.of_simplex.
+        model = request.getfixturevalue(model)
+        found = certified_map(task, model, rounds, simplices)
+        full = _full_instance_solvable(task, model, rounds, simplices)
+        assert (found is not None) is full
+
+    def _compiled(self, task, model, rounds, simplices=None):
+        simplices = list(
+            task.input_complex if simplices is None else simplices
+        )
+        operator = ProtocolOperator(model)
+        reduced = solvability_module.build_reduced_problem(
+            simplices, task.delta, operator, rounds
+        )
+        full = build_solvability_problem(
+            simplices, task.delta, operator, rounds
+        )
+        return reduced, full
+
+    def test_two_process_edges_reduce_to_their_solo_vertices(self, iis):
+        task = approximate_agreement_task([1, 2], F(1, 9), 9)
+        reduced, _ = self._compiled(task, iis, 2)
+        solos = [
+            (sigma, vertex)
+            for sigma in task.input_complex
+            if len(sigma.vertices) == 1
+            for vertex in ProtocolOperator(iis).of_simplex(sigma, 2).vertices
+        ]
+        assert set(reduced.vertices) == {vertex for _, vertex in solos}
+        edges = task.input_complex.simplices_of_dim(1)
+        binary = [scope for scope in reduced.scopes if len(scope) == 2]
+        assert len(binary) == len(edges)
+        assert all(len(scope) <= 2 for scope in reduced.scopes)
+
+    def test_three_process_facets_keep_every_vertex(self, iis):
+        task = liberal_approximate_agreement_task([1, 2, 3], F(1, 2), 2)
+        reduced, full = self._compiled(task, iis, 1)
+        assert reduced == full
+        assert reduced._expansion is None
+
+    def test_a_path_without_its_ends_folds_to_one_vertex(self, iis):
+        # Without the singletons, the solo vertices lie in one piece
+        # too: the whole path folds leaf by leaf into one variable.
+        task = approximate_agreement_task([1, 2], F(1, 3), 3)
+        sigma = input_simplex({1: F(0), 2: F(1)})
+        reduced, _ = self._compiled(task, iis, 1, [sigma])
+        assert len(reduced.vertices) == 1
+        assert reduced.scopes == ()
+        decision = certified_map(task, iis, 1, [sigma])
+        assert len(decision.assignment) == 4
+
+    def test_one_reduce_span_per_compile(self, iis):
+        task = approximate_agreement_task([1, 2], F(1, 3), 3)
+        with tracing(clock=ManualClock(tick=0.001)) as tracer:
+            assert is_solvable(task, iis, 1)
+        reduces = []
+        pending = list(tracer.roots)
+        while pending:
+            span = pending.pop(0)
+            if span.name == "solvability/reduce":
+                reduces.append(span)
+            pending[:0] = span.children
+        # The core (one edge and its two vertices), then all of I.
+        assert [
+            (span.attributes["eliminated"], span.attributes["kept"])
+            for span in reduces
+        ] == [(2, 2), (2 * 16, 8)]
+
+    def test_a_single_lookup_walks_no_decode(self, iis):
+        task = approximate_agreement_task([1, 2], F(1, 9), 9)
+        operator = ProtocolOperator(iis)
+        decision = find_decision_map(task, iis, 2, operator=operator)
+        sigma = input_simplex({1: F(0), 2: F(1)})
+        path = operator.of_simplex(sigma, 2)
+        images = {vertex: decision(vertex) for vertex in path.vertices}
+        assert decision.assignment._built is None
+        assert images == {
+            vertex: dict(decision.assignment)[vertex]
+            for vertex in path.vertices
+        }
+        assert Vertex(1, "no such view") not in decision.assignment
+
+
 class TestRefutingBoundaries:
     """Refuting sides of the verified range, decided on a one-facet core."""
 
@@ -732,6 +877,40 @@ class TestVerifiedRange:
         # n = 2: 3^t >= m.
         task = approximate_agreement_task([1, 2], F(1, m), m)
         assert solvable(task, iis, 3) is expected
+
+    def test_two_process_iis_map_at_three_rounds_in_full(self, iis):
+        # The map found on the reduced compile, read in full: every
+        # vertex of P^(3), eliminated ones too, checked on every σ.
+        task = approximate_agreement_task([1, 2], F(1, 27), 27)
+        decision = certified_map(task, iis, 3)
+        assert decision is not None
+        whole = build_solvability_problem(
+            list(task.input_complex), task.delta, ProtocolOperator(iis), 3
+        )
+        assert len(decision.assignment) == len(whole.vertices)
+
+    def test_two_process_iis_solvable_at_four_rounds(self, iis):
+        # 3^4 >= 81.  The whole instance does not fit in 2 GB; the
+        # reduced one is decided on the solo vertices.  The map is read
+        # vertex by vertex and checked on the widest input edge's faces.
+        task = approximate_agreement_task([1, 2], F(1, 81), 81)
+        operator = ProtocolOperator(iis)
+        decision = find_decision_map(task, iis, 4, operator=operator)
+        assert decision is not None
+        faces = list(input_simplex({1: F(0), 2: F(1)}).faces())
+
+        def protocol_of(sigma):
+            return operator.of_simplex(sigma, 4)
+
+        restricted = DecisionMap(
+            {
+                vertex: decision(vertex)
+                for sigma in faces
+                for vertex in protocol_of(sigma).vertices
+            },
+            4,
+        )
+        check_decision_map(faces, task.delta, protocol_of, restricted)
 
     @pytest.mark.parametrize("m, expected", [(4, True)])
     def test_three_process_liberal_boundary_at_two_rounds(

@@ -209,6 +209,18 @@ class TestIllegalDetection:
         assert report.counts[DECIDED_OK] == 0
         assert report.clean
 
+    @pytest.mark.parametrize("model, t", [("iis", 2), ("snapshot", 1)])
+    def test_lost_write_of_a_crashing_writer_is_detected(self, model, t):
+        # The writer can crash mid-round before any survivor's snapshot,
+        # so no view shows its lost write; the round's write check must.
+        report = run_campaign(
+            CampaignConfig(cell="aa", model=model, executions=50, seed=0,
+                           t=t, illegal="lost-write")
+        )
+        assert report.counts[HARNESS_FAULT_DETECTED] == 50
+        assert report.counts[DECIDED_OK] == 0
+        assert report.clean
+
     def test_undetected_fault_is_not_clean(self):
         # With t = 2 process 1 can crash mid-round in the last block,
         # taking the only view that would have shown its hidden write.

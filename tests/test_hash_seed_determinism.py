@@ -17,7 +17,9 @@ must not depend on the seed either: a multivalued consensus task over
 strings is compiled under two seeds and its scopes and decoded vertices
 compared.  So must the input facet the solver's core stage picks: on
 three-process consensus over strings every mixed facet ties at infinite
-distance, and the tie-break alone decides.
+distance, and the tie-break alone decides.  So must a map found on the
+series-reduced compile, whose eliminated vertices take the lowest
+compatible output along their chains.
 """
 
 import os
@@ -67,14 +69,40 @@ import repro.core.solvability as solvability
 from repro.models import ImmediateSnapshotModel
 from repro.tasks import multivalued_consensus_task
 compiled = []
-build = solvability.build_solvability_problem
+build = solvability.build_reduced_problem
 def spy(simplices, *rest):
     compiled.append(list(simplices))
     return build(compiled[-1], *rest)
-solvability.build_solvability_problem = spy
+solvability.build_reduced_problem = spy
 task = multivalued_consensus_task([1, 2, 3], ["x", "y", "z"])
 assert not solvability.is_solvable(task, ImmediateSnapshotModel(), 0)
 print(max(compiled[0], key=len))
+"""
+
+
+#: Prints a digest of each map found through the reduced compile.
+_MAP_PROBE = """
+import hashlib
+from fractions import Fraction
+from repro.core import find_decision_map
+from repro.models import ImmediateSnapshotModel
+from repro.objects import AugmentedModel, TestAndSetBox
+from repro.tasks import approximate_agreement_task, multivalued_consensus_task
+maps = [
+    find_decision_map(
+        approximate_agreement_task([1, 2], Fraction(1, 9), 9),
+        ImmediateSnapshotModel(),
+        2,
+    ),
+    find_decision_map(
+        multivalued_consensus_task([1, 2], ["x", "y", "z"]),
+        AugmentedModel(TestAndSetBox()),
+        2,
+    ),
+]
+for decision in maps:
+    lines = sorted(f"{v!r} -> {w!r}" for v, w in decision.assignment.items())
+    print(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
 """
 
 
@@ -135,3 +163,10 @@ def test_core_facet_is_identical_across_hash_seeds():
     first = _run_under(0, (), _CORE_PROBE)
     assert first.startswith(b"Simplex[")
     assert first == _run_under(1, (), _CORE_PROBE)
+
+
+def test_reduced_decision_map_is_identical_across_hash_seeds():
+    first = _run_under(0, (), _MAP_PROBE)
+    assert len(first.split()) == 2
+    assert first == _run_under(1, (), _MAP_PROBE)
+
