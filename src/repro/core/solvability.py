@@ -28,13 +28,14 @@ them; propagation, component splitting and search read only their
 count, so a refutation builds no protocol view, and the decision map
 is decoded back to vertices at the end.
 
-:func:`find_decision_map` compiles with :func:`build_reduced_problem`,
-which adds a series-reduction pass between gathering the per-σ pieces
-and ranking the keys.  A template vertex whose key occurs in one piece
-alone, with only binary scopes there, lies in no other ``P^(t)(σ)``:
-leaves are folded into their neighbour's domain, and each path of
-degree-2 such vertices becomes one binary scope between its kept ends,
-its relation composed along ``Δ(σ)``'s edges.  Over two processes,
+:func:`find_decision_map` compiles with ``reduce=True``, which adds a
+series-reduction pass between gathering the per-σ pieces and ranking
+the keys; both compiles share the gather and emit code.  A template
+vertex whose key occurs in one piece alone, with only binary scopes
+there, lies in no other ``P^(t)(σ)``: leaves are folded into their
+neighbour's domain, and each path of degree-2 such vertices becomes
+one binary scope between its kept ends, its relation composed along
+``Δ(σ)``'s edges.  Over two processes,
 ``P^(t)`` of an input edge is such a path, so each input edge becomes
 one relation between its two solo vertices: "a walk of ``3^t`` edges
 joins ``f(a)`` and ``f(b)``", the paper's path argument for Claim 2.
@@ -90,7 +91,6 @@ from repro.models.protocol import (
     ProtocolTemplate,
     VertexKey,
     decode_vertex,
-    encode_vertex,
     key_sort_key,
 )
 from repro.tasks.task import Task
@@ -109,7 +109,6 @@ from repro.topology.vertex import Vertex
 __all__ = [
     "DecisionMap",
     "SolvabilityProblem",
-    "build_reduced_problem",
     "build_solvability_problem",
     "find_decision_map",
     "is_solvable",
@@ -224,7 +223,7 @@ class SolvabilityProblem:
     _index: _Index = field(
         default_factory=_Index, init=False, repr=False, compare=False
     )
-    #: The vertices :func:`build_reduced_problem` eliminated, which a
+    #: The vertices a ``reduce=True`` compile eliminated, which a
     #: found map extends to; ``None`` for a problem without them.
     _expansion: Optional["_Expansion"] = field(
         default=None, init=False, repr=False, compare=False
@@ -699,14 +698,12 @@ class _Expansion:
 class _LazyAssignment(Mapping[Vertex, Vertex]):
     """A reduced problem's decision map, built when it is first read.
 
-    The first read extends the search's images to the eliminated keys
-    (:meth:`_Expansion.images`), which decodes nothing.  Looking one
-    vertex up then encodes it back to its key; iterating, or taking the
-    length, decodes every key once: the kept vertices in rank order,
-    then the eliminated ones.
+    The first read decodes every key once, the kept vertices in rank
+    order, then the eliminated ones; :meth:`by_key` gives the same map
+    on keys and decodes nothing.
     """
 
-    __slots__ = ("_parts", "_outputs", "_rounds", "_image_of", "_built")
+    __slots__ = ("_parts", "_built")
 
     def __init__(
         self,
@@ -716,57 +713,40 @@ class _LazyAssignment(Mapping[Vertex, Vertex]):
         outputs: tuple[Vertex, ...],
         rounds: int,
     ) -> None:
-        self._parts: Optional[tuple] = (expansion, vertices, images)
-        self._outputs = outputs
-        self._rounds = rounds
-        self._image_of: Optional[dict[VertexKey, int]] = None
+        self._parts = (expansion, vertices, images, outputs, rounds)
         self._built: Optional[dict[Vertex, Vertex]] = None
 
-    def _images(self) -> dict[VertexKey, int]:
-        image_of = self._image_of
-        if image_of is None:
-            assert self._parts is not None
-            expansion, vertices, images = self._parts
-            assert isinstance(vertices, _ProtocolVertices)
-            image_of = self._image_of = dict(zip(vertices.rank_of, images))
-            expansion.images(image_of)
-            self._parts = None
-        return image_of
+    def by_key(self) -> dict[VertexKey, Vertex]:
+        """``key → output vertex`` for every protocol vertex.
+
+        Extends the search's images to the eliminated keys
+        (:meth:`_Expansion.images`) without decoding a vertex.
+        """
+        expansion, vertices, images, outputs, _ = self._parts
+        assert isinstance(vertices, _ProtocolVertices)
+        image_of = dict(zip(vertices.rank_of, images))
+        expansion.images(image_of)
+        return {
+            key: outputs[bit.bit_length() - 1]
+            for key, bit in image_of.items()
+        }
 
     def _map(self) -> dict[Vertex, Vertex]:
         built = self._built
         if built is None:
-            outputs, rounds = self._outputs, self._rounds
+            rounds = self._parts[-1]
             memo: dict = {}
             built = self._built = {
-                decode_vertex(key, rounds, memo): outputs[
-                    bit.bit_length() - 1
-                ]
-                for key, bit in self._images().items()
+                decode_vertex(key, rounds, memo): output
+                for key, output in self.by_key().items()
             }
         return built
 
-    def _image(self, vertex: Vertex) -> Optional[int]:
-        image_of = self._images()
-        bit = image_of.get((vertex, ()))
-        if bit is None:
-            key = encode_vertex(vertex, self._rounds)
-            if key is not None:
-                bit = image_of.get(key)
-        return bit
-
     def __getitem__(self, vertex: Vertex) -> Vertex:
-        if self._built is not None:
-            return self._built[vertex]
-        bit = self._image(vertex) if isinstance(vertex, Vertex) else None
-        if bit is None:
-            raise KeyError(vertex)
-        return self._outputs[bit.bit_length() - 1]
+        return self._map()[vertex]
 
     def __contains__(self, vertex: object) -> bool:
-        if self._built is not None:
-            return vertex in self._built
-        return isinstance(vertex, Vertex) and self._image(vertex) is not None
+        return vertex in self._map()
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self._map())
@@ -1083,15 +1063,14 @@ def _compose(
 def _emit(
     gathered: _Gathered,
     rank_of: dict[VertexKey, int],
-    reduced: Sequence[Optional[_Reduced]],
+    reduced: Sequence[_Reduced],
     steps: Mapping[int, _Step],
     rounds: int,
 ) -> SolvabilityProblem:
     """The problem over the ranked keys: all domains, then the scopes.
 
-    A piece without a reduction (``None``) contributes its whole
-    template.  A chain's scope is composed from its ends' domains, so
-    the domains come first.
+    An eliminated key has no rank.  A chain's scope is composed from
+    its ends' domains, so the domains come first.
     """
     pieces = gathered.pieces
     colors = gathered.colors
@@ -1099,36 +1078,26 @@ def _emit(
     piece_ranks: list[list[int]] = []
     for (family, _, keys), piece in zip(pieces, reduced):
         by_color = colors[family]
-        if piece is None:
-            ranks = [rank_of[key] for key in keys]
-            for key, rank in zip(keys, ranks):
-                domains[rank] &= by_color.get(key[0].color, 0)
-        else:
-            ranks = [-1] * len(keys)
-            for k in piece.kept:
-                key = keys[k]
-                rank = ranks[k] = rank_of[key]
-                domains[rank] &= by_color.get(key[0].color, 0)
-            for k, mask in piece.narrowed:
-                domains[ranks[k]] &= mask
+        ranks = [rank_of.get(key, -1) for key in keys]
+        for k in piece.kept:
+            domains[ranks[k]] &= by_color.get(keys[k][0].color, 0)
+        for k, mask in piece.narrowed:
+            domains[ranks[k]] &= mask
         piece_ranks.append(ranks)
 
     scopes: list[tuple[int, ...]] = []
     allowed_sets: list[frozenset[int]] = []
     seen: set[tuple[tuple[int, ...], int]] = set()
     composed: dict[tuple, frozenset[int]] = {}
-    for (family, template, keys), piece, ranks in zip(
-        pieces, reduced, piece_ranks
-    ):
+    for (family, _, keys), piece, ranks in zip(pieces, reduced, piece_ranks):
         faces = gathered.faces[family]
-        facets = template.facets if piece is None else piece.facets
         found = [
             (scope, faces)
             for scope in sorted(
-                tuple([ranks[k] for k in facet]) for facet in facets
+                tuple([ranks[k] for k in facet]) for facet in piece.facets
             )
         ]
-        if piece is not None and piece.chains:
+        if piece.chains:
             for start, _, end, masks in piece.chains:
                 ends = (ranks[start], ranks[end])
                 first, last = domains[ends[0]], domains[ends[1]]
@@ -1157,11 +1126,69 @@ def _emit(
     )
 
 
+def _whole(template: ProtocolTemplate) -> _Reduced:
+    """The identity reduction: every vertex kept, nothing eliminated."""
+    kept = tuple(range(len(template.shapes)))
+    return _Reduced(kept, (), template.facets, (), ())
+
+
+def _series_reduce(
+    gathered: _Gathered,
+) -> tuple[list[_Reduced], dict[int, _Step], set[VertexKey]]:
+    """Each piece's reduction, the families' steps, and the kept keys.
+
+    A template vertex is a candidate iff its key occurs in this piece
+    alone and all its scopes are binary.  Reductions are memoized per
+    template, family and candidates.  Opens one ``solvability/reduce``
+    span with attributes ``eliminated`` and ``kept``.
+    """
+    pieces = gathered.pieces
+    with span("solvability/reduce") as reduce_span:
+        occurrences: dict[VertexKey, int] = {}
+        for _, _, keys in pieces:
+            for key in keys:
+                occurrences[key] = occurrences.get(key, 0) + 1
+        binary: dict[int, tuple[int, ...]] = {}
+        memo: dict[tuple, _Reduced] = {}
+        steps: dict[int, _Step] = {}
+        reduced: list[_Reduced] = []
+        kept_keys: set[VertexKey] = set()
+        eliminated = 0
+        for family, template, keys in pieces:
+            only = binary.get(id(template))
+            if only is None:
+                only = binary[id(template)] = _binary_only(template)
+            candidates = tuple(
+                [k for k in only if occurrences[keys[k]] == 1]
+            )
+            memo_key = (id(template), family, candidates)
+            piece = memo.get(memo_key)
+            if piece is None:
+                if candidates:
+                    step = steps.get(family)
+                    if step is None:
+                        step = steps[family] = _Step(gathered.faces[family])
+                    piece = _reduce_piece(
+                        template, candidates, gathered.colors[family], step
+                    )
+                else:
+                    piece = _whole(template)
+                memo[memo_key] = piece
+            reduced.append(piece)
+            kept_keys.update([keys[k] for k in piece.kept])
+            eliminated += len(keys) - len(piece.kept)
+        reduce_span.set_attribute("eliminated", eliminated)
+        reduce_span.set_attribute("kept", len(kept_keys))
+    return reduced, steps, kept_keys
+
+
 def build_solvability_problem(
     input_simplices: Iterable[Simplex],
     delta_of: Callable[[Simplex], SimplicialComplex],
     operator: ProtocolOperator,
     rounds: int,
+    *,
+    reduce: bool = False,
 ) -> SolvabilityProblem:
     """Compile constraints for a (generalized) solvability question.
 
@@ -1180,98 +1207,52 @@ def build_solvability_problem(
         ranked by :func:`~repro.models.protocol.key_sort_key`, and the
         problem's :attr:`~SolvabilityProblem.vertices` decodes them on
         first read.
-    """
-    gathered = _gather(input_simplices, delta_of, operator, rounds)
-    protocol_keys: set[VertexKey] = set()
-    for _, _, keys in gathered.pieces:
-        protocol_keys.update(keys)
-    rank_of = _rank_keys(protocol_keys, rounds)
-    return _emit(
-        gathered, rank_of, [None] * len(gathered.pieces), {}, rounds
-    )
-
-
-def build_reduced_problem(
-    input_simplices: Iterable[Simplex],
-    delta_of: Callable[[Simplex], SimplicialComplex],
-    operator: ProtocolOperator,
-    rounds: int,
-) -> SolvabilityProblem:
-    """:func:`build_solvability_problem` with its binary chains eliminated.
-
-    A template vertex is eliminated only if its key occurs in one
-    piece alone and all its scopes there are binary: it lies in no
-    other ``P^(t)(σ)``, so only those scopes constrain it.  Leaves are
-    folded into their neighbour's domain and paths of degree-2
-    vertices become one binary scope between their kept ends (see
-    :func:`_reduce_piece`).  Over two processes every interior vertex
-    of an input edge's path goes, and the edge becomes one relation
-    between its two solo vertices.  Eliminated vertices are never
-    ranked or decoded; the problem's decision map walks each chain back
-    from its ends' images when it is first read.  Opens one
-    ``solvability/reduce`` span with attributes ``eliminated`` and
-    ``kept``.
+    reduce:
+        Series-reduce before ranking (what :func:`find_decision_map`
+        compiles).  A template vertex is eliminated only if its key
+        occurs in one ``P^(t)(σ)`` alone and all its scopes there are
+        binary, so only those scopes constrain it.  Leaves are folded
+        into their neighbour's domain and paths of degree-2 vertices
+        become one binary scope between their kept ends (see
+        :func:`_reduce_piece`).  Over two processes every interior
+        vertex of an input edge's path goes, and the edge becomes one
+        relation between its two solo vertices.  Eliminated vertices
+        are never ranked or decoded and are not among the problem's
+        :attr:`~SolvabilityProblem.vertices`; a map it finds walks each
+        chain back from its ends' images when it is first read.
     """
     gathered = _gather(input_simplices, delta_of, operator, rounds)
     pieces = gathered.pieces
-    with span("solvability/reduce") as reduce_span:
-        occurrences: dict[VertexKey, int] = {}
-        for _, _, keys in pieces:
-            for key in keys:
-                occurrences[key] = occurrences.get(key, 0) + 1
-        binary: dict[int, tuple[int, ...]] = {}
-        memo: dict[tuple, _Reduced] = {}
-        steps: dict[int, _Step] = {}
-        reduced: list[Optional[_Reduced]] = []
-        kept_keys: set[VertexKey] = set()
-        eliminated = 0
-        for family, template, keys in pieces:
-            only = binary.get(id(template))
-            if only is None:
-                only = binary[id(template)] = _binary_only(template)
-            candidates = tuple(
-                [k for k in only if occurrences[keys[k]] == 1]
-            )
-            if not candidates:
-                reduced.append(None)
-                kept_keys.update(keys)
-                continue
-            memo_key = (id(template), family, candidates)
-            piece = memo.get(memo_key)
+    if reduce:
+        reduced, steps, kept_keys = _series_reduce(gathered)
+    else:
+        wholes: dict[int, _Reduced] = {}
+        reduced, steps, kept_keys = [], {}, set()
+        for _, template, keys in pieces:
+            piece = wholes.get(id(template))
             if piece is None:
-                step = steps.get(family)
-                if step is None:
-                    step = steps[family] = _Step(gathered.faces[family])
-                piece = memo[memo_key] = _reduce_piece(
-                    template, candidates, gathered.colors[family], step
-                )
+                piece = wholes[id(template)] = _whole(template)
             reduced.append(piece)
-            kept_keys.update([keys[k] for k in piece.kept])
-            eliminated += len(keys) - len(piece.kept)
-        reduce_span.set_attribute("eliminated", eliminated)
-        reduce_span.set_attribute("kept", len(kept_keys))
-
+            kept_keys.update(keys)
     rank_of = _rank_keys(kept_keys, rounds)
     problem = _emit(gathered, rank_of, reduced, steps, rounds)
-    if eliminated:
-        chains = []
-        leaves = []
-        for (family, _, keys), piece in zip(pieces, reduced):
-            if piece is None:
-                continue
-            step = steps[family]
-            for start, path, end, masks in piece.chains:
-                chains.append(
-                    (
-                        keys[start],
-                        tuple([keys[k] for k in path]),
-                        keys[end],
-                        masks,
-                        step,
-                    )
+
+    chains = []
+    leaves = []
+    for (family, _, keys), piece in zip(pieces, reduced):
+        for start, path, end, masks in piece.chains:
+            chains.append(
+                (
+                    keys[start],
+                    tuple([keys[k] for k in path]),
+                    keys[end],
+                    masks,
+                    steps[family],
                 )
-            for v, u, mask in piece.leaves:
-                leaves.append((keys[v], keys[u], mask, step))
+            )
+        for v, u, mask in piece.leaves:
+            leaves.append((keys[v], keys[u], mask, steps[family]))
+    if chains or leaves:
         problem._expansion = _Expansion(chains, leaves)
     return problem
 
@@ -1395,15 +1376,17 @@ def find_decision_map(
         ]
         with span("solvability/core", simplices=len(core)) as core_span:
             refuted = (
-                build_reduced_problem(
-                    core, task.delta, op, rounds
+                build_solvability_problem(
+                    core, task.delta, op, rounds, reduce=True
                 ).prepare_search()
                 is None
             )
             core_span.set_attribute("refuted", refuted)
         if refuted:
             return None
-    problem = build_reduced_problem(simplices, task.delta, op, rounds)
+    problem = build_solvability_problem(
+        simplices, task.delta, op, rounds, reduce=True
+    )
     return problem.solve()
 
 

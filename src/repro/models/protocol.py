@@ -38,7 +38,6 @@ __all__ = [
     "ProtocolTemplate",
     "VertexKey",
     "decode_vertex",
-    "encode_vertex",
     "key_sort_key",
 ]
 
@@ -120,47 +119,25 @@ def key_sort_key(
 
 
 def _shape(
-    value: Hashable, color: int, depth: int, leaves: dict[int, Hashable]
+    value: Hashable, color: int, depth: int, carrier: set[int]
 ) -> Hashable:
     """``value`` with its depth-``depth`` leaves replaced by their colors.
 
-    ``color`` holds ``value``; each replaced leaf is recorded in
-    ``leaves`` under its color.  Raises :class:`ModelError` if a level
-    above the leaves is neither a :class:`View` nor a ``(box output,
-    View)`` pair.
+    ``color`` holds ``value``; the replaced colors are added to
+    ``carrier``.
     """
     if depth == 0:
-        leaves[color] = value
+        carrier.add(color)
         return color
-    if isinstance(value, tuple) and len(value) == 2:
+    if isinstance(value, tuple):
         box, view = value
-        return (box, _shape(view, color, depth, leaves))
-    if not isinstance(value, View):
-        raise ModelError(f"{value!r} is not a view")
+        return (box, _shape(view, color, depth, carrier))
+    assert isinstance(value, View)
     return View(
         [
-            (seen, _shape(item, seen, depth - 1, leaves))
+            (seen, _shape(item, seen, depth - 1, carrier))
             for seen, item in value
         ]
-    )
-
-
-def encode_vertex(vertex: Vertex, rounds: int) -> Optional[VertexKey]:
-    """The key that :func:`decode_vertex` turns back into ``vertex``.
-
-    The key a relabelled template gives ``vertex``: its shape, and the
-    input vertices at its depth-``rounds`` leaves.  ``None`` if its
-    value is not ``rounds`` levels of views, so that no relabelled
-    template names it.
-    """
-    leaves: dict[int, Hashable] = {}
-    try:
-        shape = _shape(vertex.value, vertex.color, rounds, leaves)
-    except ModelError:
-        return None
-    return (
-        Vertex(vertex.color, shape),
-        tuple([Vertex(color, leaves[color]) for color in sorted(leaves)]),
     )
 
 
@@ -313,8 +290,8 @@ def _template_of(
     shapes = []
     carriers = []
     for vertex in vertices:
-        leaves: dict[int, Hashable] = {}
-        value = _shape(vertex.value, vertex.color, rounds, leaves)
+        carrier: set[int] = set()
+        value = _shape(vertex.value, vertex.color, rounds, carrier)
         shapes.append(Vertex(vertex.color, value))
-        carriers.append(tuple(sorted(leaves)))
+        carriers.append(tuple(sorted(carrier)))
     return ProtocolTemplate(tuple(shapes), tuple(carriers), facets)

@@ -15,6 +15,7 @@ from repro.core.solvability import (
 )
 from repro.errors import SolvabilityError
 from repro.models import ProtocolOperator
+from repro.models.protocol import decode_vertex
 from repro.tasks import (
     approximate_agreement_task,
     binary_consensus_task,
@@ -615,15 +616,15 @@ class TestCoreStage:
     def compiled(self, monkeypatch):
         """The input simplices of every compile, in call order."""
         calls = []
-        build = solvability_module.build_reduced_problem
+        build = solvability_module.build_solvability_problem
 
-        def spy(input_simplices, *rest):
+        def spy(input_simplices, *rest, **options):
             simplices = list(input_simplices)
             calls.append(simplices)
-            return build(simplices, *rest)
+            return build(simplices, *rest, **options)
 
         monkeypatch.setattr(
-            solvability_module, "build_reduced_problem", spy
+            solvability_module, "build_solvability_problem", spy
         )
         return calls
 
@@ -775,8 +776,8 @@ class TestSeriesReduction:
             task.input_complex if simplices is None else simplices
         )
         operator = ProtocolOperator(model)
-        reduced = solvability_module.build_reduced_problem(
-            simplices, task.delta, operator, rounds
+        reduced = build_solvability_problem(
+            simplices, task.delta, operator, rounds, reduce=True
         )
         full = build_solvability_problem(
             simplices, task.delta, operator, rounds
@@ -832,18 +833,14 @@ class TestSeriesReduction:
             for span in reduces
         ] == [(2, 2), (2 * 16, 8)]
 
-    def test_a_single_lookup_walks_no_decode(self, iis):
+    def test_the_map_on_keys_is_the_decoded_map(self, iis):
         task = approximate_agreement_task([1, 2], F(1, 9), 9)
-        operator = ProtocolOperator(iis)
-        decision = find_decision_map(task, iis, 2, operator=operator)
-        sigma = input_simplex({1: F(0), 2: F(1)})
-        path = operator.of_simplex(sigma, 2)
-        images = {vertex: decision(vertex) for vertex in path.vertices}
+        decision = find_decision_map(task, iis, 2)
+        by_key = decision.assignment.by_key()
         assert decision.assignment._built is None
-        assert images == {
-            vertex: dict(decision.assignment)[vertex]
-            for vertex in path.vertices
-        }
+        assert {
+            decode_vertex(key, 2): output for key, output in by_key.items()
+        } == dict(decision.assignment)
         assert Vertex(1, "no such view") not in decision.assignment
 
 
@@ -891,12 +888,15 @@ class TestVerifiedRange:
 
     def test_two_process_iis_solvable_at_four_rounds(self, iis):
         # 3^4 >= 81.  The whole instance does not fit in 2 GB; the
-        # reduced one is decided on the solo vertices.  The map is read
-        # vertex by vertex and checked on the widest input edge's faces.
+        # reduced one is decided on the solo vertices.  Decoding the
+        # whole map would build all 538,084 vertices, so the map is read
+        # on keys and only the widest input edge's faces are decoded and
+        # checked.
         task = approximate_agreement_task([1, 2], F(1, 81), 81)
         operator = ProtocolOperator(iis)
         decision = find_decision_map(task, iis, 4, operator=operator)
         assert decision is not None
+        by_key = decision.assignment.by_key()
         faces = list(input_simplex({1: F(0), 2: F(1)}).faces())
 
         def protocol_of(sigma):
@@ -904,9 +904,9 @@ class TestVerifiedRange:
 
         restricted = DecisionMap(
             {
-                vertex: decision(vertex)
+                decode_vertex(key, 4): by_key[key]
                 for sigma in faces
-                for vertex in protocol_of(sigma).vertices
+                for key in operator.template(sigma, 4).keys(sigma)
             },
             4,
         )

@@ -12,16 +12,12 @@ from repro.models import (
     SnapshotModel,
     k_concurrency_model,
 )
-from repro.models.protocol import (
-    decode_vertex,
-    encode_vertex,
-    key_sort_key,
-)
+from repro.models.protocol import decode_vertex, key_sort_key
 from repro.objects import AugmentedModel, BinaryConsensusBox, TestAndSetBox
 from repro.tasks import approximate_agreement_task, binary_consensus_task
 from repro.tasks.inputs import input_simplex
 from repro.telemetry import default_registry
-from repro.topology import Simplex, SimplicialComplex, Vertex
+from repro.topology import Simplex, SimplicialComplex
 
 
 @pytest.fixture
@@ -183,19 +179,12 @@ class TestKeySortKey:
         checked = 0
         for sigma in simplices:
             for key in operator.template(sigma, rounds).keys(sigma):
-                vertex = decode_vertex(key, rounds)
-                expected = vertex._sort_key()
+                expected = decode_vertex(key, rounds)._sort_key()
                 assert key_sort_key(key, rounds) == expected
                 # A memo shared across keys changes nothing.
                 assert key_sort_key(key, rounds, memo) == expected
-                if key[1]:
-                    assert encode_vertex(vertex, rounds) == key
                 checked += 1
         assert checked
-
-    def test_a_value_without_views_has_no_key(self):
-        assert encode_vertex(Vertex(1, "x"), 1) is None
-        assert encode_vertex(Vertex(1, ("x", "y", "z")), 2) is None
 
     @pytest.mark.parametrize("rounds", [0, 2])
     def test_sigma_keyed_templates_are_covered(self, rounds):

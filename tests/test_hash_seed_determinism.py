@@ -69,11 +69,11 @@ import repro.core.solvability as solvability
 from repro.models import ImmediateSnapshotModel
 from repro.tasks import multivalued_consensus_task
 compiled = []
-build = solvability.build_reduced_problem
-def spy(simplices, *rest):
+build = solvability.build_solvability_problem
+def spy(simplices, *rest, **options):
     compiled.append(list(simplices))
-    return build(compiled[-1], *rest)
-solvability.build_reduced_problem = spy
+    return build(compiled[-1], *rest, **options)
+solvability.build_solvability_problem = spy
 task = multivalued_consensus_task([1, 2, 3], ["x", "y", "z"])
 assert not solvability.is_solvable(task, ImmediateSnapshotModel(), 0)
 print(max(compiled[0], key=len))
