@@ -1,5 +1,7 @@
 """Tests for the chaos campaign runner (budgets, isolation, determinism)."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -297,3 +299,96 @@ class TestCellCatalog:
             assert CELLS[key].broken
         for key in ("aa", "aa2", "consensus"):
             assert not CELLS[key].broken
+
+
+def _report_digest(config):
+    encoded = json.dumps(report_to_json(run_campaign(config)), sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+class TestCampaignStreamPins:
+    """Byte-level pins of every campaign stream E23 and the ledger use.
+
+    Each digest covers the full JSON report: classifications, witnesses
+    and the replayable traces of violations, so a change to any seeded
+    stream (schedules, matrix draws, mid-round crashes, box choices) or
+    to an algorithm's arithmetic shows here.
+    """
+
+    @pytest.mark.parametrize(
+        "cell, model, n, t, digest",
+        [
+            (
+                "aa", "iis", 3, 1,
+                "3760b80c0c3e00336caf2ea46b521047ea814a8eff6803a83e6bcfad6a5f5f45",
+            ),
+            (
+                "aa", "snapshot", 3, 1,
+                "811223b4d37e0bdf73a841d98f85bc678b2dcb825a3eec1fe60b21f00e70ccff",
+            ),
+            (
+                "aa", "collect", 3, 1,
+                "6490c97bdf1f1a004a30e741138db837b292172a6fa55ac9d3f8385bfdf88ff6",
+            ),
+            (
+                "aa2", "iis", 2, 1,
+                "a1c34b9cfa0721a5d335f36b2922dca468238596019768affca35a6fba6465aa",
+            ),
+            (
+                "consensus", "iis", 3, 1,
+                "63754ac22673420acc69f2fa3d5e6c1ce197807683e81fc2778f19c3d3399702",
+            ),
+            (
+                "consensus", "iis", 4, 2,
+                "e60da738c3a434ba8a072bc64f85300f9fb7f9a4dca2bae08031224382a45c20",
+            ),
+        ],
+    )
+    def test_clean_cell(self, cell, model, n, t, digest):
+        config = CampaignConfig(
+            cell=cell, model=model, n=n, t=t, executions=100, seed=0
+        )
+        assert _report_digest(config) == digest
+
+    @pytest.mark.parametrize(
+        "cell, digest",
+        [
+            (
+                "aa-broken",
+                "443c33363131821b3f8607545fff15fe4e132034b162db9282193622a22a993f",
+            ),
+            (
+                "consensus-broken",
+                "598b1e29b8c7631e63357c49adc41afcf091a9f477de2b90fd57d60e92850ca4",
+            ),
+        ],
+    )
+    def test_broken_cell(self, cell, digest):
+        config = CampaignConfig(
+            cell=cell, model="iis", n=3, t=0, executions=300, seed=0
+        )
+        assert _report_digest(config) == digest
+
+    @pytest.mark.parametrize(
+        "mode, cell, digest",
+        [
+            (
+                "lost-write", "aa",
+                "27d0dcd62fb55c69d57b1840526da3ce92fcbdd80069cc29fb3b2b23170a3627",
+            ),
+            (
+                "stale-snapshot", "aa",
+                "df0442c9bdbd9a7e9292859e29d2974ec0eb78844aa99a0ec3e59322a0d089e8",
+            ),
+            (
+                "bad-box", "consensus",
+                "0468cf93e13bce80ff8154015b841abc47d4b7a2d6e1f8f05ce7fc041437d907",
+            ),
+        ],
+    )
+    def test_illegal_probe(self, mode, cell, digest):
+        config = CampaignConfig(
+            cell=cell, model="iis", n=3, t=0, executions=100, seed=0,
+            illegal=mode,
+        )
+        assert _report_digest(config) == digest

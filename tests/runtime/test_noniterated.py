@@ -1,5 +1,6 @@
 """Tests for the non-iterated executor and phase-filtered halving AA."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -133,3 +134,53 @@ class TestAsynchronousSkew:
     def test_filtered_variant_declares_phase_awareness(self):
         assert NonIteratedHalvingAA(F(1, 2)).phase_aware
         assert not getattr(HalvingAA(F(1, 2)), "phase_aware", False)
+
+
+def _interleaving_digest(algorithm, synchronized):
+    digest = hashlib.sha256()
+    for seed in range(50):
+        result = NonIteratedExecutor(seed=seed, synchronized=synchronized).run(
+            algorithm, INPUTS
+        )
+        record = (
+            result.decisions,
+            [
+                (o.process, o.phase, sorted(o.seen.items()))
+                for o in result.observations
+            ],
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestInterleavingPins:
+    """The exact interleavings of E21's four sweeps, seeds 0–49.
+
+    A change to the runnable set's order, to the RNG draws or to which
+    values a collect returns changes these digests, which a comparison
+    of two runs of the same code cannot see.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm, synchronized, digest",
+        [
+            (
+                HalvingAA, False,
+                "27f073e596c121462a83a09b1b98248595cb48b56c823b0ca76b421b392254a9",
+            ),
+            (
+                HalvingAA, True,
+                "5aa07c00f397625678bd403528f40f6af33d63fb1d77599d08b52e9b9fd40e30",
+            ),
+            (
+                NonIteratedHalvingAA, False,
+                "e1f24de4bb9acfa0e9544a577e290dc34880532d2c891460cf40ce00336cdc34",
+            ),
+            (
+                NonIteratedHalvingAA, True,
+                "af4a4c496ab899c0bec297fa39db170c931bdc3a2636e9a206f5aa088f7cc186",
+            ),
+        ],
+    )
+    def test_digest(self, algorithm, synchronized, digest):
+        assert _interleaving_digest(algorithm(F(1, 4)), synchronized) == digest
