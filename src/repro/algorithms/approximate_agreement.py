@@ -41,6 +41,25 @@ __all__ = ["HalvingAA", "TwoProcessThirdsAA", "NonIteratedHalvingAA"]
 Rational = Union[Fraction, int, str]
 
 
+def _round_parameters(
+    epsilon: Fraction, base: int, rounds: int
+) -> dict[int, Fraction]:
+    """``{r: base^{t-r}·ε}`` for ``r = 1..t``: computed once per algorithm."""
+    return {
+        round_index: epsilon * base ** (rounds - round_index)
+        for round_index in range(1, rounds + 1)
+    }
+
+
+def _lookup(table: dict[int, Fraction], round_index: int) -> Fraction:
+    try:
+        return table[round_index]
+    except KeyError:
+        raise RuntimeModelError(
+            f"round {round_index} lies outside rounds 1..{len(table)}"
+        ) from None
+
+
 class HalvingAA(RoundAlgorithm):
     """ε-approximate agreement for ``n ≥ 3`` in ``⌈log₂ 1/ε⌉`` IIS rounds.
 
@@ -63,10 +82,11 @@ class HalvingAA(RoundAlgorithm):
         self.rounds = (
             rounds if rounds is not None else ceil_log(2, 1 / self.epsilon)
         )
+        self._round_epsilons = _round_parameters(self.epsilon, 2, self.rounds)
 
     def round_epsilon(self, round_index: int) -> Fraction:
-        """The round parameter ``ε_r = 2^{t-r}·ε``."""
-        return self.epsilon * 2 ** (self.rounds - round_index)
+        """The round parameter ``ε_r = 2^{t-r}·ε``, for ``1 ≤ r ≤ t``."""
+        return _lookup(self._round_epsilons, round_index)
 
     def initial_state(self, process: int, input_value: Hashable) -> Fraction:
         return Fraction(input_value)
@@ -103,10 +123,11 @@ class TwoProcessThirdsAA(RoundAlgorithm):
         self.rounds = (
             rounds if rounds is not None else ceil_log(3, 1 / self.epsilon)
         )
+        self._round_epsilons = _round_parameters(self.epsilon, 3, self.rounds)
 
     def round_epsilon(self, round_index: int) -> Fraction:
-        """The round parameter ``ε_r = 3^{t-r}·ε``."""
-        return self.epsilon * 3 ** (self.rounds - round_index)
+        """The round parameter ``ε_r = 3^{t-r}·ε``, for ``1 ≤ r ≤ t``."""
+        return _lookup(self._round_epsilons, round_index)
 
     def initial_state(self, process: int, input_value: Hashable) -> Fraction:
         return Fraction(input_value)

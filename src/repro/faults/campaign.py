@@ -474,7 +474,9 @@ class _ChaosAdversary(Adversary):
     ) -> None:
         self._inner = inner
         self._crash_rng = random.Random(seed + 1)
-        self._box_rng = random.Random(seed + 2)
+        # Seeded on its first draw: cells without a box never need it.
+        self._box_seed = seed + 2
+        self._box_rng: Optional[random.Random] = None
         self._budget = budget
         self._illegal = illegal
 
@@ -519,6 +521,8 @@ class _ChaosAdversary(Adversary):
         options: Sequence[Mapping[int, object]],
     ) -> Mapping[int, object]:
         self._inner.choose_assignment(round_index, schedule, options)
+        if self._box_rng is None:
+            self._box_rng = random.Random(self._box_seed)
         chosen = options[self._box_rng.randrange(len(options))]
         if round_index == 1 and self._illegal == "bad-box":
             chosen = {
@@ -584,6 +588,14 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         HUNG: (_HUNG, report.hung),
         HARNESS_FAULT_DETECTED: (_DETECTED, report.detected),
     }
+    # The cell's algorithm, oracle and box hold no state, so one of each
+    # serves the whole campaign; each execution still gets its own step
+    # budget and deadline (classify_execution wraps the algorithm).  They
+    # are built inside the first execution's error isolation: a cell that
+    # cannot be built for this ε turns every execution into an incident.
+    parts: Optional[
+        tuple[RoundAlgorithm, PropertyOracle, Optional[BlackBox]]
+    ] = None
     started = time.monotonic()
     campaign_deadline_at = (
         started + config.deadline if config.deadline is not None else None
@@ -615,16 +627,23 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             # executor/oracle work nests under it.
             with span("chaos/trial", index=index, seed=seed) as trial_span:
                 try:
+                    if parts is None:
+                        parts = (
+                            spec.build(config.n, config.epsilon),
+                            spec.oracle(config.n, config.epsilon),
+                            (
+                                spec.make_box()
+                                if spec.make_box is not None
+                                else None
+                            ),
+                        )
+                    algorithm, oracle, box = parts
                     classification, violation, result = classify_execution(
-                        algorithm=spec.build(config.n, config.epsilon),
+                        algorithm=algorithm,
                         inputs=inputs,
                         adversary=_make_adversary(config, seed),
-                        box=(
-                            spec.make_box()
-                            if spec.make_box is not None
-                            else None
-                        ),
-                        oracle=spec.oracle(config.n, config.epsilon),
+                        box=box,
+                        oracle=oracle,
                         deadline_at=execution_deadline_at,
                     )
                 except Exception as exc:

@@ -139,7 +139,7 @@ class ApproximateAgreementOracle(PropertyOracle):
         if missing is not None:
             return missing
         decisions = {
-            process: Fraction(value)
+            process: _as_fraction(value)
             for process, value in result.decisions.items()
         }
         spread = max(decisions.values()) - min(decisions.values())
@@ -149,8 +149,9 @@ class ApproximateAgreementOracle(PropertyOracle):
                 f"spread {spread} > ε = {self.epsilon} for decisions "
                 f"{sorted((p, str(v)) for p, v in decisions.items())}",
             )
-        lo = min(Fraction(value) for value in inputs.values())
-        hi = max(Fraction(value) for value in inputs.values())
+        values = [_as_fraction(value) for value in inputs.values()]
+        lo = min(values)
+        hi = max(values)
         outliers = sorted(
             (process, str(value))
             for process, value in decisions.items()
@@ -163,6 +164,11 @@ class ApproximateAgreementOracle(PropertyOracle):
                 f"[{lo}, {hi}]",
             )
         return None
+
+
+def _as_fraction(value: Hashable) -> Fraction:
+    """``value`` as a :class:`Fraction`, converting only when needed."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class KSetAgreementOracle(PropertyOracle):

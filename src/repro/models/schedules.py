@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ScheduleError
 
@@ -80,7 +80,7 @@ class OneRoundSchedule:
             )
         if not self.groups:
             raise ScheduleError("schedule must have at least one group")
-        participants = self.participants
+        participants = frozenset(chain.from_iterable(self.groups))
         seen: set = set()
         for group in self.groups:
             if not group:
@@ -104,26 +104,45 @@ class OneRoundSchedule:
                 raise ScheduleError(
                     "condition (2) violated: P_s must be a subset of I"
                 )
+        # Data derived from the matrix is computed at most once per
+        # schedule and kept in the instance dict under ``_``-names: it is
+        # no dataclass field, so ``__eq__``, ``__hash__`` and ``repr``
+        # never see it.  The participant set is known now; the view map,
+        # the immediate-snapshot flag and the blocks come on first use.
+        object.__setattr__(self, "_participants", participants)
 
     @property
     def participants(self) -> Ids:
         """The participant set ``I = I_0 ∪ … ∪ I_r``."""
-        return frozenset(chain.from_iterable(self.groups))
+        participants: Ids = self.__dict__["_participants"]
+        return participants
+
+    def _views_by_process(self) -> ViewMap:
+        """The cached view map; callers must not mutate it."""
+        cached: Optional[ViewMap] = self.__dict__.get("_view_map")
+        if cached is None:
+            cached = {}
+            for group, view in zip(self.groups, self.views):
+                for process in group:
+                    cached[process] = view
+            object.__setattr__(self, "_view_map", cached)
+        return cached
 
     def view_map(self) -> ViewMap:
-        """The per-process view sets ``{i: P_s}`` for ``i ∈ I_s``."""
-        result: ViewMap = {}
-        for group, view in zip(self.groups, self.views):
-            for process in group:
-                result[process] = view
-        return result
+        """The per-process view sets ``{i: P_s}`` for ``i ∈ I_s``.
+
+        Each call returns a fresh dict the caller may change.
+        """
+        return dict(self._views_by_process())
 
     def view_of(self, process: int) -> Ids:
         """The set of processes whose writes ``process`` reads."""
-        for group, view in zip(self.groups, self.views):
-            if process in group:
-                return view
-        raise ScheduleError(f"process {process} does not participate")
+        try:
+            return self._views_by_process()[process]
+        except KeyError:
+            raise ScheduleError(
+                f"process {process} does not participate"
+            ) from None
 
     def is_snapshot(self) -> bool:
         """``True`` iff the view sets form a chain (snapshot condition)."""
@@ -138,6 +157,14 @@ class OneRoundSchedule:
         For every group ``I_i`` and every ``q ∈ P_i`` with ``q ∈ I_j``, it
         must hold that ``P_j ⊆ P_i``.
         """
+        cached: Optional[bool] = self.__dict__.get("_immediate")
+        if cached is not None:
+            return cached
+        result = self._check_immediate_snapshot()
+        object.__setattr__(self, "_immediate", result)
+        return result
+
+    def _check_immediate_snapshot(self) -> bool:
         location = {}
         for index, group in enumerate(self.groups):
             for process in group:
@@ -153,7 +180,7 @@ class OneRoundSchedule:
         """Processes whose view is exactly themselves (solo executions)."""
         return frozenset(
             process
-            for process, view in self.view_map().items()
+            for process, view in self._views_by_process().items()
             if view == frozenset({process})
         )
 
@@ -169,6 +196,9 @@ class OneRoundSchedule:
         ScheduleError
             If the schedule is not an immediate-snapshot schedule.
         """
+        cached: Optional[tuple[Ids, ...]] = self.__dict__.get("_blocks")
+        if cached is not None:
+            return cached
         if not self.is_immediate_snapshot():
             raise ScheduleError(
                 "temporal blocks are only defined for immediate-snapshot "
@@ -185,7 +215,9 @@ class OneRoundSchedule:
             else:
                 merged.append(self.groups[s])
                 merged_views.append(self.views[s])
-        return tuple(merged)
+        blocks = tuple(merged)
+        object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
 
 def schedule_from_blocks(blocks: Sequence[Iterable[int]]) -> OneRoundSchedule:
@@ -210,7 +242,12 @@ def schedule_from_blocks(blocks: Sequence[Iterable[int]]) -> OneRoundSchedule:
         views.append(prefix)
     groups.reverse()
     views.reverse()
-    return OneRoundSchedule(tuple(groups), tuple(views))
+    schedule = OneRoundSchedule(tuple(groups), tuple(views))
+    # Prefix views make every such matrix immediate-snapshot, with the
+    # given blocks as its temporal blocks.
+    object.__setattr__(schedule, "_immediate", True)
+    object.__setattr__(schedule, "_blocks", tuple(resolved))
+    return schedule
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[Ids]]:

@@ -118,6 +118,12 @@ class IteratedExecutor:
 
         for round_index in range(1, algorithm.rounds + 1):
             doomed = scheduler.crashes(round_index, active)
+            if not doomed <= active:
+                raise RuntimeModelError(
+                    f"adversary crashes {sorted(doomed - active)} before "
+                    f"round {round_index}, outside the active set "
+                    f"{sorted(active)}"
+                )
             if doomed >= active:
                 raise RuntimeModelError(
                     "the adversary may not crash every process"
@@ -183,14 +189,20 @@ class IteratedExecutor:
                 schedule_views = tuple(
                     tuple(sorted(view)) for view in schedule.views
                 )
+            # The processes of one block or group share one view.
+            sorted_views: dict[frozenset, tuple[int, ...]] = {}
+            recorded_views = {}
+            for process, view in views.items():
+                as_tuple = sorted_views.get(view)
+                if as_tuple is None:
+                    as_tuple = sorted_views[view] = tuple(sorted(view))
+                recorded_views[process] = as_tuple
             trace.append(
                 RoundRecord(
                     round_index=round_index,
                     active=tuple(sorted(active)),
                     blocks=recorded,
-                    views={
-                        p: tuple(sorted(view)) for p, view in views.items()
-                    },
+                    views=recorded_views,
                     box_outputs=dict(box_outputs),
                     schedule_views=schedule_views,
                     box_choice=box_choice,
@@ -304,7 +316,7 @@ def _check_written(
     round_index: int, array: RegisterArray, participants: frozenset[int]
 ) -> None:
     """Raise :class:`FaultInjectionError` unless every participant wrote."""
-    missing = participants - frozenset(array.written())
+    missing = participants.difference(array.written())
     if missing:
         raise FaultInjectionError(
             f"round {round_index}: writes by processes "

@@ -110,28 +110,31 @@ class NonIteratedExecutor:
             p: algorithm.initial_state(p, inputs[p]) for p in ids
         }
         phase: dict[int, int] = {p: 0 for p in ids}
-        # Per-process program position within the current phase:
-        # 0 = must write; 1..n = has performed that many reads.
+        # Per-process position within the current phase: the registers
+        # its collect has still to read, in order.  An empty list with
+        # nothing observed yet means the phase starts with a write.
         pending_reads: dict[int, list[int]] = {p: [] for p in ids}
         observed: dict[int, dict[int, tuple[int, Hashable]]] = {
             p: {} for p in ids
         }
         observations: list[PhaseObservation] = []
+        # Phase-aware algorithms receive the (phase, state) tags and can
+        # filter stale values themselves.
+        phase_aware = getattr(algorithm, "phase_aware", False)
+        rounds = algorithm.rounds
 
         def runnable() -> list[int]:
             if not self._synchronized:
-                return [p for p in ids if phase[p] < algorithm.rounds]
+                return [p for p in ids if phase[p] < rounds]
             lowest = min(phase.values())
             return [
-                p
-                for p in ids
-                if phase[p] < algorithm.rounds and phase[p] == lowest
+                p for p in ids if phase[p] < rounds and phase[p] == lowest
             ]
 
-        while True:
-            candidates = runnable()
-            if not candidates:
-                break
+        # The runnable set changes only when a process ends a phase, so it
+        # is rebuilt only then (same contents, same order, same draws).
+        candidates = runnable()
+        while candidates:
             process = self._rng.choice(candidates)
             if not pending_reads[process] and not observed[process]:
                 # Start of a phase: write (phase, state), queue the reads.
@@ -155,8 +158,9 @@ class NonIteratedExecutor:
                 peer_phase, peer_state = content
                 observed[process][target] = (peer_phase, peer_state)
             if not pending_reads[process]:
-                # Collect finished: step the algorithm.
-                seen = dict(observed[process])
+                # Collect finished: step the algorithm.  The collect's
+                # dict is handed over whole; the next phase gets a new one.
+                seen = observed[process]
                 phase[process] += 1
                 observations.append(
                     PhaseObservation(
@@ -165,9 +169,7 @@ class NonIteratedExecutor:
                         seen=seen,
                     )
                 )
-                if getattr(algorithm, "phase_aware", False):
-                    # Phase-aware algorithms receive the (phase, state)
-                    # tags and can filter stale values themselves.
+                if phase_aware:
                     seen_states: Mapping[int, Hashable] = seen
                 else:
                     seen_states = {
@@ -181,6 +183,7 @@ class NonIteratedExecutor:
                     phase[process],
                 )
                 observed[process] = {}
+                candidates = runnable()
 
         decisions = {
             p: algorithm.decide(p, states[p]) for p in ids

@@ -2,7 +2,7 @@
 
 The iterated model organizes shared memory as arrays ``M_r`` of ``n`` SWMR
 registers, one per process and per round (Section 2.1).  Registers enforce
-the single-writer discipline and record every access for trace analysis.
+the single-writer discipline.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class SWMRRegister:
 
     owner: int
     value: Optional[Hashable] = None
-    write_count: int = 0
-    read_count: int = 0
 
     def write(self, process: int, value: Hashable) -> None:
         """Atomic write; only the owner may call this."""
@@ -42,11 +40,9 @@ class SWMRRegister:
                 f"process {self.owner}"
             )
         self.value = value
-        self.write_count += 1
 
     def read(self) -> Optional[Hashable]:
         """Atomic read; ``None`` when the owner has not written yet."""
-        self.read_count += 1
         return self.value
 
 
@@ -54,14 +50,10 @@ class RegisterArray:
     """One round's array ``M_r`` of SWMR registers, one per process."""
 
     def __init__(self, ids: tuple[int, ...]) -> None:
+        # Kept in id order, so written() needs no sort.
         self._registers: dict[int, SWMRRegister] = {
-            process: SWMRRegister(owner=process) for process in ids
+            process: SWMRRegister(owner=process) for process in sorted(ids)
         }
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        """The processes owning a register in this array."""
-        return tuple(sorted(self._registers))
 
     def write(self, process: int, value: Hashable) -> None:
         """``M_r[process] ← value`` (owner-checked)."""
@@ -91,11 +83,9 @@ class RegisterArray:
         }
 
     def written(self) -> tuple[int, ...]:
-        """The processes that have written so far."""
+        """The processes that have written so far, in id order."""
         return tuple(
-            sorted(
-                process
-                for process, register in self._registers.items()
-                if register.value is not None
-            )
+            process
+            for process, register in self._registers.items()
+            if register.value is not None
         )

@@ -20,14 +20,6 @@ class TestSWMRRegister:
         with pytest.raises(RuntimeModelError):
             register.write(2, "intruder")
 
-    def test_access_counters(self):
-        register = SWMRRegister(owner=1)
-        register.write(1, "a")
-        register.write(1, "b")
-        register.read()
-        assert register.write_count == 2
-        assert register.read_count == 1
-
 
 class TestRegisterArray:
     def test_write_and_read(self):
@@ -35,9 +27,6 @@ class TestRegisterArray:
         array.write(2, "x")
         assert array.read(2) == "x"
         assert array.read(1) is None
-
-    def test_ids(self):
-        assert RegisterArray((3, 1, 2)).ids == (1, 2, 3)
 
     def test_owner_enforced_per_slot(self):
         array = RegisterArray((1, 2))
@@ -62,3 +51,9 @@ class TestRegisterArray:
         assert array.written() == ()
         array.write(2, "x")
         assert array.written() == (2,)
+
+    def test_written_in_id_order(self):
+        array = RegisterArray((3, 1, 2))
+        array.write(3, "z")
+        array.write(1, "x")
+        assert array.written() == (1, 3)
