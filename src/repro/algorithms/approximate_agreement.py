@@ -51,6 +51,10 @@ def _round_parameters(
     }
 
 
+def _as_fraction(value: Hashable) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _lookup(table: dict[int, Fraction], round_index: int) -> Fraction:
     try:
         return table[round_index]
@@ -89,7 +93,7 @@ class HalvingAA(RoundAlgorithm):
         return _lookup(self._round_epsilons, round_index)
 
     def initial_state(self, process: int, input_value: Hashable) -> Fraction:
-        return Fraction(input_value)
+        return _as_fraction(input_value)
 
     def step(
         self,
@@ -100,6 +104,9 @@ class HalvingAA(RoundAlgorithm):
         round_index: int,
     ) -> Fraction:
         seen = list(seen_states.values())
+        if len(seen) == 1:
+            # Solo view: min(x, x + ε_r) is x itself.
+            return seen[0]
         return min(max(seen), min(seen) + self.round_epsilon(round_index))
 
     def decide(self, process: int, state: Fraction) -> Fraction:
@@ -130,7 +137,7 @@ class TwoProcessThirdsAA(RoundAlgorithm):
         return _lookup(self._round_epsilons, round_index)
 
     def initial_state(self, process: int, input_value: Hashable) -> Fraction:
-        return Fraction(input_value)
+        return _as_fraction(input_value)
 
     def step(
         self,

@@ -141,9 +141,8 @@ class CellSpec:
     summary: str
     build: Callable[[int, Fraction], RoundAlgorithm]
     oracle: Callable[[int, Fraction], PropertyOracle]
-    sample_inputs: Callable[
-        [int, Fraction, random.Random], dict[int, Hashable]
-    ]
+    #: ``(n, ε, seed)`` → one execution's inputs.
+    sample_inputs: Callable[[int, Fraction, int], dict[int, Hashable]]
     parse_input: Callable[[str], Hashable]
     make_box: Optional[Callable[[], BlackBox]] = None
     #: Models the cell supports.  Black-box cells need temporal blocks, so
@@ -157,9 +156,10 @@ class CellSpec:
 
 
 def _grid_inputs(
-    n: int, epsilon: Fraction, rng: random.Random
+    n: int, epsilon: Fraction, seed: int
 ) -> dict[int, Hashable]:
     """Uniform inputs on the ε-grid ``{0, 1/m, …, 1}``, ``m = 1/ε``."""
+    rng = random.Random(seed)
     m = epsilon.denominator
     return {
         process: Fraction(rng.randrange(m + 1), m)
@@ -168,9 +168,12 @@ def _grid_inputs(
 
 
 def _named_inputs(
-    n: int, epsilon: Fraction, rng: random.Random
+    n: int, epsilon: Fraction, seed: int
 ) -> dict[int, Hashable]:
-    """Distinct symbolic inputs ``v1 … vn`` (consensus-style cells)."""
+    """Distinct symbolic inputs ``v1 … vn`` (consensus-style cells).
+
+    The same for every seed, so no RNG is seeded for them.
+    """
     return {process: f"v{process}" for process in range(1, n + 1)}
 
 
@@ -463,6 +466,9 @@ class _ChaosAdversary(Adversary):
       unchanged, then a seeded admissible option replaces it;
     * the ``illegal`` mode (:data:`ILLEGAL_MODES`), which breaks round 1
       for the executor's cross-checks to catch.
+
+    Each stream is seeded on its first draw, so a cell without a box, or
+    an execution with no crash budget, seeds no stream it never draws.
     """
 
     def __init__(
@@ -473,9 +479,8 @@ class _ChaosAdversary(Adversary):
         illegal: Optional[str] = None,
     ) -> None:
         self._inner = inner
-        self._crash_rng = random.Random(seed + 1)
-        # Seeded on its first draw: cells without a box never need it.
-        self._box_seed = seed + 2
+        self._seed = seed
+        self._crash_rng: Optional[random.Random] = None
         self._box_rng: Optional[random.Random] = None
         self._budget = budget
         self._illegal = illegal
@@ -493,15 +498,21 @@ class _ChaosAdversary(Adversary):
     def mid_round_crashes(
         self, round_index: int, schedule: OneRoundSchedule
     ) -> frozenset[int]:
-        participants = sorted(schedule.participants)
-        doomed: set[int] = set()
-        for process in participants:
-            if len(doomed) >= self._budget:
+        participants = schedule.participants
+        # At most the remaining budget, and never the round's last
+        # survivor: the loop stops drawing once ``limit`` processes died.
+        limit = min(self._budget, len(participants) - 1)
+        if limit <= 0:
+            return frozenset()
+        if self._crash_rng is None:
+            self._crash_rng = random.Random(self._seed + 1)
+        draw = self._crash_rng.random
+        doomed: list[int] = []
+        for process in sorted(participants):
+            if len(doomed) >= limit:
                 break
-            if len(participants) - len(doomed) <= 1:
-                break
-            if self._crash_rng.random() < CRASH_PROBABILITY:
-                doomed.add(process)
+            if draw() < CRASH_PROBABILITY:
+                doomed.append(process)
         self._budget -= len(doomed)
         return frozenset(doomed)
 
@@ -522,7 +533,7 @@ class _ChaosAdversary(Adversary):
     ) -> Mapping[int, object]:
         self._inner.choose_assignment(round_index, schedule, options)
         if self._box_rng is None:
-            self._box_rng = random.Random(self._box_seed)
+            self._box_rng = random.Random(self._seed + 2)
         chosen = options[self._box_rng.randrange(len(options))]
         if round_index == 1 and self._illegal == "bad-box":
             chosen = {
@@ -617,9 +628,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 report.skipped = config.executions - index
                 break
             seed = derive_seed(config.seed, index)
-            inputs = spec.sample_inputs(
-                config.n, config.epsilon, random.Random(seed)
-            )
+            inputs = spec.sample_inputs(config.n, config.epsilon, seed)
             execution_deadline_at = time.monotonic() + EXECUTION_DEADLINE
             incident: Optional[CampaignIncident] = None
             # One span per execution, carrying the oracle's verdict (or

@@ -142,7 +142,9 @@ class ApproximateAgreementOracle(PropertyOracle):
             process: _as_fraction(value)
             for process, value in result.decisions.items()
         }
-        spread = max(decisions.values()) - min(decisions.values())
+        lowest = min(decisions.values())
+        highest = max(decisions.values())
+        spread = highest - lowest
         if spread > self.epsilon:
             return Violation(
                 "epsilon-agreement",
@@ -152,12 +154,12 @@ class ApproximateAgreementOracle(PropertyOracle):
         values = [_as_fraction(value) for value in inputs.values()]
         lo = min(values)
         hi = max(values)
-        outliers = sorted(
-            (process, str(value))
-            for process, value in decisions.items()
-            if not lo <= value <= hi
-        )
-        if outliers:
+        if lowest < lo or highest > hi:
+            outliers = sorted(
+                (process, str(value))
+                for process, value in decisions.items()
+                if not lo <= value <= hi
+            )
             return Violation(
                 "range-validity",
                 f"decisions {outliers} leave the input range "

@@ -50,11 +50,27 @@ __all__ = [
 ]
 
 Ids = frozenset[int]
+IdTuples = tuple[tuple[int, ...], ...]
 ViewMap = dict[int, Ids]
 
 
+class _Derived:
+    """Data a schedule derives from its matrix, computed at most once.
+
+    Declared on this plain base class, so it is no dataclass field and
+    never enters ``__eq__``, ``__hash__`` or ``repr``.  ``None`` until
+    first use, except the participant set.
+    """
+
+    _participants: Ids
+    _view_map: Optional[ViewMap]
+    _immediate: Optional[bool]
+    _blocks: Optional[tuple[Ids, ...]]
+    _as_tuples: Optional[tuple[IdTuples, Optional[IdTuples]]]
+
+
 @dataclass(frozen=True)
-class OneRoundSchedule:
+class OneRoundSchedule(_Derived):
     """A one-round communication pattern in matrix form.
 
     Attributes
@@ -104,22 +120,22 @@ class OneRoundSchedule:
                 raise ScheduleError(
                     "condition (2) violated: P_s must be a subset of I"
                 )
-        # Data derived from the matrix is computed at most once per
-        # schedule and kept in the instance dict under ``_``-names: it is
-        # no dataclass field, so ``__eq__``, ``__hash__`` and ``repr``
-        # never see it.  The participant set is known now; the view map,
-        # the immediate-snapshot flag and the blocks come on first use.
+        # Every derived attribute is set here, in one order, so all
+        # schedules keep one compact attribute layout.
         object.__setattr__(self, "_participants", participants)
+        object.__setattr__(self, "_view_map", None)
+        object.__setattr__(self, "_immediate", None)
+        object.__setattr__(self, "_blocks", None)
+        object.__setattr__(self, "_as_tuples", None)
 
     @property
     def participants(self) -> Ids:
         """The participant set ``I = I_0 ∪ … ∪ I_r``."""
-        participants: Ids = self.__dict__["_participants"]
-        return participants
+        return self._participants
 
     def _views_by_process(self) -> ViewMap:
         """The cached view map; callers must not mutate it."""
-        cached: Optional[ViewMap] = self.__dict__.get("_view_map")
+        cached = self._view_map
         if cached is None:
             cached = {}
             for group, view in zip(self.groups, self.views):
@@ -157,7 +173,7 @@ class OneRoundSchedule:
         For every group ``I_i`` and every ``q ∈ P_i`` with ``q ∈ I_j``, it
         must hold that ``P_j ⊆ P_i``.
         """
-        cached: Optional[bool] = self.__dict__.get("_immediate")
+        cached = self._immediate
         if cached is not None:
             return cached
         result = self._check_immediate_snapshot()
@@ -196,7 +212,7 @@ class OneRoundSchedule:
         ScheduleError
             If the schedule is not an immediate-snapshot schedule.
         """
-        cached: Optional[tuple[Ids, ...]] = self.__dict__.get("_blocks")
+        cached = self._blocks
         if cached is not None:
             return cached
         if not self.is_immediate_snapshot():
@@ -218,6 +234,29 @@ class OneRoundSchedule:
         blocks = tuple(merged)
         object.__setattr__(self, "_blocks", blocks)
         return blocks
+
+    def as_tuples(self) -> tuple[IdTuples, Optional[IdTuples]]:
+        """The schedule as sorted id tuples, the form execution traces keep.
+
+        ``(blocks, None)`` with the temporal blocks of an
+        immediate-snapshot schedule, otherwise ``(groups, views)``: the
+        matrix itself.
+        """
+        cached = self._as_tuples
+        if cached is None:
+            if self.is_immediate_snapshot():
+                cached = (_sorted_tuples(self.blocks()), None)
+            else:
+                cached = (
+                    _sorted_tuples(self.groups),
+                    _sorted_tuples(self.views),
+                )
+            object.__setattr__(self, "_as_tuples", cached)
+        return cached
+
+
+def _sorted_tuples(sets: Iterable[Ids]) -> IdTuples:
+    return tuple(tuple(sorted(ids)) for ids in sets)
 
 
 def schedule_from_blocks(blocks: Sequence[Iterable[int]]) -> OneRoundSchedule:

@@ -22,7 +22,7 @@ stale snapshot or a non-admissible assignment is raised as
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+from collections.abc import Collection, Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,22 +118,24 @@ class IteratedExecutor:
 
         for round_index in range(1, algorithm.rounds + 1):
             doomed = scheduler.crashes(round_index, active)
-            if not doomed <= active:
-                raise RuntimeModelError(
-                    f"adversary crashes {sorted(doomed - active)} before "
-                    f"round {round_index}, outside the active set "
-                    f"{sorted(active)}"
-                )
-            if doomed >= active:
-                raise RuntimeModelError(
-                    "the adversary may not crash every process"
-                )
-            for process in doomed:
-                crashed[process] = round_index
-            active = active - doomed
+            if doomed:
+                if not doomed <= active:
+                    raise RuntimeModelError(
+                        f"adversary crashes {sorted(doomed - active)} "
+                        f"before round {round_index}, outside the active "
+                        f"set {sorted(active)}"
+                    )
+                if doomed >= active:
+                    raise RuntimeModelError(
+                        "the adversary may not crash every process"
+                    )
+                for process in doomed:
+                    crashed[process] = round_index
+                active = active - doomed
 
             schedule = scheduler.schedule(round_index, active)
-            # Derive everything the round needs from the schedule once.
+            # Everything the round needs from the schedule is derived once
+            # per schedule (OneRoundSchedule keeps it).
             participants = schedule.participants
             if participants != active:
                 raise RuntimeModelError(
@@ -144,51 +146,40 @@ class IteratedExecutor:
             blocks: Optional[tuple[frozenset[int], ...]] = (
                 schedule.blocks() if schedule.is_immediate_snapshot() else None
             )
-            dying = (
-                frozenset(scheduler.mid_round_crashes(round_index, schedule))
-                & active
-            )
-            if dying >= active:
-                raise RuntimeModelError(
-                    "the adversary may not crash every process mid-round"
-                )
+            recorded, schedule_views = schedule.as_tuples()
+            dying = scheduler.mid_round_crashes(round_index, schedule)
+            if dying:
+                dying = frozenset(dying) & active
+                if dying >= active:
+                    raise RuntimeModelError(
+                        "the adversary may not crash every process mid-round"
+                    )
             box_outputs, box_choice = self._run_box(
                 round_index, schedule, participants, states, algorithm,
                 scheduler,
             )
-            array = scheduler.register_array(
-                round_index, tuple(sorted(participants))
-            )
+            ordered = tuple(sorted(participants))
+            array = scheduler.register_array(round_index, ordered)
             views = self._run_round(
-                round_index, array, participants, declared, blocks, states,
-                dying,
+                round_index, array, participants, ordered, declared, blocks,
+                recorded, states, dying,
             )
             new_states = {}
-            for process in active - dying:
-                seen_states = {j: states[j] for j in views[process]}
+            for process, view in views.items():
                 new_states[process] = algorithm.step(
                     process,
                     states[process],
-                    seen_states,
+                    {j: states[j] for j in view},
                     box_outputs.get(process),
                     round_index,
                 )
             states.update(new_states)
-            for process in dying:
-                crashed[process] = round_index
-            active = active - dying
-            if blocks is not None:
-                recorded = tuple(tuple(sorted(block)) for block in blocks)
-                schedule_views: Optional[tuple[tuple[int, ...], ...]] = None
-            else:
-                # Snapshot/collect schedules have no temporal block
-                # decomposition; record the matrix groups and view sets.
-                recorded = tuple(
-                    tuple(sorted(group)) for group in schedule.groups
-                )
-                schedule_views = tuple(
-                    tuple(sorted(view)) for view in schedule.views
-                )
+            survivors = ordered
+            if dying:
+                for process in dying:
+                    crashed[process] = round_index
+                active = active - dying
+                survivors = tuple(sorted(active))
             # The processes of one block or group share one view.
             sorted_views: dict[frozenset, tuple[int, ...]] = {}
             recorded_views = {}
@@ -200,7 +191,7 @@ class IteratedExecutor:
             trace.append(
                 RoundRecord(
                     round_index=round_index,
-                    active=tuple(sorted(active)),
+                    active=survivors,
                     blocks=recorded,
                     views=recorded_views,
                     box_outputs=dict(box_outputs),
@@ -224,15 +215,19 @@ class IteratedExecutor:
         round_index: int,
         array: RegisterArray,
         participants: frozenset[int],
+        ordered: tuple[int, ...],
         declared: Mapping[int, frozenset[int]],
         blocks: Optional[tuple[frozenset[int], ...]],
+        sorted_blocks: tuple[tuple[int, ...], ...],
         states: Mapping[int, object],
-        dying: frozenset,
+        dying: Collection[int],
     ) -> dict[int, frozenset]:
         """Materialize the round's schedule through the register ``array``.
 
         ``declared`` is the schedule's view map and ``blocks`` its temporal
-        blocks, or ``None`` for a schedule that is not immediate-snapshot.
+        blocks (``sorted_blocks`` as sorted tuples), or ``None`` for a
+        schedule that is not immediate-snapshot; ``ordered`` lists the
+        participants in id order.
         Immediate-snapshot schedules run block by block (write together,
         snapshot together).  General snapshot/collect schedules write
         everything, take one snapshot, and give each process that snapshot
@@ -242,18 +237,17 @@ class IteratedExecutor:
         mid-round), so their writes remain visible to the survivors while
         they themselves get no view.
         """
-        active = tuple(sorted(participants))
         views: dict[int, frozenset] = {}
         if blocks is not None:
-            for block in blocks:
-                for process in sorted(block):
+            for block, writers in zip(blocks, sorted_blocks):
+                for process in writers:
                     array.write(process, states[process])
                 content = frozenset(array.snapshot())
                 for process in block:
                     if process not in dying:
                         views[process] = content
         else:
-            for process in active:
+            for process in ordered:
                 array.write(process, states[process])
             _check_written(round_index, array, participants)
             content = frozenset(array.snapshot())
