@@ -134,8 +134,9 @@ class NonIteratedExecutor:
         # The runnable set changes only when a process ends a phase, so it
         # is rebuilt only then (same contents, same order, same draws).
         candidates = runnable()
+        choice = self._rng.choice
         while candidates:
-            process = self._rng.choice(candidates)
+            process = choice(candidates)
             if not pending_reads[process] and not observed[process]:
                 # Start of a phase: write (phase, state), queue the reads.
                 written = (phase[process] + 1, states[process])

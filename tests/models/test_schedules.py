@@ -47,6 +47,16 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError):
             OneRoundSchedule(groups=(fs(1), fs(2)), views=(fs(1), fs(2)))
 
+    def test_condition_3_named_in_the_error(self):
+        # Conditions (2) and (5) imply (3), so only the message shows
+        # that (3) is checked on its own.
+        with pytest.raises(ScheduleError, match=r"condition \(3\)"):
+            OneRoundSchedule(groups=(fs(1), fs(2)), views=(fs(1), fs(2)))
+
+    def test_matrix_without_groups_rejected(self):
+        with pytest.raises(ScheduleError, match="at least one group"):
+            OneRoundSchedule(groups=(), views=())
+
     def test_condition_4_groups_partition(self):
         with pytest.raises(ScheduleError):
             OneRoundSchedule(
@@ -133,6 +143,88 @@ class TestScheduleSemantics:
             schedule_from_blocks([])
         with pytest.raises(ScheduleError):
             schedule_from_blocks([[]])
+
+
+class TestComputedOnce:
+    """What a schedule derives from its matrix is kept, never leaked."""
+
+    NOT_IS = OneRoundSchedule(
+        groups=(fs(1), fs(3), fs(2)),
+        views=(fs(1, 2, 3), fs(2, 3), fs(1, 2)),
+    )
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [schedule_from_blocks([[2], [1, 3]]), NOT_IS],
+        ids=["blocks", "matrix"],
+    )
+    def test_view_map_is_a_fresh_dict(self, schedule):
+        before = schedule.view_map()
+        mutated = schedule.view_map()
+        mutated[1] = fs(9)
+        del mutated[2]
+        assert schedule.view_map() == before
+        assert schedule.view_map() is not schedule.view_map()
+        assert schedule.view_of(1) == before[1]
+        assert schedule.view_of(2) == before[2]
+
+    def test_blocks_of_a_non_is_matrix_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ScheduleError):
+                self.NOT_IS.blocks()
+            assert not self.NOT_IS.is_immediate_snapshot()
+
+    @pytest.mark.parametrize("kind", ["immediate", "snapshot", "collect"])
+    def test_pooled_schedule_equals_its_rebuilt_matrix(self, kind):
+        for pooled in distinct_schedules(kind, [1, 2, 3]):
+            # Fill the pooled schedule's derived data, not the rebuilt one's.
+            pooled.view_map()
+            pooled.as_tuples()
+            if pooled.is_immediate_snapshot():
+                pooled.blocks()
+            rebuilt = OneRoundSchedule(pooled.groups, pooled.views)
+            assert rebuilt == pooled
+            assert hash(rebuilt) == hash(pooled)
+            assert rebuilt.as_tuples() == pooled.as_tuples()
+            assert rebuilt.is_immediate_snapshot() == (
+                pooled.is_immediate_snapshot()
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_schedules_match_their_matrix(self, n):
+        # schedule_from_blocks records its blocks up front; they must be
+        # the blocks the matrix itself yields.
+        for blocks in ordered_partitions(range(1, n + 1)):
+            schedule = schedule_from_blocks(blocks)
+            rebuilt = OneRoundSchedule(schedule.groups, schedule.views)
+            assert schedule.is_immediate_snapshot()
+            assert schedule.blocks() == rebuilt.blocks() == blocks
+            assert schedule.as_tuples() == rebuilt.as_tuples()
+
+    def test_as_tuples(self):
+        assert schedule_from_blocks([[3], [2, 1]]).as_tuples() == (
+            ((3,), (1, 2)),
+            None,
+        )
+        assert self.NOT_IS.as_tuples() == (
+            ((1,), (3,), (2,)),
+            ((1, 2, 3), (2, 3), (1, 2)),
+        )
+
+    def test_repr_shows_only_the_matrix(self):
+        schedule = schedule_from_blocks([[2], [1, 3]])
+        schedule.view_map()
+        schedule.as_tuples()
+        assert repr(schedule) == (
+            "OneRoundSchedule(groups=(frozenset({1, 3}), frozenset({2})), "
+            "views=(frozenset({1, 2, 3}), frozenset({2})))"
+        )
+        self.NOT_IS.view_map()
+        assert repr(self.NOT_IS) == (
+            "OneRoundSchedule(groups=(frozenset({1}), frozenset({3}), "
+            "frozenset({2})), views=(frozenset({1, 2, 3}), "
+            "frozenset({2, 3}), frozenset({1, 2})))"
+        )
 
 
 class TestClassPredicates:

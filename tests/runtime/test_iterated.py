@@ -145,6 +145,22 @@ class TestCrashSemantics:
         assert result.crashed == {1: 1}
 
 
+    def test_crash_outside_the_active_set_rejected(self):
+        # Process 3 dies before round 1; a later crash set naming it
+        # again, or a process that never took part, is an adversary bug,
+        # not a second crash in a later round.
+        class RepeatsItself(FullSyncAdversary):
+            def crashes(self, round_index, active):
+                if round_index == 1:
+                    return frozenset({3})
+                return frozenset({3, 99})
+
+        with pytest.raises(RuntimeModelError, match=r"\[3, 99\]"):
+            IteratedExecutor().run(
+                HalvingAA(F(1, 4)), INPUTS, RepeatsItself()
+            )
+
+
 class TestMidRoundCrashSemantics:
     """Mid-round victims write (survivors see them) but never snapshot."""
 
