@@ -22,7 +22,7 @@ stale snapshot or a non-admissible assignment is raised as
 
 from __future__ import annotations
 
-from collections.abc import Collection, Hashable, Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -220,7 +220,7 @@ class IteratedExecutor:
         blocks: Optional[tuple[frozenset[int], ...]],
         sorted_blocks: tuple[tuple[int, ...], ...],
         states: Mapping[int, object],
-        dying: Collection[int],
+        dying: frozenset,
     ) -> dict[int, frozenset]:
         """Materialize the round's schedule through the register ``array``.
 

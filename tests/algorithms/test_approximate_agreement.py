@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import HalvingAA, TwoProcessThirdsAA
 from repro.errors import RuntimeModelError
+from repro.faults.fixtures import TooFewRoundsAA
 from repro.runtime import (
     FixedScheduleAdversary,
     IteratedExecutor,
@@ -46,6 +47,21 @@ class TestHalvingAA:
         assert algorithm.round_epsilon(1) == F(1, 2)
         assert algorithm.round_epsilon(2) == F(1, 4)
         assert algorithm.round_epsilon(3) == F(1, 8)
+
+    def test_round_parameters_follow_the_round_count(self):
+        # ε_r is computed when the algorithm is built, from the round
+        # count it ends up with, including the one-short fixture's.
+        assert HalvingAA(F(1, 8), rounds=5).round_epsilon(1) == 2
+        short = TooFewRoundsAA(F(1, 8))
+        assert short.rounds == 2
+        assert short.round_epsilon(1) == F(1, 4)
+        assert short.round_epsilon(2) == F(1, 8)
+
+    def test_round_outside_the_algorithm_rejected(self):
+        algorithm = HalvingAA(F(1, 4))
+        for round_index in (0, 3):
+            with pytest.raises(RuntimeModelError, match="outside rounds"):
+                algorithm.round_epsilon(round_index)
 
     def test_invalid_epsilon(self):
         with pytest.raises(RuntimeModelError):
@@ -100,6 +116,11 @@ class TestTwoProcessThirdsAA:
         assert TwoProcessThirdsAA(F(1, 3)).rounds == 1
         assert TwoProcessThirdsAA(F(1, 9)).rounds == 2
         assert TwoProcessThirdsAA(F(1, 4)).rounds == 2
+
+    def test_round_epsilon_triples(self):
+        algorithm = TwoProcessThirdsAA(F(1, 9))
+        assert algorithm.round_epsilon(1) == F(1, 3)
+        assert algorithm.round_epsilon(2) == F(1, 9)
 
     def test_exhaustive_grid_ninths(self):
         eps = F(1, 9)
