@@ -134,18 +134,14 @@ class IteratedExecutor:
                 active = active - doomed
 
             schedule = scheduler.schedule(round_index, active)
-            # Everything the round needs from the schedule is derived once
-            # per schedule (OneRoundSchedule keeps it).
+            # What the round reads off the schedule (participants, view
+            # map, blocks, sorted tuples) is derived once per schedule.
             participants = schedule.participants
             if participants != active:
                 raise RuntimeModelError(
                     f"adversary schedule covers {sorted(participants)}"
                     f", expected the active set {sorted(active)}"
                 )
-            declared = schedule.view_map()
-            blocks: Optional[tuple[frozenset[int], ...]] = (
-                schedule.blocks() if schedule.is_immediate_snapshot() else None
-            )
             recorded, schedule_views = schedule.as_tuples()
             dying = scheduler.mid_round_crashes(round_index, schedule)
             if dying:
@@ -161,8 +157,7 @@ class IteratedExecutor:
             ordered = tuple(sorted(participants))
             array = scheduler.register_array(round_index, ordered)
             views = self._run_round(
-                round_index, array, participants, ordered, declared, blocks,
-                recorded, states, dying,
+                round_index, array, schedule, ordered, states, dying
             )
             new_states = {}
             for process, view in views.items():
@@ -214,20 +209,14 @@ class IteratedExecutor:
         self,
         round_index: int,
         array: RegisterArray,
-        participants: frozenset[int],
+        schedule: OneRoundSchedule,
         ordered: tuple[int, ...],
-        declared: Mapping[int, frozenset[int]],
-        blocks: Optional[tuple[frozenset[int], ...]],
-        sorted_blocks: tuple[tuple[int, ...], ...],
         states: Mapping[int, object],
         dying: frozenset,
     ) -> dict[int, frozenset]:
         """Materialize the round's schedule through the register ``array``.
 
-        ``declared`` is the schedule's view map and ``blocks`` its temporal
-        blocks (``sorted_blocks`` as sorted tuples), or ``None`` for a
-        schedule that is not immediate-snapshot; ``ordered`` lists the
-        participants in id order.
+        ``ordered`` lists the schedule's participants in id order.
         Immediate-snapshot schedules run block by block (write together,
         snapshot together).  General snapshot/collect schedules write
         everything, take one snapshot, and give each process that snapshot
@@ -237,9 +226,13 @@ class IteratedExecutor:
         mid-round), so their writes remain visible to the survivors while
         they themselves get no view.
         """
+        participants = schedule.participants
+        declared = schedule.view_map()
+        immediate = schedule.is_immediate_snapshot()
         views: dict[int, frozenset] = {}
-        if blocks is not None:
-            for block, writers in zip(blocks, sorted_blocks):
+        if immediate:
+            sorted_blocks, _ = schedule.as_tuples()
+            for block, writers in zip(schedule.blocks(), sorted_blocks):
                 for process in writers:
                     array.write(process, states[process])
                 content = frozenset(array.snapshot())
@@ -264,7 +257,7 @@ class IteratedExecutor:
                     f"process {process}, schedule declared "
                     f"{sorted(declared[process])}"
                 )
-        if blocks is not None:
+        if immediate:
             # A lost write that no view shows (its writer crashed
             # mid-round before any survivor's snapshot) is caught here.
             _check_written(round_index, array, participants)
