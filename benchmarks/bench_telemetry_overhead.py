@@ -41,13 +41,7 @@ import time
 from typing import Callable
 
 from repro.experiments.performance import reproduce_cache_effectiveness
-from repro.telemetry import (
-    NOOP_SPAN,
-    Tracer,
-    default_registry,
-    disable,
-    enable,
-)
+from repro.telemetry import NOOP_SPAN, Tracer, disable, enable
 
 #: Every module that binds ``from repro.telemetry import span`` on a path
 #: the E22 workload exercises.  ``from``-imports bind per module, so the
@@ -83,7 +77,6 @@ def _restore_spans(saved: dict) -> None:
 
 
 def _time_once() -> float:
-    default_registry().reset()
     start = time.perf_counter()
     reproduce_cache_effectiveness()
     return time.perf_counter() - start

@@ -11,19 +11,17 @@ alongside the reproduced artifacts.
 Typical use::
 
     registry = default_registry()
-    before = registry.cache_snapshot()
+    before = registry.snapshot()
     ...  # run the workload
-    after = registry.cache_snapshot()
-    print(render_cache_report(registry.cache_delta(before, after)))
+    print(render_cache_report(registry.delta(before, registry.snapshot())))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.reporting import render_table
-from repro.telemetry import default_registry
 
 __all__ = ["CacheStatsRow", "cache_stats_rows", "render_cache_report"]
 
@@ -47,32 +45,29 @@ class CacheStatsRow:
         return (self.cache, str(self.hits), str(self.misses), rate)
 
 
-def cache_stats_rows(
-    stats: Optional[dict[str, tuple[int, int]]] = None,
-) -> list[CacheStatsRow]:
+def cache_stats_rows(stats: dict[str, float]) -> list[CacheStatsRow]:
     """One row per cache, sorted by cache name.
 
     Parameters
     ----------
     stats:
-        ``{name: (hits, misses)}``, e.g. from
-        :meth:`~repro.telemetry.MetricsRegistry.cache_delta`.  Defaults
-        to the lifetime totals of every registered counter.
+        ``cache:<name>:hits|misses`` counts, as
+        :meth:`~repro.telemetry.MetricsRegistry.snapshot` writes them or
+        :meth:`~repro.telemetry.MetricsRegistry.delta` leaves them.  A
+        delta omits the tallies that did not move, so a missing tally
+        reads as zero; a cache with no key at all gets no row.
     """
-    if stats is None:
-        stats = default_registry().cache_snapshot()
-    # stats.get with a zero default: a delta dict may mention a counter
-    # group without tallies (e.g. assembled by hand, or filtered), and a
-    # fresh process — telemetry never enabled, no cache touched — has no
-    # groups at all.  Both must render, not raise.
+    tallies: dict[str, list[int]] = {}
+    for key, value in stats.items():
+        name, kind = key[len("cache:"):].rsplit(":", 1)
+        tallies.setdefault(name, [0, 0])[kind == "misses"] = int(value)
     return [
-        CacheStatsRow(name, *stats.get(name, (0, 0)))
-        for name in sorted(stats)
+        CacheStatsRow(name, *tallies[name]) for name in sorted(tallies)
     ]
 
 
 def render_cache_report(
-    stats: Optional[dict[str, tuple[int, int]]] = None,
+    stats: dict[str, float],
     title: str = "Cache effectiveness (hits / misses = constructions)",
 ) -> str:
     """Render the counters as a fixed-width table.

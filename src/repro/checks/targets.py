@@ -20,6 +20,7 @@ from repro.core.closure import ClosureComputer
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
+    ProtocolOperator,
     SnapshotModel,
     k_concurrency_model,
 )
@@ -61,6 +62,7 @@ def _model_targets(
     targets = [
         AuditTarget("model", path, model, {"samples": samples}),
     ]
+    operator = ProtocolOperator(model)
     for sigma in samples:
         targets.append(
             AuditTarget(
@@ -78,9 +80,7 @@ def _model_targets(
                 f"{path}/Ξ({sigma!r})",
                 CarrierMap(
                     SimplicialComplex.from_simplex(sigma),
-                    lambda face, m=model: m.protocol_complex_of_simplex(
-                        face, 1
-                    ),
+                    lambda face: operator.of_simplex(face, 1),
                     name=f"Ξ[{model.name}]",
                 ),
                 {"expect_monotone": True},

@@ -48,7 +48,6 @@ from repro.topology.vertex import Vertex
 __all__ = ["ClosureComputer"]
 
 _MEMBERSHIP_STATS = default_registry().cache("closure.membership")
-_WINDOW_STATS = default_registry().cache("closure.window")
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ class ClosureComputer:
         key = (allowed, self._model.shape_key(tau, 1))
         window = self._windows.get(key)
         if window is not None:
-            _WINDOW_STATS.hit()
             return window
-        _WINDOW_STATS.miss()
         with span(
             "closure/compile-window",
             task=self._task.name,

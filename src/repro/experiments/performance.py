@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from repro.core import ClosureComputer
@@ -38,7 +37,6 @@ def _refutation_problem():
 
 def _measure_solver(use_propagation: bool, use_components: bool):
     problem = _refutation_problem()
-    start = time.perf_counter()
     try:
         result = problem.solve(
             use_propagation=use_propagation,
@@ -53,7 +51,6 @@ def _measure_solver(use_propagation: bool, use_components: bool):
         "refuted": result is None,
         "exceeded": exceeded,
         "nodes": problem.last_search_nodes,
-        "seconds": time.perf_counter() - start,
     }
 
 
@@ -119,8 +116,7 @@ def reproduce_cache_effectiveness() -> dict[str, object]:
     faces = list(triangle.faces())
 
     registry = default_registry()
-    before = registry.cache_snapshot()
-    start = time.perf_counter()
+    before = registry.snapshot()
     protocol = None
     for _ in range(CACHE_SWEEP_OPERATORS):
         operator = ProtocolOperator(iis)
@@ -128,14 +124,17 @@ def reproduce_cache_effectiveness() -> dict[str, object]:
             result = operator.of_simplex(face, 2)
             if face is faces[0]:
                 protocol = result
-    elapsed = time.perf_counter() - start
-    stats = registry.cache_delta(before, registry.cache_snapshot())
+    stats = registry.delta(before, registry.snapshot())
 
-    hits, misses = stats.get(
-        "one-round-complex[iterated-immediate-snapshot]", (0, 0)
-    )
+    def tallies(name: str) -> tuple[int, int]:
+        return (
+            int(stats.get(f"cache:{name}:hits", 0)),
+            int(stats.get(f"cache:{name}:misses", 0)),
+        )
+
+    hits, misses = tallies("one-round-complex[iterated-immediate-snapshot]")
     requests = hits + misses
-    op_hits, op_misses = stats.get("protocol-operator.of-simplex", (0, 0))
+    op_hits, op_misses = tallies("protocol-operator.of-simplex")
     assert protocol is not None
     return {
         "requests": requests,
@@ -145,6 +144,5 @@ def reproduce_cache_effectiveness() -> dict[str, object]:
         "operator_materializations": op_misses,
         "facets": len(protocol.facets),
         "f_vector": protocol.f_vector(),
-        "seconds": elapsed,
         "stats": stats,
     }

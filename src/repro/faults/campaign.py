@@ -21,9 +21,10 @@ is built to survive its own subjects:
   ``(campaign seed, i)`` only, so re-running a campaign reproduces every
   classification, and any single execution can be re-run alone from its
   recorded seed;
-* **accounting** — aggregate counts feed the process-wide cache
-  counters of :func:`repro.telemetry.default_registry`, and reports
-  render to text (via :mod:`repro.analysis.reporting`) or
+* **accounting** — every execution ticks the
+  ``faults.campaign.executions`` counter of
+  :func:`repro.telemetry.default_registry` (the ledger's trial count),
+  and reports render to text (via :mod:`repro.analysis.reporting`) or
   deterministic JSON.
 
 Violating executions carry a replayable
@@ -101,10 +102,6 @@ __all__ = [
 
 # Fetched once at import time (hot path).
 _EXECUTIONS = default_registry().cache("faults.campaign.executions")
-_VIOLATIONS = default_registry().cache("faults.campaign.violations")
-_HUNG = default_registry().cache("faults.campaign.hung")
-_DETECTED = default_registry().cache("faults.campaign.detected")
-_INCIDENTS = default_registry().cache("faults.campaign.incidents")
 
 #: How many non-OK outcomes a report keeps in full (witness + trace).
 _MAX_KEPT = 25
@@ -353,8 +350,6 @@ class CampaignReport:
     detected: list[ExecutionOutcome] = field(default_factory=list)
     incidents: list[CampaignIncident] = field(default_factory=list)
     skipped: int = 0
-    elapsed: float = 0.0
-    peak_rss_kb: Optional[int] = None
 
     @property
     def clean(self) -> bool:
@@ -595,9 +590,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         },
     )
     kept = {
-        VIOLATION: (_VIOLATIONS, report.violations),
-        HUNG: (_HUNG, report.hung),
-        HARNESS_FAULT_DETECTED: (_DETECTED, report.detected),
+        VIOLATION: report.violations,
+        HUNG: report.hung,
+        HARNESS_FAULT_DETECTED: report.detected,
     }
     # The cell's algorithm, oracle and box hold no state, so one of each
     # serves the whole campaign; each execution still gets its own step
@@ -607,9 +602,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     parts: Optional[
         tuple[RoundAlgorithm, PropertyOracle, Optional[BlackBox]]
     ] = None
-    started = time.monotonic()
     campaign_deadline_at = (
-        started + config.deadline if config.deadline is not None else None
+        time.monotonic() + config.deadline
+        if config.deadline is not None
+        else None
     )
     with span(
         "chaos/campaign",
@@ -670,14 +666,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                     trial_span.set_attribute("verdict", classification)
             _EXECUTIONS.built()
             if incident is not None:
-                _INCIDENTS.built()
                 report.incidents.append(incident)
                 continue
             report.counts[classification] += 1
             if classification == DECIDED_OK:
                 continue
-            tally, outcomes = kept[classification]
-            tally.built()
+            outcomes = kept[classification]
             if len(outcomes) < _MAX_KEPT:
                 assert violation is not None
                 outcomes.append(
@@ -698,18 +692,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 )
         campaign_span.set_attribute("clean", report.clean)
         campaign_span.set_attribute("incidents", len(report.incidents))
-    report.elapsed = time.monotonic() - started
-    report.peak_rss_kb = _peak_rss_kb()
     return report
-
-
-def _peak_rss_kb() -> Optional[int]:
-    """The process's peak RSS in kB, when the platform exposes it."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return None
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def replay_trace(
@@ -835,12 +818,4 @@ def render_report(report: CampaignReport) -> str:
             f"incident @ execution {incident.index} "
             f"(seed {incident.seed}): {incident.error}: {incident.message}"
         )
-    lines.append(
-        f"elapsed: {report.elapsed:.2f}s"
-        + (
-            f", peak RSS: {report.peak_rss_kb} kB"
-            if report.peak_rss_kb is not None
-            else ""
-        )
-    )
     return "\n".join(lines)

@@ -32,11 +32,8 @@ from typing import Callable, Optional
 
 from repro.faults.campaign import replay_trace
 from repro.faults.injectors import FaultTrace, TraceRound
-from repro.telemetry import default_registry
 
 __all__ = ["shrink_trace", "trace_weight", "simplifications"]
-
-_REPLAYS = default_registry().cache("faults.shrink.replays")
 
 #: Hard cap on re-executions per shrink (defense in depth — the weight
 #: metric already guarantees termination).
@@ -189,7 +186,6 @@ def shrink_trace(
     """
     if replay is None:
         replay = _default_replay(epsilon)
-    _REPLAYS.built()
     target = replay(trace)
     replays = 1
     current = trace
@@ -200,7 +196,6 @@ def shrink_trace(
         for candidate in simplifications(current):
             if trace_weight(candidate) >= current_weight:
                 continue
-            _REPLAYS.built()
             replays += 1
             if replay(candidate) == target:
                 current = candidate

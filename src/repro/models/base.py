@@ -132,14 +132,6 @@ class ComputationModel(ABC):
             current = merged
         return current
 
-    def protocol_complex_of_simplex(
-        self, sigma: Simplex, rounds: int
-    ) -> SimplicialComplex:
-        """``P^(t)(σ)``: the ``rounds``-round protocol complex of ``σ``."""
-        return self.protocol_complex(
-            SimplicialComplex.from_simplex(sigma), rounds
-        )
-
     def allows_solo_executions(self, ids: Iterable[int]) -> bool:
         """Check the speedup theorem's hypothesis on a participant set.
 

@@ -44,7 +44,6 @@ __all__ = [
 #: Shared across operator instances on purpose: a sweep that constructs many
 #: short-lived operators still aggregates into one hit/miss line.
 _OF_SIMPLEX_STATS = default_registry().cache("protocol-operator.of-simplex")
-_TEMPLATE_STATS = default_registry().cache("protocol-operator.template")
 
 #: A protocol vertex named without its view: ``(shape, input vertices)``.
 VertexKey = tuple[Vertex, tuple[Vertex, ...]]
@@ -259,7 +258,6 @@ class ProtocolOperator:
         shape_key = self._model.shape_key(sigma, rounds)
         found = self._templates.get((shape_key, rounds))
         if found is None:
-            _TEMPLATE_STATS.miss()
             # A template keyed by σ itself serves σ alone, and its model
             # promises nothing about the form of its values: keep them.
             found = self._templates[(shape_key, rounds)] = _template_of(
@@ -267,8 +265,6 @@ class ProtocolOperator:
                 rounds,
                 relabel=shape_key != sigma,
             )
-        else:
-            _TEMPLATE_STATS.hit()
         return found
 
 

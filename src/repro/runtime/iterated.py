@@ -38,7 +38,7 @@ __all__ = ["IteratedExecutor", "ExecutionResult", "RoundRecord"]
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What happened in one round: schedule, box outputs, per-process views.
+    """The adversary's decisions in one round, and the box's outputs.
 
     ``blocks`` holds the temporal blocks of immediate-snapshot schedules,
     or the matrix groups for general snapshot/collect schedules (in which
@@ -47,13 +47,13 @@ class RoundRecord:
     realized assignment among the box's admissible options, and
     ``mid_crashed`` lists processes killed between their write and their
     snapshot — both feed the replayable fault traces of
-    :mod:`repro.faults`.
+    :mod:`repro.faults`.  What follows from these is not stored: each
+    process's view is the rebuilt schedule's ``view_map()`` entry, for
+    every participant outside ``mid_crashed``.
     """
 
     round_index: int
-    active: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
-    views: Mapping[int, tuple[int, ...]]
     box_outputs: Mapping[int, Hashable]
     schedule_views: Optional[tuple[tuple[int, ...], ...]] = None
     box_choice: Optional[int] = None
@@ -143,9 +143,16 @@ class IteratedExecutor:
                     f", expected the active set {sorted(active)}"
                 )
             recorded, schedule_views = schedule.as_tuples()
-            dying = scheduler.mid_round_crashes(round_index, schedule)
+            dying = frozenset(
+                scheduler.mid_round_crashes(round_index, schedule)
+            )
             if dying:
-                dying = frozenset(dying) & active
+                if not dying <= active:
+                    raise RuntimeModelError(
+                        f"adversary crashes {sorted(dying - active)} in "
+                        f"round {round_index}, outside the round's "
+                        f"participants {sorted(active)}"
+                    )
                 if dying >= active:
                     raise RuntimeModelError(
                         "the adversary may not crash every process mid-round"
@@ -169,26 +176,14 @@ class IteratedExecutor:
                     round_index,
                 )
             states.update(new_states)
-            survivors = ordered
             if dying:
                 for process in dying:
                     crashed[process] = round_index
                 active = active - dying
-                survivors = tuple(sorted(active))
-            # The processes of one block or group share one view.
-            sorted_views: dict[frozenset, tuple[int, ...]] = {}
-            recorded_views = {}
-            for process, view in views.items():
-                as_tuple = sorted_views.get(view)
-                if as_tuple is None:
-                    as_tuple = sorted_views[view] = tuple(sorted(view))
-                recorded_views[process] = as_tuple
             trace.append(
                 RoundRecord(
                     round_index=round_index,
-                    active=survivors,
                     blocks=recorded,
-                    views=recorded_views,
                     box_outputs=dict(box_outputs),
                     schedule_views=schedule_views,
                     box_choice=box_choice,

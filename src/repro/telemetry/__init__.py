@@ -4,9 +4,9 @@ The observability layer of the proof machine, in three pieces:
 
 * **spans** (:mod:`repro.telemetry.tracer`) — nested, exception-safe
   ``with span("closure/decide", …)`` regions carrying wall time from an
-  injectable clock, attributes, and per-span metric deltas.  Disabled by
-  default; the module-level :func:`span` fast path makes disabled
-  telemetry effectively free on the hot loops.
+  injectable clock and attributes.  Disabled by default; the module-level
+  :func:`span` fast path makes disabled telemetry effectively free on the
+  hot loops.
 * **metrics** (:mod:`repro.telemetry.metrics`) — the process-wide
   :class:`MetricsRegistry` of cache hit/miss tallies; the hot layers
   fetch theirs once with ``default_registry().cache(name)``.
@@ -40,10 +40,8 @@ from repro.telemetry.tracer import (
     Span,
     SpanLike,
     Tracer,
-    current_tracer,
     disable,
     enable,
-    is_enabled,
     span,
     tracing,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "Span",
     "SpanLike",
     "Tracer",
-    "current_tracer",
     "disable",
     "enable",
-    "is_enabled",
     "span",
     "tracing",
     # export

@@ -58,7 +58,6 @@ def span_node(entry: Span) -> dict[str, Any]:
         "end": entry.end,
         "status": entry.status,
         "attributes": dict(entry.attributes),
-        "metrics": dict(entry.metrics),
         "children": [span_node(child) for child in entry.children],
     }
 
@@ -171,8 +170,8 @@ def _check_span(
     """Validate one span node and its subtree, raising at the first defect.
 
     A span is named and closed with finite ``start ≤ end`` inside its
-    parent's interval, has status ``ok``/``error``, scalar attributes
-    (what the tracer records) and numeric metric deltas.
+    parent's interval, has status ``ok``/``error`` and scalar attributes
+    (what the tracer records).  Keys it does not check are ignored.
     """
     if not isinstance(node, dict):
         raise TelemetryError(
@@ -217,15 +216,6 @@ def _check_span(
             raise TelemetryError(
                 f"{where}: attribute {key!r} is a "
                 f"{type(value).__name__}, not a JSON scalar"
-            )
-    metrics = node.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise TelemetryError(f"{where}: metrics must be an object")
-    for key, value in metrics.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TelemetryError(
-                f"{where}: metric {key!r} must be numeric, got "
-                f"{type(value).__name__}"
             )
     children = node.get("children", [])
     if not isinstance(children, list):

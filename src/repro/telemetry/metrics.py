@@ -7,10 +7,11 @@ construction site with no cache in front.
 
 Naming convention (see docs/OBSERVABILITY.md): lowercase dotted/bracketed
 component paths, e.g. ``faults.campaign.executions`` or
-``one-round-complex[iterated-immediate-snapshot]``.  Snapshots flatten a
-registry into ``cache:<name>:hits|misses -> number`` entries so the
-tracer can attach per-span metric *deltas* — the difference between the
-snapshots taken when the span opened and closed.
+``one-round-complex[iterated-immediate-snapshot]``.  A snapshot flattens
+the registry into ``cache:<name>:hits|misses -> number`` entries, and
+:meth:`MetricsRegistry.delta` subtracts two of them: that is how the
+ledger and E22 read the counts of one region.  A counter is registered
+only where something outside the tests reads it.
 
 Recording is a single attribute increment; fetch the counter once (at
 import) with ``default_registry().cache(name)`` and keep the reference on
@@ -53,11 +54,6 @@ class CacheCounter:
     #: Construction sites without a cache record every build as a miss.
     built = miss
 
-    def reset(self) -> None:
-        """Zero the tallies (the counter stays registered)."""
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:
         return (
             f"CacheCounter({self.name!r}, hits={self.hits}, "
@@ -85,39 +81,8 @@ class MetricsRegistry:
             found = self._caches[name] = CacheCounter(name)
         return found
 
-    # ------------------------------------------------------------------
-    # Snapshots and deltas
-    # ------------------------------------------------------------------
-    def cache_snapshot(self) -> dict[str, tuple[int, int]]:
-        """An immutable ``{name: (hits, misses)}`` view of the caches."""
-        return {
-            name: (entry.hits, entry.misses)
-            for name, entry in self._caches.items()
-        }
-
-    @staticmethod
-    def cache_delta(
-        before: dict[str, tuple[int, int]],
-        after: dict[str, tuple[int, int]],
-    ) -> dict[str, tuple[int, int]]:
-        """Per-counter ``(hits, misses)`` between two cache snapshots.
-
-        Counters absent from ``before`` are taken as starting from zero;
-        counters unchanged between the snapshots are omitted.
-        """
-        changed: dict[str, tuple[int, int]] = {}
-        for name, (hits, misses) in after.items():
-            base_hits, base_misses = before.get(name, (0, 0))
-            step = (hits - base_hits, misses - base_misses)
-            if step != (0, 0):
-                changed[name] = step
-        return changed
-
     def snapshot(self) -> dict[str, float]:
-        """Flatten every counter into ``cache:<name>:hits|misses``.
-
-        This is the tracer's per-span accounting (see :meth:`delta`).
-        """
+        """Flatten every counter into ``cache:<name>:hits|misses``."""
         flat: dict[str, float] = {}
         for name, cache in self._caches.items():
             flat[f"cache:{name}:hits"] = cache.hits
@@ -139,11 +104,6 @@ class MetricsRegistry:
             if step:
                 changed[key] = step
         return changed
-
-    def reset(self) -> None:
-        """Zero every cache counter (all stay registered)."""
-        for cache in self._caches.values():
-            cache.reset()
 
 
 _DEFAULT = MetricsRegistry()

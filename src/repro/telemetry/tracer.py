@@ -14,9 +14,9 @@ do nothing — the hot loops pay a dict-free constant, measured below 3 % on
 the E22 perf workload (``benchmarks/bench_telemetry_overhead.py``).  With a
 tracer installed via :func:`enable` (or the :func:`tracing` context
 manager), each ``with`` block records a :class:`Span` carrying wall time
-from an injectable :class:`~repro.telemetry.clock.Clock`, caller-supplied
-attributes, and the per-span delta of the cumulative metrics in a
-:class:`~repro.telemetry.metrics.MetricsRegistry`.
+from an injectable :class:`~repro.telemetry.clock.Clock` and
+caller-supplied attributes.  Counts live in the metrics registry, not on
+spans.
 
 Spans nest by ``with``-block structure; an exception unwinding through a
 span closes it (recording ``status="error"`` and the exception type) and
@@ -33,7 +33,6 @@ from typing import Iterator, Optional, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.clock import Clock, MonotonicClock
-from repro.telemetry.metrics import MetricsRegistry, default_registry
 
 __all__ = [
     "Span",
@@ -43,8 +42,6 @@ __all__ = [
     "span",
     "enable",
     "disable",
-    "current_tracer",
-    "is_enabled",
     "tracing",
 ]
 
@@ -71,10 +68,9 @@ class Span:
     """One timed, attributed region of a traced run.
 
     Created by :meth:`Tracer.span` and driven exclusively through the
-    ``with`` protocol; ``start``/``end`` are clock readings in seconds and
-    ``metrics`` is the per-span delta of the registry's cumulative
-    metrics.  ``children`` are the spans opened (directly) inside this
-    one, in opening order.
+    ``with`` protocol; ``start``/``end`` are clock readings in seconds.
+    ``children`` are the spans opened (directly) inside this one, in
+    opening order.
     """
 
     __slots__ = (
@@ -84,9 +80,7 @@ class Span:
         "end",
         "status",
         "children",
-        "metrics",
         "_tracer",
-        "_metrics_before",
     )
 
     def __init__(
@@ -101,9 +95,7 @@ class Span:
         self.end: Optional[float] = None
         self.status = "ok"
         self.children: list[Span] = []
-        self.metrics: dict[str, float] = {}
         self._tracer = tracer
-        self._metrics_before: Optional[dict[str, float]] = None
 
     @property
     def closed(self) -> bool:
@@ -175,20 +167,10 @@ class Tracer:
         Time source for span boundaries (default: monotonic wall clock).
         Inject a :class:`~repro.telemetry.clock.ManualClock` for
         deterministic artifacts.
-    registry:
-        The metrics registry whose cumulative metrics are snapshotted at
-        span boundaries (default: the process-wide registry).
     """
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
-        self.registry: MetricsRegistry = (
-            registry if registry is not None else default_registry()
-        )
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
@@ -212,7 +194,6 @@ class Tracer:
         else:
             self.roots.append(entry)
         self._stack.append(entry)
-        entry._metrics_before = self.registry.snapshot()
         entry.start = self.clock.now()
 
     def _close(
@@ -225,11 +206,6 @@ class Tracer:
             )
         self._stack.pop()
         entry.end = self.clock.now()
-        if entry._metrics_before is not None:
-            entry.metrics = self.registry.delta(
-                entry._metrics_before, self.registry.snapshot()
-            )
-            entry._metrics_before = None
         if exc_type is not None:
             entry.status = "error"
             entry.attributes.setdefault("error", exc_type.__name__)
@@ -241,11 +217,6 @@ class Tracer:
     def active(self) -> Optional[Span]:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
-
-    @property
-    def depth(self) -> int:
-        """How many spans are currently open."""
-        return len(self._stack)
 
     def finished(self) -> bool:
         """``True`` iff every opened span has been closed."""
@@ -271,31 +242,19 @@ def span(name: str, **attributes: object) -> SpanLike:
     return tracer.span(name, **attributes)
 
 
-def current_tracer() -> Optional[Tracer]:
-    """The installed tracer, or ``None`` while tracing is disabled."""
-    return _ACTIVE
-
-
-def is_enabled() -> bool:
-    """Whether a tracer is currently installed."""
-    return _ACTIVE is not None
-
-
 def enable(
-    tracer: Optional[Tracer] = None,
-    clock: Optional[Clock] = None,
-    registry: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None, clock: Optional[Clock] = None
 ) -> Tracer:
     """Install a tracer process-wide and return it.
 
     Passing an existing ``tracer`` installs it as-is; otherwise a fresh
-    :class:`Tracer` is built from the ``clock``/``registry`` arguments.
+    :class:`Tracer` is built on ``clock``.
     Re-enabling while a tracer is installed replaces it (the previous
     tracer keeps its recorded spans).
     """
     global _ACTIVE
     if tracer is None:
-        tracer = Tracer(clock=clock, registry=registry)
+        tracer = Tracer(clock=clock)
     _ACTIVE = tracer
     return tracer
 
@@ -309,16 +268,13 @@ def disable() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(
-    clock: Optional[Clock] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[Tracer]:
+def tracing(clock: Optional[Clock] = None) -> Iterator[Tracer]:
     """Scoped tracing: install a fresh tracer, uninstall on exit.
 
     The yielded tracer (and its recorded spans) stays usable after the
     block — hand it to the exporters in :mod:`repro.telemetry.export`.
     """
-    tracer = enable(clock=clock, registry=registry)
+    tracer = enable(clock=clock)
     try:
         yield tracer
     finally:

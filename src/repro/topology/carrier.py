@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry import default_registry
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
 __all__ = ["CarrierMap"]
-
-_CARRIER_STATS = default_registry().cache("carrier.evaluations")
 
 
 class CarrierMap:
@@ -61,10 +58,7 @@ class CarrierMap:
     def __call__(self, simplex: Simplex) -> SimplicialComplex:
         found = self._cache.get(simplex)
         if found is None:
-            _CARRIER_STATS.miss()
             found = self._cache[simplex] = self._function(simplex)
-        else:
-            _CARRIER_STATS.hit()
         return found
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
 """Tests for the cache-stats report."""
 
 from repro.analysis import CacheStatsRow, cache_stats_rows, render_cache_report
-from repro.telemetry import MetricsRegistry, default_registry
+from repro.telemetry import MetricsRegistry
 
 
 class TestRows:
@@ -20,22 +20,20 @@ class TestRows:
         )
 
     def test_rows_sorted_by_name(self):
-        rows = cache_stats_rows({"b": (1, 0), "a": (0, 1)})
+        rows = cache_stats_rows({"cache:b:hits": 1, "cache:a:misses": 1})
         assert [row.cache for row in rows] == ["a", "b"]
+        assert [(row.hits, row.misses) for row in rows] == [(0, 1), (1, 0)]
 
 
 class TestReport:
     def test_explicit_stats(self):
-        text = render_cache_report({"one-round": (9, 1)}, title="T")
+        text = render_cache_report(
+            {"cache:one-round:hits": 9, "cache:one-round:misses": 1},
+            title="T",
+        )
         assert "T" in text
         assert "one-round" in text
         assert "90.0%" in text
-
-    def test_defaults_to_registered_counters(self):
-        sample = default_registry().cache("test-cache-report.lifetime")
-        sample.hit()
-        text = render_cache_report()
-        assert "test-cache-report.lifetime" in text
 
     def test_empty_stats_render_cleanly(self):
         # No counter group at all (telemetry never enabled, no cache
@@ -46,12 +44,14 @@ class TestReport:
         assert "no cache activity recorded" in text
 
     def test_untouched_group_renders_as_zero(self):
-        rows = cache_stats_rows({"idle-group": (0, 0)})
+        rows = cache_stats_rows(
+            {"cache:idle-group:hits": 0, "cache:idle-group:misses": 0}
+        )
         assert len(rows) == 1
         assert rows[0].cells() == ("idle-group", "0", "0", "n/a")
 
     def test_fresh_registry_renders(self):
-        # Same empty-path guarantee through the registry default.
+        # Same empty-path guarantee through a fresh registry's snapshot.
         registry = MetricsRegistry()
-        text = render_cache_report(registry.cache_snapshot())
+        text = render_cache_report(registry.snapshot())
         assert "no cache activity recorded" in text

@@ -14,14 +14,13 @@ import pytest
 from repro.cli import main
 from repro.telemetry import (
     ManualClock,
-    MetricsRegistry,
     Tracer,
     render_json,
 )
 
 
 def recorded_tracer():
-    tracer = Tracer(clock=ManualClock(tick=1.0), registry=MetricsRegistry())
+    tracer = Tracer(clock=ManualClock(tick=1.0))
     with tracer.span("root"):
         pass
     return tracer

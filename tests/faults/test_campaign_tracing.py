@@ -2,13 +2,11 @@
 
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.oracles import DECIDED_OK
-from repro.telemetry import ManualClock, MetricsRegistry, tracing
+from repro.telemetry import ManualClock, tracing
 
 
 def traced_campaign(config):
-    with tracing(
-        clock=ManualClock(tick=0.001), registry=MetricsRegistry()
-    ) as tracer:
+    with tracing(clock=ManualClock(tick=0.001)) as tracer:
         report = run_campaign(config)
     return report, tracer
 

@@ -13,7 +13,7 @@ from repro.objects import (
     TestAndSetBox,
     beta_input_function,
 )
-from repro.telemetry import MetricsRegistry, default_registry
+from repro.telemetry import default_registry
 from repro.topology import Simplex
 
 #: One fresh instance per call of every model family the experiments use.
@@ -62,15 +62,13 @@ class TestOneRoundMemo:
         iis = ImmediateSnapshotModel()
         sigma = triangle()
         ProtocolOperator(iis).of_simplex(sigma, 1)
-        name = f"one-round-complex[{iis.name}]"
-        before = default_registry().cache_snapshot()
+        name = f"cache:one-round-complex[{iis.name}]"
+        registry = default_registry()
+        before = registry.snapshot()
         ProtocolOperator(iis).of_simplex(sigma, 1)
-        delta = MetricsRegistry.cache_delta(
-            before, default_registry().cache_snapshot()
-        )
-        hits, misses = delta.get(name, (0, 0))
-        assert misses == 0
-        assert hits > 0
+        delta = registry.delta(before, registry.snapshot())
+        assert f"{name}:misses" not in delta
+        assert delta[f"{name}:hits"] > 0
 
     def test_memo_preserves_facet_counts(self):
         sigma = triangle()
@@ -105,9 +103,9 @@ class TestCounterPlumbing:
     def test_counters_delta_omits_unchanged(self):
         registry = default_registry()
         sample = registry.cache("test-caching.delta")
-        before = registry.cache_snapshot()
-        delta = registry.cache_delta(before, registry.cache_snapshot())
-        assert "test-caching.delta" not in delta
+        before = registry.snapshot()
+        delta = registry.delta(before, registry.snapshot())
+        assert not any("test-caching.delta" in key for key in delta)
         sample.hit()
-        delta = registry.cache_delta(before, registry.cache_snapshot())
-        assert delta["test-caching.delta"] == (1, 0)
+        delta = registry.delta(before, registry.snapshot())
+        assert delta == {"cache:test-caching.delta:hits": 1}

@@ -166,6 +166,7 @@ class TestExhaustiveSequences:
         from fractions import Fraction
 
         from repro.algorithms import HalvingAA
+        from repro.models.schedules import schedule_from_blocks
         from repro.runtime import IteratedExecutor
 
         inputs = {1: Fraction(0), 2: Fraction(1)}
@@ -179,7 +180,13 @@ class TestExhaustiveSequences:
             )
             profiles.add(
                 tuple(
-                    tuple(sorted(record.views.items()))
+                    tuple(
+                        sorted(
+                            schedule_from_blocks(record.blocks)
+                            .view_map()
+                            .items()
+                        )
+                    )
                     for record in result.trace
                 )
             )

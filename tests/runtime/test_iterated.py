@@ -6,6 +6,7 @@ import pytest
 
 from repro.algorithms import HalvingAA, TwoProcessConsensusTAS
 from repro.errors import RuntimeModelError
+from repro.models.schedules import schedule_from_blocks
 from repro.objects import TestAndSetBox
 from repro.runtime import (
     FixedScheduleAdversary,
@@ -24,6 +25,11 @@ def F(num, den=1):
 INPUTS = {1: F(0), 2: F(1, 2), 3: F(1)}
 
 
+def recorded_views(record):
+    """Each participant's view, rebuilt from the recorded blocks."""
+    return schedule_from_blocks(record.blocks).view_map()
+
+
 class TestBasicExecution:
     def test_synchronous_run_decides_for_everyone(self):
         result = IteratedExecutor().run(HalvingAA(F(1, 4)), INPUTS)
@@ -40,9 +46,9 @@ class TestBasicExecution:
     def test_views_in_trace_match_blocks(self):
         adversary = FixedScheduleAdversary([[[2], [1, 3]], [[1, 2, 3]]])
         result = IteratedExecutor().run(HalvingAA(F(1, 4)), INPUTS, adversary)
-        first = result.trace[0]
-        assert first.views[2] == (2,)
-        assert first.views[1] == (1, 2, 3)
+        views = recorded_views(result.trace[0])
+        assert views[2] == {2}
+        assert views[1] == {1, 2, 3}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(RuntimeModelError):
@@ -111,7 +117,7 @@ class TestCrashSemantics:
         second = result.trace[1]
         scheduled = {p for block in second.blocks for p in block}
         assert scheduled == {1, 3}
-        assert 2 not in second.views
+        assert 2 not in recorded_views(second)
         assert result.crashed == {2: 2}
 
     def test_crashed_process_absent_from_all_later_rounds(self):
@@ -120,7 +126,7 @@ class TestCrashSemantics:
         )
         for record in result.trace[1:]:
             assert all(2 not in block for block in record.blocks)
-            assert 2 not in record.views
+            assert 2 not in recorded_views(record)
 
     def test_survivors_decide_without_the_victim(self):
         result = IteratedExecutor().run(
@@ -174,12 +180,11 @@ class TestMidRoundCrashSemantics:
         )
         first = result.trace[0]
         assert first.mid_crashed == (2,)
-        # The victim never snapshots, so it gets no view...
-        assert 2 not in first.views
-        # ...but its write is visible to the synchronous survivors.
-        assert 2 in first.views[1]
+        # The victim never snapshots, so it never steps or decides...
         assert result.crashed == {2: 1}
         assert sorted(result.decisions) == [1, 3]
+        # ...but its write is visible to the synchronous survivors.
+        assert 2 in recorded_views(first)[1]
 
     def test_injector_may_not_kill_every_participant(self):
         class KillEveryone(FullSyncAdversary):
@@ -189,6 +194,18 @@ class TestMidRoundCrashSemantics:
         with pytest.raises(RuntimeModelError):
             IteratedExecutor().run(
                 HalvingAA(F(1, 4)), INPUTS, KillEveryone()
+            )
+
+    def test_crash_outside_the_round_rejected(self):
+        # A mid-round victim that is not a participant of the round is an
+        # adversary bug, exactly as for pre-round crashes.
+        class NamesAStranger(FullSyncAdversary):
+            def mid_round_crashes(self, round_index, schedule):
+                return frozenset({99})
+
+        with pytest.raises(RuntimeModelError, match=r"\[99\]"):
+            IteratedExecutor().run(
+                HalvingAA(F(1, 4)), INPUTS, NamesAStranger()
             )
 
     def test_executor_survives_n_minus_1_crashes(self):

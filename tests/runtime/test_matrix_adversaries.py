@@ -146,5 +146,9 @@ class TestHalvingUnderWeakerModels:
         result = IteratedExecutor().run(
             algorithm, inputs, FixedMatrixAdversary([snap_only])
         )
-        assert result.trace[0].views[1] == (1, 2)
-        assert result.trace[0].views[2] == (1, 2, 3)
+        record = result.trace[0]
+        views = OneRoundSchedule(
+            record.blocks, record.schedule_views
+        ).view_map()
+        assert views[1] == {1, 2}
+        assert views[2] == {1, 2, 3}

@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.telemetry import is_enabled, load_trace
+from repro.telemetry import NOOP_SPAN, load_trace, span
 
 
 class TestExperimentTrace:
     def test_roundtrip_through_summarize(self, tmp_path, capsys):
         artifact = tmp_path / "e9.trace.json"
         assert main(["experiment", "E9", "--trace", str(artifact)]) == 0
-        assert not is_enabled()  # the tracer was uninstalled again
+        # The tracer was uninstalled again.
+        assert span("probe") is NOOP_SPAN
 
         payload = json.loads(artifact.read_text(encoding="utf-8"))
         assert payload["format"] == "repro-trace"
