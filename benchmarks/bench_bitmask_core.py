@@ -81,7 +81,7 @@ def test_bitmask_core_speedup():
         lambda: reference.prune_reference(candidates),
     )
     assert set(
-        table.decode_mask(m) for m in _prune_masks(masks)
+        table.decode_mask_trusted(m) for m in _prune_masks(masks)
     ) == reference.prune_reference(candidates)
 
     # -- containment: fresh face index + probe batch per repeat --------

@@ -100,13 +100,13 @@ from repro.runtime import (
     IteratedExecutor,
     NonIteratedExecutor,
     RandomMatrixAdversary,
-    FixedMatrixAdversary,
+    ReplayAdversary,
+    TraceRound,
     RoundAlgorithm,
     extract_decision_map,
     RandomAdversary,
     FullSyncAdversary,
     SoloFirstAdversary,
-    FixedScheduleAdversary,
     all_schedule_sequences,
 )
 from repro.algorithms import (
@@ -185,9 +185,9 @@ __all__ = [
     "RandomAdversary",
     "FullSyncAdversary",
     "SoloFirstAdversary",
-    "FixedScheduleAdversary",
     "RandomMatrixAdversary",
-    "FixedMatrixAdversary",
+    "ReplayAdversary",
+    "TraceRound",
     "all_schedule_sequences",
     # algorithms
     "HalvingAA",

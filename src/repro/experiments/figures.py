@@ -12,8 +12,9 @@ from repro.analysis import (
 )
 from repro.objects import TestAndSetBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
@@ -30,17 +31,6 @@ def reproduce_fig8() -> dict[str, object]:
     return figure8_census()
 
 
-class _PickOption(FixedScheduleAdversary):
-    """Fixed schedule plus a fixed box-option index, for exhaustive sweeps."""
-
-    def __init__(self, blocks, option_index: int):
-        super().__init__(blocks)
-        self._option_index = option_index
-
-    def choose_assignment(self, round_index, schedule, options):
-        return options[min(self._option_index, len(options) - 1)]
-
-
 def reproduce_fig4() -> dict[str, object]:
     """E4 — Fig. 4: 2-process consensus with test&set, combinatorially
     (a simplicial decision map exists) and operationally (the algorithm is
@@ -49,12 +39,13 @@ def reproduce_fig4() -> dict[str, object]:
     executor = IteratedExecutor(box=TestAndSetBox())
     runs = correct = 0
     for inputs in ({1: 0, 2: 1}, {1: 1, 2: 0}, {1: 0, 2: 0}, {1: 1, 2: 1}):
-        for sequence in all_schedule_sequences([1, 2], 1):
+        for (blocks,) in all_schedule_sequences([1, 2], 1):
             for option in range(2):
+                entry = TraceRound(
+                    blocks=tuple(map(tuple, blocks)), box_choice=option
+                )
                 result = executor.run(
-                    TwoProcessConsensusTAS(),
-                    inputs,
-                    _PickOption(sequence, option),
+                    TwoProcessConsensusTAS(), inputs, ReplayAdversary([entry])
                 )
                 runs += 1
                 values = set(result.decisions.values())

@@ -11,8 +11,8 @@ absorbed.  As in the paper, one
 campaign's chaos adversary makes every decision, faults included.
 
 * :mod:`repro.faults.injectors` — the replayable
-  :class:`~repro.faults.injectors.FaultTrace` and the
-  :class:`~repro.faults.injectors.ReplayAdversary` that re-executes it;
+  :class:`~repro.faults.injectors.FaultTrace` and its JSON; its rounds
+  replay through :class:`~repro.runtime.adversary.ReplayAdversary`;
 * :mod:`repro.faults.oracles` — property oracles (consensus, ε-approximate
   agreement, k-set agreement) and the execution classification lattice;
 * :mod:`repro.faults.campaign` — the chaos campaign runner: N randomized
@@ -27,7 +27,7 @@ campaign's chaos adversary makes every decision, faults included.
   consensus in plain IIS, impossible by Corollary 1).
 """
 
-from repro.faults.injectors import FaultTrace, TraceRound, ReplayAdversary
+from repro.faults.injectors import FaultTrace
 from repro.faults.oracles import (
     DECIDED_OK,
     VIOLATION,
@@ -54,8 +54,6 @@ from repro.faults.shrink import shrink_trace, trace_weight
 
 __all__ = [
     "FaultTrace",
-    "TraceRound",
-    "ReplayAdversary",
     "DECIDED_OK",
     "VIOLATION",
     "HUNG",

@@ -55,7 +55,7 @@ from repro.faults.fixtures import (
     StubbornAlgorithm,
     TooFewRoundsAA,
 )
-from repro.faults.injectors import FaultTrace, ReplayAdversary
+from repro.faults.injectors import FaultTrace
 from repro.faults.oracles import (
     DECIDED_OK,
     HARNESS_FAULT_DETECTED,
@@ -79,6 +79,7 @@ from repro.runtime.adversary import (
     Adversary,
     RandomAdversary,
     RandomMatrixAdversary,
+    ReplayAdversary,
 )
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.iterated import ExecutionResult, IteratedExecutor
@@ -703,7 +704,7 @@ def replay_trace(
 
     The trace's cell key selects the algorithm/oracle/box; the recorded
     inputs and per-round decisions are replayed through
-    :class:`~repro.faults.injectors.ReplayAdversary`.
+    :class:`~repro.runtime.adversary.ReplayAdversary`.
     """
     spec = get_cell(trace.cell)
     try:
@@ -717,7 +718,7 @@ def replay_trace(
     classification, violation, _ = classify_execution(
         algorithm=spec.build(len(inputs), epsilon),
         inputs=inputs,
-        adversary=ReplayAdversary(trace),
+        adversary=ReplayAdversary(trace.rounds),
         box=spec.make_box() if spec.make_box is not None else None,
         oracle=spec.oracle(len(inputs), epsilon),
     )

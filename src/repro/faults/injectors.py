@@ -1,58 +1,28 @@
-"""Replayable fault traces and the adversary that replays them.
+"""Replayable fault traces.
 
 A campaign execution is fixed by its inputs and its adversary's decisions:
 per round, the crashes before it, the schedule, the mid-round crashes and
 the black box's realized option.  :class:`FaultTrace` records those
 decisions from an execution's :class:`~repro.runtime.iterated.RoundRecord`
-list, round-trips them through JSON, and :class:`ReplayAdversary`
-re-executes them exactly — the substrate of counterexample shrinking
-(:mod:`repro.faults.shrink`) and of ``repro chaos --replay``.
+list as :class:`~repro.runtime.adversary.TraceRound` entries and
+round-trips them through JSON; replaying ``trace.rounds`` through
+:class:`~repro.runtime.adversary.ReplayAdversary` re-executes them exactly
+— the substrate of counterexample shrinking (:mod:`repro.faults.shrink`)
+and of ``repro chaos --replay``.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.errors import RuntimeModelError, ScheduleError
-from repro.models.schedules import OneRoundSchedule, schedule_from_blocks
-from repro.runtime.adversary import Adversary
+from repro.errors import RuntimeModelError
+from repro.runtime.adversary import TraceRound
 from repro.runtime.iterated import ExecutionResult
 
-__all__ = ["FaultTrace", "TraceRound", "ReplayAdversary"]
-
-Assignment = Mapping[int, object]
-
-
-@dataclass(frozen=True)
-class TraceRound:
-    """Every adversarial decision of one round, in replayable form.
-
-    ``blocks`` are the temporal blocks for immediate-snapshot rounds; for
-    general matrix rounds they are the matrix groups and ``views`` carries
-    the matching view sets.  ``crashes`` die before the round,
-    ``mid_crashes`` die between their write and their snapshot, and
-    ``box_choice`` indexes the realized assignment among the box's
-    admissible options.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    crashes: tuple[int, ...] = ()
-    mid_crashes: tuple[int, ...] = ()
-    box_choice: int = 0
-    views: Optional[tuple[tuple[int, ...], ...]] = None
-
-    def is_benign(self) -> bool:
-        """True when the round is a crash-free single block, first option."""
-        return (
-            len(self.blocks) <= 1
-            and not self.crashes
-            and not self.mid_crashes
-            and self.box_choice == 0
-            and self.views is None
-        )
+__all__ = ["FaultTrace"]
 
 
 @dataclass(frozen=True)
@@ -165,15 +135,23 @@ class FaultTrace:
             where = f"rounds[{position}]"
             if not isinstance(entry, dict):
                 raise RuntimeModelError(f"{where} must be an object")
-            views = entry.get("views")
             box_choice = _field(entry, "box_choice", int, 0, where)
             if box_choice < 0:
                 raise RuntimeModelError(
                     f"{where}.box_choice {box_choice} is negative"
                 )
+            blocks = _int_lists(entry.get("blocks"), f"{where}.blocks")
+            views = entry.get("views")
+            if views is not None:
+                views = _int_lists(views, f"{where}.views")
+                if len(views) != len(blocks):
+                    raise RuntimeModelError(
+                        f"{where}.views has {len(views)} view sets for "
+                        f"{len(blocks)} groups"
+                    )
             rounds.append(
                 TraceRound(
-                    blocks=_int_lists(entry.get("blocks"), f"{where}.blocks"),
+                    blocks=blocks,
                     crashes=_ints(
                         entry.get("crashes", []), f"{where}.crashes"
                     ),
@@ -181,11 +159,7 @@ class FaultTrace:
                         entry.get("mid_crashes", []), f"{where}.mid_crashes"
                     ),
                     box_choice=box_choice,
-                    views=(
-                        None
-                        if views is None
-                        else _int_lists(views, f"{where}.views")
-                    ),
+                    views=views,
                 )
             )
         return cls(
@@ -239,98 +213,3 @@ def _int_lists(value: object, where: str) -> tuple[tuple[int, ...], ...]:
         _ints(item, f"{where}[{position}]")
         for position, item in enumerate(value)
     )
-
-
-def _repaired(
-    recorded: tuple[int, ...], live: frozenset[int]
-) -> frozenset[int]:
-    """A recorded crash set trimmed to ``live``, never all of it."""
-    doomed = frozenset(recorded) & live
-    if doomed >= live:
-        doomed = doomed - {min(live)}
-    return doomed
-
-
-class ReplayAdversary(Adversary):
-    """Re-execute the schedule/crash/box decisions recorded in a trace.
-
-    Replay is *repairing*: shrinking edits a trace (un-crashing a process,
-    merging blocks), which can leave recorded schedules inconsistent with
-    the processes actually alive.  Each round the recorded blocks are
-    intersected with the active set and any unscheduled active processes
-    are appended as a final block; rounds beyond the trace run fully
-    synchronous.  Crash sets are trimmed to the live processes and never
-    take all of them; box choices are clamped into the option range.
-    """
-
-    def __init__(self, trace: FaultTrace) -> None:
-        self._trace = trace
-
-    def _round(self, round_index: int) -> Optional[TraceRound]:
-        if 1 <= round_index <= len(self._trace.rounds):
-            return self._trace.rounds[round_index - 1]
-        return None
-
-    def crashes(
-        self, round_index: int, active: frozenset[int]
-    ) -> frozenset[int]:
-        entry = self._round(round_index)
-        if entry is None:
-            return frozenset()
-        return _repaired(entry.crashes, active)
-
-    def schedule(
-        self, round_index: int, active: frozenset[int]
-    ) -> OneRoundSchedule:
-        entry = self._round(round_index)
-        if entry is None:
-            return schedule_from_blocks([active])
-        if entry.views is not None:
-            # General matrix round: trim groups and views to the active
-            # set; fall back to full sync if the trim breaks the matrix
-            # conditions (e.g. after an un-crash edit).
-            groups = []
-            views = []
-            for group, view in zip(entry.blocks, entry.views):
-                alive = frozenset(group) & active
-                if alive:
-                    groups.append(alive)
-                    views.append(frozenset(view) & active)
-            scheduled = frozenset().union(*groups) if groups else frozenset()
-            if scheduled == active:
-                try:
-                    return OneRoundSchedule(tuple(groups), tuple(views))
-                except ScheduleError:
-                    pass
-            return schedule_from_blocks([active])
-        blocks = []
-        scheduled: frozenset[int] = frozenset()
-        for block in entry.blocks:
-            alive = frozenset(block) & active
-            if alive:
-                blocks.append(alive)
-                scheduled |= alive
-        missing = active - scheduled
-        if missing:
-            blocks.append(missing)
-        if not blocks:
-            blocks.append(active)
-        return schedule_from_blocks(blocks)
-
-    def mid_round_crashes(
-        self, round_index: int, schedule: OneRoundSchedule
-    ) -> frozenset[int]:
-        entry = self._round(round_index)
-        if entry is None:
-            return frozenset()
-        return _repaired(entry.mid_crashes, schedule.participants)
-
-    def choose_assignment(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        options: Sequence[Assignment],
-    ) -> Assignment:
-        entry = self._round(round_index)
-        choice = entry.box_choice if entry is not None else 0
-        return options[min(choice, len(options) - 1)]

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from repro.faults.campaign import replay_trace
-from repro.faults.injectors import FaultTrace, TraceRound
+from repro.faults.injectors import FaultTrace
+from repro.runtime.adversary import TraceRound
 
 __all__ = ["shrink_trace", "trace_weight", "simplifications"]
 

@@ -15,7 +15,10 @@ exist; this subpackage *runs* them:
   under one adversary per execution (crashes, schedules, black-box
   choices, register arrays), cross-checking everything it is handed;
 * :mod:`repro.runtime.adversary` — the adversary interface and its
-  schedulers: random, solo-first, synchronous, fixed, exhaustive;
+  schedulers: random, solo-first, synchronous, exhaustive, and the one
+  :class:`~repro.runtime.adversary.ReplayAdversary` that re-executes a
+  recorded sequence of :class:`~repro.runtime.adversary.TraceRound`
+  decisions (fixed schedules, matrices, fault traces);
 * :mod:`repro.runtime.noniterated` — reused registers under op-level
   asynchrony (the paper's open question).
 """
@@ -30,9 +33,9 @@ from repro.runtime.adversary import (
     RandomAdversary,
     FullSyncAdversary,
     SoloFirstAdversary,
-    FixedScheduleAdversary,
     RandomMatrixAdversary,
-    FixedMatrixAdversary,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 from repro.runtime.iterated import (
@@ -56,9 +59,9 @@ __all__ = [
     "RandomAdversary",
     "FullSyncAdversary",
     "SoloFirstAdversary",
-    "FixedScheduleAdversary",
     "RandomMatrixAdversary",
-    "FixedMatrixAdversary",
+    "ReplayAdversary",
+    "TraceRound",
     "all_schedule_sequences",
     "IteratedExecutor",
     "ExecutionResult",

@@ -9,9 +9,12 @@ register array, so a chaos adversary can hand the executor a faulty one
 and check that the executor's cross-checks catch it.
 
 Wait-freedom means algorithms must cope with *every* adversary here, from
-the fully synchronous one to crash-heavy randomized ones.  For exhaustive
-verification on small instances, :func:`all_schedule_sequences` enumerates
-every ``t``-round block schedule.
+the fully synchronous one to crash-heavy randomized ones.  A fixed
+execution is its sequence of per-round decisions: :class:`ReplayAdversary`
+re-executes a sequence of :class:`TraceRound` records, whether a fault
+trace's, a block schedule's from :func:`all_schedule_sequences` (every
+``t``-round block schedule, for exhaustive verification on small
+instances) or a matrix's from ``OneRoundSchedule.as_tuples()``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
-from repro.errors import RuntimeModelError
+from repro.errors import RuntimeModelError, ScheduleError
 from repro.models.schedules import (
     OneRoundSchedule,
     distinct_schedules,
@@ -35,9 +40,9 @@ __all__ = [
     "RandomAdversary",
     "FullSyncAdversary",
     "SoloFirstAdversary",
-    "FixedScheduleAdversary",
     "RandomMatrixAdversary",
-    "FixedMatrixAdversary",
+    "TraceRound",
+    "ReplayAdversary",
     "all_schedule_sequences",
     "random_ordered_partition",
 ]
@@ -139,33 +144,6 @@ class SoloFirstAdversary(Adversary):
         return schedule_from_blocks(blocks)
 
 
-class FixedScheduleAdversary(Adversary):
-    """Replay an explicit list of block sequences, one per round."""
-
-    def __init__(self, per_round_blocks: Sequence[Sequence[Iterable[int]]]):
-        self._blocks = [
-            tuple(frozenset(block) for block in round_blocks)
-            for round_blocks in per_round_blocks
-        ]
-
-    def schedule(
-        self, round_index: int, active: frozenset[int]
-    ) -> OneRoundSchedule:
-        if not 1 <= round_index <= len(self._blocks):
-            raise RuntimeModelError(
-                f"fixed adversary has no schedule for round {round_index}"
-            )
-        blocks = self._blocks[round_index - 1]
-        trimmed = [block & active for block in blocks]
-        trimmed = [block for block in trimmed if block]
-        if frozenset().union(*trimmed) != active:
-            raise RuntimeModelError(
-                f"fixed schedule for round {round_index} does not cover the "
-                f"active set {sorted(active)}"
-            )
-        return schedule_from_blocks(trimmed)
-
-
 class RandomAdversary(Adversary):
     """Random blocks, random box choices, optional random crashes.
 
@@ -250,27 +228,128 @@ class RandomMatrixAdversary(Adversary):
         return pool[self._rng.randrange(len(pool))]
 
 
-class FixedMatrixAdversary(Adversary):
-    """Replay explicit :class:`OneRoundSchedule` matrices, one per round."""
+@dataclass(frozen=True)
+class TraceRound:
+    """Every adversarial decision of one round, in replayable form.
 
-    def __init__(self, schedules: Sequence[OneRoundSchedule]) -> None:
-        self._schedules = list(schedules)
+    ``blocks`` are the temporal blocks for immediate-snapshot rounds; for
+    general matrix rounds they are the matrix groups and ``views`` carries
+    the matching view sets.  ``crashes`` die before the round,
+    ``mid_crashes`` die between their write and their snapshot, and
+    ``box_choice`` indexes the realized assignment among the box's
+    admissible options.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+    crashes: tuple[int, ...] = ()
+    mid_crashes: tuple[int, ...] = ()
+    box_choice: int = 0
+    views: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def is_benign(self) -> bool:
+        """True when the round is a crash-free single block, first option."""
+        return (
+            len(self.blocks) <= 1
+            and not self.crashes
+            and not self.mid_crashes
+            and self.box_choice == 0
+            and self.views is None
+        )
+
+
+def _repaired(
+    recorded: tuple[int, ...], live: frozenset[int]
+) -> frozenset[int]:
+    """A recorded crash set trimmed to ``live``, never all of it."""
+    doomed = frozenset(recorded) & live
+    if doomed >= live:
+        doomed = doomed - {min(live)}
+    return doomed
+
+
+class ReplayAdversary(Adversary):
+    """Re-execute a sequence of recorded rounds, one :class:`TraceRound` each.
+
+    Replay is *repairing*: shrinking edits a trace (un-crashing a process,
+    merging blocks), which can leave recorded schedules inconsistent with
+    the processes actually alive.  Each round the recorded blocks are
+    intersected with the active set and any unscheduled active processes
+    are appended as a final block; rounds outside the sequence run fully
+    synchronous.  Crash sets are trimmed to the live processes and never
+    take all of them; box choices are clamped into the option range.
+    """
+
+    def __init__(self, rounds: Sequence[TraceRound]) -> None:
+        self._rounds = tuple(rounds)
+
+    def _round(self, round_index: int) -> Optional[TraceRound]:
+        if 1 <= round_index <= len(self._rounds):
+            return self._rounds[round_index - 1]
+        return None
+
+    def crashes(
+        self, round_index: int, active: frozenset[int]
+    ) -> frozenset[int]:
+        entry = self._round(round_index)
+        if entry is None:
+            return frozenset()
+        return _repaired(entry.crashes, active)
 
     def schedule(
         self, round_index: int, active: frozenset[int]
     ) -> OneRoundSchedule:
-        if not 1 <= round_index <= len(self._schedules):
-            raise RuntimeModelError(
-                f"no schedule supplied for round {round_index}"
-            )
-        schedule = self._schedules[round_index - 1]
-        if schedule.participants != active:
-            raise RuntimeModelError(
-                f"round {round_index} schedule covers "
-                f"{sorted(schedule.participants)}, active set is "
-                f"{sorted(active)}"
-            )
-        return schedule
+        entry = self._round(round_index)
+        if entry is None:
+            return schedule_from_blocks([active])
+        if entry.views is not None:
+            # General matrix round: trim groups and views to the active
+            # set; fall back to full sync if the trim breaks the matrix
+            # conditions (e.g. after an un-crash edit).
+            groups = []
+            views = []
+            for group, view in zip(entry.blocks, entry.views):
+                alive = frozenset(group) & active
+                if alive:
+                    groups.append(alive)
+                    views.append(frozenset(view) & active)
+            scheduled = frozenset().union(*groups) if groups else frozenset()
+            if scheduled == active:
+                try:
+                    return OneRoundSchedule(tuple(groups), tuple(views))
+                except ScheduleError:
+                    pass
+            return schedule_from_blocks([active])
+        blocks = []
+        scheduled: frozenset[int] = frozenset()
+        for block in entry.blocks:
+            alive = frozenset(block) & active
+            if alive:
+                blocks.append(alive)
+                scheduled |= alive
+        missing = active - scheduled
+        if missing:
+            blocks.append(missing)
+        if not blocks:
+            blocks.append(active)
+        return schedule_from_blocks(blocks)
+
+    def mid_round_crashes(
+        self, round_index: int, schedule: OneRoundSchedule
+    ) -> frozenset[int]:
+        entry = self._round(round_index)
+        if entry is None:
+            return frozenset()
+        return _repaired(entry.mid_crashes, schedule.participants)
+
+    def choose_assignment(
+        self,
+        round_index: int,
+        schedule: OneRoundSchedule,
+        options: Sequence[Mapping[int, object]],
+    ) -> Mapping[int, object]:
+        entry = self._round(round_index)
+        choice = entry.box_choice if entry is not None else 0
+        return options[min(choice, len(options) - 1)]
 
 
 def all_schedule_sequences(

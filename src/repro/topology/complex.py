@@ -203,16 +203,11 @@ class SimplicialComplex:
         Facet objects are materialized lazily.  When the masks do not use
         every table entry, the table is narrowed so the minimal-table
         invariant holds (a subsequence of a sorted vertex list is still
-        sorted, so narrowing preserves canonicality).  A non-canonical
-        (unsorted) table falls back to eager materialization.
+        sorted, so narrowing preserves canonicality).
         """
         mask_list = sorted(set(masks))
         if not mask_list:
             return cls.empty()
-        if not table.is_sorted:
-            return cls.from_maximal(
-                [table.decode_mask(mask) for mask in mask_list]
-            )
         used = 0
         for mask in mask_list:
             used |= mask
@@ -253,7 +248,7 @@ class SimplicialComplex:
     def _ensure_index(self) -> tuple[VertexTable, tuple[int, ...]]:
         """The ``(table, facet masks)`` index, built on first use."""
         table, masks = self._table, self._masks
-        if masks is not None and table is not None and table.is_sorted:
+        if masks is not None and table is not None:
             return table, masks
         facets = self.facets
         seen: set[Vertex] = set()

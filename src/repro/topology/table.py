@@ -7,11 +7,12 @@ becomes submask enumeration, and inclusion-maximality pruning becomes a
 sweep of integer comparisons.  :class:`~repro.topology.complex.SimplicialComplex`
 keeps one table per complex.
 
-Tables are immutable and interned (:meth:`VertexTable.interned` /
-:meth:`VertexTable.interned_of`): they are shared process-wide through a
-weak registry keyed by their interned vertex tuple, so equal complexes
-built at different times index against the *same* table object — which
-makes table identity a valid fast path for complex equality.
+Tables are immutable and interned (:meth:`VertexTable.interned_of`),
+always listing their vertices in canonical ``_sort_key`` order: they are
+shared process-wide through a weak registry keyed by their interned
+vertex tuple, so equal complexes built at different times index against
+the *same* table object — which makes table identity a valid fast path
+for complex equality.
 
 Masks never leave :mod:`repro.topology`: code outside the package asks a
 :class:`~repro.topology.complex.SimplicialComplex` for its masks and
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import count
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ChromaticityError
 from repro.telemetry import default_registry
@@ -161,52 +162,30 @@ class VertexTable:
     __slots__ = (
         "_index",
         "_vertices",
-        "_sorted",
         "_table_id",
         "__weakref__",
     )
 
-    def __init__(
-        self, vertices: Sequence[Vertex], is_sorted: bool | None = None
-    ) -> None:
-        # Callers go through interned()/interned_of(), which share tables.
+    def __init__(self, vertices: Sequence[Vertex]) -> None:
+        # Callers go through interned_of(), which shares tables.
         self._vertices = tuple(dict.fromkeys(vertices))
         self._index = {vertex: i for i, vertex in enumerate(self._vertices)}
-        self._sorted = is_sorted
         self._table_id = next(_TABLE_IDS)
-
-    # ------------------------------------------------------------------
-    # Interned constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def interned(
-        cls, pairs: Iterable[tuple[int, Hashable]]
-    ) -> "VertexTable":
-        """The process-wide frozen table for the given pair tuple.
-
-        Tables are shared through a weak registry: two calls with equal
-        pairs return the same object for as long as anything holds it.
-        The pairs become interned vertices, so this reaches the same
-        registry key as :meth:`interned_of` on those vertices.
-        """
-        key = tuple(Vertex(color, value) for color, value in pairs)
-        found = _INTERNED.get(key)
-        if found is None:
-            found = _INTERNED[key] = cls(key)
-        return found
 
     @classmethod
     def interned_of(cls, vertices: Sequence[Vertex]) -> "VertexTable":
         """The interned table listing ``vertices`` in the given order.
 
-        The caller promises the sequence is already in canonical
-        ``_sort_key`` order (the complex index builder sorts before
-        calling); the table is marked sorted without re-checking.
+        Tables are shared through a weak registry: two calls with equal
+        vertices return the same object for as long as anything holds
+        it.  The caller promises the sequence is already in canonical
+        ``_sort_key`` order (every caller sorts before calling); it is
+        not re-checked.
         """
         key = tuple(vertices)
         found = _INTERNED.get(key)
         if found is None:
-            found = _INTERNED[key] = cls(key, is_sorted=True)
+            found = _INTERNED[key] = cls(key)
         return found
 
     # ------------------------------------------------------------------
@@ -221,11 +200,6 @@ class VertexTable:
         return self._vertices[index]
 
     @property
-    def pairs(self) -> tuple[tuple[int, Hashable], ...]:
-        """The interned ``(color, value)`` pairs, in index order."""
-        return tuple(vertex.as_pair() for vertex in self._vertices)
-
-    @property
     def vertices(self) -> tuple[Vertex, ...]:
         """The interned vertices, in index order."""
         return self._vertices
@@ -234,18 +208,6 @@ class VertexTable:
     def table_id(self) -> int:
         """A process-unique id (monotone, never reused) for memo keys."""
         return self._table_id
-
-    @property
-    def is_sorted(self) -> bool:
-        """``True`` iff the entries are in canonical ``_sort_key`` order.
-
-        Computed once and cached; sorted tables are what makes narrowing
-        order-stable.
-        """
-        if self._sorted is None:
-            keys = [v._sort_key() for v in self._vertices]
-            self._sorted = all(a <= b for a, b in zip(keys, keys[1:]))
-        return self._sorted
 
     @property
     def full_mask(self) -> int:
@@ -263,7 +225,7 @@ class VertexTable:
     def __reduce__(self) -> tuple:
         # Table ids are process-local and are not pickled: tables
         # re-intern on the receiving side, joining its weak registry.
-        return (VertexTable.interned, (self.pairs,))
+        return (VertexTable.interned_of, (self._vertices,))
 
     # ------------------------------------------------------------------
     # Masks
@@ -296,26 +258,6 @@ class VertexTable:
             if vertex.color in keep:
                 mask |= 1 << index
         return mask
-
-    def decode_mask(self, mask: int) -> Simplex:
-        """Rebuild the simplex whose vertices are the set bits of ``mask``."""
-        if mask <= 0:
-            raise ChromaticityError(
-                f"simplex bitmask must be positive, got {mask}"
-            )
-        vertices = []
-        index = 0
-        while mask:
-            if mask & 1:
-                if index >= len(self._vertices):
-                    raise ChromaticityError(
-                        f"bitmask bit {index} exceeds the vertex table "
-                        f"({len(self._vertices)} entries)"
-                    )
-                vertices.append(self._vertices[index])
-            mask >>= 1
-            index += 1
-        return Simplex(vertices)
 
     def decode_mask_trusted(self, mask: int) -> Simplex:
         """Rebuild a simplex from a mask known to be in range.

@@ -11,9 +11,10 @@ from repro.algorithms import HalvingAA, TwoProcessThirdsAA
 from repro.errors import RuntimeModelError
 from repro.faults.fixtures import TooFewRoundsAA
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
     RandomAdversary,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
@@ -25,7 +26,8 @@ def F(num, den=1):
 def run_all_schedules(algorithm, inputs):
     executor = IteratedExecutor()
     for sequence in all_schedule_sequences(sorted(inputs), algorithm.rounds):
-        yield executor.run(algorithm, inputs, FixedScheduleAdversary(sequence))
+        adversary = ReplayAdversary([TraceRound(b) for b in sequence])
+        yield executor.run(algorithm, inputs, adversary)
 
 
 def check_aa(result, inputs, epsilon):

@@ -10,9 +10,10 @@ from repro.algorithms import BitwiseAA
 from repro.errors import RuntimeModelError
 from repro.objects import BinaryConsensusBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
     RandomAdversary,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
@@ -26,15 +27,6 @@ def check_aa(result, inputs, epsilon):
     lo, hi = min(inputs.values()), max(inputs.values())
     assert max(values) - min(values) <= epsilon
     assert all(lo <= v <= hi for v in values)
-
-
-class _PickOption(FixedScheduleAdversary):
-    def __init__(self, blocks, option_index):
-        super().__init__(blocks)
-        self._option_index = option_index
-
-    def choose_assignment(self, round_index, schedule, options):
-        return options[min(self._option_index, len(options) - 1)]
 
 
 class TestBitwiseAA:
@@ -65,9 +57,10 @@ class TestBitwiseAA:
         inputs = {1: F(0), 2: F(3, 8), 3: F(1)}
         for sequence in all_schedule_sequences([1, 2, 3], algorithm.rounds):
             for option in range(2):
-                result = executor.run(
-                    algorithm, inputs, _PickOption(sequence, option)
+                adversary = ReplayAdversary(
+                    [TraceRound(b, box_choice=option) for b in sequence]
                 )
+                result = executor.run(algorithm, inputs, adversary)
                 check_aa(result, inputs, eps)
 
     def test_edge_value_one_handled(self):
@@ -79,9 +72,10 @@ class TestBitwiseAA:
         inputs = {1: F(1), 2: F(1), 3: F(0)}
         for sequence in all_schedule_sequences([1, 2, 3], algorithm.rounds):
             for option in range(2):
-                result = executor.run(
-                    algorithm, inputs, _PickOption(sequence, option)
+                adversary = ReplayAdversary(
+                    [TraceRound(b, box_choice=option) for b in sequence]
                 )
+                result = executor.run(algorithm, inputs, adversary)
                 check_aa(result, inputs, 1)  # range + agreement window
                 values = list(result.decisions.values())
                 assert max(values) - min(values) <= eps
@@ -105,9 +99,8 @@ class TestBitwiseAA:
         executor = IteratedExecutor(box=BinaryConsensusBox())
         inputs = {1: F(1, 8), 2: F(5, 8), 3: F(7, 8)}
         for sequence in all_schedule_sequences([1, 2, 3], algorithm.rounds):
-            result = executor.run(
-                algorithm, inputs, _PickOption(sequence, 0)
-            )
+            adversary = ReplayAdversary([TraceRound(b) for b in sequence])
+            result = executor.run(algorithm, inputs, adversary)
             assert set(result.decisions.values()) <= set(inputs.values())
 
     def test_value_dependent_box_inputs(self):

@@ -9,9 +9,10 @@ from repro.algorithms import ConsensusViaBinaryConsensus, TwoProcessConsensusTAS
 from repro.errors import RuntimeModelError
 from repro.objects import BinaryConsensusBox, TestAndSetBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
     RandomAdversary,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
@@ -20,17 +21,6 @@ def check_consensus(result, inputs):
     values = set(result.decisions.values())
     assert len(values) == 1
     assert values <= set(inputs.values())
-
-
-class _PickOption(FixedScheduleAdversary):
-    """Fixed schedule + fixed box-option index, for exhaustive sweeps."""
-
-    def __init__(self, blocks, option_index):
-        super().__init__(blocks)
-        self._option_index = option_index
-
-    def choose_assignment(self, round_index, schedule, options):
-        return options[min(self._option_index, len(options) - 1)]
 
 
 class TestTwoProcessConsensusTAS:
@@ -42,10 +32,11 @@ class TestTwoProcessConsensusTAS:
         for inputs in ({1: "a", 2: "b"}, {1: 0, 2: 1}, {1: "s", 2: "s"}):
             for sequence in all_schedule_sequences([1, 2], 1):
                 for option in range(2):
+                    adversary = ReplayAdversary(
+                        [TraceRound(sequence[0], box_choice=option)]
+                    )
                     result = executor.run(
-                        TwoProcessConsensusTAS(),
-                        inputs,
-                        _PickOption(sequence, option),
+                        TwoProcessConsensusTAS(), inputs, adversary
                     )
                     check_consensus(result, inputs)
 
@@ -54,7 +45,7 @@ class TestTwoProcessConsensusTAS:
         result = executor.run(
             TwoProcessConsensusTAS(),
             {1: "mine", 2: "theirs"},
-            _PickOption([[[1, 2]]], 0),  # winner = process 1
+            ReplayAdversary([TraceRound(((1, 2),))]),  # winner = process 1
         )
         assert set(result.decisions.values()) == {"mine"}
 
@@ -88,9 +79,10 @@ class TestConsensusViaBinaryConsensus:
         inputs = {1: "x", 2: "y", 3: "z"}
         for sequence in all_schedule_sequences([1, 2, 3], algorithm.rounds):
             for option in range(2):
-                result = executor.run(
-                    algorithm, inputs, _PickOption(sequence, option)
+                adversary = ReplayAdversary(
+                    [TraceRound(b, box_choice=option) for b in sequence]
                 )
+                result = executor.run(algorithm, inputs, adversary)
                 check_consensus(result, inputs)
 
     @given(st.integers(min_value=0, max_value=10_000))

@@ -1,18 +1,22 @@
-"""Tests for illegal-fault injection, trace round-tripping, and replay."""
+"""Tests for illegal-fault injection and fault-trace round-tripping."""
 
 from fractions import Fraction
 
 import pytest
 
 from repro.algorithms import HalvingAA
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, RuntimeModelError
 from repro.faults.campaign import _ChaosAdversary
-from repro.faults.injectors import FaultTrace, ReplayAdversary, TraceRound
-from repro.models.schedules import schedule_from_blocks
-from repro.runtime import FullSyncAdversary, IteratedExecutor, RandomAdversary
+from repro.faults.injectors import FaultTrace
+from repro.runtime import (
+    FullSyncAdversary,
+    IteratedExecutor,
+    RandomAdversary,
+    ReplayAdversary,
+    TraceRound,
+)
 
 INPUTS = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(1)}
-SYNC3 = schedule_from_blocks([[1, 2, 3]])
 
 
 class TestIllegalInjectors:
@@ -51,20 +55,17 @@ class TestFaultTrace:
         trace, _ = self._trace()
         assert trace.to_json() == trace.to_json()
 
+    def test_views_must_match_the_groups(self):
+        text = (
+            '{"inputs": [[1, "0"]], "rounds": [{"blocks": [[1, 2]]}, '
+            '{"blocks": [[1], [2, 3]], "views": [[1]]}]}'
+        )
+        with pytest.raises(RuntimeModelError, match=r"rounds\[1\]\.views"):
+            FaultTrace.from_json(text)
+
     def test_parsed_inputs_restore_values(self):
         trace, _ = self._trace()
         assert trace.parsed_inputs(Fraction) == INPUTS
-
-    def test_replay_reproduces_decisions(self):
-        trace, original = self._trace()
-        replayed = IteratedExecutor().run(
-            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(trace)
-        )
-        assert replayed.decisions == original.decisions
-        assert replayed.crashed == original.crashed
-        assert [r.blocks for r in replayed.trace] == [
-            r.blocks for r in original.trace
-        ]
 
     def test_replay_reproduces_mid_round_crashes(self):
         trace = FaultTrace(
@@ -72,26 +73,13 @@ class TestFaultTrace:
             rounds=(TraceRound(blocks=((1, 2, 3),), mid_crashes=(2,)),),
         )
         result = IteratedExecutor().run(
-            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(trace)
+            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(trace.rounds)
         )
         assert result.trace[0].mid_crashed == (2,)
         assert result.crashed == {2: 1}
         assert FaultTrace.from_execution(result, INPUTS).rounds[0] == (
             trace.rounds[0]
         )
-
-    def test_replay_never_crashes_every_participant(self):
-        trace = FaultTrace(
-            inputs=(),
-            rounds=(TraceRound(blocks=((1, 2, 3),), mid_crashes=(1, 2, 3)),),
-        )
-        doomed = ReplayAdversary(trace).mid_round_crashes(1, SYNC3)
-        assert doomed == frozenset({2, 3})
-
-    def test_benign_round_detection(self):
-        assert TraceRound(blocks=((1, 2, 3),)).is_benign()
-        assert not TraceRound(blocks=((1,), (2, 3))).is_benign()
-        assert not TraceRound(blocks=((1, 2),), crashes=(3,)).is_benign()
 
     def test_replay_repairs_uncrashed_process(self):
         # Editing a crash out of the trace leaves later rounds without a
@@ -112,41 +100,6 @@ class TestFaultTrace:
             cell=trace.cell,
         )
         result = IteratedExecutor().run(
-            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(edited)
+            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(edited.rounds)
         )
         assert sorted(result.decisions) == [1, 2, 3]
-
-
-class TestReplayMatrixRounds:
-    ACTIVE = frozenset({1, 2, 3})
-
-    def test_rejected_matrix_round_replays_as_full_sync(self):
-        # P_0 = {1} is not the participant set: condition (3) fails.
-        trace = FaultTrace(
-            inputs=(),
-            rounds=(
-                TraceRound(blocks=((1,), (2, 3)), views=((1,), (1, 2, 3))),
-            ),
-        )
-        assert ReplayAdversary(trace).schedule(1, self.ACTIVE) == SYNC3
-
-    def test_other_rebuild_errors_propagate(self, monkeypatch):
-        class Boom(Exception):
-            pass
-
-        def broken(groups, views):
-            raise Boom("not a schedule error")
-
-        monkeypatch.setattr(
-            "repro.faults.injectors.OneRoundSchedule", broken
-        )
-        trace = FaultTrace(
-            inputs=(),
-            rounds=(
-                TraceRound(
-                    blocks=((1, 2), (3,)), views=((1, 2, 3), (1, 3))
-                ),
-            ),
-        )
-        with pytest.raises(Boom):
-            ReplayAdversary(trace).schedule(1, self.ACTIVE)

@@ -5,9 +5,10 @@ from repro.faults.campaign import (
     replay_trace,
     run_campaign,
 )
-from repro.faults.injectors import FaultTrace, TraceRound
+from repro.faults.injectors import FaultTrace
 from repro.faults.oracles import VIOLATION
 from repro.faults.shrink import shrink_trace, simplifications, trace_weight
+from repro.runtime import TraceRound
 
 
 def _first_violation(cell, executions=200, t=0):

@@ -11,8 +11,9 @@ from fractions import Fraction
 from repro.algorithms import HalvingAA
 from repro.models import ProtocolOperator
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
     extract_decision_map,
 )
@@ -80,9 +81,8 @@ class TestExecutorVsExtractedMap:
         decision = extract_decision_map(algorithm, iis, sub)
         executor = IteratedExecutor()
         for sequence in all_schedule_sequences([1, 2, 3], algorithm.rounds):
-            result = executor.run(
-                algorithm, inputs, FixedScheduleAdversary(sequence)
-            )
+            adversary = ReplayAdversary([TraceRound(b) for b in sequence])
+            result = executor.run(algorithm, inputs, adversary)
             final_views = nested_views(inputs, sequence)
             for process, decided in result.decisions.items():
                 vertex = Vertex(process, final_views[process])

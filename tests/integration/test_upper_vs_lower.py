@@ -19,8 +19,9 @@ from repro.algorithms import (
 from repro.core import aa_lower_bound_iis, aa_lower_bound_iis_tas, ceil_log
 from repro.objects import BinaryConsensusBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     IteratedExecutor,
+    ReplayAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
@@ -65,9 +66,8 @@ class TestBoundsBind:
         executor = IteratedExecutor()
         violated = False
         for sequence in all_schedule_sequences([1, 2, 3], 1):
-            result = executor.run(
-                algorithm, inputs, FixedScheduleAdversary(sequence)
-            )
+            adversary = ReplayAdversary([TraceRound(b) for b in sequence])
+            result = executor.run(algorithm, inputs, adversary)
             values = list(result.decisions.values())
             if max(values) - min(values) > eps:
                 violated = True
@@ -81,9 +81,8 @@ class TestBoundsBind:
         executor = IteratedExecutor()
         violated = False
         for sequence in all_schedule_sequences([1, 2], 1):
-            result = executor.run(
-                algorithm, inputs, FixedScheduleAdversary(sequence)
-            )
+            adversary = ReplayAdversary([TraceRound(b) for b in sequence])
+            result = executor.run(algorithm, inputs, adversary)
             values = list(result.decisions.values())
             if max(values) - min(values) > eps:
                 violated = True

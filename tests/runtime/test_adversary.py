@@ -1,18 +1,29 @@
 """Unit tests for adversarial schedulers."""
 
+from fractions import Fraction
+
 import pytest
 
+from repro.algorithms import ConsensusViaBinaryConsensus, HalvingAA
 from repro.errors import RuntimeModelError
+from repro.faults.injectors import FaultTrace
+from repro.models.schedules import schedule_from_blocks
+from repro.objects import BinaryConsensusBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     FullSyncAdversary,
+    IteratedExecutor,
     RandomAdversary,
+    RandomMatrixAdversary,
+    ReplayAdversary,
     SoloFirstAdversary,
+    TraceRound,
     all_schedule_sequences,
 )
 
 
 ACTIVE = frozenset({1, 2, 3})
+SYNC3 = schedule_from_blocks([[1, 2, 3]])
+AA_INPUTS = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(1)}
 
 
 class TestFullSync:
@@ -39,35 +50,121 @@ class TestSoloFirst:
         assert schedule.blocks() == (frozenset({1}),)
 
 
-class TestFixedSchedule:
+class TestReplayAdversary:
     def test_replays_blocks(self):
-        adversary = FixedScheduleAdversary([[[1], [2, 3]], [[3], [1], [2]]])
+        adversary = ReplayAdversary(
+            [TraceRound(((1,), (2, 3))), TraceRound(((3,), (1,), (2,)))]
+        )
         first = adversary.schedule(1, ACTIVE)
         assert first.blocks() == (frozenset({1}), frozenset({2, 3}))
         second = adversary.schedule(2, ACTIVE)
         assert second.blocks()[0] == frozenset({3})
 
     def test_trims_crashed_processes(self):
-        adversary = FixedScheduleAdversary([[[1], [2, 3]]])
+        adversary = ReplayAdversary([TraceRound(((1,), (2, 3)))])
         schedule = adversary.schedule(1, frozenset({2, 3}))
         assert schedule.blocks() == (frozenset({2, 3}),)
 
-    def test_missing_round_rejected(self):
-        adversary = FixedScheduleAdversary([[[1]]])
-        with pytest.raises(RuntimeModelError):
-            adversary.schedule(2, frozenset({1}))
+    def test_uncovered_active_processes_run_last(self):
+        adversary = ReplayAdversary([TraceRound(((1,),))])
+        schedule = adversary.schedule(1, ACTIVE)
+        assert schedule.blocks() == (frozenset({1}), frozenset({2, 3}))
 
-    def test_uncovered_active_rejected(self):
-        adversary = FixedScheduleAdversary([[[1]]])
-        with pytest.raises(RuntimeModelError):
+    @pytest.mark.parametrize("round_index", [0, -1, 3])
+    def test_rounds_outside_the_sequence_run_synchronously(
+        self, round_index
+    ):
+        # Round 0 must not wrap around to the last round's schedule.
+        adversary = ReplayAdversary(
+            [TraceRound(((1,), (2,))), TraceRound(((2,), (1,)))]
+        )
+        schedule = adversary.schedule(round_index, frozenset({1, 2}))
+        assert schedule.blocks() == (frozenset({1, 2}),)
+
+    def test_never_crashes_every_participant(self):
+        adversary = ReplayAdversary(
+            [TraceRound(((1, 2, 3),), mid_crashes=(1, 2, 3))]
+        )
+        doomed = adversary.mid_round_crashes(1, SYNC3)
+        assert doomed == frozenset({2, 3})
+
+    def test_box_choice_is_clamped_into_the_options(self):
+        adversary = ReplayAdversary([TraceRound(((1, 2, 3),), box_choice=5)])
+        options = [{"o": 1}, {"o": 2}]
+        assert adversary.choose_assignment(1, SYNC3, options) == {"o": 2}
+
+    def test_benign_round_detection(self):
+        assert TraceRound(blocks=((1, 2, 3),)).is_benign()
+        assert not TraceRound(blocks=((1,), (2, 3))).is_benign()
+        assert not TraceRound(blocks=((1, 2),), crashes=(3,)).is_benign()
+
+    def test_rejected_matrix_round_replays_as_full_sync(self):
+        # P_0 = {1} is not the participant set: condition (3) fails.
+        adversary = ReplayAdversary(
+            [TraceRound(blocks=((1,), (2, 3)), views=((1,), (1, 2, 3)))]
+        )
+        assert adversary.schedule(1, ACTIVE) == SYNC3
+
+    def test_other_rebuild_errors_propagate(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def broken(groups, views):
+            raise Boom("not a schedule error")
+
+        monkeypatch.setattr(
+            "repro.runtime.adversary.OneRoundSchedule", broken
+        )
+        adversary = ReplayAdversary(
+            [TraceRound(blocks=((1, 2), (3,)), views=((1, 2, 3), (1, 3)))]
+        )
+        with pytest.raises(Boom):
             adversary.schedule(1, ACTIVE)
 
-    @pytest.mark.parametrize("round_index", [0, -1])
-    def test_rounds_before_the_first_rejected(self, round_index):
-        # Round 0 must not wrap around to the last round's schedule.
-        adversary = FixedScheduleAdversary([[[1], [2]], [[1, 2]]])
-        with pytest.raises(RuntimeModelError):
-            adversary.schedule(round_index, frozenset({1, 2}))
+    @pytest.mark.parametrize(
+        "algorithm, inputs, box, adversary_of",
+        [
+            pytest.param(
+                HalvingAA(Fraction(1, 8)),
+                AA_INPUTS,
+                None,
+                lambda seed: RandomAdversary(seed, crash_probability=0.3),
+                id="iis-crashes",
+            ),
+            pytest.param(
+                HalvingAA(Fraction(1, 8)),
+                AA_INPUTS,
+                None,
+                lambda seed: RandomMatrixAdversary("snapshot", seed),
+                id="snapshot",
+            ),
+            pytest.param(
+                HalvingAA(Fraction(1, 8)),
+                AA_INPUTS,
+                None,
+                lambda seed: RandomMatrixAdversary("collect", seed),
+                id="collect",
+            ),
+            pytest.param(
+                ConsensusViaBinaryConsensus(3),
+                {1: "x", 2: "y", 3: "z"},
+                BinaryConsensusBox(),
+                lambda seed: RandomAdversary(seed),
+                id="binary-consensus-box",
+            ),
+        ],
+    )
+    def test_replay_reproduces_the_execution(
+        self, algorithm, inputs, box, adversary_of
+    ):
+        executor = IteratedExecutor(box=box)
+        for seed in range(20):
+            original = executor.run(algorithm, inputs, adversary_of(seed))
+            rounds = FaultTrace.from_execution(original, inputs).rounds
+            replayed = executor.run(algorithm, inputs, ReplayAdversary(rounds))
+            assert replayed.decisions == original.decisions
+            assert replayed.crashed == original.crashed
+            assert replayed.trace == original.trace
 
 
 class TestRandomAdversary:
@@ -163,18 +260,10 @@ class TestExhaustiveSequences:
         # Driving the executor over all 9 sequences must hit 9 distinct
         # two-round view profiles — the protocol complex has 3² facets
         # for n = 2, so none of them may collapse.
-        from fractions import Fraction
-
-        from repro.algorithms import HalvingAA
-        from repro.models.schedules import schedule_from_blocks
-        from repro.runtime import IteratedExecutor
-
         inputs = {1: Fraction(0), 2: Fraction(1)}
         profiles = set()
         for sequence in all_schedule_sequences([1, 2], 2):
-            adversary = FixedScheduleAdversary(
-                [[sorted(block) for block in blocks] for blocks in sequence]
-            )
+            adversary = ReplayAdversary([TraceRound(b) for b in sequence])
             result = IteratedExecutor().run(
                 HalvingAA(Fraction(1, 4)), inputs, adversary
             )

@@ -9,12 +9,12 @@ from repro.errors import RuntimeModelError
 from repro.models.schedules import schedule_from_blocks
 from repro.objects import TestAndSetBox
 from repro.runtime import (
-    FixedScheduleAdversary,
     FullSyncAdversary,
     IteratedExecutor,
     RandomAdversary,
+    ReplayAdversary,
     SoloFirstAdversary,
-    IteratedExecutor,
+    TraceRound,
 )
 
 
@@ -44,7 +44,9 @@ class TestBasicExecution:
         assert result.trace[0].blocks == ((1, 2, 3),)
 
     def test_views_in_trace_match_blocks(self):
-        adversary = FixedScheduleAdversary([[[2], [1, 3]], [[1, 2, 3]]])
+        adversary = ReplayAdversary(
+            [TraceRound(((2,), (1, 3))), TraceRound(((1, 2, 3),))]
+        )
         result = IteratedExecutor().run(HalvingAA(F(1, 4)), INPUTS, adversary)
         views = recorded_views(result.trace[0])
         assert views[2] == {2}

@@ -7,16 +7,26 @@ import pytest
 from repro.algorithms import HalvingAA
 from repro.errors import RuntimeModelError
 from repro.models import schedules
-from repro.models.schedules import distinct_schedules, schedule_from_blocks
+from repro.models.schedules import OneRoundSchedule, distinct_schedules
 from repro.runtime import (
-    FixedMatrixAdversary,
     IteratedExecutor,
     RandomMatrixAdversary,
+    ReplayAdversary,
+    TraceRound,
 )
 
 
 def F(num, den=1):
     return Fraction(num, den)
+
+
+def replaying(*matrices):
+    """Replay one matrix per round, in the form execution traces keep."""
+    rounds = []
+    for matrix in matrices:
+        blocks, views = matrix.as_tuples()
+        rounds.append(TraceRound(blocks, views=views))
+    return ReplayAdversary(rounds)
 
 
 ACTIVE = frozenset({1, 2, 3})
@@ -72,35 +82,6 @@ class TestRandomMatrixAdversary:
         assert built == [ACTIVE, frozenset({1, 2})]
 
 
-class TestFixedMatrixAdversary:
-    def test_replays(self):
-        schedules = [
-            schedule_from_blocks([[1], [2, 3]]),
-            schedule_from_blocks([[1, 2, 3]]),
-        ]
-        adversary = FixedMatrixAdversary(schedules)
-        assert adversary.schedule(1, ACTIVE) == schedules[0]
-        assert adversary.schedule(2, ACTIVE) == schedules[1]
-
-    def test_missing_round_rejected(self):
-        adversary = FixedMatrixAdversary([])
-        with pytest.raises(RuntimeModelError):
-            adversary.schedule(1, ACTIVE)
-
-    @pytest.mark.parametrize("round_index", [0, -1])
-    def test_rounds_before_the_first_rejected(self, round_index):
-        adversary = FixedMatrixAdversary(
-            [schedule_from_blocks([[1], [2]]), schedule_from_blocks([[1, 2]])]
-        )
-        with pytest.raises(RuntimeModelError):
-            adversary.schedule(round_index, frozenset({1, 2}))
-
-    def test_participant_mismatch_rejected(self):
-        adversary = FixedMatrixAdversary([schedule_from_blocks([[1, 2]])])
-        with pytest.raises(RuntimeModelError):
-            adversary.schedule(1, ACTIVE)
-
-
 class TestHalvingUnderWeakerModels:
     """The empirical finding of E-ablation: Eq. (3) survives weaker models
     at n = 3 — the lower bound proved in IIS transfers a fortiori."""
@@ -127,7 +108,7 @@ class TestHalvingUnderWeakerModels:
         for first in pool:
             for second in pool:
                 result = executor.run(
-                    algorithm, inputs, FixedMatrixAdversary([first, second])
+                    algorithm, inputs, replaying(first, second)
                 )
                 values = list(result.decisions.values())
                 assert max(values) - min(values) <= eps
@@ -137,14 +118,12 @@ class TestHalvingUnderWeakerModels:
         algorithm = HalvingAA(eps)
         inputs = {1: F(0), 2: F(1, 2), 3: F(1)}
         # A snapshot-only schedule: {2,3} see everything, 1 sees {1,2}.
-        from repro.models.schedules import OneRoundSchedule
-
         snap_only = OneRoundSchedule(
             groups=(frozenset({2, 3}), frozenset({1})),
             views=(frozenset({1, 2, 3}), frozenset({1, 2})),
         )
         result = IteratedExecutor().run(
-            algorithm, inputs, FixedMatrixAdversary([snap_only])
+            algorithm, inputs, replaying(snap_only)
         )
         record = result.trace[0]
         views = OneRoundSchedule(

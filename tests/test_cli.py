@@ -328,6 +328,8 @@ class TestChaosCommand:
             '{"cell": "aa", "inputs": [[1, "0"], [1, "1"]], "rounds": []}',
             '{"cell": "consensus", "inputs": [[1, "a"], [2, "b"]], '
             '"rounds": [{"blocks": [[1, 2]], "box_choice": -5}]}',
+            '{"cell": "aa", "inputs": [[1, "0"], [2, "1"], [3, "1/2"]], '
+            '"rounds": [{"blocks": [[1], [2, 3]], "views": [[1]]}]}',
         ],
         ids=[
             "inputs-not-list",
@@ -336,6 +338,7 @@ class TestChaosCommand:
             "bad-input",
             "process-twice",
             "negative-box-choice",
+            "views-not-one-per-group",
         ],
     )
     def test_malformed_replay_trace_is_one_line(self, tmp_path, payload):
