@@ -274,7 +274,7 @@ class ReplayAdversary(Adversary):
     merging blocks), which can leave recorded schedules inconsistent with
     the processes actually alive.  Each round the recorded blocks are
     intersected with the active set and any unscheduled active processes
-    are appended as a final block; rounds outside the sequence run fully
+    are appended as a final block; rounds past the sequence run fully
     synchronous.  Crash sets are trimmed to the live processes and never
     take all of them; box choices are clamped into the option range.
     """
@@ -283,7 +283,10 @@ class ReplayAdversary(Adversary):
         self._rounds = tuple(rounds)
 
     def _round(self, round_index: int) -> Optional[TraceRound]:
-        if 1 <= round_index <= len(self._rounds):
+        if round_index < 1:
+            # Rounds count from 1; a smaller index must not wrap around.
+            raise RuntimeModelError(f"round {round_index} precedes round 1")
+        if round_index <= len(self._rounds):
             return self._rounds[round_index - 1]
         return None
 

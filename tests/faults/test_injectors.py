@@ -1,4 +1,4 @@
-"""Tests for illegal-fault injection and fault-trace round-tripping."""
+"""Tests for illegal-fault injection, trace round-tripping, and replay."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ from repro.algorithms import HalvingAA
 from repro.errors import FaultInjectionError, RuntimeModelError
 from repro.faults.campaign import _ChaosAdversary
 from repro.faults.injectors import FaultTrace
+from repro.models.schedules import schedule_from_blocks
 from repro.runtime import (
     FullSyncAdversary,
     IteratedExecutor,
@@ -17,6 +18,7 @@ from repro.runtime import (
 )
 
 INPUTS = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(1)}
+SYNC3 = schedule_from_blocks([[1, 2, 3]])
 
 
 class TestIllegalInjectors:
@@ -67,6 +69,17 @@ class TestFaultTrace:
         trace, _ = self._trace()
         assert trace.parsed_inputs(Fraction) == INPUTS
 
+    def test_replay_reproduces_decisions(self):
+        # Replay reads the rounds back from the trace's JSON.
+        trace, original = self._trace()
+        loaded = FaultTrace.from_json(trace.to_json())
+        replayed = IteratedExecutor().run(
+            HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(loaded.rounds)
+        )
+        assert replayed.decisions == original.decisions
+        assert replayed.crashed == original.crashed
+        assert replayed.trace == original.trace
+
     def test_replay_reproduces_mid_round_crashes(self):
         trace = FaultTrace(
             inputs=(),
@@ -80,6 +93,19 @@ class TestFaultTrace:
         assert FaultTrace.from_execution(result, INPUTS).rounds[0] == (
             trace.rounds[0]
         )
+
+    def test_replay_never_crashes_every_participant(self):
+        trace = FaultTrace(
+            inputs=(),
+            rounds=(TraceRound(blocks=((1, 2, 3),), mid_crashes=(1, 2, 3)),),
+        )
+        doomed = ReplayAdversary(trace.rounds).mid_round_crashes(1, SYNC3)
+        assert doomed == frozenset({2, 3})
+
+    def test_benign_round_detection(self):
+        assert TraceRound(blocks=((1, 2, 3),)).is_benign()
+        assert not TraceRound(blocks=((1,), (2, 3))).is_benign()
+        assert not TraceRound(blocks=((1, 2),), crashes=(3,)).is_benign()
 
     def test_replay_repairs_uncrashed_process(self):
         # Editing a crash out of the trace leaves later rounds without a
@@ -103,3 +129,39 @@ class TestFaultTrace:
             HalvingAA(Fraction(1, 8)), INPUTS, ReplayAdversary(edited.rounds)
         )
         assert sorted(result.decisions) == [1, 2, 3]
+
+
+class TestReplayMatrixRounds:
+    ACTIVE = frozenset({1, 2, 3})
+
+    def test_rejected_matrix_round_replays_as_full_sync(self):
+        # P_0 = {1} is not the participant set: condition (3) fails.
+        trace = FaultTrace(
+            inputs=(),
+            rounds=(
+                TraceRound(blocks=((1,), (2, 3)), views=((1,), (1, 2, 3))),
+            ),
+        )
+        replay = ReplayAdversary(trace.rounds)
+        assert replay.schedule(1, self.ACTIVE) == SYNC3
+
+    def test_other_rebuild_errors_propagate(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def broken(groups, views):
+            raise Boom("not a schedule error")
+
+        monkeypatch.setattr(
+            "repro.runtime.adversary.OneRoundSchedule", broken
+        )
+        trace = FaultTrace(
+            inputs=(),
+            rounds=(
+                TraceRound(
+                    blocks=((1, 2), (3,)), views=((1, 2, 3), (1, 3))
+                ),
+            ),
+        )
+        with pytest.raises(Boom):
+            ReplayAdversary(trace.rounds).schedule(1, self.ACTIVE)

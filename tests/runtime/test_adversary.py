@@ -50,7 +50,9 @@ class TestSoloFirst:
         assert schedule.blocks() == (frozenset({1}),)
 
 
-class TestReplayAdversary:
+class TestFixedSchedule:
+    """A fixed block schedule replays as a sequence of ``TraceRound``s."""
+
     def test_replays_blocks(self):
         adversary = ReplayAdversary(
             [TraceRound(((1,), (2, 3))), TraceRound(((3,), (1,), (2,)))]
@@ -70,56 +72,28 @@ class TestReplayAdversary:
         schedule = adversary.schedule(1, ACTIVE)
         assert schedule.blocks() == (frozenset({1}), frozenset({2, 3}))
 
-    @pytest.mark.parametrize("round_index", [0, -1, 3])
-    def test_rounds_outside_the_sequence_run_synchronously(
-        self, round_index
-    ):
+    @pytest.mark.parametrize("round_index", [0, -1])
+    def test_rounds_before_the_first_rejected(self, round_index):
         # Round 0 must not wrap around to the last round's schedule.
+        adversary = ReplayAdversary(
+            [TraceRound(((1,), (2,))), TraceRound(((1, 2),))]
+        )
+        with pytest.raises(RuntimeModelError):
+            adversary.schedule(round_index, frozenset({1, 2}))
+
+    def test_rounds_past_the_sequence_run_synchronously(self):
         adversary = ReplayAdversary(
             [TraceRound(((1,), (2,))), TraceRound(((2,), (1,)))]
         )
-        schedule = adversary.schedule(round_index, frozenset({1, 2}))
+        schedule = adversary.schedule(3, frozenset({1, 2}))
         assert schedule.blocks() == (frozenset({1, 2}),)
 
-    def test_never_crashes_every_participant(self):
-        adversary = ReplayAdversary(
-            [TraceRound(((1, 2, 3),), mid_crashes=(1, 2, 3))]
-        )
-        doomed = adversary.mid_round_crashes(1, SYNC3)
-        assert doomed == frozenset({2, 3})
 
+class TestReplayAdversary:
     def test_box_choice_is_clamped_into_the_options(self):
         adversary = ReplayAdversary([TraceRound(((1, 2, 3),), box_choice=5)])
         options = [{"o": 1}, {"o": 2}]
         assert adversary.choose_assignment(1, SYNC3, options) == {"o": 2}
-
-    def test_benign_round_detection(self):
-        assert TraceRound(blocks=((1, 2, 3),)).is_benign()
-        assert not TraceRound(blocks=((1,), (2, 3))).is_benign()
-        assert not TraceRound(blocks=((1, 2),), crashes=(3,)).is_benign()
-
-    def test_rejected_matrix_round_replays_as_full_sync(self):
-        # P_0 = {1} is not the participant set: condition (3) fails.
-        adversary = ReplayAdversary(
-            [TraceRound(blocks=((1,), (2, 3)), views=((1,), (1, 2, 3)))]
-        )
-        assert adversary.schedule(1, ACTIVE) == SYNC3
-
-    def test_other_rebuild_errors_propagate(self, monkeypatch):
-        class Boom(Exception):
-            pass
-
-        def broken(groups, views):
-            raise Boom("not a schedule error")
-
-        monkeypatch.setattr(
-            "repro.runtime.adversary.OneRoundSchedule", broken
-        )
-        adversary = ReplayAdversary(
-            [TraceRound(blocks=((1, 2), (3,)), views=((1, 2, 3), (1, 3)))]
-        )
-        with pytest.raises(Boom):
-            adversary.schedule(1, ACTIVE)
 
     @pytest.mark.parametrize(
         "algorithm, inputs, box, adversary_of",

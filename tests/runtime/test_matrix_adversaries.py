@@ -7,7 +7,11 @@ import pytest
 from repro.algorithms import HalvingAA
 from repro.errors import RuntimeModelError
 from repro.models import schedules
-from repro.models.schedules import OneRoundSchedule, distinct_schedules
+from repro.models.schedules import (
+    OneRoundSchedule,
+    distinct_schedules,
+    schedule_from_blocks,
+)
 from repro.runtime import (
     IteratedExecutor,
     RandomMatrixAdversary,
@@ -80,6 +84,25 @@ class TestRandomMatrixAdversary:
                 adversary.schedule(round_index, ACTIVE)
                 adversary.schedule(round_index, frozenset({1, 2}))
         assert built == [ACTIVE, frozenset({1, 2})]
+
+
+class TestMatrixReplay:
+    def test_replays(self):
+        matrices = [
+            schedule_from_blocks([[1], [2, 3]]),
+            schedule_from_blocks([[1, 2, 3]]),
+        ]
+        adversary = replaying(*matrices)
+        assert adversary.schedule(1, ACTIVE) == matrices[0]
+        assert adversary.schedule(2, ACTIVE) == matrices[1]
+
+    @pytest.mark.parametrize("round_index", [0, -1])
+    def test_rounds_before_the_first_rejected(self, round_index):
+        adversary = replaying(
+            schedule_from_blocks([[1], [2]]), schedule_from_blocks([[1, 2]])
+        )
+        with pytest.raises(RuntimeModelError):
+            adversary.schedule(round_index, frozenset({1, 2}))
 
 
 class TestHalvingUnderWeakerModels:

@@ -27,8 +27,10 @@ class TestStrictEncoding:
         assert table.vertices == before
 
 
-class TestTrustedDecode:
-    def test_trusted_decode_rebuilds_the_set_bits(self):
+class TestDecodeRangeChecks:
+    def test_trusted_decode_agrees_with_checked_on_valid_masks(self):
+        # The checking Simplex constructor over the set bits is the
+        # reference decode.
         table = VertexTable.interned_of(VERTICES)
         for mask in range(1, 1 << len(table)):
             expected = Simplex(
@@ -44,13 +46,23 @@ class TestTrustedDecode:
             table.decode_mask_trusted(1 << len(table))
 
 
-class TestPickling:
+class TestPicklingFlavour:
     def test_interned_table_round_trips_interned(self):
         table = VertexTable.interned_of(VERTICES)
         restored = pickle.loads(pickle.dumps(table))
         assert restored.vertices == table.vertices
         # Rejoins the weak registry: same object as a fresh intern.
         assert restored is VertexTable.interned_of(VERTICES)
+
+    def test_sortedness_survives_the_round_trip(self):
+        vertices = sorted(reversed(VERTICES), key=lambda v: v._sort_key())
+        table = VertexTable.interned_of(vertices)
+        restored = pickle.loads(pickle.dumps(table))
+        keys = [vertex._sort_key() for vertex in restored.vertices]
+        assert keys == sorted(keys)
+        assert restored.decode_mask_trusted(restored.full_mask) == Simplex(
+            VERTICES
+        )
 
     def test_table_ids_are_process_local_not_pickled(self):
         vertices = (Vertex(1, "pickled-id"), Vertex(2, "pickled-id"))
