@@ -52,14 +52,15 @@ instance, and the paper's lower bounds are all refutations.  The core
 is compiled and propagated; a wipeout answers "unsolvable" without
 compiling the rest of ``I``, and otherwise the whole instance is
 compiled and solved as if the core stage had not run.  The maximal
-simplex is chosen without knowing the task: for each input vertex
-``v``, one BFS from ``Δ({v})`` over the 1-skeleton of ``O``'s
-top-dimensional facets, and a simplex scores the largest distance
-between two of its vertices' solo output sets (the 2-process criterion
-of the algorithmic ACT).  Unreachable is infinite and ranks first: the
-mixed-input facets of consensus.  Two processes of liberal ε-AA may
-disagree freely, so ``O``'s whole 1-skeleton would tie every facet
-at distance 1; its top-dimensional facets keep the ε constraint.
+simplex is chosen without knowing the task, by
+:func:`~repro.topology.connectivity.farthest_facet`: a simplex scores
+the largest distance between two of its vertices' solo output sets
+``Δ({v})`` in the 1-skeleton of ``O``'s top-dimensional facets (the
+2-process criterion of the algorithmic ACT).  Unreachable is infinite
+and ranks first: the mixed-input facets of consensus.  Two processes
+of liberal ε-AA may disagree freely, so ``O``'s whole 1-skeleton would
+tie every facet at distance 1; its top-dimensional facets keep the ε
+constraint.
 :func:`repro.core.certify.check_decision_map` can re-check a returned
 map on the original complexes; the tests and
 :func:`~repro.core.speedup.verify_speedup_theorem` call it, this module
@@ -68,10 +69,8 @@ does not.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -96,7 +95,7 @@ from repro.models.protocol import (
 from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.complex import SimplicialComplex
-from repro.topology.connectivity import one_skeleton_adjacency
+from repro.topology.connectivity import farthest_facet
 from repro.topology.simplex import Simplex
 from repro.topology.table import (
     iter_bits,
@@ -1257,72 +1256,6 @@ def build_solvability_problem(
     return problem
 
 
-def _hardest_facet(task: Task, facets: Iterable[Simplex]) -> Simplex:
-    """The maximal input simplex whose solo outputs lie farthest apart.
-
-    For each input vertex ``v``, one BFS from the vertices of ``Δ({v})``
-    runs over the 1-skeleton of ``O``'s top-dimensional facets.  A
-    simplex scores the largest distance between two of its vertices'
-    solo output sets; unreachable is infinite and ranks first.  Ties
-    break toward the smaller ``Simplex._sort_key``, so the choice does
-    not depend on the hash seed.
-    """
-    output = task.output_complex
-    top = output.dim
-    adjacency = one_skeleton_adjacency(
-        SimplicialComplex.from_maximal(
-            [facet for facet in output.facets if facet.dim == top]
-        )
-    )
-    index = {vertex: position for position, vertex in enumerate(adjacency)}
-    neighbours = [
-        [index[other] for other in adjacency[vertex]] for vertex in adjacency
-    ]
-
-    # Per input vertex: its solo outputs, and every output vertex's
-    # distance from them (one BFS).
-    solo: dict[Vertex, list[int]] = {}
-    reach: dict[Vertex, list[float]] = {}
-    for sigma in facets:
-        for vertex in sigma.vertices:
-            if vertex in solo:
-                continue
-            frontier = solo[vertex] = [
-                index[w]
-                for w in task.delta(Simplex((vertex,))).vertices
-                if w in index
-            ]
-            distances = reach[vertex] = [math.inf] * len(index)
-            for position in frontier:
-                distances[position] = 0
-            depth = 0
-            while frontier:
-                depth += 1
-                reached = []
-                for position in frontier:
-                    for neighbour in neighbours[position]:
-                        if distances[neighbour] > depth:
-                            distances[neighbour] = depth
-                            reached.append(neighbour)
-                frontier = reached
-
-    def score(sigma: Simplex) -> float:
-        widest = 0.0
-        for u, v in combinations(sigma.vertices, 2):
-            distances = reach[u]
-            apart = min([distances[w] for w in solo[v]], default=math.inf)
-            if apart > widest:
-                widest = apart
-        return widest
-
-    scores = {sigma: score(sigma) for sigma in facets}
-    farthest = max(scores.values())
-    return min(
-        (sigma for sigma, value in scores.items() if value == farthest),
-        key=Simplex._sort_key,
-    )
-
-
 def find_decision_map(
     task: Task,
     model: ComputationModel,
@@ -1344,7 +1277,9 @@ def find_decision_map(
     is compiled and solved, so a decision map is always decided on every
     given simplex.  The core stage is skipped when the given simplices
     have a single maximal simplex; it opens one ``solvability/core``
-    span, with attributes ``simplices`` and ``refuted``.
+    span around the ranking and the core's compile, with attributes
+    ``ranked`` (the maximal simplices scored), ``simplices`` and
+    ``refuted``.
 
     Parameters
     ----------
@@ -1360,21 +1295,28 @@ def find_decision_map(
     if rounds < 0:
         raise SolvabilityError("rounds must be non-negative")
     op = operator or ProtocolOperator(model)
-    # The input complex answers membership by mask, so a refuted core
-    # never lists the simplices of I.
     if input_simplices is None:
         simplices: Collection[Simplex] = task.input_complex
-        maximal = task.input_complex.facets
+        inputs = task.input_complex
     else:
         simplices = set(input_simplices)
-        maximal = SimplicialComplex(simplices).facets
-    if len(maximal) > 1:
-        core = [
-            face
-            for face in _hardest_facet(task, maximal).faces()
-            if face in simplices
-        ]
-        with span("solvability/core", simplices=len(core)) as core_span:
+        inputs = SimplicialComplex(simplices)
+    ranked = inputs.facet_count
+    if ranked > 1:
+        with span("solvability/core", ranked=ranked) as core_span:
+            hardest = farthest_facet(
+                inputs,
+                task.output_complex,
+                lambda vertex: task.delta(Simplex((vertex,))).vertices,
+            )
+            # Every face of a facet of I is in I, so a refuted core
+            # never lists the simplices of I.
+            core = (
+                list(hardest.faces())
+                if input_simplices is None
+                else [face for face in hardest.faces() if face in simplices]
+            )
+            core_span.set_attribute("simplices", len(core))
             refuted = (
                 build_solvability_problem(
                     core, task.delta, op, rounds, reduce=True

@@ -18,7 +18,8 @@ from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import RuntimeModelError
+from repro.errors import RuntimeModelError, ScheduleError
+from repro.models.schedules import OneRoundSchedule
 from repro.runtime.adversary import TraceRound
 from repro.runtime.iterated import ExecutionResult
 
@@ -109,7 +110,8 @@ class FaultTrace:
         """Parse a trace produced by :meth:`to_json`.
 
         Raises :class:`~repro.errors.RuntimeModelError` naming the first
-        field that is not JSON of :meth:`to_json`'s shape.
+        field that is not JSON of :meth:`to_json`'s shape, or the first
+        matrix round whose groups and views break the matrix conditions.
         """
         try:
             payload = json.loads(text)
@@ -149,6 +151,14 @@ class FaultTrace:
                         f"{where}.views has {len(views)} view sets for "
                         f"{len(blocks)} groups"
                     )
+                # A recorded matrix round was a schedule; one that breaks
+                # the matrix conditions was never run.
+                try:
+                    OneRoundSchedule(blocks, views)
+                except ScheduleError as exc:
+                    raise RuntimeModelError(
+                        f"{where} is not a matrix round: {exc}"
+                    ) from exc
             rounds.append(
                 TraceRound(
                     blocks=blocks,

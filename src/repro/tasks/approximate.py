@@ -65,7 +65,8 @@ class _AgreementDelta:
     The cache keys on ``(ID(σ), low rank, high rank)``, and each complex
     is built in integer ranks — an output combination is legal iff its
     ranks differ by at most ``ε·m`` — over vertices that carry the
-    task's own grid Fractions.
+    task's own grid Fractions.  The legal combinations are enumerated
+    directly as a band (:func:`_band`).
     """
 
     def __init__(self, epsilon: Fraction, m: int, liberal: bool) -> None:
@@ -111,16 +112,41 @@ class _AgreementDelta:
             return SimplicialComplex.empty()
         window = self._values[low : high + 1]
         rows = [[Vertex(i, value) for value in window] for i in ids]
-        distance_free = self._liberal and len(ids) == 2
-        span = self._span
-        facets = []
-        for combo in product(range(len(window)), repeat=len(ids)):
-            if distance_free or max(combo) - min(combo) <= span:
-                facets.append(
-                    Simplex([row[k] for row, k in zip(rows, combo)])
-                )
-        # Distinct combinations of one length: the family is maximal.
-        return SimplicialComplex.from_maximal(facets)
+        # Two processes of the liberal task may output any two values in
+        # range: a span of the whole window admits every combination.
+        if self._liberal and len(ids) == 2:
+            span = len(window)
+        else:
+            span = self._span
+        # The ids are sorted and distinct, so every combination is a
+        # color-sorted chromatic tuple.  Distinct combinations of one
+        # length: the family is maximal.
+        return SimplicialComplex.from_maximal(
+            map(Simplex._from_color_sorted, _band(rows, span))
+        )
+
+
+def _band(
+    rows: list[list[Vertex]], span: int
+) -> list[tuple[Vertex, ...]]:
+    """The combinations, one vertex per row, whose ranks differ by ≤ span.
+
+    Ranks are positions in a row.  Each prefix carries its lowest and
+    highest rank, so a next rank ``k`` is admissible iff
+    ``high - span ≤ k ≤ low + span``; every combination is built once,
+    in the order of :func:`itertools.product`.
+    """
+    width = len(rows[0])
+    prefixes = [((vertex,), k, k) for k, vertex in enumerate(rows[0])]
+    for row in rows[1:]:
+        prefixes = [
+            (combo + (row[k],), min(lowest, k), max(highest, k))
+            for combo, lowest, highest in prefixes
+            for k in range(
+                max(0, highest - span), min(width, lowest + span + 1)
+            )
+        ]
+    return [combo for combo, _, _ in prefixes]
 
 
 def _output_complex(

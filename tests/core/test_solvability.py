@@ -1,5 +1,6 @@
 """Unit tests for the solvability decision procedure."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -24,8 +25,10 @@ from repro.tasks import (
     set_agreement_task,
 )
 from repro.tasks.inputs import input_simplex
-from repro.telemetry import ManualClock, tracing
-from repro.topology import Vertex
+from repro.tasks.task import Task
+from repro.telemetry import ManualClock, span, tracing
+from repro.topology import Simplex, SimplicialComplex, Vertex
+from repro.topology.connectivity import farthest_facet, one_skeleton_adjacency
 from repro.topology.table import iter_bits
 
 
@@ -691,16 +694,200 @@ class TestCoreStage:
             with tracing(clock=ManualClock(tick=0.001)) as tracer:
                 is_solvable(task, iis, rounds, input_simplices)
             return [
-                (span.attributes["simplices"], span.attributes["refuted"])
-                for span in tracer.roots
-                if span.name == "solvability/core"
+                (
+                    entry.attributes["ranked"],
+                    entry.attributes["simplices"],
+                    entry.attributes["refuted"],
+                )
+                for entry in tracer.roots
+                if entry.name == "solvability/core"
             ]
 
         quarter = approximate_agreement_task([1, 2], F(1, 4), 4)
         third = approximate_agreement_task([1, 2], F(1, 3), 3)
-        assert core_spans(quarter, 1) == [(3, True)]
-        assert core_spans(third, 1) == [(3, False)]
+        # 5^2 and 4^2 input facets are ranked.
+        assert core_spans(quarter, 1) == [(25, 3, True)]
+        assert core_spans(third, 1) == [(16, 3, False)]
         assert core_spans(_KSET, 1, _e17_simplices()) == []
+
+    def test_the_ranking_runs_inside_the_core_span(self, iis, monkeypatch):
+        rank = solvability_module.farthest_facet
+
+        def probed(*args):
+            with span("probe"):
+                return rank(*args)
+
+        monkeypatch.setattr(solvability_module, "farthest_facet", probed)
+        task = approximate_agreement_task([1, 2], F(1, 4), 4)
+        with tracing(clock=ManualClock(tick=0.001)) as tracer:
+            is_solvable(task, iis, 1)
+        (core,) = [
+            root for root in tracer.roots if root.name == "solvability/core"
+        ]
+        assert [child.name for child in core.children][:1] == ["probe"]
+
+
+def _reference_facet(inputs, output, solo):
+    """The core facet, by the Vertex-level BFS the mask kernel replaced.
+
+    One BFS per input vertex from its solo outputs over the 1-skeleton
+    of ``O``'s top-dimensional facets; a facet scores the largest
+    distance between two of its vertices' solo sets (unreachable is
+    infinite), and ties go to the smaller ``Simplex._sort_key``.
+    """
+    top = output.dim
+    adjacency = one_skeleton_adjacency(
+        SimplicialComplex.from_maximal(
+            [facet for facet in output.facets if facet.dim == top]
+        )
+    )
+    solo_sets, reach = {}, {}
+    for sigma in inputs.facets:
+        for vertex in sigma.vertices:
+            if vertex in solo_sets:
+                continue
+            frontier = solo_sets[vertex] = [
+                w for w in solo(vertex) if w in adjacency
+            ]
+            distances = reach[vertex] = dict.fromkeys(adjacency, math.inf)
+            for w in frontier:
+                distances[w] = 0
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for w in frontier:
+                    for neighbour in adjacency[w]:
+                        if distances[neighbour] > depth:
+                            distances[neighbour] = depth
+                            reached.append(neighbour)
+                frontier = reached
+
+    def score(sigma):
+        return max(
+            (
+                min([reach[u][w] for w in solo_sets[v]], default=math.inf)
+                for u, v in combinations(sigma.vertices, 2)
+            ),
+            default=0.0,
+        )
+
+    scores = {sigma: score(sigma) for sigma in inputs.facets}
+    farthest = max(scores.values())
+    return min(
+        (sigma for sigma, value in scores.items() if value == farthest),
+        key=Simplex._sort_key,
+    )
+
+
+def _solo_outside_top_task():
+    """Two processes whose solo outputs partly lie off O's top facets.
+
+    ``O`` is a path of edges plus two isolated vertices ``"far"``.
+    Process 1 with input 1 may decide only ``"far"`` alone, so its
+    facets are unreachable; with input 0 it may also decide 0.
+    """
+    inputs = binary_consensus_task([1, 2]).input_complex
+    path = [
+        Simplex([(1, 0), (2, 0)]),
+        Simplex([(1, 1), (2, 0)]),
+        Simplex([(1, 1), (2, 1)]),
+    ]
+    output = SimplicialComplex(
+        path + [Simplex([(1, "far")]), Simplex([(2, "far")])]
+    )
+    solos = {
+        Vertex(1, 0): [(1, 0), (1, "far")],
+        Vertex(1, 1): [(1, "far")],
+        Vertex(2, 0): [(2, 0)],
+        Vertex(2, 1): [(2, 1), (2, "far")],
+    }
+
+    def delta(sigma):
+        if len(sigma) == 1:
+            return SimplicialComplex(
+                Simplex([w]) for w in solos[sigma.vertices[0]]
+            )
+        return output.proj(sigma.ids)
+
+    return Task("solo-outside-top", inputs, output, delta)
+
+
+def _ranking_cases():
+    aa, liberal = (
+        approximate_agreement_task,
+        liberal_approximate_agreement_task,
+    )
+    cases = [
+        (f"{label}-n{n}-m{m}",
+         lambda build=build, n=n, m=m: build(range(1, n + 1), F(1, m), m),
+         None)
+        for label, build in (("aa", aa), ("lib", liberal))
+        for n, grid in ((2, (1, 2, 3, 5, 9, 28)), (3, (1, 2, 4, 5)),
+                        (4, (1, 2, 3)))
+        for m in grid
+    ]
+    cases += [
+        # Each maximal simplex with its mixed inputs is unreachable.
+        (f"consensus-n{n}", lambda n=n: binary_consensus_task(range(1, n + 1)),
+         None)
+        for n in (2, 3)
+    ]
+    cases += [
+        ("multivalued-n3",
+         lambda: multivalued_consensus_task([1, 2, 3], ["x", "y", "z"]),
+         None),
+        ("2-set-agreement", lambda: _KSET, None),
+        ("2-set-agreement-e17", lambda: _KSET, _e17_simplices()),
+        ("partial-faces", lambda: aa([1, 2], F(1, 4), 4),
+         [input_simplex({1: F(0), 2: F(1)}),
+          input_simplex({1: F(1), 2: F(1)}),
+          input_simplex({1: F(0)})]),
+        ("solo-outside-top", _solo_outside_top_task, None),
+        # The widest pairs of the two facets start at colours 2 and 1:
+        # the facet with the smaller colour-1 vertex wins the tie.
+        ("ties-across-sources", lambda: aa([1, 2, 3], F(1, 4), 4),
+         [input_simplex({1: F(1, 2), 2: F(0), 3: F(1)}),
+          input_simplex({1: F(1), 2: F(1), 3: F(0)})]),
+        # The refuting boundaries of TestVerifiedRange.
+        ("aa-n2-m82", lambda: aa([1, 2], F(1, 82), 82), None),
+        ("lib-n3-m9", lambda: liberal([1, 2, 3], F(1, 9), 9), None),
+        ("lib-n4-m5", lambda: liberal([1, 2, 3, 4], F(1, 5), 5), None),
+    ]
+    return cases
+
+
+class TestCoreRanking:
+    """The mask kernel picks the facet the Vertex-level reference picks."""
+
+    @pytest.mark.parametrize(
+        "build, simplices",
+        [case[1:] for case in _ranking_cases()],
+        ids=[case[0] for case in _ranking_cases()],
+    )
+    def test_same_facet_as_the_reference(self, build, simplices):
+        task = build()
+        inputs = (
+            task.input_complex
+            if simplices is None
+            else SimplicialComplex(simplices)
+        )
+
+        def solo(vertex):
+            return task.delta(Simplex([vertex])).vertices
+
+        assert farthest_facet(
+            inputs, task.output_complex, solo
+        ) == _reference_facet(inputs, task.output_complex, solo)
+
+    def test_unreachable_solo_outputs_rank_first(self):
+        task = _solo_outside_top_task()
+        facet = farthest_facet(
+            task.input_complex,
+            task.output_complex,
+            lambda vertex: task.delta(Simplex([vertex])).vertices,
+        )
+        assert facet == input_simplex({1: 1, 2: 0})
 
 
 def _mixed_consensus_facets(n):

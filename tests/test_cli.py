@@ -330,6 +330,10 @@ class TestChaosCommand:
             '"rounds": [{"blocks": [[1, 2]], "box_choice": -5}]}',
             '{"cell": "aa", "inputs": [[1, "0"], [2, "1"], [3, "1/2"]], '
             '"rounds": [{"blocks": [[1], [2, 3]], "views": [[1]]}]}',
+            # P_0 = {1} is not the participant set {1, 2, 3}.
+            '{"cell": "aa", "inputs": [[1, "0"], [2, "1"], [3, "1/2"]], '
+            '"rounds": [{"blocks": [[1], [2, 3]], '
+            '"views": [[1], [1, 2, 3]]}]}',
         ],
         ids=[
             "inputs-not-list",
@@ -339,6 +343,7 @@ class TestChaosCommand:
             "process-twice",
             "negative-box-choice",
             "views-not-one-per-group",
+            "views-break-the-matrix-conditions",
         ],
     )
     def test_malformed_replay_trace_is_one_line(self, tmp_path, payload):
