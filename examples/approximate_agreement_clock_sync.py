@@ -41,11 +41,11 @@ def run_and_report(title, algorithm, inputs, adversary, epsilon) -> None:
     executor = IteratedExecutor()
     result = executor.run(algorithm, inputs, adversary)
     print(f"  {title}")
-    for record in result.trace:
+    for round_index, entry in enumerate(result.trace, start=1):
         blocks = " | ".join(
-            ",".join(map(str, block)) for block in record.blocks
+            ",".join(map(str, block)) for block in entry.blocks
         )
-        print(f"    round {record.round_index}: blocks [{blocks}]")
+        print(f"    round {round_index}: blocks [{blocks}]")
     if result.crashed:
         print(f"    crashed: {result.crashed}")
     decisions = {p: str(v) for p, v in sorted(result.decisions.items())}

@@ -1,19 +1,15 @@
 """Analysis and reporting: census of complexes, figure reconstructions,
 experiment tables.
 
-* :mod:`repro.analysis.counting` — f-vectors, per-color view censuses,
-  model comparisons (the numbers behind Fig. 8 and Fig. 5);
+* :mod:`repro.analysis.counting` — f-vectors and per-color view censuses
+  (the numbers behind Fig. 8 and Fig. 5);
 * :mod:`repro.analysis.figures` — the structures shown in the paper's
   figures, reconstructed as data;
 * :mod:`repro.analysis.reporting` — plain-text tables for EXPERIMENTS.md
   and the benchmark harness.
 """
 
-from repro.analysis.counting import (
-    model_census,
-    per_color_census,
-    compare_models,
-)
+from repro.analysis.counting import per_color_census
 from repro.analysis.figures import (
     figure4_complex_and_map,
     figure5_complex,
@@ -29,9 +25,7 @@ from repro.analysis.cache_report import (
 )
 
 __all__ = [
-    "model_census",
     "per_color_census",
-    "compare_models",
     "figure4_complex_and_map",
     "figure5_complex",
     "figure6_simplices",

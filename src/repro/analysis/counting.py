@@ -1,20 +1,17 @@
 """Census utilities for protocol complexes.
 
-These functions compute the combinatorial data the paper's figures display:
-facet counts, f-vectors, per-color vertex counts, and strict-inclusion
-comparisons between models (Fig. 8's message is precisely
-``IIS ⊂ snapshot ⊂ collect`` with facet counts 13 / 19 / 25 for ``n = 3``).
+These compute the combinatorial data the paper's figures display: facet
+counts, f-vectors and per-color vertex counts (Fig. 8's census of
+``IIS ⊂ snapshot ⊂ collect`` has facet counts 13 / 19 / 25 for ``n = 3``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models.base import ComputationModel
 from repro.topology.complex import SimplicialComplex
-from repro.topology.simplex import Simplex
 
-__all__ = ["ComplexCensus", "model_census", "per_color_census", "compare_models"]
+__all__ = ["ComplexCensus", "per_color_census"]
 
 
 @dataclass(frozen=True)
@@ -41,47 +38,9 @@ class ComplexCensus:
         )
 
 
-def model_census(
-    model: ComputationModel, sigma: Simplex, rounds: int = 1
-) -> ComplexCensus:
-    """Census of the ``rounds``-round protocol complex of one input simplex.
-
-    Includes the sub-executions of the faces of ``σ`` (i.e. the protocol
-    complex over ``σ̄``), matching what the paper's figures draw.
-    """
-    base = SimplicialComplex.from_simplex(sigma)
-    protocol = model.protocol_complex(base, rounds)
-    return ComplexCensus.of(protocol)
-
-
 def per_color_census(complex_: SimplicialComplex) -> dict[int, int]:
     """Vertex count per color — Fig. 5's "seven vertices with the same ID"."""
     counts: dict[int, int] = {}
     for vertex in complex_.vertices:
         counts[vertex.color] = counts.get(vertex.color, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def compare_models(
-    smaller: ComputationModel,
-    larger: ComputationModel,
-    sigma: Simplex,
-    rounds: int = 1,
-) -> dict[str, object]:
-    """Check (strict) inclusion of two models' protocol complexes.
-
-    Returns a report dictionary with the simplex-level containment verdicts
-    and the facet counts of both complexes.
-    """
-    base = SimplicialComplex.from_simplex(sigma)
-    small = smaller.protocol_complex(base, rounds)
-    large = larger.protocol_complex(base, rounds)
-    return {
-        "smaller_model": smaller.name,
-        "larger_model": larger.name,
-        "contained": small.simplices <= large.simplices,
-        "strict": small.simplices < large.simplices,
-        "smaller_facets": len(small.facets),
-        "larger_facets": len(large.facets),
-        "extra_facets": len(large.facets - small.facets),
-    }

@@ -272,12 +272,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     executor = IteratedExecutor(box=box)
     result = executor.run(algorithm, inputs, adversary)
     print(f"algorithm : {algorithm.name} ({algorithm.rounds} rounds)")
-    for record in result.trace:
-        blocks = " | ".join(",".join(map(str, b)) for b in record.blocks)
-        extra = (
-            f"  box={dict(record.box_outputs)}" if record.box_outputs else ""
-        )
-        print(f"  round {record.round_index}: [{blocks}]{extra}")
+    for round_index, (entry, box_outputs) in enumerate(
+        zip(result.trace, result.box_outputs), start=1
+    ):
+        blocks = " | ".join(",".join(map(str, b)) for b in entry.blocks)
+        extra = f"  box={box_outputs}" if box_outputs else ""
+        print(f"  round {round_index}: [{blocks}]{extra}")
     if result.crashed:
         print(f"crashed   : {result.crashed}")
     print(

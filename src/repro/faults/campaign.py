@@ -683,8 +683,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                         property=violation.property,
                         witness=violation.witness,
                         trace=(
-                            FaultTrace.from_execution(
-                                result, inputs, spec.key
+                            FaultTrace(
+                                inputs=tuple(
+                                    (process, str(inputs[process]))
+                                    for process in sorted(inputs)
+                                ),
+                                rounds=tuple(result.trace),
+                                cell=spec.key,
                             )
                             if result is not None
                             else None

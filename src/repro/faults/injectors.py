@@ -2,10 +2,11 @@
 
 A campaign execution is fixed by its inputs and its adversary's decisions:
 per round, the crashes before it, the schedule, the mid-round crashes and
-the black box's realized option.  :class:`FaultTrace` records those
-decisions from an execution's :class:`~repro.runtime.iterated.RoundRecord`
-list as :class:`~repro.runtime.adversary.TraceRound` entries and
-round-trips them through JSON; replaying ``trace.rounds`` through
+the black box's realized option.  The executor records exactly those
+decisions as the execution's trace, one
+:class:`~repro.runtime.adversary.TraceRound` per round.
+:class:`FaultTrace` keeps that trace with the (stringified) inputs and
+round-trips both through JSON; replaying ``trace.rounds`` through
 :class:`~repro.runtime.adversary.ReplayAdversary` re-executes them exactly
 — the substrate of counterexample shrinking (:mod:`repro.faults.shrink`)
 and of ``repro chaos --replay``.
@@ -14,14 +15,13 @@ and of ``repro chaos --replay``.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import RuntimeModelError, ScheduleError
 from repro.models.schedules import OneRoundSchedule
 from repro.runtime.adversary import TraceRound
-from repro.runtime.iterated import ExecutionResult
 
 __all__ = ["FaultTrace"]
 
@@ -30,7 +30,8 @@ __all__ = ["FaultTrace"]
 class FaultTrace:
     """A complete, replayable record of one execution's adversary.
 
-    Holds the inputs and the per-round decisions; together with the
+    Holds the inputs and the per-round decisions (an execution's
+    ``trace``, as the executor recorded it); together with the
     deterministic algorithm under test this pins down the execution
     exactly.  :meth:`to_json`/:meth:`from_json` round-trip through a
     plain-text format (input values are stringified — the campaign cell's
@@ -41,41 +42,6 @@ class FaultTrace:
     inputs: tuple[tuple[int, str], ...]
     rounds: tuple[TraceRound, ...]
     cell: str = ""
-
-    @classmethod
-    def from_execution(
-        cls,
-        result: ExecutionResult,
-        inputs: Mapping[int, Hashable],
-        cell: str = "",
-    ) -> "FaultTrace":
-        """Distill the replayable decisions out of an execution result."""
-        rounds = []
-        for record in result.trace:
-            mid = frozenset(record.mid_crashed)
-            crashes = tuple(
-                sorted(
-                    process
-                    for process, when in result.crashed.items()
-                    if when == record.round_index and process not in mid
-                )
-            )
-            rounds.append(
-                TraceRound(
-                    blocks=record.blocks,
-                    crashes=crashes,
-                    mid_crashes=tuple(sorted(mid)),
-                    box_choice=record.box_choice or 0,
-                    views=record.schedule_views,
-                )
-            )
-        return cls(
-            inputs=tuple(
-                (process, str(inputs[process])) for process in sorted(inputs)
-            ),
-            rounds=tuple(rounds),
-            cell=cell,
-        )
 
     def parsed_inputs(
         self, parse: Callable[[str], Hashable]

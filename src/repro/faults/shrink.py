@@ -27,6 +27,7 @@ block, which is exactly the schedule the impossibility arguments
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -83,27 +84,19 @@ def simplifications(trace: FaultTrace) -> Iterator[FaultTrace]:
         for victim in entry.crashes:
             yield trace.replace_round(
                 index,
-                TraceRound(
-                    blocks=entry.blocks,
-                    crashes=tuple(
-                        p for p in entry.crashes if p != victim
-                    ),
-                    mid_crashes=entry.mid_crashes,
-                    box_choice=entry.box_choice,
-                    views=entry.views,
+                replace(
+                    entry,
+                    crashes=tuple(p for p in entry.crashes if p != victim),
                 ),
             )
         for victim in entry.mid_crashes:
             yield trace.replace_round(
                 index,
-                TraceRound(
-                    blocks=entry.blocks,
-                    crashes=entry.crashes,
+                replace(
+                    entry,
                     mid_crashes=tuple(
                         p for p in entry.mid_crashes if p != victim
                     ),
-                    box_choice=entry.box_choice,
-                    views=entry.views,
                 ),
             )
         # 3. Downgrade a matrix round to synchronous immediate snapshot.
@@ -112,13 +105,7 @@ def simplifications(trace: FaultTrace) -> Iterator[FaultTrace]:
                 sorted(p for block in entry.blocks for p in block)
             )
             yield trace.replace_round(
-                index,
-                TraceRound(
-                    blocks=(participants,),
-                    crashes=entry.crashes,
-                    mid_crashes=entry.mid_crashes,
-                    box_choice=entry.box_choice,
-                ),
+                index, replace(entry, blocks=(participants,), views=None)
             )
         elif len(entry.blocks) > 1:
             # 4. Merge two adjacent temporal blocks.
@@ -126,31 +113,15 @@ def simplifications(trace: FaultTrace) -> Iterator[FaultTrace]:
                 merged = tuple(
                     sorted(entry.blocks[cut] + entry.blocks[cut + 1])
                 )
+                blocks = (
+                    entry.blocks[:cut] + (merged,) + entry.blocks[cut + 2 :]
+                )
                 yield trace.replace_round(
-                    index,
-                    TraceRound(
-                        blocks=(
-                            entry.blocks[:cut]
-                            + (merged,)
-                            + entry.blocks[cut + 2 :]
-                        ),
-                        crashes=entry.crashes,
-                        mid_crashes=entry.mid_crashes,
-                        box_choice=entry.box_choice,
-                    ),
+                    index, replace(entry, blocks=blocks)
                 )
         # 5. Reset the box choice.
         if entry.box_choice:
-            yield trace.replace_round(
-                index,
-                TraceRound(
-                    blocks=entry.blocks,
-                    crashes=entry.crashes,
-                    mid_crashes=entry.mid_crashes,
-                    box_choice=0,
-                    views=entry.views,
-                ),
-            )
+            yield trace.replace_round(index, replace(entry, box_choice=0))
 
 
 def _default_replay(epsilon: Fraction) -> ReplayFn:

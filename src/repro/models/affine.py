@@ -62,10 +62,6 @@ class AffineModel(IteratedModel):
         self._verify_solo(participants, kept)
         return kept
 
-    def one_round_schedule_allowed(self, view_map: ViewMap) -> bool:
-        """Expose the predicate (useful for adversaries and tests)."""
-        return self._keep(view_map)
-
     def _verify_solo(
         self, ids: frozenset[int], kept: tuple[OneRoundSchedule, ...]
     ) -> None:

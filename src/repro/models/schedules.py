@@ -192,14 +192,6 @@ class OneRoundSchedule(_Derived):
                     return False
         return True
 
-    def solo_processes(self) -> Ids:
-        """Processes whose view is exactly themselves (solo executions)."""
-        return frozenset(
-            process
-            for process, view in self._views_by_process().items()
-            if view == frozenset({process})
-        )
-
     def blocks(self) -> tuple[Ids, ...]:
         """Temporal blocks ``B_1, …, B_k`` for immediate-snapshot schedules.
 

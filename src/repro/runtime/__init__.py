@@ -13,12 +13,14 @@ exist; this subpackage *runs* them:
   decision map ``f`` from an algorithm;
 * :mod:`repro.runtime.iterated` — a round-level executor driving algorithms
   under one adversary per execution (crashes, schedules, black-box
-  choices, register arrays), cross-checking everything it is handed;
+  choices, register arrays), cross-checking everything it is handed and
+  recording each round as the
+  :class:`~repro.runtime.adversary.TraceRound` that replays it;
 * :mod:`repro.runtime.adversary` — the adversary interface and its
   schedulers: random, solo-first, synchronous, exhaustive, and the one
   :class:`~repro.runtime.adversary.ReplayAdversary` that re-executes a
-  recorded sequence of :class:`~repro.runtime.adversary.TraceRound`
-  decisions (fixed schedules, matrices, fault traces);
+  sequence of :class:`~repro.runtime.adversary.TraceRound` decisions
+  (an execution's own trace, fixed schedules, matrices, fault traces);
 * :mod:`repro.runtime.noniterated` — reused registers under op-level
   asynchrony (the paper's open question).
 """
@@ -38,11 +40,7 @@ from repro.runtime.adversary import (
     TraceRound,
     all_schedule_sequences,
 )
-from repro.runtime.iterated import (
-    IteratedExecutor,
-    ExecutionResult,
-    RoundRecord,
-)
+from repro.runtime.iterated import IteratedExecutor, ExecutionResult
 from repro.runtime.noniterated import NonIteratedExecutor, NonIteratedResult
 from repro.runtime.lowlevel import (
     random_collect_round,
@@ -65,7 +63,6 @@ __all__ = [
     "all_schedule_sequences",
     "IteratedExecutor",
     "ExecutionResult",
-    "RoundRecord",
     "NonIteratedExecutor",
     "NonIteratedResult",
     "random_collect_round",

@@ -10,11 +10,13 @@ and check that the executor's cross-checks catch it.
 
 Wait-freedom means algorithms must cope with *every* adversary here, from
 the fully synchronous one to crash-heavy randomized ones.  A fixed
-execution is its sequence of per-round decisions: :class:`ReplayAdversary`
-re-executes a sequence of :class:`TraceRound` records, whether a fault
-trace's, a block schedule's from :func:`all_schedule_sequences` (every
-``t``-round block schedule, for exhaustive verification on small
-instances) or a matrix's from ``OneRoundSchedule.as_tuples()``.
+execution is its sequence of per-round decisions, one :class:`TraceRound`
+each; the iterated executor records exactly that sequence as an
+execution's trace.  :class:`ReplayAdversary` re-executes any such
+sequence, whether an execution's trace, a fault trace's rounds, a block
+schedule's from :func:`all_schedule_sequences` (every ``t``-round block
+schedule, for exhaustive verification on small instances) or a matrix's
+from ``OneRoundSchedule.as_tuples()``.
 """
 
 from __future__ import annotations
@@ -237,7 +239,10 @@ class TraceRound:
     the matching view sets.  ``crashes`` die before the round,
     ``mid_crashes`` die between their write and their snapshot, and
     ``box_choice`` indexes the realized assignment among the box's
-    admissible options.
+    admissible options (0 without a box).  The iterated executor records
+    one per round, with every id tuple sorted; each process's view is the
+    rebuilt schedule's ``view_map()`` entry, for every participant outside
+    ``mid_crashes``.
     """
 
     blocks: tuple[tuple[int, ...], ...]

@@ -6,7 +6,10 @@ box.  One :class:`~repro.runtime.adversary.Adversary` fixes the execution:
 it picks the crashes (before a round, or between a process's write and its
 snapshot), the schedule, the box's output assignment and the round's
 register array.  The executor materializes views through real register
-writes and snapshots and threads the algorithm's state.
+writes and snapshots and threads the algorithm's state.  It records each
+round as the :class:`~repro.runtime.adversary.TraceRound` of those
+decisions, so ``ReplayAdversary(result.trace)`` re-executes the run; the
+box's outputs are kept beside the trace, and the crashes are read off it.
 
 Crashed processes simply stop taking steps — the wait-free survivors still
 finish their ``t`` rounds and decide, which is the whole point of the model.
@@ -29,35 +32,11 @@ from typing import Optional
 from repro.errors import FaultInjectionError, RuntimeModelError
 from repro.models.schedules import OneRoundSchedule
 from repro.objects.base import BlackBox
-from repro.runtime.adversary import Adversary, FullSyncAdversary
+from repro.runtime.adversary import Adversary, FullSyncAdversary, TraceRound
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.registers import RegisterArray
 
-__all__ = ["IteratedExecutor", "ExecutionResult", "RoundRecord"]
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """The adversary's decisions in one round, and the box's outputs.
-
-    ``blocks`` holds the temporal blocks of immediate-snapshot schedules,
-    or the matrix groups for general snapshot/collect schedules (in which
-    case ``schedule_views`` carries the matching view sets ``P_s`` so the
-    matrix can be reconstructed).  ``box_choice`` is the index of the
-    realized assignment among the box's admissible options, and
-    ``mid_crashed`` lists processes killed between their write and their
-    snapshot — both feed the replayable fault traces of
-    :mod:`repro.faults`.  What follows from these is not stored: each
-    process's view is the rebuilt schedule's ``view_map()`` entry, for
-    every participant outside ``mid_crashed``.
-    """
-
-    round_index: int
-    blocks: tuple[tuple[int, ...], ...]
-    box_outputs: Mapping[int, Hashable]
-    schedule_views: Optional[tuple[tuple[int, ...], ...]] = None
-    box_choice: Optional[int] = None
-    mid_crashed: tuple[int, ...] = ()
+__all__ = ["IteratedExecutor", "ExecutionResult"]
 
 
 @dataclass
@@ -68,16 +47,28 @@ class ExecutionResult:
     ----------
     decisions:
         Output value per surviving process.
-    crashed:
-        Processes the adversary killed, with the round before (or, for
-        mid-round crashes, during) which they died.
     trace:
-        One :class:`RoundRecord` per round, for audit and debugging.
+        One :class:`~repro.runtime.adversary.TraceRound` per round: the
+        adversary's decisions, in the form
+        :class:`~repro.runtime.adversary.ReplayAdversary` re-executes.
+    box_outputs:
+        The black box's outputs, one mapping per round (empty without a
+        box).
     """
 
     decisions: dict[int, Hashable]
-    crashed: dict[int, int] = field(default_factory=dict)
-    trace: list[RoundRecord] = field(default_factory=list)
+    trace: list[TraceRound] = field(default_factory=list)
+    box_outputs: list[dict[int, Hashable]] = field(default_factory=list)
+
+    @property
+    def crashed(self) -> dict[int, int]:
+        """Each crashed process, with the round before (or, for mid-round
+        crashes, during) which it died."""
+        crashed = {}
+        for round_index, entry in enumerate(self.trace, start=1):
+            for process in entry.crashes + entry.mid_crashes:
+                crashed[process] = round_index
+        return crashed
 
     def surviving(self) -> tuple[int, ...]:
         """The processes that decided."""
@@ -113,8 +104,7 @@ class IteratedExecutor:
             process: algorithm.initial_state(process, value)
             for process, value in inputs.items()
         }
-        crashed: dict[int, int] = {}
-        trace: list[RoundRecord] = []
+        result = ExecutionResult(decisions={})
 
         for round_index in range(1, algorithm.rounds + 1):
             doomed = scheduler.crashes(round_index, active)
@@ -129,8 +119,6 @@ class IteratedExecutor:
                     raise RuntimeModelError(
                         "the adversary may not crash every process"
                     )
-                for process in doomed:
-                    crashed[process] = round_index
                 active = active - doomed
 
             schedule = scheduler.schedule(round_index, active)
@@ -142,7 +130,7 @@ class IteratedExecutor:
                     f"adversary schedule covers {sorted(participants)}"
                     f", expected the active set {sorted(active)}"
                 )
-            recorded, schedule_views = schedule.as_tuples()
+            blocks, views = schedule.as_tuples()
             dying = frozenset(
                 scheduler.mid_round_crashes(round_index, schedule)
             )
@@ -163,11 +151,11 @@ class IteratedExecutor:
             )
             ordered = tuple(sorted(participants))
             array = scheduler.register_array(round_index, ordered)
-            views = self._run_round(
+            seen = self._run_round(
                 round_index, array, schedule, ordered, states, dying
             )
             new_states = {}
-            for process, view in views.items():
+            for process, view in seen.items():
                 new_states[process] = algorithm.step(
                     process,
                     states[process],
@@ -176,26 +164,23 @@ class IteratedExecutor:
                     round_index,
                 )
             states.update(new_states)
-            if dying:
-                for process in dying:
-                    crashed[process] = round_index
-                active = active - dying
-            trace.append(
-                RoundRecord(
-                    round_index=round_index,
-                    blocks=recorded,
-                    box_outputs=dict(box_outputs),
-                    schedule_views=schedule_views,
+            active = active - dying
+            result.trace.append(
+                TraceRound(
+                    blocks=blocks,
+                    crashes=tuple(sorted(doomed)),
+                    mid_crashes=tuple(sorted(dying)),
                     box_choice=box_choice,
-                    mid_crashed=tuple(sorted(dying)),
+                    views=views,
                 )
             )
+            result.box_outputs.append(box_outputs)
 
-        decisions = {
+        result.decisions = {
             process: algorithm.decide(process, states[process])
             for process in active
         }
-        return ExecutionResult(decisions=decisions, crashed=crashed, trace=trace)
+        return result
 
     # ------------------------------------------------------------------
     # Round internals
@@ -266,9 +251,9 @@ class IteratedExecutor:
         states: Mapping[int, object],
         algorithm: RoundAlgorithm,
         scheduler: Adversary,
-    ) -> tuple[dict[int, Hashable], Optional[int]]:
+    ) -> tuple[dict[int, Hashable], int]:
         if self._box is None:
-            return {}, None
+            return {}, 0
         box_inputs = {
             process: algorithm.box_input(
                 process, states[process], round_index

@@ -60,10 +60,6 @@ class Task:
         """The memoized ``Δ`` as a :class:`CarrierMap`."""
         return self._delta
 
-    def is_legal_output(self, sigma: Simplex, tau: Simplex) -> bool:
-        """``True`` iff ``τ ∈ Δ(σ)`` with matching colors."""
-        return tau.ids == sigma.ids and tau in self.delta(sigma)
-
     def with_name(self, name: str) -> "Task":
         """A renamed view of the same task."""
         return Task(name, self.input_complex, self.output_complex, self.delta)

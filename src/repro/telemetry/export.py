@@ -128,9 +128,10 @@ def self_time_table(
 
 def render_text(trace: TraceInput, top: int = 15) -> str:
     """The top-``top`` self-time table plus a one-line trace census."""
-    # Imported lazily: repro.analysis imports repro.telemetry (the cache
-    # report reads the registry) — a module-level import here would
-    # close that cycle during package initialization.
+    # Imported lazily: the repro.analysis package imports repro.telemetry
+    # back (analysis.figures -> core.solvability -> repro.telemetry, and
+    # analysis.counting -> topology.complex -> repro.telemetry), so a
+    # module-level import here fails during a cold ``import repro``.
     from repro.analysis.reporting import render_rows
 
     tree = _as_tree(trace)

@@ -196,10 +196,6 @@ class Simplex:
         """
         return Simplex(self._vertices + other._vertices)
 
-    def with_vertex(self, vertex: Vertex) -> "Simplex":
-        """Return the simplex extended with an additional vertex."""
-        return Simplex(self._vertices + (vertex,))
-
     # ------------------------------------------------------------------
     # Value-object plumbing
     # ------------------------------------------------------------------

@@ -156,14 +156,6 @@ class Vertex:
         """The payload carried by the vertex."""
         return self._value
 
-    def with_value(self, value: Hashable) -> "Vertex":
-        """Return a vertex with the same color and a new value."""
-        return Vertex(self._color, value)
-
-    def as_pair(self) -> tuple[int, Hashable]:
-        """Return the vertex as the plain pair ``(color, value)``."""
-        return (self._color, self._value)
-
     def _sort_key(self) -> tuple:
         # Cached on first use: canonical vertex-table construction sorts
         # the same vertices over and over, and the structural key of a

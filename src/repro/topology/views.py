@@ -134,12 +134,6 @@ class View:
             (color, value) for color, value in self._items if color in keep
         )
 
-    def with_pair(self, color: int, value: Hashable) -> "View":
-        """Return a view extended (or overwritten) with ``(color, value)``."""
-        updated = dict(self._items)
-        updated[color] = value
-        return View(updated)
-
     def vertices(self) -> tuple[Vertex, ...]:
         """Return the view's pairs as :class:`Vertex` objects."""
         return tuple(Vertex(color, value) for color, value in self._items)

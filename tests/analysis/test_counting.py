@@ -1,14 +1,17 @@
 """Unit tests for census utilities."""
 
-
-from repro.analysis import compare_models, model_census, per_color_census
+from repro.analysis import per_color_census
 from repro.analysis.counting import ComplexCensus
 from repro.topology import SimplicialComplex
 
 
+def _protocol(model, sigma, rounds=1):
+    return model.protocol_complex(SimplicialComplex.from_simplex(sigma), rounds)
+
+
 class TestComplexCensus:
     def test_of_subdivision(self, iis, triangle):
-        census = model_census(iis, triangle)
+        census = ComplexCensus.of(_protocol(iis, triangle))
         assert census.facets == 13
         assert census.vertices == 12
         assert census.f_vector == (12, 24, 13)
@@ -22,43 +25,42 @@ class TestComplexCensus:
         assert census.vertices == 3
 
     def test_multi_round(self, iis, edge):
-        census = model_census(iis, edge, rounds=2)
+        census = ComplexCensus.of(_protocol(iis, edge, rounds=2))
         assert census.facets == 9
         assert census.dim == 1
 
 
 class TestPerColor:
     def test_subdivision_four_views_per_color(self, iis, triangle):
-        census = per_color_census(
-            iis.protocol_complex(SimplicialComplex.from_simplex(triangle), 1)
-        )
+        census = per_color_census(_protocol(iis, triangle))
         assert census == {1: 4, 2: 4, 3: 4}
 
     def test_tas_seven_views_per_color(self, iis_tas, triangle):
-        census = per_color_census(
-            iis_tas.protocol_complex(
-                SimplicialComplex.from_simplex(triangle), 1
-            )
-        )
+        census = per_color_census(_protocol(iis_tas, triangle))
         assert census == {1: 7, 2: 7, 3: 7}
 
 
+
 class TestCompareModels:
+    """Fig. 8: ``IIS ⊂ snapshot ⊂ collect``, strictly, for ``n = 3``."""
+
     def test_iis_within_snapshot(self, iis, snapshot_model, triangle):
-        report = compare_models(iis, snapshot_model, triangle)
-        assert report["contained"]
-        assert report["strict"]
-        assert report["smaller_facets"] == 13
-        assert report["larger_facets"] == 19
-        assert report["extra_facets"] == 6
+        small = _protocol(iis, triangle)
+        large = _protocol(snapshot_model, triangle)
+        assert small.simplices < large.simplices
+        assert len(small.facets) == 13
+        assert len(large.facets) == 19
+        assert len(large.facets - small.facets) == 6
 
     def test_snapshot_within_collect(
         self, snapshot_model, collect_model, triangle
     ):
-        report = compare_models(snapshot_model, collect_model, triangle)
-        assert report["strict"]
-        assert report["larger_facets"] == 25
+        small = _protocol(snapshot_model, triangle)
+        large = _protocol(collect_model, triangle)
+        assert small.simplices < large.simplices
+        assert len(large.facets) == 25
 
     def test_reverse_not_contained(self, iis, collect_model, triangle):
-        report = compare_models(collect_model, iis, triangle)
-        assert not report["contained"]
+        small = _protocol(iis, triangle)
+        large = _protocol(collect_model, triangle)
+        assert not large.simplices <= small.simplices

@@ -10,13 +10,12 @@ from repro.faults.oracles import (
     ConsensusOracle,
     KSetAgreementOracle,
 )
+from repro.runtime import TraceRound
 from repro.runtime.iterated import ExecutionResult
 
 
-def _result(decisions, crashed=None):
-    return ExecutionResult(
-        decisions=decisions, crashed=crashed or {}, trace=()
-    )
+def _result(decisions, trace=()):
+    return ExecutionResult(decisions=decisions, trace=list(trace))
 
 
 class TestConsensusOracle:
@@ -43,7 +42,9 @@ class TestConsensusOracle:
 
     def test_crashed_processes_need_not_decide(self):
         oracle = ConsensusOracle()
-        result = _result({1: "a"}, crashed={2: 1})
+        result = _result(
+            {1: "a"}, [TraceRound(blocks=((1,),), crashes=(2,))]
+        )
         assert oracle.check({1: "a", 2: "b"}, result) is None
 
     def test_nobody_decided_is_a_termination_violation(self):

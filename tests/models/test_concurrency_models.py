@@ -105,12 +105,3 @@ class TestNoSynchrony:
         # the complex connected enough for impossibility at one round.
         model = no_synchrony_model(iis)
         assert not is_solvable(binary_consensus_task([1, 2, 3]), model, 1)
-
-    def test_predicate_exposed(self, iis):
-        model = no_synchrony_model(iis)
-        everyone = frozenset({1, 2})
-        sync = {1: everyone, 2: everyone}
-        assert not model.one_round_schedule_allowed(sync)
-        assert model.one_round_schedule_allowed(
-            {1: frozenset({1}), 2: everyone}
-        )

@@ -105,10 +105,6 @@ class TestScheduleSemantics:
         with pytest.raises(ScheduleError):
             schedule.view_of(9)
 
-    def test_solo_processes(self):
-        schedule = schedule_from_blocks([[2], [1, 3]])
-        assert schedule.solo_processes() == fs(2)
-
     def test_blocks_roundtrip(self):
         blocks = (fs(2), fs(1, 3))
         schedule = schedule_from_blocks(blocks)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms import ConsensusViaBinaryConsensus, HalvingAA
 from repro.errors import RuntimeModelError
-from repro.faults.injectors import FaultTrace
 from repro.models.schedules import schedule_from_blocks
 from repro.objects import BinaryConsensusBox
 from repro.runtime import (
@@ -134,8 +133,9 @@ class TestReplayAdversary:
         executor = IteratedExecutor(box=box)
         for seed in range(20):
             original = executor.run(algorithm, inputs, adversary_of(seed))
-            rounds = FaultTrace.from_execution(original, inputs).rounds
-            replayed = executor.run(algorithm, inputs, ReplayAdversary(rounds))
+            replayed = executor.run(
+                algorithm, inputs, ReplayAdversary(original.trace)
+            )
             assert replayed.decisions == original.decisions
             assert replayed.crashed == original.crashed
             assert replayed.trace == original.trace

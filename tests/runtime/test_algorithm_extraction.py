@@ -90,7 +90,7 @@ class TestAugmentedExtraction:
         # Reconstruct the corresponding protocol vertex for process 1.
         from repro.topology import Vertex, View
 
-        box_bit = result.trace[0].box_outputs[1]
+        box_bit = result.box_outputs[0][1]
         view = View({1: 0, 2: 1})
         vertex = Vertex(1, (box_bit, view))
         assert decision.assignment[vertex].value == result.decisions[1]

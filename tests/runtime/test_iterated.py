@@ -40,7 +40,6 @@ class TestBasicExecution:
         algorithm = HalvingAA(F(1, 4))
         result = IteratedExecutor().run(algorithm, INPUTS)
         assert len(result.trace) == algorithm.rounds
-        assert result.trace[0].round_index == 1
         assert result.trace[0].blocks == ((1, 2, 3),)
 
     def test_views_in_trace_match_blocks(self):
@@ -181,7 +180,7 @@ class TestMidRoundCrashSemantics:
             HalvingAA(F(1, 4)), INPUTS, self._MidCrashTwo()
         )
         first = result.trace[0]
-        assert first.mid_crashed == (2,)
+        assert first.mid_crashes == (2,)
         # The victim never snapshots, so it never steps or decides...
         assert result.crashed == {2: 1}
         assert sorted(result.decisions) == [1, 3]
@@ -232,7 +231,7 @@ class TestBoxIntegration:
         result = executor.run(
             TwoProcessConsensusTAS(), {1: "a", 2: "b"}, FullSyncAdversary()
         )
-        outputs = result.trace[0].box_outputs
+        outputs = result.box_outputs[0]
         assert sorted(outputs) == [1, 2]
         assert sum(outputs.values()) == 1
 
@@ -243,6 +242,6 @@ class TestBoxIntegration:
             {1: "a", 2: "b"},
             SoloFirstAdversary(2),
         )
-        assert result.trace[0].box_outputs[2] == 1
+        assert result.box_outputs[0][2] == 1
         # Winner imposes its value.
         assert set(result.decisions.values()) == {"b"}

@@ -149,8 +149,6 @@ class TestHalvingUnderWeakerModels:
             algorithm, inputs, replaying(snap_only)
         )
         record = result.trace[0]
-        views = OneRoundSchedule(
-            record.blocks, record.schedule_views
-        ).view_map()
+        views = OneRoundSchedule(record.blocks, record.views).view_map()
         assert views[1] == {1, 2}
         assert views[2] == {1, 2, 3}

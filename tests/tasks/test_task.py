@@ -51,14 +51,6 @@ class TestTaskBasics:
         task.delta(sigma)
         assert len(calls) == 1
 
-    def test_is_legal_output(self):
-        task = binary_consensus_task([1, 2])
-        sigma = input_simplex({1: 0, 2: 1})
-        assert task.is_legal_output(sigma, input_simplex({1: 0, 2: 0}))
-        assert not task.is_legal_output(sigma, input_simplex({1: 0, 2: 1}))
-        # Color mismatch is never legal.
-        assert not task.is_legal_output(sigma, input_simplex({1: 0}))
-
     def test_validate_passes_for_consensus(self, audit):
         assert audit("task", binary_consensus_task([1, 2, 3])) == set()
 

@@ -99,10 +99,6 @@ class TestFacesAndProjections:
         with pytest.raises(ChromaticityError):
             Simplex([(1, "a")]).union(Simplex([(1, "b")]))
 
-    def test_with_vertex(self):
-        extended = Simplex([(1, "a")]).with_vertex(Vertex(2, "b"))
-        assert extended.dim == 1
-
 
 class TestSimplexEquality:
     def test_order_insensitive(self):

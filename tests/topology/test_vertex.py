@@ -22,17 +22,6 @@ class TestVertexBasics:
         with pytest.raises(TypeError):
             Vertex("1", "x")
 
-    def test_as_pair_round_trip(self):
-        vertex = Vertex(2, 42)
-        assert vertex.as_pair() == (2, 42)
-
-    def test_with_value_keeps_color(self):
-        vertex = Vertex(1, "old")
-        updated = vertex.with_value("new")
-        assert updated.color == 1
-        assert updated.value == "new"
-        assert vertex.value == "old"  # immutability
-
     def test_equality_and_hash(self):
         assert Vertex(1, "x") == Vertex(1, "x")
         assert Vertex(1, "x") != Vertex(2, "x")

@@ -59,12 +59,6 @@ class TestViewAccessors:
         assert view.restrict([1, 3]).ids == frozenset({1, 3})
         assert view.restrict([]).ids == frozenset()
 
-    def test_with_pair_adds_and_overwrites(self):
-        view = View({1: "a"})
-        assert view.with_pair(2, "b").ids == frozenset({1, 2})
-        assert view.with_pair(1, "z")[1] == "z"
-        assert view[1] == "a"  # original untouched
-
     def test_vertices(self):
         vertices = View({1: "a", 2: "b"}).vertices()
         assert vertices == (Vertex(1, "a"), Vertex(2, "b"))
@@ -105,7 +99,6 @@ class TestViewInterning:
     def test_derived_views_are_interned(self):
         view = View({1: "a", 2: "b"})
         assert view.restrict([1]) is View({1: "a"})
-        assert view.with_pair(3, "c") is View({1: "a", 2: "b", 3: "c"})
 
     def test_equal_values_of_different_types_stay_distinct(self):
         as_bool, as_int = View({1: True}), View({1: 1})
