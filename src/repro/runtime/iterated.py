@@ -105,6 +105,7 @@ class IteratedExecutor:
             for process, value in inputs.items()
         }
         result = ExecutionResult(decisions={})
+        box = self._box
 
         for round_index in range(1, algorithm.rounds + 1):
             doomed = scheduler.crashes(round_index, active)
@@ -145,10 +146,13 @@ class IteratedExecutor:
                     raise RuntimeModelError(
                         "the adversary may not crash every process mid-round"
                     )
-            box_outputs, box_choice = self._run_box(
-                round_index, schedule, participants, states, algorithm,
-                scheduler,
-            )
+            if box is None:
+                box_outputs, box_choice = {}, 0
+            else:
+                box_outputs, box_choice = _run_box(
+                    box, round_index, schedule, participants, states,
+                    algorithm, scheduler,
+                )
             ordered = tuple(sorted(participants))
             array = scheduler.register_array(round_index, ordered)
             seen = self._run_round(
@@ -207,7 +211,7 @@ class IteratedExecutor:
         they themselves get no view.
         """
         participants = schedule.participants
-        declared = schedule.view_map()
+        declared = schedule.views_by_process()
         immediate = schedule.is_immediate_snapshot()
         views: dict[int, frozenset] = {}
         if immediate:
@@ -243,40 +247,36 @@ class IteratedExecutor:
             _check_written(round_index, array, participants)
         return views
 
-    def _run_box(
-        self,
-        round_index: int,
-        schedule: OneRoundSchedule,
-        participants: frozenset[int],
-        states: Mapping[int, object],
-        algorithm: RoundAlgorithm,
-        scheduler: Adversary,
-    ) -> tuple[dict[int, Hashable], int]:
-        if self._box is None:
-            return {}, 0
-        box_inputs = {
-            process: algorithm.box_input(
-                process, states[process], round_index
-            )
-            for process in participants
-        }
-        options = list(self._box.assignments(schedule, box_inputs))
-        if not options:
-            raise RuntimeModelError(
-                f"box {self._box.name} produced no admissible assignment"
-            )
-        chosen = dict(
-            scheduler.choose_assignment(round_index, schedule, options)
+
+def _run_box(
+    box: BlackBox,
+    round_index: int,
+    schedule: OneRoundSchedule,
+    participants: frozenset[int],
+    states: Mapping[int, object],
+    algorithm: RoundAlgorithm,
+    scheduler: Adversary,
+) -> tuple[dict[int, Hashable], int]:
+    """The round's box outputs, checked admissible, and the option index."""
+    box_inputs = {
+        process: algorithm.box_input(process, states[process], round_index)
+        for process in participants
+    }
+    options = list(box.assignments(schedule, box_inputs))
+    if not options:
+        raise RuntimeModelError(
+            f"box {box.name} produced no admissible assignment"
         )
-        try:
-            choice = options.index(chosen)
-        except ValueError:
-            raise FaultInjectionError(
-                f"round {round_index}: box {self._box.name} realized the "
-                f"assignment {chosen}, which is not admissible for the "
-                "schedule (consistency fault detected)"
-            ) from None
-        return chosen, choice
+    chosen = dict(scheduler.choose_assignment(round_index, schedule, options))
+    try:
+        choice = options.index(chosen)
+    except ValueError:
+        raise FaultInjectionError(
+            f"round {round_index}: box {box.name} realized the "
+            f"assignment {chosen}, which is not admissible for the "
+            "schedule (consistency fault detected)"
+        ) from None
+    return chosen, choice
 
 
 def _check_written(

@@ -67,10 +67,10 @@ def random_collect_round(
         op, target = programs[process][position[process]]
         if op == "write":
             array.write(process, values[process])
-        else:
-            read_value = array.read(target)
-            if read_value is not None:
-                seen[process].add(target)
+        elif target in array.written():
+            # A written None is a value: ask whether the register was
+            # written, not whether it reads None.
+            seen[process].add(target)
         position[process] += 1
         pending = [
             p for p in id_list if position[p] < len(programs[p])

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import RuntimeModelError
 
 __all__ = ["SWMRRegister", "RegisterArray"]
+
+#: The content of a register nobody has written yet.  A process may write
+#: ``None`` (an algorithm state like any other), so ``None`` cannot mean
+#: "unwritten".
+_UNWRITTEN: Any = object()
 
 
 @dataclass
@@ -25,12 +30,12 @@ class SWMRRegister:
     owner:
         The only process allowed to write.
     value:
-        Current content; ``None`` means "not yet written" (registers start
-        empty each round).
+        Current content.  Registers start empty each round, holding a
+        private "unwritten" marker that :meth:`read` reports as ``None``.
     """
 
     owner: int
-    value: Optional[Hashable] = None
+    value: Hashable = _UNWRITTEN
 
     def write(self, process: int, value: Hashable) -> None:
         """Atomic write; only the owner may call this."""
@@ -43,7 +48,8 @@ class SWMRRegister:
 
     def read(self) -> Optional[Hashable]:
         """Atomic read; ``None`` when the owner has not written yet."""
-        return self.value
+        value = self.value
+        return None if value is _UNWRITTEN else value
 
 
 class RegisterArray:
@@ -79,7 +85,7 @@ class RegisterArray:
         return {
             process: register.value
             for process, register in self._registers.items()
-            if register.value is not None
+            if register.value is not _UNWRITTEN
         }
 
     def written(self) -> tuple[int, ...]:
@@ -87,5 +93,5 @@ class RegisterArray:
         return tuple(
             process
             for process, register in self._registers.items()
-            if register.value is not None
+            if register.value is not _UNWRITTEN
         )

@@ -73,6 +73,10 @@ class _AgreementDelta:
         self._m = m
         self._values = grid(m)
         self._rank_of = {value: k for k, value in enumerate(self._values)}
+        # Each vertex's :meth:`_value_window`, keyed on the interned
+        # vertex, whose hash is cached: hashing its Fraction value would
+        # run in Python on every lookup.
+        self._window_of: dict[Vertex, tuple[int, int]] = {}
         # ε is an integral multiple of 1/m (``_normalize_epsilon``).
         self._span = int(epsilon * m)
         self._liberal = liberal
@@ -83,21 +87,28 @@ class _AgreementDelta:
     def _window(self, sigma: Simplex) -> tuple[int, int]:
         """The ranks of the first and last grid value in σ's range."""
         low = high = None
+        window_of = self._window_of
         for vertex in sigma.vertices:
-            rank = self._rank_of.get(vertex.value)
-            if rank is None:
-                # Off the grid: the window starts at the first grid value
-                # above it and ends at the last one below it.
-                scaled = Fraction(vertex.value) * self._m
-                first, last = math.ceil(scaled), math.floor(scaled)
-            else:
-                first = last = rank
+            window = window_of.get(vertex)
+            if window is None:
+                window = window_of[vertex] = self._value_window(vertex.value)
+            first, last = window
             if low is None or first < low:
                 low = first
             if high is None or last > high:
                 high = last
         assert low is not None and high is not None
         return max(low, 0), min(high, self._m)
+
+    def _value_window(self, value: Rational) -> tuple[int, int]:
+        """The ranks of the first and last grid value in ``[value, value]``."""
+        rank = self._rank_of.get(value)
+        if rank is not None:
+            return rank, rank
+        # Off the grid: the window starts at the first grid value above
+        # it and ends at the last one below it.
+        scaled = Fraction(value) * self._m
+        return math.ceil(scaled), math.floor(scaled)
 
     def __call__(self, sigma: Simplex) -> SimplicialComplex:
         low, high = self._window(sigma)

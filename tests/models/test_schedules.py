@@ -1,5 +1,7 @@
 """Unit tests for one-round schedules (the Appendix A.3.4 matrices)."""
 
+import math
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -12,6 +14,7 @@ from repro.models.schedules import (
     schedule_from_blocks,
     snapshot_schedules,
 )
+from repro.models.schedules import _BLOCK_SCHEDULES, _block_schedule
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
 
@@ -220,6 +223,55 @@ class TestComputedOnce:
             "OneRoundSchedule(groups=(frozenset({1}), frozenset({3}), "
             "frozenset({2})), views=(frozenset({1, 2, 3}), "
             "frozenset({2, 3}), frozenset({1, 2})))"
+        )
+
+
+class TestBlockInterning:
+    """Equal block lists share one validated schedule, in a bounded table."""
+
+    def test_equal_block_lists_share_one_schedule(self):
+        first = schedule_from_blocks([[2], [1, 3]])
+        assert schedule_from_blocks(((2,), (3, 1))) is first
+        assert schedule_from_blocks([{2}, fs(1, 3)]) is first
+        assert schedule_from_blocks(([2], {3, 1})) is first
+
+    def test_block_order_is_part_of_the_key(self):
+        assert schedule_from_blocks([[1], [2]]) is not schedule_from_blocks(
+            [[2], [1]]
+        )
+
+    def test_immediate_pool_holds_the_interned_schedules(self):
+        # Ids no other test uses, so the pool is built here, next to the
+        # lookups, and no entry of it is evicted in between.
+        pool = distinct_schedules("immediate", [101, 102, 103])
+        assert len(pool) == FUBINI[3]
+        for schedule in pool:
+            assert schedule_from_blocks(schedule.blocks()) is schedule
+
+    @pytest.mark.parametrize(
+        "blocks", [[], [[]], [[1, 2], [2]], [[1], [], [2]]]
+    )
+    def test_invalid_blocks_raise_every_time_and_are_not_kept(self, blocks):
+        # An empty table, so a stored entry would show even where a full
+        # table would evict one for it.
+        _block_schedule.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ScheduleError):
+                schedule_from_blocks(blocks)
+        assert _block_schedule.cache_info().currsize == 0
+
+    def test_table_stays_at_its_bound(self):
+        count = 0
+        for blocks in ordered_partitions(range(1, 7)):
+            schedule = schedule_from_blocks(blocks)
+            assert schedule.blocks() == blocks
+            count += 1
+        assert count == 4683
+        assert _block_schedule.cache_info().currsize == _BLOCK_SCHEDULES
+        # Every immediate-snapshot schedule of four processes and of
+        # their subsets fits.
+        assert _BLOCK_SCHEDULES >= sum(
+            FUBINI[size] * math.comb(4, size) for size in range(1, 5)
         )
 
 

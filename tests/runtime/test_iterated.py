@@ -6,6 +6,7 @@ import pytest
 
 from repro.algorithms import HalvingAA, TwoProcessConsensusTAS
 from repro.errors import RuntimeModelError
+from repro.faults.fixtures import StubbornAlgorithm
 from repro.models.schedules import schedule_from_blocks
 from repro.objects import TestAndSetBox
 from repro.runtime import (
@@ -58,6 +59,28 @@ class TestBasicExecution:
     def test_surviving(self):
         result = IteratedExecutor().run(HalvingAA(F(1, 2)), INPUTS)
         assert result.surviving() == (1, 2, 3)
+
+
+class _SeenStates(StubbornAlgorithm):
+    """One round; each process decides the states it saw."""
+
+    rounds = 1
+
+    def step(self, process, state, seen_states, box_output, round_index):
+        return tuple(sorted(seen_states.items()))
+
+
+class TestNoneState:
+    @pytest.mark.parametrize(
+        "adversary",
+        [FullSyncAdversary(), SoloFirstAdversary(2)],
+        ids=["sync", "solo-first"],
+    )
+    def test_none_state_is_seen(self, adversary):
+        result = IteratedExecutor().run(
+            _SeenStates(), {1: None, 2: "b"}, adversary
+        )
+        assert result.decisions[1] == ((1, None), (2, "b"))
 
 
 class TestCrashes:

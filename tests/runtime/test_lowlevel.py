@@ -47,6 +47,22 @@ def is_maps():
     return pool_maps("immediate")
 
 
+@pytest.mark.parametrize(
+    "runner",
+    [
+        random_collect_round,
+        random_snapshot_round,
+        random_immediate_snapshot_round,
+    ],
+)
+def test_a_written_none_is_seen(runner):
+    rng = random.Random(3)
+    for _ in range(50):
+        views = runner(IDS, {1: None, 2: "b", 3: "c"}, rng)
+        for process, view in views.items():
+            assert process in view
+
+
 class TestSoundness:
     def test_collect_rounds_within_matrices(self, collect_maps):
         rng = random.Random(7)

@@ -57,3 +57,11 @@ class TestRegisterArray:
         array.write(3, "z")
         array.write(1, "x")
         assert array.written() == (1, 3)
+
+    def test_written_none_is_written(self):
+        # None is a value a process may write, not the unwritten marker.
+        array = RegisterArray((1, 2))
+        array.write(1, None)
+        assert array.snapshot() == {1: None}
+        assert array.written() == (1,)
+        assert array.read(1) is None
