@@ -11,9 +11,10 @@ ledger, which measures them.
 rule id   contract
 ========  ============================================================
 RPR001    never assign to the internal attributes of :class:`Vertex`,
-          :class:`Simplex`, or :class:`SimplicialComplex` outside their
-          own modules — the memoization layer interns and shares these
-          objects, so one mutation corrupts every holder of the object
+          :class:`View`, :class:`Simplex`, or :class:`SimplicialComplex`
+          outside their own modules — the memoization layer interns and
+          shares these objects, so one mutation corrupts every holder of
+          the object
 RPR004    no silent ``except …: pass`` in the solver hot paths
           (``repro.core``, ``repro.models``, ``repro.topology``) —
           swallowed errors there turn invariant violations into wrong
@@ -52,14 +53,19 @@ _PROTECTED_ATTRS: dict[str, str] = {
     "_facets": "repro.topology.complex",
     "_faces_cache": "repro.topology.complex",
     "_vertices_cache": "repro.topology.complex",
+    "_table": "repro.topology.complex",
+    "_masks": "repro.topology.complex",
+    "_face_masks": "repro.topology.complex",
     "_vertices": "repro.topology.simplex",
     "_color": "repro.topology.vertex",
+    "_value": "repro.topology.vertex",
+    "_items": "repro.topology.views",
 }
 
 #: Attributes so specific to the value objects that even ``self.<attr>``
 #: assignments are flagged outside the owning module.
 _ALWAYS_PROTECTED: frozenset[str] = frozenset(
-    {"_facets", "_faces_cache", "_vertices_cache"}
+    {"_facets", "_faces_cache", "_vertices_cache", "_face_masks"}
 )
 
 #: Packages whose exception handling is held to the strictest standard

@@ -1,13 +1,10 @@
-"""Structured results of the static-analysis subsystem.
+"""Structured results of the AST lint.
 
-Both heads of :mod:`repro.checks` — the domain invariant auditor
-(:mod:`repro.checks.rules`) and the AST lint (:mod:`repro.checks.astlint`)
-— report violations as :class:`Finding` records: a rule identifier, the
-path of the offending object (an audit-target path such as
-``tasks/aa[n=2]/Δ`` or a source location such as
-``src/repro/foo.py:12``), and a human-readable explanation.
+The lint (:mod:`repro.checks.astlint`) reports violations as
+:class:`Finding` records: a rule identifier, the source location of the
+offence (``src/repro/foo.py:12``), and a human-readable explanation.
 
-Every finding is an error: ``repro check`` exits 1 on any of them.
+Every finding is an error: ``repro check --lint`` exits 1 on any of them.
 """
 
 from __future__ import annotations
@@ -20,16 +17,14 @@ __all__ = ["Finding", "sort_findings"]
 
 @dataclass(frozen=True)
 class Finding:
-    """One violation reported by an audit or lint rule.
+    """One violation reported by a lint rule.
 
     Attributes
     ----------
     rule_id:
-        The stable identifier of the rule that fired (``AUD00x`` for domain
-        audit rules, ``RPR00x`` for AST lint rules).
+        The stable identifier of the rule that fired (``RPR00x``).
     path:
-        Where the violation lives: an audit-target path for live objects,
-        or ``file:line`` for source findings.
+        Where the violation lives, as ``file:line``.
     message:
         Human-readable explanation of what is wrong and why it matters.
     """
@@ -44,8 +39,7 @@ def _path_key(path: str) -> tuple[str, int]:
 
     Lexicographic sorting of the raw path puts ``foo.py:10`` before
     ``foo.py:9``; the numeric split keeps findings in source order.
-    Paths without a line component (audit-target paths) sort by their
-    text with line 0.
+    Paths without a line component sort by their text with line 0.
     """
     base, sep, tail = path.rpartition(":")
     if sep and tail.isdigit():

@@ -1,22 +1,51 @@
-"""The text reporter for :class:`~repro.checks.audit.CheckReport`.
+"""The lint report of ``repro check --lint`` and its text rendering.
 
-It reuses the fixed-width table engine of :mod:`repro.analysis.reporting`,
-so audit output matches the look of the experiment tables.
+:func:`lint_report` runs the AST lint over files and directories and
+packages its findings as a :class:`CheckReport`; :func:`render_text`
+prints it through the fixed-width table engine of
+:mod:`repro.analysis.reporting`, so lint output matches the look of the
+experiment tables.  The CLI exits 1 on any finding.
 """
 
 from __future__ import annotations
 
-from repro.analysis.reporting import render_rows
-from repro.checks.audit import CheckReport
-from repro.checks.findings import sort_findings
+from dataclasses import dataclass
+from typing import Iterable
 
-__all__ = ["render_text"]
+from repro.analysis.reporting import render_rows
+from repro.checks.astlint import iter_python_files, lint_paths
+from repro.checks.findings import Finding, sort_findings
+
+__all__ = ["CheckReport", "lint_report", "render_text"]
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The outcome of one ``repro check --lint`` invocation."""
+
+    scope: str
+    findings: tuple[Finding, ...]
+    files_linted: int = 0
+
+    def is_clean(self) -> bool:
+        """``True`` iff no rule reported anything."""
+        return not self.findings
+
+
+def lint_report(paths: Iterable[str]) -> CheckReport:
+    """Run the AST lint over the given files/directories."""
+    resolved = list(paths)
+    # Walk the trees once; lint_paths takes each file as its own path.
+    files = [str(path) for path in iter_python_files(resolved)]
+    return CheckReport(
+        scope=f"lint[{', '.join(resolved)}]",
+        findings=tuple(lint_paths(files)),
+        files_linted=len(files),
+    )
 
 
 def _summary_line(report: CheckReport) -> str:
     pieces = []
-    if report.targets_audited:
-        pieces.append(f"{report.targets_audited} targets audited")
     if report.files_linted:
         pieces.append(f"{report.files_linted} files linted")
     pieces.append(

@@ -7,7 +7,6 @@ Exposes the library's headline computations without writing Python::
     repro closure --n 3 --eps 1/4 --m 4 --liberal --model tas
     repro bounds --eps 1/8 --n 3
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
-    repro check --all                 # audit live invariants (AUD rules)
     repro check --lint src/           # repo-specific AST lint (RPR rules)
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
@@ -22,8 +21,9 @@ repro-trace JSON (see docs/OBSERVABILITY.md)::
 ``trace summarize`` validates the whole artifact first and rejects a
 malformed one with one ``invalid trace …`` line (exit 1); ``chaos
 --replay`` does the same for a fault trace it cannot replay (``cannot
-load trace …``).  ``check`` exits 1 on any finding, and on a ``--lint``
-path that is neither a directory nor a ``.py`` file.  Library errors (bad task parameters, unknown
+load trace …``).  ``check --lint`` exits 1 on any finding, and on a
+path that is neither a directory nor a ``.py`` file; ``check`` without
+``--lint`` is a usage error.  Library errors (bad task parameters, unknown
 experiment ids) print one ``error: …`` line and exit 1; malformed option
 values are usage errors (exit 2), and so are abbreviated option names
 (``--t 5`` does not mean ``--trace 5``).  Also available as ``python -m
@@ -86,6 +86,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational number"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1 (``--top``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer"
+        )
+    return value
 
 
 def _rationals(text: str) -> list[Fraction]:
@@ -288,20 +301,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.checks import audit_all, lint_report, render_text
+    from repro.checks import lint_report, render_text
 
-    reports = []
-    if args.lint:
-        reports.append(lint_report(args.lint))
-    if args.all or not reports:
-        # Bare `repro check` audits everything, like `--all`.
-        reports.append(audit_all())
-
-    merged = reports[0]
-    for report in reports[1:]:
-        merged = merged.merged_with(report)
-    print(render_text(merged))
-    return 0 if merged.is_clean() else 1
+    if args.lint is None:
+        # Not `required=True`: argparse would then report a leftover
+        # `--all` or experiment id as a missing --lint, not as the
+        # unrecognized argument it is.
+        args.usage_error("the following arguments are required: --lint")
+    report = lint_report(args.lint)
+    print(render_text(report))
+    return 0 if report.is_clean() else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -477,27 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis: audit domain invariants and lint sources",
+        help="static analysis: lint sources with the repo's RPR rules",
         description=(
-            "Audit the library's structural invariants over live models, "
-            "tasks and closures (chromaticity, facet maximality, carrier "
-            "name preservation and monotonicity, one-round structure, "
-            "task/closure well-formedness) and/or run the repo-specific "
-            "AST lint (RPR rules).  Any finding exits 1."
+            "Run the repo-specific AST lint (RPR rules: interning safety, "
+            "exception hygiene on solver hot paths, no ambient "
+            "nondeterminism in the pure packages).  Any finding exits 1."
         ),
-    )
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="audit every target group (the default when no other "
-        "scope is given)",
     )
     p.add_argument(
         "--lint",
         nargs="+",
         metavar="PATH",
-        help="lint the given files/directories with the RPR rules",
+        help="lint the given files/directories with the RPR rules "
+        "(required)",
     )
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser(
         "trace",
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("path", metavar="PATH", help="a trace artifact")
     ps.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=15,
         help="number of span names to show (default: 15)",
     )

@@ -26,7 +26,7 @@ This module enumerates schedules for all three models and converts between
 the matrix form and the ordered-blocks form.  Enumeration is exhaustive and
 deterministic; distinct matrices can induce the same view map, so every
 consumer — the one-round complexes of the register and augmented models,
-the matrix adversaries, E16 and the audit — reads the shared pool of one
+the matrix adversaries and E16 — reads the shared pool of one
 matrix per view map from :func:`distinct_schedules`, the one place that
 decides which schedules a model admits.
 

@@ -3,8 +3,9 @@
 ``Δ`` maps each input simplex to the complex of its legal outputs, on the
 same colors.  The paper deliberately does **not** require ``Δ`` to be a
 carrier (monotone) map — local tasks (Definition 1) are not monotone.
-:class:`Task` checks nothing at construction: audit rule AUD008
-(``repro check``) checks that ``Δ`` is chromatic and inside ``O``.
+:class:`Task` checks nothing at construction: that every task family's
+``Δ`` preserves names and stays inside ``O`` is a tier-1 test
+(``tests/tasks/test_well_formed.py``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ subcomplex of ``K'`` on the same colors, monotonically (``σ' ⊆ σ`` implies
 ``Δ(σ') ⊆ Δ(σ)``).  Task specifications, protocol-complex maps ``Ξ``, and
 closure maps ``Δ'`` are all carrier-like; the paper deliberately does *not*
 force task maps to be monotone, so :class:`CarrierMap` does not enforce
-it (audit rules AUD003 and AUD004 check name preservation and declared
-monotonicity).
+it.  Name preservation of every task map and monotonicity of every
+model's ``Ξ`` are tier-1 tests (``tests/tasks/test_well_formed.py``,
+``tests/models/test_one_round_structure.py``).
 
 Evaluations are memoized per simplex: a :class:`Simplex` caches its
 hash, so a memo hit is one dict lookup.

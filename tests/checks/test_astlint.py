@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.checks import lint_source
 from repro.checks.astlint import LINT_RULES
 
@@ -79,6 +81,48 @@ class TestRPR001InterningSafety:
             """
             def repaint(vertex, color):
                 vertex._color = color
+            """
+        ) == {"RPR001"}
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "v._value = 1",
+            "w._items = ()",
+            "c._masks = ()",
+            "c._table = None",
+            "c._face_masks = set()",
+        ],
+    )
+    def test_mask_era_slots_fire_outside_their_module(self, statement):
+        # The slots the interned value objects gained with the mask
+        # index: one foreign write corrupts every holder of the object.
+        findings = lint(
+            f"def corrupt(v, w, c):\n    {statement}\n",
+            module="repro.core.fixture",
+        )
+        assert [f.rule_id for f in findings] == ["RPR001"]
+
+    @pytest.mark.parametrize(
+        "module, statement",
+        [
+            ("repro.topology.vertex", "found._value = value"),
+            ("repro.topology.views", "found._items = items"),
+            ("repro.topology.complex", "other._masks = ()"),
+        ],
+    )
+    def test_mask_era_slots_may_be_set_by_their_owner(
+        self, module, statement
+    ):
+        code = f"def build(found, other, value, items):\n    {statement}\n"
+        assert rule_ids(code, module=module) == set()
+
+    def test_face_masks_is_protected_even_on_self(self):
+        assert rule_ids(
+            """
+            class Impostor:
+                def __init__(self):
+                    self._face_masks = set()
             """
         ) == {"RPR001"}
 

@@ -38,17 +38,27 @@ def write_broken_module(root):
 
 
 class TestAuditScopes:
-    def test_all_experiments_exit_zero(self, capsys):
-        assert main(["check", "--all"]) == 0
-        out = capsys.readouterr().out
-        assert "audit[--all]: 62 targets audited, clean" in out
+    """The live-object audit is gone: ``check`` needs ``--lint``."""
 
-    def test_bare_check_defaults_to_all(self, capsys):
-        assert main(["check"]) == 0
-        assert "audit[--all]" in capsys.readouterr().out
+    def test_bare_check_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check"])
+        assert excinfo.value.code == 2
+        assert "required: --lint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--all"], ["check", "--all", "--lint", "src"]],
+        ids=["alone", "with-lint"],
+    )
+    def test_all_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --all" in capsys.readouterr().err
 
     def test_experiment_ids_are_usage_errors(self, capsys):
-        # The audit has no per-experiment scope: every id is rejected.
+        # `check` has no per-experiment scope: every id is rejected.
         for argv in (["check", "E1"], ["check", "E99"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -66,16 +76,13 @@ class TestLintScope:
         assert "RPR008" in out
         assert "3 finding(s)" in out
 
-    def test_combined_lint_and_audit_scope(self, tmp_path, capsys):
+    def test_clean_path_is_one_line(self, tmp_path, capsys):
         clean = tmp_path / "ok.py"
         clean.write_text("X = 1\n")
-        assert (
-            main(["check", "--all", "--lint", str(clean)])
-            == 0
+        assert main(["check", "--lint", str(clean)]) == 0
+        assert capsys.readouterr().out == (
+            f"repro check lint[{clean}]: 1 files linted, clean\n"
         )
-        out = capsys.readouterr().out
-        assert "lint[" in out
-        assert "audit[--all]" in out
 
     @pytest.mark.parametrize(
         "name", ["no/such/dir", "README.md"], ids=["missing", "not-python"]

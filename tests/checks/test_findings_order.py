@@ -1,6 +1,6 @@
 """Deterministic finding order across the report and engines."""
 
-from repro.checks.audit import CheckReport
+from repro.checks import CheckReport
 from repro.checks.findings import Finding, sort_findings
 from repro.checks.reporters import render_text
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.checks import AuditTarget, run_rules
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
@@ -15,21 +14,6 @@ from repro.models import (
 from repro.objects import AugmentedModel, BinaryConsensusBox, TestAndSetBox
 from repro.objects.beta import beta_input_function
 from repro.topology import Simplex, SimplicialComplex
-
-
-@pytest.fixture(scope="session")
-def audit():
-    """Run the audit rules on one live object; return the ids that fire.
-
-    ``audit("task", task)`` runs AUD008; ``audit("carrier", delta_map,
-    expect_monotone=True)`` runs AUD003 and AUD004.
-    """
-
-    def fired(kind, obj, **extras):
-        target = AuditTarget(kind, f"test/{kind}", obj, extras)
-        return {finding.rule_id for finding in run_rules([target])}
-
-    return fired
 
 
 @pytest.fixture(scope="session")

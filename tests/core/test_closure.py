@@ -70,6 +70,23 @@ class TestMembership:
         for facet in task.delta(sigma).facets:
             assert computer.contains(sigma, facet)
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            binary_consensus_task([1, 2]),
+            approximate_agreement_task([1, 2], F(1, 2), 2),
+        ],
+        ids=["consensus", "half-AA"],
+    )
+    def test_closure_keeps_inputs_and_contains_delta(self, iis, task):
+        # Definition 2 keeps I, and Δ(σ) ⊆ Δ'(σ) on every input simplex.
+        closure = ClosureComputer(task, iis).as_task()
+        assert closure.input_complex == task.input_complex
+        for sigma in task.input_complex:
+            prime = closure.delta(sigma)
+            for facet in task.delta(sigma).facets:
+                assert facet in prime, (sigma, facet)
+
     def test_consensus_closure_rejects_disagreement(self, iis):
         task = binary_consensus_task([1, 2])
         computer = ClosureComputer(task, iis)

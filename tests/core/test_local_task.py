@@ -11,6 +11,7 @@ from repro.models import ProtocolOperator
 from repro.tasks import approximate_agreement_task, binary_consensus_task
 from repro.tasks.inputs import input_simplex
 from repro.topology import Simplex
+from tests.properties import monotonicity_breaks
 
 
 def F(num, den=1):
@@ -61,7 +62,7 @@ class TestSpecification:
             {input_simplex({1: 0, 2: 0}), input_simplex({1: 1, 2: 1})}
         )
 
-    def test_monotone_but_rigid(self, consensus3, audit):
+    def test_monotone_but_rigid(self, consensus3):
         # Local tasks are monotone ({v} sits inside every projection), but
         # they are rigid on vertices: Δ_{τ,σ}(v) is a single vertex while
         # the projection of Δ(σ) on v's color has more — this strictness is
@@ -69,7 +70,7 @@ class TestSpecification:
         sigma = input_simplex({1: 0, 2: 1})
         tau = input_simplex({1: 0, 2: 1})
         task = local_task(consensus3, sigma, tau)
-        assert audit("carrier", task.delta_map, expect_monotone=True) == set()
+        assert monotonicity_breaks(task.delta_map) == []
         vertex_face = Simplex([(1, 0)])
         pinned = task.delta(vertex_face).vertices
         free = consensus3.delta(sigma).proj({1}).vertices

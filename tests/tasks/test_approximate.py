@@ -13,6 +13,7 @@ from repro.tasks import (
 )
 from repro.tasks.inputs import input_simplex
 from repro.topology import Simplex, SimplicialComplex
+from tests.properties import is_maximal, name_leaks, outputs_outside
 
 
 def F(num, den=1):
@@ -77,9 +78,10 @@ class TestStandardTask:
         right = task.delta(input_simplex({1: F(1, 2), 2: F(0)}))
         assert left is right  # same (ids, min, max) key
 
-    def test_validates(self, audit):
+    def test_validates(self):
         task = approximate_agreement_task([1, 2], F(1, 2), 2)
-        assert audit("task", task) == set()
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
     def test_epsilon_one_makes_everything_legal(self):
         task = approximate_agreement_task([1, 2], 1, 2)
@@ -124,9 +126,10 @@ class TestLiberalTask:
                 <= liberal.delta(sigma).simplices
             )
 
-    def test_validates(self, audit):
+    def test_validates(self):
         task = liberal_approximate_agreement_task([1, 2, 3], F(1, 2), 2)
-        assert audit("task", task) == set()
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
     def test_values_are_exact_fractions(self):
         task = liberal_approximate_agreement_task([1, 2], F(1, 4), 4)
@@ -216,6 +219,18 @@ class TestDeltaParity:
         assert task.delta(sigma) == _reference_delta(
             sigma, F(1, 4), 4, liberal
         )
+
+    @pytest.mark.parametrize("liberal", [False, True])
+    def test_band_stores_maximal_facets(self, liberal):
+        # Δ(σ) wraps its band with the trusted `from_maximal`.
+        build = (
+            liberal_approximate_agreement_task
+            if liberal
+            else approximate_agreement_task
+        )
+        task = build([1, 2, 3], F(1, 4), 4)
+        for sigma in task.input_complex:
+            assert is_maximal(task.delta(sigma)), sigma
 
     def test_vertices_carry_grid_fractions(self):
         task = approximate_agreement_task([1, 2], F(1, 4), 4)

@@ -7,6 +7,7 @@ from repro.tasks import (
     relaxed_consensus_task,
 )
 from repro.tasks.inputs import input_simplex
+from tests.properties import name_leaks, outputs_outside
 
 
 class TestBinaryConsensus:
@@ -35,8 +36,10 @@ class TestBinaryConsensus:
         sigma = input_simplex({2: 0})
         assert task.delta(sigma).facets == frozenset({sigma})
 
-    def test_validates(self, audit):
-        assert audit("task", binary_consensus_task([1, 2, 3])) == set()
+    def test_validates(self):
+        task = binary_consensus_task([1, 2, 3])
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
 
 class TestMultivaluedConsensus:
@@ -55,9 +58,10 @@ class TestMultivaluedConsensus:
                 values = {v.value for v in facet.vertices}
                 assert len(values) == 1
 
-    def test_validates(self, audit):
+    def test_validates(self):
         task = multivalued_consensus_task([1, 2], ["x", "y", "z"])
-        assert audit("task", task) == set()
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
 
 class TestRelaxedConsensus:
@@ -106,5 +110,7 @@ class TestRelaxedConsensus:
                 <= relaxed.delta(sigma).simplices
             )
 
-    def test_validates(self, audit):
-        assert audit("task", relaxed_consensus_task([1, 2, 3])) == set()
+    def test_validates(self):
+        task = relaxed_consensus_task([1, 2, 3])
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []

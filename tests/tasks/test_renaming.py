@@ -6,6 +6,7 @@ from repro.core import ClosureComputer, is_solvable
 from repro.errors import TaskSpecificationError
 from repro.tasks import renaming_task
 from repro.tasks.inputs import input_simplex
+from tests.properties import name_leaks, outputs_outside
 
 
 class TestSpecification:
@@ -35,8 +36,10 @@ class TestSpecification:
         with pytest.raises(TaskSpecificationError):
             renaming_task([1], 0)
 
-    def test_validates(self, audit):
-        assert audit("task", renaming_task([1, 2], 3)) == set()
+    def test_validates(self):
+        task = renaming_task([1, 2], 3)
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
 
 class TestSolvability:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TaskSpecificationError
 from repro.tasks import binary_consensus_task, set_agreement_task
 from repro.tasks.inputs import input_simplex
+from tests.properties import name_leaks, outputs_outside
 
 
 class TestSetAgreement:
@@ -47,6 +48,7 @@ class TestSetAgreement:
             not in task.output_complex
         )
 
-    def test_validates(self, audit):
+    def test_validates(self):
         task = set_agreement_task([1, 2, 3], ["a", "b"], 2)
-        assert audit("task", task) == set()
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []

@@ -1,4 +1,4 @@
-"""Unit tests for the Task triple and its well-formedness gate (AUD008)."""
+"""Unit tests for the Task triple and its well-formedness helpers."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.errors import TaskSpecificationError
 from repro.tasks import Task, binary_consensus_task
 from repro.tasks.inputs import binary_input_complex, full_input_complex, input_simplex
 from repro.topology import Simplex, SimplicialComplex
+from tests.properties import monotonicity_breaks, name_leaks, outputs_outside
 
 
 class TestInputBuilders:
@@ -51,10 +52,12 @@ class TestTaskBasics:
         task.delta(sigma)
         assert len(calls) == 1
 
-    def test_validate_passes_for_consensus(self, audit):
-        assert audit("task", binary_consensus_task([1, 2, 3])) == set()
+    def test_validate_passes_for_consensus(self):
+        task = binary_consensus_task([1, 2, 3])
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == []
 
-    def test_validate_rejects_color_leak(self, audit):
+    def test_validate_rejects_color_leak(self):
         def delta(sigma):
             return SimplicialComplex.from_simplex(Simplex([(99, 0)]))
 
@@ -64,9 +67,10 @@ class TestTaskBasics:
             SimplicialComplex.from_simplex(Simplex([(99, 0)])),
             delta,
         )
-        assert audit("task", task) == {"AUD008"}
+        assert name_leaks(task.delta_map) == list(task.input_complex)
+        assert outputs_outside(task) == []
 
-    def test_validate_rejects_output_outside_complex(self, audit):
+    def test_validate_rejects_output_outside_complex(self):
         def delta(sigma):
             return SimplicialComplex.from_simplex(
                 Simplex((i, "stray") for i in sorted(sigma.ids))
@@ -78,7 +82,23 @@ class TestTaskBasics:
             binary_input_complex([1]),
             delta,
         )
-        assert audit("task", task) == {"AUD008"}
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == list(task.input_complex)
+
+    def test_outputs_outside_flags_values_missing_from_o(self):
+        # Δ keeps the names but decides 9, a value O does not hold.
+        inputs = SimplicialComplex.from_simplex(Simplex([(1, 0), (2, 0)]))
+        outputs = SimplicialComplex.from_simplex(Simplex([(1, 0), (2, 0)]))
+        task = Task(
+            "escaping-outputs",
+            inputs,
+            outputs,
+            lambda sigma: SimplicialComplex(
+                [Simplex([(v.color, 9) for v in sigma.vertices])]
+            ),
+        )
+        assert name_leaks(task.delta_map) == []
+        assert outputs_outside(task) == list(inputs)
 
 
 class TestDerivedTasks:
@@ -86,7 +106,7 @@ class TestDerivedTasks:
         task = binary_consensus_task([1, 2]).with_name("renamed")
         assert task.name == "renamed"
 
-    def test_monotonicity_of_consensus(self, audit):
+    def test_monotonicity_of_consensus(self):
         # Consensus Δ is a carrier map: faces' outputs are contained.
         delta_map = binary_consensus_task([1, 2]).delta_map
-        assert audit("carrier", delta_map, expect_monotone=True) == set()
+        assert monotonicity_breaks(delta_map) == []

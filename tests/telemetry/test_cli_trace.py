@@ -69,6 +69,21 @@ class TestSummarizeErrors:
         with pytest.raises(SystemExit, match="cannot read"):
             main(["trace", "summarize", "/nonexistent/trace.json"])
 
+    @pytest.mark.parametrize("top", ["0", "-3", "two"])
+    def test_top_below_one_is_a_usage_error(self, tmp_path, capsys, top):
+        # A valid artifact: only the option value is malformed.
+        artifact = tmp_path / "trace.json"
+        assert main(["experiment", "E9", "--trace", str(artifact)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "summarize", str(artifact), "--top", top])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --top: {top!r} is not a positive integer" in (
+            captured.err
+        )
+
     def test_chrome_artifact_rejected_with_hint(self, tmp_path):
         artifact = tmp_path / "chrome.json"
         artifact.write_text(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topology import CarrierMap, Simplex, SimplicialComplex
+from tests.properties import monotonicity_breaks, name_leaks
 
 
 @pytest.fixture
@@ -62,13 +63,13 @@ class TestEvaluation:
 
 
 class TestStructuralChecks:
-    """Name preservation (AUD003) and declared monotonicity (AUD004)."""
+    """Name preservation and monotonicity, through the test helpers."""
 
-    def test_monotone(self, domain, audit):
+    def test_monotone(self, domain):
         carrier = CarrierMap(domain, constant_delta)
-        assert audit("carrier", carrier, expect_monotone=True) == set()
+        assert monotonicity_breaks(carrier) == []
 
-    def test_non_monotone_detected(self, domain, audit):
+    def test_non_monotone_detected(self, domain):
         def delta(sigma):
             if sigma.dim == 0:
                 # A vertex maps to something NOT inside the edge images.
@@ -78,14 +79,45 @@ class TestStructuralChecks:
             return constant_delta(sigma)
 
         carrier = CarrierMap(domain, delta)
-        assert audit("carrier", carrier, expect_monotone=True) == {"AUD004"}
+        breaks = monotonicity_breaks(carrier)
+        # Each vertex breaks against its two edges and the triangle.
+        assert len(breaks) == 9
+        assert all(face.dim == 0 for face, _ in breaks)
 
-    def test_chromatic(self, domain, audit):
+    def test_chromatic(self, domain):
         carrier = CarrierMap(domain, constant_delta)
-        assert audit("carrier", carrier) == set()
+        assert name_leaks(carrier) == []
 
-    def test_non_chromatic_detected(self, domain, audit):
+    def test_non_chromatic_detected(self, domain):
         def delta(sigma):
             return SimplicialComplex.from_simplex(Simplex([(99, 0)]))
 
-        assert audit("carrier", CarrierMap(domain, delta)) == {"AUD003"}
+        carrier = CarrierMap(domain, delta)
+        assert name_leaks(carrier) == list(domain)
+
+    def test_name_leaks_flags_a_stray_process(self):
+        # Every image names process 3, which no simplex of the edge has.
+        sigma = Simplex([(1, "a"), (2, "b")])
+        domain = SimplicialComplex.from_simplex(sigma)
+        leaky = CarrierMap(
+            domain,
+            lambda s: SimplicialComplex([Simplex([(3, "stray")])]),
+            name="leaky",
+        )
+        assert name_leaks(leaky) == list(domain)
+
+    def test_monotonicity_breaks_flags_vertices_outgrowing_their_edge(self):
+        sigma = Simplex([(1, "a"), (2, "b")])
+        domain = SimplicialComplex.from_simplex(sigma)
+
+        def delta(simplex):
+            if simplex.dim == 1:
+                return SimplicialComplex([Simplex([(1, "x")])])
+            # Faces get an output the full simplex does not have.
+            color = simplex.vertices[0].color
+            return SimplicialComplex([Simplex([(color, "y")])])
+
+        shrinking = CarrierMap(domain, delta, name="shrinking")
+        breaks = monotonicity_breaks(shrinking)
+        assert sorted(face.vertices[0].color for face, _ in breaks) == [1, 2]
+        assert all(whole == sigma for _, whole in breaks)

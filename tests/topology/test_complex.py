@@ -63,6 +63,18 @@ class TestConstruction:
         assert trusted.simplices == two_triangles.simplices
         assert trusted.f_vector() == two_triangles.f_vector()
 
+    def test_non_maximal_family_differs_from_its_pruned_complex(
+        self, triangle
+    ):
+        # A broken `from_maximal` promise is visible to `==`, which the
+        # maximality gates (`tests.properties.is_maximal`) rely on.
+        face = triangle.proj([1, 2])
+        broken = SimplicialComplex.from_maximal([triangle, face])
+        assert SimplicialComplex(broken.facets) != broken
+        assert SimplicialComplex(broken.facets).facets == frozenset(
+            {triangle}
+        )
+
     def test_from_maximal_accepts_any_iterable(self, triangle):
         from_iter = SimplicialComplex.from_maximal(iter([triangle]))
         assert from_iter == SimplicialComplex([triangle])
