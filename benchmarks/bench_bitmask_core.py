@@ -10,9 +10,9 @@ PR: **at least 3× on each**.
 
 * *pruning*: the candidate family is every facet of ``P^(t)(σ)`` plus
   every proper face — the merge-heavy shape ``Ξ`` produces each round.
-  Mask side prunes encoded masks (the in-situ operation behind
-  ``proj``/``union``/``apply_complex``); reference side runs the seed
-  frozenset-bucket pass over the same simplices.
+  Mask side prunes encoded masks (the pass behind the
+  ``SimplicialComplex`` constructor and ``proj``); reference side runs
+  the seed frozenset-bucket pass over the same simplices.
 * *containment*: each repeat starts from a fresh facet family, builds
   the face index (submask walk vs eager face materialization) and
   answers a fixed probe batch.

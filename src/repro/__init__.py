@@ -49,7 +49,6 @@ from repro.topology import (
     Simplex,
     SimplicialComplex,
     CarrierMap,
-    canonical_isomorphism,
 )
 from repro.models import (
     CollectModel,
@@ -135,7 +134,6 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "CarrierMap",
-    "canonical_isomorphism",
     # models
     "CollectModel",
     "SnapshotModel",

@@ -57,7 +57,7 @@ def figure4_complex_and_map() -> tuple[SimplicialComplex, Optional[DecisionMap]]
     task = binary_consensus_task([1, 2])
     decision = find_decision_map(task, model, rounds=1)
     base = task.input_complex
-    protocol = model.protocol_complex(base, 1)
+    protocol = model.protocol_complex(base)
     return protocol, decision
 
 
@@ -73,9 +73,7 @@ def figure5_complex(
     inputs = dict(values or {1: "x1", 2: "x2", 3: "x3"})
     sigma = Simplex(inputs.items())
     model = AugmentedModel(TestAndSetBox())
-    complex_ = model.protocol_complex(
-        SimplicialComplex.from_simplex(sigma), 1
-    )
+    complex_ = model.protocol_complex(SimplicialComplex.from_simplex(sigma))
     full_participation = model.one_round_complex(sigma)
     solo_outcomes = {
         vertex.color: vertex.value[0]
@@ -154,9 +152,7 @@ def figure7_complex(
     model = AugmentedModel(
         BinaryConsensusBox(), beta_input_function(beta)
     )
-    complex_ = model.protocol_complex(
-        SimplicialComplex.from_simplex(sigma), 1
-    )
+    complex_ = model.protocol_complex(SimplicialComplex.from_simplex(sigma))
     removed_solo = {}
     for process, bit in beta.items():
         opposite = 1 - bit
@@ -187,9 +183,9 @@ def figure8_census(
     inputs = dict(values or {1: 1, 2: 2, 3: 3})
     sigma = Simplex(inputs.items())
     base = SimplicialComplex.from_simplex(sigma)
-    iis = ImmediateSnapshotModel().protocol_complex(base, 1)
-    snapshot = SnapshotModel().protocol_complex(base, 1)
-    collect = CollectModel().protocol_complex(base, 1)
+    iis = ImmediateSnapshotModel().protocol_complex(base)
+    snapshot = SnapshotModel().protocol_complex(base)
+    collect = CollectModel().protocol_complex(base)
     return {
         "immediate_snapshot": ComplexCensus.of(iis),
         "snapshot": ComplexCensus.of(snapshot),

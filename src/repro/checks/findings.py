@@ -39,12 +39,9 @@ def _path_key(path: str) -> tuple[str, int]:
 
     Lexicographic sorting of the raw path puts ``foo.py:10`` before
     ``foo.py:9``; the numeric split keeps findings in source order.
-    Paths without a line component sort by their text with line 0.
     """
-    base, sep, tail = path.rpartition(":")
-    if sep and tail.isdigit():
-        return base, int(tail)
-    return path, 0
+    base, _, line = path.rpartition(":")
+    return base, int(line)
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 from typing import (
     Callable,
     Collection,
@@ -227,17 +226,6 @@ class SolvabilityProblem:
     _expansion: Optional["_Expansion"] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def candidates(self) -> Mapping[Vertex, tuple[Vertex, ...]]:
-        """Allowed output vertices per protocol vertex (decoded, read-only)."""
-        outputs = self.outputs
-        return MappingProxyType(
-            {
-                vertex: tuple(outputs[bit] for bit in iter_bits(domain))
-                for vertex, domain in zip(self.vertices, self.domains)
-            }
-        )
 
     @property
     def constraints(self) -> Sequence[_Constraint]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
-from repro.errors import ModelError
 from repro.models.schedules import OneRoundSchedule, distinct_schedules
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
@@ -111,26 +110,18 @@ class ComputationModel(ABC):
     # ------------------------------------------------------------------
     # Derived operations
     # ------------------------------------------------------------------
-    def protocol_complex(
-        self, base: SimplicialComplex, rounds: int
-    ) -> SimplicialComplex:
-        """Apply the one-round operator ``Ξ`` to a complex, ``rounds`` times.
+    def protocol_complex(self, base: SimplicialComplex) -> SimplicialComplex:
+        """Apply the one-round operator ``Ξ`` to a complex once.
 
         ``Ξ(K)`` is the union of ``P^(1)(σ)`` over every simplex ``σ ∈ K``
-        (Section 2.2).
+        (Section 2.2).  :class:`~repro.models.protocol.ProtocolOperator`
+        iterates it ``t`` times.
         """
-        if rounds < 0:
-            raise ModelError(f"rounds must be non-negative, got {rounds}")
-        current = base
-        for _ in range(rounds):
-            pieces = [
-                self.one_round_complex(simplex) for simplex in current
-            ]
-            merged = SimplicialComplex(
-                facet for piece in pieces for facet in piece.facets
-            )
-            current = merged
-        return current
+        return SimplicialComplex(
+            facet
+            for simplex in base
+            for facet in self.one_round_complex(simplex).facets
+        )
 
     def allows_solo_executions(self, ids: Iterable[int]) -> bool:
         """Check the speedup theorem's hypothesis on a participant set.

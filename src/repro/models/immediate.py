@@ -36,4 +36,4 @@ def standard_chromatic_subdivision(sigma: Simplex) -> SimplicialComplex:
     including its subdivided boundary.
     """
     model = ImmediateSnapshotModel()
-    return model.protocol_complex(SimplicialComplex.from_simplex(sigma), 1)
+    return model.protocol_complex(SimplicialComplex.from_simplex(sigma))

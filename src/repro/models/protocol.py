@@ -243,7 +243,7 @@ class ProtocolOperator:
                     rounds=rounds,
                 ):
                     previous = self.of_simplex(sigma, rounds - 1)
-                    found = self._model.protocol_complex(previous, 1)
+                    found = self._model.protocol_complex(previous)
             self._simplex_cache[key] = found
         else:
             _OF_SIMPLEX_STATS.hit()

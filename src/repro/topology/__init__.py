@@ -1,9 +1,10 @@
 """Chromatic combinatorial topology substrate.
 
 This subpackage implements the topological language of the paper
-(Appendix A.1): chromatic simplicial complexes, carrier maps, the
-canonical isomorphism χ between one-round complexes (Eq. (1)), and
-connectivity analysis of 1-skeletons.
+(Appendix A.1): chromatic simplicial complexes, carrier maps, and
+connectivity analysis of 1-skeletons.  The canonical isomorphism χ
+between one-round complexes (Eq. (1)) is not here: it is the input
+relabelling of a protocol template (:mod:`repro.models.protocol`).
 
 Everything here is plain combinatorics over immutable value objects: a
 *vertex* is a pair ``(color, value)``, a *simplex* is a set of vertices with
@@ -16,10 +17,6 @@ from repro.topology.views import View
 from repro.topology.simplex import Simplex
 from repro.topology.complex import SimplicialComplex
 from repro.topology.carrier import CarrierMap
-from repro.topology.isomorphism import (
-    canonical_isomorphism,
-    relabel_complex,
-)
 from repro.topology.structure import (
     boundary_complex,
     is_pseudomanifold,
@@ -29,7 +26,6 @@ from repro.topology.connectivity import (
     connected_components,
     is_connected,
     one_skeleton_adjacency,
-    shortest_path,
 )
 from repro.topology.table import (
     VertexTable,
@@ -44,12 +40,9 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "CarrierMap",
-    "canonical_isomorphism",
-    "relabel_complex",
     "connected_components",
     "is_connected",
     "one_skeleton_adjacency",
-    "shortest_path",
     "value_sort_key",
     "boundary_complex",
     "is_pseudomanifold",

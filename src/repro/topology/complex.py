@@ -6,12 +6,11 @@ A complex is a non-empty-set family closed under taking non-empty subsets
 bitmasks over an interned, canonically sorted
 :class:`~repro.topology.table.VertexTable`: subset tests become
 ``sub & sup == sub``, inclusion-maximality pruning becomes a sweep of
-integer comparisons, and projection/union/intersection are bitwise
-passes over one ``int`` per facet.  This is what keeps the
-``13^t``-facet protocol complexes of the round-expansion blow-up
-tractable — the object-set reference semantics (retained in
-:mod:`repro.topology.reference` and cross-checked by its parity tests)
-are unchanged.
+integer comparisons, and projection is a bitwise pass over one ``int``
+per facet.  This is what keeps the ``13^t``-facet protocol complexes of
+the round-expansion blow-up tractable — the object-set reference
+semantics (retained in :mod:`repro.topology.reference` and
+cross-checked by its parity tests) are unchanged.
 
 ``Simplex`` objects are materialized lazily, only at API boundaries
 (``facets``, ``simplices``, iteration, sorted accessors): a complex
@@ -77,18 +76,6 @@ def _remap_mask(mask: int, bit_map: list[int]) -> int:
     return remapped
 
 
-def _merge_tables(
-    left: VertexTable, right: VertexTable
-) -> tuple[VertexTable, list[int], list[int]]:
-    """The canonical table over both vertex sets, plus per-side bit maps."""
-    vertices = set(left.vertices) | set(right.vertices)
-    ordered = sorted(vertices, key=lambda v: v._sort_key())
-    merged = VertexTable.interned_of(ordered)
-    left_map = [1 << merged.index_of(v) for v in left.vertices]
-    right_map = [1 << merged.index_of(v) for v in right.vertices]
-    return merged, left_map, right_map
-
-
 def _unpickle_complex(facets: frozenset) -> "SimplicialComplex":
     return SimplicialComplex.from_maximal(facets)
 
@@ -104,8 +91,8 @@ class SimplicialComplex:
 
     Notes
     -----
-    The empty complex (no simplices) is allowed and useful as an identity
-    for unions; most topological accessors treat it naturally.
+    The empty complex (no simplices) is allowed; most topological
+    accessors treat it naturally.
 
     Internal state — two births, one invariant set:
 
@@ -418,55 +405,6 @@ class SimplicialComplex:
         return SimplicialComplex._from_masks(
             table, _prune_masks(projected)
         )
-
-    def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        """The complex whose simplices are the union of both families."""
-        if other.is_empty():
-            return self
-        if self.is_empty():
-            return other
-        table, masks = self._ensure_index()
-        other_table, other_masks = other._ensure_index()
-        if table is other_table:
-            merged: set[int] = set(masks) | set(other_masks)
-        else:
-            table, left_map, right_map = _merge_tables(
-                table, other_table
-            )
-            merged = {_remap_mask(mask, left_map) for mask in masks}
-            merged.update(
-                _remap_mask(mask, right_map) for mask in other_masks
-            )
-        return SimplicialComplex._from_masks(table, _prune_masks(merged))
-
-    def intersection(
-        self, other: "SimplicialComplex"
-    ) -> "SimplicialComplex":
-        """The complex whose simplices belong to both complexes.
-
-        A maximal common face is always the intersection of a facet of
-        each side, so the pairwise ANDs generate the whole family.
-        """
-        table, masks = self._ensure_index()
-        other_table, other_masks = other._ensure_index()
-        if table is other_table:
-            left: Iterable[int] = masks
-            right: Iterable[int] = other_masks
-        else:
-            table, left_map, right_map = _merge_tables(
-                table, other_table
-            )
-            left = [_remap_mask(mask, left_map) for mask in masks]
-            right = [_remap_mask(mask, right_map) for mask in other_masks]
-        pieces: set[int] = set()
-        for mask in left:
-            for other_mask in right:
-                shared = mask & other_mask
-                if shared:
-                    pieces.add(shared)
-        if not pieces:
-            return SimplicialComplex.empty()
-        return SimplicialComplex._from_masks(table, _prune_masks(pieces))
 
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """All simplices of dimension exactly ``k``, sorted."""

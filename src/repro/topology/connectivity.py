@@ -3,13 +3,12 @@
 The consensus impossibility proof (Corollary 1) walks a *path* of edges in
 the one-round protocol complex ``P^(1)(τ)`` and uses the fact that a
 simplicial map sends connected complexes to connected complexes.  This module
-provides the 1-skeleton graph of a complex, connected components, and
-shortest paths.
+provides the 1-skeleton graph of a complex and its connected components.
 
-Adjacency and shortest paths are plain object-set algorithms over the
-facets.  Components come from :func:`~repro.topology.table.mask_components`
-on the complex's ``(table, facet masks)`` index, the union-find the solver
-also uses.  Every result is ordered by the canonical vertex order
+Adjacency is a plain object-set algorithm over the facets.  Components
+come from :func:`~repro.topology.table.mask_components` on the complex's
+``(table, facet masks)`` index, the union-find the solver also uses.
+Every result is ordered by the canonical vertex order
 (``sorted_vertices()``), so outputs are deterministic by construction.
 
 :func:`farthest_facet` is the solver's core choice.  It runs on the
@@ -21,7 +20,7 @@ one mask.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -32,7 +31,6 @@ __all__ = [
     "one_skeleton_adjacency",
     "connected_components",
     "is_connected",
-    "shortest_path",
     "farthest_facet",
 ]
 
@@ -79,42 +77,6 @@ def is_connected(complex_: SimplicialComplex) -> bool:
         return False
     table, masks = complex_._ensure_index()
     return len(mask_components(masks, len(table))) == 1
-
-
-def shortest_path(
-    complex_: SimplicialComplex, start: Vertex, goal: Vertex
-) -> Optional[list[Vertex]]:
-    """A shortest vertex path between two vertices, or ``None``.
-
-    The path includes both endpoints; a vertex connected to itself yields the
-    singleton path.  Ties between equally short paths break toward
-    smaller vertices: each BFS level is expanded in canonical vertex
-    order, and a vertex's parent is the first vertex of the previous
-    level that reaches it.
-    """
-    adjacency = one_skeleton_adjacency(complex_)
-    if start not in adjacency or goal not in adjacency:
-        return None
-    if start == goal:
-        return [start]
-    rank = {vertex: index for index, vertex in enumerate(adjacency)}
-    parents = {start: start}
-    frontier = [start]
-    while frontier and goal not in parents:
-        reached: list[Vertex] = []
-        for current in sorted(frontier, key=rank.__getitem__):
-            for neighbor in adjacency[current]:
-                if neighbor not in parents:
-                    parents[neighbor] = current
-                    reached.append(neighbor)
-        frontier = reached
-    if goal not in parents:
-        return None
-    path = [goal]
-    while path[-1] != start:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
 
 
 def farthest_facet(

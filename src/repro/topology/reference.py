@@ -2,11 +2,11 @@
 
 These are the pre-bitmask algorithms of
 :class:`~repro.topology.complex.SimplicialComplex` for the operations
-the hot paths use — pruning, containment, projection, union,
-intersection and the f-vector — retained verbatim in spirit: every
-function works on plain ``Simplex``/``Vertex`` sets with ``frozenset``
-subset tests and materialized face families, exactly as the seed
-implementation did.  They exist for two reasons:
+the hot paths use — pruning, containment, projection and the f-vector
+— retained verbatim in spirit: every function works on plain
+``Simplex``/``Vertex`` sets with ``frozenset`` subset tests and
+materialized face families, exactly as the seed implementation did.
+They exist for two reasons:
 
 * the property tests in ``tests/topology/test_bitmask_core.py`` assert
   bitmask results equal reference results on randomized complexes and
@@ -14,9 +14,11 @@ implementation did.  They exist for two reasons:
 * ``benchmarks/bench_bitmask_core.py`` uses them as the before-side of
   the facet-pruning and containment-test timings.
 
-Connectivity and structural invariants have no reference here: their
-one implementation (:mod:`repro.topology.connectivity`,
-:mod:`repro.topology.structure`) is already the object-set algorithm.
+Connectivity and structural invariants have no reference here.
+:func:`~repro.topology.connectivity.one_skeleton_adjacency` is the
+object-set 1-skeleton that the mask kernel
+:func:`~repro.topology.connectivity.farthest_facet` is tested against,
+and :mod:`repro.topology.structure` is object-set already.
 
 Functions take and return facet families (iterables / frozensets of
 :class:`Simplex`), not complexes, so they cannot accidentally call back
@@ -35,8 +37,6 @@ __all__ = [
     "faces_reference",
     "contains_reference",
     "proj_reference",
-    "union_reference",
-    "intersection_reference",
     "f_vector_reference",
 ]
 
@@ -100,25 +100,6 @@ def proj_reference(
         if shared:
             projected.append(facet.proj(shared))
     return prune_reference(projected)
-
-
-def union_reference(
-    left: Iterable[Simplex], right: Iterable[Simplex]
-) -> frozenset[Simplex]:
-    """Facets of the union of two facet families (seed ``union``)."""
-    return prune_reference(list(left) + list(right))
-
-
-def intersection_reference(
-    left: Iterable[Simplex], right: Iterable[Simplex]
-) -> frozenset[Simplex]:
-    """Facets of the intersection (seed ``intersection``).
-
-    Materializes both full face sets and prunes their overlap — the
-    seed's exact (and exactly as expensive) strategy.
-    """
-    shared = faces_reference(left) & faces_reference(right)
-    return prune_reference(shared)
 
 
 def f_vector_reference(

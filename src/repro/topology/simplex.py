@@ -186,16 +186,6 @@ class Simplex:
         """``True`` iff every vertex of this simplex belongs to ``other``."""
         return all(vertex in other for vertex in self._vertices)
 
-    def union(self, other: "Simplex") -> "Simplex":
-        """The chromatic union of two compatible simplices.
-
-        Raises
-        ------
-        ChromaticityError
-            If the simplices disagree on the value of a shared color.
-        """
-        return Simplex(self._vertices + other._vertices)
-
     # ------------------------------------------------------------------
     # Value-object plumbing
     # ------------------------------------------------------------------

@@ -127,13 +127,6 @@ class View:
         """The values of the view, in color order."""
         return tuple(value for _, value in self._items)
 
-    def restrict(self, colors: Iterable[int]) -> "View":
-        """Return the sub-view containing only the given colors."""
-        keep = set(colors)
-        return View(
-            (color, value) for color, value in self._items if color in keep
-        )
-
     def vertices(self) -> tuple[Vertex, ...]:
         """Return the view's pairs as :class:`Vertex` objects."""
         return tuple(Vertex(color, value) for color, value in self._items)

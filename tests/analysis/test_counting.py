@@ -2,11 +2,12 @@
 
 from repro.analysis import per_color_census
 from repro.analysis.counting import ComplexCensus
+from repro.models import ProtocolOperator
 from repro.topology import SimplicialComplex
 
 
 def _protocol(model, sigma, rounds=1):
-    return model.protocol_complex(SimplicialComplex.from_simplex(sigma), rounds)
+    return ProtocolOperator(model).of_simplex(sigma, rounds)
 
 
 class TestComplexCensus:

@@ -28,15 +28,6 @@ class TestSortFindings:
         second = finding("src/x.py:3", message="b")
         assert sort_findings([second, first]) == [first, second]
 
-    def test_audit_target_paths_sort_by_text(self):
-        targets = [
-            finding("E7/task[x]/I", rule="AUD001"),
-            finding("E10/task[x]/I", rule="AUD001"),
-        ]
-        assert sort_findings(targets) == sorted(
-            targets, key=lambda f: f.path
-        )
-
     def test_idempotent_and_input_order_independent(self):
         findings = [
             finding("src/x.py:10"),

@@ -181,7 +181,7 @@ class TestProblemCompilation:
             1,
         )
         # Candidate domains are non-empty (the search fails later).
-        assert all(problem.candidates.values())
+        assert all(problem.domains)
         assert problem.solve() is None
 
     def test_candidates_are_color_preserving(self, iis):
@@ -193,8 +193,11 @@ class TestProblemCompilation:
             operator,
             1,
         )
-        for vertex, domain in problem.candidates.items():
-            assert all(image.color == vertex.color for image in domain)
+        for vertex, domain in zip(problem.vertices, problem.domains):
+            assert all(
+                problem.outputs[bit].color == vertex.color
+                for bit in iter_bits(domain)
+            )
 
 
 class TestProblemConstruction:
@@ -229,7 +232,7 @@ class TestProblemConstruction:
         problem = SolvabilityProblem(*self._tables(compiled), 3)
         assert problem.rounds == 3
         assert problem.last_search_nodes == 0
-        assert problem.candidates == compiled.candidates
+        assert self._tables(problem) == self._tables(compiled)
         assert list(problem.constraints) == list(compiled.constraints)
 
     def test_no_fourth_positional_parameter(self, iis):

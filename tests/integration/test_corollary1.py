@@ -17,8 +17,8 @@ from repro.core import (
 )
 from repro.tasks import binary_consensus_task
 from repro.tasks.inputs import input_simplex
-from repro.topology import Vertex, View
-from repro.topology.connectivity import shortest_path
+from repro.topology import SimplicialComplex, Vertex, View
+from repro.topology.connectivity import is_connected
 
 
 class TestCorollary1:
@@ -51,19 +51,19 @@ class TestCorollary1:
     def test_path_argument(self, iis):
         # The proof of Corollary 1 walks the 3-edge path between the two
         # solo vertices of P^(1)(τ); its existence is what forces equal
-        # outputs.  τ = {(1, 0), (2, 1)}.
+        # outputs.  τ = {(1, 0), (2, 1)}.  A connected complex of 4
+        # vertices and 3 edges whose two solo vertices lie in one edge
+        # each, and the other two vertices in two, is that path.
         tau = input_simplex({1: 0, 2: 1})
-        complex_ = iis.protocol_complex(
-            __import__(
-                "repro.topology", fromlist=["SimplicialComplex"]
-            ).SimplicialComplex.from_simplex(tau),
-            1,
-        )
-        start = Vertex(1, View({1: 0}))
-        goal = Vertex(2, View({2: 1}))
-        path = shortest_path(complex_, start, goal)
-        assert path is not None
-        assert len(path) == 4  # three edges, as in the paper
+        complex_ = iis.protocol_complex(SimplicialComplex.from_simplex(tau))
+        solos = {Vertex(1, View({1: 0})), Vertex(2, View({2: 1}))}
+        assert len(complex_.vertices) == 4
+        assert len(complex_.facets) == 3
+        assert all(facet.dim == 1 for facet in complex_.facets)
+        assert is_connected(complex_)
+        for vertex in complex_.vertices:
+            edges = sum(vertex in facet for facet in complex_.facets)
+            assert edges == (1 if vertex in solos else 2)
 
     def test_uniform_inputs_remain_forced_in_closure(self, iis):
         task = binary_consensus_task([1, 2])

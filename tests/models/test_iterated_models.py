@@ -3,6 +3,7 @@
 
 from repro.models import (
     ImmediateSnapshotModel,
+    ProtocolOperator,
     standard_chromatic_subdivision,
 )
 from repro.topology import Simplex, SimplicialComplex, Vertex, View
@@ -65,15 +66,15 @@ class TestImmediateSnapshot:
 class TestModelHierarchy:
     def test_facet_counts_fig8(self, iis, snapshot_model, collect_model, triangle):
         base = SimplicialComplex.from_simplex(triangle)
-        assert len(iis.protocol_complex(base, 1).facets) == 13
-        assert len(snapshot_model.protocol_complex(base, 1).facets) == 19
-        assert len(collect_model.protocol_complex(base, 1).facets) == 25
+        assert len(iis.protocol_complex(base).facets) == 13
+        assert len(snapshot_model.protocol_complex(base).facets) == 19
+        assert len(collect_model.protocol_complex(base).facets) == 25
 
     def test_strict_inclusions(self, iis, snapshot_model, collect_model, triangle):
         base = SimplicialComplex.from_simplex(triangle)
-        small = iis.protocol_complex(base, 1)
-        middle = snapshot_model.protocol_complex(base, 1)
-        large = collect_model.protocol_complex(base, 1)
+        small = iis.protocol_complex(base)
+        middle = snapshot_model.protocol_complex(base)
+        large = collect_model.protocol_complex(base)
         assert small.simplices < middle.simplices
         assert middle.simplices < large.simplices
 
@@ -84,9 +85,9 @@ class TestModelHierarchy:
         # the simplices differ.
         base = SimplicialComplex.from_simplex(triangle)
         assert (
-            iis.protocol_complex(base, 1).vertices
-            == snapshot_model.protocol_complex(base, 1).vertices
-            == collect_model.protocol_complex(base, 1).vertices
+            iis.protocol_complex(base).vertices
+            == snapshot_model.protocol_complex(base).vertices
+            == collect_model.protocol_complex(base).vertices
         )
 
     def test_models_coincide_for_two_processes(
@@ -105,20 +106,18 @@ class TestModelHierarchy:
 
 class TestIteration:
     def test_two_round_iis_facets(self, iis, triangle):
-        base = SimplicialComplex.from_simplex(triangle)
-        assert len(iis.protocol_complex(base, 2).facets) == 13 * 13
+        two = ProtocolOperator(iis).of_simplex(triangle, 2)
+        assert len(two.facets) == 13 * 13
 
     def test_two_round_edge(self, iis, edge):
-        base = SimplicialComplex.from_simplex(edge)
-        assert len(iis.protocol_complex(base, 2).facets) == 9
+        assert len(ProtocolOperator(iis).of_simplex(edge, 2).facets) == 9
 
     def test_zero_rounds_is_identity(self, iis, triangle):
         base = SimplicialComplex.from_simplex(triangle)
-        assert iis.protocol_complex(base, 0) == base
+        assert ProtocolOperator(iis).of_simplex(triangle, 0) == base
 
     def test_round_values_nest(self, iis, edge):
-        base = SimplicialComplex.from_simplex(edge)
-        two = iis.protocol_complex(base, 2)
+        two = ProtocolOperator(iis).of_simplex(edge, 2)
         vertex = next(iter(two.vertices))
         assert isinstance(vertex.value, View)
         inner = next(iter(vertex.value.values()))

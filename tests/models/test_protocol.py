@@ -33,7 +33,7 @@ class TestOfSimplex:
     def test_one_round_matches_model(self, operator, iis, triangle):
         # Ξ over σ̄ = the full subdivided simplex (faces included).
         expected = iis.protocol_complex(
-            SimplicialComplex.from_simplex(triangle), 1
+            SimplicialComplex.from_simplex(triangle)
         )
         assert operator.of_simplex(triangle, 1) == expected
 
@@ -58,10 +58,6 @@ class TestNegativeRounds:
                 triangle, -1
             )
 
-    def test_protocol_complex_raises_model_error(self, iis, triangle):
-        with pytest.raises(ModelError):
-            iis.protocol_complex(SimplicialComplex.from_simplex(triangle), -2)
-
 
 def _decoded(operator, sigma, rounds):
     keys = operator.template(sigma, rounds).keys(sigma)
@@ -71,18 +67,24 @@ def _decoded(operator, sigma, rounds):
 class TestTemplate:
     @pytest.mark.parametrize("rounds", [0, 1, 2])
     def test_relabelled_template_is_the_protocol_complex(
-        self, operator, rounds
+        self, iis, iis_tas, rounds
     ):
+        # The canonical isomorphism χ of Eq. (1): the template expanded
+        # from ``first`` and relabelled with ``other``'s inputs is
+        # P^(t)(other), also for IIS+t&s's (box output, View) values.
         first = input_simplex({1: "a", 2: "b", 3: "c"})
         other = input_simplex({1: "c", 2: "c", 3: 0})
-        operator.template(first, rounds)
-        template = operator.template(other, rounds)
-        vertices = _decoded(operator, other, rounds)
-        protocol = operator.of_simplex(other, rounds)
-        assert set(vertices) == protocol.vertices
-        assert {
-            Simplex(vertices[k] for k in facet) for facet in template.facets
-        } == protocol.facets
+        for model in (iis, iis_tas):
+            operator = ProtocolOperator(model)
+            template = operator.template(first, rounds)
+            assert operator.template(other, rounds) is template
+            vertices = _decoded(operator, other, rounds)
+            protocol = operator.of_simplex(other, rounds)
+            assert set(vertices) == protocol.vertices
+            assert {
+                Simplex(vertices[k] for k in facet)
+                for facet in template.facets
+            } == protocol.facets
 
     def test_one_template_per_shape_key(self, operator):
         first = operator.template(input_simplex({1: 0, 2: 1}), 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.models import ProtocolOperator
 from repro.objects import (
     AugmentedModel,
     BinaryConsensusBox,
@@ -28,7 +29,7 @@ class TestConstruction:
 class TestTestAndSetComplex:
     def test_fig5_counts(self, iis_tas, triangle):
         complex_ = iis_tas.protocol_complex(
-            SimplicialComplex.from_simplex(triangle), 1
+            SimplicialComplex.from_simplex(triangle)
         )
         # Fig. 5: 21 vertices, 7 per color.
         assert len(complex_.vertices) == 21
@@ -42,7 +43,7 @@ class TestTestAndSetComplex:
 
     def test_solo_views_always_win(self, iis_tas, triangle):
         complex_ = iis_tas.protocol_complex(
-            SimplicialComplex.from_simplex(triangle), 1
+            SimplicialComplex.from_simplex(triangle)
         )
         for vertex in complex_.vertices:
             bit, view = vertex.value
@@ -64,7 +65,7 @@ class TestTestAndSetComplex:
 class TestBinaryConsensusComplex:
     def test_fig7_structure(self, iis_bc_beta011, triangle):
         complex_ = iis_bc_beta011.protocol_complex(
-            SimplicialComplex.from_simplex(triangle), 1
+            SimplicialComplex.from_simplex(triangle)
         )
         # Process 1 calls with 0: its solo vertex with output 1 is absent.
         assert (
@@ -93,9 +94,7 @@ class TestBinaryConsensusComplex:
 
 class TestMultiRound:
     def test_two_round_augmented_values_nest(self, iis_tas, edge):
-        two = iis_tas.protocol_complex(
-            SimplicialComplex.from_simplex(edge), 2
-        )
+        two = ProtocolOperator(iis_tas).of_simplex(edge, 2)
         vertex = next(iter(two.vertices))
         bit, view = vertex.value
         assert bit in (0, 1)

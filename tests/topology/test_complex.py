@@ -121,14 +121,6 @@ class TestDerivedComplexes:
     def test_proj_to_absent_color_is_empty(self, two_triangles):
         assert two_triangles.proj([9]).is_empty()
 
-    def test_union_and_intersection(self, triangle):
-        left = SimplicialComplex.from_simplex(triangle.proj([1, 2]))
-        right = SimplicialComplex.from_simplex(triangle.proj([2, 3]))
-        union = left.union(right)
-        assert len(union.facets) == 2
-        shared = left.intersection(right)
-        assert shared.facets == frozenset({triangle.proj([2])})
-
     def test_vertices_of_color(self, two_triangles):
         assert len(two_triangles.vertices_of_color(3)) == 2
         assert two_triangles.vertices_of_color(9) == []

@@ -11,7 +11,6 @@ from repro.topology.connectivity import (
     connected_components,
     is_connected,
     one_skeleton_adjacency,
-    shortest_path,
 )
 
 
@@ -86,53 +85,6 @@ class TestComponents:
 
     def test_subdivision_is_connected(self, iis, triangle):
         assert is_connected(iis.one_round_complex(triangle))
-
-
-class TestPaths:
-    def test_shortest_path_endpoints(self, path_complex):
-        path = shortest_path(
-            path_complex, Vertex(1, "s"), Vertex(2, "t")
-        )
-        assert path is not None
-        assert path[0] == Vertex(1, "s")
-        assert path[-1] == Vertex(2, "t")
-        assert len(path) == 4  # s - m1 - m2 - t
-
-    def test_no_path_across_components(self, disconnected):
-        assert (
-            shortest_path(disconnected, Vertex(1, "a"), Vertex(2, "b"))
-            is None
-        )
-
-    def test_trivial_path(self, path_complex):
-        assert shortest_path(
-            path_complex, Vertex(1, "s"), Vertex(1, "s")
-        ) == [Vertex(1, "s")]
-
-    def test_unknown_vertex(self, path_complex):
-        assert (
-            shortest_path(path_complex, Vertex(9, "?"), Vertex(1, "s"))
-            is None
-        )
-
-    def test_ties_break_toward_the_smaller_vertex(self):
-        # A 4-cycle s–a–t, s–b–t with a < b: both routes have length 2.
-        s_, a, b, t = (
-            Vertex(1, "s"), Vertex(2, "a"), Vertex(2, "b"), Vertex(1, "t")
-        )
-        complex_ = SimplicialComplex(
-            Simplex(edge) for edge in ([s_, a], [s_, b], [a, t], [b, t])
-        )
-        assert a._sort_key() < b._sort_key()
-        assert shortest_path(complex_, s_, t) == [s_, a, t]
-
-    def test_consecutive_path_vertices_are_adjacent(self, iis, triangle):
-        complex_ = iis.one_round_complex(triangle)
-        vertices = complex_.sorted_vertices()
-        path = shortest_path(complex_, vertices[0], vertices[-1])
-        adjacency = one_skeleton_adjacency(complex_)
-        for left, right in zip(path, path[1:]):
-            assert right in adjacency[left]
 
 
 class TestDeterminism:

@@ -90,15 +90,6 @@ class TestFacesAndProjections:
         assert triangle.proj([1]).is_face_of(triangle)
         assert not triangle.is_face_of(triangle.proj([1, 2]))
 
-    def test_union_compatible(self):
-        left = Simplex([(1, "a")])
-        right = Simplex([(2, "b")])
-        assert left.union(right).ids == frozenset({1, 2})
-
-    def test_union_conflict_rejected(self):
-        with pytest.raises(ChromaticityError):
-            Simplex([(1, "a")]).union(Simplex([(1, "b")]))
-
 
 class TestSimplexEquality:
     def test_order_insensitive(self):

@@ -75,7 +75,7 @@ class TestPseudomanifold:
         # The snapshot one-round complex is NOT a subdivision: extra
         # facets overlap, breaking the two-per-ridge condition.
         complex_ = snapshot_model.protocol_complex(
-            SimplicialComplex.from_simplex(triangle), 1
+            SimplicialComplex.from_simplex(triangle)
         )
         assert not is_pseudomanifold(complex_)
 
@@ -98,7 +98,7 @@ class TestBoundary:
             for face in triangle.proper_faces()
             if face.dim == 1
             for facet in iis.protocol_complex(
-                SimplicialComplex.from_simplex(face), 1
+                SimplicialComplex.from_simplex(face)
             ).facets
         )
         assert boundary.simplices == expected.simplices
@@ -123,7 +123,7 @@ class TestJoin:
         (left,) = iis.one_round_complex(Simplex([(1, "a")])).vertices
         (right,) = iis.one_round_complex(Simplex([(2, "b")])).vertices
         full = iis.protocol_complex(
-            SimplicialComplex.from_simplex(Simplex([(1, "a"), (2, "b")])), 1
+            SimplicialComplex.from_simplex(Simplex([(1, "a"), (2, "b")]))
         )
         # The join of the two solo complexes is this one edge.
         both_solo = Simplex([left, right])

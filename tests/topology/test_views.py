@@ -54,11 +54,6 @@ class TestViewAccessors:
     def test_values_in_color_order(self):
         assert View({2: "b", 1: "a"}).values() == ("a", "b")
 
-    def test_restrict(self):
-        view = View({1: "a", 2: "b", 3: "c"})
-        assert view.restrict([1, 3]).ids == frozenset({1, 3})
-        assert view.restrict([]).ids == frozenset()
-
     def test_vertices(self):
         vertices = View({1: "a", 2: "b"}).vertices()
         assert vertices == (Vertex(1, "a"), Vertex(2, "b"))
@@ -98,7 +93,7 @@ class TestViewInterning:
 
     def test_derived_views_are_interned(self):
         view = View({1: "a", 2: "b"})
-        assert view.restrict([1]) is View({1: "a"})
+        assert View(view.items[:1]) is View({1: "a"})
 
     def test_equal_values_of_different_types_stay_distinct(self):
         as_bool, as_int = View({1: True}), View({1: 1})
