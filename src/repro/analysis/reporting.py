@@ -40,8 +40,8 @@ def render_rows(
 ) -> str:
     """Render arbitrary cell rows as a fixed-width table with a title line.
 
-    The generic engine behind :func:`render_table`; ``repro check
-    --lint`` reuses it for its finding reports.
+    The generic engine behind :func:`render_table`; the chaos report
+    and ``repro trace summarize`` reuse it.
     """
     materialized: list[Sequence[str]] = [tuple(headers)]
     materialized.extend(tuple(row) for row in rows)

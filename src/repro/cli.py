@@ -7,7 +7,6 @@ Exposes the library's headline computations without writing Python::
     repro closure --n 3 --eps 1/4 --m 4 --liberal --model tas
     repro bounds --eps 1/8 --n 3
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
-    repro check --lint src/           # repo-specific AST lint (RPR rules)
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
 
@@ -21,9 +20,7 @@ repro-trace JSON (see docs/OBSERVABILITY.md)::
 ``trace summarize`` validates the whole artifact first and rejects a
 malformed one with one ``invalid trace …`` line (exit 1); ``chaos
 --replay`` does the same for a fault trace it cannot replay (``cannot
-load trace …``).  ``check --lint`` exits 1 on any finding, and on a
-path that is neither a directory nor a ``.py`` file; ``check`` without
-``--lint`` is a usage error.  Library errors (bad task parameters, unknown
+load trace …``).  Library errors (bad task parameters, unknown
 experiment ids) print one ``error: …`` line and exit 1; malformed option
 values are usage errors (exit 2), and so are abbreviated option names
 (``--t 5`` does not mean ``--trace 5``).  Also available as ``python -m
@@ -300,19 +297,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.checks import lint_report, render_text
-
-    if args.lint is None:
-        # Not `required=True`: argparse would then report a leftover
-        # `--all` or experiment id as a missing --lint, not as the
-        # unrecognized argument it is.
-        args.usage_error("the following arguments are required: --lint")
-    report = lint_report(args.lint)
-    print(render_text(report))
-    return 0 if report.is_clean() else 1
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from pprint import pformat
 
@@ -485,24 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arguments(p)
 
     p = sub.add_parser(
-        "check",
-        help="static analysis: lint sources with the repo's RPR rules",
-        description=(
-            "Run the repo-specific AST lint (RPR rules: interning safety, "
-            "exception hygiene on solver hot paths, no ambient "
-            "nondeterminism in the pure packages).  Any finding exits 1."
-        ),
-    )
-    p.add_argument(
-        "--lint",
-        nargs="+",
-        metavar="PATH",
-        help="lint the given files/directories with the RPR rules "
-        "(required)",
-    )
-    p.set_defaults(usage_error=p.error)
-
-    p = sub.add_parser(
         "trace",
         help="inspect recorded telemetry trace artifacts",
         description=(
@@ -618,7 +584,6 @@ _COMMANDS = {
     "bounds": _cmd_bounds,
     "run": _cmd_run,
     "experiment": _cmd_experiment,
-    "check": _cmd_check,
     "chaos": _cmd_chaos,
     "trace": _cmd_trace,
 }

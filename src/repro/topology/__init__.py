@@ -25,7 +25,6 @@ from repro.topology.structure import (
 from repro.topology.connectivity import (
     connected_components,
     is_connected,
-    one_skeleton_adjacency,
 )
 from repro.topology.table import (
     VertexTable,
@@ -42,7 +41,6 @@ __all__ = [
     "CarrierMap",
     "connected_components",
     "is_connected",
-    "one_skeleton_adjacency",
     "value_sort_key",
     "boundary_complex",
     "is_pseudomanifold",

@@ -9,7 +9,7 @@ bitmasks over an interned, canonically sorted
 integer comparisons, and projection is a bitwise pass over one ``int``
 per facet.  This is what keeps the ``13^t``-facet protocol complexes of
 the round-expansion blow-up tractable — the object-set reference
-semantics (retained in :mod:`repro.topology.reference` and
+semantics (retained in ``tests/topology/reference.py`` and
 cross-checked by its parity tests) are unchanged.
 
 ``Simplex`` objects are materialized lazily, only at API boundaries

@@ -3,12 +3,11 @@
 The consensus impossibility proof (Corollary 1) walks a *path* of edges in
 the one-round protocol complex ``P^(1)(τ)`` and uses the fact that a
 simplicial map sends connected complexes to connected complexes.  This module
-provides the 1-skeleton graph of a complex and its connected components.
+provides the connected components of a complex's 1-skeleton.
 
-Adjacency is a plain object-set algorithm over the facets.  Components
-come from :func:`~repro.topology.table.mask_components` on the complex's
-``(table, facet masks)`` index, the union-find the solver also uses.
-Every result is ordered by the canonical vertex order
+Components come from :func:`~repro.topology.table.mask_components` on
+the complex's ``(table, facet masks)`` index, the union-find the solver
+also uses.  Every result is ordered by the canonical vertex order
 (``sorted_vertices()``), so outputs are deterministic by construction.
 
 :func:`farthest_facet` is the solver's core choice.  It runs on the
@@ -28,30 +27,10 @@ from repro.topology.table import iter_bits, mask_components, popcount
 from repro.topology.vertex import Vertex
 
 __all__ = [
-    "one_skeleton_adjacency",
     "connected_components",
     "is_connected",
     "farthest_facet",
 ]
-
-
-def one_skeleton_adjacency(
-    complex_: SimplicialComplex,
-) -> dict[Vertex, set[Vertex]]:
-    """The adjacency structure of the complex's 1-skeleton.
-
-    Two vertices are adjacent iff they belong to a common simplex (of any
-    dimension ≥ 1).  Keys appear in canonical vertex order
-    (``sorted_vertices()``); isolated vertices map to an empty set.
-    """
-    adjacency: dict[Vertex, set[Vertex]] = {
-        vertex: set() for vertex in complex_.sorted_vertices()
-    }
-    for facet in complex_.facets:
-        for vertex in facet.vertices:
-            adjacency[vertex].update(facet.vertices)
-            adjacency[vertex].discard(vertex)
-    return adjacency
 
 
 def connected_components(

@@ -1,31 +1,42 @@
-"""Each RPR lint rule must detect its violation (and only then)."""
+"""Each source rule must detect its violation (and only then)."""
 
 import textwrap
 
 import pytest
 
-from repro.checks import lint_source
-from repro.checks.astlint import LINT_RULES
+from tests.checks.source_rules import violations
 
 
 def lint(code, module="repro.experiments.fixture"):
-    """Lint a dedented snippet as if it were the given module."""
-    return lint_source(
-        textwrap.dedent(code), path="fixture.py", module=module
-    )
+    """The violations of a dedented snippet read as the given module."""
+    return violations(textwrap.dedent(code), module)
 
 
 def rule_ids(code, module="repro.experiments.fixture"):
-    return {finding.rule_id for finding in lint(code, module=module)}
+    return {rule_id for rule_id, _, _ in lint(code, module=module)}
 
 
 class TestFramework:
     def test_all_lint_rules_registered(self):
-        assert sorted(LINT_RULES) == ["RPR001", "RPR004", "RPR008"]
+        findings = lint(
+            """
+            import random
 
-    def test_syntax_error_reported_not_raised(self):
-        findings = lint("def broken(:\n    pass\n")
-        assert [f.rule_id for f in findings] == ["RPR000"]
+            def corrupt(simplex, step):
+                simplex._vertices = ()
+                try:
+                    step()
+                except ValueError:
+                    pass
+                return random.random()
+            """,
+            module="repro.core.fixture",
+        )
+        assert [rule_id for rule_id, _, _ in findings] == [
+            "RPR001",
+            "RPR004",
+            "RPR008",
+        ]
 
     def test_clean_module_is_clean(self):
         assert rule_ids(
@@ -92,16 +103,22 @@ class TestRPR001InterningSafety:
             "c._masks = ()",
             "c._table = None",
             "c._face_masks = set()",
+            "v._hash = 0",
+            "w._skey = ()",
+            "c._hash = None",
+            "del v._skey",
         ],
     )
     def test_mask_era_slots_fire_outside_their_module(self, statement):
         # The slots the interned value objects gained with the mask
-        # index: one foreign write corrupts every holder of the object.
+        # index, and the cached hash and sort key: one foreign write
+        # corrupts every holder of the object, every memo dict that
+        # holds it, or every sorted order it takes part in.
         findings = lint(
             f"def corrupt(v, w, c):\n    {statement}\n",
             module="repro.core.fixture",
         )
-        assert [f.rule_id for f in findings] == ["RPR001"]
+        assert [rule_id for rule_id, _, _ in findings] == ["RPR001"]
 
     @pytest.mark.parametrize(
         "module, statement",
@@ -109,6 +126,8 @@ class TestRPR001InterningSafety:
             ("repro.topology.vertex", "found._value = value"),
             ("repro.topology.views", "found._items = items"),
             ("repro.topology.complex", "other._masks = ()"),
+            ("repro.topology.views", "found._hash = hash(items)"),
+            ("repro.topology.complex", "other._hash = None"),
         ],
     )
     def test_mask_era_slots_may_be_set_by_their_owner(
@@ -180,6 +199,30 @@ class TestRPR008PurePaths:
             == set()
         )
 
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import random\n\nRNG = random.Random()\n",
+            "from random import Random\n\nRNG = Random()\n",
+            "import random as r\n\nRNG = r.Random(version=2)\n",
+        ],
+        ids=["module", "from-import", "keyword-only"],
+    )
+    def test_random_instance_without_seed_fires(self, code):
+        # An unseeded instance seeds itself from the OS.
+        assert rule_ids(code, module="repro.core.fixture") == {"RPR008"}
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from random import Random\n\nRNG = Random(0)\n",
+            "import random\n\nRNG = random.Random(x=7)\n",
+        ],
+        ids=["positional", "keyword"],
+    )
+    def test_random_instance_with_seed_is_allowed(self, code):
+        assert rule_ids(code, module="repro.topology.fixture") == set()
+
     def test_wall_clock_fires_in_pure_package(self):
         assert rule_ids(
             """
@@ -202,9 +245,12 @@ class TestRPR008PurePaths:
             """,
             module="repro.core.fixture",
         )
-        assert [f.rule_id for f in findings] == ["RPR008", "RPR008"]
-        assert "time.perf_counter()" in findings[0].message
-        assert "datetime.datetime.now()" in findings[1].message
+        assert [rule_id for rule_id, _, _ in findings] == [
+            "RPR008",
+            "RPR008",
+        ]
+        assert "time.perf_counter()" in findings[0][2]
+        assert "datetime.datetime.now()" in findings[1][2]
 
     def test_id_keyed_sort_fires(self):
         assert rule_ids(

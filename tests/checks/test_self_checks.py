@@ -1,22 +1,18 @@
-"""The codebase passes its own lint (tier-1 gate).
+"""The source tree obeys the proof machine's source rules (tier-1 gate).
 
-The AST lint over ``src/`` must be clean.  It is the same check CI runs
-via ``repro check --lint src/``; keeping it in tier-1 means a violation
-fails the default test run, not just the CI job.
+The rules live in :mod:`tests.checks.source_rules`; a source file that
+does not parse fails this test with its ``SyntaxError``.
 """
 
-from pathlib import Path
-
-from repro.checks import lint_report
-
-SRC = Path(__file__).resolve().parents[2] / "src"
+from tests.checks.source_rules import SRC, source_violations
 
 
 class TestSelfLint:
     def test_source_tree_lints_clean(self):
-        report = lint_report([str(SRC)])
-        assert report.files_linted > 0
+        assert (SRC / "repro" / "__init__.py").is_file()
+        found = source_violations()
         details = "\n".join(
-            f"{f.rule_id} {f.path}: {f.message}" for f in report.findings
+            f"{rule_id} {where}: {message}"
+            for where, rule_id, message in found
         )
-        assert report.is_clean(), f"RPR violations in src/:\n{details}"
+        assert found == [], f"RPR violations in src/:\n{details}"

@@ -28,8 +28,9 @@ from repro.tasks.inputs import input_simplex
 from repro.tasks.task import Task
 from repro.telemetry import ManualClock, span, tracing
 from repro.topology import Simplex, SimplicialComplex, Vertex
-from repro.topology.connectivity import farthest_facet, one_skeleton_adjacency
+from repro.topology.connectivity import farthest_facet
 from repro.topology.table import iter_bits
+from tests.topology.reference import one_skeleton_adjacency
 
 
 def F(num, den=1):

@@ -1,10 +1,10 @@
-"""Tests for the audit of a trace artifact on disk.
+"""``repro trace summarize`` on a trace artifact it cannot use.
 
-``repro check`` audits no trace files: ``telemetry.load_trace`` is the
-one validator of the format (its cases are in
-``tests/telemetry/test_export.py``), and ``repro trace summarize`` reports
-a file it cannot read or that ``load_trace`` rejects as one line with
-exit 1.  These tests pin that report, one artifact file per case.
+``telemetry.load_trace`` is the one validator of the format (its cases
+are in ``tests/telemetry/test_export.py``), and ``repro trace
+summarize`` reports a file it cannot read or that ``load_trace`` rejects
+as one line with exit 1.  These tests pin that report, one artifact
+file per case.
 """
 
 import json

@@ -39,6 +39,13 @@ class TestParser:
         ):
             assert parser.parse_args(argv).command == argv[0]
 
+    def test_check_is_not_a_command(self, capsys):
+        # The source rules are a tier-1 test (tests/checks/).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--lint", "src/"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
+
 
 class TestModelsCommand:
     def test_prints_fig8_census(self, capsys):

@@ -6,39 +6,25 @@ the hot paths use — pruning, containment, projection and the f-vector
 — retained verbatim in spirit: every function works on plain
 ``Simplex``/``Vertex`` sets with ``frozenset`` subset tests and
 materialized face families, exactly as the seed implementation did.
-They exist for two reasons:
+The property tests in ``tests/topology/test_bitmask_core.py`` assert
+bitmask results equal reference results on randomized complexes and on
+the one-round complexes of every model family.
 
-* the property tests in ``tests/topology/test_bitmask_core.py`` assert
-  bitmask results equal reference results on randomized complexes and
-  on the one-round complexes of every model family;
-* ``benchmarks/bench_bitmask_core.py`` uses them as the before-side of
-  the facet-pruning and containment-test timings.
-
-Connectivity and structural invariants have no reference here.
-:func:`~repro.topology.connectivity.one_skeleton_adjacency` is the
-object-set 1-skeleton that the mask kernel
-:func:`~repro.topology.connectivity.farthest_facet` is tested against,
-and :mod:`repro.topology.structure` is object-set already.
+:func:`one_skeleton_adjacency` is the object-set 1-skeleton that the
+mask kernel :func:`~repro.topology.connectivity.farthest_facet` is
+tested against.
 
 Functions take and return facet families (iterables / frozensets of
 :class:`Simplex`), not complexes, so they cannot accidentally call back
-into the bitmask core they are meant to check.
+into the bitmask core they are meant to check; the 1-skeleton reads a
+complex's facets only.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.topology.simplex import Simplex
-from repro.topology.vertex import Vertex
-
-__all__ = [
-    "prune_reference",
-    "faces_reference",
-    "contains_reference",
-    "proj_reference",
-    "f_vector_reference",
-]
+from repro.topology import Simplex, SimplicialComplex, Vertex
 
 
 def prune_reference(
@@ -114,3 +100,22 @@ def f_vector_reference(
         counts[simplex.dim] = counts.get(simplex.dim, 0) + 1
     top = max(counts)
     return tuple(counts.get(d, 0) for d in range(top + 1))
+
+
+def one_skeleton_adjacency(
+    complex_: SimplicialComplex,
+) -> dict[Vertex, set[Vertex]]:
+    """The adjacency structure of the complex's 1-skeleton.
+
+    Two vertices are adjacent iff they belong to a common simplex (of any
+    dimension ≥ 1).  Keys appear in canonical vertex order
+    (``sorted_vertices()``); isolated vertices map to an empty set.
+    """
+    adjacency: dict[Vertex, set[Vertex]] = {
+        vertex: set() for vertex in complex_.sorted_vertices()
+    }
+    for facet in complex_.facets:
+        for vertex in facet.vertices:
+            adjacency[vertex].update(facet.vertices)
+            adjacency[vertex].discard(vertex)
+    return adjacency

@@ -2,7 +2,7 @@
 
 Every property here pits a mask-native :class:`SimplicialComplex`
 operation against its retained seed implementation from
-:mod:`repro.topology.reference` on hypothesis-generated chromatic
+:mod:`tests.topology.reference` on hypothesis-generated chromatic
 complexes, plus, as explicit examples, the one-round complexes
 ``P^(1)(σ)`` of every model family at ``n = 3``, whose ``View`` and
 ``(box output, View)`` vertex values the strategies never generate.  A
@@ -32,8 +32,8 @@ from repro.objects import (
     beta_input_function,
 )
 from repro.topology import Simplex, SimplicialComplex, Vertex, VertexTable
-from repro.topology import reference
 from repro.topology.complex import _prune_masks
+from tests.topology import reference
 
 colors = st.integers(min_value=1, max_value=5)
 values = st.one_of(

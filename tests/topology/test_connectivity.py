@@ -7,11 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.topology import Simplex, SimplicialComplex, Vertex
-from repro.topology.connectivity import (
-    connected_components,
-    is_connected,
-    one_skeleton_adjacency,
-)
+from repro.topology.connectivity import connected_components, is_connected
+from tests.topology.reference import one_skeleton_adjacency
 
 
 colors = st.integers(min_value=1, max_value=5)
