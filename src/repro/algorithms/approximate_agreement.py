@@ -30,7 +30,7 @@ crossover in Corollary 3.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 from repro.core.lower_bounds import ceil_log
 from repro.errors import RuntimeModelError
@@ -53,6 +53,33 @@ def _round_parameters(
 
 def _as_fraction(value: Hashable) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _capped_range(values: Iterable[Fraction], eps: Fraction) -> Fraction:
+    """``min(max(S), min(S) + eps)`` for the values ``S``, on integers.
+
+    The halving map of Eq. (3), and each role of Eq. (2).  ``lo`` and
+    ``hi`` are the first minimum and the first maximum, as :func:`min`
+    and :func:`max` pick them, found by cross-multiplying numerators and
+    denominators (denominators are positive) instead of through
+    ``Fraction``'s generic comparison.  The result is ``hi`` itself when
+    ``hi ≤ lo + eps``, else the sum ``lo + eps``: the same object the
+    builtins return.
+    """
+    rest = iter(values)
+    lo = hi = next(rest)
+    lo_n, lo_d = hi_n, hi_d = lo.as_integer_ratio()
+    for value in rest:
+        num, den = value.as_integer_ratio()
+        if num * lo_d < lo_n * den:
+            lo, lo_n, lo_d = value, num, den
+        elif hi_n * den < num * hi_d:
+            hi, hi_n, hi_d = value, num, den
+    eps_n, eps_d = eps.as_integer_ratio()
+    # hi ≤ lo + eps, with both sides over the denominator lo_d·eps_d·hi_d.
+    if hi_n * lo_d * eps_d <= (lo_n * eps_d + eps_n * lo_d) * hi_d:
+        return hi
+    return lo + eps
 
 
 def _lookup(table: dict[int, Fraction], round_index: int) -> Fraction:
@@ -103,11 +130,9 @@ class HalvingAA(RoundAlgorithm):
         box_output: Optional[Hashable],
         round_index: int,
     ) -> Fraction:
-        seen = list(seen_states.values())
-        if len(seen) == 1:
-            # Solo view: min(x, x + ε_r) is x itself.
-            return seen[0]
-        return min(max(seen), min(seen) + self.round_epsilon(round_index))
+        return _capped_range(
+            seen_states.values(), self.round_epsilon(round_index)
+        )
 
     def decide(self, process: int, state: Fraction) -> Fraction:
         return state
@@ -131,6 +156,11 @@ class TwoProcessThirdsAA(RoundAlgorithm):
             rounds if rounds is not None else ceil_log(3, 1 / self.epsilon)
         )
         self._round_epsilons = _round_parameters(self.epsilon, 3, self.rounds)
+        # p₁'s cap 2·ε_r, per round.
+        self._doubled_epsilons = {
+            round_index: 2 * eps
+            for round_index, eps in self._round_epsilons.items()
+        }
 
     def round_epsilon(self, round_index: int) -> Fraction:
         """The round parameter ``ε_r = 3^{t-r}·ε``, for ``1 ≤ r ≤ t``."""
@@ -154,17 +184,21 @@ class TwoProcessThirdsAA(RoundAlgorithm):
             raise RuntimeModelError(
                 "TwoProcessThirdsAA is defined for exactly two processes"
             )
-        eps = self.round_epsilon(round_index)
         (id_a, val_a), (id_b, val_b) = sorted(seen_states.items())
-        if (val_a, id_a) <= (val_b, id_b):
+        # (val_a, id_a) ≤ (val_b, id_b) with id_a < id_b: val_a ≤ val_b.
+        num_a, den_a = val_a.as_integer_ratio()
+        num_b, den_b = val_b.as_integer_ratio()
+        if num_a * den_b <= num_b * den_a:
             low_id, lo, hi = id_a, val_a, val_b
         else:
             low_id, lo, hi = id_b, val_b, val_a
         if process == low_id:
             # p₁ seeing both: min(hi, lo + 2·ε_r).
-            return min(hi, lo + 2 * eps)
+            return _capped_range(
+                (lo, hi), _lookup(self._doubled_epsilons, round_index)
+            )
         # p₂ seeing both: min(hi, lo + ε_r).
-        return min(hi, lo + eps)
+        return _capped_range((lo, hi), self.round_epsilon(round_index))
 
     def decide(self, process: int, state: Fraction) -> Fraction:
         return state
@@ -213,6 +247,4 @@ class NonIteratedHalvingAA(HalvingAA):
         ]
         if not fresh:
             fresh = [state]
-        return min(
-            max(fresh), min(fresh) + self.round_epsilon(round_index)
-        )
+        return _capped_range(fresh, self.round_epsilon(round_index))

@@ -7,12 +7,17 @@ complexes, without the solver's compiled tables (vertex ranks, output
 bits, allowed masks): a verdict is then trusted only as far as these few
 lines are.
 
-The checked properties are exactly Section 2.2's solvability condition:
+The checked properties are exactly Section 2.2's solvability condition,
+on the protocol complexes ``P^(t)(σ)`` of the given input simplices:
 
-* the map is chromatic (every image has the color of its source);
 * every vertex of every ``P^(t)(σ)`` has an image;
+* the map is chromatic there (every image has the color of its source);
 * the image of every facet of ``P^(t)(σ)`` is a simplex of ``Δ(σ)``
   (hence so is the image of every face, ``Δ(σ)`` being face-closed).
+
+The map is read only at the vertices of those complexes, one key at a
+time, so checking a few input simplices of a large map reads only their
+part of it.
 """
 
 from __future__ import annotations
@@ -40,17 +45,10 @@ def check_decision_map(
     ``operator.of_simplex`` so that the complexes are built from views,
     not from the solver's templates.  Vertices and facets are visited
     in sorted order, so the reported violation is the same on every
-    run.
+    run.  ``decision.assignment`` is only asked for those vertices,
+    never iterated.
     """
     assignment = decision.assignment
-    for source in sorted(assignment, key=lambda v: v._sort_key()):
-        image = assignment[source]
-        if image.color != source.color:
-            raise SolvabilityError(
-                f"the decision map is not chromatic: {source!r} has "
-                f"color {source.color} but its image {image!r} has "
-                f"color {image.color}"
-            )
     for sigma in input_simplices:
         allowed = delta_of(sigma)
         protocol = protocol_of(sigma)
@@ -59,6 +57,13 @@ def check_decision_map(
                 raise SolvabilityError(
                     f"the decision map leaves {vertex!r} of the protocol "
                     f"complex of {sigma!r} unassigned"
+                )
+            image = assignment[vertex]
+            if image.color != vertex.color:
+                raise SolvabilityError(
+                    f"the decision map is not chromatic: {vertex!r} has "
+                    f"color {vertex.color} but its image {image!r} has "
+                    f"color {image.color}"
                 )
         for facet in protocol.sorted_facets():
             image = Simplex(assignment[v] for v in facet.vertices)

@@ -494,7 +494,7 @@ class _ChaosAdversary(Adversary):
     def mid_round_crashes(
         self, round_index: int, schedule: OneRoundSchedule
     ) -> frozenset[int]:
-        participants = schedule.participants
+        participants = schedule.ordered_participants
         # At most the remaining budget, and never the round's last
         # survivor: the loop stops drawing once ``limit`` processes died.
         limit = min(self._budget, len(participants) - 1)
@@ -504,7 +504,7 @@ class _ChaosAdversary(Adversary):
             self._crash_rng = random.Random(self._seed + 1)
         draw = self._crash_rng.random
         doomed: list[int] = []
-        for process in sorted(participants):
+        for process in participants:
             if len(doomed) >= limit:
                 break
             if draw() < CRASH_PROBABILITY:

@@ -34,13 +34,13 @@ An immediate-snapshot round is one ordered partition of the
 participants, and the runtime's adversaries build each round's schedule
 from its temporal blocks.  :func:`schedule_from_blocks` therefore interns
 its result: equal block lists share one already-validated schedule, so
-its derived data (view map, blocks, trace tuples) is computed once per
-process, not once per round.  The table is a fixed-size LRU of
-``_BLOCK_SCHEDULES`` (256) entries, enough for every immediate-snapshot
-schedule of four processes and of their subsets (149).  It is bounded
-because larger systems mostly draw distinct partitions (541 ordered
-partitions of five processes, 4,683 of six), where an unbounded table
-would only grow.
+its derived data (sorted participants, view map, blocks, trace tuples)
+is computed once per process, not once per round.  The table is a
+fixed-size LRU of ``_BLOCK_SCHEDULES`` (256) entries, enough for every
+immediate-snapshot schedule of four processes and of their subsets
+(149).  It is bounded because larger systems mostly draw distinct
+partitions (541 ordered partitions of five processes, 4,683 of six),
+where an unbounded table would only grow.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ class _Derived:
     """
 
     _participants: Ids
+    _ordered: Optional[tuple[int, ...]]
     _view_map: Optional[ViewMap]
     _immediate: Optional[bool]
     _blocks: Optional[tuple[Ids, ...]]
@@ -136,6 +137,7 @@ class OneRoundSchedule(_Derived):
         # Every derived attribute is set here, in one order, so all
         # schedules keep one compact attribute layout.
         object.__setattr__(self, "_participants", participants)
+        object.__setattr__(self, "_ordered", None)
         object.__setattr__(self, "_view_map", None)
         object.__setattr__(self, "_immediate", None)
         object.__setattr__(self, "_blocks", None)
@@ -145,6 +147,15 @@ class OneRoundSchedule(_Derived):
     def participants(self) -> Ids:
         """The participant set ``I = I_0 ∪ … ∪ I_r``."""
         return self._participants
+
+    @property
+    def ordered_participants(self) -> tuple[int, ...]:
+        """The participants in id order, sorted once."""
+        cached = self._ordered
+        if cached is None:
+            cached = tuple(sorted(self._participants))
+            object.__setattr__(self, "_ordered", cached)
+        return cached
 
     def views_by_process(self) -> Mapping[int, Ids]:
         """The schedule's own view map ``{i: P_s}``, computed once.

@@ -123,8 +123,9 @@ class IteratedExecutor:
                 active = active - doomed
 
             schedule = scheduler.schedule(round_index, active)
-            # What the round reads off the schedule (participants, view
-            # map, blocks, sorted tuples) is derived once per schedule.
+            # What the round reads off the schedule (participants, their
+            # sorted tuple, view map, blocks, sorted tuples) is derived
+            # once per schedule.
             participants = schedule.participants
             if participants != active:
                 raise RuntimeModelError(
@@ -153,7 +154,7 @@ class IteratedExecutor:
                     box, round_index, schedule, participants, states,
                     algorithm, scheduler,
                 )
-            ordered = tuple(sorted(participants))
+            ordered = schedule.ordered_participants
             array = scheduler.register_array(round_index, ordered)
             seen = self._run_round(
                 round_index, array, schedule, ordered, states, dying
@@ -168,12 +169,13 @@ class IteratedExecutor:
                     round_index,
                 )
             states.update(new_states)
-            active = active - dying
+            if dying:
+                active = active - dying
             result.trace.append(
                 TraceRound(
                     blocks=blocks,
-                    crashes=tuple(sorted(doomed)),
-                    mid_crashes=tuple(sorted(dying)),
+                    crashes=tuple(sorted(doomed)) if doomed else (),
+                    mid_crashes=tuple(sorted(dying)) if dying else (),
                     box_choice=box_choice,
                     views=views,
                 )

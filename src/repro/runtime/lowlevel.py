@@ -72,9 +72,12 @@ def random_collect_round(
             # written, not whether it reads None.
             seen[process].add(target)
         position[process] += 1
-        pending = [
-            p for p in id_list if position[p] < len(programs[p])
-        ]
+        if position[process] == len(programs[process]):
+            # Only a finished program leaves the list, which keeps its
+            # order, so the draws are those of a rebuild every step.
+            pending = [
+                p for p in id_list if position[p] < len(programs[p])
+            ]
     views = {process: frozenset(seen[process]) for process in id_list}
     for process, view in views.items():
         if process not in view:

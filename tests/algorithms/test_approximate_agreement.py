@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import HalvingAA, TwoProcessThirdsAA
+from repro.algorithms.approximate_agreement import _capped_range
 from repro.errors import RuntimeModelError
 from repro.faults.fixtures import TooFewRoundsAA
 from repro.runtime import (
@@ -35,6 +36,39 @@ def check_aa(result, inputs, epsilon):
     lo, hi = min(inputs.values()), max(inputs.values())
     assert max(values) - min(values) <= epsilon
     assert all(lo <= v <= hi for v in values)
+
+
+#: Small rationals, negatives included, so that lists repeat values often.
+small_fractions = st.fractions(
+    min_value=-2, max_value=2, max_denominator=4
+)
+
+
+def fresh(values):
+    """Equal values as distinct objects, so ties are told apart."""
+    return [Fraction(v.numerator, v.denominator) for v in values]
+
+
+class TestCappedRange:
+    """The integer kernel is the builtin ``min(max(S), min(S) + ε)``."""
+
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=6),
+        st.fractions(min_value=0, max_value=2, max_denominator=8),
+    )
+    @example([F(1, 2)], F(1, 4))
+    @example([F(1, 2), F(1, 2)], F(0))
+    @example([F(0), F(1, 2), F(1, 2)], F(1, 2))
+    @example([F(-1), F(1, 2), F(-1)], F(3, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_builtin_map(self, values, eps):
+        values = fresh(values)
+        expected = min(max(values), min(values) + eps)
+        result = _capped_range(values, eps)
+        assert result == expected
+        # The same object, too: the first maximum when the builtins
+        # return it, otherwise a new sum.
+        assert (result is expected) == any(v is expected for v in values)
 
 
 class TestHalvingAA:
@@ -148,6 +182,36 @@ class TestTwoProcessThirdsAA:
         algorithm = TwoProcessThirdsAA(F(1, 3))
         result = IteratedExecutor().run(algorithm, {2: F(1, 3)})
         assert result.decisions == {2: F(1, 3)}
+
+    @given(
+        small_fractions,
+        small_fractions,
+        st.sampled_from([(1, 2), (2, 1), (3, 7), (7, 3)]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @example(F(1, 3), F(1, 3), (1, 2), 1)
+    @example(F(1, 3), F(1, 3), (2, 1), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_step_is_equation_two(self, first, second, ids, round_index):
+        # Eq. (2) literally: p₁ holds the smaller value, ties broken
+        # toward the smaller id; p₁ caps at lo + 2·ε_r, p₂ at lo + ε_r.
+        algorithm = TwoProcessThirdsAA(F(1, 27))
+        eps = algorithm.round_epsilon(round_index)
+        seen = {ids[0]: first, ids[1]: second}
+        (p1, lo), (p2, hi) = sorted(
+            seen.items(), key=lambda item: (item[1], item[0])
+        )
+        expected = {p1: min(hi, lo + 2 * eps), p2: min(hi, lo + eps)}
+        for process in seen:
+            assert (
+                algorithm.step(process, seen[process], seen, None, round_index)
+                == expected[process]
+            )
+            solo = {process: seen[process]}
+            assert (
+                algorithm.step(process, seen[process], solo, None, round_index)
+                == seen[process]
+            )
 
     def test_tie_values_agree_immediately(self):
         algorithm = TwoProcessThirdsAA(F(1, 3))

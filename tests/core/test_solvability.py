@@ -1,6 +1,7 @@
 """Unit tests for the solvability decision procedure."""
 
 import math
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -552,6 +553,56 @@ class TestDecisionMapChecker:
         mutant = self._mutant(decision, {solo: Vertex(2, F(0))})
         with pytest.raises(SolvabilityError, match="not chromatic"):
             check_decision_map(simplices, task.delta, protocol_of, mutant)
+
+    def test_reads_only_the_asked_complexes(self, iis):
+        # Checking one input edge asks the map for that edge's protocol
+        # vertices and nothing else: it never iterates or sizes the map.
+        task, simplices, protocol_of, decision = self._instance(iis)
+        sigma = input_simplex({1: F(0), 2: F(1, 2)})
+        counting = _KeyCountingMap(decision.assignment)
+        check_decision_map(
+            [sigma],
+            task.delta,
+            protocol_of,
+            DecisionMap(counting, decision.rounds),
+        )
+        asked = set(protocol_of(sigma).vertices)
+        assert counting.keys_read == asked
+        assert len(asked) < len(decision.assignment)
+
+    def test_ignores_colors_outside_the_asked_complexes(self, iis):
+        # A non-chromatic image elsewhere in the map does not concern
+        # the asked simplex.
+        task, simplices, protocol_of, decision = self._instance(iis)
+        far = self._solo_vertex(protocol_of, 1, F(1))
+        mutant = self._mutant(decision, {far: Vertex(2, F(1))})
+        sigma = input_simplex({1: F(0), 2: F(1, 2)})
+        check_decision_map([sigma], task.delta, protocol_of, mutant)
+        with pytest.raises(SolvabilityError, match="not chromatic"):
+            check_decision_map(simplices, task.delta, protocol_of, mutant)
+
+
+class _KeyCountingMap(Mapping):
+    """A read-only map that records each key asked for, and refuses to
+    be iterated or sized."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.keys_read = set()
+
+    def __getitem__(self, key):
+        self.keys_read.add(key)
+        return self._inner[key]
+
+    def __contains__(self, key):
+        self.keys_read.add(key)
+        return key in self._inner
+
+    def __iter__(self):
+        raise AssertionError("the checker iterated the decision map")
+
+    def __len__(self):
+        raise AssertionError("the checker sized the decision map")
 
 
 def _full_instance_solvable(task, model, rounds, input_simplices=None):

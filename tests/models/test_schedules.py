@@ -167,6 +167,16 @@ class TestComputedOnce:
         assert schedule.view_of(1) == before[1]
         assert schedule.view_of(2) == before[2]
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [schedule_from_blocks([[17], [9, 2]]), NOT_IS],
+        ids=["blocks", "matrix"],
+    )
+    def test_ordered_participants_are_sorted_once(self, schedule):
+        ordered = schedule.ordered_participants
+        assert ordered == tuple(sorted(schedule.participants))
+        assert schedule.ordered_participants is ordered
+
     def test_blocks_of_a_non_is_matrix_raise_on_every_call(self):
         for _ in range(3):
             with pytest.raises(ScheduleError):
@@ -177,6 +187,7 @@ class TestComputedOnce:
     def test_pooled_schedule_equals_its_rebuilt_matrix(self, kind):
         for pooled in distinct_schedules(kind, [1, 2, 3]):
             # Fill the pooled schedule's derived data, not the rebuilt one's.
+            pooled.ordered_participants
             pooled.view_map()
             pooled.as_tuples()
             if pooled.is_immediate_snapshot():
