@@ -16,9 +16,9 @@ grid m = 4), counting explored search nodes:
   configuration ran for minutes without terminating).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_solver_ablation
 from repro.experiments.performance import SOLVER_NODE_BUDGET as NODE_BUDGET
+from repro.tables import ExperimentRow, render_table
 
 def test_solver_ablation(record_table):
     data = reproduce_solver_ablation()

@@ -21,8 +21,8 @@ bounds proved in IIS apply a fortiori to those weaker models, and the
 matching algorithm happens not to need immediacy there.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_affine_concurrency
+from repro.tables import ExperimentRow, render_table
 
 def test_affine_concurrency(record_table):
     data = reproduce_affine_concurrency()

@@ -9,8 +9,23 @@ request; the measured ``requests / materializations`` ratio is therefore
 the saving factor, and the acceptance bar is ≥ 5×.
 """
 
-from repro.analysis import ExperimentRow, render_cache_report, render_table
 from repro.experiments import reproduce_cache_effectiveness
+from repro.tables import ExperimentRow, render_rows, render_table
+
+
+def _counter_rows(stats):
+    """``(cache, hits, misses, hit rate)`` cells per cache, by name.
+
+    ``stats`` holds ``cache:<name>:hits|misses`` deltas; a delta omits
+    a tally that did not move, so a missing tally reads as zero.
+    """
+    tallies: dict[str, list[int]] = {}
+    for key, value in stats.items():
+        name, kind = key[len("cache:"):].rsplit(":", 1)
+        tallies.setdefault(name, [0, 0])[kind == "misses"] = int(value)
+    for name in sorted(tallies):
+        hits, misses = tallies[name]
+        yield (name, str(hits), str(misses), f"{hits / (hits + misses):.1%}")
 
 
 def test_cache_effectiveness(record_table):
@@ -53,7 +68,9 @@ def test_cache_effectiveness(record_table):
     table = render_table(
         "E22 (cache effectiveness) — model-level one-round memo", rows
     )
-    report = render_cache_report(
-        data["stats"], title="Counter deltas during the sweep"
+    report = render_rows(
+        "Counter deltas during the sweep",
+        _counter_rows(data["stats"]),
+        ("cache", "hits", "misses (constructions)", "hit rate"),
     )
     record_table("E22_cache_stats", table + "\n\n" + report)

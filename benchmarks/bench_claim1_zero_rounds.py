@@ -6,8 +6,8 @@ n ≥ 3 — while for exactly two processes the liberal version IS 0-round
 solvable (the technical wrinkle that costs Theorem 4 its additive −1).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_claim1
+from repro.tables import ExperimentRow, render_table
 
 def test_claim1_zero_round_unsolvability(record_table):
     data = reproduce_claim1()

@@ -4,8 +4,8 @@ Paper shape: the closure triples ε — the base of the ⌈log₃ 1/ε⌉ lower
 bound.  Verified exhaustively over every input simplex of the m = 6 grid.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_claim2
+from repro.tables import ExperimentRow, render_table
 
 def test_claim2_closure_is_3eps(record_table):
     data = reproduce_claim2()

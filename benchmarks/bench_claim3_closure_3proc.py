@@ -7,8 +7,8 @@ checked on representative windows; the liberal task is ε-independent
 there).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_claim3
+from repro.tables import ExperimentRow, render_table
 
 def test_claim3_closure_is_2eps(record_table):
     data = reproduce_claim3()

@@ -4,8 +4,8 @@ Builds a local task Π_{τ,σ}, decides its 1-round solvability, and computes
 a full Δ'(σ) — the three operations every later experiment composes.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_closure_machinery
+from repro.tables import ExperimentRow, render_table
 
 def test_closure_machinery(record_table):
     data = reproduce_closure_machinery()

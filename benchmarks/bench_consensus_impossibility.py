@@ -5,8 +5,8 @@ Paper shape: CL_IIS(consensus) = consensus (fixed point), consensus is not
 Reproduced mechanically for n = 2 and n = 3.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary1
+from repro.tables import ExperimentRow, render_table
 
 def test_corollary1_consensus_impossibility(record_table):
     outcomes = reproduce_corollary1()

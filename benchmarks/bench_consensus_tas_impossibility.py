@@ -7,8 +7,8 @@ though it is 1-round solvable for n = 2.  The ρ-simplices of Fig. 6 are the
 execution pair that forces agreement inside the closure argument.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary2
+from repro.tables import ExperimentRow, render_table
 
 def test_corollary2_consensus_with_tas(record_table):
     data = reproduce_corollary2()

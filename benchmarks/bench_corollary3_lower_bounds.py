@@ -10,8 +10,8 @@ closure identities, the generic closure-iteration engine on a small
 instance, and the algorithms' round counts (tightness).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_corollary3
+from repro.tables import ExperimentRow, render_table
 
 def test_corollary3_lower_bounds(record_table):
     data = reproduce_corollary3()

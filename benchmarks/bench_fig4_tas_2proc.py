@@ -6,8 +6,8 @@ algorithm "winner keeps, loser adopts" decides correctly under every
 schedule and box behavior.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig4
+from repro.tables import ExperimentRow, render_table
 
 def test_fig4_two_process_consensus_with_tas(record_table):
     data = reproduce_fig4()

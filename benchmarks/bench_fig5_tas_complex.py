@@ -6,8 +6,8 @@ outcome 1 — giving 7 vertices per color (21 in total); each execution has
 exactly one winner, drawn from its first block.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig5
+from repro.tables import ExperimentRow, render_table
 
 
 def test_fig5_tas_complex(record_table):

@@ -6,8 +6,8 @@ subdivision; the black process's solo vertex disappears from the 1-copy,
 and executions among the 1-callers only exist in the 1-copy.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig7
+from repro.tables import ExperimentRow, render_table
 
 
 def test_fig7_bc_complex(record_table):

@@ -6,8 +6,8 @@ adds 6 more (25); inclusions are strict and all three share the same 12
 vertices.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_fig8
+from repro.tables import ExperimentRow, render_table
 
 def test_fig8_model_hierarchy(record_table):
     data = reproduce_fig8()

@@ -8,8 +8,8 @@ matching the paper's observation that connectivity-style arguments are
 needed there), while 1-round unsolvability is still certified by search.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_kset
+from repro.tables import ExperimentRow, render_table
 
 def test_kset_extension(record_table):
     data = reproduce_kset()

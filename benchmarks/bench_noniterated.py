@@ -19,8 +19,8 @@ bench gives the question empirical teeth:
   suggestion that the models may be complexity-equivalent.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_noniterated
+from repro.tables import ExperimentRow, render_table
 
 
 def test_noniterated_model(record_table):

@@ -6,8 +6,8 @@ IS ⊆ snapshot ⊆ collect.  Measured: 1000 random op-level rounds per model
 land inside (and, for n = 3, cover much of) the corresponding matrix sets.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_runtime_vs_matrices
+from repro.tables import ExperimentRow, render_table
 
 def test_runtime_vs_matrices(record_table):
     report = reproduce_runtime_vs_matrices()

@@ -9,8 +9,8 @@ Characterizes the implementation's scale limits declared in DESIGN.md:
   to the number of distinct windows — measured hit counts.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_scaling
+from repro.tables import ExperimentRow, render_table
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
 

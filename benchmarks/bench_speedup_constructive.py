@@ -5,8 +5,8 @@ solves the closure in t−1 rounds — in the register model (Theorem 1) and
 with black boxes (Theorem 2).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_speedup
+from repro.tables import ExperimentRow, render_table
 
 def test_speedup_constructive(record_table):
     data = reproduce_speedup()

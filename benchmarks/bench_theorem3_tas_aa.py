@@ -7,8 +7,8 @@ stands; for n = 2 the object collapses the complexity to a single round.
 
 from fractions import Fraction
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_theorem3
+from repro.tables import ExperimentRow, render_table
 
 
 def F(num, den=1):

@@ -7,9 +7,9 @@ mixed β-sides the collapse fails (the box helps), which the bench also
 demonstrates, together with the bound's closed form across (n, ε).
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.core import ceil_log
 from repro.experiments import reproduce_theorem4
+from repro.tables import ExperimentRow, render_table
 
 
 def test_theorem4_bc_aa(record_table):

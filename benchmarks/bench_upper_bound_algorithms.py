@@ -13,8 +13,8 @@ where feasible, randomized with crashes otherwise), confirm correctness and
 the exact round count.
 """
 
-from repro.analysis import ExperimentRow, render_table
 from repro.experiments import reproduce_upper_bounds
+from repro.tables import ExperimentRow, render_table
 
 def test_upper_bound_algorithms(record_table):
     cases = reproduce_upper_bounds()

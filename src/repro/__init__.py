@@ -19,7 +19,8 @@ The package turns the paper's proof machinery into code:
 * an operational shared-memory runtime with adversarial schedulers and
   crash injection (:mod:`repro.runtime`);
 * the matching upper-bound algorithms (:mod:`repro.algorithms`);
-* census / figure / table utilities (:mod:`repro.analysis`).
+* the paper's experiments E1–E23 (:mod:`repro.experiments`) and the
+  fixed-width tables they print (:mod:`repro.tables`).
 
 Quick start::
 
@@ -93,7 +94,6 @@ from repro.core import (
     aa_lower_bound_iis,
     aa_lower_bound_iis_tas,
     aa_lower_bound_iis_bc,
-    aa_upper_bound_iis,
 )
 from repro.runtime import (
     IteratedExecutor,
@@ -174,7 +174,6 @@ __all__ = [
     "aa_lower_bound_iis",
     "aa_lower_bound_iis_tas",
     "aa_lower_bound_iis_bc",
-    "aa_upper_bound_iis",
     # runtime
     "IteratedExecutor",
     "NonIteratedExecutor",

@@ -41,7 +41,6 @@ from repro.algorithms import (
     TwoProcessConsensusTAS,
     TwoProcessThirdsAA,
 )
-from repro.analysis import ExperimentRow, figure8_census, render_table
 from repro.core import (
     ClosureComputer,
     aa_lower_bound_iis,
@@ -64,6 +63,7 @@ from repro.runtime import (
     RandomAdversary,
     RandomMatrixAdversary,
 )
+from repro.tables import ExperimentRow, render_table
 from repro.tasks import (
     approximate_agreement_task,
     binary_consensus_task,
@@ -117,7 +117,9 @@ def _resolve_model(name: str, n: int):
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
-    data = figure8_census()
+    from repro.experiments.figures import reproduce_fig8
+
+    data = reproduce_fig8()
     rows = [
         ExperimentRow(
             "immediate snapshot",
@@ -500,8 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inputs",
         type=_rationals,
-        default="0,1/2,1",
-        help="comma-separated rationals",
+        default="0,1",
+        help="comma-separated rationals, one input per process "
+        "(default: 0,1)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--crash", type=float, default=0.0)

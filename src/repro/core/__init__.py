@@ -40,7 +40,6 @@ from repro.core.lower_bounds import (
     aa_lower_bound_iis,
     aa_lower_bound_iis_tas,
     aa_lower_bound_iis_bc,
-    aa_upper_bound_iis,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "aa_lower_bound_iis",
     "aa_lower_bound_iis_tas",
     "aa_lower_bound_iis_bc",
-    "aa_upper_bound_iis",
 ]

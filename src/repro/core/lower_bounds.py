@@ -42,7 +42,6 @@ __all__ = [
     "aa_lower_bound_iis",
     "aa_lower_bound_iis_tas",
     "aa_lower_bound_iis_bc",
-    "aa_upper_bound_iis",
 ]
 
 Rational = Union[Fraction, int, str]
@@ -154,12 +153,3 @@ def aa_lower_bound_iis_bc(n: int, epsilon: Rational) -> int:
     by_epsilon = ceil_log(2, _inverse_epsilon(epsilon))
     by_processes = ceil_log(2, n) - 1
     return min(by_epsilon, by_processes)
-
-
-def aa_upper_bound_iis(n: int, epsilon: Rational) -> int:
-    """The matching upper bounds (Aspnes–Herlihy / Hoest–Shavit).
-
-    ``⌈log₃ 1/ε⌉`` rounds for two processes (Eq. 2 divides the diameter by
-    3 per round), ``⌈log₂ 1/ε⌉`` for ``n ≥ 3`` (Eq. 3 halves it).
-    """
-    return aa_lower_bound_iis(n, epsilon)

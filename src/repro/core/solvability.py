@@ -42,8 +42,9 @@ joins ``f(a)`` and ``f(b)``", the paper's path argument for Claim 2.
 Vertices of degree three or more, and every vertex of an ``n ≥ 3``
 facet, stay variables.  The reduced problem is an ordinary
 :class:`SolvabilityProblem` and goes through the same search.  Its
-decision map is built when first read: each eliminated chain is walked
-from its ends' images, so a verdict alone decodes no vertex.
+decision map is extended when first read: each eliminated chain is
+walked from its ends' images, so a verdict alone decodes no vertex, and
+a lookup decodes none either.
 
 :func:`find_decision_map` first tries to refute on a *core*: the faces
 of one maximal input simplex that lie in the given input simplices.
@@ -89,6 +90,7 @@ from repro.models.protocol import (
     ProtocolTemplate,
     VertexKey,
     decode_vertex,
+    encode_vertex,
     key_sort_key,
 )
 from repro.tasks.task import Task
@@ -683,14 +685,16 @@ class _Expansion:
 
 
 class _LazyAssignment(Mapping[Vertex, Vertex]):
-    """A reduced problem's decision map, built when it is first read.
+    """A reduced problem's decision map, read on keys.
 
-    The first read decodes every key once, the kept vertices in rank
-    order, then the eliminated ones; :meth:`by_key` gives the same map
-    on keys and decodes nothing.
+    The first read extends the search's images to the eliminated keys
+    (:meth:`by_key`).  A lookup then finds the asked vertex's key
+    (:func:`~repro.models.protocol.encode_vertex`) and decodes nothing;
+    only iterating decodes, every key in turn.  Each vertex's output is
+    kept once found.
     """
 
-    __slots__ = ("_parts", "_built")
+    __slots__ = ("_parts", "_by_key", "_images", "_memo")
 
     def __init__(
         self,
@@ -701,48 +705,67 @@ class _LazyAssignment(Mapping[Vertex, Vertex]):
         rounds: int,
     ) -> None:
         self._parts = (expansion, vertices, images, outputs, rounds)
-        self._built: Optional[dict[Vertex, Vertex]] = None
+        self._by_key: Optional[dict[VertexKey, Vertex]] = None
+        self._images: dict[Vertex, Optional[Vertex]] = {}
+        self._memo: dict = {}
 
     def by_key(self) -> dict[VertexKey, Vertex]:
         """``key → output vertex`` for every protocol vertex.
 
         Extends the search's images to the eliminated keys
-        (:meth:`_Expansion.images`) without decoding a vertex.
+        (:meth:`_Expansion.images`) once, without decoding a vertex.
         """
-        expansion, vertices, images, outputs, _ = self._parts
-        assert isinstance(vertices, _ProtocolVertices)
-        image_of = dict(zip(vertices.rank_of, images))
-        expansion.images(image_of)
-        return {
-            key: outputs[bit.bit_length() - 1]
-            for key, bit in image_of.items()
-        }
-
-    def _map(self) -> dict[Vertex, Vertex]:
-        built = self._built
-        if built is None:
-            rounds = self._parts[-1]
-            memo: dict = {}
-            built = self._built = {
-                decode_vertex(key, rounds, memo): output
-                for key, output in self.by_key().items()
+        found = self._by_key
+        if found is None:
+            expansion, vertices, images, outputs, _ = self._parts
+            assert isinstance(vertices, _ProtocolVertices)
+            image_of = dict(zip(vertices.rank_of, images))
+            expansion.images(image_of)
+            found = self._by_key = {
+                key: outputs[bit.bit_length() - 1]
+                for key, bit in image_of.items()
             }
-        return built
+        return found
+
+    def _image(self, vertex: object) -> Optional[Vertex]:
+        """``vertex``'s output, or ``None`` if the map has no such key."""
+        if not isinstance(vertex, Vertex):
+            return None
+        images = self._images
+        if vertex not in images:
+            by_key = self.by_key()
+            # A template keyed by σ itself names its vertices whole.
+            found = by_key.get((vertex, ()))
+            if found is None:
+                key = encode_vertex(vertex, self._parts[-1], self._memo)
+                found = None if key is None else by_key.get(key)
+            images[vertex] = found
+        return images[vertex]
 
     def __getitem__(self, vertex: Vertex) -> Vertex:
-        return self._map()[vertex]
+        image = self._image(vertex)
+        if image is None:
+            raise KeyError(vertex)
+        return image
 
     def __contains__(self, vertex: object) -> bool:
-        return vertex in self._map()
+        return self._image(vertex) is not None
 
     def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._map())
+        rounds = self._parts[-1]
+        memo: dict = {}
+        images = self._images
+        for key, image in self.by_key().items():
+            vertex = decode_vertex(key, rounds, memo)
+            # Reading a vertex met here again needs no encoding.
+            images[vertex] = image
+            yield vertex
 
     def __len__(self) -> int:
-        return len(self._map())
+        return len(self.by_key())
 
     def __repr__(self) -> str:
-        return repr(self._map())
+        return repr(dict(self))
 
 
 class _DecodedConstraints(Sequence[_Constraint]):

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Hashable, Mapping
 
-from repro.analysis import figure6_simplices
 from repro.core import (
     ClosureComputer,
     impossibility_from_fixed_point,
@@ -20,9 +20,10 @@ from repro.tasks import (
     relaxed_consensus_task,
 )
 from repro.tasks.inputs import input_simplex
-from repro.topology import Simplex
+from repro.topology import Simplex, Vertex, View
 
 __all__ = [
+    "figure6_simplices",
     "reproduce_closure_machinery",
     "reproduce_corollary1",
     "reproduce_corollary2",
@@ -76,6 +77,40 @@ def reproduce_corollary1() -> dict[int, dict[str, bool]]:
             "brute_force_1_round": is_solvable(task, iis, 1),
         }
     return outcomes
+
+
+def figure6_simplices(
+    tau_values: Mapping[int, Hashable],
+    i: int,
+    j: int,
+    k: int,
+) -> tuple[Simplex, Simplex]:
+    """Fig. 6: the simplices ``ρ_{i,j,k}`` and ``ρ_{j,i,k}`` of Corollary 2.
+
+    ``ρ_{i,j,k}``: process ``i`` runs solo first (winning test&set), then
+    ``j`` (seeing ``{i, j}``), then ``k`` (seeing everything), with ``j``
+    and ``k`` losing the object.
+    """
+    y = dict(tau_values)
+
+    def vertex(process: int, bit: int, seen: tuple[int, ...]) -> Vertex:
+        return Vertex(process, (bit, View((s, y[s]) for s in seen)))
+
+    rho_ijk = Simplex(
+        [
+            vertex(i, 1, (i,)),
+            vertex(j, 0, (i, j)),
+            vertex(k, 0, (i, j, k)),
+        ]
+    )
+    rho_jik = Simplex(
+        [
+            vertex(j, 1, (j,)),
+            vertex(i, 0, (i, j)),
+            vertex(k, 0, (i, j, k)),
+        ]
+    )
+    return rho_ijk, rho_jik
 
 
 def reproduce_corollary2() -> dict[str, bool]:

@@ -24,7 +24,7 @@ is built to survive its own subjects:
 * **accounting** — every execution ticks the
   ``faults.campaign.executions`` counter of
   :func:`repro.telemetry.default_registry` (the ledger's trial count),
-  and reports render to text (via :mod:`repro.analysis.reporting`) or
+  and reports render to text (via :mod:`repro.tables`) or
   deterministic JSON.
 
 Violating executions carry a replayable
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from repro.analysis.reporting import render_rows
 from repro.errors import (
     ExecutionBudgetExceeded,
     FaultInjectionError,
@@ -84,6 +83,7 @@ from repro.runtime.adversary import (
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.iterated import ExecutionResult, IteratedExecutor
 from repro.runtime.registers import RegisterArray
+from repro.tables import render_rows
 from repro.telemetry import default_registry, span
 
 __all__ = [

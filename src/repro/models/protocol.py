@@ -15,7 +15,8 @@ and a *carrier*, the colors whose inputs it holds.  The pair
 ``P^(t)(σ)`` without building its view.  :func:`key_sort_key` computes
 the sort key of the vertex a key names from the key alone, so keys can
 be ranked in vertex order without building a view, and
-:func:`decode_vertex` builds the view when it is needed.  A shape is a
+:func:`decode_vertex` builds the view when it is needed
+(:func:`encode_vertex` goes back).  A shape is a
 function of the vertex alone, so templates of different participant
 sets name a shared vertex (a solo view, say) by the same key.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "ProtocolTemplate",
     "VertexKey",
     "decode_vertex",
+    "encode_vertex",
     "key_sort_key",
 ]
 
@@ -93,6 +95,30 @@ def decode_vertex(
     )
 
 
+def encode_vertex(
+    vertex: Vertex, rounds: int, memo: Optional[dict] = None
+) -> Optional[VertexKey]:
+    """The key that a relabelled template gives ``vertex``.
+
+    The inverse of :func:`decode_vertex` on such keys; ``None`` if
+    ``vertex`` cannot be a ``rounds``-round vertex of a relabelled
+    template.  ``memo`` caches the shapes of the views met on the way;
+    pass one dict to encode many vertices.
+    """
+    leaves: dict[int, Hashable] = {}
+    try:
+        shape = _shape(
+            vertex.value, vertex.color, rounds, leaves,
+            {} if memo is None else memo,
+        )
+    except ValueError:
+        return None
+    return (
+        Vertex(vertex.color, shape),
+        tuple([Vertex(color, leaves[color]) for color in sorted(leaves)]),
+    )
+
+
 def key_sort_key(
     key: VertexKey, rounds: int, memo: Optional[dict] = None
 ) -> tuple:
@@ -118,26 +144,47 @@ def key_sort_key(
 
 
 def _shape(
-    value: Hashable, color: int, depth: int, carrier: set[int]
+    value: Hashable,
+    color: int,
+    depth: int,
+    leaves: dict[int, Hashable],
+    memo: dict,
 ) -> Hashable:
     """``value`` with its depth-``depth`` leaves replaced by their colors.
 
-    ``color`` holds ``value``; the replaced colors are added to
-    ``carrier``.
+    ``color`` holds ``value``; each replaced leaf is recorded in
+    ``leaves`` under its color.  ``memo`` caches each view's shape and
+    leaves by the view and its depth.  Raises :class:`ValueError` unless
+    ``value`` is ``depth`` levels of views (or ``(box output, view)``
+    pairs) with one leaf per color.
     """
     if depth == 0:
-        carrier.add(color)
-        return color
-    if isinstance(value, tuple):
+        found = ((color, value),)
+        shape: Hashable = color
+    elif isinstance(value, tuple):
         box, view = value
-        return (box, _shape(view, color, depth, carrier))
-    assert isinstance(value, View)
-    return View(
-        [
-            (seen, _shape(item, seen, depth - 1, carrier))
-            for seen, item in value
-        ]
-    )
+        return (box, _shape(view, color, depth, leaves, memo))
+    else:
+        cached = memo.get((value, depth))
+        if cached is None:
+            if not isinstance(value, View):
+                raise ValueError(f"{value!r} is not a view")
+            inner: dict[int, Hashable] = {}
+            cached = memo[(value, depth)] = (
+                View(
+                    [
+                        (seen, _shape(item, seen, depth - 1, inner, memo))
+                        for seen, item in value
+                    ]
+                ),
+                tuple(inner.items()),
+            )
+        shape, found = cached
+    for leaf_color, leaf in found:
+        known = leaves.setdefault(leaf_color, leaf)
+        if known is not leaf and known != leaf:
+            raise ValueError(f"two depth-0 values of color {leaf_color}")
+    return shape
 
 
 def _fill(
@@ -285,9 +332,10 @@ def _template_of(
         )
     shapes = []
     carriers = []
+    memo: dict = {}
     for vertex in vertices:
-        carrier: set[int] = set()
-        value = _shape(vertex.value, vertex.color, rounds, carrier)
+        leaves: dict[int, Hashable] = {}
+        value = _shape(vertex.value, vertex.color, rounds, leaves, memo)
         shapes.append(Vertex(vertex.color, value))
-        carriers.append(tuple(sorted(carrier)))
+        carriers.append(tuple(sorted(leaves)))
     return ProtocolTemplate(tuple(shapes), tuple(carriers), facets)

@@ -1,9 +1,11 @@
-"""Plain-text experiment tables.
+"""Plain-text fixed-width tables.
 
 The benchmark harness prints, for every reproduced artifact, a
-"paper vs. measured" table.  This module renders those tables without any
+"paper vs. measured" table; the CLI, the chaos report and ``repro trace
+summarize`` print tables too.  This module renders them without any
 third-party dependency and in a stable format so EXPERIMENTS.md diffs stay
-readable.
+readable.  It imports nothing from :mod:`repro`, so every layer can
+import it at module level.
 """
 
 from __future__ import annotations

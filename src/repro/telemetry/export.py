@@ -23,6 +23,7 @@ import math
 from typing import Any, Optional, Union
 
 from repro.errors import TelemetryError
+from repro.tables import render_rows
 from repro.telemetry.tracer import _VERBATIM, Span, Tracer
 
 __all__ = [
@@ -128,12 +129,6 @@ def self_time_table(
 
 def render_text(trace: TraceInput, top: int = 15) -> str:
     """The top-``top`` self-time table plus a one-line trace census."""
-    # Imported lazily: the repro.analysis package imports repro.telemetry
-    # back (analysis.figures -> core.solvability -> repro.telemetry, and
-    # analysis.counting -> topology.complex -> repro.telemetry), so a
-    # module-level import here fails during a cold ``import repro``.
-    from repro.analysis.reporting import render_rows
-
     tree = _as_tree(trace)
     rows = self_time_table(tree)
     span_count = sum(row[1] for row in rows)

@@ -5,8 +5,8 @@
 ranked keys; the vertices are decoded on first read.  Propagation,
 components and search read only their count, so a refutation decodes
 nothing.  :func:`is_solvable` compiles with the series reduction: it
-ranks only the kept keys, and the map it finds is built on first read,
-so a solvable verdict decodes nothing either.
+ranks only the kept keys, and the map it finds is read on keys, so
+neither a solvable verdict nor a lookup in its map decodes a vertex.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import repro.core.solvability as solvability
+from repro.core import check_decision_map
 from repro.core.solvability import (
     SolvabilityProblem,
     build_solvability_problem,
@@ -22,6 +23,8 @@ from repro.core.solvability import (
 )
 from repro.models import ImmediateSnapshotModel, ProtocolOperator
 from repro.tasks import approximate_agreement_task
+from repro.tasks.inputs import input_simplex
+from repro.topology import Vertex, View
 
 
 @pytest.fixture
@@ -141,11 +144,45 @@ class TestReducedMapOnDemand:
         assert len(set(ranked)) == len(self.TASK.input_complex.vertices)
 
     def test_reading_the_map_decodes_each_vertex_once(self, decodes):
+        # Sizing and lookups go by key; iterating decodes each key once.
         decision = find_decision_map(self.TASK, ImmediateSnapshotModel(), 2)
-        assert decodes == []
         assignment = decision.assignment
-        assert len(assignment) == len(decodes) == len(set(decodes))
         assert len(assignment) == len(_compiled(rounds=2).vertices)
-        assert dict(assignment.items()) == dict(assignment)
+        assert decodes == []
+        vertices = list(assignment)
+        assert len(decodes) == len(set(decodes)) == len(assignment)
+        assert all(vertex in assignment for vertex in vertices)
         assert len(decodes) == len(assignment)
+
+    def test_checking_one_input_edge_decodes_nothing(self, decodes):
+        # The checker asks for that edge's protocol vertices only; each
+        # is found by its key, and no vertex of the map is decoded.
+        operator = ProtocolOperator(ImmediateSnapshotModel())
+        decision = find_decision_map(
+            self.TASK, ImmediateSnapshotModel(), 2, operator=operator
+        )
+        sigma = input_simplex({1: Fraction(0), 2: Fraction(1, 9)})
+        check_decision_map(
+            [sigma],
+            self.TASK.delta,
+            lambda face: operator.of_simplex(face, 2),
+            decision,
+        )
+        assert decodes == []
+
+    def test_a_vertex_with_two_inputs_of_one_color_is_not_in_the_map(self):
+        # Rounds [1] [2], then [1, 2]: process 1 sees 2's round-one view,
+        # which holds 1's input.  Another input for 1 there names no
+        # protocol vertex.
+        decision = find_decision_map(self.TASK, ImmediateSnapshotModel(), 2)
+
+        def process_one(own, seen_by_two):
+            return Vertex(1, View([
+                (1, View([(1, own)])),
+                (2, View([(1, seen_by_two), (2, Fraction(1))])),
+            ]))
+
+        zero, one = Fraction(0), Fraction(1)
+        assert process_one(zero, zero) in decision.assignment
+        assert process_one(zero, one) not in decision.assignment
 

@@ -8,7 +8,6 @@ from repro.core import (
     aa_lower_bound_iis,
     aa_lower_bound_iis_bc,
     aa_lower_bound_iis_tas,
-    aa_upper_bound_iis,
     ceil_log,
     iterated_closure_lower_bound,
 )
@@ -98,11 +97,6 @@ class TestClosedForms:
     def test_bc_bound_requires_three_processes(self):
         with pytest.raises(SolvabilityError):
             aa_lower_bound_iis_bc(2, F(1, 2))
-
-    def test_upper_matches_lower_in_iis(self):
-        for n in (2, 3, 5):
-            for eps in (F(1, 2), F(1, 4), F(1, 8)):
-                assert aa_upper_bound_iis(n, eps) == aa_lower_bound_iis(n, eps)
 
     def test_invalid_n(self):
         with pytest.raises(SolvabilityError):

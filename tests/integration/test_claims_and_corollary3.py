@@ -14,7 +14,6 @@ from repro.algorithms import HalvingAA, TwoProcessThirdsAA
 from repro.core import (
     ClosureComputer,
     aa_lower_bound_iis,
-    aa_upper_bound_iis,
     is_solvable,
 )
 from repro.models import ProtocolOperator
@@ -149,7 +148,7 @@ class TestCorollary3:
         eps = F(1, 3)
         task = approximate_agreement_task([1, 2], eps, 3)
         algorithm = TwoProcessThirdsAA(eps)
-        assert algorithm.rounds == aa_upper_bound_iis(2, eps) == 1
+        assert algorithm.rounds == aa_lower_bound_iis(2, eps) == 1
         decision = extract_decision_map(algorithm, iis, task.input_complex)
         operator = ProtocolOperator(iis)
         for sigma in task.input_complex:

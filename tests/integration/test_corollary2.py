@@ -3,12 +3,12 @@ test&set (E6), while it IS solvable for n = 2 (Fig. 4).
 """
 
 
-from repro.analysis import figure6_simplices
 from repro.core import (
     ClosureComputer,
     impossibility_from_fixed_point,
     is_solvable,
 )
+from repro.experiments.consensus import figure6_simplices
 from repro.tasks import binary_consensus_task, relaxed_consensus_task
 from repro.tasks.inputs import input_simplex
 from repro.topology import Simplex

@@ -36,8 +36,13 @@ class TestParser:
             ["closure", "--eps", "1/4"],
             ["bounds", "--n", "4"],
             ["run", "halving", "--inputs", "0,1"],
+            ["run", "thirds"],
+            ["run", "tas-consensus"],
         ):
             assert parser.parse_args(argv).command == argv[0]
+        # The default inputs suit the two-process algorithms too.
+        assert main(["run", "thirds"]) == 0
+        assert main(["run", "tas-consensus"]) == 0
 
     def test_check_is_not_a_command(self, capsys):
         # The source rules are a tier-1 test (tests/checks/).
